@@ -21,13 +21,6 @@ from .dynamics import (  # noqa: F401
     normalize_velocity,
     rc_transport_residual,
 )
-from .electromagnetism import (  # noqa: F401
-    chern_simons_density,
-    current,
-    field_strength,
-    homogeneous_maxwell_residual,
-    stress_energy,
-)
 from .engine import GeometrySnapshot, snapshot  # noqa: F401
 from .errors import (  # noqa: F401
     ConsistencyError,
@@ -38,44 +31,9 @@ from .errors import (  # noqa: F401
     ParseError,
     SignatureError,
     SpacetimeFormatError,
-    TensorError,
     UnknownIdentifierError,
 )
 from .expr import ChartSpec  # noqa: F401
 from .fields import ExprField, finite_difference_derivatives  # noqa: F401
-from .gauge import (  # noqa: F401
-    gauge_curvature_shift,
-    gauge_invariance_suite,
-    transform_potential,
-    transformed_contorsion,
-)
-from .levi_civita import (  # noqa: F401
-    ConnectionCoefficients,
-    CurvatureAtPoint,
-    christoffel,
-    contracted_bianchi_residual,
-    lc_covariant_derivative,
-    lc_curvature,
-    lc_divergence_antisym2,
-)
-from .riemann_cartan import (  # noqa: F401
-    Contorsion,
-    Torsion,
-    contorsion_from_potential,
-    full_connection,
-    rc_curvature,
-    scalar_curvature_split,
-    torsion_from_contorsion,
-)
-from .tensor import (  # noqa: F401
-    DOWN,
-    UP,
-    MetricAtPoint,
-    Tensor,
-    antisymmetrize_3,
-    contract,
-    lower_index,
-    outer,
-    raise_index,
-    scalar_product,
-)
+from .gauge import gauge_invariance_suite, transform_potential  # noqa: F401
+from .tensor import MetricAtPoint  # noqa: F401

@@ -99,18 +99,10 @@ class SpacetimeModel:
         x = np.asarray(x, dtype=float)
         return np.array([f.value(x) for f in self.A_fields])
 
-    def with_potential(self, A_fields, name=None):
-        return SpacetimeModel(
-            name=name or self.name,
-            chart=self.chart,
-            g_fields=self.g_fields,
-            A_fields=tuple(A_fields),
-            constants=self.constants,
-            params=self.params,
-            grid_axes=self.grid_axes,
-            domain=self.domain,
-            meta=self.meta,
-        )
+    def scalar_field(self, src, name=""):
+        """Scalar field over the chart with the parameters, G and c in scope."""
+        env = dict(self.params, G=self.constants.G, c=self.constants.c)
+        return ExprField(src, self.chart, env, name=name)
 
     def sample_box(self):
         box = self.meta.get("sample_box")
@@ -215,21 +207,9 @@ def validate_on_grid(model, origin=None):
 
 # -- built-in catalog ---------------------------------------------------------
 
-
-def _box_grid(lo=-0.5, hi=0.5):
-    vals = (lo, hi)
-    return {"t": vals, "x": vals, "y": vals, "z": vals}
-
-
-def _static_spherical_grid():
-    return {
-        "t": (0.0, 0.5),
-        "r": tuple(np.linspace(3.0, 10.0, 8)),
-        "theta": tuple(np.linspace(0.3, math.pi - 0.3, 4)),
-        "phi": (0.1, 2.0),
-    }
-
-
+_CARTESIAN = ("t", "x", "y", "z")
+_SPHERICAL = ("t", "r", "theta", "phi")
+_FLAT = {(0, 0): "1", (1, 1): "-1", (2, 2): "-1", (3, 3): "-1"}
 _CARTESIAN_BOX = {"t": (-1.0, 1.0), "x": (-1.0, 1.0), "y": (-1.0, 1.0), "z": (-1.0, 1.0)}
 _SPHERICAL_BOX = {
     "t": (0.0, 1.0),
@@ -237,125 +217,175 @@ _SPHERICAL_BOX = {
     "theta": (0.3, math.pi - 0.3),
     "phi": (0.0, 2.0 * math.pi),
 }
+_BOX_GRID = {"t": (-0.5, 0.5), "x": (-0.5, 0.5), "y": (-0.5, 0.5), "z": (-0.5, 0.5)}
+_STATIC_SPHERICAL_GRID = {
+    "t": (0.0, 0.5),
+    "r": tuple(np.linspace(3.0, 10.0, 8)),
+    "theta": tuple(np.linspace(0.3, math.pi - 0.3, 4)),
+    "phi": (0.1, 2.0),
+}
+_FLAT_META = {"source_free": True, "einstein_exact": False, "diag_static": True,
+              "sample_box": _CARTESIAN_BOX}
+_STATIC_META = {"source_free": True, "einstein_exact": True, "diag_static": True,
+                "sample_box": _SPHERICAL_BOX}
+_ORIGIN, _AT_REST = (0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)
+_COMOVING = ("1", "0", "0", "0")
+# Rest start at charge ratio 0.5: V^0 = cosh(0.5 E s), hence this dust flow.
+_ACCEL_GAMMA = "sqrt(1 + (0.5*E*t)^2)"
+
+
+def _static_spherical_metric(f):
+    return {(0, 0): f, (1, 1): f"-1/({f})", (2, 2): "-r^2", (3, 3): "-r^2*sin(theta)^2"}
+
+
+# -- closed forms: (model, trajectory, charge ratio) -> max error ---------------
+
+
+def straight_line_error(model, traj, charge_ratio):
+    """Free motion in flat space: x(s) = x(0) + s V(0)."""
+    x0, V0 = traj.states[0].x, traj.states[0].V
+    return max(float(np.abs(st.x - (x0 + st.s * V0)).max()) for st in traj.states)
+
+
+def uniform_acceleration_error(model, traj, charge_ratio):
+    """Rest start in the uniform field E: V^0(s) = cosh(k E s)."""
+    a = charge_ratio * model.params["E"]
+    return max(abs(st.V[0] - math.cosh(a * st.s)) for st in traj.states)
+
+
+def circular_radius_error(model, traj, charge_ratio):
+    """A circular orbit keeps its starting radius."""
+    r = traj.states[0].x[1]
+    return max(abs(st.x[1] - r) for st in traj.states)
+
+
+@dataclass(frozen=True)
+class ClosedFormScenario:
+    """A worldline with a known solution, run by the dynamics suite."""
+
+    note: str
+    start: object  # params -> (x0, V0, charge ratio, ds, steps)
+    closed_form: object
+
+
+@dataclass(frozen=True)
+class WorldlineOracle:
+    """A closed form that holds for every worldline run meeting its premise:
+    charged (charge ratio nonzero) or neutral, and optionally a rest start."""
+
+    name: str
+    closed_form: object
+    charged: bool
+    from_rest: bool = False
+
+    def report(self, model, traj, charge_ratio):
+        V0 = traj.states[0].V
+        if traj.exited or (charge_ratio != 0.0) != self.charged:
+            return None
+        if self.from_rest and not np.allclose(V0, [1.0, 0.0, 0.0, 0.0]):
+            return None
+        return {"name": self.name, "max_error": self.closed_form(model, traj, charge_ratio)}
+
+
+def _circular_orbit(p, r=8.0, steps=1500):
+    """One period of the circular geodesic of radius r."""
+    M = p["M"]
+    vt = 1.0 / math.sqrt(1.0 - 3.0 * M / r)
+    vphi = math.sqrt(M / r**3) * vt
+    period = 2.0 * math.pi / vphi
+    return (0.0, r, math.pi / 2, 0.0), (vt, 0.0, 0.0, vphi), 0.0, period / steps, steps
+
+
+@dataclass(frozen=True)
+class _Entry:
+    coords: tuple
+    g: dict
+    A: dict
+    defaults: dict
+    grid: dict
+    meta: dict
+    domain: str | None = None
+
+
+# meta keys read by the suites: source_free, einstein_exact, diag_static,
+# sample_box, charge_density_param (the parameter holding a uniform proper
+# charge density), scenario (ClosedFormScenario), oracle (WorldlineOracle) and
+# dust (expression sources of a matched dust: rho0, rhoq, V).
+_ENTRIES = {
+    "minkowski": _Entry(
+        _CARTESIAN, _FLAT, {}, {}, _BOX_GRID,
+        {**_FLAT_META, "einstein_exact": True,
+         "scenario": ClosedFormScenario(
+             "straight worldline", lambda p: (_ORIGIN, _AT_REST, 0.0, 0.01, 200),
+             straight_line_error),
+         "oracle": WorldlineOracle("straight-line", straight_line_error, charged=False),
+         "dust": ("0.05", "0", _COMOVING)},
+    ),
+    "minkowski-constant-e": _Entry(
+        _CARTESIAN, _FLAT, {0: "-(E*x)"}, {"E": 1.0}, _BOX_GRID,
+        {**_FLAT_META,
+         "scenario": ClosedFormScenario(
+             "uniform acceleration",
+             lambda p: (_ORIGIN, _AT_REST, 0.5 / p["E"], 1e-3, 2000),
+             uniform_acceleration_error),
+         "oracle": WorldlineOracle("uniform-acceleration", uniform_acceleration_error,
+                                   charged=True, from_rest=True),
+         "dust": (f"0.05/{_ACCEL_GAMMA}", f"0.025*c^2/{_ACCEL_GAMMA}",
+                  (_ACCEL_GAMMA, "-(0.5*E*t)", "0", "0"))},
+    ),
+    "schwarzschild": _Entry(
+        _SPHERICAL, _static_spherical_metric("1 - 2*G*M/(c^2*r)"), {}, {"M": 1.0},
+        _STATIC_SPHERICAL_GRID,
+        {**_STATIC_META,
+         "scenario": ClosedFormScenario(
+             "circular orbit radius", _circular_orbit, circular_radius_error)},
+        domain="(r - 2*G*M/c^2) * sin(theta)",
+    ),
+    "reissner-nordstrom": _Entry(
+        _SPHERICAL, _static_spherical_metric("1 - 2*G*M/(c^2*r) + G*q^2/(c^4*r^2)"),
+        {0: "q/r"}, {"M": 1.0, "q": 0.3}, _STATIC_SPHERICAL_GRID, _STATIC_META,
+        domain="(r - 2*G*M/c^2) * sin(theta)",
+    ),
+    # Transverse polarization; the field is null (F.F = 0) and source free.
+    "em-plane-wave": _Entry(
+        _CARTESIAN, _FLAT, {2: "a*cos(k*(t - x))"}, {"a": 0.5, "k": 1.0},
+        {"t": (0.0, 0.35, 0.8), "x": (-0.5, 0.2, 0.9), "y": (-0.3, 0.4), "z": (-0.2, 0.5)},
+        _FLAT_META,
+    ),
+    # Fixture, not a catalog entry: a quadratic potential whose Laplacian
+    # yields a uniform charge density, carried by comoving dust.
+    "charge-ball": _Entry(
+        _CARTESIAN, _FLAT, {0: "-(2*pi/3)*rho_q*(x^2 + y^2 + z^2)"},
+        {"rho_q": 0.02, "rho0": 0.05, "pi": math.pi},
+        {"t": (0.0, 0.4), "x": (-0.4, 0.1, 0.4), "y": (-0.4, 0.1, 0.4), "z": (-0.4, 0.1, 0.4)},
+        {"source_free": False, "einstein_exact": False, "diag_static": True,
+         "charge_density_param": "rho_q",
+         "sample_box": {"t": (0.0, 1.0), "x": (-0.5, 0.5), "y": (-0.5, 0.5), "z": (-0.5, 0.5)},
+         "dust": ("rho0", "rho_q", _COMOVING)},
+    ),
+}
+FIXTURE_NAMES = ("charge-ball",)
 
 
 def catalog_get(name, params=None, G=1.0, c=1.0):
-    """Return a built-in model; parameter overrides are merged over defaults."""
-    overrides = dict(params or {})
-    cartesian = ("t", "x", "y", "z")
-    spherical = ("t", "r", "theta", "phi")
-
-    if name == "minkowski":
-        return build_model(
-            name,
-            cartesian,
-            {(0, 0): "1", (1, 1): "-1", (2, 2): "-1", (3, 3): "-1"},
-            {},
-            params=overrides,
-            G=G,
-            c=c,
-            grid_axes=_box_grid(),
-            meta={
-                "source_free": True,
-                "einstein_exact": True,
-                "diag_static": True,
-                "sample_box": _CARTESIAN_BOX,
-            },
+    """Return a built-in model or fixture; parameter overrides are merged
+    over the defaults."""
+    entry = _ENTRIES.get(name)
+    if entry is None:
+        raise GeometryError(
+            f"unknown catalog entry {name!r}; available: {', '.join(CATALOG_NAMES)}"
         )
-    if name == "minkowski-constant-e":
-        p = {"E": 1.0, **overrides}
-        return build_model(
-            name,
-            cartesian,
-            {(0, 0): "1", (1, 1): "-1", (2, 2): "-1", (3, 3): "-1"},
-            {0: "-(E*x)"},
-            params=p,
-            G=G,
-            c=c,
-            grid_axes=_box_grid(),
-            meta={
-                "source_free": True,
-                "einstein_exact": False,
-                "diag_static": True,
-                "sample_box": _CARTESIAN_BOX,
-            },
-        )
-    if name == "schwarzschild":
-        p = {"M": 1.0, **overrides}
-        f = "1 - 2*G*M/(c^2*r)"
-        return build_model(
-            name,
-            spherical,
-            {
-                (0, 0): f,
-                (1, 1): f"-1/({f})",
-                (2, 2): "-r^2",
-                (3, 3): "-r^2*sin(theta)^2",
-            },
-            {},
-            params=p,
-            G=G,
-            c=c,
-            domain_src="(r - 2*G*M/c^2) * sin(theta)",
-            grid_axes=_static_spherical_grid(),
-            meta={
-                "source_free": True,
-                "einstein_exact": True,
-                "diag_static": True,
-                "sample_box": _SPHERICAL_BOX,
-            },
-        )
-    if name == "reissner-nordstrom":
-        p = {"M": 1.0, "q": 0.3, **overrides}
-        f = "1 - 2*G*M/(c^2*r) + G*q^2/(c^4*r^2)"
-        return build_model(
-            name,
-            spherical,
-            {
-                (0, 0): f,
-                (1, 1): f"-1/({f})",
-                (2, 2): "-r^2",
-                (3, 3): "-r^2*sin(theta)^2",
-            },
-            {0: "q/r"},
-            params=p,
-            G=G,
-            c=c,
-            domain_src="(r - 2*G*M/c^2) * sin(theta)",
-            grid_axes=_static_spherical_grid(),
-            meta={
-                "source_free": True,
-                "einstein_exact": True,
-                "diag_static": True,
-                "sample_box": _SPHERICAL_BOX,
-            },
-        )
-    if name == "em-plane-wave":
-        # Transverse polarization; the field is null (F.F = 0) and source free.
-        p = {"a": 0.5, "k": 1.0, **overrides}
-        return build_model(
-            name,
-            cartesian,
-            {(0, 0): "1", (1, 1): "-1", (2, 2): "-1", (3, 3): "-1"},
-            {2: "a*cos(k*(t - x))"},
-            params=p,
-            G=G,
-            c=c,
-            grid_axes={
-                "t": (0.0, 0.35, 0.8),
-                "x": (-0.5, 0.2, 0.9),
-                "y": (-0.3, 0.4),
-                "z": (-0.2, 0.5),
-            },
-            meta={
-                "source_free": True,
-                "einstein_exact": False,
-                "diag_static": True,
-                "sample_box": _CARTESIAN_BOX,
-            },
-        )
-    raise GeometryError(
-        f"unknown catalog entry {name!r}; available: {', '.join(CATALOG_NAMES)}"
+    return build_model(
+        name,
+        entry.coords,
+        entry.g,
+        entry.A,
+        params={**entry.defaults, **(params or {})},
+        G=G,
+        c=c,
+        domain_src=entry.domain,
+        grid_axes=entry.grid,
+        meta=entry.meta,
     )
 
 

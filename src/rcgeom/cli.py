@@ -5,14 +5,22 @@
     verify gauge     --spacetime <name|file> --phi "<expr>" --out report.json
     verify list
 
-Exit status: 0 when every check passes, 1 when any check fails or a
-worldline leaves the chart domain, 2 on usage or load errors.
+Exit status:
+
+    0  every check passes (or the worldline stays in the chart domain)
+    1  a check fails, or the worldline leaves the chart domain
+    2  usage, input or load error
+    3  internal error (a defect in rcgeom); the traceback goes to stderr
+
+``--jobs`` is accepted by ``run`` and ``gauge`` for compatibility and has no
+effect: points are evaluated serially, in a fixed order.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+import traceback
 
 from .catalog import CATALOG_NAMES, catalog_get
 from .errors import GeometryError
@@ -96,7 +104,7 @@ def build_parser():
                        help="grid override (repeatable)")
     run_p.add_argument("--tol", action="append", metavar="CHECK=VALUE",
                        help="tolerance override (repeatable)")
-    run_p.add_argument("--jobs", type=int, default=1)
+    run_p.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
     run_p.add_argument("--timing", action="store_true",
                        help="include wall_ms in the report (breaks byte determinism)")
     run_p.add_argument("--out", required=True, help="report JSON path")
@@ -119,7 +127,7 @@ def build_parser():
     _add_common(gauge_p)
     gauge_p.add_argument("--phi", required=True, help="gauge function expression")
     gauge_p.add_argument("--tol", action="append", metavar="CHECK=VALUE")
-    gauge_p.add_argument("--jobs", type=int, default=1)
+    gauge_p.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
     gauge_p.add_argument("--timing", action="store_true")
     gauge_p.add_argument("--out", required=True)
 
@@ -132,12 +140,15 @@ def _cmd_run(args):
         args.suite,
         model,
         mode=args.diff,
-        jobs=args.jobs,
         grid_overrides=_parse_grid(args.grid),
         tol_overrides=_parse_tols(args.tol),
         include_timing=args.timing,
     )
-    with open(args.out, "w", encoding="utf-8") as fh:
+    return _write_report(report, args.out)
+
+
+def _write_report(report, out):
+    with open(out, "w", encoding="utf-8") as fh:
         fh.write(report.to_json())
         fh.write("\n")
     for c in report.checks:
@@ -188,19 +199,11 @@ def _cmd_gauge(args):
         "gauge",
         model,
         mode=args.diff,
-        jobs=args.jobs,
         tol_overrides=_parse_tols(args.tol),
         phis=[args.phi],
         include_timing=args.timing,
     )
-    with open(args.out, "w", encoding="utf-8") as fh:
-        fh.write(report.to_json())
-        fh.write("\n")
-    for c in report.checks:
-        status = "pass" if c.passed else "FAIL"
-        res = "n/a" if c.max_residual is None else format(c.max_residual, ".3e")
-        print(f"{status}  {c.check_id:32s} max_residual={res}")
-    return 0 if report.passed else 1
+    return _write_report(report, args.out)
 
 
 _COMMANDS = {
@@ -219,16 +222,13 @@ def main(argv=None):
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except GeometryError as err:
+    except (GeometryError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    except OSError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 2
-
-
-def console():
-    sys.exit(main())
+    except Exception as err:  # noqa: BLE001 - the boundary that reports defects
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        traceback.print_exc()
+        return 3
 
 
 if __name__ == "__main__":

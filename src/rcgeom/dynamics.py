@@ -13,12 +13,12 @@ normalization drift into a pure integrator-quality metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .engine import GeometrySnapshot
-from .errors import DomainError, EvalError, GeometryError, MetricError
+from .errors import ConsistencyError, DomainError, EvalError, GeometryError, MetricError
 
 _ONSHELL_TOL = 1e-6
 
@@ -28,6 +28,15 @@ class DustModel:
     rho0: object  # proper mass density field
     rhoq: object  # proper charge density field
     V_fields: tuple  # four scalar fields for V^m
+
+
+def dust_from_sources(model, rho0, rhoq, V):
+    """Dust whose densities and velocity are expressions over the model's chart."""
+    return DustModel(
+        rho0=model.scalar_field(rho0, "rho0"),
+        rhoq=model.scalar_field(rhoq, "rhoq"),
+        V_fields=tuple(model.scalar_field(src, f"V[{i}]") for i, src in enumerate(V)),
+    )
 
 
 @dataclass(frozen=True)
@@ -65,7 +74,6 @@ class Trajectory:
     exit_message: str = ""
     config: IntegratorConfig = None
     rejected_steps: int = 0
-    extra: dict = field(default_factory=dict)
 
     @property
     def max_drift(self):
@@ -89,12 +97,28 @@ def normalize_velocity(model, x, V):
     return V / np.sqrt(n2)
 
 
-def _rhs(model, x, V, k, mode):
-    snap = GeometrySnapshot(model, x, mode)
+def probe_velocity(snap):
+    """A fixed unit timelike velocity at the snapshot point, for identities
+    that hold for any velocity."""
+    w = np.array([1.0, 0.05, 0.03, 0.02])
+    for _ in range(8):
+        n2 = float(w @ snap.g @ w)
+        if n2 > 1e-6:
+            return w / np.sqrt(n2)
+        w[1:] *= 0.25
+    raise ConsistencyError(f"could not build a timelike test velocity at {tuple(snap.x)}")
+
+
+def acceleration(snap, V, k):
+    """dV/ds of the force law at the snapshot point."""
     dV = -np.einsum("mdn,m,d->n", snap.gamma_lc, V, V)
     if k != 0.0:
         dV = dV + k * np.einsum("mn,m->n", snap.F_mix, V)
-    return V, dV
+    return dV
+
+
+def _rhs(model, x, V, k, mode):
+    return V, acceleration(GeometrySnapshot(model, x, mode), V, k)
 
 
 def lorentz_rhs(model, state, charge_ratio, mode="dual"):
@@ -221,8 +245,7 @@ def rc_transport_residual(model, state, charge_ratio, mode="dual"):
     """
     snap = GeometrySnapshot(model, state.x, mode)
     V = np.asarray(state.V, dtype=float)
-    _, dVds = _rhs(model, state.x, V, charge_ratio, mode)
-    accel = dVds + np.einsum("mdn,m,d->n", snap.gamma_full, V, V)
+    accel = acceleration(snap, V, charge_ratio) + np.einsum("mdn,m,d->n", snap.gamma_full, V, V)
     force = charge_ratio * np.einsum("mn,m->n", snap.F_mix, V)
     a_dot_v = float(np.einsum("m,m->", snap.A, V))
     coupling = snap.C * a_dot_v * np.einsum("dn,d->n", snap.F_mix, V)
@@ -249,14 +272,13 @@ def _dust_jets(dust, x, mode):
         return f.jet(x, 1) if mode == "dual" else fd_jet(f, x, 1)
 
     r0 = one(dust.rho0)
-    rq = one(dust.rhoq)
     V = np.empty(4)
     dV = np.empty((4, 4))
     for m, f in enumerate(dust.V_fields):
         jv = one(f)
         V[m] = jv.value
         dV[:, m] = jv.grad
-    return r0, rq, V, dV
+    return r0, V, dV
 
 
 def dust_normalization_residual(model, dust, x, mode="dual"):
@@ -270,7 +292,7 @@ def exchange_identities(model, x, dust, mode="dual"):
     snap = GeometrySnapshot(model, x, mode)
     c = snap.c_light
     c2 = c * c
-    r0, _rq, V, dV = _dust_jets(dust, x, mode)
+    r0, V, dV = _dust_jets(dust, x, mode)
 
     # matter flux P^m = rho0 c^2 V^m and its coordinate divergence
     P = r0.value * c2 * V
@@ -285,14 +307,9 @@ def exchange_identities(model, x, dust, mode="dual"):
     afv = float(np.einsum("m,nm,n->", snap.A, snap.F_mix, V))
     rc_mass_flux = abs(div_rc_P - snap.C * r0.value * c2 * afv)
 
-    # stress-exchange pair and energy transfer use the EM stress-energy
-    pair = snap.pair_residual_T()
-    rhs = np.einsum("mn,m->n", snap.F_uu, snap.J_down) / c
-    energy = float(np.abs(snap.div_T_em("rc") - rhs).max())
-
     return ExchangeResiduals(
-        pair_cancellation=pair,
-        energy_transfer=energy,
+        pair_cancellation=snap.pair_residual_T(),
+        energy_transfer=snap.stress_exchange_residual(),
         rc_mass_flux=rc_mass_flux,
         matter_conservation=matter_conservation,
     )

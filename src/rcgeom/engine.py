@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import EvalError, MetricError
 from .fields import fd_jet, make_seeds
-from .tensor import MetricAtPoint
+from .tensor import DEGENERACY_TOL, MetricAtPoint
 
 DIM = 4
 FOUR_PI = 4.0 * np.pi
@@ -108,9 +108,12 @@ def field_jets(model, x, order=2, mode="dual"):
     return FieldJets(x, order, g, dg, ddg, dddg, A, dA, ddA, dddA)
 
 
-def metric_only(model, x):
-    """4x4 metric values without derivative evaluation."""
-    return model.metric_values(x)
+def cyclic_gradient_residual(dF_dd):
+    """max of the cyclic sum d_l F_mn + d_m F_nl + d_n F_lm over a gradient
+    array (slots: derivative, first, second); closed F gives zero."""
+    d = np.asarray(dF_dd, dtype=float)
+    cyc = d + d.transpose(1, 2, 0) + d.transpose(2, 0, 1)
+    return float(np.abs(cyc).max())
 
 
 def _riemann_from_connection(gamma, dgamma):
@@ -158,7 +161,7 @@ class GeometrySnapshot:
     def ginv(self):
         det = self.det_g
         scale = max(1.0, float(np.abs(self.g).max()))
-        if abs(det) < 1e-10 * scale**4:
+        if abs(det) < DEGENERACY_TOL * scale**4:
             raise MetricError(
                 f"metric is numerically degenerate at {tuple(self.x)} (det={det:.3e})"
             )
@@ -375,9 +378,7 @@ class GeometrySnapshot:
 
     def homogeneous_residual(self):
         """max of the cyclic sum d_m F_nl + d_n F_lm + d_l F_mn."""
-        d = self.dF_dd
-        cyc = d + d.transpose(1, 2, 0) + d.transpose(2, 0, 1)
-        return float(np.abs(cyc).max())
+        return cyclic_gradient_residual(self.dF_dd)
 
     # divergence of F^{mn} in three routes
     @cached_property
@@ -469,6 +470,11 @@ class GeometrySnapshot:
             + np.einsum("r,rn->n", gtr, self.T_em_uu)
             + np.einsum("mrn,mr->n", gamma, self.T_em_uu)
         )
+
+    def stress_exchange_residual(self):
+        """max_n |div T^{mn} - F^{mn} J_m / c|, divergence with the full connection."""
+        rhs = np.einsum("mn,m->n", self.F_uu, self.J_down) / self.c_light
+        return float(np.abs(self.div_T_em("rc") - rhs).max())
 
     @cached_property
     def chern_simons(self):

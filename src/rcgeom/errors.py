@@ -5,10 +5,6 @@ class GeometryError(Exception):
     """Base class for every error raised by this package."""
 
 
-class TensorError(GeometryError):
-    """Invalid tensor operation: bad slot index, rank, or variance."""
-
-
 class MetricError(GeometryError):
     """Metric failed a structural requirement (symmetry, invertibility)."""
 

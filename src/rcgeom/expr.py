@@ -8,7 +8,9 @@ Grammar:
     base   := number | ident | ident "(" expr ")" | "(" expr ")"
 
 ``^`` is right-associative; a fully parenthesized printer is provided so
-``parse(to_source(ast))`` reproduces the tree exactly.
+``parse(to_source(ast))`` reproduces the tree exactly.  Nesting and tree
+depth are bounded by ``MAX_DEPTH``, so the recursive printer and evaluator
+never exceed the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -18,6 +20,9 @@ from dataclasses import dataclass
 
 from .errors import EvalError, ParseError, UnknownIdentifierError
 from .jets import FUNCTIONS, Jet, jet_pow
+
+# The deepest shipped expression (Kerr-Newman) has depth 9.
+MAX_DEPTH = 200
 
 
 @dataclass(frozen=True)
@@ -147,6 +152,7 @@ class _Parser:
         self.i = 0
         self.chart = chart
         self.params = frozenset(params)
+        self.nesting = 0
 
     def peek(self):
         return self.toks[self.i]
@@ -191,13 +197,19 @@ class _Parser:
         return node
 
     def factor(self):
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ParseError(f"expression nests deeper than {MAX_DEPTH} levels",
+                             offset=self.peek()[2])
         if self.peek()[0] == "-":
             self.take()
-            return Neg(self.factor())
-        node = self.base()
-        if self.peek()[0] == "^":
-            self.take()
-            node = Pow(node, self.factor())
+            node = Neg(self.factor())
+        else:
+            node = self.base()
+            if self.peek()[0] == "^":
+                self.take()
+                node = Pow(node, self.factor())
+        self.nesting -= 1
         return node
 
     def base(self):
@@ -239,7 +251,23 @@ class _Parser:
 
 def parse(src, chart, params=()):
     """Parse an expression over the chart coordinates and named parameters."""
-    return _Parser(src, chart, params).parse()
+    node = _Parser(src, chart, params).parse()
+    if _depth(node) > MAX_DEPTH:
+        raise ParseError(f"expression tree is deeper than {MAX_DEPTH} levels")
+    return node
+
+
+def _depth(node):
+    """Tree depth, computed without recursion (long sums are deep trees)."""
+    deepest, stack = 0, [(node, 1)]
+    while stack:
+        node, d = stack.pop()
+        deepest = max(deepest, d)
+        if isinstance(node, (Neg, Call)):
+            stack.append((node.arg, d + 1))
+        elif isinstance(node, (Add, Sub, Mul, Div, Pow)):
+            stack += [(node.left, d + 1), (node.right, d + 1)]
+    return deepest
 
 
 # -- printer -----------------------------------------------------------------
@@ -300,16 +328,6 @@ def evaluate(node, coords, params):
     if isinstance(node, Call):
         return FUNCTIONS[node.func](evaluate(node.arg, coords, params))
     raise TypeError(f"not an AST node: {node!r}")
-
-
-def is_constant_zero(node):
-    """True when the tree is literally the constant 0 (used to fast-path
-    identically vanishing field components)."""
-    if isinstance(node, Num):
-        return node.value == 0.0
-    if isinstance(node, Neg):
-        return is_constant_zero(node.arg)
-    return False
 
 
 def references_coordinates(node):

@@ -71,10 +71,6 @@ class ExprField:
     def __repr__(self):
         return f"ExprField({self.name!r})"
 
-    @property
-    def is_zero(self):
-        return expr.is_constant_zero(self.ast)
-
     def value(self, x):
         if self._const_value is not None:
             return self._const_value
@@ -98,9 +94,6 @@ class ExprField:
         jv = self.jet(x, order=2)
         return jv.value, jv.grad, jv.hess
 
-    def source(self):
-        return expr.to_source(self.ast)
-
 
 class ShiftedPotentialField:
     """Potential component after a gauge shift: base + d(phi)/dx_axis.
@@ -120,10 +113,6 @@ class ShiftedPotentialField:
     def __repr__(self):
         return f"ShiftedPotentialField({self.name!r})"
 
-    @property
-    def is_zero(self):
-        return False
-
     def value(self, x):
         return self.base.value(x) + self.phi.jet(x, order=1).grad[self.axis]
 
@@ -142,10 +131,6 @@ class ShiftedPotentialField:
 
     def jet(self, x, order=2):
         return _check_finite(self.jet_unchecked(x, order), self.name, x)
-
-    def eval_with_derivatives(self, x):
-        jv = self.jet(x, order=2)
-        return jv.value, jv.grad, jv.hess
 
 
 def fd_steps(x, h=None):

@@ -3,94 +3,48 @@
 A suite is a named bundle of checks.  Pointwise checks share one geometry
 snapshot per grid point and reduce to a deterministic maximum residual;
 scenario checks (worldline runs, gauge sweeps) run once.  The JSON report
-uses fixed float formatting so repeated runs are byte-identical regardless
-of the parallelism degree.
+uses fixed float formatting so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
 import time
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .catalog import CATALOG_NAMES, build_model, catalog_get, load_spacetime_file
+from .catalog import CATALOG_NAMES, FIXTURE_NAMES, catalog_get, load_spacetime_file
+from .checks import CHECK_DEFS, default_tolerance
 from .dynamics import (
-    DustModel,
     IntegratorConfig,
     WorldlineState,
+    dust_from_sources,
     exchange_identities,
     integrate_worldline,
     normalize_velocity,
+    probe_velocity,
     rc_transport_residual,
 )
 from .engine import GeometrySnapshot
 from .errors import GeometryError
-from .fields import ExprField, finite_difference_derivatives
+from .fields import finite_difference_derivatives
 from .gauge import (
+    CHANGED_CHECKS,
+    INVARIANT_CHECKS,
     as_phi_field,
-    contorsion_shift_residual,
+    contorsion_shift,
     gauge_invariance_suite,
-    scalar_shift_residual,
+    scalar_shift,
     transform_potential,
 )
 
 SUITES = ("metric", "lc", "rc", "maxwell", "einstein", "dynamics", "gauge", "all")
-
-# check id -> (anchor, dual-mode tolerance, fd-mode tolerance); None = informational
-CHECK_DEFS = {
-    "metric.inverse": ("Eq.rec", 1e-12, 1e-12),
-    "metric.signature": ("Sec.2", 0.5, 0.5),
-    "fields.dual_vs_fd": ("n/a", 1e-6, 1e-6),
-    "lc.christoffel_symmetry": ("Eq.2", 1e-12, 1e-12),
-    "lc.metric_compatibility": ("Eq.2", 1e-10, 1e-8),
-    "lc.riemann_antisymmetry": ("Eq.17", 1e-10, 1e-10),
-    "lc.ricci_symmetry": ("Eq.18", 1e-10, 1e-7),
-    "lc.bianchi": ("Eq.36", 1e-7, 1e-3),
-    "lc.divergence_forms": ("Eq.15", 1e-8, 1e-8),
-    "em.homogeneous": ("Eq.12", 1e-10, 1e-10),
-    "em.source_free": ("Eq.15", 1e-8, 1e-5),
-    "em.source_density": ("Eq.15", 1e-8, 1e-5),
-    "em.current_conservation": ("Eq.16", 1e-6, 1e-4),
-    "em.divergence_rc_lc": ("Eq.6", 1e-8, 1e-8),
-    "em.stress_trace": ("Eq.20Z", 1e-10, 1e-8),
-    "em.stress_symmetry": ("Eq.20Z", 1e-12, 1e-12),
-    "em.stress_conservation": ("Eq.40", 1e-7, 1e-5),
-    "em.energy_density": ("Eq.20Z", 1e-12, 1e-10),
-    "rc.additivity": ("Eq.1", 1e-14, 1e-14),
-    "rc.contorsion_antisymmetry": ("Eq.cont", 1e-12, 1e-12),
-    "rc.torsion_roundtrip": ("Eq.cont", 1e-10, 1e-10),
-    "rc.metric_compatibility": ("Eq.1", 1e-10, 1e-8),
-    "rc.k_f_pair": ("Eq.6", 1e-12, 1e-12),
-    "rc.quadratic_pair": ("Eq.17", 1e-12, 1e-12),
-    "rc.stress_pair": ("Eq.38", 1e-12, 1e-12),
-    "rc.decomposition": ("Eq.17", 1e-8, 1e-5),
-    "rc.scalar_split": ("Eq.19", 1e-8, 1e-5),
-    "einstein.residual": ("Eq.31", 1e-8, 1e-5),
-    "dyn.transport_identity": ("Eq.43", 1e-8, 1e-8),
-    "dyn.norm_drift": ("Eq.45", 1e-8, 1e-8),
-    "dyn.closed_form": ("Eq.45", 1e-6, 1e-6),
-    "dyn.exchange_pair": ("Eq.38", 1e-10, 1e-10),
-    "dyn.exchange_energy": ("Eq.40", 1e-7, 1e-5),
-    "dyn.exchange_mass_flux": ("Eq.42", None, None),
-    "dyn.exchange_conservation": ("Eq.46", 1e-6, 1e-5),
-    "gauge.contorsion_shift": ("Eq.47", 1e-12, 1e-8),
-    "gauge.scalar_shift": ("Eq.49", 1e-8, 1e-5),
-    "gauge.f_invariance": ("Eq.13", 1e-12, 1e-8),
-    "gauge.current_invariance": ("Eq.15", 1e-10, 1e-6),
-    "gauge.stress_invariance": ("Eq.31", 1e-10, 1e-8),
-    "gauge.einstein_invariance": ("Eq.31", 1e-10, 1e-8),
-    "gauge.lorentz_invariance": ("Eq.45", 1e-12, 1e-8),
-    "gauge.contorsion_delta": ("Eq.47", None, None),
-    "gauge.curvature_delta": ("Eq.48", None, None),
-    "gauge.orbit": ("Sec.5", 1e-12, 1e-7),
-}
 
 _RNG_SALT = 20250808
 
@@ -171,127 +125,16 @@ def canonical_json(obj):
     raise TypeError(f"cannot serialize {type(obj)!r}")
 
 
-# -- fixtures -----------------------------------------------------------------
-
-_MINKOWSKI_G = {(0, 0): "1", (1, 1): "-1", (2, 2): "-1", (3, 3): "-1"}
-
-
-def charge_ball_model(rho_q=0.02, rho0=0.05, G=1.0, c=1.0):
-    """Flat-space fixture with a quadratic potential whose Laplacian yields
-    a uniform charge density; the self-consistent comoving dust carries the
-    same current the potential sources."""
-    params = {"rho_q": rho_q, "rho0": rho0, "pi": math.pi}
-    box = (-0.4, 0.1, 0.4)
-    return build_model(
-        "charge-ball",
-        ("t", "x", "y", "z"),
-        _MINKOWSKI_G,
-        {0: "-(2*pi/3)*rho_q*(x^2 + y^2 + z^2)"},
-        params=params,
-        G=G,
-        c=c,
-        grid_axes={"t": (0.0, 0.4), "x": box, "y": box, "z": box},
-        meta={
-            "source_free": False,
-            "einstein_exact": False,
-            "diag_static": True,
-            "expected_rho_q": rho_q,
-            "sample_box": {
-                "t": (0.0, 1.0),
-                "x": (-0.5, 0.5),
-                "y": (-0.5, 0.5),
-                "z": (-0.5, 0.5),
-            },
-        },
-    )
-
-
-def _field_env(model, extra=None):
-    env = dict(model.params)
-    env["G"] = model.constants.G
-    env["c"] = model.constants.c
-    if extra:
-        env.update(extra)
-    return env
-
-
-def charge_ball_dust(model):
-    """Comoving dust matching the charge-ball potential; returns (dust, k)."""
-    env = _field_env(model)
-    chart = model.chart
-    dust = DustModel(
-        rho0=ExprField("rho0", chart, env, name="rho0"),
-        rhoq=ExprField("rho_q", chart, env, name="rho_q"),
-        V_fields=tuple(
-            ExprField(src, chart, env, name=f"V[{i}]")
-            for i, src in enumerate(("1", "0", "0", "0"))
-        ),
-    )
-    k = model.params["rho_q"] / (model.params["rho0"] * model.constants.c**2)
-    return dust, k
-
-
-def uniform_accel_dust(model, charge_ratio=0.5):
-    """Dust in the constant-field model whose flow integrates the force law
-    from rest at t = 0; mass and charge currents are conserved exactly."""
-    c = model.constants.c
-    a = charge_ratio * model.params["E"]
-    r0 = 0.05
-    env = _field_env(model, {"aa": a, "r0": r0, "rq": charge_ratio * r0 * c**2})
-    chart = model.chart
-    gamma = "sqrt(1 + (aa*t)^2)"
-    dust = DustModel(
-        rho0=ExprField(f"r0/{gamma}", chart, env, name="rho0"),
-        rhoq=ExprField(f"rq/{gamma}", chart, env, name="rhoq"),
-        V_fields=(
-            ExprField(gamma, chart, env, name="V[0]"),
-            ExprField("-(aa*t)", chart, env, name="V[1]"),
-            ExprField("0", chart, env, name="V[2]"),
-            ExprField("0", chart, env, name="V[3]"),
-        ),
-    )
-    return dust, charge_ratio
-
-
-def static_dust(model):
-    """Uncharged comoving dust for flat space."""
-    env = _field_env(model)
-    chart = model.chart
-    dust = DustModel(
-        rho0=ExprField("0.05", chart, env, name="rho0"),
-        rhoq=ExprField("0", chart, env, name="rhoq"),
-        V_fields=tuple(
-            ExprField(src, chart, env, name=f"V[{i}]")
-            for i, src in enumerate(("1", "0", "0", "0"))
-        ),
-    )
-    return dust, 0.0
-
-
-def fixture_dust(model):
-    if model.name == "charge-ball":
-        return charge_ball_dust(model)
-    if model.name == "minkowski-constant-e":
-        return uniform_accel_dust(model)
-    if model.name == "minkowski":
-        return static_dust(model)
-    return None
+# -- models and suite machinery ------------------------------------------------
 
 
 def resolve_model(spec, params=None, G=None, c=None):
-    """Model from a catalog name, the charge-ball fixture name, or a file."""
+    """Model from a catalog or fixture name, or a definition file."""
     params = dict(params or {})
     G = 1.0 if G is None else G
     c = 1.0 if c is None else c
-    if spec in CATALOG_NAMES:
+    if spec in CATALOG_NAMES + FIXTURE_NAMES:
         return catalog_get(spec, params, G=G, c=c)
-    if spec == "charge-ball":
-        kwargs = {}
-        if "rho_q" in params:
-            kwargs["rho_q"] = params["rho_q"]
-        if "rho0" in params:
-            kwargs["rho0"] = params["rho0"]
-        return charge_ball_model(G=G, c=c, **kwargs)
     if os.path.exists(spec):
         return load_spacetime_file(spec, param_overrides=params)
     raise GeometryError(
@@ -299,25 +142,27 @@ def resolve_model(spec, params=None, G=None, c=None):
     )
 
 
-# -- suite machinery ----------------------------------------------------------
-
-
 class SuiteContext:
-    def __init__(self, model, mode="dual", jobs=1, grid_overrides=None,
+    def __init__(self, model, mode="dual", grid_overrides=None,
                  tol_overrides=None, phis=None):
         self.model = model
         self.mode = mode
-        self.jobs = max(1, int(jobs))
         self.tol_overrides = dict(tol_overrides or {})
+        unknown = sorted(set(self.tol_overrides) - set(CHECK_DEFS))
+        if unknown:
+            raise GeometryError(
+                f"unknown check id in tolerance overrides: {', '.join(unknown)}; "
+                f"valid ids: {', '.join(CHECK_DEFS)}"
+            )
         axes = dict(model.grid_axes)
         for name, values in (grid_overrides or {}).items():
             if name not in axes:
                 raise GeometryError(f"unknown grid coordinate {name!r}")
             axes[name] = tuple(float(v) for v in values)
-        import itertools
-
         ordered = [axes[n] for n in model.chart.names]
         self.grid = np.array(list(itertools.product(*ordered)), dtype=float)
+        if len(self.grid) == 0:
+            raise GeometryError("the grid has no points; every axis needs at least one value")
         self.phis = phis
         self._random = None
 
@@ -358,8 +203,7 @@ class SuiteContext:
     def tolerance(self, check_id):
         if check_id in self.tol_overrides:
             return self.tol_overrides[check_id]
-        anchor, tol_dual, tol_fd = CHECK_DEFS[check_id]
-        return tol_dual if self.mode == "dual" else tol_fd
+        return default_tolerance(check_id, self.mode)
 
     def default_phis(self):
         if self.phis:
@@ -368,23 +212,14 @@ class SuiteContext:
         return [f"0.2*{c0}", f"0.1*{c0}*{c1}", f"sin({c0})"]
 
 
-def _pmap(fn, items, jobs):
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(i) for i in items]
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items))
-
-
 def _make_result(ctx, check_id, residual, npoints, note=None):
     anchor = CHECK_DEFS[check_id][0]
     tol = ctx.tolerance(check_id)
     if residual is None:
         passed = False
-    elif tol is None:
-        passed = True
     else:
-        passed = residual <= tol
+        residual = float(residual)
+        passed = tol is None or residual <= tol
     return CheckResult(check_id, anchor, int(npoints), residual, tol, passed, note)
 
 
@@ -397,8 +232,8 @@ def _run_pointwise(ctx, plans):
     results = {}
     for grp, checks in by_group.items():
         pts = ctx.points(grp)
-
-        def worker(p, checks=checks):
+        rows = []
+        for p in pts:
             row = {}
             snap = GeometrySnapshot(ctx.model, p, ctx.mode)
             for cid, fn in checks:
@@ -406,9 +241,7 @@ def _run_pointwise(ctx, plans):
                     row[cid] = (float(fn(snap)), None)
                 except GeometryError as err:
                     row[cid] = (None, f"{type(err).__name__}: {err}")
-            return row
-
-        rows = _pmap(worker, pts, ctx.jobs)
+            rows.append(row)
         for cid, _fn in checks:
             worst, note, failed = 0.0, None, False
             for row in rows:
@@ -465,7 +298,8 @@ def _scalar_split_residual(snap):
 
 
 def _source_density_residual(snap):
-    expected = snap.c_light * snap.model.meta["expected_rho_q"]
+    model = snap.model
+    expected = snap.c_light * model.params[model.meta["charge_density_param"]]
     J = snap.J_up
     return max(abs(float(J[0]) - expected), float(np.abs(J[1:]).max()))
 
@@ -507,7 +341,7 @@ def _suite_plans(ctx, suite):
         if meta.get("source_free"):
             plans.append(("em.source_free", "grid",
                           lambda s: float(np.abs(s.J_up).max())))
-        if "expected_rho_q" in meta:
+        if "charge_density_param" in meta:
             plans.append(("em.source_density", "grid", _source_density_residual))
         plans += [
             ("em.current_conservation", "small",
@@ -518,11 +352,7 @@ def _suite_plans(ctx, suite):
              lambda s: abs(float(np.einsum("mn,mn->", s.ginv, s.T_em_dd)))),
             ("em.stress_symmetry", "grid",
              lambda s: float(np.abs(s.T_em_dd - s.T_em_dd.T).max())),
-            ("em.stress_conservation", "grid",
-             lambda s: float(np.abs(
-                 s.div_T_em("rc")
-                 - np.einsum("mn,m->n", s.F_uu, s.J_down) / s.c_light
-             ).max())),
+            ("em.stress_conservation", "grid", lambda s: s.stress_exchange_residual()),
         ]
         if meta.get("diag_static"):
             plans.append(("em.energy_density", "grid", _energy_density_residual))
@@ -553,10 +383,7 @@ def _suite_plans(ctx, suite):
 
 
 def _transport_identity(snap):
-    from .gauge import _test_velocity
-
-    V = _test_velocity(snap)
-    state = WorldlineState(snap.x, V, 0.0)
+    state = WorldlineState(snap.x, probe_velocity(snap), 0.0)
     return rc_transport_residual(snap.model, state, 0.7, snap.mode)
 
 
@@ -564,53 +391,21 @@ def _transport_identity(snap):
 
 
 def _scenario_dynamics(ctx):
-    model = ctx.model
+    model, meta = ctx.model, ctx.model.meta
     out = []
 
-    if model.name == "minkowski":
-        cfg = IntegratorConfig(ds=0.01, steps=200)
-        init = WorldlineState(np.zeros(4), np.array([1.0, 0, 0, 0]), 0.0)
-        traj = integrate_worldline(model, init, 0.0, cfg, ctx.mode)
-        drift = traj.max_drift
-        worst = 0.0
-        for st in traj.states:
-            expect = init.x + st.s * np.array([1.0, 0, 0, 0])
-            worst = max(worst, float(np.abs(st.x - expect).max()))
-        out.append(("dyn.closed_form", worst, len(traj.states), "straight worldline"))
-        out.append(("dyn.norm_drift", drift, len(traj.states), None))
-
-    if model.name == "minkowski-constant-e":
-        a = 0.5
-        k = a / model.params["E"]
-        cfg = IntegratorConfig(ds=1e-3, steps=2000)
-        init = WorldlineState(np.zeros(4), np.array([1.0, 0, 0, 0]), 0.0)
+    scenario = meta.get("scenario")
+    if scenario is not None:
+        x0, V0, k, ds, steps = scenario.start(model.params)
+        init = WorldlineState(np.array(x0), np.array(V0), 0.0)
+        cfg = IntegratorConfig(ds=ds, steps=steps)
         traj = integrate_worldline(model, init, k, cfg, ctx.mode)
-        v0_final = traj.final().V[0]
-        err = abs(v0_final - math.cosh(a * traj.final().s))
-        out.append(("dyn.closed_form", err, len(traj.states), "uniform acceleration"))
-        out.append(("dyn.norm_drift", traj.max_drift, len(traj.states), None))
+        n = len(traj.states)
+        out.append(("dyn.closed_form", scenario.closed_form(model, traj, k), n, scenario.note))
+        out.append(("dyn.norm_drift", traj.max_drift, n, None))
 
-    if model.name == "schwarzschild":
-        M = model.params["M"]
-        r = 8.0
-        vt = 1.0 / math.sqrt(1.0 - 3.0 * M / r)
-        vphi = math.sqrt(M / r**3) * vt
-        period = 2.0 * math.pi / vphi
-        steps = 1500
-        cfg = IntegratorConfig(ds=period / steps, steps=steps)
-        init = WorldlineState(
-            np.array([0.0, r, math.pi / 2, 0.0]),
-            np.array([vt, 0.0, 0.0, vphi]),
-            0.0,
-        )
-        traj = integrate_worldline(model, init, 0.0, cfg, ctx.mode)
-        drift_r = max(abs(st.x[1] - r) for st in traj.states)
-        out.append(("dyn.closed_form", drift_r, len(traj.states), "circular orbit radius"))
-        out.append(("dyn.norm_drift", traj.max_drift, len(traj.states), None))
-
-    pair = fixture_dust(model)
-    if pair is not None:
-        dust, _k = pair
+    if "dust" in meta:
+        dust = dust_from_sources(model, *meta["dust"])
         pts = ctx.points("small")
         worst = {"pair": 0.0, "energy": 0.0, "flux": 0.0, "cons": 0.0}
         for p in pts:
@@ -631,46 +426,21 @@ def _scenario_gauge(ctx):
     model = ctx.model
     phis = ctx.default_phis()
     pts = ctx.points("small")[:8]
-    shift_pts = pts[:4]
+    n_shift = min(4, len(pts))
 
-    worst = {
-        "gauge.contorsion_shift": 0.0,
-        "gauge.scalar_shift": 0.0,
-        "gauge.f_invariance": 0.0,
-        "gauge.current_invariance": 0.0,
-        "gauge.stress_invariance": 0.0,
-        "gauge.einstein_invariance": 0.0,
-        "gauge.lorentz_invariance": 0.0,
-        "gauge.contorsion_delta": 0.0,
-        "gauge.curvature_delta": 0.0,
-    }
+    worst = {"gauge.contorsion_shift": 0.0, "gauge.scalar_shift": 0.0}
     for phi_src in phis:
         phi = as_phi_field(model, phi_src)
-        for p in pts:
-            worst["gauge.contorsion_shift"] = max(
-                worst["gauge.contorsion_shift"],
-                contorsion_shift_residual(model, phi, p, ctx.mode),
-            )
-        for p in shift_pts:
-            worst["gauge.scalar_shift"] = max(
-                worst["gauge.scalar_shift"],
-                scalar_shift_residual(model, phi, p, ctx.mode),
-            )
         rep = gauge_invariance_suite(model, phi, points=pts, mode=ctx.mode)
-        worst["gauge.f_invariance"] = max(
-            worst["gauge.f_invariance"], rep.invariant_deltas["field_strength"])
-        worst["gauge.current_invariance"] = max(
-            worst["gauge.current_invariance"], rep.invariant_deltas["current"])
-        worst["gauge.stress_invariance"] = max(
-            worst["gauge.stress_invariance"], rep.invariant_deltas["stress_energy"])
-        worst["gauge.einstein_invariance"] = max(
-            worst["gauge.einstein_invariance"], rep.invariant_deltas["einstein_residual"])
-        worst["gauge.lorentz_invariance"] = max(
-            worst["gauge.lorentz_invariance"], rep.invariant_deltas["lorentz_rhs"])
-        worst["gauge.contorsion_delta"] = max(
-            worst["gauge.contorsion_delta"], rep.changed_deltas["contorsion"])
-        worst["gauge.curvature_delta"] = max(
-            worst["gauge.curvature_delta"], rep.changed_deltas["rc_curvature"])
+        deltas = {**rep.invariant_deltas, **rep.changed_deltas}
+        for key, cid in {**INVARIANT_CHECKS, **CHANGED_CHECKS}.items():
+            worst[cid] = max(worst.get(cid, 0.0), deltas[key])
+        for i, (old, new) in enumerate(rep.pairs):
+            worst["gauge.contorsion_shift"] = max(
+                worst["gauge.contorsion_shift"], contorsion_shift(old, new, phi))
+            if i < n_shift:
+                worst["gauge.scalar_shift"] = max(
+                    worst["gauge.scalar_shift"], scalar_shift(old, new, phi))
 
     # composing two shifts must match the single combined shift
     orbit = None
@@ -690,33 +460,24 @@ def _scenario_gauge(ctx):
                 abs(s2.scalar_rc - s1.scalar_rc),
             )
 
-    npts = len(pts) * len(phis)
-    order = [
-        ("gauge.contorsion_shift", npts, None),
-        ("gauge.scalar_shift", len(shift_pts) * len(phis), None),
-        ("gauge.f_invariance", npts, None),
-        ("gauge.current_invariance", npts, None),
-        ("gauge.stress_invariance", npts, None),
-        ("gauge.einstein_invariance", npts, None),
-        ("gauge.lorentz_invariance", npts, None),
-        ("gauge.contorsion_delta", npts,
-         "informational: nonzero evidences the expected non-invariance"),
-        ("gauge.curvature_delta", npts,
-         "informational: nonzero evidences the expected non-invariance"),
-    ]
-    out = [(cid, worst[cid], n, note) for cid, n, note in order]
+    out = []
+    for cid, value in worst.items():
+        n = n_shift if cid == "gauge.scalar_shift" else len(pts)
+        note = None if CHECK_DEFS[cid][1] is not None else (
+            "informational: nonzero evidences the expected non-invariance")
+        out.append((cid, value, n * len(phis), note))
     if orbit is not None:
         out.append(("gauge.orbit", orbit, 2, None))
     return out
 
 
-def run_suite(suite, model, mode="dual", jobs=1, grid_overrides=None,
+def run_suite(suite, model, mode="dual", grid_overrides=None,
               tol_overrides=None, phis=None, include_timing=False):
     """Execute a named suite and assemble the verification report."""
     if suite not in SUITES:
         raise GeometryError(f"unknown suite {suite!r}; available: {', '.join(SUITES)}")
     t0 = time.monotonic()
-    ctx = SuiteContext(model, mode=mode, jobs=jobs, grid_overrides=grid_overrides,
+    ctx = SuiteContext(model, mode=mode, grid_overrides=grid_overrides,
                        tol_overrides=tol_overrides, phis=phis)
 
     checks = []
@@ -754,27 +515,6 @@ def run_suite(suite, model, mode="dual", jobs=1, grid_overrides=None,
 
 
 # -- worldline runner -----------------------------------------------------------
-
-
-def _worldline_oracle(model, traj, charge_ratio, init_V):
-    """Closed-form comparison when the scenario has one."""
-    if traj.exited:
-        return None
-    at_rest = np.allclose(init_V, [1.0, 0.0, 0.0, 0.0])
-    if model.name == "minkowski-constant-e" and charge_ratio != 0.0 and at_rest:
-        a = charge_ratio * model.params["E"]
-        err = max(
-            abs(st.V[0] - math.cosh(a * st.s)) for st in traj.states
-        )
-        return {"name": "uniform-acceleration", "max_error": err}
-    if model.name == "minkowski" and charge_ratio == 0.0:
-        err = 0.0
-        x0 = traj.states[0].x
-        for st in traj.states:
-            expect = x0 + st.s * traj.states[0].V
-            err = max(err, float(np.abs(st.x - expect).max()))
-        return {"name": "straight-line", "max_error": err}
-    return None
 
 
 def run_worldline(model, x0, v0, charge_ratio, ds, steps, method="rk4",
@@ -815,6 +555,6 @@ def run_worldline(model, x0, v0, charge_ratio, ds, steps, method="rk4",
         "domain_exit": traj.exited,
         **({"exit_message": traj.exit_message} if traj.exited else {}),
     }
-    oracle = _worldline_oracle(model, traj, charge_ratio, V0)
-    summary["oracle"] = oracle
+    oracle = model.meta.get("oracle")
+    summary["oracle"] = oracle and oracle.report(model, traj, charge_ratio)
     return summary, traj

@@ -1,10 +1,4 @@
-"""Dense tensor algebra in four dimensions.
-
-Tensors are stored as row-major numpy arrays of shape (4,)*rank with a
-variance marker per slot.  Rank is capped at 4, which covers every object
-the verification pipelines need, and components are frozen after
-construction so values can be shared freely across threads.
-"""
+"""The metric at one point, validated on construction."""
 
 from __future__ import annotations
 
@@ -12,87 +6,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MetricError, SignatureError, TensorError
+from .errors import MetricError, SignatureError
 
 DIM = 4
-UP = "u"
-DOWN = "d"
 
 _SYMMETRY_TOL = 1e-12
 _INVERSE_TOL = 1e-12
-_DEGENERACY_TOL = 1e-10
-
-
-def _freeze(arr):
-    arr = np.array(arr, dtype=float)
-    arr.flags.writeable = False
-    return arr
-
-
-@dataclass(frozen=True)
-class Tensor:
-    variance: tuple
-    components: np.ndarray
-
-    def __post_init__(self):
-        var = tuple(self.variance)
-        if len(var) > 4:
-            raise TensorError(f"rank {len(var)} exceeds the supported maximum of 4")
-        if any(v not in (UP, DOWN) for v in var):
-            raise TensorError(f"variance markers must be {UP!r} or {DOWN!r}: {var}")
-        comp = _freeze(self.components)
-        if comp.shape != (DIM,) * len(var):
-            raise TensorError(
-                f"components shape {comp.shape} does not match rank {len(var)}"
-            )
-        object.__setattr__(self, "variance", var)
-        object.__setattr__(self, "components", comp)
-
-    @property
-    def rank(self):
-        return len(self.variance)
-
-    @staticmethod
-    def scalar(value):
-        return Tensor((), np.asarray(float(value)))
-
-    @staticmethod
-    def vector(values, variance=DOWN):
-        return Tensor((variance,), values)
-
-    @classmethod
-    def symmetric2(cls, values, variance=(DOWN, DOWN)):
-        """Rank-2 constructor that rejects asymmetric input."""
-        arr = np.asarray(values, dtype=float)
-        scale = max(1.0, np.abs(arr).max())
-        if np.abs(arr - arr.T).max() > _SYMMETRY_TOL * scale:
-            raise TensorError("components are not symmetric within tolerance")
-        return cls(variance, arr)
-
-    @classmethod
-    def antisymmetric2(cls, values, variance=(DOWN, DOWN)):
-        """Rank-2 constructor that rejects non-antisymmetric input."""
-        arr = np.asarray(values, dtype=float)
-        scale = max(1.0, np.abs(arr).max())
-        if np.abs(arr + arr.T).max() > _SYMMETRY_TOL * scale:
-            raise TensorError("components are not antisymmetric within tolerance")
-        return cls(variance, arr)
-
-    def item(self):
-        if self.rank != 0:
-            raise TensorError("item() requires a rank-0 tensor")
-        return float(self.components)
-
-    def __getitem__(self, idx):
-        return self.components[idx]
+DEGENERACY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
 class MetricAtPoint:
     """Metric, inverse, determinant and volume factor at a single point."""
 
-    g_dd: Tensor
-    g_uu: Tensor
+    matrix: np.ndarray
+    inverse: np.ndarray
     det_g: float
     sqrt_neg_det: float
 
@@ -105,7 +33,7 @@ class MetricAtPoint:
         if np.abs(g - g.T).max() > _SYMMETRY_TOL * scale:
             raise MetricError("metric components are not symmetric")
         det = float(np.linalg.det(g))
-        if abs(det) < _DEGENERACY_TOL * scale**4:
+        if abs(det) < DEGENERACY_TOL * scale**4:
             raise MetricError(f"metric is numerically degenerate (det={det:.3e})")
         if det >= 0.0:
             raise SignatureError(f"metric determinant must be negative, got {det:.3e}")
@@ -118,81 +46,8 @@ class MetricAtPoint:
         if np.abs(inv @ g - np.eye(DIM)).max() > _INVERSE_TOL:
             raise MetricError("inverse metric failed the identity check")
         return cls(
-            g_dd=Tensor((DOWN, DOWN), g),
-            g_uu=Tensor((UP, UP), inv),
+            matrix=g,
+            inverse=inv,
             det_g=det,
             sqrt_neg_det=float(np.sqrt(-det)),
         )
-
-    @property
-    def matrix(self):
-        return self.g_dd.components
-
-    @property
-    def inverse(self):
-        return self.g_uu.components
-
-
-def _check_slot(t, slot):
-    if not 0 <= slot < t.rank:
-        raise TensorError(f"slot {slot} out of range for rank {t.rank}")
-
-
-def raise_index(t, slot, m):
-    """Contract a Down slot with the inverse metric, leaving it Up."""
-    _check_slot(t, slot)
-    if t.variance[slot] != DOWN:
-        raise TensorError(f"slot {slot} is already Up")
-    arr = np.tensordot(m.inverse, t.components, axes=([1], [slot]))
-    arr = np.moveaxis(arr, 0, slot)
-    var = t.variance[:slot] + (UP,) + t.variance[slot + 1 :]
-    return Tensor(var, arr)
-
-
-def lower_index(t, slot, m):
-    """Contract an Up slot with the metric, leaving it Down."""
-    _check_slot(t, slot)
-    if t.variance[slot] != UP:
-        raise TensorError(f"slot {slot} is already Down")
-    arr = np.tensordot(m.matrix, t.components, axes=([1], [slot]))
-    arr = np.moveaxis(arr, 0, slot)
-    var = t.variance[:slot] + (DOWN,) + t.variance[slot + 1 :]
-    return Tensor(var, arr)
-
-
-def contract(t, slot_a, slot_b):
-    """Sum over a paired Up/Down slot pair; rank drops by two."""
-    _check_slot(t, slot_a)
-    _check_slot(t, slot_b)
-    if slot_a == slot_b:
-        raise TensorError("contraction slots must be distinct")
-    if t.variance[slot_a] == t.variance[slot_b]:
-        raise TensorError("contraction requires one Up and one Down slot")
-    arr = np.trace(t.components, axis1=slot_a, axis2=slot_b)
-    var = tuple(v for i, v in enumerate(t.variance) if i not in (slot_a, slot_b))
-    return Tensor(var, arr)
-
-
-def scalar_product(x, y, m):
-    """g(x, y) for two rank-1 Down tensors."""
-    if x.variance != (DOWN,) or y.variance != (DOWN,):
-        raise TensorError("scalar_product expects two rank-1 Down tensors")
-    return float(np.einsum("mn,m,n->", m.inverse, x.components, y.components))
-
-
-def antisymmetrize_3(t):
-    """Cyclic sum t_{mnl} + t_{nlm} + t_{lmn} (no 1/3! factor)."""
-    if t.variance != (DOWN, DOWN, DOWN):
-        raise TensorError("antisymmetrize_3 expects a rank-3 Down tensor")
-    a = t.components
-    out = a + a.transpose(1, 2, 0) + a.transpose(2, 0, 1)
-    return Tensor((DOWN, DOWN, DOWN), out)
-
-
-def outer(a, b):
-    """Tensor product; slot order is a's slots followed by b's."""
-    if a.rank + b.rank > 4:
-        raise TensorError("outer product would exceed rank 4")
-    return Tensor(
-        a.variance + b.variance, np.multiply.outer(a.components, b.components)
-    )

@@ -22,7 +22,7 @@ from rcgeom.cli import main
 from rcgeom.engine import GeometrySnapshot
 from rcgeom.fields import finite_difference_derivatives
 from rcgeom.gauge import gauge_invariance_suite, scalar_shift_residual
-from rcgeom.harness import SuiteContext, charge_ball_model, run_suite
+from rcgeom.harness import SuiteContext, run_suite
 
 
 def _report(num, description, ok, detail=""):
@@ -38,7 +38,7 @@ def models():
 
 @pytest.fixture(scope="module")
 def ball():
-    return charge_ball_model()
+    return catalog_get("charge-ball")
 
 
 def test_criterion_1_einstein_maxwell_residual(models):

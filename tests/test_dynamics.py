@@ -16,14 +16,13 @@ from rcgeom import (
     normalize_velocity,
     rc_transport_residual,
 )
-from rcgeom.dynamics import dust_normalization_residual
+from rcgeom.dynamics import dust_from_sources, dust_normalization_residual
 from rcgeom.engine import GeometrySnapshot
-from rcgeom.harness import (
-    charge_ball_dust,
-    charge_ball_model,
-    static_dust,
-    uniform_accel_dust,
-)
+
+
+def matched_dust(model):
+    """The dust the catalog entry pairs with its model."""
+    return dust_from_sources(model, *model.meta["dust"])
 
 
 def test_straight_worldline_in_flat_space():
@@ -59,13 +58,11 @@ def test_normalization_drift_over_long_run():
 def _independent_geodesic_rk4(model, x, V, ds, steps):
     """Reference integrator written directly against the connection, kept
     separate from the production path on purpose."""
-    from rcgeom import christoffel
-
     x = np.array(x, dtype=float)
     V = np.array(V, dtype=float)
 
     def rhs(xc, vc):
-        gamma = christoffel(model, xc).gamma
+        gamma = GeometrySnapshot(model, xc).gamma_lc
         acc = -np.einsum("mdn,m,d->n", gamma, vc, vc)
         return vc, acc
 
@@ -186,7 +183,7 @@ def test_transport_residual_geodesic_case():
 
 def test_transport_residual_constant_field_dust():
     m = catalog_get("minkowski-constant-e")
-    dust, k = uniform_accel_dust(m, 0.5)
+    dust, k = matched_dust(m), 0.5
     for t in (0.0, 0.7, 1.5):
         x = np.array([t, 0.3, 0.0, 0.0])
         V = np.array([f.value(x) for f in dust.V_fields])
@@ -205,7 +202,7 @@ def test_transport_residual_rn_radial_infall():
 def test_exchange_identities_free_dust():
     """No field at all: every exchange residual is exactly zero."""
     m = catalog_get("minkowski")
-    dust, _ = static_dust(m)
+    dust = matched_dust(m)
     res = exchange_identities(m, np.array([0.2, 0.1, 0.0, 0.3]), dust)
     assert res.pair_cancellation == 0.0
     assert res.energy_transfer == 0.0
@@ -222,7 +219,7 @@ def test_exchange_pair_cancellation_on_rn():
 
 def test_exchange_identities_accelerated_dust():
     m = catalog_get("minkowski-constant-e")
-    dust, k = uniform_accel_dust(m, 0.5)
+    dust, k = matched_dust(m), 0.5
     for t in (0.0, 0.5, 1.2):
         x = np.array([t, 0.2, 0.1, 0.0])
         assert dust_normalization_residual(m, dust, x) <= 1e-10
@@ -233,8 +230,8 @@ def test_exchange_identities_accelerated_dust():
 
 
 def test_exchange_identities_charge_ball():
-    m = charge_ball_model()
-    dust, k = charge_ball_dust(m)
+    m = catalog_get("charge-ball")
+    dust = matched_dust(m)
     for p in m.default_grid[::5]:
         res = exchange_identities(m, p, dust)
         assert res.matter_conservation <= 1e-8
@@ -245,8 +242,8 @@ def test_exchange_identities_charge_ball():
 def test_mass_flux_residual_documents_printed_sign():
     """With the definitional contorsion sign the printed relation is off by
     exactly twice the coupling source; the residual reports that gap."""
-    m = charge_ball_model()
-    dust, _ = charge_ball_dust(m)
+    m = catalog_get("charge-ball")
+    dust = matched_dust(m)
     x = np.array([0.0, 0.3, 0.1, -0.2])
     res = exchange_identities(m, x, dust)
     s = GeometrySnapshot(m, x)

@@ -5,21 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from rcgeom import (
-    catalog_get,
-    chern_simons_density,
-    current,
-    field_strength,
-    homogeneous_maxwell_residual,
-    parse_spacetime_text,
-    stress_energy,
-)
-from rcgeom.electromagnetism import (
-    cyclic_gradient_residual,
-    stress_conservation_residual,
-)
-from rcgeom.engine import GeometrySnapshot
-from rcgeom.harness import charge_ball_model
+from rcgeom import catalog_get, parse_spacetime_text
+from rcgeom.engine import GeometrySnapshot, cyclic_gradient_residual
+
+
+def charge_ball_model(**params):
+    return catalog_get("charge-ball", params)
 
 CROSSED_FIELDS = """
 # flat space with aligned electric and magnetic components
@@ -40,15 +31,14 @@ grid.z = -1:1:2
 
 def test_no_potential_no_field():
     m = catalog_get("schwarzschild")
-    em = field_strength(m, np.array([0.0, 4.0, 1.2, 0.3]))
-    assert np.abs(em.F_dd.components).max() == 0.0
-    assert em.invariant_F2 == 0.0
+    em = GeometrySnapshot(m, np.array([0.0, 4.0, 1.2, 0.3]))
+    assert np.abs(em.F_dd).max() == 0.0
+    assert em.F2 == 0.0
 
 
 def test_constant_field_components():
     m = catalog_get("minkowski-constant-e")
-    em = field_strength(m, np.array([0.1, 0.2, 0.3, 0.4]))
-    F = em.F_dd.components
+    F = GeometrySnapshot(m, np.array([0.1, 0.2, 0.3, 0.4])).F_dd
     assert F[1, 0] == pytest.approx(-1.0)
     assert F[0, 1] == pytest.approx(1.0)
     mask = np.ones((4, 4), dtype=bool)
@@ -58,21 +48,23 @@ def test_constant_field_components():
 
 def test_rn_radial_field_hand_value():
     m = catalog_get("reissner-nordstrom")
-    em = field_strength(m, np.array([0.0, 2.5, 1.2, 0.3]))
+    em = GeometrySnapshot(m, np.array([0.0, 2.5, 1.2, 0.3]))
     # F_rt = d_r (q/r) = -q/r^2
     q, r = 0.3, 2.5
-    assert em.F_dd.components[1, 0] == pytest.approx(-q / r**2, abs=1e-14)
+    assert em.F_dd[1, 0] == pytest.approx(-q / r**2, abs=1e-14)
 
 
 def test_field_layouts_consistent():
     m = catalog_get("reissner-nordstrom")
     x = np.array([0.0, 4.0, 1.2, 0.3])
-    em = field_strength(m, x)
+    em = GeometrySnapshot(m, x)
     g = m.metric_at(x)
-    uu = np.einsum("ma,nb,ab->mn", g.inverse, g.inverse, em.F_dd.components)
-    assert np.abs(uu - em.F_uu.components).max() <= 1e-12
-    f2 = float(np.einsum("mn,mn->", em.F_dd.components, em.F_uu.components))
-    assert em.invariant_F2 == pytest.approx(f2)
+    uu = np.einsum("ma,nb,ab->mn", g.inverse, g.inverse, em.F_dd)
+    assert np.abs(uu - em.F_uu).max() <= 1e-12
+    mixed = np.einsum("la,na->nl", g.inverse, em.F_dd)
+    assert np.abs(mixed - em.F_mix).max() <= 1e-12
+    f2 = float(np.einsum("mn,mn->", em.F_dd, em.F_uu))
+    assert em.F2 == pytest.approx(f2)
 
 
 def test_homogeneous_identity_across_catalog():
@@ -80,7 +72,7 @@ def test_homogeneous_identity_across_catalog():
                  "reissner-nordstrom", "em-plane-wave"):
         m = catalog_get(name)
         for p in m.default_grid[:: max(1, len(m.default_grid) // 8)]:
-            assert homogeneous_maxwell_residual(m, p) <= 1e-10
+            assert GeometrySnapshot(m, p).homogeneous_residual() <= 1e-10
 
 
 def test_homogeneous_identity_plane_wave_random():
@@ -88,7 +80,7 @@ def test_homogeneous_identity_plane_wave_random():
     rng = np.random.default_rng(2)
     for _ in range(50):
         p = rng.uniform(-1, 1, size=4)
-        assert homogeneous_maxwell_residual(m, p) <= 1e-10
+        assert GeometrySnapshot(m, p).homogeneous_residual() <= 1e-10
 
 
 def test_corrupted_field_detected():
@@ -102,11 +94,11 @@ def test_corrupted_field_detected():
 
 def test_current_vanishes_on_vacuum_and_exterior():
     schw = catalog_get("schwarzschild")
-    j = current(schw, np.array([0.0, 5.0, 1.0, 0.3]))
-    assert np.abs(j.J_up.components).max() <= 1e-12
+    j = GeometrySnapshot(schw, np.array([0.0, 5.0, 1.0, 0.3]))
+    assert np.abs(j.J_up).max() <= 1e-12
     rn = catalog_get("reissner-nordstrom")
     for p in rn.default_grid[::16]:
-        assert np.abs(current(rn, p).J_up.components).max() <= 1e-8
+        assert np.abs(GeometrySnapshot(rn, p).J_up).max() <= 1e-8
 
 
 def test_charge_ball_recovers_uniform_density():
@@ -114,9 +106,11 @@ def test_charge_ball_recovers_uniform_density():
     uniform charge density, so J^0 = c rho_q everywhere inside."""
     m = charge_ball_model(rho_q=0.02)
     for p in m.default_grid[::5]:
-        j = current(m, p)
-        assert j.J_up.components[0] == pytest.approx(0.02, abs=1e-8)
-        assert np.abs(j.J_up.components[1:]).max() <= 1e-12
+        j = GeometrySnapshot(m, p)
+        assert j.J_up[0] == pytest.approx(0.02, abs=1e-8)
+        assert np.abs(j.J_up[1:]).max() <= 1e-12
+        # the torsionful divergence of F carries the same current
+        assert np.abs(j.rc_div_F - j.lc_div_F_det).max() <= 1e-12
 
 
 def test_current_conservation_residuals():
@@ -131,11 +125,9 @@ def test_current_conservation_residuals():
 def test_current_down_layout():
     m = charge_ball_model()
     x = np.array([0.0, 0.2, 0.1, -0.1])
-    j = current(m, x)
+    j = GeometrySnapshot(m, x)
     g = m.metric_at(x)
-    assert np.abs(
-        j.J_down.components - g.matrix @ j.J_up.components
-    ).max() <= 1e-14
+    assert np.abs(j.J_down - g.matrix @ j.J_up).max() <= 1e-14
 
 
 def test_rc_and_lc_divergences_of_f_agree():
@@ -148,8 +140,8 @@ def test_rc_and_lc_divergences_of_f_agree():
 
 def test_stress_energy_zero_without_field():
     m = catalog_get("minkowski")
-    t = stress_energy(m, np.zeros(4))
-    assert np.abs(t.T_dd.components).max() == 0.0
+    t = GeometrySnapshot(m, np.zeros(4))
+    assert np.abs(t.T_em_dd).max() == 0.0
 
 
 def test_stress_energy_symmetric_traceless():
@@ -181,24 +173,24 @@ def test_weak_energy_in_static_orthonormal_frame():
 def test_stress_conservation_identity():
     ball = charge_ball_model()
     for p in ball.default_grid[::5]:
-        assert stress_conservation_residual(ball, p) <= 1e-7
+        assert GeometrySnapshot(ball, p).stress_exchange_residual() <= 1e-7
     rn = catalog_get("reissner-nordstrom")
     for p in rn.default_grid[::32]:
-        assert stress_conservation_residual(rn, p) <= 1e-7
+        assert GeometrySnapshot(rn, p).stress_exchange_residual() <= 1e-7
 
 
 def test_chern_simons_zero_cases():
     m = catalog_get("schwarzschild")
-    cs = chern_simons_density(m, np.array([0.0, 4.0, 1.2, 0.3]))
-    assert np.abs(cs.components).max() == 0.0
+    cs = GeometrySnapshot(m, np.array([0.0, 4.0, 1.2, 0.3])).chern_simons
+    assert np.abs(cs).max() == 0.0
     # potential parallel to the plane of its own field: wedge vanishes
     m = catalog_get("minkowski-constant-e")
-    cs = chern_simons_density(m, np.array([0.1, 2.0, 0.3, 0.4]))
-    assert np.abs(cs.components).max() <= 1e-14
+    cs = GeometrySnapshot(m, np.array([0.1, 2.0, 0.3, 0.4])).chern_simons
+    assert np.abs(cs).max() <= 1e-14
     # plane wave: single-component transverse potential, wedge vanishes
     m = catalog_get("em-plane-wave")
-    cs = chern_simons_density(m, np.array([0.3, 0.1, 0.0, 0.0]))
-    assert np.abs(cs.components).max() <= 1e-14
+    cs = GeometrySnapshot(m, np.array([0.3, 0.1, 0.0, 0.0])).chern_simons
+    assert np.abs(cs).max() <= 1e-14
 
 
 def test_chern_simons_crossed_fields_hand_value():
@@ -206,7 +198,7 @@ def test_chern_simons_crossed_fields_hand_value():
     the wedge is A_0 F_12 / 3! = z/6."""
     m = parse_spacetime_text(CROSSED_FIELDS)
     x = np.array([0.0, 0.5, 0.2, 2.0])
-    cs = chern_simons_density(m, x).components
+    cs = GeometrySnapshot(m, x).chern_simons
     assert cs[0, 1, 2] == pytest.approx(2.0 / 6.0, abs=1e-14)
     # total antisymmetry
     assert np.abs(cs + cs.transpose(1, 0, 2)).max() <= 1e-12
@@ -216,4 +208,5 @@ def test_chern_simons_crossed_fields_hand_value():
 
 def test_homogeneous_residual_fd_mode():
     m = catalog_get("reissner-nordstrom")
-    assert homogeneous_maxwell_residual(m, np.array([0.0, 4.0, 1.2, 0.3]), mode="fd") <= 1e-10
+    s = GeometrySnapshot(m, np.array([0.0, 4.0, 1.2, 0.3]), mode="fd")
+    assert s.homogeneous_residual() <= 1e-10

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from rcgeom import ChartSpec, EvalError, ExprField, ParseError, UnknownIdentifierError
 from rcgeom.expr import (
+    MAX_DEPTH,
     Add,
     Call,
     Coord,
@@ -18,7 +19,9 @@ from rcgeom.expr import (
     Param,
     Pow,
     Sub,
+    evaluate,
     parse,
+    references_coordinates,
     to_source,
 )
 from rcgeom.fields import finite_difference_derivatives
@@ -102,6 +105,24 @@ def test_trailing_garbage_rejected():
 def test_unclosed_paren_rejected():
     with pytest.raises(ParseError):
         parse("(1 + 2", CART)
+
+
+def test_deep_expressions_are_parse_errors():
+    """Nesting and long sums beyond the depth bound fail in the parser, so
+    evaluation and printing never recurse past it."""
+    with pytest.raises(ParseError):
+        parse("(" * 500 + "t" + ")" * 500, CART)
+    with pytest.raises(ParseError):
+        parse(" + ".join(["t"] * 3000), CART)
+    with pytest.raises(ParseError):
+        parse("-" * 500 + "t", CART)
+    # at the bound: a sum of MAX_DEPTH terms and MAX_DEPTH - 1 parentheses
+    long_sum = parse(" + ".join(["t"] * MAX_DEPTH), CART)
+    assert evaluate(long_sum, (0.5, 0.0, 0.0, 0.0), {}) == pytest.approx(0.5 * MAX_DEPTH)
+    assert parse(to_source(long_sum), CART) == long_sum
+    assert references_coordinates(long_sum)
+    nested = "(" * (MAX_DEPTH - 1) + "t" + ")" * (MAX_DEPTH - 1)
+    assert parse(nested, CART) == Coord(0, "t")
 
 
 def test_roundtrip_examples():

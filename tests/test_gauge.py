@@ -5,18 +5,24 @@ import math
 import numpy as np
 import pytest
 
-from rcgeom import (
-    catalog_get,
-    contorsion_from_potential,
-    field_strength,
-    gauge_curvature_shift,
-    gauge_invariance_suite,
-    transform_potential,
-    transformed_contorsion,
-)
+from rcgeom import catalog_get, gauge_invariance_suite, transform_potential
 from rcgeom.engine import GeometrySnapshot
-from rcgeom.gauge import contorsion_shift_residual, scalar_shift_residual
-from rcgeom.harness import charge_ball_model
+from rcgeom.gauge import (
+    as_phi_field,
+    contorsion_shift,
+    divergence_term,
+    scalar_shift_residual,
+)
+
+
+def charge_ball_model(**params):
+    return catalog_get("charge-ball", params)
+
+
+def _pair(model, phi, x, mode="dual"):
+    """(unshifted, shifted) snapshots at x."""
+    return (GeometrySnapshot(model, x, mode),
+            GeometrySnapshot(transform_potential(model, phi), x, mode))
 
 
 def test_constant_phi_is_identity():
@@ -24,15 +30,15 @@ def test_constant_phi_is_identity():
     shifted = transform_potential(m, "3.7")
     x = np.array([0.0, 4.0, 1.2, 0.5])
     assert np.abs(shifted.potential_values(x) - m.potential_values(x)).max() == 0.0
-    k0 = contorsion_from_potential(m, x)
-    k1 = transformed_contorsion(m, "3.7", x)
-    assert np.abs(k1.K_mixed - k0.K_mixed).max() == 0.0
+    old, new = _pair(m, "3.7", x)
+    assert np.abs(new.K_mix - old.K_mix).max() == 0.0
+    assert contorsion_shift(old, new, as_phi_field(m, "3.7")) == 0.0
 
 
 def test_zero_field_means_zero_contorsion_any_phi():
     m = catalog_get("schwarzschild")
-    k = transformed_contorsion(m, "0.3*t*r", np.array([0.0, 5.0, 1.0, 0.2]))
-    assert np.abs(k.K_mixed).max() == 0.0
+    _old, new = _pair(m, "0.3*t*r", np.array([0.0, 5.0, 1.0, 0.2]))
+    assert np.abs(new.K_mix).max() == 0.0
 
 
 def test_time_linear_phi_shifts_potential_not_field():
@@ -42,9 +48,8 @@ def test_time_linear_phi_shifts_potential_not_field():
     x = np.array([0.0, 4.0, 1.2, 0.5])
     a_new = shifted.potential_values(x)
     assert a_new[0] == pytest.approx(0.3 / 4.0 + lam, abs=1e-14)
-    F0 = field_strength(m, x).F_dd.components
-    F1 = field_strength(shifted, x).F_dd.components
-    assert np.abs(F1 - F0).max() <= 1e-12
+    old, new = _pair(m, f"{lam}*t", x)
+    assert np.abs(new.F_dd - old.F_dd).max() <= 1e-12
 
 
 def test_bilinear_phi_on_constant_field():
@@ -55,20 +60,18 @@ def test_bilinear_phi_on_constant_field():
     # gains (x, t, 0, 0)
     assert a_new[0] == pytest.approx(-0.4 + 0.4)
     assert a_new[1] == pytest.approx(0.7)
-    F0 = field_strength(m, x).F_dd.components
-    F1 = field_strength(shifted, x).F_dd.components
-    assert np.abs(F1 - F0).max() <= 1e-12
+    old, new = _pair(m, "t*x", x)
+    assert np.abs(new.F_dd - old.F_dd).max() <= 1e-12
 
 
 def test_transformed_contorsion_two_routes_agree():
     m = catalog_get("minkowski-constant-e")
     x = np.array([0.3, 0.8, 0.1, 0.0])
-    assert contorsion_shift_residual(m, "x", x) <= 1e-13
-    k_new = transformed_contorsion(m, "x", x)
+    old, new = _pair(m, "x", x)
+    assert contorsion_shift(old, new, as_phi_field(m, "x")) <= 1e-13
     # the shift acts only on the slot fed by grad(phi) = e_1
-    s = GeometrySnapshot(m, x)
-    delta = k_new.K_mixed - s.K_mix
-    expected = -s.C * s.F_mix
+    delta = new.K_mix - old.K_mix
+    expected = -old.C * old.F_mix
     assert np.abs(delta[1] - expected).max() <= 1e-13
     assert np.abs(delta[0]).max() <= 1e-13
     assert np.abs(delta[2:]).max() <= 1e-13
@@ -79,28 +82,29 @@ def test_curvature_shift_source_free_is_identity():
     for phi in ("0.2*t", "sin(t)*r", "0.05*t*r^2"):
         m = catalog_get("reissner-nordstrom")
         x = np.array([0.0, 5.0, 1.1, 0.4])
-        R_new, R_old, div = gauge_curvature_shift(m, phi, x)
-        assert abs(div) <= 1e-12
-        assert abs(R_new - R_old) <= 1e-12
+        old, new = _pair(m, phi, x)
+        assert abs(new.scalar_rc - old.scalar_rc) <= 1e-12
+        assert scalar_shift_residual(m, phi, x) <= 1e-12
 
 
 def test_curvature_shift_constant_phi():
     m = charge_ball_model()
     x = np.array([0.1, 0.2, 0.1, -0.1])
-    R_new, R_old, div = gauge_curvature_shift(m, "2.5", x)
-    assert abs(div) <= 1e-12
-    assert abs(R_new - R_old) <= 1e-12
+    old, new = _pair(m, "2.5", x)
+    assert abs(new.scalar_rc - old.scalar_rc) <= 1e-12
+    assert scalar_shift_residual(m, "2.5", x) <= 1e-12
 
 
 def test_curvature_shift_with_source_hand_value():
     """phi = t on the charge ball: the shift equals 8 pi C rho_q."""
     m = charge_ball_model(rho_q=0.02)
     x = np.array([0.1, 0.3, -0.2, 0.1])
-    R_new, R_old, div = gauge_curvature_shift(m, "t", x)
+    old, new = _pair(m, "t", x)
+    div = divergence_term(old, as_phi_field(m, "t"))
     expected = 8.0 * math.pi * 0.02
     assert div == pytest.approx(expected, rel=1e-10)
-    assert R_new - R_old == pytest.approx(expected, rel=1e-7)
-    assert abs(R_new - R_old - div) <= 1e-8
+    assert new.scalar_rc - old.scalar_rc == pytest.approx(expected, rel=1e-7)
+    assert abs(new.scalar_rc - old.scalar_rc - div) <= 1e-8
 
 
 def test_scalar_shift_residual_small_everywhere():
@@ -118,6 +122,7 @@ def test_invariance_suite_rn():
     assert rep.invariant_deltas["lorentz_rhs"] <= 1e-12
     assert rep.changed_deltas["contorsion"] > 1e-6
     assert rep.changed_deltas["rc_curvature"] > 1e-6
+    assert len(rep.pairs) == len(m.default_grid[::16])
 
 
 def test_invariance_suite_constant_field():
@@ -151,5 +156,4 @@ def test_gauge_orbit_compose_equals_sum():
 def test_fd_mode_curvature_shift():
     m = charge_ball_model()
     x = np.array([0.1, 0.3, -0.2, 0.1])
-    R_new, R_old, div = gauge_curvature_shift(m, "t", x, mode="fd")
-    assert abs(R_new - R_old - div) <= 1e-5 * (1 + abs(R_old))
+    assert scalar_shift_residual(m, "t", x, mode="fd") <= 1e-5

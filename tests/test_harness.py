@@ -4,11 +4,12 @@ import json
 
 import pytest
 
+from rcgeom import CATALOG_NAMES, GeometryError, catalog_get, cli, engine
 from rcgeom.cli import main
 from rcgeom.harness import (
     CHECK_DEFS,
+    SuiteContext,
     canonical_json,
-    charge_ball_model,
     resolve_model,
     run_suite,
 )
@@ -61,7 +62,7 @@ def test_rc_suite_uncharged_reduces_to_lc():
 
 
 def test_charge_ball_source_density_check():
-    rep = run_suite("maxwell", charge_ball_model())
+    rep = run_suite("maxwell", resolve_model("charge-ball"))
     assert rep.passed
     by_id = {c.check_id: c for c in rep.checks}
     assert "em.source_density" in by_id
@@ -228,3 +229,71 @@ def test_informational_checks_never_gate():
     assert info.tolerance is None
     assert info.passed
     assert info.max_residual > 0.0  # the documented gap is visible
+
+
+def test_cli_suite_all_on_every_model_writes_json(tmp_path, capsys):
+    """Every catalog entry and fixture runs --suite all to a loadable
+    report, and together the reports cover exactly the check table."""
+    seen = set()
+    for name in CATALOG_NAMES + ("charge-ball",):
+        out = tmp_path / f"{name}.json"
+        assert main(["run", "--spacetime", name, "--suite", "all", "--out", str(out)]) == 0, name
+        body = json.loads(out.read_text())
+        assert all(c["pass"] is True for c in body["checks"]), name
+        seen |= {c["id"] for c in body["checks"]}
+    assert seen == set(CHECK_DEFS)
+
+
+def test_empty_grid_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["run", "--spacetime", "minkowski", "--suite", "metric",
+                 "--grid", "x=0:1:0", "--out", str(out)]) == 2
+    assert "no points" in capsys.readouterr().err
+    with pytest.raises(GeometryError):
+        SuiteContext(catalog_get("minkowski"), grid_overrides={"t": []})
+
+
+def test_unknown_tolerance_id_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["run", "--spacetime", "minkowski", "--suite", "metric",
+                 "--tol", "no.such.check=1", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "no.such.check" in err and "metric.inverse" in err
+    assert main(["gauge", "--spacetime", "minkowski", "--phi", "t",
+                 "--tol", "gauge.typo=1", "--out", str(out)]) == 2
+    assert "gauge.orbit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("expr", ["(" * 500 + "r" + ")" * 500, " + ".join(["r"] * 3000)],
+                         ids=["nested-parentheses", "long-sum"])
+def test_deep_expression_file_is_a_usage_error(tmp_path, capsys, expr):
+    path = tmp_path / "deep.spacetime"
+    path.write_text(RN_FILE.replace('A[0] = "q/r"', f'A[0] = "{expr}"'))
+    out = tmp_path / "r.json"
+    assert main(["run", "--spacetime", str(path), "--suite", "metric", "--out", str(out)]) == 2
+    assert "deeper than" in capsys.readouterr().err
+
+
+def test_internal_error_exit_status(tmp_path, monkeypatch, capsys):
+    def broken(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "run_suite", broken)
+    out = tmp_path / "r.json"
+    assert main(["run", "--spacetime", "minkowski", "--out", str(out)]) == 3
+    assert "internal error: RuntimeError: boom" in capsys.readouterr().err
+
+
+def test_gauge_scenario_shares_one_snapshot_pair_per_point(monkeypatch):
+    """Two snapshots per (point, phi) plus four for the composition check."""
+    built = []
+    init = engine.GeometrySnapshot.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(engine.GeometrySnapshot, "__init__", counting)
+    rep = run_suite("gauge", resolve_model("minkowski-constant-e"))
+    assert rep.passed
+    assert len(built) == 3 * 8 * 2 + 4

@@ -5,25 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from rcgeom import (
-    catalog_get,
-    christoffel,
-    contracted_bianchi_residual,
-    contract,
-    lc_covariant_derivative,
-    lc_curvature,
-    lc_divergence_antisym2,
-    parse_spacetime_text,
-)
+from rcgeom import ExprField, catalog_get, parse_spacetime_text
 from rcgeom.engine import GeometrySnapshot
-from rcgeom.levi_civita import (
-    ConstantTensorField,
-    EinsteinField,
-    EMFieldUU,
-    ExprTensorField,
-    MetricField,
-)
-from rcgeom.tensor import DOWN, UP
 
 FLAT_SPHERICAL = """
 name = flat-spherical
@@ -50,54 +33,62 @@ def schw():
     return catalog_get("schwarzschild")
 
 
+def _covd_up(gamma, comps, grad):
+    """Reference covariant derivative of a vector field, derivative slot first:
+    nabla_k V^n = d_k V^n + G_{kr}^n V^r."""
+    return grad + np.einsum("krn,r->kn", gamma, comps)
+
+
+def _covd_uu(gamma, comps, grad):
+    """Same for a (up, up) field."""
+    return (grad + np.einsum("kra,rb->kab", gamma, comps)
+            + np.einsum("krb,ar->kab", gamma, comps))
+
+
 def test_minkowski_connection_and_curvature_vanish():
     m = catalog_get("minkowski")
-    x = np.array([0.3, -0.2, 0.5, 0.1])
-    conn = christoffel(m, x)
-    assert conn.torsionless
-    assert np.abs(conn.gamma).max() == 0.0
-    curv = lc_curvature(m, x)
-    assert np.abs(curv.riemann.components).max() == 0.0
-    assert curv.scalar == 0.0
+    s = GeometrySnapshot(m, np.array([0.3, -0.2, 0.5, 0.1]))
+    assert np.abs(s.gamma_lc).max() == 0.0
+    assert np.abs(s.riemann_lc).max() == 0.0
+    assert s.scalar_lc == 0.0
 
 
 def test_schwarzschild_christoffel_hand_value(schw):
     """Gamma^r_tt = f f'/2 with f = 1 - 2/r: at r = 4 this is 0.03125."""
-    conn = christoffel(schw, np.array([0.0, 4.0, 1.3, 0.2]))
-    assert conn.gamma[0, 0, 1] == pytest.approx(0.03125, abs=1e-12)
-    assert np.abs(conn.gamma - conn.gamma.transpose(1, 0, 2)).max() <= 1e-12
+    gamma = GeometrySnapshot(schw, np.array([0.0, 4.0, 1.3, 0.2])).gamma_lc
+    assert gamma[0, 0, 1] == pytest.approx(0.03125, abs=1e-12)
+    assert np.abs(gamma - gamma.transpose(1, 0, 2)).max() <= 1e-12
 
 
 def test_flat_spherical_christoffel_hand_value():
     m = parse_spacetime_text(FLAT_SPHERICAL)
-    conn = christoffel(m, np.array([0.0, 2.5, 1.1, 0.3]))
+    s = GeometrySnapshot(m, np.array([0.0, 2.5, 1.1, 0.3]))
     # Gamma^r_{theta,theta} = -r
-    assert conn.gamma[2, 2, 1] == pytest.approx(-2.5, abs=1e-12)
-    curv = lc_curvature(m, np.array([0.0, 2.5, 1.1, 0.3]))
-    assert np.abs(curv.riemann.components).max() <= 1e-12
+    assert s.gamma_lc[2, 2, 1] == pytest.approx(-2.5, abs=1e-12)
+    assert np.abs(s.riemann_lc).max() <= 1e-12
 
 
 def test_schwarzschild_is_vacuum(schw):
-    curv = lc_curvature(schw, np.array([0.0, 4.0, 1.3, 0.2]))
-    assert np.abs(curv.ricci.components).max() <= 1e-10
-    assert abs(curv.scalar) <= 1e-10
-    assert np.abs(curv.einstein.components).max() <= 1e-10
+    s = GeometrySnapshot(schw, np.array([0.0, 4.0, 1.3, 0.2]))
+    assert np.abs(s.ricci_lc).max() <= 1e-10
+    assert abs(s.scalar_lc) <= 1e-10
+    assert np.abs(s.einstein_lc_dd).max() <= 1e-10
 
 
 def test_rn_scalar_curvature_vanishes(rn):
     """The charged solution has a traceless source, so R must vanish."""
     for p in rn.default_grid[::16]:
-        assert abs(lc_curvature(rn, p).scalar) <= 1e-10
+        assert abs(GeometrySnapshot(rn, p).scalar_lc) <= 1e-10
 
 
 def test_riemann_antisymmetry_and_einstein_identity(rn):
     x = np.array([0.0, 5.0, 1.0, 0.7])
-    curv = lc_curvature(rn, x)
-    R = curv.riemann.components
+    s = GeometrySnapshot(rn, x)
+    R = s.riemann_lc
     assert np.abs(R + R.transpose(1, 0, 2, 3)).max() <= 1e-10
     g = rn.metric_values(x)
-    expected = curv.ricci.components - 0.5 * g * curv.scalar
-    assert np.abs(curv.einstein.components - expected).max() <= 1e-12
+    expected = s.ricci_lc - 0.5 * g * s.scalar_lc
+    assert np.abs(s.einstein_lc_dd - expected).max() <= 1e-12
 
 
 def test_metric_compatibility_everywhere():
@@ -110,13 +101,13 @@ def test_metric_compatibility_everywhere():
 
 def test_divergence_constant_field_vanishes():
     m = catalog_get("minkowski-constant-e")
-    div = lc_divergence_antisym2(m, np.array([0.1, 0.2, 0.3, 0.4]))
+    div = GeometrySnapshot(m, np.array([0.1, 0.2, 0.3, 0.4])).lc_div_F_det
     assert np.abs(div).max() <= 1e-14
 
 
 def test_rn_exterior_is_source_free(rn):
     for p in rn.default_grid[::16]:
-        assert np.abs(lc_divergence_antisym2(rn, p)).max() <= 1e-8
+        assert np.abs(GeometrySnapshot(rn, p).lc_div_F_det).max() <= 1e-8
 
 
 def test_divergence_two_formulas_agree(rn):
@@ -129,65 +120,59 @@ def test_divergence_two_formulas_agree(rn):
 
 
 def test_divergence_of_custom_field(rn):
-    """Feeding the model's own F through the generic field interface must
-    reproduce the built-in divergence."""
-    x = np.array([0.0, 4.0, 1.2, 0.5])
-    field = EMFieldUU(rn)
-    div = lc_divergence_antisym2(rn, x, F_field=field)
-    assert np.abs(div - GeometrySnapshot(rn, x).lc_div_F_det).max() <= 1e-12
+    """Contracting the reference covariant derivative of F^{mn} must
+    reproduce the built-in volume-factor divergence."""
+    s = GeometrySnapshot(rn, np.array([0.0, 4.0, 1.2, 0.5]))
+    div = np.einsum("mmn->n", _covd_uu(s.gamma_lc, s.F_uu, s.dF_uu))
+    assert np.abs(div - s.lc_div_F_det).max() <= 1e-12
 
 
 def test_covariant_derivative_of_metric_vanishes(rn):
-    x = np.array([0.0, 6.0, 0.9, 1.1])
-    grad = lc_covariant_derivative(rn, x, MetricField(rn))
-    assert grad.variance == (DOWN, DOWN, DOWN)
-    assert np.abs(grad.components).max() <= 1e-10
+    s = GeometrySnapshot(rn, np.array([0.0, 6.0, 0.9, 1.1]))
+    assert s.metric_compatibility_residual("lc") <= 1e-10
 
 
 def test_covariant_derivative_constant_vector_flat():
-    m = catalog_get("minkowski")
-    field = ConstantTensorField([1.0, 2.0, 3.0, 4.0], (UP,))
-    grad = lc_covariant_derivative(m, np.zeros(4), field)
-    assert np.abs(grad.components).max() == 0.0
+    s = GeometrySnapshot(catalog_get("minkowski"), np.zeros(4))
+    grad = _covd_up(s.gamma_lc, np.array([1.0, 2.0, 3.0, 4.0]), np.zeros((4, 4)))
+    assert np.abs(grad).max() == 0.0
 
 
 def test_covariant_derivative_expr_field():
     m = catalog_get("minkowski")
-    from rcgeom import ExprField
-
-    comps = np.empty(4, dtype=object)
-    for i, src in enumerate(("t", "x", "0", "0")):
-        comps[i] = ExprField(src, m.chart)
-    field = ExprTensorField(comps, (UP,))
-    grad = lc_covariant_derivative(m, np.array([0.5, 0.2, 0, 0]), field)
-    assert grad.components[0, 0] == pytest.approx(1.0)
-    assert grad.components[1, 1] == pytest.approx(1.0)
-    assert grad.components[0, 1] == pytest.approx(0.0)
+    x = np.array([0.5, 0.2, 0, 0])
+    fields = [ExprField(src, m.chart) for src in ("t", "x", "0", "0")]
+    comps = np.array([f.value(x) for f in fields])
+    grad = np.stack([f.jet(x, 1).grad for f in fields], axis=1)
+    nabla = _covd_up(GeometrySnapshot(m, x).gamma_lc, comps, grad)
+    assert nabla[0, 0] == pytest.approx(1.0)
+    assert nabla[1, 1] == pytest.approx(1.0)
+    assert nabla[0, 1] == pytest.approx(0.0)
 
 
 def test_contracted_bianchi_via_generic_interface(rn):
-    """Divergence of the Einstein tensor through the tensor-field route."""
-    x = np.array([0.0, 4.0, 1.2, 0.5])
-    grad = lc_covariant_derivative(rn, x, EinsteinField(rn))
-    div = contract(grad, 0, 1)
-    assert np.abs(div.components).max() <= 1e-7
+    """Divergence of the Einstein tensor through the reference derivative."""
+    s = GeometrySnapshot(rn, np.array([0.0, 4.0, 1.2, 0.5]))
+    grad = _covd_uu(s.gamma_lc, s.einstein_lc_uu, s.d_einstein_lc_uu)
+    assert np.abs(np.einsum("mmn->n", grad)).max() <= 1e-7
+    assert s.bianchi_residual() <= 1e-7
 
 
 def test_contracted_bianchi_on_grids(rn, schw):
     for m in (rn, schw):
         for p in m.default_grid[::32]:
-            assert contracted_bianchi_residual(m, p) <= 1e-7
+            assert GeometrySnapshot(m, p).bianchi_residual() <= 1e-7
 
 
 def test_christoffel_dual_vs_fd(rn):
     x = np.array([0.0, 5.5, 1.4, 0.4])
-    dual = christoffel(rn, x, mode="dual").gamma
-    fd = christoffel(rn, x, mode="fd").gamma
+    dual = GeometrySnapshot(rn, x, mode="dual").gamma_lc
+    fd = GeometrySnapshot(rn, x, mode="fd").gamma_lc
     assert np.abs(dual - fd).max() <= 1e-7
 
 
 def test_curvature_dual_vs_fd(rn):
     x = np.array([0.0, 5.5, 1.4, 0.4])
-    dual = lc_curvature(rn, x, mode="dual").riemann.components
-    fd = lc_curvature(rn, x, mode="fd").riemann.components
+    dual = GeometrySnapshot(rn, x, mode="dual").riemann_lc
+    fd = GeometrySnapshot(rn, x, mode="fd").riemann_lc
     assert np.abs(dual - fd).max() <= 1e-5

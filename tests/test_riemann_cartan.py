@@ -1,21 +1,13 @@
 """Contorsion, torsion, the full connection, and its curvature split."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from rcgeom import (
-    MetricAtPoint,
-    catalog_get,
-    christoffel,
-    contorsion_from_potential,
-    full_connection,
-    lc_curvature,
-    rc_curvature,
-    scalar_curvature_split,
-    torsion_from_contorsion,
-)
+from rcgeom import MetricAtPoint, catalog_get
 from rcgeom.engine import GeometrySnapshot
-from rcgeom.riemann_cartan import Contorsion, contorsion_from_torsion
+from rcgeom.harness import _torsion_roundtrip
 
 ALL_ENTRIES = (
     "minkowski",
@@ -37,18 +29,18 @@ def _random_point(model, rng):
 
 def test_uncharged_model_has_no_contorsion():
     m = catalog_get("schwarzschild")
-    k = contorsion_from_potential(m, np.array([0.0, 4.0, 1.2, 0.3]))
-    assert np.abs(k.K_mixed).max() == 0.0
+    s = GeometrySnapshot(m, np.array([0.0, 4.0, 1.2, 0.3]))
+    assert np.abs(s.K_mix).max() == 0.0
 
 
 def test_constant_field_contorsion_hand_value():
     """At x = 2 with unit coupling: A = (-2,0,0,0), F_1^{.0} = -1, so
     K_{01}^{..0} = -C A_0 F_1^{.0} = -2."""
     m = catalog_get("minkowski-constant-e")
-    k = contorsion_from_potential(m, np.array([0.0, 2.0, 0.0, 0.0]))
-    assert k.K_mixed[0, 1, 0] == pytest.approx(-2.0, abs=1e-14)
-    assert k.K_all_down[0, 1, 0] == pytest.approx(-2.0, abs=1e-14)
-    assert k.K_mixed[1, 0, 0] == 0.0
+    s = GeometrySnapshot(m, np.array([0.0, 2.0, 0.0, 0.0]))
+    assert s.K_mix[0, 1, 0] == pytest.approx(-2.0, abs=1e-14)
+    assert s.K_down[0, 1, 0] == pytest.approx(-2.0, abs=1e-14)
+    assert s.K_mix[1, 0, 0] == 0.0
 
 
 def test_contorsion_antisymmetry_on_random_data():
@@ -63,11 +55,10 @@ def test_contorsion_antisymmetry_on_random_data():
 
 def test_torsion_hand_value():
     m = catalog_get("minkowski-constant-e")
-    x = np.array([0.0, 2.0, 0.0, 0.0])
-    k = contorsion_from_potential(m, x)
-    t = torsion_from_contorsion(k, m.metric_at(x))
-    assert t.T_mixed[0, 1, 0] == pytest.approx(-2.0, abs=1e-14)
-    assert t.T_mixed[1, 0, 0] == pytest.approx(2.0, abs=1e-14)
+    s = GeometrySnapshot(m, np.array([0.0, 2.0, 0.0, 0.0]))
+    assert s.torsion_mix[0, 1, 0] == pytest.approx(-2.0, abs=1e-14)
+    assert s.torsion_mix[1, 0, 0] == pytest.approx(2.0, abs=1e-14)
+    assert _torsion_roundtrip(s) <= 1e-14
 
 
 def test_torsion_contorsion_roundtrip_random():
@@ -84,35 +75,25 @@ def test_torsion_contorsion_roundtrip_random():
         f = rng.standard_normal((4, 4))
         f = f - f.T
         f_mix = np.einsum("la,na->nl", m.inverse, f)
-        k = Contorsion(
-            K_mixed=-np.einsum("m,nl->mnl", a, f_mix),
-            K_all_down=-np.einsum("m,nl->mnl", a, f),
-        )
-        t = torsion_from_contorsion(k, m)
-        rebuilt = contorsion_from_torsion(t, m)
-        assert np.abs(rebuilt.K_mixed - k.K_mixed).max() <= 1e-12
+        # any object with the snapshot's K_mix, g and ginv feeds the check
+        point = SimpleNamespace(K_mix=-np.einsum("m,nl->mnl", a, f_mix),
+                                g=m.matrix, ginv=m.inverse)
+        assert _torsion_roundtrip(point) <= 1e-12
 
 
 def test_full_connection_reduces_without_charge():
     m = catalog_get("schwarzschild")
-    x = np.array([0.0, 5.0, 1.0, 0.2])
-    lc = christoffel(m, x)
-    k = contorsion_from_potential(m, x)
-    full = full_connection(lc, k)
-    assert full.torsionless
-    assert np.abs(full.gamma - lc.gamma).max() == 0.0
+    s = GeometrySnapshot(m, np.array([0.0, 5.0, 1.0, 0.2]))
+    assert np.abs(s.torsion_mix).max() == 0.0
+    assert np.abs(s.gamma_full - s.gamma_lc).max() == 0.0
 
 
 def test_full_connection_antisymmetric_part_is_torsion():
     m = catalog_get("reissner-nordstrom")
-    x = np.array([0.0, 4.0, 1.2, 0.5])
-    lc = christoffel(m, x)
-    k = contorsion_from_potential(m, x)
-    full = full_connection(lc, k)
-    assert not full.torsionless
-    t = torsion_from_contorsion(k, m.metric_at(x))
-    anti = full.gamma - full.gamma.transpose(1, 0, 2)
-    assert np.abs(anti - t.T_mixed).max() <= 1e-12
+    s = GeometrySnapshot(m, np.array([0.0, 4.0, 1.2, 0.5]))
+    assert np.abs(s.torsion_mix).max() > 0.0
+    anti = s.gamma_full - s.gamma_full.transpose(1, 0, 2)
+    assert np.abs(anti - s.torsion_mix).max() <= 1e-12
 
 
 def test_full_connection_metric_compatibility():
@@ -125,12 +106,10 @@ def test_full_connection_metric_compatibility():
 
 def test_rc_curvature_equals_lc_without_charge():
     m = catalog_get("schwarzschild")
-    x = np.array([0.0, 4.5, 0.8, 0.1])
-    rc = rc_curvature(m, x)
-    lc = lc_curvature(m, x)
-    assert np.abs(rc.curvature.riemann.components - lc.riemann.components).max() == 0.0
-    assert rc.decomposition_residual <= 1e-12
-    assert rc.quadratic_residual == 0.0
+    s = GeometrySnapshot(m, np.array([0.0, 4.5, 0.8, 0.1]))
+    assert np.abs(s.riemann_rc - s.riemann_lc).max() == 0.0
+    assert s.decomposition_residual() <= 1e-12
+    assert s.quadratic_pair_residual() == 0.0
 
 
 def test_rc_curvature_constant_field_hand_values():
@@ -139,7 +118,7 @@ def test_rc_curvature_constant_field_hand_values():
     m = catalog_get("minkowski-constant-e")
     x = np.array([0.0, 2.0, 0.0, 0.0])
     s = GeometrySnapshot(m, x)
-    R = rc_curvature(m, x).curvature.riemann.components
+    R = s.riemann_rc
     assert np.abs(R[1, 0] - s.F_mix).max() <= 1e-14
     assert np.abs(R[0, 1] + s.F_mix).max() <= 1e-14
     mask = np.ones((4, 4), dtype=bool)
@@ -164,12 +143,13 @@ def test_decomposition_across_catalog():
     for name in ALL_ENTRIES:
         m = catalog_get(name)
         for p in m.default_grid[:: max(1, len(m.default_grid) // 6)]:
-            assert rc_curvature(m, p).decomposition_residual <= 1e-8
+            assert GeometrySnapshot(m, p).decomposition_residual() <= 1e-8
 
 
 def test_scalar_split_uncharged():
     m = catalog_get("schwarzschild")
-    R, R_bar, em, coupling = scalar_curvature_split(m, np.array([0.0, 4.0, 1.3, 0.2]))
+    s = GeometrySnapshot(m, np.array([0.0, 4.0, 1.3, 0.2]))
+    R, R_bar, em, coupling, _ = s.scalar_split()
     assert abs(R) <= 1e-10
     assert abs(R_bar) <= 1e-10
     assert em == 0.0
@@ -179,7 +159,10 @@ def test_scalar_split_uncharged():
 def test_scalar_split_rn_hand_value():
     """R = C F.F = -2 q^2 / r^4; at r = 4 with q = 0.3 this is -7.03125e-4."""
     m = catalog_get("reissner-nordstrom")
-    R, R_bar, em, coupling = scalar_curvature_split(m, np.array([0.0, 4.0, 1.3, 0.2]))
+    s = GeometrySnapshot(m, np.array([0.0, 4.0, 1.3, 0.2]))
+    R, R_bar, em, coupling, R_traced = s.scalar_split()
+    assert abs(R - (R_bar + em + coupling)) <= 1e-8
+    assert abs(R_traced - (R_bar + em + coupling)) <= 1e-8
     assert R == pytest.approx(-7.03125e-4, abs=1e-8)
     assert em == pytest.approx(-7.03125e-4, abs=1e-12)
     assert abs(R_bar) <= 1e-10
@@ -189,7 +172,7 @@ def test_scalar_split_rn_hand_value():
 def test_scalar_split_plane_wave_vanishes():
     m = catalog_get("em-plane-wave")
     for p in m.default_grid[::7]:
-        R, R_bar, em, coupling = scalar_curvature_split(m, p)
+        R, R_bar, em, coupling, _ = GeometrySnapshot(m, p).scalar_split()
         assert abs(R) <= 1e-12
         assert abs(em) <= 1e-12
 

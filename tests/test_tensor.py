@@ -1,26 +1,31 @@
-"""Tensor algebra tests against small hand-computed oracles."""
+"""The validated metric at a point, and the index operations the engine
+performs with it, against small hand-computed oracles."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcgeom import (
-    DOWN,
-    UP,
-    MetricAtPoint,
-    SignatureError,
-    Tensor,
-    TensorError,
-    antisymmetrize_3,
-    contract,
-    lower_index,
-    outer,
-    raise_index,
-    scalar_product,
-)
+from rcgeom import MetricAtPoint, MetricError, SignatureError, catalog_get, parse_spacetime_text
+from rcgeom.dynamics import norm_squared
+from rcgeom.engine import GeometrySnapshot, cyclic_gradient_residual
 
 MINKOWSKI = np.diag([1.0, -1.0, -1.0, -1.0])
+
+CROSSED_FIELDS = """
+name = crossed
+coords = t, x, y, z
+g[0][0] = "1"
+g[1][1] = "-1"
+g[2][2] = "-1"
+g[3][3] = "-1"
+A[0] = "z"
+A[2] = "x"
+grid.t = 0:1:2
+grid.x = -1:1:2
+grid.y = -1:1:2
+grid.z = -1:1:2
+"""
 
 
 @pytest.fixture
@@ -54,37 +59,33 @@ def test_metric_rejects_asymmetric():
 
 
 def test_raise_metric_gives_identity(eta):
-    mixed = raise_index(eta.g_dd, 0, eta)
-    assert mixed.variance == (UP, DOWN)
-    assert np.abs(mixed.components - np.eye(4)).max() <= 1e-12
+    mixed = np.einsum("ma,an->mn", eta.inverse, eta.matrix)
+    assert np.abs(mixed - np.eye(4)).max() <= 1e-12
 
 
-def test_raise_slot1_of_field_strength(eta):
-    # F_01 = E, second slot raised with the flat metric: F_0^{.1} = g^{11} F_01
-    E = 2.5
-    F = np.zeros((4, 4))
-    F[0, 1] = E
-    F[1, 0] = -E
-    t = Tensor((DOWN, DOWN), F)
-    mixed = raise_index(t, 1, eta)
+def test_raise_slot1_of_field_strength():
+    # F_01 = E in the uniform field; the engine's F_n^{.l} = g^{la} F_na
+    m = catalog_get("minkowski-constant-e", {"E": 2.5})
+    s = GeometrySnapshot(m, np.array([0.1, 0.2, 0.3, 0.4]))
+    F = s.F_dd
 
-    # independent oracle: plain matrix multiply by the inverse metric
+    # independent oracle: plain loops over the inverse metric
     oracle = np.zeros((4, 4))
-    for m in range(4):
+    for n in range(4):
         for l in range(4):
-            oracle[m, l] = sum(eta.inverse[l, a] * F[m, a] for a in range(4))
-    assert np.abs(mixed.components - oracle).max() == 0.0
-    assert mixed.components[0, 1] == pytest.approx(-E)
-    assert mixed.components[1, 0] == pytest.approx(-E)
+            oracle[n, l] = sum(s.ginv[l, a] * F[n, a] for a in range(4))
+    assert np.abs(s.F_mix - oracle).max() == 0.0
+    assert s.F_mix[0, 1] == pytest.approx(-2.5)
+    assert s.F_mix[1, 0] == pytest.approx(-2.5)
 
 
 def test_lower_then_raise_roundtrip():
     rng = np.random.default_rng(7)
     g = MINKOWSKI + 0.05 * _random_symmetric(rng)
     m = MetricAtPoint.from_components(g)
-    t = Tensor((UP, DOWN), rng.standard_normal((4, 4)))
-    back = raise_index(lower_index(t, 0, m), 0, m)
-    assert np.abs(back.components - t.components).max() <= 1e-12
+    t = rng.standard_normal((4, 4))
+    back = m.inverse @ (m.matrix @ t)
+    assert np.abs(back - t).max() <= 1e-12
 
 
 def _random_symmetric(rng):
@@ -93,87 +94,60 @@ def _random_symmetric(rng):
 
 
 def test_contract_identity_gives_four(eta):
-    delta = raise_index(eta.g_dd, 0, eta)
-    assert contract(delta, 0, 1).item() == pytest.approx(4.0)
+    assert np.trace(eta.inverse @ eta.matrix) == pytest.approx(4.0)
 
 
-def test_contract_antisymmetric_mixed_vanishes(eta):
-    rng = np.random.default_rng(3)
-    a = rng.standard_normal((4, 4))
-    F = Tensor((DOWN, DOWN), a - a.T)
-    mixed = raise_index(F, 1, eta)
-    assert abs(contract(mixed, 0, 1).item()) <= 1e-12
+def test_contract_antisymmetric_mixed_vanishes():
+    """The trace of F_n^{.n} vanishes for any antisymmetric F."""
+    m = catalog_get("reissner-nordstrom")
+    s = GeometrySnapshot(m, np.array([0.0, 4.0, 1.2, 0.3]))
+    assert abs(np.trace(s.F_mix)) <= 1e-12
 
 
-def test_contract_outer_product_dot():
-    A = Tensor((UP,), [1.0, 2.0, 0.0, 0.0])
-    B = Tensor((DOWN,), [3.0, 0.0, 1.0, 0.0])
-    prod = outer(A, B)
-    assert contract(prod, 0, 1).item() == pytest.approx(3.0)
-
-
-def test_contract_requires_mixed_variance(eta):
-    with pytest.raises(TensorError):
-        contract(eta.g_dd, 0, 1)
-
-
-def test_raise_errors(eta):
-    with pytest.raises(TensorError):
-        raise_index(eta.g_uu, 0, eta)
-    with pytest.raises(TensorError):
-        raise_index(eta.g_dd, 5, eta)
-
-
-def test_scalar_product_signs(eta):
-    e0 = Tensor.vector([1.0, 0, 0, 0])
-    e1 = Tensor.vector([0, 1.0, 0, 0])
-    assert scalar_product(e0, e0, eta) == pytest.approx(1.0)
-    assert scalar_product(e1, e1, eta) == pytest.approx(-1.0)
+def test_scalar_product_signs():
+    m = catalog_get("minkowski")
+    x = np.zeros(4)
+    assert norm_squared(m, x, np.array([1.0, 0, 0, 0])) == pytest.approx(1.0)
+    assert norm_squared(m, x, np.array([0, 1.0, 0, 0])) == pytest.approx(-1.0)
 
 
 def test_scalar_product_normalized_dust_velocity():
     """A comoving unit velocity on the charged static metric has norm one."""
-    from rcgeom import catalog_get
-
     model = catalog_get("reissner-nordstrom")
     x = np.array([0.0, 4.0, 1.2, 0.3])
     m = model.metric_at(x)
     v_up = np.array([1.0 / np.sqrt(m.matrix[0, 0]), 0.0, 0.0, 0.0])
-    v_down = Tensor.vector(m.matrix @ v_up)
-    assert scalar_product(v_down, v_down, m) == pytest.approx(1.0, abs=1e-12)
+    assert norm_squared(model, x, v_up) == pytest.approx(1.0, abs=1e-12)
+
+
+def _chern_simons(src, x):
+    return GeometrySnapshot(parse_spacetime_text(src), np.asarray(x, float)).chern_simons
 
 
 def test_antisymmetrize3_symmetric_input_triples():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal(4)
+    """The engine's cyclic sum (the closedness check of F) triples a totally
+    symmetric input."""
+    a = np.random.default_rng(5).standard_normal(4)
     sym = np.einsum("i,j,k->ijk", a, a, a)
-    out = antisymmetrize_3(Tensor((DOWN,) * 3, sym))
-    assert np.abs(out.components - 3.0 * sym).max() <= 1e-12
+    assert cyclic_gradient_residual(sym) == pytest.approx(3.0 * np.abs(sym).max())
 
 
 def test_antisymmetrize3_hand_value():
-    # A = e_0, F_12 = 1: component (0,1,2) is A_0 F_12 + A_2 F_01 + A_1 F_20 = 1
-    A = Tensor.vector([1.0, 0, 0, 0])
-    F = np.zeros((4, 4))
-    F[1, 2] = 1.0
-    F[2, 1] = -1.0
-    out = antisymmetrize_3(outer(A, Tensor((DOWN, DOWN), F)))
-    assert out.components[0, 1, 2] == pytest.approx(1.0)
-    assert out.components[0, 2, 1] == pytest.approx(-1.0)
-    assert out.components[2, 0, 1] == pytest.approx(1.0)
+    # A = (z, 0, x, 0): component (0,1,2) is (A_0 F_12 + A_2 F_01 + A_1 F_20) / 3!
+    cs = _chern_simons(CROSSED_FIELDS, [0.0, 0.5, 0.2, 1.0])
+    assert cs[0, 1, 2] == pytest.approx(1.0 / 6.0)
+    assert cs[0, 2, 1] == pytest.approx(-1.0 / 6.0)
+    assert cs[2, 0, 1] == pytest.approx(1.0 / 6.0)
 
 
 def test_antisymmetrize3_zero():
-    out = antisymmetrize_3(Tensor((DOWN,) * 3, np.zeros((4, 4, 4))))
-    assert np.abs(out.components).max() == 0.0
+    cs = GeometrySnapshot(catalog_get("minkowski"), np.zeros(4)).chern_simons
+    assert np.abs(cs).max() == 0.0
 
 
 def test_antisymmetrize3_total_antisymmetry_for_wedge_inputs():
     rng = np.random.default_rng(11)
-    a = rng.standard_normal(4)
-    f = rng.standard_normal((4, 4))
-    f = f - f.T
-    out = antisymmetrize_3(outer(Tensor.vector(a), Tensor((DOWN, DOWN), f))).components
+    out = _chern_simons(CROSSED_FIELDS, rng.uniform(-1, 1, size=4))
     # invariant under cyclic shifts, sign flip under a transposition
     assert np.abs(out - out.transpose(1, 2, 0)).max() <= 1e-12
     assert np.abs(out + out.transpose(1, 0, 2)).max() <= 1e-12
@@ -181,34 +155,25 @@ def test_antisymmetrize3_total_antisymmetry_for_wedge_inputs():
 
 
 def test_symmetric_constructor_validates():
-    good = _random_symmetric(np.random.default_rng(0))
-    Tensor.symmetric2(good)
+    good = MINKOWSKI + 0.05 * _random_symmetric(np.random.default_rng(0))
+    MetricAtPoint.from_components(good)
     bad = good.copy()
     bad[0, 1] += 1e-6
-    with pytest.raises(TensorError):
-        Tensor.symmetric2(bad)
+    with pytest.raises(MetricError):
+        MetricAtPoint.from_components(bad)
 
 
 def test_antisymmetric_constructor_validates():
-    a = np.random.default_rng(1).standard_normal((4, 4))
-    Tensor.antisymmetric2(a - a.T)
-    with pytest.raises(TensorError):
-        Tensor.antisymmetric2(a + a.T + np.eye(4))
+    s = GeometrySnapshot(catalog_get("em-plane-wave"), np.array([0.3, 0.1, 0.0, 0.0]))
+    assert np.abs(s.F_dd).max() > 0.0
+    assert np.abs(s.F_dd + s.F_dd.T).max() == 0.0
 
 
 def test_rank_and_shape_validation():
-    with pytest.raises(TensorError):
-        Tensor((DOWN,), np.zeros((4, 4)))
-    with pytest.raises(TensorError):
-        Tensor((DOWN,) * 5, np.zeros((4,) * 5))
-    with pytest.raises(TensorError):
-        Tensor(("x",), np.zeros(4))
-
-
-def test_components_are_immutable():
-    t = Tensor.vector([1.0, 2.0, 3.0, 4.0])
-    with pytest.raises(ValueError):
-        t.components[0] = 9.0
+    with pytest.raises(MetricError):
+        MetricAtPoint.from_components(np.zeros(4))
+    with pytest.raises(MetricError):
+        MetricAtPoint.from_components(np.eye(5))
 
 
 @settings(max_examples=40, deadline=None)
@@ -220,6 +185,6 @@ def test_raise_lower_roundtrip_property(seed):
         m = MetricAtPoint.from_components(g)
     except SignatureError:
         return
-    t = Tensor((DOWN, DOWN), rng.standard_normal((4, 4)))
-    back = lower_index(raise_index(t, 1, m), 1, m)
-    assert np.abs(back.components - t.components).max() <= 1e-12
+    t = rng.standard_normal((4, 4))
+    back = np.einsum("ab,bn,mn->ma", m.matrix, m.inverse, t)
+    assert np.abs(back - t).max() <= 1e-12
