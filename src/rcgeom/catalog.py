@@ -80,11 +80,37 @@ class SpacetimeModel:
             return False
 
     def require_in_domain(self, x):
-        if not self.in_domain(x):
-            raise DomainError(f"point {tuple(np.asarray(x, float))} is outside the domain of {self.name!r}")
+        """Raise DomainError for the point x, or for the first row of an
+        (N, 4) batch, that lies outside the domain."""
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            inside = self._in_domain_rows(x)
+            if all(inside):
+                return
+            x = x[inside.index(False)]
+        elif self.in_domain(x):
+            return
+        raise DomainError(f"point {tuple(x)} is outside the domain of {self.name!r}")
+
+    def _in_domain_rows(self, X):
+        """in_domain of every row, with one batched domain evaluation when
+        every row is finite and the predicate evaluates at all of them."""
+        if self.domain is None or not np.isfinite(X).all():
+            return [self.in_domain(p) for p in X]
+        try:
+            return (self.domain.values(X) > 0.0).tolist()
+        except EvalError:
+            return [self.in_domain(p) for p in X]
 
     def metric_values(self, x):
+        """Metric components at a point, or at every row of an (N, 4) batch."""
         x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            g = np.empty((len(x), 4, 4))
+            for i in range(4):
+                for j in range(i, 4):
+                    g[:, i, j] = g[:, j, i] = self.g_fields[i][j].values(x)
+            return g
         g = np.empty((4, 4))
         for i in range(4):
             for j in range(i, 4):
@@ -96,7 +122,10 @@ class SpacetimeModel:
         return MetricAtPoint.from_components(self.metric_values(x))
 
     def potential_values(self, x):
+        """Potential components at a point, or at every row of an (N, 4) batch."""
         x = np.asarray(x, dtype=float)
+        if x.ndim == 2:
+            return np.stack([f.values(x) for f in self.A_fields], axis=-1)
         return np.array([f.value(x) for f in self.A_fields])
 
     def scalar_field(self, src, name=""):
@@ -187,8 +216,20 @@ def build_model(
 
 
 def validate_on_grid(model, origin=None):
-    """Check metric and potential invariants at every default-grid point."""
-    for p in model.default_grid:
+    """Check metric and potential invariants at every default-grid point.
+
+    One batched pass covers the whole grid; only when it meets a fault does
+    the point-by-point pass run, which names the first point at fault.
+    """
+    grid = model.default_grid
+    try:
+        if all(model._in_domain_rows(grid)):
+            model.potential_values(grid)  # raises on a non-finite value
+            MetricAtPoint.from_components(model.metric_values(grid))
+            return
+    except GeometryError:
+        pass
+    for p in grid:
         pt = tuple(float(v) for v in p)
         if not model.in_domain(p):
             raise SpacetimeFormatError(
@@ -369,11 +410,19 @@ FIXTURE_NAMES = ("charge-ball",)
 
 def catalog_get(name, params=None, G=1.0, c=1.0):
     """Return a built-in model or fixture; parameter overrides are merged
-    over the defaults."""
+    over the defaults and must name declared parameters (the constants G
+    and c are set by their own arguments)."""
     entry = _ENTRIES.get(name)
     if entry is None:
         raise GeometryError(
             f"unknown catalog entry {name!r}; available: {', '.join(CATALOG_NAMES)}"
+        )
+    unknown = sorted(set(params or {}) - set(entry.defaults))
+    if unknown:
+        declared = ", ".join(sorted(entry.defaults)) or "none"
+        raise GeometryError(
+            f"undeclared parameter {', '.join(map(repr, unknown))} for {name!r}; "
+            f"declared: {declared}; constants: G, c"
         )
     return build_model(
         name,

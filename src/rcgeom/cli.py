@@ -13,7 +13,7 @@ Exit status:
     3  internal error (a defect in rcgeom); the traceback goes to stderr
 
 ``--jobs`` is accepted by ``run`` and ``gauge`` for compatibility and has no
-effect: points are evaluated serially, in a fixed order.
+effect: points are evaluated in fixed-size batches, in a fixed order.
 """
 
 from __future__ import annotations

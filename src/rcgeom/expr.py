@@ -18,6 +18,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import EvalError, ParseError, UnknownIdentifierError
 from .jets import FUNCTIONS, Jet, jet_pow
 
@@ -300,7 +302,7 @@ def to_source(node):
 
 
 def evaluate(node, coords, params):
-    """Evaluate an AST with float or Jet coordinate values."""
+    """Evaluate an AST with float, (N,) array or Jet coordinate values."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Coord):
@@ -318,7 +320,9 @@ def evaluate(node, coords, params):
     if isinstance(node, Div):
         num = evaluate(node.left, coords, params)
         den = evaluate(node.right, coords, params)
-        if not isinstance(den, Jet) and den == 0.0:
+        if isinstance(den, float) and den == 0.0 or (
+            isinstance(den, np.ndarray) and (den == 0.0).any()
+        ):
             raise EvalError("division by zero")
         return num / den
     if isinstance(node, Pow):

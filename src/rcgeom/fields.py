@@ -4,6 +4,12 @@ The default evaluation path pushes truncated Taylor carriers (jets) through
 the expression tree, giving exact gradients and Hessians (and third
 derivatives on request).  A central finite-difference fallback exists for
 cross-validation of the dual-number engine.
+
+Every evaluation accepts one point, shape (4,), or a batch, shape (N, 4).
+Batched jets keep the batch axis last (value (N,), gradient (4, N), Hessian
+(4, 4, N)), as in ``jets``.  Stencils evaluate every stencil point of every
+point in one ``values`` call, whose values equal the one-point ``value`` bit
+for bit, so a stencil over a batch gives what it gives point by point.
 """
 
 from __future__ import annotations
@@ -14,50 +20,66 @@ import numpy as np
 
 from . import expr
 from .errors import EvalError
-from .jets import DIM, ZERO_G, ZERO_H, ZERO_T, Jet
+from .jets import DIM, ZERO_G, ZERO_G_B, ZERO_H, ZERO_H_B, ZERO_T, ZERO_T_B, Jet
 
 JetValue = namedtuple("JetValue", "value grad hess third")
 
 FD_STEP_SCALE = 1e-4
 
 
-def _expand(result, order):
+_ZEROS = (ZERO_G, ZERO_H, ZERO_T)
+_ZEROS_B = (ZERO_G_B, ZERO_H_B, ZERO_T_B)
+
+
+def _expand(result, order, zeros=_ZEROS):
     """Promote a constant (plain float) evaluation result to jet arrays.
 
-    The zero arrays are shared and read-only; callers copy out of them.
+    The zero arrays (``_ZEROS_B``, with a batch axis of length 1, for a
+    batch) are shared and read-only; callers copy out of them.
     """
     if isinstance(result, Jet):
         hess = result.h if order >= 2 else None
         third = result.t if order >= 3 else None
         return JetValue(result.f, result.g, hess, third)
+    zg, zh, zt = zeros
     return JetValue(
         float(result),
-        ZERO_G,
-        ZERO_H if order >= 2 else None,
-        ZERO_T if order >= 3 else None,
+        zg,
+        zh if order >= 2 else None,
+        zt if order >= 3 else None,
     )
 
 
 def make_seeds(x, order):
-    """Coordinate jets for one evaluation point, shareable across fields."""
+    """Coordinate jets for one point or a batch of points, shareable across fields."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim == 2:
+        return [Jet.seed(col, i, order) for i, col in enumerate(np.ascontiguousarray(x.T))]
     return [Jet.seed(x[i], i, order) for i in range(DIM)]
 
 
 def _check_finite(jv, name, x):
-    ok = np.isfinite(jv.value) and np.all(np.isfinite(jv.grad))
+    ok = np.isfinite(jv.value).all() and np.isfinite(jv.grad).all()
     if ok and jv.hess is not None:
-        ok = bool(np.all(np.isfinite(jv.hess)))
+        ok = np.isfinite(jv.hess).all()
     if ok and jv.third is not None:
-        ok = bool(np.all(np.isfinite(jv.third)))
+        ok = np.isfinite(jv.third).all()
     if not ok:
         raise EvalError(f"non-finite result for field {name!r} at {tuple(x)}")
     return jv
 
 
+def _check_values(v, name, X):
+    bad = ~np.isfinite(v)
+    if bad.any():
+        raise EvalError(f"non-finite value for field {name!r} at {tuple(X[bad][0])}")
+    return v
+
+
 class ExprField:
     """Scalar field defined by an expression with bound parameters."""
 
-    __slots__ = ("ast", "chart", "params", "name", "_const_value")
+    __slots__ = ("ast", "chart", "params", "name", "_const_value", "_const_jets")
 
     def __init__(self, src, chart, params=None, name=""):
         self.ast = expr.parse(src, chart, params or {}) if isinstance(src, str) else src
@@ -67,6 +89,8 @@ class ExprField:
         self._const_value = None
         if not expr.references_coordinates(self.ast):
             self._const_value = float(expr.evaluate(self.ast, (0.0,) * DIM, self.params))
+            # one-point jets by order; they hold only read-only shared arrays
+            self._const_jets = [_expand(self._const_value, o) for o in range(4)]
 
     def __repr__(self):
         return f"ExprField({self.name!r})"
@@ -79,10 +103,27 @@ class ExprField:
             raise EvalError(f"non-finite value for field {self.name!r} at {tuple(x)}")
         return float(v)
 
+    def values(self, X):
+        """Values at the N rows of an (N, 4) array, as an (N,) array, equal
+        bit for bit to ``value`` at each row; an error names the first row
+        that ``value`` fails at."""
+        X = np.asarray(X, dtype=float)
+        if self._const_value is not None:
+            return np.full(len(X), self._const_value)
+        try:
+            v = expr.evaluate(self.ast, list(np.ascontiguousarray(X.T)), self.params)
+        except EvalError:
+            for x in X:
+                self.value(x)
+            raise
+        return _check_values(v, self.name, X)
+
     def jet_unchecked(self, x, order=2, seeds=None):
         """Jet evaluation without the finiteness sweep (the caller checks)."""
         if self._const_value is not None:
-            return _expand(self._const_value, order)
+            if isinstance(x, np.ndarray) and x.ndim == 2:
+                return _expand(self._const_value, order, _ZEROS_B)
+            return self._const_jets[order]
         if seeds is None:
             seeds = make_seeds(x, order)
         return _expand(expr.evaluate(self.ast, seeds, self.params), order)
@@ -116,6 +157,12 @@ class ShiftedPotentialField:
     def value(self, x):
         return self.base.value(x) + self.phi.jet(x, order=1).grad[self.axis]
 
+    def values(self, X):
+        # Point by point: the phi gradient comes from jets, and batched jets
+        # (numpy transcendental functions) need not match one-point values
+        # bit for bit, which stencils over a batch rely on.
+        return np.array([self.value(x) for x in X])
+
     def jet_unchecked(self, x, order=2, seeds=None):
         if order > 2:
             raise EvalError(
@@ -134,38 +181,66 @@ class ShiftedPotentialField:
 
 
 def fd_steps(x, h=None):
-    """Per-axis step: h or the default 1e-4 * max(1, |x_mu|)."""
+    """Per-axis step: h or the default 1e-4 * max(1, |x_mu|), per point."""
+    x = np.asarray(x, dtype=float)
     if h is not None:
-        return np.full(DIM, float(h))
-    return FD_STEP_SCALE * np.maximum(1.0, np.abs(np.asarray(x, dtype=float)))
+        return np.full(x.shape, float(h))
+    return FD_STEP_SCALE * np.maximum(1.0, np.abs(x))
+
+
+def _fd_batch(field, X, order, h):
+    """Stencil value, gradient and (order 2) Hessian at every row of X,
+    batch axis last as in jets.
+
+    All stencil points of all rows go through one ``values`` call, in the
+    order the one-point difference quotients visit them (the centre first
+    at order 2, last at order 1), so the first bad stencil point is the one
+    reported.
+    """
+    steps = fd_steps(X, h)
+    shift = []
+    for m in range(DIM):
+        e = np.zeros_like(X)
+        e[:, m] = steps[:, m]
+        shift.append(e)
+    axial = []
+    for m in range(DIM):
+        axial += [X + shift[m], X - shift[m]]
+    pairs = [(m, n) for m in range(DIM) for n in range(m + 1, DIM)] if order >= 2 else []
+    mixed = []
+    for m, n in pairs:
+        em, en = shift[m], shift[n]
+        mixed += [X + em + en, X + em - en, X - em + en, X - em - en]
+    pts = [X] + axial + mixed if order >= 2 else axial + [X]
+    f = field.values(np.concatenate(pts)).reshape(len(pts), len(X))
+    if order >= 2:
+        f0, f_axial, f_mixed = f[0], f[1:9], f[9:]
+    else:
+        f0, f_axial, f_mixed = f[8], f[:8], None
+
+    grad = np.empty((DIM, len(X)))
+    hess = np.empty((DIM, DIM, len(X))) if order >= 2 else None
+    for m in range(DIM):
+        fp, fm = f_axial[2 * m], f_axial[2 * m + 1]
+        grad[m] = (fp - fm) / (2.0 * steps[:, m])
+        if hess is not None:
+            hess[m, m] = (fp - 2.0 * f0 + fm) / steps[:, m] ** 2
+    for k, (m, n) in enumerate(pairs):
+        pp, pm, mp, mm = f_mixed[4 * k: 4 * k + 4]
+        hess[m, n] = hess[n, m] = (pp - pm - mp + mm) / (4.0 * steps[:, m] * steps[:, n])
+    return JetValue(f0, grad, hess, None)
+
+
+def _one_point(jv):
+    return JetValue(float(jv.value[0]), jv.grad[:, 0],
+                    None if jv.hess is None else jv.hess[:, :, 0], None)
 
 
 def finite_difference_derivatives(field, x, h=None):
-    """Central-difference gradient and Hessian of a scalar field."""
-    x = np.asarray(x, dtype=float)
-    steps = fd_steps(x, h)
-    f = field.value
-
-    grad = np.zeros(DIM)
-    hess = np.zeros((DIM, DIM))
-    f0 = f(x)
-    for m in range(DIM):
-        e = np.zeros(DIM)
-        e[m] = steps[m]
-        fp, fm = f(x + e), f(x - e)
-        grad[m] = (fp - fm) / (2.0 * steps[m])
-        hess[m, m] = (fp - 2.0 * f0 + fm) / steps[m] ** 2
-    for m in range(DIM):
-        for n in range(m + 1, DIM):
-            em = np.zeros(DIM)
-            en = np.zeros(DIM)
-            em[m] = steps[m]
-            en[n] = steps[n]
-            val = (
-                f(x + em + en) - f(x + em - en) - f(x - em + en) + f(x - em - en)
-            ) / (4.0 * steps[m] * steps[n])
-            hess[m, n] = hess[n, m] = val
-    return grad, hess
+    """Central-difference gradient and Hessian of a scalar field, at a point
+    (4,) or at every row of an (N, 4) batch (batch axis last)."""
+    jv = fd_jet(field, x, 2, h)
+    return jv.grad, jv.hess
 
 
 def fd_jet(field, x, order=2, h=None):
@@ -173,13 +248,6 @@ def fd_jet(field, x, order=2, h=None):
     if order > 2:
         raise EvalError("finite-difference mode carries derivatives only to 2nd order")
     x = np.asarray(x, dtype=float)
-    if order == 1:
-        steps = fd_steps(x, h)
-        grad = np.zeros(DIM)
-        for m in range(DIM):
-            e = np.zeros(DIM)
-            e[m] = steps[m]
-            grad[m] = (field.value(x + e) - field.value(x - e)) / (2.0 * steps[m])
-        return JetValue(field.value(x), grad, None, None)
-    grad, hess = finite_difference_derivatives(field, x, h)
-    return JetValue(field.value(x), grad, hess, None)
+    if x.ndim == 2:
+        return _fd_batch(field, x, order, h)
+    return _one_point(_fd_batch(field, x[None], order, h))

@@ -1,9 +1,10 @@
 """Verification suites, residual aggregation, and machine-readable reports.
 
-A suite is a named bundle of checks.  Pointwise checks share one geometry
-snapshot per grid point and reduce to a deterministic maximum residual;
-scenario checks (worldline runs, gauge sweeps) run once.  The JSON report
-uses fixed float formatting so repeated runs are byte-identical.
+A suite is a named bundle of checks.  Pointwise checks share one batched
+geometry snapshot per chunk of points and reduce to a deterministic maximum
+residual; scenario checks (worldline runs, gauge sweeps) run once, one point
+at a time.  The JSON report uses fixed float formatting so repeated runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .dynamics import (
     probe_velocity,
     rc_transport_residual,
 )
-from .engine import GeometrySnapshot
+from .engine import GeometrySnapshot, batched_einsum, max_abs
 from .errors import GeometryError
 from .fields import finite_difference_derivatives
 from .gauge import (
@@ -131,12 +132,11 @@ def canonical_json(obj):
 def resolve_model(spec, params=None, G=None, c=None):
     """Model from a catalog or fixture name, or a definition file."""
     params = dict(params or {})
-    G = 1.0 if G is None else G
-    c = 1.0 if c is None else c
     if spec in CATALOG_NAMES + FIXTURE_NAMES:
-        return catalog_get(spec, params, G=G, c=c)
+        return catalog_get(spec, params, G=1.0 if G is None else G, c=1.0 if c is None else c)
     if os.path.exists(spec):
-        return load_spacetime_file(spec, param_overrides=params)
+        consts = {k: v for k, v in (("G", G), ("c", c)) if v is not None}
+        return load_spacetime_file(spec, param_overrides={**params, **consts})
     raise GeometryError(
         f"unknown spacetime {spec!r}: not a catalog name, not a file"
     )
@@ -223,39 +223,93 @@ def _make_result(ctx, check_id, residual, npoints, note=None):
     return CheckResult(check_id, anchor, int(npoints), residual, tol, passed, note)
 
 
-def _run_pointwise(ctx, plans):
-    """plans: ordered list of (check_id, point group, fn(snapshot) -> float)."""
-    by_group = {}
-    for cid, grp, fn in plans:
-        by_group.setdefault(grp, []).append((cid, fn))
+# Points per batched snapshot.  A chunk's snapshot holds every member it has
+# computed, about two dozen 4-index arrays of CHUNK * 4**4 doubles, until its
+# last check ran: at 40 points the peak RSS of a catalog-sweep pass matched
+# the one-point engine, at 60 it rose by 0.5 MiB and at 64 by more, while the
+# median verdict time was the same at 40 as at 60 (32 points and fewer cost
+# 10-30% more time per point on the 512-point grids).
+CHUNK = 40
 
-    results = {}
-    for grp, checks in by_group.items():
-        pts = ctx.points(grp)
-        rows = []
-        for p in pts:
-            row = {}
-            snap = GeometrySnapshot(ctx.model, p, ctx.mode)
-            for cid, fn in checks:
-                try:
-                    row[cid] = (float(fn(snap)), None)
-                except GeometryError as err:
-                    row[cid] = (None, f"{type(err).__name__}: {err}")
-            rows.append(row)
-        for cid, _fn in checks:
-            worst, note, failed = 0.0, None, False
-            for row in rows:
-                value, err = row[cid]
-                if err is not None:
-                    failed = True
-                    note = note or err
-                else:
-                    worst = max(worst, value)
-            results[cid] = (None if failed else worst, len(pts), note)
-    return [(cid, *results[cid]) for cid, _g, _f in plans]
+# point group -> the point sets it covers, in report order
+_POINT_SETS = {
+    "grid": ("grid",),
+    "small": ("small",),
+    "random": ("random",),
+    "grid+random": ("grid", "random"),
+}
+
+
+class _Worst:
+    """Running maximum of one check's per-point residuals, and its first error."""
+
+    __slots__ = ("value", "note")
+
+    def __init__(self):
+        self.value = 0.0
+        self.note = None
+
+    def add(self, residuals):
+        # NaN residuals are skipped, as a running max(worst, value) skips them
+        self.value = max(self.value, float(np.fmax.reduce(np.ravel(residuals))))
+
+    def fail(self, err):
+        self.note = self.note or f"{type(err).__name__}: {err}"
+
+
+def _run_pointwise(ctx, plans):
+    """plans: ordered list of (check_id, point group, jet order, fn), where
+    fn(snapshot) gives the residual at every point of the snapshot.
+
+    Each point set is evaluated in chunks of CHUNK points, one batched
+    snapshot per chunk, whose field jets are computed once at the highest
+    order its checks need.  A check that raises on a chunk is re-run point
+    by point on that chunk, so every error is attributed to the first point
+    that meets it, exactly as a one-point evaluation would.
+    """
+    worst = {cid: _Worst() for cid, _g, _o, _f in plans}
+    for point_set in ("grid", "random", "small"):
+        checks = [(cid, order, fn) for cid, grp, order, fn in plans
+                  if point_set in _POINT_SETS[grp]]
+        if not checks:
+            continue
+        pts = ctx.points(point_set)
+        top = max(order for _c, order, _f in checks)
+        if ctx.mode == "fd":
+            # fd mode differentiates computed fields by stencils, not by third jets
+            top = min(top, 2)
+        for start in range(0, len(pts), CHUNK):
+            _run_chunk(ctx, pts[start:start + CHUNK], checks, top, worst)
+    return [(cid, None if worst[cid].note else worst[cid].value,
+             len(ctx.points(grp)), worst[cid].note) for cid, grp, _o, _f in plans]
+
+
+def _run_chunk(ctx, chunk, checks, order, worst):
+    snap = GeometrySnapshot(ctx.model, chunk, ctx.mode)
+    if order:
+        try:
+            snap.jets(order)
+        except GeometryError:
+            pass  # each check meets the error at the order it needs
+    singles = None
+    for cid, _order, fn in checks:
+        try:
+            worst[cid].add(fn(snap))
+            continue
+        except GeometryError:
+            pass
+        if singles is None:
+            singles = [GeometrySnapshot(ctx.model, p, ctx.mode) for p in chunk]
+        for one in singles:
+            try:
+                worst[cid].add(fn(one))
+            except GeometryError as err:
+                worst[cid].fail(err)
 
 
 # -- pointwise check functions -------------------------------------------------
+# Each takes a snapshot and returns its residual at every point: a float at
+# one point, an (N,) array over a batch.
 
 
 def _iter_fields(model):
@@ -270,121 +324,132 @@ def _dual_vs_fd(snap):
     for f in _iter_fields(snap.model):
         jv = f.jet(snap.x, 2)
         grad, hess = finite_difference_derivatives(f, snap.x)
-        scale = 1.0 + abs(jv.value)
-        worst = max(
+        scale = 1.0 + np.abs(jv.value)
+        worst = np.maximum(
             worst,
-            float(np.abs(grad - jv.grad).max()) / scale,
-            float(np.abs(hess - jv.hess).max()) / scale,
+            np.maximum(
+                np.abs(grad - jv.grad).max(axis=0) / scale,
+                np.abs(hess - jv.hess).max(axis=(0, 1)) / scale,
+            ),
         )
     return worst
 
 
 def _torsion_roundtrip(snap):
     K = snap.K_mix
-    T = K - K.transpose(1, 0, 2)
+    batched = K.ndim == 4
+    ein = batched_einsum if batched else np.einsum
+    T = K - np.swapaxes(K, -3, -2)
     gi, g = snap.ginv, snap.g
     rebuilt = 0.5 * (
         T
-        - np.einsum("lb,nr,mlr->mnb", gi, g, T)
-        - np.einsum("lb,mr,nlr->mnb", gi, g, T)
+        - ein("lb,nr,mlr->mnb", gi, g, T)
+        - ein("lb,mr,nlr->mnb", gi, g, T)
     )
-    return float(np.abs(rebuilt - K).max())
+    return max_abs(rebuilt - K, batched)
 
 
 def _scalar_split_residual(snap):
     R, R_bar, em, coupling, R_traced = snap.scalar_split()
     target = R_bar + em + coupling
-    return max(abs(R - target), abs(R_traced - target))
+    return np.maximum(np.abs(R - target), np.abs(R_traced - target))
 
 
 def _source_density_residual(snap):
     model = snap.model
     expected = snap.c_light * model.params[model.meta["charge_density_param"]]
     J = snap.J_up
-    return max(abs(float(J[0]) - expected), float(np.abs(J[1:]).max()))
+    return np.maximum(np.abs(J[..., 0] - expected), np.abs(J[..., 1:]).max(axis=-1))
 
 
 def _energy_density_residual(snap):
-    t00 = float(snap.T_em_dd[0, 0]) / float(snap.g[0, 0])
-    return max(0.0, -t00)
+    t00 = snap.T_em_dd[..., 0, 0] / snap.g[..., 0, 0]
+    return np.maximum(0.0, -t00)
+
+
+def _transport_identity(snap):
+    """Residual of the transport identity with a probe velocity, evaluated
+    with one-point snapshots (the worldline path) at every point."""
+    if snap.batched:
+        return np.array([_transport_identity(GeometrySnapshot(snap.model, x, snap.mode))
+                         for x in snap.x])
+    state = WorldlineState(snap.x, probe_velocity(snap), 0.0)
+    return rc_transport_residual(snap.model, state, 0.7, snap.mode)
 
 
 def _suite_plans(ctx, suite):
+    """(check id, point group, jet order, fn) for every pointwise check of a
+    suite; the order is what fn reads from the snapshot's own field jets
+    (0: none, fn evaluates the fields itself)."""
     model = ctx.model
     meta = model.meta
     plans = []
     if suite in ("metric", "all"):
         plans += [
-            ("metric.inverse", "grid",
-             lambda s: float(np.abs(s.metric.inverse @ s.metric.matrix - np.eye(4)).max())),
-            ("metric.signature", "grid", lambda s: 0.0 if s.metric else 1.0),
-            ("fields.dual_vs_fd", "small", _dual_vs_fd),
+            ("metric.inverse", "grid", 1,
+             lambda s: s.max_abs(s.metric.inverse @ s.metric.matrix - np.eye(4))),
+            ("metric.signature", "grid", 1, lambda s: 0.0 if s.metric else 1.0),
+            ("fields.dual_vs_fd", "small", 0, _dual_vs_fd),
         ]
     if suite in ("lc", "all"):
         plans += [
-            ("lc.christoffel_symmetry", "grid",
-             lambda s: float(np.abs(s.gamma_lc - s.gamma_lc.transpose(1, 0, 2)).max())),
-            ("lc.metric_compatibility", "grid",
+            ("lc.christoffel_symmetry", "grid", 1,
+             lambda s: s.max_abs(s.gamma_lc - np.swapaxes(s.gamma_lc, -3, -2))),
+            ("lc.metric_compatibility", "grid", 1,
              lambda s: s.metric_compatibility_residual("lc")),
-            ("lc.riemann_antisymmetry", "grid",
-             lambda s: float(np.abs(s.riemann_lc + s.riemann_lc.transpose(1, 0, 2, 3)).max())),
-            ("lc.ricci_symmetry", "grid",
-             lambda s: float(np.abs(s.ricci_lc - s.ricci_lc.T).max())),
-            ("lc.bianchi", "small", lambda s: s.bianchi_residual()),
-            ("lc.divergence_forms", "grid",
-             lambda s: float(np.abs(s.lc_div_F_det - s.lc_div_F_gamma).max())),
+            ("lc.riemann_antisymmetry", "grid", 2,
+             lambda s: s.max_abs(s.riemann_lc + np.swapaxes(s.riemann_lc, -4, -3))),
+            ("lc.ricci_symmetry", "grid", 2,
+             lambda s: s.max_abs(s.ricci_lc - np.swapaxes(s.ricci_lc, -2, -1))),
+            ("lc.bianchi", "small", 3, lambda s: s.bianchi_residual()),
+            ("lc.divergence_forms", "grid", 2,
+             lambda s: s.max_abs(s.lc_div_F_det - s.lc_div_F_gamma)),
         ]
     if suite in ("maxwell", "all"):
         plans += [
-            ("em.homogeneous", "grid", lambda s: s.homogeneous_residual()),
+            ("em.homogeneous", "grid", 2, lambda s: s.homogeneous_residual()),
         ]
         if meta.get("source_free"):
-            plans.append(("em.source_free", "grid",
-                          lambda s: float(np.abs(s.J_up).max())))
+            plans.append(("em.source_free", "grid", 2, lambda s: s.max_abs(s.J_up)))
         if "charge_density_param" in meta:
-            plans.append(("em.source_density", "grid", _source_density_residual))
+            plans.append(("em.source_density", "grid", 2, _source_density_residual))
         plans += [
-            ("em.current_conservation", "small",
+            ("em.current_conservation", "small", 3,
              lambda s: s.current_conservation_residual()),
-            ("em.divergence_rc_lc", "grid",
-             lambda s: float(np.abs(s.rc_div_F - s.lc_div_F_det).max())),
-            ("em.stress_trace", "grid",
-             lambda s: abs(float(np.einsum("mn,mn->", s.ginv, s.T_em_dd)))),
-            ("em.stress_symmetry", "grid",
-             lambda s: float(np.abs(s.T_em_dd - s.T_em_dd.T).max())),
-            ("em.stress_conservation", "grid", lambda s: s.stress_exchange_residual()),
+            ("em.divergence_rc_lc", "grid", 2,
+             lambda s: s.max_abs(s.rc_div_F - s.lc_div_F_det)),
+            ("em.stress_trace", "grid", 1,
+             lambda s: np.abs(s.einsum("mn,mn->", s.ginv, s.T_em_dd))),
+            ("em.stress_symmetry", "grid", 1,
+             lambda s: s.max_abs(s.T_em_dd - np.swapaxes(s.T_em_dd, -2, -1))),
+            ("em.stress_conservation", "grid", 2, lambda s: s.stress_exchange_residual()),
         ]
         if meta.get("diag_static"):
-            plans.append(("em.energy_density", "grid", _energy_density_residual))
+            plans.append(("em.energy_density", "grid", 1, _energy_density_residual))
     if suite in ("rc", "all"):
         plans += [
-            ("rc.additivity", "grid",
-             lambda s: float(np.abs(s.gamma_full - s.gamma_lc - s.K_mix).max())),
-            ("rc.contorsion_antisymmetry", "grid",
-             lambda s: float(np.abs(s.K_down + s.K_down.transpose(0, 2, 1)).max())),
-            ("rc.torsion_roundtrip", "grid", _torsion_roundtrip),
-            ("rc.metric_compatibility", "grid",
+            ("rc.additivity", "grid", 1,
+             lambda s: s.max_abs(s.gamma_full - s.gamma_lc - s.K_mix)),
+            ("rc.contorsion_antisymmetry", "grid", 1,
+             lambda s: s.max_abs(s.K_down + np.swapaxes(s.K_down, -2, -1))),
+            ("rc.torsion_roundtrip", "grid", 1, _torsion_roundtrip),
+            ("rc.metric_compatibility", "grid", 1,
              lambda s: s.metric_compatibility_residual("rc")),
-            ("rc.k_f_pair", "grid+random", lambda s: s.pair_residual_F()),
-            ("rc.quadratic_pair", "grid+random", lambda s: s.quadratic_pair_residual()),
-            ("rc.stress_pair", "grid+random", lambda s: s.pair_residual_T()),
-            ("rc.decomposition", "grid", lambda s: s.decomposition_residual()),
-            ("rc.scalar_split", "grid", _scalar_split_residual),
+            ("rc.k_f_pair", "grid+random", 1, lambda s: s.pair_residual_F()),
+            ("rc.quadratic_pair", "grid+random", 1, lambda s: s.quadratic_pair_residual()),
+            ("rc.stress_pair", "grid+random", 1, lambda s: s.pair_residual_T()),
+            ("rc.decomposition", "grid", 2, lambda s: s.decomposition_residual()),
+            ("rc.scalar_split", "grid", 2, _scalar_split_residual),
         ]
     if suite == "einstein" or (suite == "all" and meta.get("einstein_exact")):
         eight_pi_c = 8.0 * np.pi * model.constants.coupling
         plans.append(
-            ("einstein.residual", "grid",
-             lambda s: float(np.abs(s.einstein_lc_dd - eight_pi_c * s.T_em_dd).max()))
+            ("einstein.residual", "grid", 2,
+             lambda s: s.max_abs(s.einstein_lc_dd - eight_pi_c * s.T_em_dd))
         )
     if suite in ("dynamics", "all"):
-        plans.append(("dyn.transport_identity", "small", _transport_identity))
+        plans.append(("dyn.transport_identity", "small", 0, _transport_identity))
     return plans
-
-
-def _transport_identity(snap):
-    state = WorldlineState(snap.x, probe_velocity(snap), 0.0)
-    return rc_transport_residual(snap.model, state, 0.7, snap.mode)
 
 
 # -- scenario checks -----------------------------------------------------------
@@ -467,7 +532,7 @@ def _scenario_gauge(ctx):
             "informational: nonzero evidences the expected non-invariance")
         out.append((cid, value, n * len(phis), note))
     if orbit is not None:
-        out.append(("gauge.orbit", orbit, 2, None))
+        out.append(("gauge.orbit", orbit, len(pts[:2]), None))
     return out
 
 

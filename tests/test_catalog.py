@@ -13,6 +13,7 @@ from rcgeom import (
     catalog_get,
     parse_spacetime_text,
 )
+from rcgeom.cli import main
 from rcgeom.engine import GeometrySnapshot
 
 RN_FILE = """
@@ -78,6 +79,19 @@ def test_param_override():
     # a parameter that pushes the horizon past the default grid is rejected
     with pytest.raises(SpacetimeFormatError):
         catalog_get("schwarzschild", params={"M": 2.0})
+
+
+def test_undeclared_param_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(GeometryError, match=r"undeclared parameter 'Q'.*declared: M, q"):
+        catalog_get("reissner-nordstrom", params={"Q": 5.0})
+    assert catalog_get("reissner-nordstrom", params={"q": 0.5}).params["q"] == 0.5
+    out = str(tmp_path / "r.json")
+    assert main(["run", "--spacetime", "reissner-nordstrom", "--suite", "metric",
+                 "--param", "Q=5", "--out", out]) == 2
+    assert "undeclared parameter 'Q'" in capsys.readouterr().err
+    # the constants stay settable on every entry
+    assert main(["run", "--spacetime", "reissner-nordstrom", "--suite", "metric",
+                 "--param", "q=0.5", "--param", "G=0.5", "--out", out]) == 0
 
 
 def test_domain_excludes_axis_and_horizon():

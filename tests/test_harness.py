@@ -297,3 +297,40 @@ def test_gauge_scenario_shares_one_snapshot_pair_per_point(monkeypatch):
     rep = run_suite("gauge", resolve_model("minkowski-constant-e"))
     assert rep.passed
     assert len(built) == 3 * 8 * 2 + 4
+
+
+CHARGED_BOX_FILE = """
+name = charged-box
+coords = t, x, y, z
+param E = 0.5
+g[0][0] = "1"
+g[1][1] = "-1"
+g[2][2] = "-1"
+g[3][3] = "-1"
+A[0] = "-(E*x)"
+grid.t = 0:0.5:2
+grid.x = -0.5:0.5:2
+grid.y = -0.5:0.5:2
+grid.z = -0.5:0.5:2
+"""
+
+
+def test_cli_constants_reach_a_definition_file(tmp_path):
+    path = tmp_path / "box.spacetime"
+    path.write_text(CHARGED_BOX_FILE)
+    out = tmp_path / "r.json"
+    assert main(["run", "--spacetime", str(path), "--suite", "metric",
+                 "--param", "G=2", "--param", "c=0.5", "--param", "E=0.25",
+                 "--out", str(out)]) == 0
+    text = out.read_text()
+    assert '"constants":{"G":2,"c":0.5,"C":32}' in text
+    assert resolve_model(str(path), {"E": 0.25}, G=2.0).constants.G == 2.0
+
+
+def test_gauge_orbit_counts_the_points_it_composes():
+    one_point = {"t": [0.1], "x": [0.2], "y": [0.0], "z": [-0.1]}
+    rep = run_suite("gauge", resolve_model("minkowski-constant-e"), grid_overrides=one_point)
+    orbit = {c.check_id: c for c in rep.checks}["gauge.orbit"]
+    assert orbit.grid_points == 1
+    rep = run_suite("gauge", resolve_model("minkowski-constant-e"))
+    assert {c.check_id: c for c in rep.checks}["gauge.orbit"].grid_points == 2
