@@ -98,22 +98,36 @@ def normalize_velocity(model, x, V):
 
 
 def probe_velocity(snap):
-    """A fixed unit timelike velocity at the snapshot point, for identities
-    that hold for any velocity."""
+    """A fixed unit timelike velocity at the snapshot point (one per point
+    over a batch), for identities that hold for any velocity."""
+    if snap.batched:
+        return np.array([_probe_velocity(g, x) for g, x in zip(snap.g, snap.x)])
+    return _probe_velocity(snap.g, snap.x)
+
+
+def _probe_velocity(g, x):
     w = np.array([1.0, 0.05, 0.03, 0.02])
     for _ in range(8):
-        n2 = float(w @ snap.g @ w)
+        n2 = float(w @ g @ w)
         if n2 > 1e-6:
             return w / np.sqrt(n2)
         w[1:] *= 0.25
-    raise ConsistencyError(f"could not build a timelike test velocity at {tuple(snap.x)}")
+    raise ConsistencyError(f"could not build a timelike test velocity at {tuple(x)}")
+
+
+# (one point, batch) subscripts of the force law.  The batch is summed
+# without a contraction path, as one point is, so each row has the
+# one-point bits.
+_GEODESIC = ("mdn,m,d->n", "...mdn,...m,...d->...n")
+_LORENTZ = ("mn,m->n", "...mn,...m->...n")
 
 
 def acceleration(snap, V, k):
-    """dV/ds of the force law at the snapshot point."""
-    dV = -np.einsum("mdn,m,d->n", snap.gamma_lc, V, V)
+    """dV/ds of the force law at the snapshot point, or at every point of a
+    batched snapshot with one velocity per point."""
+    dV = -np.einsum(_GEODESIC[snap.batched], snap.gamma_lc, V, V)
     if k != 0.0:
-        dV = dV + k * np.einsum("mn,m->n", snap.F_mix, V)
+        dV = dV + k * np.einsum(_LORENTZ[snap.batched], snap.F_mix, V)
     return dV
 
 

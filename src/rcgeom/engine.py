@@ -27,7 +27,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import EvalError, MetricError
+from .errors import EvalError, GeometryError, MetricError
 from .fields import fd_jet, make_seeds
 from .tensor import DEGENERACY_TOL, MetricAtPoint, first_bad
 
@@ -205,6 +205,17 @@ class GeometrySnapshot:
         fj = field_jets(self.model, self.x, order=order, mode=self.mode)
         self._jets_cache[order] = fj
         return fj
+
+    def preload(self, order):
+        """Evaluate the field jets now at the highest order the caller will
+        read, so lower orders share them.  fd mode stops at order 2: it
+        differentiates computed fields by stencils, not by third jets.  An
+        error is left to the member that needs the failing order, which
+        meets it again."""
+        try:
+            self.jets(min(order, 2) if self.mode == "fd" else order)
+        except GeometryError:
+            pass
 
     # -- batch helpers -----------------------------------------------------------
 

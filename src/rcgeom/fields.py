@@ -158,9 +158,22 @@ class ShiftedPotentialField:
         return self.base.value(x) + self.phi.jet(x, order=1).grad[self.axis]
 
     def values(self, X):
-        # Point by point: the phi gradient comes from jets, and batched jets
-        # (numpy transcendental functions) need not match one-point values
-        # bit for bit, which stencils over a batch rely on.
+        """Values at the N rows of an (N, 4) array from one batched phi jet.
+
+        Each row's value depends on that row alone (numpy's vectorised
+        functions give every entry the same bits whatever the array length),
+        so a stencil gives the same bits over a batch as at one point, both
+        coming through here; it agrees with ``value`` to roundoff.  An
+        evaluation error or a non-finite result re-evaluates row by row, so
+        the error is the one ``value`` meets at the first bad row.
+        """
+        X = np.asarray(X, dtype=float)
+        try:
+            p = self.phi.jet_unchecked(X, 1)
+            if np.isfinite(p.value).all() and np.isfinite(p.grad).all():
+                return self.base.values(X) + p.grad[self.axis]
+        except EvalError:
+            pass
         return np.array([self.value(x) for x in X])
 
     def jet_unchecked(self, x, order=2, seeds=None):

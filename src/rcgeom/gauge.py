@@ -4,7 +4,9 @@ Shifting the potential by an exact gradient leaves the field strength,
 current, stress-energy, and worldline dynamics untouched while shifting
 the contorsion and the full-connection curvature in a controlled way; the
 scalar-curvature change is a pure divergence.  Every quantity is compared
-on one (unshifted, shifted) snapshot pair per point.
+on one (unshifted, shifted) snapshot pair per batch of points: each side is
+one batched snapshot, and each comparison one array reduction with a value
+per point.
 """
 
 from __future__ import annotations
@@ -55,42 +57,59 @@ def transform_potential(model, phi):
     return dataclasses.replace(model, name=f"{model.name}+gauge", A_fields=shifted)
 
 
+def _phi_jet(phi, snap):
+    """phi and its gradient at the snapshot's points, point axis first."""
+    pj = phi.jet(snap.x, 1)
+    if not snap.batched:
+        return pj.value, pj.grad
+    n = len(snap.x)
+    return np.broadcast_to(pj.value, (n,)), np.broadcast_to(pj.grad.T, (n, 4))
+
+
 def contorsion_shift(old, new, phi):
     """Mismatch between the recomputed and the closed-form-shifted contorsion,
-    normalized by 1 + |K_new|."""
-    dphi = phi.jet(old.x, 1).grad
-    route_shift = old.K_mix - old.C * np.einsum("m,nl->mnl", dphi, old.F_mix)
-    scale = 1.0 + float(np.abs(new.K_mix).max())
-    return float(np.abs(new.K_mix - route_shift).max()) / scale
+    normalized by 1 + |K_new|, at every point of the snapshot pair."""
+    _, dphi = _phi_jet(phi, old)
+    route_shift = old.K_mix - old.C * old.einsum("m,nl->mnl", dphi, old.F_mix)
+    return old.max_abs(new.K_mix - route_shift) / (1.0 + old.max_abs(new.K_mix))
 
 
 def divergence_term(old, phi):
-    """8 pi G / (c^5 sqrt(-g)) d_m(sqrt(-g) phi J^m) at the snapshot point,
-    with the current differentiated exactly (dual mode) or by stencils
-    (fd mode): the shift of the RC scalar curvature under A -> A + d phi."""
-    pj = phi.jet(old.x, 1)
+    """8 pi G / (c^5 sqrt(-g)) d_m(sqrt(-g) phi J^m) at every point of the
+    snapshot, with the current differentiated exactly (dual mode) or by
+    stencils (fd mode): the shift of the RC scalar curvature under
+    A -> A + d phi."""
+    value, grad = _phi_jet(phi, old)
     s, ds = old.sqrt_g, old.dsqrt_g
     J, dJ = old.J_up, old.dJ_up
-    div = float(
-        np.einsum("m,m->", ds, pj.value * J)
-        + s * np.einsum("m,m->", pj.grad, J)
-        + s * pj.value * np.einsum("mm->", dJ)
+    div = (
+        old.einsum("m,m->", ds, np.expand_dims(value, -1) * J)
+        + s * old.einsum("m,m->", grad, J)
+        + s * value * old.einsum("mm->", dJ)
     )
     return 8.0 * np.pi * old.C / (old.c_light * s) * div
 
 
 def scalar_shift(old, new, phi):
-    """|R_new - R_old - divergence term| normalized by 1 + |R_old|."""
+    """|R_new - R_old - divergence term| normalized by 1 + |R_old|, at every
+    point of the snapshot pair."""
     div_term = divergence_term(old, phi)
-    return abs(new.scalar_rc - old.scalar_rc - div_term) / (1.0 + abs(old.scalar_rc))
+    return np.abs(new.scalar_rc - old.scalar_rc - div_term) / (1.0 + np.abs(old.scalar_rc))
 
 
 def scalar_shift_residual(model, phi, x, mode="dual"):
-    """``scalar_shift`` at one point, for a model and a gauge function."""
+    """``scalar_shift`` at a point or at every point of a batch, for a model
+    and a gauge function."""
     phi = as_phi_field(model, phi)
     old = GeometrySnapshot(model, x, mode)
     new = GeometrySnapshot(transform_potential(model, phi), x, mode)
     return scalar_shift(old, new, phi)
+
+
+def peak(values):
+    """Largest of a float or per-point values; NaN is skipped, as a running
+    max(worst, value) skips it."""
+    return float(np.fmax.reduce(np.ravel(values), initial=0.0))
 
 
 @dataclass
@@ -100,55 +119,52 @@ class GaugeInvarianceReport:
     changed_deltas: dict  # CHANGED_CHECKS key -> max delta over the points
     tolerances: dict
     passed: bool
-    pairs: list  # (unshifted, shifted) snapshot at each point
+    pair: tuple  # (unshifted, shifted) snapshot over all the points
     notes: list = field(default_factory=list)
 
 
-def gauge_invariance_suite(model, phi, points=None, charge_ratio=0.7, mode="dual"):
+def gauge_invariance_suite(model, phi, points=None, charge_ratio=0.7, mode="dual", old=None):
     """Check the gauge-invariant observables and report what shifted.
 
     The field strength, current, stress-energy, Einstein-equation residual,
     and force-law right-hand side must not move; the contorsion and the
     full-connection curvature are expected to move and their maximum deltas
-    are reported as evidence.
+    are reported as evidence.  Both sides are evaluated as one snapshot
+    each over all the points (an (N, 4) batch, or one point); ``old``, an
+    unshifted snapshot over the same points, is reused when given, so
+    several gauge functions can share it.
     """
     phi = as_phi_field(model, phi)
-    new_model = transform_potential(model, phi)
     if points is None:
         points = model.default_grid
+    if old is None:
+        old = GeometrySnapshot(model, points, mode)
+    new = GeometrySnapshot(transform_potential(model, phi), points, mode)
+    new.preload(2)  # the curvature deltas read second derivatives
     tols = {key: default_tolerance(cid, mode) for key, cid in INVARIANT_CHECKS.items()}
 
     eight_pi_c = 8.0 * np.pi * model.constants.coupling
-    inv = dict.fromkeys(INVARIANT_CHECKS, 0.0)
-    changed = dict.fromkeys(CHANGED_CHECKS, 0.0)
-    pairs = []
-
-    for p in points:
-        old = GeometrySnapshot(model, p, mode)
-        new = GeometrySnapshot(new_model, p, mode)
-        pairs.append((old, new))
-        V = probe_velocity(old)
-        deltas = {
-            "field_strength": new.F_dd - old.F_dd,
-            "current": new.J_up - old.J_up,
-            "stress_energy": new.T_em_dd - old.T_em_dd,
-            "einstein_residual": (new.einstein_lc_dd - eight_pi_c * new.T_em_dd)
-            - (old.einstein_lc_dd - eight_pi_c * old.T_em_dd),
-            "lorentz_rhs": acceleration(new, V, charge_ratio)
-            - acceleration(old, V, charge_ratio),
-            "contorsion": new.K_mix - old.K_mix,
-            "rc_curvature": new.riemann_rc - old.riemann_rc,
-        }
-        for key, delta in deltas.items():
-            worst = inv if key in inv else changed
-            worst[key] = max(worst[key], float(np.abs(delta).max()))
+    V = probe_velocity(old)
+    deltas = {
+        "field_strength": new.F_dd - old.F_dd,
+        "current": new.J_up - old.J_up,
+        "stress_energy": new.T_em_dd - old.T_em_dd,
+        "einstein_residual": (new.einstein_lc_dd - eight_pi_c * new.T_em_dd)
+        - (old.einstein_lc_dd - eight_pi_c * old.T_em_dd),
+        "lorentz_rhs": acceleration(new, V, charge_ratio) - acceleration(old, V, charge_ratio),
+        "contorsion": new.K_mix - old.K_mix,
+        "rc_curvature": new.riemann_rc - old.riemann_rc,
+    }
+    # per point first: a point whose delta holds a NaN is skipped whole
+    worst = {key: peak(old.max_abs(delta)) for key, delta in deltas.items()}
+    inv = {key: worst[key] for key in INVARIANT_CHECKS}
 
     return GaugeInvarianceReport(
         phi_name=getattr(phi, "name", "phi"),
         invariant_deltas=inv,
-        changed_deltas=changed,
+        changed_deltas={key: worst[key] for key in CHANGED_CHECKS},
         tolerances=tols,
         passed=all(inv[k] <= tols[k] for k in tols),
-        pairs=pairs,
+        pair=(old, new),
         notes=[PRINTED_SHIFT_SIGN_NOTE],
     )

@@ -1,5 +1,5 @@
-"""Batched snapshots against one-point snapshots, and chunked suites against
-point-by-point ones."""
+"""Batched snapshots against one-point snapshots, and chunked suites and the
+batched gauge scenario against point-by-point ones."""
 
 from functools import cached_property
 from pathlib import Path
@@ -7,8 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rcgeom import GeometryError, catalog_get, harness, load_spacetime_file
+from rcgeom import GeometryError, catalog_get, harness, load_spacetime_file, transform_potential
 from rcgeom.catalog import parse_spacetime_text
+from rcgeom.dynamics import probe_velocity
 from rcgeom.engine import GeometrySnapshot
 from rcgeom.harness import run_suite
 
@@ -199,3 +200,132 @@ def test_generic_model_current_is_not_vacuous():
     assert np.abs(snap.J_up).max() > 1e-3
     assert np.abs(snap.dJ_up).max() > 1e-3
     assert check.max_residual <= 1e-12
+
+
+# -- the gauge scenario against a point-by-point reference ----------------------
+
+GAUGE_MODELS = {**MODELS, "charge-ball": catalog_get("charge-ball")}
+
+
+def _reference_gauge_rows(ctx):
+    """The gauge scenario one point at a time, with one-point snapshots:
+    (check id, value, points) rows in report order."""
+    model, mode = ctx.model, ctx.mode
+    pts = ctx.points("small")[:8]
+    n_shift = min(4, len(pts))
+    eight_pi_c = 8.0 * np.pi * model.constants.coupling
+    worst = {"gauge.contorsion_shift": 0.0, "gauge.scalar_shift": 0.0}
+
+    def acc(s, V, k):
+        return (-np.einsum("mdn,m,d->n", s.gamma_lc, V, V)
+                + k * np.einsum("mn,m->n", s.F_mix, V))
+
+    for phi in ctx.phi_fields:
+        new_model = transform_potential(model, phi)
+        pairs = []
+        for p in pts:
+            old, new = GeometrySnapshot(model, p, mode), GeometrySnapshot(new_model, p, mode)
+            pairs.append((old, new))
+            V = probe_velocity(old)
+            deltas = {
+                "gauge.f_invariance": new.F_dd - old.F_dd,
+                "gauge.current_invariance": new.J_up - old.J_up,
+                "gauge.stress_invariance": new.T_em_dd - old.T_em_dd,
+                "gauge.einstein_invariance":
+                    (new.einstein_lc_dd - eight_pi_c * new.T_em_dd)
+                    - (old.einstein_lc_dd - eight_pi_c * old.T_em_dd),
+                "gauge.lorentz_invariance": acc(new, V, 0.7) - acc(old, V, 0.7),
+                "gauge.contorsion_delta": new.K_mix - old.K_mix,
+                "gauge.curvature_delta": new.riemann_rc - old.riemann_rc,
+            }
+            for cid, delta in deltas.items():
+                worst[cid] = max(worst.get(cid, 0.0), float(np.abs(delta).max()))
+        for i, (old, new) in enumerate(pairs):
+            pj = phi.jet(old.x, 1)
+            route = old.K_mix - old.C * np.einsum("m,nl->mnl", pj.grad, old.F_mix)
+            shift = float(np.abs(new.K_mix - route).max()) / (1.0 + float(np.abs(new.K_mix).max()))
+            worst["gauge.contorsion_shift"] = max(worst["gauge.contorsion_shift"], shift)
+            if i < n_shift:
+                s, J = old.sqrt_g, old.J_up
+                div = (np.dot(old.dsqrt_g, pj.value * J) + s * np.dot(pj.grad, J)
+                       + s * pj.value * np.trace(old.dJ_up))
+                div_term = 8.0 * np.pi * old.C / (old.c_light * s) * div
+                shift = abs(new.scalar_rc - old.scalar_rc - div_term) / (1.0 + abs(old.scalar_rc))
+                worst["gauge.scalar_shift"] = max(worst["gauge.scalar_shift"], shift)
+
+    orbit = 0.0
+    twice = transform_potential(transform_potential(model, ctx.phi_fields[0]), ctx.phi_fields[1])
+    once = transform_potential(model, ctx.orbit_phi)
+    for p in pts[:2]:
+        s2, s1 = GeometrySnapshot(twice, p, mode), GeometrySnapshot(once, p, mode)
+        orbit = max(orbit, float(np.abs(s2.K_mix - s1.K_mix).max()),
+                    float(np.abs(s2.F_dd - s1.F_dd).max()), abs(s2.scalar_rc - s1.scalar_rc))
+
+    n_phis = len(ctx.phi_fields)
+    rows = [(cid, value, (n_shift if cid == "gauge.scalar_shift" else len(pts)) * n_phis)
+            for cid, value in worst.items()]
+    return rows + [("gauge.orbit", orbit, len(pts[:2]))]
+
+
+def _reference_error(ctx):
+    try:
+        _reference_gauge_rows(ctx)
+    except GeometryError as err:
+        return f"{type(err).__name__}: {err}"
+    return None
+
+
+@pytest.mark.parametrize("mode", ["dual", "fd"])
+@pytest.mark.parametrize("name", sorted(GAUGE_MODELS))
+def test_batched_gauge_scenario_matches_point_by_point(name, mode):
+    ctx = harness.SuiteContext(GAUGE_MODELS[name], mode)
+    rows = harness._scenario_gauge(ctx)
+    reference = _reference_gauge_rows(ctx)
+    assert [(cid, n) for cid, _v, n, _note in rows] == [(cid, n) for cid, _v, n in reference]
+    for (cid, value, _n, note), (_cid, ref, _rn) in zip(rows, reference):
+        tol = ctx.tolerance(cid)
+        if tol is None:
+            assert note.startswith("informational")
+            assert abs(value - ref) <= 1e-12 * abs(ref)
+        else:
+            assert note is None
+            assert (value <= tol) == (ref <= tol)
+            assert abs(value - ref) <= 1e-6 * tol, cid
+
+
+# Flat, with a domain x > -1, y > -1 (a product of two factors); in fd mode
+# the current's stencils (step 1e-3) leave it from the first point along y
+# and from the third along x, which a batch's stencils, direction by
+# direction, meet in the other order.
+EDGES = """
+name = edges
+coords = t, x, y, z
+domain = "(x + 1)*(y + 1)"
+g[0][0] = "1"
+g[1][1] = "-1"
+g[2][2] = "-1"
+g[3][3] = "-1"
+A[0] = "-(0.5*x)"
+A[2] = "0.1*x*y"
+grid.t = 0:0:1
+grid.x = 0.5:-0.9995:2
+grid.y = -0.9995:0.5:2
+grid.z = 0:0:1
+"""
+
+
+@pytest.mark.parametrize("mode", ["dual", "fd"])
+@pytest.mark.parametrize("case", ["across-horizon", "stencils-leave-domain"])
+def test_gauge_scenario_error_is_the_point_by_point_one(case, mode):
+    if case == "across-horizon":
+        model = catalog_get("reissner-nordstrom")
+        grid = {"r": [3.0, 1.5, 4.5], "theta": [1.0], "phi": [0.1], "t": [0.0, 0.2]}
+    else:
+        model, grid = parse_spacetime_text(EDGES), None
+    report = run_suite("gauge", model, mode=mode, grid_overrides=grid)
+    expected = _reference_error(harness.SuiteContext(model, mode, grid_overrides=grid))
+    errors = [c for c in report.checks if c.check_id == "scenario.error"]
+    if expected is None:
+        assert not errors and report.passed
+    else:
+        assert [c.note for c in errors] == [expected]

@@ -1,16 +1,24 @@
 """Gauge shifts: invariant observables, shifted geometry, divergence law."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from rcgeom import catalog_get, gauge_invariance_suite, transform_potential
+from rcgeom import (
+    EvalError,
+    catalog_get,
+    gauge_invariance_suite,
+    load_spacetime_file,
+    transform_potential,
+)
 from rcgeom.engine import GeometrySnapshot
 from rcgeom.gauge import (
     as_phi_field,
     contorsion_shift,
     divergence_term,
+    scalar_shift,
     scalar_shift_residual,
 )
 
@@ -122,7 +130,9 @@ def test_invariance_suite_rn():
     assert rep.invariant_deltas["lorentz_rhs"] <= 1e-12
     assert rep.changed_deltas["contorsion"] > 1e-6
     assert rep.changed_deltas["rc_curvature"] > 1e-6
-    assert len(rep.pairs) == len(m.default_grid[::16])
+    old, new = rep.pair
+    assert old.batched and new.batched
+    assert len(old.x) == len(new.x) == len(m.default_grid[::16])
 
 
 def test_invariance_suite_constant_field():
@@ -157,3 +167,54 @@ def test_fd_mode_curvature_shift():
     m = charge_ball_model()
     x = np.array([0.1, 0.3, -0.2, 0.1])
     assert scalar_shift_residual(m, "t", x, mode="fd") <= 1e-5
+
+
+KN_FILE = Path(__file__).resolve().parents[1] / "bench" / "kerr_newman.spacetime"
+
+
+@pytest.mark.parametrize("name", ["reissner-nordstrom", "em-plane-wave", "kerr-newman"])
+def test_fd_shifted_batch_rows_equal_one_point_snapshots(name):
+    """Stencils of a shifted potential take every value from one batched phi
+    jet; each row of a batched fd snapshot has the bits of a one-point one."""
+    model = load_spacetime_file(KN_FILE) if name == "kerr-newman" else catalog_get(name)
+    c1 = model.chart.names[1]
+    shifted = transform_potential(model, f"0.1*sin(t)*exp(0.1*{c1}) + 0.05*t*{c1}^2")
+    X = model.default_grid[::7][:6]
+    batch = GeometrySnapshot(shifted, X, "fd")
+    for i, x in enumerate(X):
+        one = GeometrySnapshot(shifted, x, "fd")
+        for member in ("g", "dg", "ddg", "A", "dA", "ddA"):
+            assert getattr(one.jets(2), member).tobytes() == getattr(batch.jets(2), member)[i].tobytes()
+        for member in ("F_dd", "dF_dd", "K_down"):
+            assert getattr(one, member).tobytes() == getattr(batch, member)[i].tobytes()
+
+
+def test_shifted_values_match_value_and_name_the_first_bad_row():
+    m = catalog_get("reissner-nordstrom")
+    field = transform_potential(m, "0.1*log(t)*r").A_fields[0]
+    X = np.array([[0.5, 4.0, 1.0, 0.1], [1.5, 6.0, 2.0, 0.3]])
+    assert np.abs(field.values(X) - [field.value(x) for x in X]).max() <= 1e-15
+    bad = np.array([[0.5, 4.0, 1.0, 0.1], [0.0, 5.0, 1.0, 0.1], [-1.0, 5.0, 1.0, 0.1]])
+    with pytest.raises(EvalError) as one:
+        field.value(bad[1])
+    with pytest.raises(EvalError) as batch:
+        field.values(bad)
+    assert str(batch.value) == str(one.value)
+
+
+@pytest.mark.parametrize("mode", ["dual", "fd"])
+def test_shift_functions_give_one_value_per_point(mode):
+    m = charge_ball_model()
+    phi = as_phi_field(m, "0.3*t + 0.1*t*x + 0.05*sin(t)*y")
+    X = m.default_grid[::5][:6]
+    old, new = _pair(m, phi, X, mode)
+    contorsion = contorsion_shift(old, new, phi)
+    div = divergence_term(old, phi)
+    scalar = scalar_shift(old, new, phi)
+    assert contorsion.shape == div.shape == scalar.shape == (len(X),)
+    assert np.abs(div).min() > 1e-3  # the charge makes the divergence term nonzero
+    for i, x in enumerate(X):
+        o, n = _pair(m, phi, x, mode)
+        assert contorsion[i] == pytest.approx(contorsion_shift(o, n, phi), abs=1e-16)
+        assert div[i] == pytest.approx(divergence_term(o, phi), rel=1e-12)
+        assert scalar[i] == pytest.approx(scalar_shift(o, n, phi), abs=1e-15)

@@ -1,12 +1,16 @@
 """Suites, reports, CLI behavior, and determinism guarantees."""
 
 import json
+import zlib
 
+import numpy as np
 import pytest
 
 from rcgeom import CATALOG_NAMES, GeometryError, catalog_get, cli, engine
+from rcgeom.catalog import parse_spacetime_text
 from rcgeom.cli import main
 from rcgeom.harness import (
+    _RNG_SALT,
     CHECK_DEFS,
     SuiteContext,
     canonical_json,
@@ -285,7 +289,9 @@ def test_internal_error_exit_status(tmp_path, monkeypatch, capsys):
 
 
 def test_gauge_scenario_shares_one_snapshot_pair_per_point(monkeypatch):
-    """Two snapshots per (point, phi) plus four for the composition check."""
+    """One unshifted batch shared by the three gauge functions, one shifted
+    batch per function, and four one-point snapshots for the composition
+    check."""
     built = []
     init = engine.GeometrySnapshot.__init__
 
@@ -296,7 +302,7 @@ def test_gauge_scenario_shares_one_snapshot_pair_per_point(monkeypatch):
     monkeypatch.setattr(engine.GeometrySnapshot, "__init__", counting)
     rep = run_suite("gauge", resolve_model("minkowski-constant-e"))
     assert rep.passed
-    assert len(built) == 3 * 8 * 2 + 4
+    assert len(built) == 1 + 3 + 4
 
 
 CHARGED_BOX_FILE = """
@@ -334,3 +340,80 @@ def test_gauge_orbit_counts_the_points_it_composes():
     assert orbit.grid_points == 1
     rep = run_suite("gauge", resolve_model("minkowski-constant-e"))
     assert {c.check_id: c for c in rep.checks}["gauge.orbit"].grid_points == 2
+
+
+@pytest.mark.parametrize("phi", ["q*t", "t^"])
+def test_bad_gauge_function_is_a_usage_error(phi, tmp_path, capsys):
+    """An unknown identifier or a parse error in a gauge function is bad
+    input (exit 2), not a failed check."""
+    model = resolve_model("schwarzschild")
+    with pytest.raises(GeometryError):
+        run_suite("gauge", model, phis=[phi])
+    with pytest.raises(GeometryError):
+        run_suite("all", model, phis=["0.2*t", phi])
+    out = tmp_path / "g.json"
+    assert main(["gauge", "--spacetime", "schwarzschild", "--phi", phi, "--out", str(out)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_gauge_function_failing_at_a_point_is_a_failed_check(tmp_path):
+    out = tmp_path / "g.json"
+    for mode in ("dual", "fd"):
+        assert main(["gauge", "--spacetime", "schwarzschild", "--phi", "log(t)",
+                     "--diff", mode, "--out", str(out)]) == 1
+        checks = json.loads(out.read_text())["checks"]
+        assert [c["id"] for c in checks] == ["scenario.error"]
+        assert checks[0]["note"].startswith("EvalError: log of non-positive argument")
+
+
+def _random_points_one_at_a_time(model, n=100):
+    """The draw as one sample and one domain test at a time."""
+    rng = np.random.default_rng(zlib.crc32(model.name.encode()) ^ _RNG_SALT)
+    box = model.sample_box()
+    lo = np.array([box[c][0] for c in model.chart.names])
+    hi = np.array([box[c][1] for c in model.chart.names])
+    pts = []
+    attempts = 0
+    while len(pts) < n and attempts < 100 * n:
+        p = lo + (hi - lo) * rng.random(4)
+        attempts += 1
+        if model.in_domain(p):
+            pts.append(p)
+    return np.array(pts)
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + ("charge-ball",))
+def test_random_points_match_a_one_at_a_time_draw(name):
+    model = catalog_get(name)
+    drawn = SuiteContext(model).random_points()
+    reference = _random_points_one_at_a_time(model)
+    assert drawn.shape == reference.shape == (100, 4)
+    assert drawn.tobytes() == reference.tobytes()
+
+
+ANNULUS_FILE = """
+name = annulus
+coords = t, x, y, z
+domain = "x^2 + y^2 - {r2}"
+g[0][0] = "1"
+g[1][1] = "-1"
+g[2][2] = "-1"
+g[3][3] = "-1"
+grid.t = 0:1:2
+grid.x = -1:1:2
+grid.y = -1:1:2
+grid.z = -1:1:2
+"""
+
+
+def test_random_points_keep_draw_order_and_the_attempt_cap():
+    # the domain keeps about one draw in 26 of the sample box: many blocks,
+    # and the kept points in draw order
+    model = parse_spacetime_text(ANNULUS_FILE.format(r2=1.5))
+    drawn = SuiteContext(model).random_points(n=20)
+    assert drawn.tobytes() == _random_points_one_at_a_time(model, n=20).tobytes()
+    # a domain hardly any draw meets: the cap of 100 * n attempts, then an error
+    model = parse_spacetime_text(ANNULUS_FILE.format(r2=1.999))
+    with pytest.raises(GeometryError, match="could not sample 5 points"):
+        SuiteContext(model).random_points(n=5)
