@@ -12,6 +12,7 @@ import itertools
 import math
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -22,6 +23,7 @@ from .errors import (
     MetricError,
     ParseError,
     SpacetimeFormatError,
+    point_text,
 )
 from .expr import ChartSpec
 from .fields import ExprField
@@ -52,6 +54,43 @@ class PhysicalConstants:
 
 
 @dataclass(frozen=True)
+class FieldLayout:
+    """Which of a model's 14 component fields depend on the coordinates.
+
+    ``g`` and ``A`` hold the constant components, with 0 at the
+    coordinate-dependent ones; every derivative of a constant component is
+    0.  ``g_live`` lists ``(i, j, field)`` for the coordinate-dependent
+    metric components with i <= j, ``A_live`` lists ``(n, field)`` for the
+    potential.  Evaluation fills arrays from the constant template and
+    evaluates only the listed fields.
+    """
+
+    g: np.ndarray
+    A: np.ndarray
+    g_live: tuple
+    A_live: tuple
+
+    @classmethod
+    def of(cls, model):
+        g, A = np.zeros((4, 4)), np.zeros(4)
+        g_live, A_live = [], []
+        for i in range(4):
+            for j in range(i, 4):
+                f = model.g_fields[i][j]
+                if f.const is None:
+                    g_live.append((i, j, f))
+                else:
+                    g[i, j] = g[j, i] = f.const
+        for n, f in enumerate(model.A_fields):
+            if f.const is None:
+                A_live.append((n, f))
+            else:
+                A[n] = f.const
+        g.flags.writeable = A.flags.writeable = False
+        return cls(g, A, tuple(g_live), tuple(A_live))
+
+
+@dataclass(frozen=True)
 class SpacetimeModel:
     name: str
     chart: ChartSpec
@@ -63,6 +102,12 @@ class SpacetimeModel:
     domain: object = None  # scalar field, positive inside the domain
     meta: dict = field(default_factory=dict)
 
+    @cached_property
+    def layout(self):
+        """The constant template and the coordinate-dependent components of
+        the fields, built on first use."""
+        return FieldLayout.of(self)
+
     @property
     def default_grid(self):
         axes = [self.grid_axes[n] for n in self.chart.names]
@@ -70,7 +115,7 @@ class SpacetimeModel:
 
     def in_domain(self, x):
         x = np.asarray(x, dtype=float)
-        if not np.all(np.isfinite(x)):
+        if not np.isfinite(x).all():
             return False
         if self.domain is None:
             return True
@@ -90,7 +135,7 @@ class SpacetimeModel:
             x = x[inside.index(False)]
         elif self.in_domain(x):
             return
-        raise DomainError(f"point {tuple(x)} is outside the domain of {self.name!r}")
+        raise DomainError(f"point {point_text(x)} is outside the domain of {self.name!r}")
 
     def _in_domain_rows(self, X):
         """in_domain of every row, with one batched domain evaluation when
@@ -105,16 +150,16 @@ class SpacetimeModel:
     def metric_values(self, x):
         """Metric components at a point, or at every row of an (N, 4) batch."""
         x = np.asarray(x, dtype=float)
+        layout = self.layout
         if x.ndim == 2:
             g = np.empty((len(x), 4, 4))
-            for i in range(4):
-                for j in range(i, 4):
-                    g[:, i, j] = g[:, j, i] = self.g_fields[i][j].values(x)
+            g[:] = layout.g
+            for i, j, f in layout.g_live:
+                g[:, i, j] = g[:, j, i] = f.values(x)
             return g
-        g = np.empty((4, 4))
-        for i in range(4):
-            for j in range(i, 4):
-                g[i, j] = g[j, i] = self.g_fields[i][j].value(x)
+        g = layout.g.copy()
+        for i, j, f in layout.g_live:
+            g[i, j] = g[j, i] = f.value(x)
         return g
 
     def metric_at(self, x):
@@ -230,7 +275,7 @@ def validate_on_grid(model, origin=None):
     except GeometryError:
         pass
     for p in grid:
-        pt = tuple(float(v) for v in p)
+        pt = point_text(p)
         if not model.in_domain(p):
             raise SpacetimeFormatError(
                 f"grid point {pt} violates the domain predicate", origin or model.name

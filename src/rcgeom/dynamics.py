@@ -18,7 +18,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .engine import GeometrySnapshot
-from .errors import ConsistencyError, DomainError, EvalError, GeometryError, MetricError
+from .errors import (
+    ConsistencyError,
+    DomainError,
+    EvalError,
+    GeometryError,
+    MetricError,
+    point_text,
+)
 
 _ONSHELL_TOL = 1e-6
 
@@ -93,7 +100,7 @@ def normalize_velocity(model, x, V):
     V = np.asarray(V, dtype=float)
     n2 = norm_squared(model, x, V)
     if n2 <= 0:
-        raise GeometryError(f"velocity {tuple(V)} is not timelike at {tuple(np.asarray(x, float))}")
+        raise GeometryError(f"velocity {point_text(V)} is not timelike at {point_text(x)}")
     return V / np.sqrt(n2)
 
 
@@ -112,7 +119,7 @@ def _probe_velocity(g, x):
         if n2 > 1e-6:
             return w / np.sqrt(n2)
         w[1:] *= 0.25
-    raise ConsistencyError(f"could not build a timelike test velocity at {tuple(x)}")
+    raise ConsistencyError(f"could not build a timelike test velocity at {point_text(x)}")
 
 
 # (one point, batch) subscripts of the force law.  The batch is summed
@@ -210,7 +217,7 @@ def integrate_worldline(model, init, charge_ratio, config, mode="dual"):
                 s += config.ds
                 if not model.in_domain(x):
                     raise DomainError(
-                        f"worldline left the domain of {model.name!r} near {tuple(x)}"
+                        f"worldline left the domain of {model.name!r} near {point_text(x)}"
                     )
                 if config.renormalize_every and (step + 1) % config.renormalize_every == 0:
                     V = normalize_velocity(model, x, V)
@@ -230,7 +237,8 @@ def integrate_worldline(model, init, charge_ratio, config, mode="dual"):
                 if err <= tol:
                     if not model.in_domain(y5[:4]):
                         raise DomainError(
-                            f"worldline left the domain of {model.name!r} near {tuple(y5[:4])}"
+                            f"worldline left the domain of {model.name!r} near "
+                            f"{point_text(y5[:4])}"
                         )
                     y = y5
                     s += ds

@@ -15,6 +15,9 @@ single-point formulas give (floats for the scalars); over a batch the
 contractions run along cached ``np.einsum_path`` contraction orders, so the
 numbers agree with the single-point ones to roundoff.
 
+The field jets come from ``field_jets``, which fills the model's constant
+template (``SpacetimeModel.layout``) and evaluates only the
+coordinate-dependent components, each through its compiled expression.
 Derivatives of computed objects are assembled analytically from the exact
 field jets (product rule on the closed forms), never by differencing grids
 of computed values; in finite-difference mode the handful of third-order
@@ -23,11 +26,12 @@ consumers fall back to stencils applied to the computed field.
 
 from __future__ import annotations
 
+import math
 from functools import cached_property
 
 import numpy as np
 
-from .errors import EvalError, GeometryError, MetricError
+from .errors import EvalError, GeometryError, MetricError, point_text
 from .fields import fd_jet, make_seeds
 from .tensor import DEGENERACY_TOL, MetricAtPoint, first_bad
 
@@ -87,24 +91,47 @@ def _outer(a, b):
 class FieldJets:
     """Raw metric and potential derivatives at one point or a batch."""
 
-    __slots__ = ("x", "order", "g", "dg", "ddg", "dddg", "A", "dA", "ddA", "dddA")
+    __slots__ = ("x", "order", "g", "dg", "A", "dA", "ddg", "ddA", "dddg", "dddA")
 
-    def __init__(self, x, order, g, dg, ddg, dddg, A, dA, ddA, dddA):
+    def __init__(self, x, order, g, dg, A, dA, ddg, ddA, dddg, dddA):
         self.x = x
         self.order = order
         self.g = g
         self.dg = dg
-        self.ddg = ddg
-        self.dddg = dddg
         self.A = A
         self.dA = dA
+        self.ddg = ddg
         self.ddA = ddA
+        self.dddg = dddg
         self.dddA = dddA
 
 
+def _spans():
+    """order -> (start, stop, per-point shape) of each FieldJets member in
+    one flat buffer per point, in the order of the FieldJets arguments;
+    order n carries the first 2 + 2n members."""
+    shapes = [(DIM, DIM), (DIM,) * 3, (DIM,), (DIM, DIM),
+              (DIM,) * 4, (DIM,) * 3, (DIM,) * 5, (DIM,) * 4]
+    spans, start = [], 0
+    for shape in shapes:
+        spans.append((start, start + math.prod(shape), shape))
+        start = spans[-1][1]
+    return {order: tuple(spans[: 2 + 2 * order]) for order in (1, 2, 3)}
+
+
+_SPANS = _spans()
+
+
 def field_jets(model, x, order=2, mode="dual"):
-    """Evaluate all 14 component fields of a model at a point, shape (4,),
-    or at a batch of points, shape (N, 4)."""
+    """Evaluate the component fields of a model at a point, shape (4,), or
+    at a batch of points, shape (N, 4).
+
+    The members start from the model's constant template (``model.layout``):
+    the constant components, and the zero derivatives of them, are filled
+    in, and only the coordinate-dependent components are evaluated.  The
+    members are views of one buffer, so one finiteness check covers them
+    all.
+    """
     model.require_in_domain(x)
     x = np.asarray(x, dtype=float)
     if mode not in ("dual", "fd"):
@@ -114,64 +141,51 @@ def field_jets(model, x, order=2, mode="dual"):
 
     # Filled with the batch axis last, as the jets carry it; moved to the
     # front below.
+    layout = model.layout
     batch = x.shape[:-1]
-    g = np.empty((DIM, DIM) + batch)
-    dg = np.empty((DIM, DIM, DIM) + batch)
-    ddg = np.empty((DIM,) * 4 + batch) if order >= 2 else None
-    dddg = np.empty((DIM,) * 5 + batch) if order >= 3 else None
-    A = np.empty((DIM,) + batch)
-    dA = np.empty((DIM, DIM) + batch)
-    ddA = np.empty((DIM,) * 3 + batch) if order >= 2 else None
-    dddA = np.empty((DIM,) * 4 + batch) if order >= 3 else None
+    n = batch[0] if batch else 1
+    spans = _SPANS[order]
+    buf = np.zeros(n * spans[-1][1])
+    parts = [buf[n * a:n * b].reshape(shape + batch) for a, b, shape in spans]
+    g, dg, A, dA, ddg, ddA, dddg, dddA = parts + [None] * (8 - len(parts))
+    point_axis = (...,) + (None,) * len(batch)
+    g[...] = layout.g[point_axis]
+    A[...] = layout.A[point_axis]
 
     seeds = make_seeds(x, order) if mode == "dual" else None
 
-    for i in range(DIM):
-        for j in range(i, DIM):
-            f = model.g_fields[i][j]
-            jv = (
-                f.jet_unchecked(x, order, seeds)
-                if mode == "dual"
-                else fd_jet(f, x, order)
-            )
-            g[i, j] = g[j, i] = jv.value
-            dg[:, i, j] = dg[:, j, i] = jv.grad
-            if order >= 2:
-                ddg[:, :, i, j] = ddg[:, :, j, i] = jv.hess
-            if order >= 3:
-                dddg[:, :, :, i, j] = dddg[:, :, :, j, i] = jv.third
+    def jet(f):
+        return f.jet_unchecked(x, order, seeds) if mode == "dual" else fd_jet(f, x, order)
 
-    for n in range(DIM):
-        f = model.A_fields[n]
-        jv = (
-            f.jet_unchecked(x, order, seeds)
-            if mode == "dual"
-            else fd_jet(f, x, order)
-        )
-        A[n] = jv.value
-        dA[:, n] = jv.grad
+    for i, j, f in layout.g_live:
+        jv = jet(f)
+        g[i, j] = g[j, i] = jv.value
+        dg[:, i, j] = dg[:, j, i] = jv.grad
         if order >= 2:
-            ddA[:, :, n] = jv.hess
+            ddg[:, :, i, j] = ddg[:, :, j, i] = jv.hess
         if order >= 3:
-            dddA[:, :, :, n] = jv.third
+            dddg[:, :, :, i, j] = dddg[:, :, :, j, i] = jv.third
 
-    parts = [g, dg, A, dA, ddg, ddA, dddg, dddA]
+    for k, f in layout.A_live:
+        jv = jet(f)
+        A[k] = jv.value
+        dA[:, k] = jv.grad
+        if order >= 2:
+            ddA[:, :, k] = jv.hess
+        if order >= 3:
+            dddA[:, :, :, k] = jv.third
+
+    if not np.isfinite(buf).all():
+        where = x
+        if batch:
+            finite = np.concatenate([np.isfinite(a).reshape(-1, n) for a in parts])
+            where = x[np.argmin(finite.all(axis=0))]
+        raise EvalError(
+            f"non-finite field derivatives for {model.name!r} at {point_text(where)}"
+        )
     if batch:
-        parts = [None if a is None else np.ascontiguousarray(np.moveaxis(a, -1, 0))
-                 for a in parts]
-    for part in parts:
-        if part is None:
-            continue
-        finite = np.isfinite(part)
-        if not finite.all():
-            where = x
-            if batch:
-                where = x[np.argmin(finite.reshape(len(x), -1).all(axis=1))]
-            raise EvalError(
-                f"non-finite field derivatives for {model.name!r} at {tuple(where)}"
-            )
-    g, dg, A, dA, ddg, ddA, dddg, dddA = parts
-    return FieldJets(x, order, g, dg, ddg, dddg, A, dA, ddA, dddA)
+        parts = [np.ascontiguousarray(np.moveaxis(a, -1, 0)) for a in parts]
+    return FieldJets(x, order, *parts, *[None] * (8 - len(parts)))
 
 
 def cyclic_gradient_residual(dF_dd):
@@ -254,7 +268,7 @@ class GeometrySnapshot:
         hit = first_bad(abs(det) < DEGENERACY_TOL * scale**4, self.x, det)
         if hit:
             raise MetricError(
-                f"metric is numerically degenerate at {tuple(hit[0])} (det={hit[1]:.3e})"
+                f"metric is numerically degenerate at {point_text(hit[0])} (det={hit[1]:.3e})"
             )
         return np.linalg.inv(self.g)
 
@@ -263,7 +277,7 @@ class GeometrySnapshot:
         det = self.det_g
         hit = first_bad(det >= 0.0, self.x, det)
         if hit:
-            raise MetricError(f"metric determinant is not negative at {tuple(hit[0])}")
+            raise MetricError(f"metric determinant is not negative at {point_text(hit[0])}")
         return self._scalar(np.sqrt(-det))
 
     @cached_property

@@ -1,6 +1,12 @@
 """Exception types shared across the package."""
 
 
+def point_text(x):
+    """A chart point for an error note, as a tuple of plain floats:
+    ``(0.0, 4.0, 1.2, 0.5)``."""
+    return repr(tuple(float(v) for v in x))
+
+
 class GeometryError(Exception):
     """Base class for every error raised by this package."""
 

@@ -9,14 +9,20 @@ Grammar:
 
 ``^`` is right-associative; a fully parenthesized printer is provided so
 ``parse(to_source(ast))`` reproduces the tree exactly.  Nesting and tree
-depth are bounded by ``MAX_DEPTH``, so the recursive printer and evaluator
-never exceed the interpreter's recursion limit.
+depth are bounded by ``MAX_DEPTH``, so the recursive printer, evaluator and
+compiler never exceed the interpreter's recursion limit.
+
+``evaluate`` interprets a tree; it is the reference.  ``compile_ast`` turns
+a tree, once, into a tree of closures that does the same arithmetic in the
+same order with the same checks, so its results equal ``evaluate``'s bit
+for bit, with the parameter-only subtrees folded into their values.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -318,13 +324,7 @@ def evaluate(node, coords, params):
     if isinstance(node, Mul):
         return evaluate(node.left, coords, params) * evaluate(node.right, coords, params)
     if isinstance(node, Div):
-        num = evaluate(node.left, coords, params)
-        den = evaluate(node.right, coords, params)
-        if isinstance(den, float) and den == 0.0 or (
-            isinstance(den, np.ndarray) and (den == 0.0).any()
-        ):
-            raise EvalError("division by zero")
-        return num / den
+        return _divide(evaluate(node.left, coords, params), evaluate(node.right, coords, params))
     if isinstance(node, Pow):
         base = evaluate(node.left, coords, params)
         exponent = evaluate(node.right, coords, params)
@@ -334,12 +334,121 @@ def evaluate(node, coords, params):
     raise TypeError(f"not an AST node: {node!r}")
 
 
-def references_coordinates(node):
-    """True when any chart coordinate appears in the tree."""
+def _divide(num, den):
+    if isinstance(den, float) and den == 0.0 or (
+        isinstance(den, np.ndarray) and (den == 0.0).any()
+    ):
+        raise EvalError("division by zero")
+    return num / den
+
+
+# -- compiler ----------------------------------------------------------------
+
+_ORIGIN = (0.0,) * 4
+
+
+def compile_ast(node, params):
+    """The tree as ``f(coords)``, built once; a coordinate-free tree is
+    evaluated now and returned as its value (an error raises here).
+
+    ``f`` takes the same float, (N,) array or Jet coordinates as
+    ``evaluate`` and returns what ``evaluate`` returns, bit for bit: each
+    closure does its node's arithmetic on the same operands in the same
+    order.  Parameter-only subtrees are folded into their values by
+    ``evaluate``; one whose folding raises stays a closure, so it raises the
+    same error at every evaluation.
+    """
+    free = set()
+    if _coordinate_free(node, free):
+        return evaluate(node, _ORIGIN, params)
+    return _compile(node, params, free)
+
+
+def _coordinate_free(node, free):
+    """Whether no coordinate appears in the tree; adds the id of every
+    coordinate-free node to ``free``."""
     if isinstance(node, Coord):
-        return True
-    if isinstance(node, (Num, Param)):
         return False
-    if isinstance(node, (Neg, Call)):
-        return references_coordinates(node.arg)
-    return references_coordinates(node.left) or references_coordinates(node.right)
+    if isinstance(node, (Num, Param)):
+        ok = True
+    elif isinstance(node, (Neg, Call)):
+        ok = _coordinate_free(node.arg, free)
+    else:
+        ok = _coordinate_free(node.left, free) & _coordinate_free(node.right, free)
+    if ok:
+        free.add(id(node))
+    return ok
+
+
+def _compile(node, params, free):
+    """A closure of the coordinates, or the folded value of a subtree."""
+    if id(node) in free:
+        try:
+            return evaluate(node, _ORIGIN, params)
+        except (EvalError, ArithmeticError, ValueError):
+            pass  # left unfolded: it raises the same error at evaluation
+    if isinstance(node, Coord):
+        return itemgetter(node.index)
+    if isinstance(node, Param):
+        name = node.name
+        return lambda c: params[name]
+    if isinstance(node, Neg):
+        arg = _closure(_compile(node.arg, params, free))
+        return lambda c: -arg(c)
+    if isinstance(node, Call):
+        fn, arg = FUNCTIONS[node.func], _closure(_compile(node.arg, params, free))
+        return lambda c: fn(arg(c))
+    left, right = _compile(node.left, params, free), _compile(node.right, params, free)
+    if isinstance(node, Div) and callable(left) and not callable(right) and not (
+        isinstance(right, float) and right == 0.0
+    ):
+        # the zero check of a constant nonzero denominator always passes
+        return lambda c: left(c) / right
+    return _binary(_BINARY[type(node)], left, right)
+
+
+def _closure(v):
+    return v if callable(v) else (lambda c: v)
+
+
+# node type -> closure makers for (closure, closure), (closure, value) and
+# (value, closure) operands; a (value, value) pair, left when its folding
+# raised, takes the first with the values wrapped.
+_BINARY = {
+    Add: (
+        lambda a, b: lambda c: a(c) + b(c),
+        lambda a, b: lambda c: a(c) + b,
+        lambda a, b: lambda c: a + b(c),
+    ),
+    Sub: (
+        lambda a, b: lambda c: a(c) - b(c),
+        lambda a, b: lambda c: a(c) - b,
+        lambda a, b: lambda c: a - b(c),
+    ),
+    Mul: (
+        lambda a, b: lambda c: a(c) * b(c),
+        lambda a, b: lambda c: a(c) * b,
+        lambda a, b: lambda c: a * b(c),
+    ),
+    Div: (
+        lambda a, b: lambda c: _divide(a(c), b(c)),
+        lambda a, b: lambda c: _divide(a(c), b),
+        lambda a, b: lambda c: _divide(a, b(c)),
+    ),
+    Pow: (
+        lambda a, b: lambda c: jet_pow(a(c), b(c)),
+        lambda a, b: lambda c: jet_pow(a(c), b),
+        lambda a, b: lambda c: jet_pow(a, b(c)),
+    ),
+}
+
+
+def _binary(makers, left, right):
+    both, left_only, right_only = makers
+    if callable(left) and callable(right):
+        return both(left, right)
+    if callable(left):
+        return left_only(left, right)
+    if callable(right):
+        return right_only(left, right)
+    return both(_closure(left), _closure(right))

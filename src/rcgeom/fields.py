@@ -1,9 +1,12 @@
 """Differentiable scalar fields over a chart.
 
-The default evaluation path pushes truncated Taylor carriers (jets) through
-the expression tree, giving exact gradients and Hessians (and third
-derivatives on request).  A central finite-difference fallback exists for
-cross-validation of the dual-number engine.
+An ``ExprField`` compiles its expression once, at construction
+(``expr.compile_ast``): parameter-only subtrees are folded into floats, and
+a field with no coordinate left in it is a constant (``const``), whose
+derivatives are zero.  The default evaluation path pushes truncated Taylor
+carriers (jets) through the compiled tree, giving exact gradients and
+Hessians (and third derivatives on request).  A central finite-difference
+fallback exists for cross-validation of the dual-number engine.
 
 Every evaluation accepts one point, shape (4,), or a batch, shape (N, 4).
 Batched jets keep the batch axis last (value (N,), gradient (4, N), Hessian
@@ -14,12 +17,13 @@ for bit, so a stencil over a batch gives what it gives point by point.
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 
 import numpy as np
 
 from . import expr
-from .errors import EvalError
+from .errors import EvalError, point_text
 from .jets import DIM, ZERO_G, ZERO_G_B, ZERO_H, ZERO_H_B, ZERO_T, ZERO_T_B, Jet
 
 JetValue = namedtuple("JetValue", "value grad hess third")
@@ -55,7 +59,7 @@ def make_seeds(x, order):
     x = np.asarray(x, dtype=float)
     if x.ndim == 2:
         return [Jet.seed(col, i, order) for i, col in enumerate(np.ascontiguousarray(x.T))]
-    return [Jet.seed(x[i], i, order) for i in range(DIM)]
+    return [Jet.seed(v, i, order) for i, v in enumerate(x.tolist())]
 
 
 def _check_finite(jv, name, x):
@@ -65,42 +69,44 @@ def _check_finite(jv, name, x):
     if ok and jv.third is not None:
         ok = np.isfinite(jv.third).all()
     if not ok:
-        raise EvalError(f"non-finite result for field {name!r} at {tuple(x)}")
+        raise EvalError(f"non-finite result for field {name!r} at {point_text(x)}")
     return jv
 
 
 def _check_values(v, name, X):
     bad = ~np.isfinite(v)
     if bad.any():
-        raise EvalError(f"non-finite value for field {name!r} at {tuple(X[bad][0])}")
+        raise EvalError(f"non-finite value for field {name!r} at {point_text(X[bad][0])}")
     return v
 
 
 class ExprField:
-    """Scalar field defined by an expression with bound parameters."""
+    """Scalar field defined by an expression with bound parameters.
 
-    __slots__ = ("ast", "chart", "params", "name", "_const_value", "_const_jets")
+    ``const`` is the field's value when no coordinate is left in it after
+    folding, else None; ``value``, ``values`` and ``jet_unchecked`` run the
+    compiled tree.
+    """
+
+    __slots__ = ("ast", "chart", "params", "name", "const", "_run")
 
     def __init__(self, src, chart, params=None, name=""):
         self.ast = expr.parse(src, chart, params or {}) if isinstance(src, str) else src
         self.chart = chart
         self.params = dict(params or {})
         self.name = name or (src if isinstance(src, str) else expr.to_source(src))
-        self._const_value = None
-        if not expr.references_coordinates(self.ast):
-            self._const_value = float(expr.evaluate(self.ast, (0.0,) * DIM, self.params))
-            # one-point jets by order; they hold only read-only shared arrays
-            self._const_jets = [_expand(self._const_value, o) for o in range(4)]
+        self._run = expr.compile_ast(self.ast, self.params)
+        self.const = None if callable(self._run) else float(self._run)
 
     def __repr__(self):
         return f"ExprField({self.name!r})"
 
     def value(self, x):
-        if self._const_value is not None:
-            return self._const_value
-        v = expr.evaluate(self.ast, [float(c) for c in x], self.params)
-        if not np.isfinite(v):
-            raise EvalError(f"non-finite value for field {self.name!r} at {tuple(x)}")
+        if self.const is not None:
+            return self.const
+        v = self._run(np.asarray(x, dtype=float).tolist())
+        if not math.isfinite(v):
+            raise EvalError(f"non-finite value for field {self.name!r} at {point_text(x)}")
         return float(v)
 
     def values(self, X):
@@ -108,10 +114,10 @@ class ExprField:
         bit for bit to ``value`` at each row; an error names the first row
         that ``value`` fails at."""
         X = np.asarray(X, dtype=float)
-        if self._const_value is not None:
-            return np.full(len(X), self._const_value)
+        if self.const is not None:
+            return np.full(len(X), self.const)
         try:
-            v = expr.evaluate(self.ast, list(np.ascontiguousarray(X.T)), self.params)
+            v = self._run(list(np.ascontiguousarray(X.T)))
         except EvalError:
             for x in X:
                 self.value(x)
@@ -120,13 +126,12 @@ class ExprField:
 
     def jet_unchecked(self, x, order=2, seeds=None):
         """Jet evaluation without the finiteness sweep (the caller checks)."""
-        if self._const_value is not None:
-            if isinstance(x, np.ndarray) and x.ndim == 2:
-                return _expand(self._const_value, order, _ZEROS_B)
-            return self._const_jets[order]
+        if self.const is not None:
+            batched = isinstance(x, np.ndarray) and x.ndim == 2
+            return _expand(self.const, order, _ZEROS_B if batched else _ZEROS)
         if seeds is None:
             seeds = make_seeds(x, order)
-        return _expand(expr.evaluate(self.ast, seeds, self.params), order)
+        return _expand(self._run(seeds), order)
 
     def jet(self, x, order=2):
         return _check_finite(self.jet_unchecked(x, order), self.name, x)
@@ -144,6 +149,7 @@ class ShiftedPotentialField:
     """
 
     __slots__ = ("base", "phi", "axis", "name")
+    const = None  # evaluated at every point, like a coordinate-dependent field
 
     def __init__(self, base, phi, axis, name=""):
         self.base = base

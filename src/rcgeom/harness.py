@@ -646,6 +646,7 @@ def run_worldline(model, x0, v0, charge_ratio, ds, steps, method="rk4",
         "charge_ratio": charge_ratio,
         "method": method,
         "steps_taken": len(traj.states) - 1,
+        "rejected_steps": traj.rejected_steps,
         "initial_rescale_factor": rescale,
         "final_state": {
             "s": final.s,

@@ -19,9 +19,9 @@ from rcgeom.expr import (
     Param,
     Pow,
     Sub,
+    compile_ast,
     evaluate,
     parse,
-    references_coordinates,
     to_source,
 )
 from rcgeom.fields import finite_difference_derivatives
@@ -109,7 +109,7 @@ def test_unclosed_paren_rejected():
 
 def test_deep_expressions_are_parse_errors():
     """Nesting and long sums beyond the depth bound fail in the parser, so
-    evaluation and printing never recurse past it."""
+    evaluation, compilation and printing never recurse past it."""
     with pytest.raises(ParseError):
         parse("(" * 500 + "t" + ")" * 500, CART)
     with pytest.raises(ParseError):
@@ -120,7 +120,8 @@ def test_deep_expressions_are_parse_errors():
     long_sum = parse(" + ".join(["t"] * MAX_DEPTH), CART)
     assert evaluate(long_sum, (0.5, 0.0, 0.0, 0.0), {}) == pytest.approx(0.5 * MAX_DEPTH)
     assert parse(to_source(long_sum), CART) == long_sum
-    assert references_coordinates(long_sum)
+    assert compile_ast(long_sum, {})((0.5, 0.0, 0.0, 0.0)) == evaluate(
+        long_sum, (0.5, 0.0, 0.0, 0.0), {})
     nested = "(" * (MAX_DEPTH - 1) + "t" + ")" * (MAX_DEPTH - 1)
     assert parse(nested, CART) == Coord(0, "t")
 

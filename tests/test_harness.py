@@ -16,6 +16,7 @@ from rcgeom.harness import (
     canonical_json,
     resolve_model,
     run_suite,
+    run_worldline,
 )
 
 RN_FILE = """
@@ -183,6 +184,28 @@ def test_cli_worldline_csv_and_summary(tmp_path, capsys):
     assert summary["oracle"]["name"] == "uniform-acceleration"
     assert summary["oracle"]["max_error"] <= 1e-10
     assert summary["max_norm_drift"] <= 1e-12
+
+
+def test_worldline_summary_reports_rejected_steps():
+    model = resolve_model("minkowski-constant-e")
+    common = dict(x0=[0.0, 0.0, 0.0, 0.0], v0=[1.0, 0.0, 0.0, 0.0], charge_ratio=0.5,
+                  steps=4)
+    # a first step of 0.5 is far above the adaptive error tolerance
+    adaptive, traj = run_worldline(model, ds=0.5, method="rk45-adaptive", **common)
+    assert adaptive["rejected_steps"] == traj.rejected_steps > 0
+    fixed, _ = run_worldline(model, ds=0.5, method="rk4", **common)
+    assert fixed["rejected_steps"] == 0
+    assert list(fixed)[:5] == ["spacetime", "charge_ratio", "method", "steps_taken",
+                               "rejected_steps"]
+
+
+def test_error_notes_print_points_as_plain_floats():
+    # the grid starts inside the horizon of Reissner-Nordstrom
+    rep = run_suite("all", resolve_model("reissner-nordstrom"),
+                    grid_overrides={"r": np.linspace(0.5, 4.0, 6)})
+    notes = {c.check_id: c.note for c in rep.checks if c.note}
+    assert "point (0.0, 0.5, " in notes["scenario.error"]
+    assert not [n for n in notes.values() if "np.float64" in n]
 
 
 def test_cli_worldline_domain_exit(tmp_path, capsys):
