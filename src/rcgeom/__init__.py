@@ -21,7 +21,7 @@ from .dynamics import (  # noqa: F401
     normalize_velocity,
     rc_transport_residual,
 )
-from .engine import GeometrySnapshot, snapshot  # noqa: F401
+from .engine import GeometrySnapshot  # noqa: F401
 from .errors import (  # noqa: F401
     ConsistencyError,
     DomainError,

@@ -23,6 +23,7 @@ from .errors import (
     MetricError,
     ParseError,
     SpacetimeFormatError,
+    batch_then_rows,
     point_text,
 )
 from .expr import ChartSpec
@@ -115,7 +116,7 @@ class SpacetimeModel:
 
     def in_domain(self, x):
         x = np.asarray(x, dtype=float)
-        if not np.isfinite(x).all():
+        if np.count_nonzero(np.isfinite(x)) < x.size:
             return False
         if self.domain is None:
             return True
@@ -124,28 +125,26 @@ class SpacetimeModel:
         except EvalError:
             return False
 
-    def require_in_domain(self, x):
-        """Raise DomainError for the point x, or for the first row of an
-        (N, 4) batch, that lies outside the domain."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            inside = self._in_domain_rows(x)
-            if all(inside):
-                return
-            x = x[inside.index(False)]
-        elif self.in_domain(x):
-            return
-        raise DomainError(f"point {point_text(x)} is outside the domain of {self.name!r}")
+    def require_in_domain(self, X):
+        """Raise DomainError for the first row of X, shape (N, 4), that lies
+        outside the domain."""
+        inside = self._in_domain_rows(X)
+        if np.count_nonzero(inside) < len(X):
+            raise DomainError(
+                f"point {point_text(X[np.argmin(inside)])} is outside the domain of {self.name!r}"
+            )
 
     def _in_domain_rows(self, X):
-        """in_domain of every row, with one batched domain evaluation when
-        every row is finite and the predicate evaluates at all of them."""
-        if self.domain is None or not np.isfinite(X).all():
-            return [self.in_domain(p) for p in X]
-        try:
-            return (self.domain.values(X) > 0.0).tolist()
-        except EvalError:
-            return [self.in_domain(p) for p in X]
+        """in_domain of every row, an (N,) bool array, with one batched
+        domain evaluation when every row is finite and the predicate
+        evaluates at all of them."""
+        if self.domain is None:
+            return np.isfinite(X).all(axis=1)
+        if np.count_nonzero(np.isfinite(X)) < X.size:
+            return np.array([self.in_domain(p) for p in X], dtype=bool)
+        return np.asarray(
+            batch_then_rows(lambda: self.domain.values(X) > 0.0, X, self.in_domain), dtype=bool
+        )
 
     def metric_values(self, x):
         """Metric components at a point, or at every row of an (N, 4) batch."""
@@ -163,7 +162,8 @@ class SpacetimeModel:
         return g
 
     def metric_at(self, x):
-        self.require_in_domain(x)
+        x = np.asarray(x, dtype=float)
+        self.require_in_domain(x[None])
         return MetricAtPoint.from_components(self.metric_values(x))
 
     def potential_values(self, x):
@@ -264,31 +264,34 @@ def validate_on_grid(model, origin=None):
     """Check metric and potential invariants at every default-grid point.
 
     One batched pass covers the whole grid; only when it meets a fault does
-    the point-by-point pass run, which names the first point at fault.
+    the point-by-point pass run (``batch_then_rows``), which names the first
+    point at fault.
     """
     grid = model.default_grid
+
+    def batch():
+        model.require_in_domain(grid)
+        model.potential_values(grid)  # raises on a non-finite value
+        MetricAtPoint.from_components(model.metric_values(grid))
+
+    batch_then_rows(batch, grid, lambda p: _validate_point(model, p, origin))
+
+
+def _validate_point(model, p, origin):
+    pt = point_text(p)
+    if not model.in_domain(p):
+        raise SpacetimeFormatError(
+            f"grid point {pt} violates the domain predicate", origin or model.name
+        )
     try:
-        if all(model._in_domain_rows(grid)):
-            model.potential_values(grid)  # raises on a non-finite value
-            MetricAtPoint.from_components(model.metric_values(grid))
-            return
-    except GeometryError:
-        pass
-    for p in grid:
-        pt = point_text(p)
-        if not model.in_domain(p):
-            raise SpacetimeFormatError(
-                f"grid point {pt} violates the domain predicate", origin or model.name
-            )
-        try:
-            model.metric_at(p)
-        except MetricError as err:
-            raise type(err)(f"{err} at grid point {pt}") from err
-        a = model.potential_values(p)
-        if not np.all(np.isfinite(a)):
-            raise SpacetimeFormatError(
-                f"potential is not finite at grid point {pt}", origin or model.name
-            )
+        model.metric_at(p)
+    except MetricError as err:
+        raise type(err)(f"{err} at grid point {pt}") from err
+    a = model.potential_values(p)
+    if not np.all(np.isfinite(a)):
+        raise SpacetimeFormatError(
+            f"potential is not finite at grid point {pt}", origin or model.name
+        )
 
 
 # -- built-in catalog ---------------------------------------------------------

@@ -9,6 +9,10 @@ field strength; only the charge-to-inertia ratio k enters, so test-particle
 runs are decoupled from dust density fields.  Skew symmetry of F makes the
 equation preserve g(V, V) exactly in the continuum, which turns measured
 normalization drift into a pure integrator-quality metric.
+
+Every identity is evaluated on a snapshot over a batch of points, with one
+velocity per point; the worldline integrator's right-hand side is a batch
+of one (``x[None]``), and reads its row 0.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import GeometrySnapshot
+from .engine import GeometrySnapshot, batched_einsum, max_abs
 from .errors import (
     ConsistencyError,
     DomainError,
@@ -26,6 +30,7 @@ from .errors import (
     MetricError,
     point_text,
 )
+from .fields import fd_jet
 
 _ONSHELL_TOL = 1e-6
 
@@ -105,11 +110,9 @@ def normalize_velocity(model, x, V):
 
 
 def probe_velocity(snap):
-    """A fixed unit timelike velocity at the snapshot point (one per point
-    over a batch), for identities that hold for any velocity."""
-    if snap.batched:
-        return np.array([_probe_velocity(g, x) for g, x in zip(snap.g, snap.x)])
-    return _probe_velocity(snap.g, snap.x)
+    """A fixed unit timelike velocity at every point of the snapshot, shape
+    (N, 4), for identities that hold for any velocity."""
+    return np.array([_probe_velocity(g, x) for g, x in zip(snap.g, snap.x)])
 
 
 def _probe_velocity(g, x):
@@ -122,24 +125,24 @@ def _probe_velocity(g, x):
     raise ConsistencyError(f"could not build a timelike test velocity at {point_text(x)}")
 
 
-# (one point, batch) subscripts of the force law.  The batch is summed
-# without a contraction path, as one point is, so each row has the
-# one-point bits.
-_GEODESIC = ("mdn,m,d->n", "...mdn,...m,...d->...n")
-_LORENTZ = ("mn,m->n", "...mn,...m->...n")
+# The force law's contractions are summed directly, without the contraction
+# path batched_einsum takes for three operands: every row then has the bits
+# of the direct one-point sum, which the worldline integrator compounds.
+_GEODESIC = "...mdn,...m,...d->...n"
+_LORENTZ = "...mn,...m->...n"
 
 
 def acceleration(snap, V, k):
-    """dV/ds of the force law at the snapshot point, or at every point of a
-    batched snapshot with one velocity per point."""
-    dV = -np.einsum(_GEODESIC[snap.batched], snap.gamma_lc, V, V)
+    """dV/ds of the force law at every point of the snapshot, with one
+    velocity per point (V has shape (N, 4))."""
+    geodesic = np.einsum(_GEODESIC, snap.gamma_lc, V, V)
     if k != 0.0:
-        dV = dV + k * np.einsum(_LORENTZ[snap.batched], snap.F_mix, V)
-    return dV
+        return k * np.einsum(_LORENTZ, snap.F_mix, V) - geodesic
+    return -geodesic
 
 
 def _rhs(model, x, V, k, mode):
-    return V, acceleration(GeometrySnapshot(model, x, mode), V, k)
+    return V, acceleration(GeometrySnapshot(model, x[None], mode), V[None], k)[0]
 
 
 def lorentz_rhs(model, state, charge_ratio, mode="dual"):
@@ -257,77 +260,88 @@ def integrate_worldline(model, init, charge_ratio, config, mode="dual"):
     return traj
 
 
-def rc_transport_residual(model, state, charge_ratio, mode="dual"):
+def transport_residual(snap, V, charge_ratio):
     """Residual, per unit rest energy density, of the transport identity
-    along a worldline of the force law: the full-connection acceleration
-    must equal the current force term minus the potential-coupling term.
+    along a worldline of the force law, at every point of the snapshot with
+    one velocity per point: the full-connection acceleration must equal the
+    current force term minus the potential-coupling term.
 
     The combination vanishes identically when the trajectory satisfies the
     integrated force law; it is reported to expose convention breakage.
     """
+    accel = acceleration(snap, V, charge_ratio) + np.einsum(_GEODESIC, snap.gamma_full, V, V)
+    force = charge_ratio * batched_einsum("mn,m->n", snap.F_mix, V)
+    a_dot_v = batched_einsum("m,m->", snap.A, V)
+    coupling = snap.C * a_dot_v[:, None] * batched_einsum("dn,d->n", snap.F_mix, V)
+    return max_abs(accel - force + coupling)
+
+
+def rc_transport_residual(model, state, charge_ratio, mode="dual"):
+    """``transport_residual`` at the point and velocity of a worldline state."""
     snap = GeometrySnapshot(model, state.x, mode)
-    V = np.asarray(state.V, dtype=float)
-    accel = acceleration(snap, V, charge_ratio) + np.einsum("mdn,m,d->n", snap.gamma_full, V, V)
-    force = charge_ratio * np.einsum("mn,m->n", snap.F_mix, V)
-    a_dot_v = float(np.einsum("m,m->", snap.A, V))
-    coupling = snap.C * a_dot_v * np.einsum("dn,d->n", snap.F_mix, V)
-    return float(np.abs(accel - force + coupling).max())
+    return float(transport_residual(snap, state.V[None], charge_ratio)[0])
 
 
 @dataclass(frozen=True)
 class ExchangeResiduals:
-    """Max-abs residuals of the four stress-exchange relations: the
-    contorsion/stress contraction pair, stress-energy transfer to the
-    current, the torsionful mass-flux relation (as printed, see notes),
-    and coordinate matter conservation."""
+    """Max-abs residuals of the four stress-exchange relations, one value
+    per point: the contorsion/stress contraction pair, stress-energy
+    transfer to the current, the torsionful mass-flux relation (as printed,
+    see notes), and coordinate matter conservation."""
 
-    pair_cancellation: float  # K-contraction pair against the EM stress
-    energy_transfer: float  # div T = F.J / c
-    rc_mass_flux: float  # torsionful divergence of rho0 c^2 V vs coupling
-    matter_conservation: float  # d_m(sqrt(-g) rho0 c^2 V^m) = 0
+    pair_cancellation: np.ndarray  # K-contraction pair against the EM stress
+    energy_transfer: np.ndarray  # div T = F.J / c
+    rc_mass_flux: np.ndarray  # torsionful divergence of rho0 c^2 V vs coupling
+    matter_conservation: np.ndarray  # d_m(sqrt(-g) rho0 c^2 V^m) = 0
 
 
-def _dust_jets(dust, x, mode):
-    from .fields import fd_jet
+def _dust_jets(dust, X, mode):
+    """rho0, its gradient, V and its gradient at every point of X, point
+    axis first: (N,), (N, 4), (N, 4) and (N, 4, 4) (derivative, component)."""
 
     def one(f):
-        return f.jet(x, 1) if mode == "dual" else fd_jet(f, x, 1)
+        return f.jet(X, 1) if mode == "dual" else fd_jet(f, X, 1)
 
+    n = len(X)
     r0 = one(dust.rho0)
-    V = np.empty(4)
-    dV = np.empty((4, 4))
+    V = np.empty((n, 4))
+    dV = np.empty((n, 4, 4))
     for m, f in enumerate(dust.V_fields):
         jv = one(f)
-        V[m] = jv.value
-        dV[:, m] = jv.grad
-    return r0, V, dV
+        V[:, m] = jv.value
+        dV[:, :, m] = jv.grad.T
+    return np.broadcast_to(r0.value, (n,)), np.broadcast_to(r0.grad.T, (n, 4)), V, dV
 
 
 def dust_normalization_residual(model, dust, x, mode="dual"):
-    snap = GeometrySnapshot(model, x, mode)
+    g = GeometrySnapshot(model, x, mode).g[0]
     V = np.array([f.value(x) for f in dust.V_fields])
-    return abs(float(V @ snap.g @ V) - 1.0)
+    return abs(float(V @ g @ V) - 1.0)
 
 
-def exchange_identities(model, x, dust, mode="dual"):
-    """Evaluate the four exchange residuals at a point inside the dust."""
-    snap = GeometrySnapshot(model, x, mode)
+def exchange_identities(model, X, dust, mode="dual"):
+    """Evaluate the four exchange residuals at every point of X, shape
+    (N, 4), inside the dust: one value per point."""
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    snap = GeometrySnapshot(model, X, mode)
     c = snap.c_light
     c2 = c * c
-    r0, V, dV = _dust_jets(dust, x, mode)
+    r0, dr0, V, dV = _dust_jets(dust, X, mode)
 
     # matter flux P^m = rho0 c^2 V^m and its coordinate divergence
-    P = r0.value * c2 * V
-    dP = c2 * (np.multiply.outer(r0.grad, V) + r0.value * dV)
-    div_sqrtg_P = float(np.einsum("m,m->", snap.dsqrt_g, P) + snap.sqrt_g * np.einsum("mm->", dP))
-    matter_conservation = abs(div_sqrtg_P)
+    P = (r0 * c2)[:, None] * V
+    dP = c2 * (dr0[:, :, None] * V[:, None, :] + r0[:, None, None] * dV)
+    div_sqrtg_P = batched_einsum("m,m->", snap.dsqrt_g, P) + snap.sqrt_g * batched_einsum(
+        "mm->", dP
+    )
+    matter_conservation = np.abs(div_sqrtg_P)
 
     # torsionful divergence of the mass flux vs the coupling source term,
     # with the source sign as printed in the derivation being checked
     div_bar_P = div_sqrtg_P / snap.sqrt_g
-    div_rc_P = div_bar_P + float(np.einsum("d,d->", snap.K_first_trace, P))
-    afv = float(np.einsum("m,nm,n->", snap.A, snap.F_mix, V))
-    rc_mass_flux = abs(div_rc_P - snap.C * r0.value * c2 * afv)
+    div_rc_P = div_bar_P + batched_einsum("d,d->", snap.K_first_trace, P)
+    afv = batched_einsum("m,nm,n->", snap.A, snap.F_mix, V)
+    rc_mass_flux = np.abs(div_rc_P - snap.C * r0 * c2 * afv)
 
     return ExchangeResiduals(
         pair_cancellation=snap.pair_residual_T(),

@@ -1,4 +1,4 @@
-"""Geometry engine over one chart point or a batch of points.
+"""Geometry engine over a batch of chart points.
 
 ``GeometrySnapshot`` evaluates every geometric object the verification
 suites need: Levi-Civita connection and curvature, contorsion and torsion
@@ -6,18 +6,19 @@ built from the potential, the full connection and its curvature, the field
 strength, current, and stress-energy, together with the exact coordinate
 derivatives of those objects needed by the divergence-type identities.
 
-A snapshot takes one point, shape (4,), or a batch, shape (N, 4).  Over a
-batch every member carries a leading point axis (``g`` has shape
-(N, 4, 4)), the scalar members (``det_g``, ``sqrt_g``, ``scalar_lc``,
-``F2``, ``scalar_rc``) are (N,) arrays, and each residual method returns one
-value per point.  At one point the members are exactly what the
-single-point formulas give (floats for the scalars); over a batch the
-contractions run along cached ``np.einsum_path`` contraction orders, so the
-numbers agree with the single-point ones to roundoff.
+A snapshot takes a batch of points, shape (N, 4); one point, shape (4,), is
+read as a batch of one.  Every member carries the leading point axis
+(``g`` has shape (N, 4, 4)), the scalar members (``det_g``, ``sqrt_g``,
+``scalar_lc``, ``F2``, ``scalar_rc``) are (N,) arrays, and each residual
+method returns one value per point.  Every contraction is written as at one
+point and runs over the point axis through ``batched_einsum``, along a
+contraction order cached per subscripts, so a row does not depend on the
+batch around it beyond roundoff.
 
 The field jets come from ``field_jets``, which fills the model's constant
 template (``SpacetimeModel.layout``) and evaluates only the
-coordinate-dependent components, each through its compiled expression.
+coordinate-dependent components, each through its compiled expression; a
+batch of one runs those on floats, a larger batch on arrays.
 Derivatives of computed objects are assembled analytically from the exact
 field jets (product rule on the closed forms), never by differencing grids
 of computed values; in finite-difference mode the handful of third-order
@@ -66,21 +67,9 @@ def batched_einsum(subscripts, *operands):
     return np.einsum(spec[0], *operands, optimize=spec[1])
 
 
-def max_abs(a, batched):
-    """max |a| over the tensor axes: a float at one point, one value per
-    point over a batch."""
-    if batched:
-        return np.abs(a).reshape(len(a), -1).max(axis=1)
-    return float(np.abs(a).max())
-
-
-def _trailing(a, *axes):
-    """a.transpose(*axes) applied to the tensor axes of a; the leading point
-    axis of a batch stays in front.  (A swap of two axes is a swapaxes with
-    negative axes.)"""
-    if a.ndim == len(axes):
-        return a.transpose(axes)
-    return a.transpose((0,) + tuple(i + 1 for i in axes))
+def max_abs(a):
+    """max |a| over the tensor axes: one value per point."""
+    return np.abs(a).reshape(len(a), -1).max(axis=1)
 
 
 def _outer(a, b):
@@ -89,11 +78,12 @@ def _outer(a, b):
 
 
 class FieldJets:
-    """Raw metric and potential derivatives at one point or a batch."""
+    """Raw metric and potential derivatives at every point of a batch, the
+    point axis first."""
 
     __slots__ = ("x", "order", "g", "dg", "A", "dA", "ddg", "ddA", "dddg", "dddA")
 
-    def __init__(self, x, order, g, dg, A, dA, ddg, ddA, dddg, dddA):
+    def __init__(self, x, order, g, dg, A, dA, ddg=None, ddA=None, dddg=None, dddA=None):
         self.x = x
         self.order = order
         self.g = g
@@ -122,9 +112,9 @@ def _spans():
 _SPANS = _spans()
 
 
-def field_jets(model, x, order=2, mode="dual"):
-    """Evaluate the component fields of a model at a point, shape (4,), or
-    at a batch of points, shape (N, 4).
+def field_jets(model, X, order=2, mode="dual"):
+    """Evaluate the component fields of a model at every point of X, shape
+    (N, 4).
 
     The members start from the model's constant template (``model.layout``):
     the constant components, and the zero derivatives of them, are filled
@@ -132,25 +122,32 @@ def field_jets(model, x, order=2, mode="dual"):
     members are views of one buffer, so one finiteness check covers them
     all.
     """
-    model.require_in_domain(x)
-    x = np.asarray(x, dtype=float)
+    model.require_in_domain(X)
     if mode not in ("dual", "fd"):
         raise ValueError(f"unknown derivative mode {mode!r}")
     if mode == "fd" and order > 2:
         raise EvalError("finite-difference mode does not carry third derivatives")
 
-    # Filled with the batch axis last, as the jets carry it; moved to the
-    # front below.
     layout = model.layout
-    batch = x.shape[:-1]
-    n = batch[0] if batch else 1
+    n = len(X)
     spans = _SPANS[order]
     buf = np.zeros(n * spans[-1][1])
-    parts = [buf[n * a:n * b].reshape(shape + batch) for a, b, shape in spans]
-    g, dg, A, dA, ddg, ddA, dddg, dddA = parts + [None] * (8 - len(parts))
-    point_axis = (...,) + (None,) * len(batch)
-    g[...] = layout.g[point_axis]
-    A[...] = layout.A[point_axis]
+    if n == 1:
+        # A batch of one runs the one-point jets, on floats, and fills its
+        # (1, ...) members in place.
+        x = X[0]
+        parts = [buf[a:b].reshape((1,) + shape) for a, b, shape in spans]
+        views = [p[0] for p in parts]
+        g_tmpl, A_tmpl = layout.g, layout.A
+    else:
+        # Filled with the batch axis last, as the jets of a larger batch
+        # carry it; moved to the front below.
+        x = X
+        views = [buf[n * a:n * b].reshape(shape + (n,)) for a, b, shape in spans]
+        g_tmpl, A_tmpl = layout.g[..., None], layout.A[..., None]
+    g, dg, A, dA, ddg, ddA, dddg, dddA = views + [None] * (8 - len(views))
+    g[...] = g_tmpl
+    A[...] = A_tmpl
 
     seeds = make_seeds(x, order) if mode == "dual" else None
 
@@ -175,50 +172,49 @@ def field_jets(model, x, order=2, mode="dual"):
         if order >= 3:
             dddA[:, :, :, k] = jv.third
 
-    if not np.isfinite(buf).all():
-        where = x
-        if batch:
-            finite = np.concatenate([np.isfinite(a).reshape(-1, n) for a in parts])
-            where = x[np.argmin(finite.all(axis=0))]
+    if np.count_nonzero(np.isfinite(buf)) < len(buf):
+        finite = np.concatenate([np.isfinite(v).reshape(-1, n) for v in views])
         raise EvalError(
-            f"non-finite field derivatives for {model.name!r} at {point_text(where)}"
+            f"non-finite field derivatives for {model.name!r} at "
+            f"{point_text(X[np.argmin(finite.all(axis=0))])}"
         )
-    if batch:
-        parts = [np.ascontiguousarray(np.moveaxis(a, -1, 0)) for a in parts]
-    return FieldJets(x, order, *parts, *[None] * (8 - len(parts)))
+    if n > 1:
+        parts = [np.ascontiguousarray(np.moveaxis(v, -1, 0)) for v in views]
+    return FieldJets(X, order, *parts)
 
 
 def cyclic_gradient_residual(dF_dd):
     """max of the cyclic sum d_l F_mn + d_m F_nl + d_n F_lm over a gradient
-    array (slots: derivative, first, second); closed F gives zero.  A leading
-    point axis gives one value per point."""
+    array (slots: point, derivative, first, second), one value per point;
+    closed F gives zero."""
     d = np.asarray(dF_dd, dtype=float)
-    cyc = d + _trailing(d, 1, 2, 0) + _trailing(d, 2, 0, 1)
-    return max_abs(cyc, d.ndim > 3)
+    cyc = d + d.transpose(0, 2, 3, 1) + d.transpose(0, 3, 1, 2)
+    return max_abs(cyc)
 
 
 class GeometrySnapshot:
-    """All geometric objects of a model evaluated lazily at one point or
-    over a batch of points."""
+    """All geometric objects of a model evaluated lazily over a batch of
+    points, shape (N, 4); a point, shape (4,), is a batch of one."""
 
     def __init__(self, model, x, mode="dual"):
         self.model = model
-        self.x = np.asarray(x, dtype=float)
+        self.x = np.atleast_2d(np.asarray(x, dtype=float))
         self.mode = mode
-        self.batched = self.x.ndim == 2
-        # contraction of per-point tensors, written as at one point
-        self.einsum = batched_einsum if self.batched else np.einsum
-        self.C = model.constants.coupling
-        self.c_light = model.constants.c
-        self._jets_cache = {}
+        self._jets = None  # the highest-order field jets evaluated so far
+
+    @property
+    def C(self):
+        """The contorsion coupling G / c^4."""
+        return self.model.constants.coupling
+
+    @property
+    def c_light(self):
+        return self.model.constants.c
 
     def jets(self, order):
-        for o in (3, 2, 1):
-            if o >= order and o in self._jets_cache:
-                return self._jets_cache[o]
-        fj = field_jets(self.model, self.x, order=order, mode=self.mode)
-        self._jets_cache[order] = fj
-        return fj
+        if self._jets is None or self._jets.order < order:
+            self._jets = field_jets(self.model, self.x, order=order, mode=self.mode)
+        return self._jets
 
     def preload(self, order):
         """Evaluate the field jets now at the highest order the caller will
@@ -230,19 +226,6 @@ class GeometrySnapshot:
             self.jets(min(order, 2) if self.mode == "fd" else order)
         except GeometryError:
             pass
-
-    # -- batch helpers -----------------------------------------------------------
-
-    def max_abs(self, a):
-        """max |a| over the tensor axes, per point over a batch."""
-        return max_abs(a, self.batched)
-
-    def _scalar(self, v):
-        return v if self.batched else float(v)
-
-    def _lift(self, s, k):
-        """Per-point scalar s shaped to broadcast against k tensor axes."""
-        return s.reshape((-1,) + (1,) * k) if self.batched else s
 
     # -- metric layer --------------------------------------------------------
 
@@ -256,16 +239,17 @@ class GeometrySnapshot:
 
     @cached_property
     def det_g(self):
-        return self._scalar(np.linalg.det(self.g))
+        return np.linalg.det(self.g)
 
     @cached_property
     def ginv(self):
-        det = self.det_g
-        if self.batched:
-            scale = np.maximum(1.0, np.abs(self.g).max(axis=(-2, -1)))
-        else:
-            scale = max(1.0, float(np.abs(self.g).max()))
-        hit = first_bad(abs(det) < DEGENERACY_TOL * scale**4, self.x, det)
+        det, g = self.det_g, self.g
+        # A point is degenerate when |det| < DEGENERACY_TOL * max(1, max|g|)^4
+        # at that point, so only below the bound of the largest |g| of all.
+        hit = None
+        if np.count_nonzero(np.abs(det) < DEGENERACY_TOL * max(1.0, float(np.abs(g).max())) ** 4):
+            scale = np.maximum(np.abs(g).max(axis=(1, 2)), 1.0)
+            hit = first_bad(np.abs(det) < DEGENERACY_TOL * scale**4, self.x, det)
         if hit:
             raise MetricError(
                 f"metric is numerically degenerate at {point_text(hit[0])} (det={hit[1]:.3e})"
@@ -278,7 +262,7 @@ class GeometrySnapshot:
         hit = first_bad(det >= 0.0, self.x, det)
         if hit:
             raise MetricError(f"metric determinant is not negative at {point_text(hit[0])}")
-        return self._scalar(np.sqrt(-det))
+        return np.sqrt(-det)
 
     @cached_property
     def dg(self):
@@ -290,26 +274,26 @@ class GeometrySnapshot:
 
     @cached_property
     def dginv(self):
-        return -self.einsum("ma,lab,bn->lmn", self.ginv, self.dg, self.ginv)
+        return -batched_einsum("ma,lab,bn->lmn", self.ginv, self.dg, self.ginv)
 
     @cached_property
     def ddginv(self):
-        t1 = self.einsum("kma,lab,bn->klmn", self.dginv, self.dg, self.ginv)
-        t2 = self.einsum("ma,klab,bn->klmn", self.ginv, self.ddg, self.ginv)
-        t3 = self.einsum("ma,lab,kbn->klmn", self.ginv, self.dg, self.dginv)
+        t1 = batched_einsum("kma,lab,bn->klmn", self.dginv, self.dg, self.ginv)
+        t2 = batched_einsum("ma,klab,bn->klmn", self.ginv, self.ddg, self.ginv)
+        t3 = batched_einsum("ma,lab,kbn->klmn", self.ginv, self.dg, self.dginv)
         return -(t1 + t2 + t3)
 
     @cached_property
     def dsqrt_g(self):
-        return 0.5 * self._lift(self.sqrt_g, 1) * self.einsum("mn,lmn->l", self.ginv, self.dg)
+        return 0.5 * self.sqrt_g[:, None] * batched_einsum("mn,lmn->l", self.ginv, self.dg)
 
     @cached_property
     def ddsqrt_g(self):
-        tr = self.einsum("mn,lmn->l", self.ginv, self.dg)
-        dtr = self.einsum("kmn,lmn->kl", self.dginv, self.dg) + self.einsum(
+        tr = batched_einsum("mn,lmn->l", self.ginv, self.dg)
+        dtr = batched_einsum("kmn,lmn->kl", self.dginv, self.dg) + batched_einsum(
             "mn,klmn->kl", self.ginv, self.ddg
         )
-        return 0.5 * (_outer(self.dsqrt_g, tr) + self._lift(self.sqrt_g, 2) * dtr)
+        return 0.5 * (_outer(self.dsqrt_g, tr) + self.sqrt_g[:, None, None] * dtr)
 
     # -- Levi-Civita layer ---------------------------------------------------
 
@@ -317,45 +301,45 @@ class GeometrySnapshot:
     def _sym_dg(self):
         # S[m,n,a] = d_m g_na + d_n g_ma - d_a g_mn
         dg = self.dg
-        return dg + dg.swapaxes(-3, -2) - _trailing(dg, 1, 2, 0)
+        return dg + dg.swapaxes(-3, -2) - dg.transpose(0, 2, 3, 1)
 
     @cached_property
     def gamma_lc(self):
-        return 0.5 * self.einsum("la,mna->mnl", self.ginv, self._sym_dg)
+        return 0.5 * batched_einsum("la,mna->mnl", self.ginv, self._sym_dg)
 
     @cached_property
     def _dsym_dg(self):
         ddg = self.ddg
-        return ddg + ddg.swapaxes(-3, -2) - _trailing(ddg, 0, 2, 3, 1)
+        return ddg + ddg.swapaxes(-3, -2) - ddg.transpose(0, 1, 3, 4, 2)
 
     @cached_property
     def dgamma_lc(self):
         return 0.5 * (
-            self.einsum("kla,mna->kmnl", self.dginv, self._sym_dg)
-            + self.einsum("la,kmna->kmnl", self.ginv, self._dsym_dg)
+            batched_einsum("kla,mna->kmnl", self.dginv, self._sym_dg)
+            + batched_einsum("la,kmna->kmnl", self.ginv, self._dsym_dg)
         )
 
     @cached_property
     def ddgamma_lc(self):
         dddg = self.jets(3).dddg
-        ddsym = dddg + dddg.swapaxes(-3, -2) - _trailing(dddg, 0, 1, 3, 4, 2)
+        ddsym = dddg + dddg.swapaxes(-3, -2) - dddg.transpose(0, 1, 2, 4, 5, 3)
         return 0.5 * (
-            self.einsum("jkla,mna->jkmnl", self.ddginv, self._sym_dg)
-            + self.einsum("kla,jmna->jkmnl", self.dginv, self._dsym_dg)
-            + self.einsum("jla,kmna->jkmnl", self.dginv, self._dsym_dg)
-            + self.einsum("la,jkmna->jkmnl", self.ginv, ddsym)
+            batched_einsum("jkla,mna->jkmnl", self.ddginv, self._sym_dg)
+            + batched_einsum("kla,jmna->jkmnl", self.dginv, self._dsym_dg)
+            + batched_einsum("jla,kmna->jkmnl", self.dginv, self._dsym_dg)
+            + batched_einsum("la,jkmna->jkmnl", self.ginv, ddsym)
         )
 
     @cached_property
     def gamma_lc_trace(self):
         # G_{mr}^m as a function of r
-        return self.einsum("mrm->r", self.gamma_lc)
+        return batched_einsum("mrm->r", self.gamma_lc)
 
     def _riemann(self, gamma, dgamma):
         """R_{mnl}^c = d_m G_{nl}^c - d_n G_{ml}^c + G_{mr}^c G_{nl}^r - G_{nr}^c G_{ml}^r."""
         r = dgamma - dgamma.swapaxes(-4, -3)
-        r += self.einsum("mrc,nlr->mnlc", gamma, gamma)
-        r -= self.einsum("nrc,mlr->mnlc", gamma, gamma)
+        r += batched_einsum("mrc,nlr->mnlc", gamma, gamma)
+        r -= batched_einsum("nrc,mlr->mnlc", gamma, gamma)
         return r
 
     @cached_property
@@ -364,19 +348,19 @@ class GeometrySnapshot:
 
     @cached_property
     def ricci_lc(self):
-        return self.einsum("mnlm->nl", self.riemann_lc)
+        return batched_einsum("mnlm->nl", self.riemann_lc)
 
     @cached_property
     def scalar_lc(self):
-        return self._scalar(self.einsum("nl,nl->", self.ginv, self.ricci_lc))
+        return batched_einsum("nl,nl->", self.ginv, self.ricci_lc)
 
     @cached_property
     def einstein_lc_dd(self):
-        return self.ricci_lc - 0.5 * self.g * self._lift(self.scalar_lc, 2)
+        return self.ricci_lc - 0.5 * self.g * self.scalar_lc[:, None, None]
 
     @cached_property
     def einstein_lc_uu(self):
-        return self.einsum("ma,ab,bn->mn", self.ginv, self.einstein_lc_dd, self.ginv)
+        return batched_einsum("ma,ab,bn->mn", self.ginv, self.einstein_lc_dd, self.ginv)
 
     @cached_property
     def d_riemann_lc(self):
@@ -384,36 +368,36 @@ class GeometrySnapshot:
         dgamma = self.dgamma_lc
         gamma = self.gamma_lc
         dr = ddgamma - ddgamma.swapaxes(-4, -3)
-        dr += self.einsum("kmrc,nlr->kmnlc", dgamma, gamma)
-        dr += self.einsum("mrc,knlr->kmnlc", gamma, dgamma)
-        dr -= self.einsum("knrc,mlr->kmnlc", dgamma, gamma)
-        dr -= self.einsum("nrc,kmlr->kmnlc", gamma, dgamma)
+        dr += batched_einsum("kmrc,nlr->kmnlc", dgamma, gamma)
+        dr += batched_einsum("mrc,knlr->kmnlc", gamma, dgamma)
+        dr -= batched_einsum("knrc,mlr->kmnlc", dgamma, gamma)
+        dr -= batched_einsum("nrc,kmlr->kmnlc", gamma, dgamma)
         return dr
 
     @cached_property
     def d_einstein_lc_uu(self):
         if self.mode == "fd":
             return _fd_pipeline(self.model, self.x, lambda s: s.einstein_lc_uu, self.mode)
-        d_ricci = self.einsum("kmnlm->knl", self.d_riemann_lc)
-        d_scalar = self.einsum("knl,nl->k", self.dginv, self.ricci_lc) + self.einsum(
+        d_ricci = batched_einsum("kmnlm->knl", self.d_riemann_lc)
+        d_scalar = batched_einsum("knl,nl->k", self.dginv, self.ricci_lc) + batched_einsum(
             "nl,knl->k", self.ginv, d_ricci
         )
         dG_dd = d_ricci - 0.5 * (
-            self.dg * self._lift(self.scalar_lc, 3)
-            + self.einsum("mn,k->kmn", self.g, d_scalar)
+            self.dg * self.scalar_lc[:, None, None, None]
+            + batched_einsum("mn,k->kmn", self.g, d_scalar)
         )
         return (
-            self.einsum("kma,ab,bn->kmn", self.dginv, self.einstein_lc_dd, self.ginv)
-            + self.einsum("ma,kab,bn->kmn", self.ginv, dG_dd, self.ginv)
-            + self.einsum("ma,ab,kbn->kmn", self.ginv, self.einstein_lc_dd, self.dginv)
+            batched_einsum("kma,ab,bn->kmn", self.dginv, self.einstein_lc_dd, self.ginv)
+            + batched_einsum("ma,kab,bn->kmn", self.ginv, dG_dd, self.ginv)
+            + batched_einsum("ma,ab,kbn->kmn", self.ginv, self.einstein_lc_dd, self.dginv)
         )
 
     def bianchi_residual(self):
         """max_n |covariant divergence of the Einstein tensor|."""
-        div = self.einsum("mmn->n", self.d_einstein_lc_uu)
-        div += self.einsum("r,rn->n", self.gamma_lc_trace, self.einstein_lc_uu)
-        div += self.einsum("mrn,mr->n", self.gamma_lc, self.einstein_lc_uu)
-        return self.max_abs(div)
+        div = batched_einsum("mmn->n", self.d_einstein_lc_uu)
+        div += batched_einsum("r,rn->n", self.gamma_lc_trace, self.einstein_lc_uu)
+        div += batched_einsum("mrn,mr->n", self.gamma_lc, self.einstein_lc_uu)
+        return max_abs(div)
 
     # -- electromagnetic layer -----------------------------------------------
 
@@ -443,31 +427,31 @@ class GeometrySnapshot:
     @cached_property
     def F_mix(self):
         # F_n^{.l} = g^{la} F_nl... contracted on the second slot
-        return self.einsum("la,na->nl", self.ginv, self.F_dd)
+        return batched_einsum("la,na->nl", self.ginv, self.F_dd)
 
     @cached_property
     def dF_mix(self):
-        return self.einsum("kla,na->knl", self.dginv, self.F_dd) + self.einsum(
+        return batched_einsum("kla,na->knl", self.dginv, self.F_dd) + batched_einsum(
             "la,kna->knl", self.ginv, self.dF_dd
         )
 
     @cached_property
     def F_uu(self):
-        return self.einsum("ma,nb,ab->mn", self.ginv, self.ginv, self.F_dd)
+        return batched_einsum("ma,nb,ab->mn", self.ginv, self.ginv, self.F_dd)
 
     @cached_property
     def dF_uu(self):
         return (
-            self.einsum("kma,nb,ab->kmn", self.dginv, self.ginv, self.F_dd)
-            + self.einsum("ma,knb,ab->kmn", self.ginv, self.dginv, self.F_dd)
-            + self.einsum("ma,nb,kab->kmn", self.ginv, self.ginv, self.dF_dd)
+            batched_einsum("kma,nb,ab->kmn", self.dginv, self.ginv, self.F_dd)
+            + batched_einsum("ma,knb,ab->kmn", self.ginv, self.dginv, self.F_dd)
+            + batched_einsum("ma,nb,kab->kmn", self.ginv, self.ginv, self.dF_dd)
         )
 
     @cached_property
     def ddF_uu(self):
         gi, dgi, ddgi = self.ginv, self.dginv, self.ddginv
         F, dF, ddF = self.F_dd, self.dF_dd, self.ddF_dd
-        ein = self.einsum
+        ein = batched_einsum
         return (
             ein("jkma,nb,ab->jkmn", ddgi, gi, F)
             + ein("kma,jnb,ab->jkmn", dgi, dgi, F)
@@ -482,11 +466,11 @@ class GeometrySnapshot:
 
     @cached_property
     def F2(self):
-        return self._scalar(self.einsum("mn,mn->", self.F_dd, self.F_uu))
+        return batched_einsum("mn,mn->", self.F_dd, self.F_uu)
 
     @cached_property
     def dF2(self):
-        return self.einsum("lmn,mn->l", self.dF_dd, self.F_uu) + self.einsum(
+        return batched_einsum("lmn,mn->l", self.dF_dd, self.F_uu) + batched_einsum(
             "mn,lmn->l", self.F_dd, self.dF_uu
         )
 
@@ -497,24 +481,24 @@ class GeometrySnapshot:
     # divergence of F^{mn} in three routes
     @cached_property
     def lc_div_F_det(self):
-        return self.einsum("m,mn->n", self.dsqrt_g, self.F_uu) / self._lift(
-            self.sqrt_g, 1
-        ) + self.einsum("mmn->n", self.dF_uu)
+        return batched_einsum("m,mn->n", self.dsqrt_g, self.F_uu) / self.sqrt_g[
+            :, None
+        ] + batched_einsum("mmn->n", self.dF_uu)
 
     @cached_property
     def lc_div_F_gamma(self):
         return (
-            self.einsum("mmn->n", self.dF_uu)
-            + self.einsum("r,rn->n", self.gamma_lc_trace, self.F_uu)
-            + self.einsum("mrn,mr->n", self.gamma_lc, self.F_uu)
+            batched_einsum("mmn->n", self.dF_uu)
+            + batched_einsum("r,rn->n", self.gamma_lc_trace, self.F_uu)
+            + batched_einsum("mrn,mr->n", self.gamma_lc, self.F_uu)
         )
 
     @cached_property
     def rc_div_F(self):
         return (
-            self.einsum("mmn->n", self.dF_uu)
-            + self.einsum("r,rn->n", self.gamma_full_trace, self.F_uu)
-            + self.einsum("mrn,mr->n", self.gamma_full, self.F_uu)
+            batched_einsum("mmn->n", self.dF_uu)
+            + batched_einsum("r,rn->n", self.gamma_full_trace, self.F_uu)
+            + batched_einsum("mrn,mr->n", self.gamma_full, self.F_uu)
         )
 
     @cached_property
@@ -523,9 +507,7 @@ class GeometrySnapshot:
 
     @cached_property
     def J_down(self):
-        if self.batched:
-            return (self.g @ self.J_up[:, :, None])[:, :, 0]
-        return self.g @ self.J_up
+        return (self.g @ self.J_up[:, :, None])[:, :, 0]
 
     @cached_property
     def dJ_up(self):
@@ -533,90 +515,90 @@ class GeometrySnapshot:
             return _fd_pipeline(self.model, self.x, lambda s: s.J_up, self.mode)
         s, ds, dds = self.sqrt_g, self.dsqrt_g, self.ddsqrt_g
         ddW = (
-            self.einsum("kl,mn->klmn", dds, self.F_uu)
-            + self.einsum("l,kmn->klmn", ds, self.dF_uu)
-            + self.einsum("k,lmn->klmn", ds, self.dF_uu)
-            + self._lift(s, 4) * self.ddF_uu
+            batched_einsum("kl,mn->klmn", dds, self.F_uu)
+            + batched_einsum("l,kmn->klmn", ds, self.dF_uu)
+            + batched_einsum("k,lmn->klmn", ds, self.dF_uu)
+            + s[:, None, None, None, None] * self.ddF_uu
         )
-        D = self.einsum("m,mn->n", ds, self.F_uu) + self._lift(s, 1) * self.einsum(
+        D = batched_einsum("m,mn->n", ds, self.F_uu) + s[:, None] * batched_einsum(
             "mmn->n", self.dF_uu
         )
-        dD = self.einsum("kmmn->kn", ddW)
+        dD = batched_einsum("kmmn->kn", ddW)
         return (self.c_light / FOUR_PI) * (
-            dD / self._lift(s, 2) - _outer(ds / self._lift(s * s, 1), D)
+            dD / s[:, None, None] - _outer(ds / (s * s)[:, None], D)
         )
 
     def current_conservation_residual(self):
         """|d_n(sqrt(-g) J^n)| with the current differentiated exactly."""
-        val = self.einsum("n,n->", self.dsqrt_g, self.J_up) + self.sqrt_g * self.einsum(
+        val = batched_einsum("n,n->", self.dsqrt_g, self.J_up) + self.sqrt_g * batched_einsum(
             "nn->", self.dJ_up
         )
-        return np.abs(val) if self.batched else abs(float(val))
+        return np.abs(val)
 
     @cached_property
     def T_em_dd(self):
-        m = self.einsum("mb,nb->mn", self.F_mix, self.F_dd)
-        return (-m + 0.25 * self.g * self._lift(self.F2, 2)) / FOUR_PI
+        m = batched_einsum("mb,nb->mn", self.F_mix, self.F_dd)
+        return (-m + 0.25 * self.g * self.F2[:, None, None]) / FOUR_PI
 
     @cached_property
     def dT_em_dd(self):
-        dm = self.einsum("lmb,nb->lmn", self.dF_mix, self.F_dd) + self.einsum(
+        dm = batched_einsum("lmb,nb->lmn", self.dF_mix, self.F_dd) + batched_einsum(
             "mb,lnb->lmn", self.F_mix, self.dF_dd
         )
         return (
             -dm
             + 0.25 * (
-                self.dg * self._lift(self.F2, 3)
-                + self.einsum("mn,l->lmn", self.g, self.dF2)
+                self.dg * self.F2[:, None, None, None]
+                + batched_einsum("mn,l->lmn", self.g, self.dF2)
             )
         ) / FOUR_PI
 
     @cached_property
     def T_em_uu(self):
-        return self.einsum("ma,ab,bn->mn", self.ginv, self.T_em_dd, self.ginv)
+        return batched_einsum("ma,ab,bn->mn", self.ginv, self.T_em_dd, self.ginv)
 
     @cached_property
     def dT_em_uu(self):
         return (
-            self.einsum("kma,ab,bn->kmn", self.dginv, self.T_em_dd, self.ginv)
-            + self.einsum("ma,kab,bn->kmn", self.ginv, self.dT_em_dd, self.ginv)
-            + self.einsum("ma,ab,kbn->kmn", self.ginv, self.T_em_dd, self.dginv)
+            batched_einsum("kma,ab,bn->kmn", self.dginv, self.T_em_dd, self.ginv)
+            + batched_einsum("ma,kab,bn->kmn", self.ginv, self.dT_em_dd, self.ginv)
+            + batched_einsum("ma,ab,kbn->kmn", self.ginv, self.T_em_dd, self.dginv)
         )
 
     def div_T_em(self, connection="rc"):
         gamma = self.gamma_full if connection == "rc" else self.gamma_lc
         gtr = self.gamma_full_trace if connection == "rc" else self.gamma_lc_trace
         return (
-            self.einsum("mmn->n", self.dT_em_uu)
-            + self.einsum("r,rn->n", gtr, self.T_em_uu)
-            + self.einsum("mrn,mr->n", gamma, self.T_em_uu)
+            batched_einsum("mmn->n", self.dT_em_uu)
+            + batched_einsum("r,rn->n", gtr, self.T_em_uu)
+            + batched_einsum("mrn,mr->n", gamma, self.T_em_uu)
         )
 
     def stress_exchange_residual(self):
         """max_n |div T^{mn} - F^{mn} J_m / c|, divergence with the full connection."""
-        rhs = self.einsum("mn,m->n", self.F_uu, self.J_down) / self.c_light
-        return self.max_abs(self.div_T_em("rc") - rhs)
+        rhs = batched_einsum("mn,m->n", self.F_uu, self.J_down) / self.c_light
+        return max_abs(self.div_T_em("rc") - rhs)
 
     @cached_property
     def chern_simons(self):
         a = self.A[..., :, None, None] * self.F_dd[..., None, :, :]
-        return (a + _trailing(a, 1, 2, 0) + _trailing(a, 2, 0, 1)) / 6.0
+        return (a + a.transpose(0, 2, 3, 1) + a.transpose(0, 3, 1, 2)) / 6.0
 
     # -- contorsion layer ----------------------------------------------------
 
     @cached_property
     def K_mix(self):
-        return -self.C * self.einsum("m,nl->mnl", self.A, self.F_mix)
+        return -self.C * batched_einsum("m,nl->mnl", self.A, self.F_mix)
 
     @cached_property
     def K_down(self):
-        return -self.C * self.einsum("m,nl->mnl", self.A, self.F_dd)
+        return -self.C * batched_einsum("m,nl->mnl", self.A, self.F_dd)
 
     @cached_property
     def dK_mix(self):
         return -self.C * (
-            self.einsum("km,nl->kmnl", self.dA, self.F_mix)
-            + self.einsum("m,knl->kmnl", self.A, self.dF_mix)
+            batched_einsum("km,nl->kmnl", self.dA, self.F_mix)
+            + batched_einsum("m,knl->kmnl", self.A, self.dF_mix)
         )
 
     @cached_property
@@ -625,9 +607,9 @@ class GeometrySnapshot:
         K = self.K_mix
         return (
             self.dK_mix
-            + self.einsum("krl,mnr->kmnl", g, K)
-            - self.einsum("kmr,rnl->kmnl", g, K)
-            - self.einsum("knr,mrl->kmnl", g, K)
+            + batched_einsum("krl,mnr->kmnl", g, K)
+            - batched_einsum("kmr,rnl->kmnl", g, K)
+            - batched_einsum("knr,mrl->kmnl", g, K)
         )
 
     @cached_property
@@ -640,7 +622,7 @@ class GeometrySnapshot:
 
     @cached_property
     def gamma_full_trace(self):
-        return self.einsum("mrm->r", self.gamma_full)
+        return batched_einsum("mrm->r", self.gamma_full)
 
     @cached_property
     def dgamma_full(self):
@@ -655,7 +637,7 @@ class GeometrySnapshot:
     @cached_property
     def quadratic_pair(self):
         K = self.K_mix
-        return self.einsum("nlr,mrc->mnlc", K, K) - self.einsum("mlr,nrc->mnlc", K, K)
+        return batched_einsum("nlr,mrc->mnlc", K, K) - batched_einsum("mlr,nrc->mnlc", K, K)
 
     @cached_property
     def riemann_rc_decomposed(self):
@@ -663,44 +645,44 @@ class GeometrySnapshot:
         return self.riemann_lc + pair + self.quadratic_pair
 
     def decomposition_residual(self):
-        return self.max_abs(self.riemann_rc - self.riemann_rc_decomposed)
+        return max_abs(self.riemann_rc - self.riemann_rc_decomposed)
 
     def quadratic_pair_residual(self):
-        return self.max_abs(self.quadratic_pair)
+        return max_abs(self.quadratic_pair)
 
     @cached_property
     def ricci_rc(self):
-        return self.einsum("mnlm->nl", self.riemann_rc)
+        return batched_einsum("mnlm->nl", self.riemann_rc)
 
     @cached_property
     def scalar_rc(self):
-        return self._scalar(self.einsum("nl,nl->", self.ginv, self.ricci_rc))
+        return batched_einsum("nl,nl->", self.ginv, self.ricci_rc)
 
     @cached_property
     def contorsion_trace_vector(self):
         # W^m = K_n^{.nm}, evaluated through its closed form -C A_n F^{nm}
-        return -self.C * self.einsum("n,nm->m", self.A, self.F_uu)
+        return -self.C * batched_einsum("n,nm->m", self.A, self.F_uu)
 
     @cached_property
     def d_contorsion_trace_vector(self):
         return -self.C * (
-            self.einsum("ln,nm->lm", self.dA, self.F_uu)
-            + self.einsum("n,lnm->lm", self.A, self.dF_uu)
+            batched_einsum("ln,nm->lm", self.dA, self.F_uu)
+            + batched_einsum("n,lnm->lm", self.A, self.dF_uu)
         )
 
     @cached_property
     def scalar_rc_traced(self):
         """Scalar curvature via the contorsion-trace divergence route."""
-        divW = self._scalar(self.einsum("mm->", self.d_contorsion_trace_vector)) + self._scalar(
-            self.einsum("r,r->", self.gamma_lc_trace, self.contorsion_trace_vector)
+        divW = batched_einsum("mm->", self.d_contorsion_trace_vector) + batched_einsum(
+            "r,r->", self.gamma_lc_trace, self.contorsion_trace_vector
         )
         return self.scalar_lc + 2.0 * divW
 
     def scalar_split(self):
         """(R_direct, R_lc, em term, current coupling term, R via trace)."""
         em = self.C * self.F2
-        coupling = (8.0 * np.pi * self.C / self.c_light) * self._scalar(
-            self.einsum("m,m->", self.A, self.J_up)
+        coupling = (8.0 * np.pi * self.C / self.c_light) * batched_einsum(
+            "m,m->", self.A, self.J_up
         )
         return self.scalar_rc, self.scalar_lc, em, coupling, self.scalar_rc_traced
 
@@ -709,21 +691,21 @@ class GeometrySnapshot:
     @cached_property
     def K_first_trace(self):
         # K_{md}^{.m} as a function of d
-        return self.einsum("mdm->d", self.K_mix)
+        return batched_einsum("mdm->d", self.K_mix)
 
     def pair_residual_F(self):
         """K_{md}^{.m} F^{dn} + K_{md}^{.n} F^{md}."""
-        val = self.einsum("d,dn->n", self.K_first_trace, self.F_uu) + self.einsum(
+        val = batched_einsum("d,dn->n", self.K_first_trace, self.F_uu) + batched_einsum(
             "mdn,md->n", self.K_mix, self.F_uu
         )
-        return self.max_abs(val)
+        return max_abs(val)
 
     def pair_residual_T(self):
         """Same contraction pattern against the EM stress-energy."""
-        val = self.einsum("d,dn->n", self.K_first_trace, self.T_em_uu) + self.einsum(
+        val = batched_einsum("d,dn->n", self.K_first_trace, self.T_em_uu) + batched_einsum(
             "mdn,md->n", self.K_mix, self.T_em_uu
         )
-        return self.max_abs(val)
+        return max_abs(val)
 
     # -- compatibility checks ---------------------------------------------------
 
@@ -732,39 +714,23 @@ class GeometrySnapshot:
         # nabla_k g_mn = d_k g_mn - G_{km}^r g_rn - G_{kn}^r g_mr
         grad = (
             self.dg
-            - self.einsum("kmr,rn->kmn", gamma, self.g)
-            - self.einsum("knr,mr->kmn", gamma, self.g)
+            - batched_einsum("kmr,rn->kmn", gamma, self.g)
+            - batched_einsum("knr,mr->kmn", gamma, self.g)
         )
-        return self.max_abs(grad)
+        return max_abs(grad)
 
 
 def _fd_pipeline(model, x, extract, mode, h=PIPELINE_FD_STEP):
-    """Central-difference derivative of a computed pointwise quantity.
-
-    Returns an array whose derivative-direction axis follows the point axis
-    of a batch (and leads at one point).  Over a batch, the eight shifted
-    copies of every point form one batched snapshot.
+    """Central-difference derivative of a computed pointwise quantity at
+    every point of x, shape (N, 4); the derivative-direction axis follows
+    the point axis.  The eight shifted copies of every point form one
+    snapshot.
     """
-    x = np.asarray(x, dtype=float)
     shifted = []
     for k in range(DIM):
         e = np.zeros(DIM)
         e[k] = h
         shifted += [x + e, x - e]
-    if x.ndim == 2:
-        vals = np.asarray(extract(GeometrySnapshot(model, np.concatenate(shifted), mode)))
-        vals = vals.reshape((2 * DIM, len(x)) + vals.shape[1:])
-        return np.stack([(vals[2 * k] - vals[2 * k + 1]) / (2.0 * h) for k in range(DIM)],
-                        axis=1)
-    rows = []
-    for k in range(DIM):
-        hi = extract(GeometrySnapshot(model, shifted[2 * k], mode))
-        lo = extract(GeometrySnapshot(model, shifted[2 * k + 1], mode))
-        rows.append((np.asarray(hi) - np.asarray(lo)) / (2.0 * h))
-    return np.stack(rows, axis=0)
-
-
-def snapshot(model, x, mode="dual"):
-    """Convenience constructor for a GeometrySnapshot at a point, shape (4,),
-    or over a batch of points, shape (N, 4)."""
-    return GeometrySnapshot(model, x, mode)
+    vals = np.asarray(extract(GeometrySnapshot(model, np.concatenate(shifted), mode)))
+    vals = vals.reshape((2 * DIM, len(x)) + vals.shape[1:])
+    return np.stack([(vals[2 * k] - vals[2 * k + 1]) / (2.0 * h) for k in range(DIM)], axis=1)

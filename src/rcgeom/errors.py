@@ -56,3 +56,16 @@ class SpacetimeFormatError(GeometryError):
 class ConsistencyError(GeometryError):
     """Two internally equivalent computation routes disagreed beyond
     tolerance; signals an implementation or convention bug, not bad data."""
+
+
+def batch_then_rows(batch, rows, row):
+    """``batch()``, or, when it raises a GeometryError, ``[row(r) for r in rows]``.
+
+    A batch meets the errors of all its points at once, and in its own
+    order; its rows, run in order, meet them as a point-by-point run does,
+    so the first bad row raises (or records) its own error.
+    """
+    try:
+        return batch()
+    except GeometryError:
+        return [row(r) for r in rows]

@@ -8,11 +8,14 @@ carriers (jets) through the compiled tree, giving exact gradients and
 Hessians (and third derivatives on request).  A central finite-difference
 fallback exists for cross-validation of the dual-number engine.
 
-Every evaluation accepts one point, shape (4,), or a batch, shape (N, 4).
+Every evaluation accepts a batch, shape (N, 4), or one point, shape (4,).
 Batched jets keep the batch axis last (value (N,), gradient (4, N), Hessian
-(4, 4, N)), as in ``jets``.  Stencils evaluate every stencil point of every
-point in one ``values`` call, whose values equal the one-point ``value`` bit
-for bit, so a stencil over a batch gives what it gives point by point.
+(4, 4, N)), as in ``jets``; one point gives plain one-point jets (a float
+value, a (4,) gradient), which ``engine.field_jets`` runs for a batch of
+one.  ``values`` evaluates a batch of one on floats (``math``) as well.
+Stencils evaluate every stencil point of every point in one ``values``
+call, whose values equal the one-point ``value`` bit for bit, so a stencil
+over a batch gives what it gives point by point.
 """
 
 from __future__ import annotations
@@ -23,8 +26,8 @@ from collections import namedtuple
 import numpy as np
 
 from . import expr
-from .errors import EvalError, point_text
-from .jets import DIM, ZERO_G, ZERO_G_B, ZERO_H, ZERO_H_B, ZERO_T, ZERO_T_B, Jet
+from .errors import EvalError, batch_then_rows, point_text
+from .jets import DIM, UNIT_ROWS, ZERO_G, ZERO_G_B, ZERO_H, ZERO_H_B, ZERO_T, ZERO_T_B, Jet
 
 JetValue = namedtuple("JetValue", "value grad hess third")
 
@@ -55,11 +58,14 @@ def _expand(result, order, zeros=_ZEROS):
 
 
 def make_seeds(x, order):
-    """Coordinate jets for one point or a batch of points, shareable across fields."""
+    """Coordinate jets for one point or a batch of points, shareable across
+    fields; one point's seeds (``Jet.seed`` of its floats) are built
+    directly."""
     x = np.asarray(x, dtype=float)
     if x.ndim == 2:
         return [Jet.seed(col, i, order) for i, col in enumerate(np.ascontiguousarray(x.T))]
-    return [Jet.seed(v, i, order) for i, v in enumerate(x.tolist())]
+    h, t = (ZERO_H if order >= 2 else None), (ZERO_T if order >= 3 else None)
+    return [Jet(v, UNIT_ROWS[i], h, t) for i, v in enumerate(x.tolist())]
 
 
 def _check_finite(jv, name, x):
@@ -112,17 +118,15 @@ class ExprField:
     def values(self, X):
         """Values at the N rows of an (N, 4) array, as an (N,) array, equal
         bit for bit to ``value`` at each row; an error names the first row
-        that ``value`` fails at."""
+        that ``value`` fails at.  A batch of one runs on floats."""
         X = np.asarray(X, dtype=float)
         if self.const is not None:
             return np.full(len(X), self.const)
-        try:
-            v = self._run(list(np.ascontiguousarray(X.T)))
-        except EvalError:
-            for x in X:
-                self.value(x)
-            raise
-        return _check_values(v, self.name, X)
+        if len(X) == 1:
+            return np.array([self.value(X[0])])
+        return np.asarray(batch_then_rows(
+            lambda: _check_values(self._run(list(np.ascontiguousarray(X.T))), self.name, X),
+            X, self.value))
 
     def jet_unchecked(self, x, order=2, seeds=None):
         """Jet evaluation without the finiteness sweep (the caller checks)."""
@@ -174,13 +178,14 @@ class ShiftedPotentialField:
         the error is the one ``value`` meets at the first bad row.
         """
         X = np.asarray(X, dtype=float)
-        try:
+
+        def batch():
             p = self.phi.jet_unchecked(X, 1)
-            if np.isfinite(p.value).all() and np.isfinite(p.grad).all():
-                return self.base.values(X) + p.grad[self.axis]
-        except EvalError:
-            pass
-        return np.array([self.value(x) for x in X])
+            if not (np.isfinite(p.value).all() and np.isfinite(p.grad).all()):
+                raise EvalError(f"non-finite gauge function jet for field {self.name!r}")
+            return self.base.values(X) + p.grad[self.axis]
+
+        return np.asarray(batch_then_rows(batch, X, self.value))
 
     def jet_unchecked(self, x, order=2, seeds=None):
         if order > 2:

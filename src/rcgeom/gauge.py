@@ -4,9 +4,9 @@ Shifting the potential by an exact gradient leaves the field strength,
 current, stress-energy, and worldline dynamics untouched while shifting
 the contorsion and the full-connection curvature in a controlled way; the
 scalar-curvature change is a pure divergence.  Every quantity is compared
-on one (unshifted, shifted) snapshot pair per batch of points: each side is
-one batched snapshot, and each comparison one array reduction with a value
-per point.
+on one (unshifted, shifted) snapshot pair over a batch of points: each side
+is one snapshot, and each comparison one array reduction with a value per
+point.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 
 from .checks import default_tolerance
 from .dynamics import acceleration, probe_velocity
-from .engine import GeometrySnapshot
+from .engine import GeometrySnapshot, batched_einsum, max_abs
 from .fields import ShiftedPotentialField
 
 # The definitional shift of the contorsion under A -> A + d(phi) is
@@ -60,8 +60,6 @@ def transform_potential(model, phi):
 def _phi_jet(phi, snap):
     """phi and its gradient at the snapshot's points, point axis first."""
     pj = phi.jet(snap.x, 1)
-    if not snap.batched:
-        return pj.value, pj.grad
     n = len(snap.x)
     return np.broadcast_to(pj.value, (n,)), np.broadcast_to(pj.grad.T, (n, 4))
 
@@ -70,8 +68,8 @@ def contorsion_shift(old, new, phi):
     """Mismatch between the recomputed and the closed-form-shifted contorsion,
     normalized by 1 + |K_new|, at every point of the snapshot pair."""
     _, dphi = _phi_jet(phi, old)
-    route_shift = old.K_mix - old.C * old.einsum("m,nl->mnl", dphi, old.F_mix)
-    return old.max_abs(new.K_mix - route_shift) / (1.0 + old.max_abs(new.K_mix))
+    route_shift = old.K_mix - old.C * batched_einsum("m,nl->mnl", dphi, old.F_mix)
+    return max_abs(new.K_mix - route_shift) / (1.0 + max_abs(new.K_mix))
 
 
 def divergence_term(old, phi):
@@ -83,9 +81,9 @@ def divergence_term(old, phi):
     s, ds = old.sqrt_g, old.dsqrt_g
     J, dJ = old.J_up, old.dJ_up
     div = (
-        old.einsum("m,m->", ds, np.expand_dims(value, -1) * J)
-        + s * old.einsum("m,m->", grad, J)
-        + s * value * old.einsum("mm->", dJ)
+        batched_einsum("m,m->", ds, value[:, None] * J)
+        + s * batched_einsum("m,m->", grad, J)
+        + s * value * batched_einsum("mm->", dJ)
     )
     return 8.0 * np.pi * old.C / (old.c_light * s) * div
 
@@ -98,8 +96,8 @@ def scalar_shift(old, new, phi):
 
 
 def scalar_shift_residual(model, phi, x, mode="dual"):
-    """``scalar_shift`` at a point or at every point of a batch, for a model
-    and a gauge function."""
+    """``scalar_shift`` at every point of x, an (N, 4) batch or one point, for
+    a model and a gauge function."""
     phi = as_phi_field(model, phi)
     old = GeometrySnapshot(model, x, mode)
     new = GeometrySnapshot(transform_potential(model, phi), x, mode)
@@ -107,8 +105,8 @@ def scalar_shift_residual(model, phi, x, mode="dual"):
 
 
 def peak(values):
-    """Largest of a float or per-point values; NaN is skipped, as a running
-    max(worst, value) skips it."""
+    """Largest of per-point values, and 0.0 for none; NaN is skipped, as a
+    running max(worst, value) skips it."""
     return float(np.fmax.reduce(np.ravel(values), initial=0.0))
 
 
@@ -130,9 +128,9 @@ def gauge_invariance_suite(model, phi, points=None, charge_ratio=0.7, mode="dual
     and force-law right-hand side must not move; the contorsion and the
     full-connection curvature are expected to move and their maximum deltas
     are reported as evidence.  Both sides are evaluated as one snapshot
-    each over all the points (an (N, 4) batch, or one point); ``old``, an
-    unshifted snapshot over the same points, is reused when given, so
-    several gauge functions can share it.
+    each over all the points (an (N, 4) batch; one point is a batch of
+    one); ``old``, an unshifted snapshot over the same points, is reused
+    when given, so several gauge functions can share it.
     """
     phi = as_phi_field(model, phi)
     if points is None:
@@ -156,7 +154,7 @@ def gauge_invariance_suite(model, phi, points=None, charge_ratio=0.7, mode="dual
         "rc_curvature": new.riemann_rc - old.riemann_rc,
     }
     # per point first: a point whose delta holds a NaN is skipped whole
-    worst = {key: peak(old.max_abs(delta)) for key, delta in deltas.items()}
+    worst = {key: peak(max_abs(delta)) for key, delta in deltas.items()}
     inv = {key: worst[key] for key in INVARIANT_CHECKS}
 
     return GaugeInvarianceReport(

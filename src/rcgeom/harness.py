@@ -1,15 +1,18 @@
 """Verification suites, residual aggregation, and machine-readable reports.
 
-A suite is a named bundle of checks.  Pointwise checks share one batched
-geometry snapshot per chunk of points and reduce to a deterministic maximum
-residual.  Scenario checks run once: worldlines and the dust exchange one
-point at a time, the gauge sweep as one (unshifted, shifted) batched
-snapshot pair per gauge function.  The JSON report uses fixed float
-formatting so repeated runs are byte-identical.
+A suite is a named bundle of checks.  Pointwise checks share one geometry
+snapshot per chunk of points and reduce to a deterministic maximum
+residual.  Scenario checks run once: worldlines step by step, the dust
+exchange as one snapshot over its points, the gauge sweep as one
+(unshifted, shifted) snapshot pair per gauge function.  Wherever a batch
+raises, its rows are re-run as batches of one, so an error names the point
+a point-by-point run names.  The JSON report uses fixed float formatting so
+repeated runs are byte-identical.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -31,10 +34,10 @@ from .dynamics import (
     integrate_worldline,
     normalize_velocity,
     probe_velocity,
-    rc_transport_residual,
+    transport_residual,
 )
 from .engine import GeometrySnapshot, batched_einsum, max_abs
-from .errors import GeometryError
+from .errors import GeometryError, batch_then_rows
 from .fields import finite_difference_derivatives
 from .gauge import (
     CHANGED_CHECKS,
@@ -211,7 +214,7 @@ class SuiteContext:
                 k = min(n, 100 * n - attempts)
                 block = lo + (hi - lo) * rng.random((k, 4))
                 attempts += k
-                pts.extend(block[np.array(self.model._in_domain_rows(block), dtype=bool)])
+                pts.extend(block[self.model._in_domain_rows(block)])
             if len(pts) < n:
                 raise GeometryError(
                     f"could not sample {n} points inside the domain of {self.model.name!r}"
@@ -236,10 +239,10 @@ def _make_result(ctx, check_id, residual, npoints, note=None):
     return CheckResult(check_id, anchor, int(npoints), residual, tol, passed, note)
 
 
-# Points per batched snapshot.  A chunk's snapshot holds every member it has
+# Points per chunk snapshot.  A chunk's snapshot holds every member it has
 # computed, about two dozen 4-index arrays of CHUNK * 4**4 doubles, until its
 # last check ran: at 40 points the peak RSS of a catalog-sweep pass matched
-# the one-point engine, at 60 it rose by 0.5 MiB and at 64 by more, while the
+# a point-by-point run, at 60 it rose by 0.5 MiB and at 64 by more, while the
 # median verdict time was the same at 40 as at 60 (32 points and fewer cost
 # 10-30% more time per point on the 512-point grids).
 CHUNK = 40
@@ -274,11 +277,11 @@ def _run_pointwise(ctx, plans):
     """plans: ordered list of (check_id, point group, jet order, fn), where
     fn(snapshot) gives the residual at every point of the snapshot.
 
-    Each point set is evaluated in chunks of CHUNK points, one batched
-    snapshot per chunk, whose field jets are computed once at the highest
-    order its checks need.  A check that raises on a chunk is re-run point
-    by point on that chunk, so every error is attributed to the first point
-    that meets it, exactly as a one-point evaluation would.
+    Each point set is evaluated in chunks of CHUNK points, one snapshot per
+    chunk, whose field jets are computed once at the highest order its
+    checks need.  A check that raises on a chunk is re-run on each of its
+    rows as a batch of one, so every error is attributed to the first point
+    that meets it, exactly as a point-by-point evaluation would.
     """
     worst = {cid: _Worst() for cid, _g, _o, _f in plans}
     for point_set in ("grid", "random", "small"):
@@ -298,25 +301,28 @@ def _run_chunk(ctx, chunk, checks, order, worst):
     snap = GeometrySnapshot(ctx.model, chunk, ctx.mode)
     if order:
         snap.preload(order)
-    singles = None
-    for cid, _order, fn in checks:
+
+    @functools.cache
+    def row(i):  # row i as a batch of one, built on first use
+        return GeometrySnapshot(ctx.model, chunk[i:i + 1], ctx.mode)
+
+    def on_row(fn, i, w):
         try:
-            worst[cid].add(fn(snap))
-            continue
-        except GeometryError:
-            pass
-        if singles is None:
-            singles = [GeometrySnapshot(ctx.model, p, ctx.mode) for p in chunk]
-        for one in singles:
-            try:
-                worst[cid].add(fn(one))
-            except GeometryError as err:
-                worst[cid].fail(err)
+            return fn(row(i))
+        except GeometryError as err:
+            w.fail(err)
+            return np.nan
+
+    for cid, _order, fn in checks:
+        w = worst[cid]
+        for residuals in batch_then_rows(lambda: [fn(snap)], range(len(chunk)),
+                                         lambda i: on_row(fn, i, w)):
+            w.add(residuals)
 
 
 # -- pointwise check functions -------------------------------------------------
-# Each takes a snapshot and returns its residual at every point: a float at
-# one point, an (N,) array over a batch.
+# Each takes a snapshot and returns its residual at every point, an (N,)
+# array.
 
 
 def _iter_fields(model):
@@ -344,16 +350,14 @@ def _dual_vs_fd(snap):
 
 def _torsion_roundtrip(snap):
     K = snap.K_mix
-    batched = K.ndim == 4
-    ein = batched_einsum if batched else np.einsum
     T = K - np.swapaxes(K, -3, -2)
     gi, g = snap.ginv, snap.g
     rebuilt = 0.5 * (
         T
-        - ein("lb,nr,mlr->mnb", gi, g, T)
-        - ein("lb,mr,nlr->mnb", gi, g, T)
+        - batched_einsum("lb,nr,mlr->mnb", gi, g, T)
+        - batched_einsum("lb,mr,nlr->mnb", gi, g, T)
     )
-    return max_abs(rebuilt - K, batched)
+    return max_abs(rebuilt - K)
 
 
 def _scalar_split_residual(snap):
@@ -375,13 +379,9 @@ def _energy_density_residual(snap):
 
 
 def _transport_identity(snap):
-    """Residual of the transport identity with a probe velocity, evaluated
-    with one-point snapshots (the worldline path) at every point."""
-    if snap.batched:
-        return np.array([_transport_identity(GeometrySnapshot(snap.model, x, snap.mode))
-                         for x in snap.x])
-    state = WorldlineState(snap.x, probe_velocity(snap), 0.0)
-    return rc_transport_residual(snap.model, state, 0.7, snap.mode)
+    """Residual of the transport identity with a probe velocity at every
+    point."""
+    return transport_residual(snap, probe_velocity(snap), 0.7)
 
 
 def _suite_plans(ctx, suite):
@@ -394,41 +394,41 @@ def _suite_plans(ctx, suite):
     if suite in ("metric", "all"):
         plans += [
             ("metric.inverse", "grid", 1,
-             lambda s: s.max_abs(s.metric.inverse @ s.metric.matrix - np.eye(4))),
+             lambda s: max_abs(s.metric.inverse @ s.metric.matrix - np.eye(4))),
             ("metric.signature", "grid", 1, lambda s: 0.0 if s.metric else 1.0),
             ("fields.dual_vs_fd", "small", 0, _dual_vs_fd),
         ]
     if suite in ("lc", "all"):
         plans += [
             ("lc.christoffel_symmetry", "grid", 1,
-             lambda s: s.max_abs(s.gamma_lc - np.swapaxes(s.gamma_lc, -3, -2))),
+             lambda s: max_abs(s.gamma_lc - np.swapaxes(s.gamma_lc, -3, -2))),
             ("lc.metric_compatibility", "grid", 1,
              lambda s: s.metric_compatibility_residual("lc")),
             ("lc.riemann_antisymmetry", "grid", 2,
-             lambda s: s.max_abs(s.riemann_lc + np.swapaxes(s.riemann_lc, -4, -3))),
+             lambda s: max_abs(s.riemann_lc + np.swapaxes(s.riemann_lc, -4, -3))),
             ("lc.ricci_symmetry", "grid", 2,
-             lambda s: s.max_abs(s.ricci_lc - np.swapaxes(s.ricci_lc, -2, -1))),
+             lambda s: max_abs(s.ricci_lc - np.swapaxes(s.ricci_lc, -2, -1))),
             ("lc.bianchi", "small", 3, lambda s: s.bianchi_residual()),
             ("lc.divergence_forms", "grid", 2,
-             lambda s: s.max_abs(s.lc_div_F_det - s.lc_div_F_gamma)),
+             lambda s: max_abs(s.lc_div_F_det - s.lc_div_F_gamma)),
         ]
     if suite in ("maxwell", "all"):
         plans += [
             ("em.homogeneous", "grid", 2, lambda s: s.homogeneous_residual()),
         ]
         if meta.get("source_free"):
-            plans.append(("em.source_free", "grid", 2, lambda s: s.max_abs(s.J_up)))
+            plans.append(("em.source_free", "grid", 2, lambda s: max_abs(s.J_up)))
         if "charge_density_param" in meta:
             plans.append(("em.source_density", "grid", 2, _source_density_residual))
         plans += [
             ("em.current_conservation", "small", 3,
              lambda s: s.current_conservation_residual()),
             ("em.divergence_rc_lc", "grid", 2,
-             lambda s: s.max_abs(s.rc_div_F - s.lc_div_F_det)),
+             lambda s: max_abs(s.rc_div_F - s.lc_div_F_det)),
             ("em.stress_trace", "grid", 1,
-             lambda s: np.abs(s.einsum("mn,mn->", s.ginv, s.T_em_dd))),
+             lambda s: np.abs(batched_einsum("mn,mn->", s.ginv, s.T_em_dd))),
             ("em.stress_symmetry", "grid", 1,
-             lambda s: s.max_abs(s.T_em_dd - np.swapaxes(s.T_em_dd, -2, -1))),
+             lambda s: max_abs(s.T_em_dd - np.swapaxes(s.T_em_dd, -2, -1))),
             ("em.stress_conservation", "grid", 2, lambda s: s.stress_exchange_residual()),
         ]
         if meta.get("diag_static"):
@@ -436,9 +436,9 @@ def _suite_plans(ctx, suite):
     if suite in ("rc", "all"):
         plans += [
             ("rc.additivity", "grid", 1,
-             lambda s: s.max_abs(s.gamma_full - s.gamma_lc - s.K_mix)),
+             lambda s: max_abs(s.gamma_full - s.gamma_lc - s.K_mix)),
             ("rc.contorsion_antisymmetry", "grid", 1,
-             lambda s: s.max_abs(s.K_down + np.swapaxes(s.K_down, -2, -1))),
+             lambda s: max_abs(s.K_down + np.swapaxes(s.K_down, -2, -1))),
             ("rc.torsion_roundtrip", "grid", 1, _torsion_roundtrip),
             ("rc.metric_compatibility", "grid", 1,
              lambda s: s.metric_compatibility_residual("rc")),
@@ -452,10 +452,10 @@ def _suite_plans(ctx, suite):
         eight_pi_c = 8.0 * np.pi * model.constants.coupling
         plans.append(
             ("einstein.residual", "grid", 2,
-             lambda s: s.max_abs(s.einstein_lc_dd - eight_pi_c * s.T_em_dd))
+             lambda s: max_abs(s.einstein_lc_dd - eight_pi_c * s.T_em_dd))
         )
     if suite in ("dynamics", "all"):
-        plans.append(("dyn.transport_identity", "small", 0, _transport_identity))
+        plans.append(("dyn.transport_identity", "small", 1, _transport_identity))
     return plans
 
 
@@ -479,86 +479,82 @@ def _scenario_dynamics(ctx):
     if "dust" in meta:
         dust = dust_from_sources(model, *meta["dust"])
         pts = ctx.points("small")
-        worst = {"pair": 0.0, "energy": 0.0, "flux": 0.0, "cons": 0.0}
-        for p in pts:
-            res = exchange_identities(model, p, dust, ctx.mode)
-            worst["pair"] = max(worst["pair"], res.pair_cancellation)
-            worst["energy"] = max(worst["energy"], res.energy_transfer)
-            worst["flux"] = max(worst["flux"], res.rc_mass_flux)
-            worst["cons"] = max(worst["cons"], res.matter_conservation)
-        out.append(("dyn.exchange_pair", worst["pair"], len(pts), None))
-        out.append(("dyn.exchange_energy", worst["energy"], len(pts), None))
-        out.append(("dyn.exchange_mass_flux", worst["flux"], len(pts),
+        res = batch_then_rows(lambda: [exchange_identities(model, pts, dust, ctx.mode)], pts,
+                              lambda p: exchange_identities(model, p[None], dust, ctx.mode))
+
+        def worst(name):
+            return peak(np.concatenate([getattr(r, name) for r in res]))
+
+        out.append(("dyn.exchange_pair", worst("pair_cancellation"), len(pts), None))
+        out.append(("dyn.exchange_energy", worst("energy_transfer"), len(pts), None))
+        out.append(("dyn.exchange_mass_flux", worst("rc_mass_flux"), len(pts),
                     "informational: reported with the source sign as printed"))
-        out.append(("dyn.exchange_conservation", worst["cons"], len(pts), None))
+        out.append(("dyn.exchange_conservation", worst("matter_conservation"), len(pts), None))
     return out
 
 
 def _scenario_gauge(ctx):
-    """Gauge rows over the first 8 small points, evaluated as one batch.
+    """Gauge rows over the first 8 small points.
 
-    A batch meets the errors of all its points at once, and its stencils
-    visit them in another order; so on an error the scenario is re-run one
-    point at a time, and fails (or passes) as a point-by-point run does.
+    Each stage (per gauge function: the invariance deltas, the contorsion
+    shift, the scalar shift; then the orbit) runs as one batch.  A batch
+    meets the errors of all its points at once, and its stencils visit them
+    in another order; so a stage that raises is re-run on each point as a
+    batch of one, and the scenario fails (or passes) as a point-by-point
+    run does.
     """
-    pts = ctx.points("small")[:8]
-    try:
-        return _gauge_rows(ctx, pts, lambda X: [X])
-    except GeometryError:
-        return _gauge_rows(ctx, pts, list)
-
-
-def _gauge_rows(ctx, pts, split):
-    """split(points) -> the point sets evaluated together: [points], one
-    batch, or list(points), one point at a time."""
     model, mode = ctx.model, ctx.mode
+    pts = ctx.points("small")[:8]
     n_shift = min(4, len(pts))
-    # The unshifted side does not depend on phi: one snapshot per set, its
-    # jets at order 3 for the scalar shift's current derivative.
-    olds = [GeometrySnapshot(model, X, mode) for X in split(pts)]
-    for old in olds:
-        old.preload(3)
+
+    @functools.cache
+    def old(rows):
+        # The unshifted side does not depend on phi: one snapshot per point
+        # set, its jets at order 3 for the scalar shift's current derivative.
+        snap = GeometrySnapshot(model, pts[slice(*rows)], mode)
+        snap.preload(3)
+        return snap
+
+    def stage(fn, n, batch=None):
+        """fn over the rows (start, stop) of the batch, by default the first
+        n points, or, when that raises, over each of the first n points."""
+        return batch_then_rows(lambda: [fn(batch or (0, n))],
+                               [(i, i + 1) for i in range(n)], fn)
 
     worst = {"gauge.contorsion_shift": 0.0, "gauge.scalar_shift": 0.0}
     for phi in ctx.phi_fields:
-        pairs = []
-        for old in olds:
-            rep = gauge_invariance_suite(model, phi, points=old.x, mode=mode, old=old)
-            pairs.append(rep.pair)
+
+        @functools.cache
+        def report(rows):
+            return gauge_invariance_suite(model, phi, points=old(rows).x, mode=mode, old=old(rows))
+
+        for rep in stage(report, len(pts)):
             deltas = {**rep.invariant_deltas, **rep.changed_deltas}
             for key, cid in {**INVARIANT_CHECKS, **CHANGED_CHECKS}.items():
                 worst[cid] = max(worst.get(cid, 0.0), deltas[key])
-        for old, new in pairs:
-            worst["gauge.contorsion_shift"] = max(
-                worst["gauge.contorsion_shift"], peak(contorsion_shift(old, new, phi)))
-        # the first n_shift points: the first n_shift one-point pairs, or
-        # the first n_shift rows of the batch
-        for old, new in pairs[:n_shift]:
-            shift = np.ravel(scalar_shift(old, new, phi))[:n_shift]
-            worst["gauge.scalar_shift"] = max(worst["gauge.scalar_shift"], peak(shift))
+        worst["gauge.contorsion_shift"] = max(worst["gauge.contorsion_shift"], *stage(
+            lambda rows: peak(contorsion_shift(*report(rows).pair, phi)), len(pts)))
+        # the first n_shift rows of the pair over all the points
+        worst["gauge.scalar_shift"] = max(worst["gauge.scalar_shift"], *stage(
+            lambda rows: peak(scalar_shift(*report(rows).pair, phi)[:n_shift]),
+            n_shift, (0, len(pts))))
 
-    # Composing two shifts must match the single combined shift.  The check
-    # compares two curvatures equal up to roundoff, so its value is the
-    # roundoff; batch rows of the curvature round differently from one-point
-    # snapshots (on the Kerr-Newman models its dual value moved by 7e-18, over
-    # 1e-6 of its 1e-12 tolerance), so it keeps one-point snapshots.
+    # Composing two shifts must match the single combined shift.
     orbit = None
     if ctx.orbit_phi is not None:
         phi1, phi2 = ctx.phi_fields[:2]
         twice = transform_potential(transform_potential(model, phi1), phi2)
         once = transform_potential(model, ctx.orbit_phi)
-        orbit = 0.0
-        for p in pts[:2]:
-            s2 = GeometrySnapshot(twice, p, mode)
-            s1 = GeometrySnapshot(once, p, mode)
+
+        def orbit_delta(rows):
+            s2 = GeometrySnapshot(twice, pts[slice(*rows)], mode)
+            s1 = GeometrySnapshot(once, pts[slice(*rows)], mode)
             s2.preload(2)
             s1.preload(2)
-            orbit = max(
-                orbit,
-                float(np.abs(s2.K_mix - s1.K_mix).max()),
-                float(np.abs(s2.F_dd - s1.F_dd).max()),
-                abs(s2.scalar_rc - s1.scalar_rc),
-            )
+            return peak(np.stack([max_abs(s2.K_mix - s1.K_mix), max_abs(s2.F_dd - s1.F_dd),
+                                  np.abs(s2.scalar_rc - s1.scalar_rc)]))
+
+        orbit = max(0.0, *stage(orbit_delta, len(pts[:2])))
 
     out = []
     n_phis = len(ctx.phi_fields)

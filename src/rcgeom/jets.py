@@ -54,6 +54,7 @@ def _readonly(arr):
 # length 1) for a batch.  Every arithmetic operation allocates fresh output
 # arrays, so these are never written to.
 _UNIT = _readonly(np.eye(DIM))
+UNIT_ROWS = tuple(_UNIT)
 ZERO_G = _readonly(np.zeros(DIM))
 ZERO_H = _readonly(np.zeros((DIM, DIM)))
 ZERO_T = _readonly(np.zeros((DIM, DIM, DIM)))
@@ -116,16 +117,7 @@ class Jet:
             )
         return Jet(
             float(value),
-            _UNIT[axis],
-            ZERO_H if order >= 2 else None,
-            ZERO_T if order >= 3 else None,
-        )
-
-    @staticmethod
-    def constant(value, order=2):
-        return Jet(
-            float(value),
-            ZERO_G,
+            UNIT_ROWS[axis],
             ZERO_H if order >= 2 else None,
             ZERO_T if order >= 3 else None,
         )

@@ -1,4 +1,4 @@
-"""The metric at one point (or at each point of a batch), validated on construction."""
+"""The metric at every point of a batch, validated on construction."""
 
 from __future__ import annotations
 
@@ -16,13 +16,9 @@ DEGENERACY_TOL = 1e-10
 
 
 def first_bad(bad, *values):
-    """None when no point is bad; else the values at the first bad point.
-
-    ``bad`` is a bool at one point and an (N,) array over a batch.
-    """
-    if not isinstance(bad, np.ndarray):
-        return values if bad else None
-    if not bad.any():
+    """None when no point of the (N,) bool array ``bad`` is bad; else the
+    values at the first bad point."""
+    if not np.count_nonzero(bad):
         return None
     i = int(np.argmax(bad))
     return tuple(v[i] for v in values)
@@ -30,20 +26,21 @@ def first_bad(bad, *values):
 
 @dataclass(frozen=True)
 class MetricAtPoint:
-    """Metric, inverse, determinant and volume factor at a single point, or
-    at every point of a batch (leading point axis, per-point determinants)."""
+    """Metric, inverse, determinant and volume factor at every point of a
+    batch: a leading point axis, and one determinant per point.  A single
+    4x4 metric is read as a batch of one."""
 
     matrix: np.ndarray
     inverse: np.ndarray
-    det_g: float
-    sqrt_neg_det: float
+    det_g: np.ndarray
+    sqrt_neg_det: np.ndarray
 
     @classmethod
     def from_components(cls, g):
         g = np.asarray(g, dtype=float)
         if g.shape[-2:] != (DIM, DIM) or g.ndim not in (2, 3):
             raise MetricError(f"metric must be 4x4, got shape {g.shape}")
-        batched = g.ndim == 3
+        g = g.reshape(-1, DIM, DIM)
         scale = np.maximum(1.0, np.abs(g).max(axis=(-2, -1)))
         asym = np.abs(g - np.swapaxes(g, -1, -2)).max(axis=(-2, -1))
         if first_bad(asym > _SYMMETRY_TOL * scale, asym):
@@ -66,6 +63,6 @@ class MetricAtPoint:
         return cls(
             matrix=g,
             inverse=inv,
-            det_g=det if batched else float(det),
-            sqrt_neg_det=np.sqrt(-det) if batched else float(np.sqrt(-det)),
+            det_g=det,
+            sqrt_neg_det=np.sqrt(-det),
         )

@@ -66,9 +66,9 @@ def test_criterion_2_scalar_curvature_split(models):
             s = GeometrySnapshot(model, p)
             R, R_bar, em, coupling, R_traced = s.scalar_split()
             target = R_bar + em + coupling
-            worst = max(worst, abs(R - target), abs(R_traced - target))
+            worst = max(worst, abs(R - target)[0], abs(R_traced - target)[0])
     s = GeometrySnapshot(models["reissner-nordstrom"], [0.0, 4.0, 1.3, 0.2])
-    hand_gap = abs(s.scalar_rc - (-7.03125e-4))
+    hand_gap = abs(s.scalar_rc[0] - (-7.03125e-4))
     ok = worst <= 1e-8 and hand_gap <= 1e-8
     _report(2, "scalar-curvature split on every catalog grid",
             ok, f"max split residual={worst:.3e}, hand-value gap={hand_gap:.3e}")
@@ -80,9 +80,9 @@ def test_criterion_3_cancellation_identities(models):
         ctx = SuiteContext(model)
         for p in ctx.random_points(100):
             s = GeometrySnapshot(model, p)
-            worst["divergence pair"] = max(worst["divergence pair"], s.pair_residual_F())
-            worst["quadratic pair"] = max(worst["quadratic pair"], s.quadratic_pair_residual())
-            worst["stress pair"] = max(worst["stress pair"], s.pair_residual_T())
+            worst["divergence pair"] = max(worst["divergence pair"], s.pair_residual_F()[0])
+            worst["quadratic pair"] = max(worst["quadratic pair"], s.quadratic_pair_residual()[0])
+            worst["stress pair"] = max(worst["stress pair"], s.pair_residual_T()[0])
     ok = all(v <= 1e-12 for v in worst.values())
     detail = ", ".join(f"{k}={v:.2e}" for k, v in worst.items())
     _report(3, "algebraic cancellation pairs at 100 random points per entry", ok, detail)
@@ -92,7 +92,7 @@ def test_criterion_4_curvature_decomposition(models):
     worst = 0.0
     for model in models.values():
         for p in model.default_grid:
-            worst = max(worst, GeometrySnapshot(model, p).decomposition_residual())
+            worst = max(worst, GeometrySnapshot(model, p).decomposition_residual()[0])
     ok = worst <= 1e-8
     _report(4, "direct curvature equals its decomposition across the catalog",
             ok, f"max={worst:.3e}")
@@ -102,7 +102,7 @@ def test_criterion_5_maxwell_structure(models, ball):
     homogeneous = 0.0
     for model in list(models.values()) + [ball]:
         for p in model.default_grid:
-            homogeneous = max(homogeneous, GeometrySnapshot(model, p).homogeneous_residual())
+            homogeneous = max(homogeneous, GeometrySnapshot(model, p).homogeneous_residual()[0])
     exterior = max(
         float(np.abs(GeometrySnapshot(models["reissner-nordstrom"], p).J_up).max())
         for p in models["reissner-nordstrom"].default_grid
@@ -111,11 +111,11 @@ def test_criterion_5_maxwell_structure(models, ball):
     conservation = 0.0
     for p in ball.default_grid:
         s = GeometrySnapshot(ball, p)
-        density = max(density, abs(float(s.J_up[0]) - 0.02), float(np.abs(s.J_up[1:]).max()))
-        conservation = max(conservation, s.current_conservation_residual())
+        density = max(density, abs(float(s.J_up[0][0]) - 0.02), float(np.abs(s.J_up[0][1:]).max()))
+        conservation = max(conservation, s.current_conservation_residual()[0])
     for p in models["reissner-nordstrom"].default_grid[::8]:
         s = GeometrySnapshot(models["reissner-nordstrom"], p)
-        conservation = max(conservation, s.current_conservation_residual())
+        conservation = max(conservation, s.current_conservation_residual()[0])
     ok = (
         homogeneous <= 1e-10
         and exterior <= 1e-8
@@ -168,7 +168,7 @@ def test_criterion_7_gauge_suite(models, ball):
         c0, c1 = model.chart.names[0], model.chart.names[1]
         for phi in (f"0.2*{c0}", f"0.1*{c0}*{c1}", f"sin({c0})"):
             for p in model.default_grid[::16]:
-                shift_worst = max(shift_worst, scalar_shift_residual(model, phi, p))
+                shift_worst = max(shift_worst, scalar_shift_residual(model, phi, p)[0])
             rep = gauge_invariance_suite(model, phi, points=model.default_grid[::16])
             invariants_ok = invariants_ok and rep.passed
             delta_k_min = min(delta_k_min, rep.changed_deltas["contorsion"])
@@ -181,8 +181,8 @@ def test_criterion_8_energy_exchange(ball):
     worst = 0.0
     for p in ball.default_grid:
         s = GeometrySnapshot(ball, p)
-        rhs = np.einsum("mn,m->n", s.F_uu, s.J_down) / s.c_light
-        worst = max(worst, float(np.abs(s.div_T_em("rc") - rhs).max()))
+        rhs = np.einsum("mn,m->n", s.F_uu[0], s.J_down[0]) / s.c_light
+        worst = max(worst, float(np.abs(s.div_T_em("rc")[0] - rhs).max()))
     ok = worst <= 1e-7
     _report(8, "stress-energy transfer to the current on the source fixture",
             ok, f"max={worst:.3e}")

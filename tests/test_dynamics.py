@@ -62,7 +62,7 @@ def _independent_geodesic_rk4(model, x, V, ds, steps):
     V = np.array(V, dtype=float)
 
     def rhs(xc, vc):
-        gamma = GeometrySnapshot(model, xc).gamma_lc
+        gamma = GeometrySnapshot(model, xc).gamma_lc[0]
         acc = -np.einsum("mdn,m,d->n", gamma, vc, vc)
         return vc, acc
 
@@ -250,6 +250,6 @@ def test_mass_flux_residual_documents_printed_sign():
     V = np.array([f.value(x) for f in dust.V_fields])
     rho0 = dust.rho0.value(x)
     expected = 2.0 * s.C * rho0 * abs(
-        float(np.einsum("m,nm,n->", s.A, s.F_mix, V))
+        float(np.einsum("m,nm,n->", s.A[0], s.F_mix[0], V))
     )
     assert res.rc_mass_flux == pytest.approx(expected, abs=1e-12)

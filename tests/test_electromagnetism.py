@@ -38,7 +38,7 @@ def test_no_potential_no_field():
 
 def test_constant_field_components():
     m = catalog_get("minkowski-constant-e")
-    F = GeometrySnapshot(m, np.array([0.1, 0.2, 0.3, 0.4])).F_dd
+    F = GeometrySnapshot(m, np.array([0.1, 0.2, 0.3, 0.4])).F_dd[0]
     assert F[1, 0] == pytest.approx(-1.0)
     assert F[0, 1] == pytest.approx(1.0)
     mask = np.ones((4, 4), dtype=bool)
@@ -51,7 +51,7 @@ def test_rn_radial_field_hand_value():
     em = GeometrySnapshot(m, np.array([0.0, 2.5, 1.2, 0.3]))
     # F_rt = d_r (q/r) = -q/r^2
     q, r = 0.3, 2.5
-    assert em.F_dd[1, 0] == pytest.approx(-q / r**2, abs=1e-14)
+    assert em.F_dd[0][1, 0] == pytest.approx(-q / r**2, abs=1e-14)
 
 
 def test_field_layouts_consistent():
@@ -59,12 +59,12 @@ def test_field_layouts_consistent():
     x = np.array([0.0, 4.0, 1.2, 0.3])
     em = GeometrySnapshot(m, x)
     g = m.metric_at(x)
-    uu = np.einsum("ma,nb,ab->mn", g.inverse, g.inverse, em.F_dd)
-    assert np.abs(uu - em.F_uu).max() <= 1e-12
-    mixed = np.einsum("la,na->nl", g.inverse, em.F_dd)
-    assert np.abs(mixed - em.F_mix).max() <= 1e-12
-    f2 = float(np.einsum("mn,mn->", em.F_dd, em.F_uu))
-    assert em.F2 == pytest.approx(f2)
+    uu = np.einsum("ma,nb,ab->mn", g.inverse[0], g.inverse[0], em.F_dd[0])
+    assert np.abs(uu - em.F_uu[0]).max() <= 1e-12
+    mixed = np.einsum("la,na->nl", g.inverse[0], em.F_dd[0])
+    assert np.abs(mixed - em.F_mix[0]).max() <= 1e-12
+    f2 = float(np.einsum("mn,mn->", em.F_dd[0], em.F_uu[0]))
+    assert em.F2[0] == pytest.approx(f2)
 
 
 def test_homogeneous_identity_across_catalog():
@@ -89,7 +89,7 @@ def test_corrupted_field_detected():
     dF = np.zeros((4, 4, 4))
     dF[0, 1, 2] = 1.0
     dF[0, 2, 1] = -1.0
-    assert cyclic_gradient_residual(dF) == pytest.approx(1.0)
+    assert cyclic_gradient_residual(dF[None])[0] == pytest.approx(1.0)
 
 
 def test_current_vanishes_on_vacuum_and_exterior():
@@ -107,8 +107,8 @@ def test_charge_ball_recovers_uniform_density():
     m = charge_ball_model(rho_q=0.02)
     for p in m.default_grid[::5]:
         j = GeometrySnapshot(m, p)
-        assert j.J_up[0] == pytest.approx(0.02, abs=1e-8)
-        assert np.abs(j.J_up[1:]).max() <= 1e-12
+        assert j.J_up[0][0] == pytest.approx(0.02, abs=1e-8)
+        assert np.abs(j.J_up[0][1:]).max() <= 1e-12
         # the torsionful divergence of F carries the same current
         assert np.abs(j.rc_div_F - j.lc_div_F_det).max() <= 1e-12
 
@@ -127,7 +127,7 @@ def test_current_down_layout():
     x = np.array([0.0, 0.2, 0.1, -0.1])
     j = GeometrySnapshot(m, x)
     g = m.metric_at(x)
-    assert np.abs(j.J_down - g.matrix @ j.J_up).max() <= 1e-14
+    assert np.abs(j.J_down[0] - g.matrix[0] @ j.J_up[0]).max() <= 1e-14
 
 
 def test_rc_and_lc_divergences_of_f_agree():
@@ -149,9 +149,9 @@ def test_stress_energy_symmetric_traceless():
         m = catalog_get(name)
         for p in m.default_grid[::16]:
             s = GeometrySnapshot(m, p)
-            T = s.T_em_dd
+            T = s.T_em_dd[0]
             assert np.abs(T - T.T).max() <= 1e-12
-            assert abs(np.einsum("mn,mn->", s.ginv, T)) <= 1e-10
+            assert abs(np.einsum("mn,mn->", s.ginv[0], T)) <= 1e-10
 
 
 def test_stress_energy_sources_einstein_on_rn():
@@ -167,7 +167,7 @@ def test_weak_energy_in_static_orthonormal_frame():
         m = catalog_get(name)
         for p in m.default_grid[::16]:
             s = GeometrySnapshot(m, p)
-            assert s.T_em_dd[0, 0] / s.g[0, 0] >= -1e-12
+            assert s.T_em_dd[0][0, 0] / s.g[0][0, 0] >= -1e-12
 
 
 def test_stress_conservation_identity():
@@ -198,7 +198,7 @@ def test_chern_simons_crossed_fields_hand_value():
     the wedge is A_0 F_12 / 3! = z/6."""
     m = parse_spacetime_text(CROSSED_FIELDS)
     x = np.array([0.0, 0.5, 0.2, 2.0])
-    cs = GeometrySnapshot(m, x).chern_simons
+    cs = GeometrySnapshot(m, x).chern_simons[0]
     assert cs[0, 1, 2] == pytest.approx(2.0 / 6.0, abs=1e-14)
     # total antisymmetry
     assert np.abs(cs + cs.transpose(1, 0, 2)).max() <= 1e-12

@@ -1,5 +1,5 @@
-"""Batched snapshots against one-point snapshots, and chunked suites and the
-batched gauge scenario against point-by-point ones."""
+"""Batches against their rows taken as batches of one, and chunked suites
+and the batched scenarios against point-by-point ones."""
 
 from functools import cached_property
 from pathlib import Path
@@ -7,9 +7,16 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rcgeom import GeometryError, catalog_get, harness, load_spacetime_file, transform_potential
+from rcgeom import (
+    GeometryError,
+    catalog_get,
+    exchange_identities,
+    harness,
+    load_spacetime_file,
+    transform_potential,
+)
 from rcgeom.catalog import parse_spacetime_text
-from rcgeom.dynamics import probe_velocity
+from rcgeom.dynamics import dust_from_sources, probe_velocity
 from rcgeom.engine import GeometrySnapshot
 from rcgeom.harness import run_suite
 
@@ -79,7 +86,7 @@ def _points(model, n=5):
 def _value(snap, name):
     v = getattr(snap, name)
     if name == "metric":
-        lead = (len(snap.x),) if snap.batched else ()
+        lead = (len(snap.x),)
         parts = (v.matrix, v.inverse, v.det_g, v.sqrt_neg_det)
         return np.concatenate([np.reshape(p, lead + (-1,)) for p in parts], axis=-1)
     if callable(v):
@@ -89,10 +96,11 @@ def _value(snap, name):
     return np.asarray(v, dtype=float)
 
 
-def _stack(singles, name):
-    """Per-point values of a member, or None when one-point evaluation raises."""
+def _stack(rows, name):
+    """Per-point values of a member over the rows, each a batch of one, or
+    None when evaluation raises."""
     try:
-        return np.stack([_value(s, name) for s in singles])
+        return np.concatenate([_value(s, name) for s in rows])
     except GeometryError:
         return None
 
@@ -108,11 +116,12 @@ def _close(batch, single, scale):
 @pytest.mark.parametrize("mode", ["dual", "fd"])
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_batch_members_match_one_point_snapshots(name, mode):
+    """A batch matches its rows taken as batches of one.  A batch of one
+    runs the compiled closures on floats, a larger batch on arrays."""
     model = MODELS[name]
     X = _points(model)
     batch = GeometrySnapshot(model, X, mode)
-    singles = [GeometrySnapshot(model, x, mode) for x in X]
-    assert batch.batched and not singles[0].batched
+    singles = [GeometrySnapshot(model, X[i:i + 1], mode) for i in range(len(X))]
 
     compared = 0
     for member in MEMBERS:
@@ -133,13 +142,39 @@ def test_batch_members_match_one_point_snapshots(name, mode):
         scale = max(np.abs(_stack(singles, m)).max() for m in scale_members)
         _close(_value(batch, method), single, scale)
     for connection in ("lc", "rc"):
-        single = np.stack([s.div_T_em(connection) for s in singles])
+        single = np.concatenate([s.div_T_em(connection) for s in singles])
         _close(batch.div_T_em(connection), single, np.abs(single).max())
 
-    # scalar members are per-point arrays over a batch, floats at one point
+    # scalar members carry the point axis too
     for member in ("det_g", "sqrt_g", "scalar_lc", "F2", "scalar_rc"):
         assert getattr(batch, member).shape == (len(X),)
-        assert isinstance(getattr(singles[0], member), float)
+        assert getattr(singles[0], member).shape == (1,)
+
+
+@pytest.mark.parametrize("mode", ["dual", "fd"])
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_a_point_is_a_batch_of_one(name, mode):
+    """A (4,) point gives the snapshot of x[None], bit for bit, and every
+    member carries a leading point axis of 1."""
+    model = MODELS[name]
+    x = _points(model)[1]
+    point = GeometrySnapshot(model, x, mode)
+    row = GeometrySnapshot(model, x[None], mode)
+    assert point.x.shape == (1, 4)
+    for member in MEMBERS + sorted(RESIDUALS):
+        try:
+            want = _value(row, member)
+        except GeometryError:
+            with pytest.raises(GeometryError):
+                _value(point, member)
+            continue
+        raw = getattr(point, member)
+        raw = raw() if callable(raw) else raw
+        lead = raw.matrix if member == "metric" else raw
+        for part in (lead if isinstance(lead, tuple) else (lead,)):
+            assert np.shape(part)[0] == 1, member
+        got = _value(point, member)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), member
 
 
 def _verdicts(report):
@@ -217,8 +252,8 @@ def _reference_gauge_rows(ctx):
     worst = {"gauge.contorsion_shift": 0.0, "gauge.scalar_shift": 0.0}
 
     def acc(s, V, k):
-        return (-np.einsum("mdn,m,d->n", s.gamma_lc, V, V)
-                + k * np.einsum("mn,m->n", s.F_mix, V))
+        return (-np.einsum("mdn,m,d->n", s.gamma_lc[0], V, V)
+                + k * np.einsum("mn,m->n", s.F_mix[0], V))
 
     for phi in ctx.phi_fields:
         new_model = transform_potential(model, phi)
@@ -226,7 +261,7 @@ def _reference_gauge_rows(ctx):
         for p in pts:
             old, new = GeometrySnapshot(model, p, mode), GeometrySnapshot(new_model, p, mode)
             pairs.append((old, new))
-            V = probe_velocity(old)
+            V = probe_velocity(old)[0]
             deltas = {
                 "gauge.f_invariance": new.F_dd - old.F_dd,
                 "gauge.current_invariance": new.J_up - old.J_up,
@@ -241,16 +276,17 @@ def _reference_gauge_rows(ctx):
             for cid, delta in deltas.items():
                 worst[cid] = max(worst.get(cid, 0.0), float(np.abs(delta).max()))
         for i, (old, new) in enumerate(pairs):
-            pj = phi.jet(old.x, 1)
-            route = old.K_mix - old.C * np.einsum("m,nl->mnl", pj.grad, old.F_mix)
-            shift = float(np.abs(new.K_mix - route).max()) / (1.0 + float(np.abs(new.K_mix).max()))
+            pj = phi.jet(old.x[0], 1)
+            route = old.K_mix[0] - old.C * np.einsum("m,nl->mnl", pj.grad, old.F_mix[0])
+            shift = float(np.abs(new.K_mix[0] - route).max()) / (1.0 + float(np.abs(new.K_mix[0]).max()))
             worst["gauge.contorsion_shift"] = max(worst["gauge.contorsion_shift"], shift)
             if i < n_shift:
-                s, J = old.sqrt_g, old.J_up
-                div = (np.dot(old.dsqrt_g, pj.value * J) + s * np.dot(pj.grad, J)
-                       + s * pj.value * np.trace(old.dJ_up))
+                s, J = old.sqrt_g[0], old.J_up[0]
+                div = (np.dot(old.dsqrt_g[0], pj.value * J) + s * np.dot(pj.grad, J)
+                       + s * pj.value * np.trace(old.dJ_up[0]))
                 div_term = 8.0 * np.pi * old.C / (old.c_light * s) * div
-                shift = abs(new.scalar_rc - old.scalar_rc - div_term) / (1.0 + abs(old.scalar_rc))
+                shift = (abs(new.scalar_rc[0] - old.scalar_rc[0] - div_term)
+                         / (1.0 + abs(old.scalar_rc[0])))
                 worst["gauge.scalar_shift"] = max(worst["gauge.scalar_shift"], shift)
 
     orbit = 0.0
@@ -259,7 +295,7 @@ def _reference_gauge_rows(ctx):
     for p in pts[:2]:
         s2, s1 = GeometrySnapshot(twice, p, mode), GeometrySnapshot(once, p, mode)
         orbit = max(orbit, float(np.abs(s2.K_mix - s1.K_mix).max()),
-                    float(np.abs(s2.F_dd - s1.F_dd).max()), abs(s2.scalar_rc - s1.scalar_rc))
+                    float(np.abs(s2.F_dd - s1.F_dd).max()), abs(s2.scalar_rc[0] - s1.scalar_rc[0]))
 
     n_phis = len(ctx.phi_fields)
     rows = [(cid, value, (n_shift if cid == "gauge.scalar_shift" else len(pts)) * n_phis)
@@ -291,6 +327,52 @@ def test_batched_gauge_scenario_matches_point_by_point(name, mode):
             assert note is None
             assert (value <= tol) == (ref <= tol)
             assert abs(value - ref) <= 1e-6 * tol, cid
+
+
+# -- the dynamics scenario's batches against batches of one -------------------
+
+DYNAMICS_MODELS = {**GAUGE_MODELS, "minkowski-constant-e": catalog_get("minkowski-constant-e")}
+
+# exchange residual -> its check id
+EXCHANGE_CHECKS = {
+    "pair_cancellation": "dyn.exchange_pair",
+    "energy_transfer": "dyn.exchange_energy",
+    "rc_mass_flux": "dyn.exchange_mass_flux",
+    "matter_conservation": "dyn.exchange_conservation",
+}
+
+
+def _assert_rows_match(ctx, cid, batch, rows):
+    tol = ctx.tolerance(cid)
+    assert batch.shape == rows.shape == (len(ctx.points("small")),)
+    if tol is None:
+        assert np.abs(batch - rows).max() <= 1e-12 * np.abs(rows).max(), cid
+    else:
+        assert np.abs(batch - rows).max() <= 1e-6 * tol, cid
+
+
+@pytest.mark.parametrize("mode", ["dual", "fd"])
+@pytest.mark.parametrize("name", sorted(DYNAMICS_MODELS))
+def test_batched_dynamics_rows_match_batches_of_one(name, mode):
+    """The transport identity and the dust exchange over the small points,
+    one value per point, against each point taken as a batch of one."""
+    model = DYNAMICS_MODELS[name]
+    ctx = harness.SuiteContext(model, mode)
+    pts = ctx.points("small")
+    transport = harness._transport_identity
+
+    rows = [GeometrySnapshot(model, pts[i:i + 1], mode) for i in range(len(pts))]
+    _assert_rows_match(ctx, "dyn.transport_identity",
+                       transport(GeometrySnapshot(model, pts, mode)),
+                       np.concatenate([transport(r) for r in rows]))
+
+    if "dust" in model.meta:
+        dust = dust_from_sources(model, *model.meta["dust"])
+        batch = exchange_identities(model, pts, dust, mode)
+        singles = [exchange_identities(model, p[None], dust, mode) for p in pts]
+        for field, cid in EXCHANGE_CHECKS.items():
+            _assert_rows_match(ctx, cid, getattr(batch, field),
+                               np.concatenate([getattr(r, field) for r in singles]))
 
 
 # Flat, with a domain x > -1, y > -1 (a product of two factors); in fd mode

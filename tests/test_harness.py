@@ -313,8 +313,7 @@ def test_internal_error_exit_status(tmp_path, monkeypatch, capsys):
 
 def test_gauge_scenario_shares_one_snapshot_pair_per_point(monkeypatch):
     """One unshifted batch shared by the three gauge functions, one shifted
-    batch per function, and four one-point snapshots for the composition
-    check."""
+    batch per function, and one batch per model of the composition check."""
     built = []
     init = engine.GeometrySnapshot.__init__
 
@@ -325,7 +324,7 @@ def test_gauge_scenario_shares_one_snapshot_pair_per_point(monkeypatch):
     monkeypatch.setattr(engine.GeometrySnapshot, "__init__", counting)
     rep = run_suite("gauge", resolve_model("minkowski-constant-e"))
     assert rep.passed
-    assert len(built) == 1 + 3 + 4
+    assert len(built) == 1 + 3 + 2
 
 
 CHARGED_BOX_FILE = """

@@ -55,7 +55,7 @@ def test_minkowski_connection_and_curvature_vanish():
 
 def test_schwarzschild_christoffel_hand_value(schw):
     """Gamma^r_tt = f f'/2 with f = 1 - 2/r: at r = 4 this is 0.03125."""
-    gamma = GeometrySnapshot(schw, np.array([0.0, 4.0, 1.3, 0.2])).gamma_lc
+    gamma = GeometrySnapshot(schw, np.array([0.0, 4.0, 1.3, 0.2])).gamma_lc[0]
     assert gamma[0, 0, 1] == pytest.approx(0.03125, abs=1e-12)
     assert np.abs(gamma - gamma.transpose(1, 0, 2)).max() <= 1e-12
 
@@ -64,7 +64,7 @@ def test_flat_spherical_christoffel_hand_value():
     m = parse_spacetime_text(FLAT_SPHERICAL)
     s = GeometrySnapshot(m, np.array([0.0, 2.5, 1.1, 0.3]))
     # Gamma^r_{theta,theta} = -r
-    assert s.gamma_lc[2, 2, 1] == pytest.approx(-2.5, abs=1e-12)
+    assert s.gamma_lc[0][2, 2, 1] == pytest.approx(-2.5, abs=1e-12)
     assert np.abs(s.riemann_lc).max() <= 1e-12
 
 
@@ -84,11 +84,11 @@ def test_rn_scalar_curvature_vanishes(rn):
 def test_riemann_antisymmetry_and_einstein_identity(rn):
     x = np.array([0.0, 5.0, 1.0, 0.7])
     s = GeometrySnapshot(rn, x)
-    R = s.riemann_lc
+    R = s.riemann_lc[0]
     assert np.abs(R + R.transpose(1, 0, 2, 3)).max() <= 1e-10
     g = rn.metric_values(x)
-    expected = s.ricci_lc - 0.5 * g * s.scalar_lc
-    assert np.abs(s.einstein_lc_dd - expected).max() <= 1e-12
+    expected = s.ricci_lc[0] - 0.5 * g * s.scalar_lc[0]
+    assert np.abs(s.einstein_lc_dd[0] - expected).max() <= 1e-12
 
 
 def test_metric_compatibility_everywhere():
@@ -123,8 +123,8 @@ def test_divergence_of_custom_field(rn):
     """Contracting the reference covariant derivative of F^{mn} must
     reproduce the built-in volume-factor divergence."""
     s = GeometrySnapshot(rn, np.array([0.0, 4.0, 1.2, 0.5]))
-    div = np.einsum("mmn->n", _covd_uu(s.gamma_lc, s.F_uu, s.dF_uu))
-    assert np.abs(div - s.lc_div_F_det).max() <= 1e-12
+    div = np.einsum("mmn->n", _covd_uu(s.gamma_lc[0], s.F_uu[0], s.dF_uu[0]))
+    assert np.abs(div - s.lc_div_F_det[0]).max() <= 1e-12
 
 
 def test_covariant_derivative_of_metric_vanishes(rn):
@@ -134,7 +134,7 @@ def test_covariant_derivative_of_metric_vanishes(rn):
 
 def test_covariant_derivative_constant_vector_flat():
     s = GeometrySnapshot(catalog_get("minkowski"), np.zeros(4))
-    grad = _covd_up(s.gamma_lc, np.array([1.0, 2.0, 3.0, 4.0]), np.zeros((4, 4)))
+    grad = _covd_up(s.gamma_lc[0], np.array([1.0, 2.0, 3.0, 4.0]), np.zeros((4, 4)))
     assert np.abs(grad).max() == 0.0
 
 
@@ -144,7 +144,7 @@ def test_covariant_derivative_expr_field():
     fields = [ExprField(src, m.chart) for src in ("t", "x", "0", "0")]
     comps = np.array([f.value(x) for f in fields])
     grad = np.stack([f.jet(x, 1).grad for f in fields], axis=1)
-    nabla = _covd_up(GeometrySnapshot(m, x).gamma_lc, comps, grad)
+    nabla = _covd_up(GeometrySnapshot(m, x).gamma_lc[0], comps, grad)
     assert nabla[0, 0] == pytest.approx(1.0)
     assert nabla[1, 1] == pytest.approx(1.0)
     assert nabla[0, 1] == pytest.approx(0.0)
@@ -153,7 +153,7 @@ def test_covariant_derivative_expr_field():
 def test_contracted_bianchi_via_generic_interface(rn):
     """Divergence of the Einstein tensor through the reference derivative."""
     s = GeometrySnapshot(rn, np.array([0.0, 4.0, 1.2, 0.5]))
-    grad = _covd_uu(s.gamma_lc, s.einstein_lc_uu, s.d_einstein_lc_uu)
+    grad = _covd_uu(s.gamma_lc[0], s.einstein_lc_uu[0], s.d_einstein_lc_uu[0])
     assert np.abs(np.einsum("mmn->n", grad)).max() <= 1e-7
     assert s.bianchi_residual() <= 1e-7
 

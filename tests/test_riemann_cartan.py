@@ -38,9 +38,9 @@ def test_constant_field_contorsion_hand_value():
     K_{01}^{..0} = -C A_0 F_1^{.0} = -2."""
     m = catalog_get("minkowski-constant-e")
     s = GeometrySnapshot(m, np.array([0.0, 2.0, 0.0, 0.0]))
-    assert s.K_mix[0, 1, 0] == pytest.approx(-2.0, abs=1e-14)
-    assert s.K_down[0, 1, 0] == pytest.approx(-2.0, abs=1e-14)
-    assert s.K_mix[1, 0, 0] == 0.0
+    assert s.K_mix[0][0, 1, 0] == pytest.approx(-2.0, abs=1e-14)
+    assert s.K_down[0][0, 1, 0] == pytest.approx(-2.0, abs=1e-14)
+    assert s.K_mix[0][1, 0, 0] == 0.0
 
 
 def test_contorsion_antisymmetry_on_random_data():
@@ -56,9 +56,9 @@ def test_contorsion_antisymmetry_on_random_data():
 def test_torsion_hand_value():
     m = catalog_get("minkowski-constant-e")
     s = GeometrySnapshot(m, np.array([0.0, 2.0, 0.0, 0.0]))
-    assert s.torsion_mix[0, 1, 0] == pytest.approx(-2.0, abs=1e-14)
-    assert s.torsion_mix[1, 0, 0] == pytest.approx(2.0, abs=1e-14)
-    assert _torsion_roundtrip(s) <= 1e-14
+    assert s.torsion_mix[0][0, 1, 0] == pytest.approx(-2.0, abs=1e-14)
+    assert s.torsion_mix[0][1, 0, 0] == pytest.approx(2.0, abs=1e-14)
+    assert _torsion_roundtrip(s)[0] <= 1e-14
 
 
 def test_torsion_contorsion_roundtrip_random():
@@ -74,11 +74,11 @@ def test_torsion_contorsion_roundtrip_random():
         a = rng.standard_normal(4)
         f = rng.standard_normal((4, 4))
         f = f - f.T
-        f_mix = np.einsum("la,na->nl", m.inverse, f)
+        f_mix = np.einsum("la,na->nl", m.inverse[0], f)
         # any object with the snapshot's K_mix, g and ginv feeds the check
-        point = SimpleNamespace(K_mix=-np.einsum("m,nl->mnl", a, f_mix),
+        point = SimpleNamespace(K_mix=-np.einsum("m,nl->mnl", a, f_mix)[None],
                                 g=m.matrix, ginv=m.inverse)
-        assert _torsion_roundtrip(point) <= 1e-12
+        assert _torsion_roundtrip(point)[0] <= 1e-12
 
 
 def test_full_connection_reduces_without_charge():
@@ -92,8 +92,8 @@ def test_full_connection_antisymmetric_part_is_torsion():
     m = catalog_get("reissner-nordstrom")
     s = GeometrySnapshot(m, np.array([0.0, 4.0, 1.2, 0.5]))
     assert np.abs(s.torsion_mix).max() > 0.0
-    anti = s.gamma_full - s.gamma_full.transpose(1, 0, 2)
-    assert np.abs(anti - s.torsion_mix).max() <= 1e-12
+    anti = s.gamma_full[0] - s.gamma_full[0].transpose(1, 0, 2)
+    assert np.abs(anti - s.torsion_mix[0]).max() <= 1e-12
 
 
 def test_full_connection_metric_compatibility():
@@ -118,9 +118,9 @@ def test_rc_curvature_constant_field_hand_values():
     m = catalog_get("minkowski-constant-e")
     x = np.array([0.0, 2.0, 0.0, 0.0])
     s = GeometrySnapshot(m, x)
-    R = s.riemann_rc
-    assert np.abs(R[1, 0] - s.F_mix).max() <= 1e-14
-    assert np.abs(R[0, 1] + s.F_mix).max() <= 1e-14
+    R = s.riemann_rc[0]
+    assert np.abs(R[1, 0] - s.F_mix[0]).max() <= 1e-14
+    assert np.abs(R[0, 1] + s.F_mix[0]).max() <= 1e-14
     mask = np.ones((4, 4), dtype=bool)
     mask[1, 0] = mask[0, 1] = False
     assert np.abs(R[mask]).max() <= 1e-14
@@ -183,8 +183,8 @@ def test_contorsion_trace_matches_pinned_definition():
     rng = np.random.default_rng(5)
     for _ in range(10):
         s = GeometrySnapshot(m, _random_point(m, rng))
-        pinned = np.einsum("na,ml,anl->m", s.ginv, s.ginv, s.K_down)
-        assert np.abs(pinned - s.contorsion_trace_vector).max() <= 1e-14
+        pinned = np.einsum("na,ml,anl->m", s.ginv[0], s.ginv[0], s.K_down[0])
+        assert np.abs(pinned - s.contorsion_trace_vector[0]).max() <= 1e-14
 
 
 def test_scalar_split_agrees_with_direct_trace():
