@@ -146,32 +146,24 @@ class SpacetimeModel:
             batch_then_rows(lambda: self.domain.values(X) > 0.0, X, self.in_domain), dtype=bool
         )
 
-    def metric_values(self, x):
-        """Metric components at a point, or at every row of an (N, 4) batch."""
-        x = np.asarray(x, dtype=float)
-        layout = self.layout
-        if x.ndim == 2:
-            g = np.empty((len(x), 4, 4))
-            g[:] = layout.g
-            for i, j, f in layout.g_live:
-                g[:, i, j] = g[:, j, i] = f.values(x)
-            return g
-        g = layout.g.copy()
-        for i, j, f in layout.g_live:
-            g[i, j] = g[j, i] = f.value(x)
+    def metric_values(self, X):
+        """Metric components at every row of an (N, 4) batch."""
+        X = np.asarray(X, dtype=float)
+        g = np.empty((len(X), 4, 4))
+        g[:] = self.layout.g
+        for i, j, f in self.layout.g_live:
+            g[:, i, j] = g[:, j, i] = f.values(X)
         return g
 
     def metric_at(self, x):
-        x = np.asarray(x, dtype=float)
-        self.require_in_domain(x[None])
+        x = np.asarray(x, dtype=float)[None]
+        self.require_in_domain(x)
         return MetricAtPoint.from_components(self.metric_values(x))
 
-    def potential_values(self, x):
-        """Potential components at a point, or at every row of an (N, 4) batch."""
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 2:
-            return np.stack([f.values(x) for f in self.A_fields], axis=-1)
-        return np.array([f.value(x) for f in self.A_fields])
+    def potential_values(self, X):
+        """Potential components at every row of an (N, 4) batch."""
+        X = np.asarray(X, dtype=float)
+        return np.stack([f.values(X) for f in self.A_fields], axis=-1)
 
     def scalar_field(self, src, name=""):
         """Scalar field over the chart with the parameters, G and c in scope."""
@@ -287,7 +279,7 @@ def _validate_point(model, p, origin):
         model.metric_at(p)
     except MetricError as err:
         raise type(err)(f"{err} at grid point {pt}") from err
-    a = model.potential_values(p)
+    a = model.potential_values(p[None])
     if not np.all(np.isfinite(a)):
         raise SpacetimeFormatError(
             f"potential is not finite at grid point {pt}", origin or model.name

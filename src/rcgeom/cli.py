@@ -160,8 +160,10 @@ def _write_report(report, out):
 
 def _cmd_worldline(args):
     model = _model_from_args(args)
-    x0 = [float(v) for v in args.x0.split(",")]
-    v0 = [float(v) for v in args.v0.split(",")]
+    try:
+        x0, v0 = ([float(v) for v in a.split(",")] for a in (args.x0, args.v0))
+    except ValueError as err:
+        raise GeometryError(f"--x0 and --v0 need four numbers: {err}") from None
     if len(x0) != 4 or len(v0) != 4:
         raise GeometryError("--x0 and --v0 need exactly four components")
     summary, traj = run_worldline(

@@ -10,13 +10,17 @@ runs are decoupled from dust density fields.  Skew symmetry of F makes the
 equation preserve g(V, V) exactly in the continuum, which turns measured
 normalization drift into a pure integrator-quality metric.
 
-Every identity is evaluated on a snapshot over a batch of points, with one
-velocity per point; the worldline integrator's right-hand side is a batch
-of one (``x[None]``), and reads its row 0.
+One Runge-Kutta step takes the method as a Butcher tableau: RK4, or
+Dormand-Prince 5(4) with error control.  Each accepted state has one snapshot
+over a batch of one point: its first read tests the domain, its metric gives
+the norm residual (and any rescale of V), and it is stage 1 of every step
+from that state.  Identities take a batch of points, one velocity per point.
 """
 
 from __future__ import annotations
 
+import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,12 +74,14 @@ class IntegratorConfig:
     renormalize_every: int = 0
 
     def __post_init__(self):
-        if self.ds <= 0:
-            raise GeometryError("integrator step must be positive")
+        if not (math.isfinite(self.ds) and self.ds > 0):
+            raise GeometryError(f"integrator step must be finite and positive, got {self.ds!r}")
         if self.steps < 1:
             raise GeometryError("integrator needs at least one step")
-        if self.method not in ("rk4", "rk45-adaptive"):
+        if self.method not in _TABLEAUX:
             raise GeometryError(f"unknown integrator method {self.method!r}")
+        if self.renormalize_every < 0:
+            raise GeometryError("renormalize_every must be at least 0 (0: never)")
 
 
 @dataclass
@@ -84,7 +90,6 @@ class Trajectory:
     norm_residuals: list
     exited: bool = False
     exit_message: str = ""
-    config: IntegratorConfig = None
     rejected_steps: int = 0
 
     @property
@@ -96,14 +101,17 @@ class Trajectory:
 
 
 def norm_squared(model, x, V):
-    g = model.metric_values(x)
+    g = model.metric_values(np.asarray(x, dtype=float)[None])[0]
     return float(V @ g @ V)
 
 
 def normalize_velocity(model, x, V):
     """Rescale V to unit norm; the vector must be timelike."""
     V = np.asarray(V, dtype=float)
-    n2 = norm_squared(model, x, V)
+    return _unit(V, norm_squared(model, x, V), x)
+
+
+def _unit(V, n2, x):
     if n2 <= 0:
         raise GeometryError(f"velocity {point_text(V)} is not timelike at {point_text(x)}")
     return V / np.sqrt(n2)
@@ -141,8 +149,9 @@ def acceleration(snap, V, k):
     return -geodesic
 
 
-def _rhs(model, x, V, k, mode):
-    return V, acceleration(GeometrySnapshot(model, x[None], mode), V[None], k)[0]
+def _rhs(snap, V, k):
+    """d(x, V)/ds, shape (8,), at the one point of the snapshot."""
+    return np.concatenate([V, acceleration(snap, V[None], k)[0]])
 
 
 def lorentz_rhs(model, state, charge_ratio, mode="dual"):
@@ -150,23 +159,14 @@ def lorentz_rhs(model, state, charge_ratio, mode="dual"):
     n2 = norm_squared(model, state.x, state.V)
     if abs(n2 - 1.0) > _ONSHELL_TOL:
         raise GeometryError(f"state is off shell: g(V,V) = {n2!r}")
-    return _rhs(model, state.x, state.V, charge_ratio, mode)
+    dy = _rhs(GeometrySnapshot(model, state.x, mode), state.V, charge_ratio)
+    return dy[:4], dy[4:]
 
 
-def _rk4_step(model, x, V, k, ds, mode):
-    k1x, k1v = _rhs(model, x, V, k, mode)
-    k2x, k2v = _rhs(model, x + 0.5 * ds * k1x, V + 0.5 * ds * k1v, k, mode)
-    k3x, k3v = _rhs(model, x + 0.5 * ds * k2x, V + 0.5 * ds * k2v, k, mode)
-    k4x, k4v = _rhs(model, x + ds * k3x, V + ds * k3v, k, mode)
-    xn = x + (ds / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    Vn = V + (ds / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return xn, Vn
-
-
-# Dormand-Prince 5(4) coefficients.
-_DP_C = (0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0)
+# Row i of ``a`` builds stage i + 2, ``b`` weighs the stages over ``denom``,
+# and ``b_low`` is a pair's embedded solution; 5(4): Dormand & Prince (1980).
+_Tableau = namedtuple("_Tableau", "a b denom b_low")
 _DP_A = (
-    (),
     (1 / 5,),
     (3 / 40, 9 / 40),
     (44 / 45, -56 / 15, 32 / 9),
@@ -174,85 +174,89 @@ _DP_A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
-_DP_B4 = (
-    5179 / 57600,
-    0.0,
-    7571 / 16695,
-    393 / 640,
-    -92097 / 339200,
-    187 / 2100,
-    1 / 40,
-)
+_TABLEAUX = {
+    "rk4": _Tableau(((1 / 2,), (0.0, 1 / 2), (0.0, 0.0, 1.0)), (1.0, 2.0, 2.0, 1.0), 6.0, None),
+    "rk45-adaptive": _Tableau(_DP_A, _DP_A[-1] + (0.0,), 1.0, (
+        5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)),
+}
 
 
-def _dp54_step(model, y, k, ds, mode):
-    def f(yv):
-        dx, dv = _rhs(model, yv[:4], yv[4:], k, mode)
-        return np.concatenate([dx, dv])
+def _rk_step(tableau, stage, y, k1, ds):
+    """One step of size ds from y, whose derivative is k1; ``stage(y)``
+    gives the derivative at a new point.  Returns the new y and the
+    largest difference from the embedded solution (0.0 without one)."""
+    ks = [k1]
+    for row in tableau.a:
+        yi = y
+        for a, kj in zip(row, ks):
+            if a:
+                yi = yi + (ds * a) * kj
+        ks.append(stage(yi))
 
-    ks = []
-    for i in range(7):
-        yi = y.copy()
-        for j, a in enumerate(_DP_A[i]):
-            yi = yi + ds * a * ks[j]
-        ks.append(f(yi))
-    y5 = y + ds * sum(b * ki for b, ki in zip(_DP_B5, ks))
-    y4 = y + ds * sum(b * ki for b, ki in zip(_DP_B4, ks))
-    return y5, float(np.abs(y5 - y4).max())
+    def weigh(weights):
+        terms = [w * kj for w, kj in zip(weights, ks) if w]
+        return sum(terms[1:], terms[0])
+
+    y_new = y + (ds / tableau.denom) * weigh(tableau.b)
+    if tableau.b_low is None:
+        return y_new, 0.0
+    return y_new, float(np.abs(y_new - (y + ds * weigh(tableau.b_low))).max())
 
 
 def integrate_worldline(model, init, charge_ratio, config, mode="dual"):
     """Integrate the worldline equation; returns the sampled trajectory."""
-    x = np.asarray(init.x, dtype=float)
-    V = np.asarray(init.V, dtype=float)
+    y = np.concatenate([init.x, init.V], dtype=float)
     s = float(init.s)
     k = float(charge_ratio)
+    tableau = _TABLEAUX[config.method]
+    traj = Trajectory(states=[WorldlineState(y[:4], y[4:], s)],
+                      norm_residuals=[abs(norm_squared(model, y[:4], y[4:]) - 1.0)])
 
-    states = [WorldlineState(x, V, s)]
-    residuals = [abs(norm_squared(model, x, V) - 1.0)]
-    traj = Trajectory(states=states, norm_residuals=residuals, config=config)
+    def stage(y):
+        return _rhs(GeometrySnapshot(model, y[:4], mode), y[4:], k)
 
+    def accept(y, s, renormalize=False):
+        """Record an accepted state; returns it (rescaled if asked) and its snapshot."""
+        snap = GeometrySnapshot(model, y[:4], mode)
+        try:
+            g = snap.g[0]
+        except DomainError:
+            raise DomainError(
+                f"worldline left the domain of {model.name!r} near {point_text(y[:4])}"
+            ) from None
+        if renormalize:
+            y = np.concatenate([y[:4], _unit(y[4:], float(y[4:] @ g @ y[4:]), y[:4])])
+        # copies: views would keep y alive, and cost more memory per state
+        traj.states.append(WorldlineState(y[:4].copy(), y[4:].copy(), s))
+        traj.norm_residuals.append(abs(float(y[4:] @ g @ y[4:]) - 1.0))
+        return y, snap
+
+    snap = GeometrySnapshot(model, y[:4], mode)
     try:
         if config.method == "rk4":
+            every = config.renormalize_every
             for step in range(config.steps):
-                x, V = _rk4_step(model, x, V, k, config.ds, mode)
+                y, _ = _rk_step(tableau, stage, y, _rhs(snap, y[4:], k), config.ds)
                 s += config.ds
-                if not model.in_domain(x):
-                    raise DomainError(
-                        f"worldline left the domain of {model.name!r} near {point_text(x)}"
-                    )
-                if config.renormalize_every and (step + 1) % config.renormalize_every == 0:
-                    V = normalize_velocity(model, x, V)
-                states.append(WorldlineState(x, V, s))
-                residuals.append(abs(norm_squared(model, x, V) - 1.0))
+                y, snap = accept(y, s, every and (step + 1) % every == 0)
         else:
             s_end = s + config.ds * config.steps
             ds = config.ds
             atol, rtol = 1e-12, 1e-10
-            y = np.concatenate([x, V])
-            max_attempts = 20 * config.steps
             attempts = 0
             while s < s_end - 1e-15:
                 ds = min(ds, s_end - s)
-                y5, err = _dp54_step(model, y, k, ds, mode)
+                y_new, err = _rk_step(tableau, stage, y, _rhs(snap, y[4:], k), ds)
                 tol = atol + rtol * float(np.abs(y).max())
                 if err <= tol:
-                    if not model.in_domain(y5[:4]):
-                        raise DomainError(
-                            f"worldline left the domain of {model.name!r} near "
-                            f"{point_text(y5[:4])}"
-                        )
-                    y = y5
                     s += ds
-                    states.append(WorldlineState(y[:4], y[4:], s))
-                    residuals.append(abs(norm_squared(model, y[:4], y[4:]) - 1.0))
+                    y, snap = accept(y_new, s)
                 else:
                     traj.rejected_steps += 1
                 safety = 0.9 * (tol / err) ** 0.2 if err > 0 else 2.0
                 ds = ds * min(4.0, max(0.2, safety))
                 attempts += 1
-                if attempts > max_attempts:
+                if attempts > 20 * config.steps:
                     raise GeometryError("adaptive integrator exceeded its step budget")
     except (DomainError, EvalError, MetricError) as err:
         traj.exited = True

@@ -140,10 +140,6 @@ class ExprField:
     def jet(self, x, order=2):
         return _check_finite(self.jet_unchecked(x, order), self.name, x)
 
-    def eval_with_derivatives(self, x):
-        jv = self.jet(x, order=2)
-        return jv.value, jv.grad, jv.hess
-
 
 class ShiftedPotentialField:
     """Potential component after a gauge shift: base + d(phi)/dx_axis.

@@ -37,7 +37,7 @@ from .dynamics import (
     transport_residual,
 )
 from .engine import GeometrySnapshot, batched_einsum, max_abs
-from .errors import GeometryError, batch_then_rows
+from .errors import GeometryError, batch_then_rows, point_text
 from .fields import finite_difference_derivatives
 from .gauge import (
     CHANGED_CHECKS,
@@ -619,6 +619,11 @@ def run_worldline(model, x0, v0, charge_ratio, ds, steps, method="rk4",
     """Integrate one worldline, write the CSV, and return a summary dict."""
     x0 = np.asarray(x0, dtype=float)
     v_raw = np.asarray(v0, dtype=float)
+    if save_every < 1:
+        raise GeometryError(f"save_every must be at least 1, got {save_every!r}")
+    if not np.isfinite([*x0, *v_raw, charge_ratio]).all():
+        raise GeometryError(f"worldline start is not finite: x0 {point_text(x0)}, "
+                            f"v0 {point_text(v_raw)}, charge ratio {float(charge_ratio)!r}")
     V0 = normalize_velocity(model, x0, v_raw)
     rescale = float(np.linalg.norm(V0) / max(np.linalg.norm(v_raw), 1e-300))
 

@@ -68,7 +68,7 @@ def test_schwarzschild_is_uncharged_limit():
     rn = catalog_get("reissner-nordstrom", params={"q": 0.0})
     schw = catalog_get("schwarzschild")
     for p in schw.default_grid[::16]:
-        assert np.abs(rn.metric_values(p) - schw.metric_values(p)).max() <= 1e-14
+        assert np.abs(rn.metric_values(p[None]) - schw.metric_values(p[None])).max() <= 1e-14
 
 
 def test_param_override():
@@ -117,7 +117,7 @@ grid.z = -0.5:0.5:2
     loaded = parse_spacetime_text(text)
     ref = catalog_get("minkowski")
     p = np.array([0.1, 0.2, 0.3, 0.4])
-    assert np.abs(loaded.metric_values(p) - ref.metric_values(p)).max() == 0.0
+    assert np.abs(loaded.metric_values(p[None]) - ref.metric_values(p[None])).max() == 0.0
     s1 = GeometrySnapshot(loaded, p)
     s2 = GeometrySnapshot(ref, p)
     assert np.abs(s1.gamma_lc - s2.gamma_lc).max() == 0.0
@@ -171,7 +171,7 @@ grid.y = 0:1:2
 grid.z = 0:1:2
 """
     m = parse_spacetime_text(text)
-    g = m.metric_values([0.0, 0.0, 0.0, 0.0])
+    g = m.metric_values([[0.0, 0.0, 0.0, 0.0]])[0]
     assert g[0, 1] == pytest.approx(0.1)
     assert g[1, 0] == pytest.approx(0.1)
 

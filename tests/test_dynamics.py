@@ -16,8 +16,14 @@ from rcgeom import (
     normalize_velocity,
     rc_transport_residual,
 )
-from rcgeom.dynamics import dust_from_sources, dust_normalization_residual
+from rcgeom.dynamics import (
+    Trajectory,
+    acceleration,
+    dust_from_sources,
+    dust_normalization_residual,
+)
 from rcgeom.engine import GeometrySnapshot
+from rcgeom.errors import DomainError, EvalError, MetricError, point_text
 
 
 def matched_dust(model):
@@ -129,6 +135,197 @@ def test_domain_exit_reports_partial_trajectory():
     assert 1 < len(traj.states) < 2001
     assert traj.states[-1].x[1] > 2.0
 
+
+
+# -- the integrator against the two hand-written steppers it replaced -----------
+
+def _ref_norm_squared(model, x, V):
+    g = model.metric_values(np.asarray(x, dtype=float)[None])[0]
+    return float(V @ g @ V)
+
+
+def _ref_normalize_velocity(model, x, V):
+    V = np.asarray(V, dtype=float)
+    n2 = _ref_norm_squared(model, x, V)
+    if n2 <= 0:
+        raise GeometryError(f"velocity {point_text(V)} is not timelike at {point_text(x)}")
+    return V / np.sqrt(n2)
+
+
+def _ref_rhs(model, x, V, k, mode):
+    return V, acceleration(GeometrySnapshot(model, x[None], mode), V[None], k)[0]
+
+
+def _ref_rk4_step(model, x, V, k, ds, mode):
+    k1x, k1v = _ref_rhs(model, x, V, k, mode)
+    k2x, k2v = _ref_rhs(model, x + 0.5 * ds * k1x, V + 0.5 * ds * k1v, k, mode)
+    k3x, k3v = _ref_rhs(model, x + 0.5 * ds * k2x, V + 0.5 * ds * k2v, k, mode)
+    k4x, k4v = _ref_rhs(model, x + ds * k3x, V + ds * k3v, k, mode)
+    xn = x + (ds / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+    Vn = V + (ds / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+    return xn, Vn
+
+
+_DP_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
+_DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
+
+
+def _ref_dp54_step(model, y, k, ds, mode):
+    def f(yv):
+        dx, dv = _ref_rhs(model, yv[:4], yv[4:], k, mode)
+        return np.concatenate([dx, dv])
+
+    ks = []
+    for i in range(7):
+        yi = y.copy()
+        for j, a in enumerate(_DP_A[i]):
+            yi = yi + ds * a * ks[j]
+        ks.append(f(yi))
+    y5 = y + ds * sum(b * ki for b, ki in zip(_DP_B5, ks))
+    y4 = y + ds * sum(b * ki for b, ki in zip(_DP_B4, ks))
+    return y5, float(np.abs(y5 - y4).max())
+
+
+def _reference_worldline(model, init, charge_ratio, config, mode="dual"):
+    """The integrator as two hand-written steppers, each step testing the
+    domain and evaluating the metric at the accepted point on its own."""
+    x = np.asarray(init.x, dtype=float)
+    V = np.asarray(init.V, dtype=float)
+    s = float(init.s)
+    k = float(charge_ratio)
+
+    states = [WorldlineState(x, V, s)]
+    residuals = [abs(_ref_norm_squared(model, x, V) - 1.0)]
+    traj = Trajectory(states=states, norm_residuals=residuals)
+
+    try:
+        if config.method == "rk4":
+            for step in range(config.steps):
+                x, V = _ref_rk4_step(model, x, V, k, config.ds, mode)
+                s += config.ds
+                if not model.in_domain(x):
+                    raise DomainError(
+                        f"worldline left the domain of {model.name!r} near {point_text(x)}"
+                    )
+                if config.renormalize_every and (step + 1) % config.renormalize_every == 0:
+                    V = _ref_normalize_velocity(model, x, V)
+                states.append(WorldlineState(x, V, s))
+                residuals.append(abs(_ref_norm_squared(model, x, V) - 1.0))
+        else:
+            s_end = s + config.ds * config.steps
+            ds = config.ds
+            atol, rtol = 1e-12, 1e-10
+            y = np.concatenate([x, V])
+            max_attempts = 20 * config.steps
+            attempts = 0
+            while s < s_end - 1e-15:
+                ds = min(ds, s_end - s)
+                y5, err = _ref_dp54_step(model, y, k, ds, mode)
+                tol = atol + rtol * float(np.abs(y).max())
+                if err <= tol:
+                    if not model.in_domain(y5[:4]):
+                        raise DomainError(
+                            f"worldline left the domain of {model.name!r} near "
+                            f"{point_text(y5[:4])}"
+                        )
+                    y = y5
+                    s += ds
+                    states.append(WorldlineState(y[:4], y[4:], s))
+                    residuals.append(abs(_ref_norm_squared(model, y[:4], y[4:]) - 1.0))
+                else:
+                    traj.rejected_steps += 1
+                safety = 0.9 * (tol / err) ** 0.2 if err > 0 else 2.0
+                ds = ds * min(4.0, max(0.2, safety))
+                attempts += 1
+                if attempts > max_attempts:
+                    raise GeometryError("adaptive integrator exceeded its step budget")
+    except (DomainError, EvalError, MetricError) as err:
+        traj.exited = True
+        traj.exit_message = str(err)
+    return traj
+
+
+def _circular(r):
+    vt = 1.0 / math.sqrt(1.0 - 3.0 / r)
+    return [0.0, r, math.pi / 2, 0.0], [vt, 0.0, 0.0, math.sqrt(1.0 / r**3) * vt]
+
+
+def _rn_orbit():
+    # the benchmark's bound charged orbit (seed 0) over 80 of its 300 units
+    # of proper time, started at eight times its step so that the error
+    # control rejects a step
+    q, r = 0.36420911491257435, 10.978428133253583
+    v0 = [1.1712637600760631, -0.019881697386153786, 0.0, 0.03200403760260694]
+    return q, [0.0, r, math.pi / 2, 0.0], v0
+
+
+_INFALL = ([0.0, 3.0, math.pi / 2, 0.0], [1.0, -0.3, 0.0, 0.0])
+
+REFERENCE_RUNS = {
+    # name: (entry, params, x0, v0 (normalized first), k, config, the start
+    # of the exit message or None)
+    "schwarzschild-circular-rk4": (
+        "schwarzschild", {}, *_circular(8.0), 0.0,
+        IntegratorConfig(ds=2.0 * math.pi * 8.0**1.5 * math.sqrt(1 - 3 / 8.0) / 1500, steps=300),
+        None),
+    "constant-e-charged-rk4": (
+        "minkowski-constant-e", {}, [0.1, -0.2, 0.3, 0.05], [1.0, 0.1, 0.0, 0.0], 0.6,
+        IntegratorConfig(ds=0.002, steps=300), None),
+    "constant-e-charged-rk4-renormalized": (
+        "minkowski-constant-e", {}, [0.1, -0.2, 0.3, 0.05], [1.0, 0.1, 0.0, 0.0], 0.6,
+        IntegratorConfig(ds=0.002, steps=300, renormalize_every=10), None),
+    "rn-charged-rk45": (
+        "reissner-nordstrom", {"q": _rn_orbit()[0]}, *_rn_orbit()[1:], 0.04204902155293286,
+        IntegratorConfig(ds=4.0, steps=20, method="rk45-adaptive"), None),
+    "schwarzschild-infall-rk4": (
+        "schwarzschild", {}, *_INFALL, 0.0, IntegratorConfig(ds=0.05, steps=2000),
+        "worldline left the domain of 'schwarzschild' near ("),
+    "schwarzschild-infall-rk45": (
+        "schwarzschild", {}, *_INFALL, 0.0,
+        IntegratorConfig(ds=0.05, steps=2000, method="rk45-adaptive"),
+        "metric is numerically degenerate at ("),
+    "start-outside-domain": (
+        "schwarzschild", {}, [0.0, 1.5, math.pi / 2, 0.0], None, 0.0,
+        IntegratorConfig(ds=0.05, steps=20),
+        "point (0.0, 1.5, 1.5707963267948966, 0.0) is outside the domain of 'schwarzschild'"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_RUNS))
+def test_integrator_matches_reference_steppers(name):
+    entry, params, x0, v0, k, config, exit_message = REFERENCE_RUNS[name]
+    m = catalog_get(entry, params=params)
+    x0 = np.array(x0)
+    # the start outside the domain keeps a unit, spacelike there, velocity
+    V0 = np.array([1.0, 0.0, 0.0, 0.0]) if v0 is None else normalize_velocity(m, x0, np.array(v0))
+    init = WorldlineState(x0, V0, 0.0)
+    ref = _reference_worldline(m, init, k, config)
+    traj = integrate_worldline(m, init, k, config)
+
+    assert len(traj.states) == len(ref.states)
+    for got, want in zip(traj.states, ref.states):
+        assert got.s == want.s
+        assert np.array_equal(got.x, want.x) and np.array_equal(got.V, want.V)
+    assert traj.rejected_steps == ref.rejected_steps
+    assert (traj.exited, traj.exit_message) == (ref.exited, ref.exit_message)
+    # residuals |g(V,V) - 1| to 1e-12 of g(V,V): the metric comes from field
+    # jets now, whose quotients may differ from plain values in the last bit
+    for got, want in zip(traj.norm_residuals, ref.norm_residuals):
+        assert abs(got - want) <= 1e-12 * (1.0 + want)
+
+    assert ref.exited == (exit_message is not None)
+    assert ref.exit_message.startswith(exit_message or "")
+    if config.method == "rk45-adaptive" and exit_message is None:
+        assert ref.rejected_steps > 0
 
 def test_lorentz_rhs_requires_on_shell_state():
     m = catalog_get("minkowski")

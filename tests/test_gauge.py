@@ -37,7 +37,7 @@ def test_constant_phi_is_identity():
     m = catalog_get("reissner-nordstrom")
     shifted = transform_potential(m, "3.7")
     x = np.array([0.0, 4.0, 1.2, 0.5])
-    assert np.abs(shifted.potential_values(x) - m.potential_values(x)).max() == 0.0
+    assert np.abs(shifted.potential_values(x[None]) - m.potential_values(x[None])).max() == 0.0
     old, new = _pair(m, "3.7", x)
     assert np.abs(new.K_mix - old.K_mix).max() == 0.0
     assert contorsion_shift(old, new, as_phi_field(m, "3.7")) == 0.0
@@ -54,7 +54,7 @@ def test_time_linear_phi_shifts_potential_not_field():
     lam = 0.25
     shifted = transform_potential(m, f"{lam}*t")
     x = np.array([0.0, 4.0, 1.2, 0.5])
-    a_new = shifted.potential_values(x)
+    a_new = shifted.potential_values(x[None])[0]
     assert a_new[0] == pytest.approx(0.3 / 4.0 + lam, abs=1e-14)
     old, new = _pair(m, f"{lam}*t", x)
     assert np.abs(new.F_dd - old.F_dd).max() <= 1e-12
@@ -64,7 +64,7 @@ def test_bilinear_phi_on_constant_field():
     m = catalog_get("minkowski-constant-e")
     shifted = transform_potential(m, "t*x")
     x = np.array([0.7, 0.4, 0.0, 0.0])
-    a_new = shifted.potential_values(x)
+    a_new = shifted.potential_values(x[None])[0]
     # gains (x, t, 0, 0)
     assert a_new[0] == pytest.approx(-0.4 + 0.4)
     assert a_new[1] == pytest.approx(0.7)

@@ -221,6 +221,25 @@ def test_cli_worldline_domain_exit(tmp_path, capsys):
     assert out.read_text().count("\n") > 2  # partial trajectory written
 
 
+@pytest.mark.parametrize("bad", [
+    ["--x0", "0,0,zero,0"],
+    ["--save-every", "0"],
+    ["--renormalize-every", "-1"],
+    ["--ds", "nan"],
+    ["--charge-ratio", "inf"],
+    ["--x0", "0,0,nan,0"],
+], ids=["x0-not-a-number", "save-every-0", "renormalize-every-negative", "ds-nan",
+        "charge-ratio-inf", "x0-nan"])
+def test_cli_worldline_bad_input_is_a_usage_error(bad, tmp_path, capsys):
+    argv = {"--x0": "0,0,0,0", "--v0": "1,0,0,0", "--charge-ratio": "0.5", "--ds": "0.01",
+            "--save-every": "1", "--renormalize-every": "0"}
+    argv[bad[0]] = bad[1]
+    code = main(["worldline", "--spacetime", "minkowski-constant-e", "--steps", "5",
+                 "--out", str(tmp_path / "traj.csv"), *(f"{k}={v}" for k, v in argv.items())])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_gauge(tmp_path):
     out = tmp_path / "g.json"
     code = main(["gauge", "--spacetime", "charge-ball", "--phi", "0.5*t",

@@ -86,7 +86,7 @@ def test_riemann_antisymmetry_and_einstein_identity(rn):
     s = GeometrySnapshot(rn, x)
     R = s.riemann_lc[0]
     assert np.abs(R + R.transpose(1, 0, 2, 3)).max() <= 1e-10
-    g = rn.metric_values(x)
+    g = rn.metric_values(x[None])[0]
     expected = s.ricci_lc[0] - 0.5 * g * s.scalar_lc[0]
     assert np.abs(s.einstein_lc_dd[0] - expected).max() <= 1e-12
 
