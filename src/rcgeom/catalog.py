@@ -64,12 +64,17 @@ class FieldLayout:
     metric components with i <= j, ``A_live`` lists ``(n, field)`` for the
     potential.  Evaluation fills arrays from the constant template and
     evaluates only the listed fields.
+
+    ``shared`` holds, when ``g_live`` is empty, the snapshot members that
+    read only the constant metric, keyed by (member, derivative mode), each
+    a read-only array over a batch of one; ``GeometrySnapshot`` fills it.
     """
 
     g: np.ndarray
     A: np.ndarray
     g_live: tuple
     A_live: tuple
+    shared: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def of(cls, model):
@@ -271,19 +276,27 @@ def validate_on_grid(model, origin=None):
 
 def _validate_point(model, p, origin):
     pt = point_text(p)
+    origin = origin or model.name
     if not model.in_domain(p):
-        raise SpacetimeFormatError(
-            f"grid point {pt} violates the domain predicate", origin or model.name
-        )
+        raise SpacetimeFormatError(f"grid point {pt} violates the domain predicate", origin)
+    _evaluate_at([model.g_fields[i][j] for i in range(4) for j in range(i, 4)], p, pt, origin)
     try:
         model.metric_at(p)
     except MetricError as err:
         raise type(err)(f"{err} at grid point {pt}") from err
-    a = model.potential_values(p[None])
-    if not np.all(np.isfinite(a)):
-        raise SpacetimeFormatError(
-            f"potential is not finite at grid point {pt}", origin or model.name
-        )
+    _evaluate_at(model.A_fields, p, pt, origin)
+
+
+def _evaluate_at(fields, p, pt, origin):
+    """Evaluate each field at the grid point p; an evaluation error names
+    the field, the model or file and the point."""
+    for f in fields:
+        try:
+            f.value(p)
+        except EvalError as err:
+            raise SpacetimeFormatError(
+                f"{f.name} cannot be evaluated at grid point {pt}: {err}", origin
+            ) from err
 
 
 # -- built-in catalog ---------------------------------------------------------

@@ -165,7 +165,18 @@ def lorentz_rhs(model, state, charge_ratio, mode="dual"):
 
 # Row i of ``a`` builds stage i + 2, ``b`` weighs the stages over ``denom``,
 # and ``b_low`` is a pair's embedded solution; 5(4): Dormand & Prince (1980).
+# Each row is kept as its nonzero (coefficient, stage index) pairs.
 _Tableau = namedtuple("_Tableau", "a b denom b_low")
+
+
+def _pairs(row):
+    return tuple((w, j) for j, w in enumerate(row) if w)
+
+
+def _tableau(a, b, denom, b_low=None):
+    return _Tableau(tuple(map(_pairs, a)), _pairs(b), denom, b_low and _pairs(b_low))
+
+
 _DP_A = (
     (1 / 5,),
     (3 / 40, 9 / 40),
@@ -175,8 +186,8 @@ _DP_A = (
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
 _TABLEAUX = {
-    "rk4": _Tableau(((1 / 2,), (0.0, 1 / 2), (0.0, 0.0, 1.0)), (1.0, 2.0, 2.0, 1.0), 6.0, None),
-    "rk45-adaptive": _Tableau(_DP_A, _DP_A[-1] + (0.0,), 1.0, (
+    "rk4": _tableau(((1 / 2,), (0.0, 1 / 2), (0.0, 0.0, 1.0)), (1.0, 2.0, 2.0, 1.0), 6.0),
+    "rk45-adaptive": _tableau(_DP_A, _DP_A[-1], 1.0, (
         5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)),
 }
 
@@ -188,14 +199,17 @@ def _rk_step(tableau, stage, y, k1, ds):
     ks = [k1]
     for row in tableau.a:
         yi = y
-        for a, kj in zip(row, ks):
-            if a:
-                yi = yi + (ds * a) * kj
+        for a, j in row:
+            yi = yi + (ds * a) * ks[j]
         ks.append(stage(yi))
 
-    def weigh(weights):
-        terms = [w * kj for w, kj in zip(weights, ks) if w]
-        return sum(terms[1:], terms[0])
+    def weigh(pairs):
+        # a unit weight takes its stage as is: 1.0 * k is k, bit for bit
+        total = None
+        for w, j in pairs:
+            term = ks[j] if w == 1.0 else w * ks[j]
+            total = term if total is None else total + term
+        return total
 
     y_new = y + (ds / tableau.denom) * weigh(tableau.b)
     if tableau.b_low is None:

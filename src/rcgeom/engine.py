@@ -23,12 +23,24 @@ Derivatives of computed objects are assembled analytically from the exact
 field jets (product rule on the closed forms), never by differencing grids
 of computed values; in finite-difference mode the handful of third-order
 consumers fall back to stencils applied to the computed field.
+
+A constant metric (no coordinate-dependent component, as on the flat
+backgrounds of the test-field models) makes every member that reads only
+the metric and its derivatives (``det_g``, ``ginv``, ``sqrt_g``, their
+derivatives, the Levi-Civita connection and its curvature) the same at
+every point.  Such a member is computed once per model and derivative mode,
+by the first snapshot that reads it, and kept on the model's layout as one
+row; later snapshots get that row, repeated over their points.  The kept
+row is read-only, because a batch of one hands it out as is: an in-place
+write through one snapshot would otherwise change the member of every
+snapshot of the model.  Models whose metric depends on the coordinates
+compute every member per snapshot.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-from functools import cached_property
 
 import numpy as np
 
@@ -183,6 +195,59 @@ def field_jets(model, X, order=2, mode="dual"):
     return FieldJets(X, order, *parts)
 
 
+class _cached(functools.cached_property):
+    """``functools.cached_property`` without the lock that Python 3.10 and
+    3.11 take on every first access (3.12 has none).  A member that raises
+    caches nothing and raises again on the next access."""
+
+    def __get__(self, instance, owner=None):
+        if instance is None:
+            return self
+        value = instance.__dict__[self.attrname] = self.func(instance)
+        return value
+
+
+def _metric_member(*orders):
+    """A member that reads only the metric and its derivatives, reaching the
+    field jets at ``orders`` in that order.
+
+    When the model's metric is constant (``layout.g_live`` is empty) the
+    member is the same at every point: the first snapshot of a model and
+    mode that reads it computes it, and the layout keeps its first row,
+    read-only.  A later snapshot still evaluates its own field jets at
+    ``orders``, so its domain and finiteness errors stay its own, and gets
+    the kept row as is (a batch of one) or repeated over its points.  A
+    member that raises keeps nothing.
+    """
+
+    def decorate(func):
+        name = func.__name__
+
+        @functools.wraps(func)
+        def member(self):
+            layout = self.model.layout
+            if layout.g_live:
+                return func(self)
+            key = (name, self.mode)
+            row = layout.shared.get(key)
+            if row is None:
+                value = func(self)
+                row = value if len(value) == 1 else value[:1].copy()
+                row.flags.writeable = False
+                layout.shared.setdefault(key, row)
+                return value
+            for order in orders:
+                self.jets(order)
+            n = len(self.x)
+            # np.repeat, not a stride-0 view: einsum's inner loop, and with
+            # it the bits of every contraction, follows the operand strides.
+            return row if n == 1 else np.repeat(row, n, axis=0)
+
+        return _cached(member)
+
+    return decorate
+
+
 def cyclic_gradient_residual(dF_dd):
     """max of the cyclic sum d_l F_mn + d_m F_nl + d_n F_lm over a gradient
     array (slots: point, derivative, first, second), one value per point;
@@ -229,19 +294,19 @@ class GeometrySnapshot:
 
     # -- metric layer --------------------------------------------------------
 
-    @cached_property
+    @_cached
     def g(self):
         return self.jets(1).g
 
-    @cached_property
+    @_cached
     def metric(self):
         return MetricAtPoint.from_components(self.g)
 
-    @cached_property
+    @_metric_member(1)
     def det_g(self):
         return np.linalg.det(self.g)
 
-    @cached_property
+    @_metric_member(1)
     def ginv(self):
         det, g = self.det_g, self.g
         # A point is degenerate when |det| < DEGENERACY_TOL * max(1, max|g|)^4
@@ -256,7 +321,7 @@ class GeometrySnapshot:
             )
         return np.linalg.inv(self.g)
 
-    @cached_property
+    @_metric_member(1)
     def sqrt_g(self):
         det = self.det_g
         hit = first_bad(det >= 0.0, self.x, det)
@@ -264,30 +329,30 @@ class GeometrySnapshot:
             raise MetricError(f"metric determinant is not negative at {point_text(hit[0])}")
         return np.sqrt(-det)
 
-    @cached_property
+    @_cached
     def dg(self):
         return self.jets(1).dg
 
-    @cached_property
+    @_cached
     def ddg(self):
         return self.jets(2).ddg
 
-    @cached_property
+    @_metric_member(1)
     def dginv(self):
         return -batched_einsum("ma,lab,bn->lmn", self.ginv, self.dg, self.ginv)
 
-    @cached_property
+    @_metric_member(1, 2)
     def ddginv(self):
         t1 = batched_einsum("kma,lab,bn->klmn", self.dginv, self.dg, self.ginv)
         t2 = batched_einsum("ma,klab,bn->klmn", self.ginv, self.ddg, self.ginv)
         t3 = batched_einsum("ma,lab,kbn->klmn", self.ginv, self.dg, self.dginv)
         return -(t1 + t2 + t3)
 
-    @cached_property
+    @_metric_member(1)
     def dsqrt_g(self):
         return 0.5 * self.sqrt_g[:, None] * batched_einsum("mn,lmn->l", self.ginv, self.dg)
 
-    @cached_property
+    @_metric_member(1, 2)
     def ddsqrt_g(self):
         tr = batched_einsum("mn,lmn->l", self.ginv, self.dg)
         dtr = batched_einsum("kmn,lmn->kl", self.dginv, self.dg) + batched_einsum(
@@ -297,29 +362,29 @@ class GeometrySnapshot:
 
     # -- Levi-Civita layer ---------------------------------------------------
 
-    @cached_property
+    @_metric_member(1)
     def _sym_dg(self):
         # S[m,n,a] = d_m g_na + d_n g_ma - d_a g_mn
         dg = self.dg
         return dg + dg.swapaxes(-3, -2) - dg.transpose(0, 2, 3, 1)
 
-    @cached_property
+    @_metric_member(1)
     def gamma_lc(self):
         return 0.5 * batched_einsum("la,mna->mnl", self.ginv, self._sym_dg)
 
-    @cached_property
+    @_metric_member(2)
     def _dsym_dg(self):
         ddg = self.ddg
         return ddg + ddg.swapaxes(-3, -2) - ddg.transpose(0, 1, 3, 4, 2)
 
-    @cached_property
+    @_metric_member(1, 2)
     def dgamma_lc(self):
         return 0.5 * (
             batched_einsum("kla,mna->kmnl", self.dginv, self._sym_dg)
             + batched_einsum("la,kmna->kmnl", self.ginv, self._dsym_dg)
         )
 
-    @cached_property
+    @_metric_member(3)
     def ddgamma_lc(self):
         dddg = self.jets(3).dddg
         ddsym = dddg + dddg.swapaxes(-3, -2) - dddg.transpose(0, 1, 2, 4, 5, 3)
@@ -330,7 +395,7 @@ class GeometrySnapshot:
             + batched_einsum("la,jkmna->jkmnl", self.ginv, ddsym)
         )
 
-    @cached_property
+    @_metric_member(1)
     def gamma_lc_trace(self):
         # G_{mr}^m as a function of r
         return batched_einsum("mrm->r", self.gamma_lc)
@@ -342,27 +407,27 @@ class GeometrySnapshot:
         r -= batched_einsum("nrc,mlr->mnlc", gamma, gamma)
         return r
 
-    @cached_property
+    @_metric_member(1, 2)
     def riemann_lc(self):
         return self._riemann(self.gamma_lc, self.dgamma_lc)
 
-    @cached_property
+    @_metric_member(1, 2)
     def ricci_lc(self):
         return batched_einsum("mnlm->nl", self.riemann_lc)
 
-    @cached_property
+    @_metric_member(1, 2)
     def scalar_lc(self):
         return batched_einsum("nl,nl->", self.ginv, self.ricci_lc)
 
-    @cached_property
+    @_metric_member(1, 2)
     def einstein_lc_dd(self):
         return self.ricci_lc - 0.5 * self.g * self.scalar_lc[:, None, None]
 
-    @cached_property
+    @_metric_member(1, 2)
     def einstein_lc_uu(self):
         return batched_einsum("ma,ab,bn->mn", self.ginv, self.einstein_lc_dd, self.ginv)
 
-    @cached_property
+    @_metric_member(3)
     def d_riemann_lc(self):
         ddgamma = self.ddgamma_lc
         dgamma = self.dgamma_lc
@@ -374,7 +439,7 @@ class GeometrySnapshot:
         dr -= batched_einsum("nrc,kmlr->kmnlc", gamma, dgamma)
         return dr
 
-    @cached_property
+    @_cached
     def d_einstein_lc_uu(self):
         if self.mode == "fd":
             return _fd_pipeline(self.model, self.x, lambda s: s.einstein_lc_uu, self.mode)
@@ -401,45 +466,45 @@ class GeometrySnapshot:
 
     # -- electromagnetic layer -----------------------------------------------
 
-    @cached_property
+    @_cached
     def A(self):
         return self.jets(1).A
 
-    @cached_property
+    @_cached
     def dA(self):
         return self.jets(1).dA
 
-    @cached_property
+    @_cached
     def F_dd(self):
         dA = self.dA
         return dA - dA.swapaxes(-1, -2)
 
-    @cached_property
+    @_cached
     def dF_dd(self):
         ddA = self.jets(2).ddA
         return ddA - ddA.swapaxes(-1, -2)
 
-    @cached_property
+    @_cached
     def ddF_dd(self):
         dddA = self.jets(3).dddA
         return dddA - dddA.swapaxes(-1, -2)
 
-    @cached_property
+    @_cached
     def F_mix(self):
         # F_n^{.l} = g^{la} F_nl... contracted on the second slot
         return batched_einsum("la,na->nl", self.ginv, self.F_dd)
 
-    @cached_property
+    @_cached
     def dF_mix(self):
         return batched_einsum("kla,na->knl", self.dginv, self.F_dd) + batched_einsum(
             "la,kna->knl", self.ginv, self.dF_dd
         )
 
-    @cached_property
+    @_cached
     def F_uu(self):
         return batched_einsum("ma,nb,ab->mn", self.ginv, self.ginv, self.F_dd)
 
-    @cached_property
+    @_cached
     def dF_uu(self):
         return (
             batched_einsum("kma,nb,ab->kmn", self.dginv, self.ginv, self.F_dd)
@@ -447,7 +512,7 @@ class GeometrySnapshot:
             + batched_einsum("ma,nb,kab->kmn", self.ginv, self.ginv, self.dF_dd)
         )
 
-    @cached_property
+    @_cached
     def ddF_uu(self):
         gi, dgi, ddgi = self.ginv, self.dginv, self.ddginv
         F, dF, ddF = self.F_dd, self.dF_dd, self.ddF_dd
@@ -464,11 +529,11 @@ class GeometrySnapshot:
             + ein("ma,nb,jkab->jkmn", gi, gi, ddF)
         )
 
-    @cached_property
+    @_cached
     def F2(self):
         return batched_einsum("mn,mn->", self.F_dd, self.F_uu)
 
-    @cached_property
+    @_cached
     def dF2(self):
         return batched_einsum("lmn,mn->l", self.dF_dd, self.F_uu) + batched_einsum(
             "mn,lmn->l", self.F_dd, self.dF_uu
@@ -479,13 +544,13 @@ class GeometrySnapshot:
         return cyclic_gradient_residual(self.dF_dd)
 
     # divergence of F^{mn} in three routes
-    @cached_property
+    @_cached
     def lc_div_F_det(self):
         return batched_einsum("m,mn->n", self.dsqrt_g, self.F_uu) / self.sqrt_g[
             :, None
         ] + batched_einsum("mmn->n", self.dF_uu)
 
-    @cached_property
+    @_cached
     def lc_div_F_gamma(self):
         return (
             batched_einsum("mmn->n", self.dF_uu)
@@ -493,7 +558,7 @@ class GeometrySnapshot:
             + batched_einsum("mrn,mr->n", self.gamma_lc, self.F_uu)
         )
 
-    @cached_property
+    @_cached
     def rc_div_F(self):
         return (
             batched_einsum("mmn->n", self.dF_uu)
@@ -501,15 +566,15 @@ class GeometrySnapshot:
             + batched_einsum("mrn,mr->n", self.gamma_full, self.F_uu)
         )
 
-    @cached_property
+    @_cached
     def J_up(self):
         return (self.c_light / FOUR_PI) * self.lc_div_F_det
 
-    @cached_property
+    @_cached
     def J_down(self):
         return (self.g @ self.J_up[:, :, None])[:, :, 0]
 
-    @cached_property
+    @_cached
     def dJ_up(self):
         if self.mode == "fd":
             return _fd_pipeline(self.model, self.x, lambda s: s.J_up, self.mode)
@@ -535,12 +600,12 @@ class GeometrySnapshot:
         )
         return np.abs(val)
 
-    @cached_property
+    @_cached
     def T_em_dd(self):
         m = batched_einsum("mb,nb->mn", self.F_mix, self.F_dd)
         return (-m + 0.25 * self.g * self.F2[:, None, None]) / FOUR_PI
 
-    @cached_property
+    @_cached
     def dT_em_dd(self):
         dm = batched_einsum("lmb,nb->lmn", self.dF_mix, self.F_dd) + batched_einsum(
             "mb,lnb->lmn", self.F_mix, self.dF_dd
@@ -553,11 +618,11 @@ class GeometrySnapshot:
             )
         ) / FOUR_PI
 
-    @cached_property
+    @_cached
     def T_em_uu(self):
         return batched_einsum("ma,ab,bn->mn", self.ginv, self.T_em_dd, self.ginv)
 
-    @cached_property
+    @_cached
     def dT_em_uu(self):
         return (
             batched_einsum("kma,ab,bn->kmn", self.dginv, self.T_em_dd, self.ginv)
@@ -579,29 +644,29 @@ class GeometrySnapshot:
         rhs = batched_einsum("mn,m->n", self.F_uu, self.J_down) / self.c_light
         return max_abs(self.div_T_em("rc") - rhs)
 
-    @cached_property
+    @_cached
     def chern_simons(self):
         a = self.A[..., :, None, None] * self.F_dd[..., None, :, :]
         return (a + a.transpose(0, 2, 3, 1) + a.transpose(0, 3, 1, 2)) / 6.0
 
     # -- contorsion layer ----------------------------------------------------
 
-    @cached_property
+    @_cached
     def K_mix(self):
         return -self.C * batched_einsum("m,nl->mnl", self.A, self.F_mix)
 
-    @cached_property
+    @_cached
     def K_down(self):
         return -self.C * batched_einsum("m,nl->mnl", self.A, self.F_dd)
 
-    @cached_property
+    @_cached
     def dK_mix(self):
         return -self.C * (
             batched_einsum("km,nl->kmnl", self.dA, self.F_mix)
             + batched_einsum("m,knl->kmnl", self.A, self.dF_mix)
         )
 
-    @cached_property
+    @_cached
     def covd_K(self):
         g = self.gamma_lc
         K = self.K_mix
@@ -612,34 +677,34 @@ class GeometrySnapshot:
             - batched_einsum("knr,mrl->kmnl", g, K)
         )
 
-    @cached_property
+    @_cached
     def torsion_mix(self):
         return self.K_mix - self.K_mix.swapaxes(-3, -2)
 
-    @cached_property
+    @_cached
     def gamma_full(self):
         return self.gamma_lc + self.K_mix
 
-    @cached_property
+    @_cached
     def gamma_full_trace(self):
         return batched_einsum("mrm->r", self.gamma_full)
 
-    @cached_property
+    @_cached
     def dgamma_full(self):
         return self.dgamma_lc + self.dK_mix
 
     # -- full curvature layer --------------------------------------------------
 
-    @cached_property
+    @_cached
     def riemann_rc(self):
         return self._riemann(self.gamma_full, self.dgamma_full)
 
-    @cached_property
+    @_cached
     def quadratic_pair(self):
         K = self.K_mix
         return batched_einsum("nlr,mrc->mnlc", K, K) - batched_einsum("mlr,nrc->mnlc", K, K)
 
-    @cached_property
+    @_cached
     def riemann_rc_decomposed(self):
         pair = self.covd_K - self.covd_K.swapaxes(-4, -3)
         return self.riemann_lc + pair + self.quadratic_pair
@@ -650,27 +715,27 @@ class GeometrySnapshot:
     def quadratic_pair_residual(self):
         return max_abs(self.quadratic_pair)
 
-    @cached_property
+    @_cached
     def ricci_rc(self):
         return batched_einsum("mnlm->nl", self.riemann_rc)
 
-    @cached_property
+    @_cached
     def scalar_rc(self):
         return batched_einsum("nl,nl->", self.ginv, self.ricci_rc)
 
-    @cached_property
+    @_cached
     def contorsion_trace_vector(self):
         # W^m = K_n^{.nm}, evaluated through its closed form -C A_n F^{nm}
         return -self.C * batched_einsum("n,nm->m", self.A, self.F_uu)
 
-    @cached_property
+    @_cached
     def d_contorsion_trace_vector(self):
         return -self.C * (
             batched_einsum("ln,nm->lm", self.dA, self.F_uu)
             + batched_einsum("n,lnm->lm", self.A, self.dF_uu)
         )
 
-    @cached_property
+    @_cached
     def scalar_rc_traced(self):
         """Scalar curvature via the contorsion-trace divergence route."""
         divW = batched_einsum("mm->", self.d_contorsion_trace_vector) + batched_einsum(
@@ -688,7 +753,7 @@ class GeometrySnapshot:
 
     # -- algebraic cancellation pairs -----------------------------------------
 
-    @cached_property
+    @_cached
     def K_first_trace(self):
         # K_{md}^{.m} as a function of d
         return batched_einsum("mdm->d", self.K_mix)

@@ -142,6 +142,36 @@ grid.z = 0:1:2
     assert "grid point" in str(err.value)
 
 
+OVERFLOW_FILE = """
+name = overflow
+coords = t, x, y, z
+g[0][0] = "1"
+g[1][1] = "{g11}"
+g[2][2] = "-1"
+g[3][3] = "-1"
+A[0] = "{A0}"
+grid.t = 0:0:1
+grid.x = 0:1:2
+grid.y = 0:0:1
+grid.z = 0:0:1
+"""
+
+
+@pytest.mark.parametrize("g11, A0, field", [
+    ("-1", "exp(1000*x)", "A[0]"),
+    ("-exp(1000*x)", "x", "g[1][1]"),
+])
+def test_field_that_overflows_on_the_grid_names_file_field_and_point(
+        tmp_path, capsys, g11, A0, field):
+    path = tmp_path / "overflow.spacetime"
+    path.write_text(OVERFLOW_FILE.format(g11=g11, A0=A0))
+    assert main(["run", "--spacetime", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: {field} cannot be evaluated at grid point (0.0, 1.0, 0.0, 0.0): "
+        "exp overflow at argument 1000.0\n"
+    )
+
+
 def test_rn_file_matches_catalog_entry():
     loaded = parse_spacetime_text(RN_FILE)
     ref = catalog_get("reissner-nordstrom")

@@ -15,7 +15,7 @@ from rcgeom import (
     load_spacetime_file,
     transform_potential,
 )
-from rcgeom.catalog import parse_spacetime_text
+from rcgeom.catalog import build_model, parse_spacetime_text
 from rcgeom.dynamics import dust_from_sources, probe_velocity
 from rcgeom.engine import GeometrySnapshot
 from rcgeom.harness import run_suite
@@ -411,3 +411,174 @@ def test_gauge_scenario_error_is_the_point_by_point_one(case, mode):
         assert not errors and report.passed
     else:
         assert [c.note for c in errors] == [expected]
+
+
+# -- a constant metric is evaluated once per model -------------------------------
+
+# The members that read only the metric and its derivatives.
+METRIC_MEMBERS = (
+    "det_g", "ginv", "sqrt_g", "dginv", "ddginv", "dsqrt_g", "ddsqrt_g", "_sym_dg",
+    "gamma_lc", "_dsym_dg", "dgamma_lc", "ddgamma_lc", "gamma_lc_trace", "riemann_lc",
+    "ricci_lc", "scalar_lc", "einstein_lc_dd", "einstein_lc_uu", "d_riemann_lc",
+)
+
+# Constant, off-diagonal metric: no member vanishes by symmetry alone.
+OFFDIAG = """
+name = offdiag
+coords = t, x, y, z
+g[0][0] = "{g00}"
+g[0][1] = "0.5"
+g[1][1] = "-1"
+g[2][2] = "-1"
+g[3][3] = "-1"
+A[0] = "0.3*sin(x + t)"
+A[2] = "0.1*t*z^2 + 0.2*x"
+grid.t = -0.3:0.3:2
+grid.x = -0.4:0.4:2
+grid.y = -0.4:0.4:2
+grid.z = -0.3:0.3:2
+"""
+
+CONSTANT_METRIC_MODELS = {
+    **{name: lambda name=name: catalog_get(name)
+       for name in ("minkowski", "minkowski-constant-e", "em-plane-wave", "charge-ball")},
+    "offdiag": lambda: parse_spacetime_text(OFFDIAG.format(g00="4")),
+}
+
+
+def _sample(model, n, seed):
+    box = model.sample_box()
+    rng = np.random.default_rng(seed)
+    return np.array([[rng.uniform(*box[c]) for c in model.chart.names] for _ in range(n)])
+
+
+def _metric_members(snap):
+    """member -> its array, or the text of the error it raises."""
+    out = {}
+    for member in METRIC_MEMBERS:
+        try:
+            out[member] = getattr(snap, member)
+        except GeometryError as err:
+            out[member] = f"{type(err).__name__}: {err}"
+    return out
+
+
+def _assert_same_bits(got, want):
+    assert got.keys() == want.keys()
+    for member, w in want.items():
+        g = got[member]
+        if isinstance(w, str):
+            assert g == w, member
+        else:
+            assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), member
+
+
+@pytest.mark.parametrize("mode", ["dual", "fd"])
+@pytest.mark.parametrize("name", sorted(CONSTANT_METRIC_MODELS))
+def test_shared_metric_members_match_the_unshared_computation(name, mode):
+    """Whichever batch size computes a member first, every later snapshot,
+    of one point or of 40 others, gets the bits its own computation gives."""
+    model = CONSTANT_METRIC_MODELS[name]()
+    assert not model.layout.g_live
+    X, Y = _sample(model, 40, 0), _sample(model, 40, 1)
+    store = model.layout.shared
+    unshared = {}
+    for n in (1, 40):
+        store.clear()
+        unshared[n] = _metric_members(GeometrySnapshot(model, X[:n], mode))
+
+    for first in (1, 40):
+        store.clear()
+        _metric_members(GeometrySnapshot(model, X[:first], mode))
+        raised = {m for m, v in unshared[first].items() if isinstance(v, str)}
+        assert raised == ({"ddgamma_lc", "d_riemann_lc"} if mode == "fd" else set())
+        assert set(store) == {(m, mode) for m in METRIC_MEMBERS if m not in raised}
+        for n in (1, 40):
+            snap = GeometrySnapshot(model, Y[:n], mode)
+            got = _metric_members(snap)
+            _assert_same_bits(got, unshared[n])
+            if n == 1:
+                assert all(got[m] is store[(m, mode)] for m in METRIC_MEMBERS if m not in raised)
+
+
+def test_shared_arrays_are_read_only():
+    model = catalog_get("minkowski-constant-e")
+    first = GeometrySnapshot(model, _sample(model, 1, 0))
+    later = GeometrySnapshot(model, _sample(model, 1, 1))
+    for snap in (first, later):
+        for member in ("ginv", "gamma_lc", "riemann_lc", "scalar_lc"):
+            with pytest.raises(ValueError):
+                getattr(snap, member)[0, ...] = 1.0
+    assert np.all(later.ginv == np.diag([1.0, -1.0, -1.0, -1.0]))
+    # a larger batch gets its own writable copy
+    batch = GeometrySnapshot(model, _sample(model, 3, 2))
+    batch.ginv[0, 0, 0] = 2.0
+    assert GeometrySnapshot(model, _sample(model, 1, 3)).ginv[0, 0, 0] == 1.0
+
+
+def test_models_with_different_constant_metrics_share_nothing():
+    a = parse_spacetime_text(OFFDIAG.format(g00="4"))
+    b = parse_spacetime_text(OFFDIAG.format(g00="9"))
+    x = _sample(a, 1, 0)
+    ginv_a, ginv_b = GeometrySnapshot(a, x).ginv, GeometrySnapshot(b, x).ginv
+    assert a.layout.shared.keys() == b.layout.shared.keys() == {("ginv", "dual"), ("det_g", "dual")}
+    assert ginv_a is not ginv_b and ginv_a is a.layout.shared[("ginv", "dual")]
+    for model, ginv in ((a, ginv_a), (b, ginv_b)):
+        assert ginv.tobytes() == np.linalg.inv(model.layout.g[None]).tobytes()
+
+
+@pytest.mark.parametrize("mode", ["dual", "fd"])
+def test_coordinate_dependent_metric_shares_nothing(mode):
+    model = catalog_get("schwarzschild")
+    for x in model.default_grid[:2]:
+        _metric_members(GeometrySnapshot(model, x, mode))
+    assert model.layout.g_live and model.layout.shared == {}
+
+
+def test_constant_degenerate_metric_fails_at_every_snapshot_with_its_point():
+    model = build_model("flat-degenerate", ("t", "x", "y", "z"),
+                        {(0, 0): "1", (1, 1): "-1", (2, 2): "-1", (3, 3): "0"}, {0: "x"},
+                        grid_axes={"t": (0,), "x": (0,), "y": (0,), "z": (0,)}, validate=False)
+    for p in ([0.1, 0.2, 0.3, 0.4], [0.5, 0.6, 0.7, 0.8]):
+        got = _metric_members(GeometrySnapshot(model, np.array(p)))
+        pt = f"({p[0]}, {p[1]}, {p[2]}, {p[3]})"
+        for member in ("ginv", "gamma_lc", "riemann_lc", "einstein_lc_uu"):
+            assert got[member] == f"MetricError: metric is numerically degenerate at {pt} (det=0.000e+00)"
+        assert got["sqrt_g"] == f"MetricError: metric determinant is not negative at {pt}"
+    assert set(model.layout.shared) == {("det_g", "dual"), ("_sym_dg", "dual"), ("_dsym_dg", "dual")}
+
+
+# Flat, with a domain x > -1 and a potential that cannot be evaluated at
+# x <= -0.5 inside it.
+SINGULAR = """
+name = singular
+coords = t, x, y, z
+domain = "x + 1"
+g[0][0] = "1"
+g[1][1] = "-1"
+g[2][2] = "-1"
+g[3][3] = "-1"
+A[0] = "log(x + 0.5)"
+grid.t = 0:0:1
+grid.x = 0:0.5:2
+grid.y = 0:0:1
+grid.z = 0:0:1
+"""
+
+
+@pytest.mark.parametrize("mode", ["dual", "fd"])
+def test_shared_members_meet_each_snapshot_domain_and_field_errors(mode):
+    """A snapshot that gets a shared member still evaluates its own field
+    jets: outside the domain, or where the potential fails, it raises what
+    it raises when nothing is shared."""
+    bad = [np.array([0.0, -2.0, 0.0, 0.0]), np.array([0.0, -0.7, 0.0, 0.0])]
+    fresh = parse_spacetime_text(SINGULAR)
+    want = [_metric_members(GeometrySnapshot(fresh, p, mode)) for p in bad]
+    assert fresh.layout.shared == {}
+    assert "DomainError" in want[0]["gamma_lc"] and "EvalError" in want[1]["gamma_lc"]
+
+    model = parse_spacetime_text(SINGULAR)
+    _metric_members(GeometrySnapshot(model, np.array([0.0, 0.2, 0.0, 0.0]), mode))
+    assert len(model.layout.shared) >= len(METRIC_MEMBERS) - 2
+    for p, w in zip(bad, want):
+        assert _metric_members(GeometrySnapshot(model, p, mode)) == w
