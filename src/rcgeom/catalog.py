@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -113,6 +113,16 @@ class SpacetimeModel:
         """The constant template and the coordinate-dependent components of
         the fields, built on first use."""
         return FieldLayout.of(self)
+
+    def with_potential(self, A_fields, name):
+        """This model with the potential ``A_fields``.  It keeps the metric
+        fields, and with them the metric part of the layout: the template,
+        ``g_live`` and the members kept for a constant metric."""
+        model = replace(self, name=name, A_fields=A_fields)
+        base = self.layout
+        model.__dict__["layout"] = replace(  # the cached property, filled in
+            FieldLayout.of(model), g=base.g, g_live=base.g_live, shared=base.shared)
+        return model
 
     @property
     def default_grid(self):

@@ -69,14 +69,16 @@ def make_seeds(x, order):
 
 
 def _check_finite(jv, name, x):
-    ok = np.isfinite(jv.value).all() and np.isfinite(jv.grad).all()
-    if ok and jv.hess is not None:
-        ok = np.isfinite(jv.hess).all()
-    if ok and jv.third is not None:
-        ok = np.isfinite(jv.third).all()
-    if not ok:
-        raise EvalError(f"non-finite result for field {name!r} at {point_text(x)}")
-    return jv
+    """jv if every part of it is finite; else an EvalError naming the point,
+    or the first point of a batch where some part is not finite."""
+    parts = [p for p in jv if p is not None]
+    if all(np.isfinite(p).all() for p in parts):
+        return jv
+    if np.ndim(x) == 2:
+        # a part carries the batch axis last, of length N or (a template) 1
+        finite = [np.isfinite(p).reshape(-1, np.shape(p)[-1]).all(axis=0) for p in parts]
+        x = x[np.argmin(np.logical_and.reduce(np.broadcast_arrays(*finite)))]
+    raise EvalError(f"non-finite result for field {name!r} at {point_text(x)}")
 
 
 def _check_values(v, name, X):

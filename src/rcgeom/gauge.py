@@ -11,7 +11,6 @@ point.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,7 +53,7 @@ def transform_potential(model, phi):
         ShiftedPotentialField(model.A_fields[n], phi, n, name=f"A'[{n}]")
         for n in range(4)
     )
-    return dataclasses.replace(model, name=f"{model.name}+gauge", A_fields=shifted)
+    return model.with_potential(shifted, f"{model.name}+gauge")
 
 
 def _phi_jet(phi, snap):

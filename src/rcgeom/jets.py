@@ -12,25 +12,27 @@ anywhere.  Order 2 is the workhorse; order 3 exists for the few pipelines
 that differentiate a computed field (current divergence, contracted Bianchi
 identity).
 
-At one point the elementary functions use ``math``.  Over a batch they check
-the domain at every point first, so a bad point raises ``EvalError``
-instead of leaving an inf or nan behind a numpy warning; batched jets then
-use numpy, and plain value arrays apply ``math`` entry by entry.
+Each elementary function is one entry of ``_TABLE``: a derivative rule,
+written once for ``math`` and numpy, and a domain rule, the tests and
+messages that explain a failed evaluation.  One dispatcher serves four
+routes: a Jet of a float runs the rule with ``math``, a Jet of an array with
+numpy, a plain float takes the ``math`` function and a plain array applies it
+entry by entry (``_each``), since value-only evaluation (stencils, domain
+predicates) must match one-point values bit for bit, which numpy does not
+promise.  Every route raises where it fails, numpy too, and a failed array is
+evaluated again entry by entry, so it raises the ``EvalError`` of its first
+bad entry.  ``jet_pow`` does the same for ``^``.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 
 import numpy as np
 
 from .errors import EvalError
 
 DIM = 4
-
-# Largest argument whose exponential is finite.
-_EXP_MAX = math.log(sys.float_info.max)
 
 
 def _outer(a, b):
@@ -62,17 +64,6 @@ _UNIT_B = _readonly(np.eye(DIM)[:, :, None])
 ZERO_G_B = _readonly(np.zeros((DIM, 1)))
 ZERO_H_B = _readonly(np.zeros((DIM, DIM, 1)))
 ZERO_T_B = _readonly(np.zeros((DIM, DIM, DIM, 1)))
-
-
-def any_point(cond):
-    """Truth of a per-point condition: the bool itself at one point, any()
-    over a batch."""
-    return cond.any() if isinstance(cond, np.ndarray) else cond
-
-
-def _first(v, bad):
-    """The offending value: v itself at one point, the first bad entry of a batch."""
-    return v[bad][0] if isinstance(v, np.ndarray) else v
 
 
 def _each(fn, *args):
@@ -226,180 +217,149 @@ class Jet:
         return self.compose(iv, -iv * iv, 2.0 * iv**3, -6.0 * iv**4)
 
 
-# -- elementary functions, generic over float | array | Jet ------------------
+# -- elementary functions: one rule each, one dispatcher ----------------------
+
+# What a failed evaluation raises: math's errors, and numpy's under _RAISE.
+_MATH_ERRORS = (ArithmeticError, ValueError)
+_RAISE = {"over": "raise", "divide": "raise", "invalid": "raise"}
 
 
-def jet_sin(u):
-    if isinstance(u, Jet):
-        m = np if isinstance(u.f, np.ndarray) else math
-        s, c = m.sin(u.f), m.cos(u.f)
-        return u.compose(s, c, -s, -c)
-    return _each(math.sin, u) if isinstance(u, np.ndarray) else math.sin(u)
+def _reject(bad, v, message):
+    """Raise ``EvalError(message)`` formatted with the first value of v (a
+    float or an array) at which bad holds, as a plain float, if there is one."""
+    if np.any(bad):
+        raise EvalError(message.format(float(np.broadcast_to(v, np.shape(bad))[bad][0])))
 
 
-def jet_cos(u):
-    if isinstance(u, Jet):
-        m = np if isinstance(u.f, np.ndarray) else math
-        s, c = m.sin(u.f), m.cos(u.f)
-        return u.compose(c, -s, -c, s)
-    return _each(math.cos, u) if isinstance(u, np.ndarray) else math.cos(u)
+def _entries(f, message, *args):
+    """[f(*entry) for each entry of the broadcast args], on plain floats; the
+    first entry at which f fails raises ``EvalError(message(*entry))``.
 
-
-def jet_tan(u):
-    if isinstance(u, Jet):
-        f = (np if isinstance(u.f, np.ndarray) else math).tan(u.f)
-        s = 1.0 + f * f
-        return u.compose(f, s, 2.0 * f * s, 2.0 * s * (s + 2.0 * f * f))
-    return _each(math.tan, u) if isinstance(u, np.ndarray) else math.tan(u)
-
-
-def jet_sinh(u):
-    if isinstance(u, Jet):
-        m = np if isinstance(u.f, np.ndarray) else math
-        s, c = m.sinh(u.f), m.cosh(u.f)
-        return u.compose(s, c, s, c)
-    return _each(math.sinh, u) if isinstance(u, np.ndarray) else math.sinh(u)
-
-
-def jet_cosh(u):
-    if isinstance(u, Jet):
-        m = np if isinstance(u.f, np.ndarray) else math
-        s, c = m.sinh(u.f), m.cosh(u.f)
-        return u.compose(c, s, c, s)
-    return _each(math.cosh, u) if isinstance(u, np.ndarray) else math.cosh(u)
-
-
-def jet_tanh(u):
-    if isinstance(u, Jet):
-        f = (np if isinstance(u.f, np.ndarray) else math).tanh(u.f)
-        s = 1.0 - f * f
-        return u.compose(f, s, -2.0 * f * s, -2.0 * s * (s - 2.0 * f * f))
-    return _each(math.tanh, u) if isinstance(u, np.ndarray) else math.tanh(u)
-
-
-def jet_exp(u):
-    v = u.f if isinstance(u, Jet) else u
-    if isinstance(v, np.ndarray):
-        over = v > _EXP_MAX
-        if over.any():
-            raise EvalError(f"exp overflow at argument {_first(v, over)!r}")
-        e = np.exp(v) if isinstance(u, Jet) else _each(math.exp, v)
-    else:
+    A failed evaluation takes this route: an array raises the error of its
+    first bad entry, or, where numpy failed only in an intermediate product
+    (which overflows quietly on floats), gets its entries' values.
+    """
+    out = []
+    for entry in zip(*(a.ravel().tolist() for a in np.broadcast_arrays(*args))):
         try:
-            e = math.exp(v)
-        except OverflowError as err:
-            raise EvalError(f"exp overflow at argument {v!r}") from err
-    if isinstance(u, Jet):
-        return u.compose(e, e, e, e)
-    return e
+            out.append(f(*entry))
+        except _MATH_ERRORS:
+            raise EvalError(message(*entry)) from None
+    return out
 
 
-def jet_log(u):
-    v = u.f if isinstance(u, Jet) else u
-    bad = v <= 0.0
-    if any_point(bad):
-        raise EvalError(f"log of non-positive argument {_first(v, bad)!r}")
-    if isinstance(u, Jet):
-        log = (np if isinstance(v, np.ndarray) else math).log(v)
-        iv = 1.0 / v
-        return u.compose(log, iv, -iv * iv, 2.0 * iv**3)
-    return _each(math.log, v) if isinstance(v, np.ndarray) else math.log(v)
+def _elementary(name, rule, domain):
+    """The elementary function ``name`` over a float, an array of values or a
+    Jet of either, from its ``_TABLE`` entry.  A failure is explained by the
+    first domain rule that holds at the bad value, else as an overflow."""
+    plain = getattr(math, name)
+    overflow = f"{name} overflow at argument {{!r}}"
+
+    def message(x):
+        return next((m for bad, m in domain if bad(x)), overflow).format(x)
+
+    def apply(u):
+        if not isinstance(u, Jet):
+            try:
+                return _each(plain, u) if isinstance(u, np.ndarray) else plain(u)
+            except _MATH_ERRORS:
+                return np.array(_entries(plain, message, u))
+        v = u.f
+        try:
+            if isinstance(v, np.ndarray):
+                with np.errstate(**_RAISE):
+                    d = rule(np, v)
+            else:
+                d = rule(math, v)
+        except _MATH_ERRORS:
+            d = np.array(_entries(lambda x: rule(math, x), message, v)).T
+        d0, d1, d2, d3 = d  # compose(*d) costs a slower call
+        return u.compose(d0, d1, d2, d3)
+
+    return apply
 
 
-def jet_sqrt(u):
-    v = u.f if isinstance(u, Jet) else u
-    bad = v < 0.0
-    if any_point(bad):
-        raise EvalError(f"sqrt of negative argument {_first(v, bad)!r}")
-    if isinstance(u, Jet):
-        if any_point(v == 0.0):
-            raise EvalError("sqrt derivative singular at zero")
-        r = (np if isinstance(v, np.ndarray) else math).sqrt(v)
-        return u.compose(r, 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v))
-    return _each(math.sqrt, v) if isinstance(v, np.ndarray) else math.sqrt(v)
+# Each entry: name, derivative rule (m, v) -> (f, f', f'', f''') with m =
+# math or numpy, domain rule as (test, message) pairs.  The cos and cosh
+# rules call sin and sinh first, as the sin and sinh rules do.  Overflow needs
+# no rule: it is the failure that no rule explains.
+_TABLE = (
+    ("sin", lambda m, v: (s := m.sin(v), c := m.cos(v), -s, -c),
+     ((np.isinf, "sin of infinite argument {!r}"),)),
+    ("cos", lambda m, v: (s := m.sin(v), c := m.cos(v)) and (c, -s, -c, s),
+     ((np.isinf, "cos of infinite argument {!r}"),)),
+    ("tan", lambda m, v: (f := m.tan(v), s := 1.0 + f * f,
+                          2.0 * f * s, 2.0 * s * (s + 2.0 * f * f)),
+     ((np.isinf, "tan of infinite argument {!r}"),)),
+    ("sinh", lambda m, v: (s := m.sinh(v), c := m.cosh(v), s, c), ()),
+    ("cosh", lambda m, v: (s := m.sinh(v), c := m.cosh(v)) and (c, s, c, s), ()),
+    ("tanh", lambda m, v: (f := m.tanh(v), s := 1.0 - f * f,
+                           -2.0 * f * s, -2.0 * s * (s - 2.0 * f * f)), ()),
+    ("exp", lambda m, v: (e := m.exp(v), e, e, e), ()),
+    ("log", lambda m, v: (m.log(v), iv := 1.0 / v, -iv * iv, 2.0 * iv**3),
+     ((lambda v: v <= 0.0, "log of non-positive argument {!r}"),)),
+    ("sqrt", lambda m, v: (r := m.sqrt(v), 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v)),
+     ((lambda v: v < 0.0, "sqrt of negative argument {!r}"),
+      (lambda v: v == 0.0, "sqrt derivative singular at zero"))),
+)
+FUNCTIONS = {name: _elementary(name, rule, domain) for name, rule, domain in _TABLE}
+
+
+# u ** p, tested in this order, the last for a Jet's derivatives only; what
+# fails after them overflowed.
+_POW_DOMAIN = (
+    (lambda v, p: (v == 0.0) & (p < 0.0), "zero raised to a negative power"),
+    (lambda v, p: (v < 0.0) & (np.floor(p) != p), "fractional power of negative base {!r}"),
+    (lambda v, p: (v == 0.0) & (np.floor(p) != p),
+     "fractional power of zero has singular derivatives"),
+)
+_POW_OVERFLOW = "power overflow at base {!r}".format
+
+
+def _pow_terms(v, p, power=math.pow):
+    """v ** p and its first three derivatives, with power = math.pow or
+    np.power.  At a zero base with a non-negative integer exponent this gives
+    n! in slot n, because each power of zero it takes is non-negative."""
+    c1 = p
+    c2 = p * (p - 1.0)
+    c3 = c2 * (p - 2.0)
+    return (
+        power(v, p),
+        0.0 if c1 == 0.0 else c1 * power(v, p - 1.0),
+        0.0 if c2 == 0.0 else c2 * power(v, p - 2.0),
+        0.0 if c3 == 0.0 else c3 * power(v, p - 3.0),
+    )
 
 
 def jet_pow(u, p):
-    """u ** p for float, array or Jet operands."""
-    if isinstance(p, Jet):
-        return jet_exp(p * jet_log(u))
-    if not isinstance(u, Jet):
-        if isinstance(u, np.ndarray) or isinstance(p, np.ndarray):
-            return _pow_batch(u, u, p)
-        p = float(p)
-        if u == 0.0 and p < 0.0:
-            raise EvalError("zero raised to a negative power")
-        if u < 0.0 and not p.is_integer():
-            raise EvalError(f"fractional power of negative base {u!r}")
-        return math.pow(u, p)
+    """u ** p for float, array or Jet operands.
 
-    v = u.f
-    if isinstance(v, np.ndarray):
-        return _pow_batch(u, v, p)
-    p = float(p)
-    if v == 0.0:
-        if p == 0.0:
-            return u.compose(1.0, 0.0)
-        if p < 0.0:
-            raise EvalError("zero raised to a negative power")
-        if not p.is_integer():
-            raise EvalError("fractional power of zero has singular derivatives")
-        n = int(p)
-        d = [0.0, 0.0, 0.0, 0.0]
-        if n <= 3:
-            d[n] = float(math.factorial(n))
-        return u.compose(*d)
-    if v < 0.0 and not p.is_integer():
-        raise EvalError(f"fractional power of negative base {v!r}")
-
-    c1 = p
-    c2 = p * (p - 1.0)
-    c3 = c2 * (p - 2.0)
-    d0 = v**p
-    d1 = 0.0 if c1 == 0.0 else c1 * v ** (p - 1.0)
-    d2 = 0.0 if c2 == 0.0 else c2 * v ** (p - 2.0)
-    d3 = 0.0 if c3 == 0.0 else c3 * v ** (p - 3.0)
-    return u.compose(d0, d1, d2, d3)
-
-
-def _pow_batch(u, v, p):
-    """jet_pow over a batch: the one-point domain rules at every point.
-
-    A Jet base comes with a constant exponent (a coordinate-dependent one is
-    a Jet itself); a plain array base or exponent comes from value-only
-    evaluation.  At a zero base with a non-negative integer exponent the
-    general derivative formula reproduces n! in slot n, because each power
-    it raises zero to is non-negative.
+    A Jet base comes with a constant exponent; a coordinate-dependent one is
+    a Jet itself, raised as exp(p log u).  A plain array base or exponent
+    comes from value-only evaluation.  Every domain rule concerns a base
+    <= 0, so a positive base skips them.
     """
-    fractional = np.floor(p) != p
-    if any_point((v == 0.0) & (p < 0.0)):
-        raise EvalError("zero raised to a negative power")
-    bad = (v < 0.0) & fractional
-    if any_point(bad):
-        raise EvalError(f"fractional power of negative base {_first(v, bad)!r}")
-    if not isinstance(u, Jet):
-        return _each(math.pow, v, p)
-    if any_point((v == 0.0) & fractional):
-        raise EvalError("fractional power of zero has singular derivatives")
-    p = float(p)
-    c1 = p
-    c2 = p * (p - 1.0)
-    c3 = c2 * (p - 2.0)
-    d0 = np.power(v, p)
-    d1 = 0.0 if c1 == 0.0 else c1 * np.power(v, p - 1.0)
-    d2 = 0.0 if c2 == 0.0 else c2 * np.power(v, p - 2.0)
-    d3 = 0.0 if c3 == 0.0 else c3 * np.power(v, p - 3.0)
+    if isinstance(p, Jet):
+        return FUNCTIONS["exp"](p * FUNCTIONS["log"](u))
+    jet = isinstance(u, Jet)
+    v = u.f if jet else u
+    # a Jet's exponent is a float
+    batch = isinstance(v, np.ndarray) or not jet and isinstance(p, np.ndarray)
+    if np.any(v <= 0.0) if batch else v <= 0.0:
+        for bad, message in _POW_DOMAIN if jet else _POW_DOMAIN[:2]:
+            _reject(bad(v, p), v, message)
+    if not jet:
+        try:
+            return _each(math.pow, v, p) if batch else math.pow(v, p)
+        except _MATH_ERRORS:
+            return np.array(_entries(math.pow, _POW_OVERFLOW, v, p))
+    try:
+        if batch:
+            with np.errstate(**_RAISE):
+                d = _pow_terms(v, p, np.power)
+        else:
+            d = _pow_terms(v, p)
+    except _MATH_ERRORS:
+        d = np.array(_entries(lambda x: _pow_terms(x, p), _POW_OVERFLOW, v)).T
+    d0, d1, d2, d3 = d
     return u.compose(d0, d1, d2, d3)
-
-
-FUNCTIONS = {
-    "sin": jet_sin,
-    "cos": jet_cos,
-    "tan": jet_tan,
-    "sinh": jet_sinh,
-    "cosh": jet_cosh,
-    "tanh": jet_tanh,
-    "exp": jet_exp,
-    "log": jet_log,
-    "sqrt": jet_sqrt,
-}

@@ -1,5 +1,6 @@
 """Catalog entries and the spacetime definition-file loader."""
 
+import json
 import math
 
 import numpy as np
@@ -151,25 +152,67 @@ g[2][2] = "-1"
 g[3][3] = "-1"
 A[0] = "{A0}"
 grid.t = 0:0:1
-grid.x = 0:1:2
+grid.x = {x}
 grid.y = 0:0:1
 grid.z = 0:0:1
 """
 
 
+# the failing expression -> its error at x = 1
+OVERFLOW_MESSAGES = {
+    "exp(1000*x)": "exp overflow at argument 1000.0",
+    "-exp(1000*x)": "exp overflow at argument 1000.0",
+    "sinh(1000*x)": "sinh overflow at argument 1000.0",
+    "cosh(-1000*x)": "cosh overflow at argument -1000.0",
+    "(10*x)^400": "power overflow at base 10.0",
+    "sin(10*exp(709*x))": "sin of infinite argument inf",
+    "tan(10*exp(709*x))": "tan of infinite argument inf",
+}
+
+
 @pytest.mark.parametrize("g11, A0, field", [
     ("-1", "exp(1000*x)", "A[0]"),
     ("-exp(1000*x)", "x", "g[1][1]"),
+    ("-1", "sinh(1000*x)", "A[0]"),
+    ("-1", "cosh(-1000*x)", "A[0]"),
+    ("-1", "(10*x)^400", "A[0]"),
+    ("-1", "sin(10*exp(709*x))", "A[0]"),
+    ("-1", "tan(10*exp(709*x))", "A[0]"),
 ])
 def test_field_that_overflows_on_the_grid_names_file_field_and_point(
         tmp_path, capsys, g11, A0, field):
+    message = OVERFLOW_MESSAGES[A0 if field == "A[0]" else g11]
     path = tmp_path / "overflow.spacetime"
-    path.write_text(OVERFLOW_FILE.format(g11=g11, A0=A0))
-    assert main(["run", "--spacetime", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    path.write_text(OVERFLOW_FILE.format(g11=g11, A0=A0, x="0:1:2"))
+    # 10*exp(709) overflows in numpy's product, which warns
+    with np.errstate(over="ignore" if "*exp" in A0 else "warn"):
+        assert main(["run", "--spacetime", str(path), "--out", str(tmp_path / "r.json")]) == 2
     assert capsys.readouterr().err == (
         f"error: {path}: {field} cannot be evaluated at grid point (0.0, 1.0, 0.0, 0.0): "
-        "exp overflow at argument 1000.0\n"
+        f"{message}\n"
     )
+
+
+@pytest.mark.parametrize("A0, x, grid, note", [
+    ("sinh(1000*x)", "0:0:1", "x=1:2:3", "sinh overflow at argument 1000.0"),
+    ("cosh(-1000*x)", "0:0:1", "x=1:2:3", "cosh overflow at argument -1000.0"),
+    ("(10*x)^400", "0:0:1", "x=1:2:3", "power overflow at base 10.0"),
+    ("0.1*log(x)", "0.5:1:2", "x=-1:1:3", "log of non-positive argument -1.0"),
+    # exp(420)*exp(420) overflows in the jets' product, which warns
+    ("exp(1400*x)*exp(1400*x)", "-1:-0.5:2", "x=-0.5:0.3:2",
+     "non-finite result for field 'A[0]' at (0.0, 0.3, 0.0, 0.0)"),
+])
+def test_grid_override_where_a_field_fails_is_a_failed_check(tmp_path, A0, x, grid, note):
+    """Over a batch, a field that cannot be evaluated raises the error the
+    one-point route raises, naming the first bad value or point."""
+    path = tmp_path / "f.spacetime"
+    path.write_text(OVERFLOW_FILE.format(g11="-1", A0=A0, x=x))
+    out = tmp_path / "r.json"
+    with np.errstate(over="ignore" if "*exp" in A0 else "warn"):
+        assert main(["run", "--spacetime", str(path), "--suite", "metric", "--grid", grid,
+                     "--out", str(out)]) == 1
+    checks = {c["id"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["fields.dual_vs_fd"]["note"] == f"EvalError: {note}"
 
 
 def test_rn_file_matches_catalog_entry():

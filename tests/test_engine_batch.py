@@ -528,11 +528,36 @@ def test_models_with_different_constant_metrics_share_nothing():
 
 
 @pytest.mark.parametrize("mode", ["dual", "fd"])
+def test_gauge_shifted_model_reuses_the_kept_members(mode):
+    """A gauge shift keeps the metric fields: the shifted model's snapshots
+    add no kept member and get the bits their own computation gives."""
+    phi = "0.2*t + 0.05*t*x"
+    fresh = transform_potential(catalog_get("minkowski-constant-e"), phi)
+    X = _sample(fresh, 40, 0)
+    unshared = {}
+    for n in (1, 40):
+        fresh.layout.shared.clear()
+        unshared[n] = _metric_members(GeometrySnapshot(fresh, X[:n], mode))
+
+    model = catalog_get("minkowski-constant-e")
+    _metric_members(GeometrySnapshot(model, X[20:21], mode))
+    kept = dict(model.layout.shared)
+    assert kept
+    shifted = transform_potential(model, phi)
+    for n in (1, 40):
+        _assert_same_bits(_metric_members(GeometrySnapshot(shifted, X[:n], mode)), unshared[n])
+    store = shifted.layout.shared
+    assert store.keys() == kept.keys() and all(store[k] is v for k, v in kept.items())
+
+
+@pytest.mark.parametrize("mode", ["dual", "fd"])
 def test_coordinate_dependent_metric_shares_nothing(mode):
     model = catalog_get("schwarzschild")
+    shifted = transform_potential(model, "0.2*t + 0.05*t*r")
     for x in model.default_grid[:2]:
-        _metric_members(GeometrySnapshot(model, x, mode))
-    assert model.layout.g_live and model.layout.shared == {}
+        for m in (model, shifted):
+            _metric_members(GeometrySnapshot(m, x, mode))
+    assert model.layout.g_live and model.layout.shared == {} == shifted.layout.shared
 
 
 def test_constant_degenerate_metric_fails_at_every_snapshot_with_its_point():
