@@ -45,8 +45,8 @@ class PhysicalConstants:
     c: float = 1.0
 
     def __post_init__(self):
-        if self.G <= 0 or self.c <= 0:
-            raise GeometryError(f"constants must be positive: G={self.G}, c={self.c}")
+        if not all(math.isfinite(v) and v > 0 for v in (self.G, self.c)):
+            raise GeometryError(f"constants must be finite and positive: G={self.G}, c={self.c}")
 
     @property
     def coupling(self):
@@ -207,11 +207,10 @@ def build_model(
     origin=None,
 ):
     """Assemble a model from expression sources with symmetric completion."""
+    constants = PhysicalConstants(float(G), float(c))
     chart = ChartSpec(tuple(coord_names), domain_src)
     params = dict(params or {})
-    env = dict(params)
-    env["G"] = float(G)
-    env["c"] = float(c)
+    env = dict(params, G=constants.G, c=constants.c)
 
     filled = {}
     for (i, j), src in (g_sources or {}).items():
@@ -256,7 +255,7 @@ def build_model(
         chart=chart,
         g_fields=g_fields,
         A_fields=tuple(A_list),
-        constants=PhysicalConstants(float(G), float(c)),
+        constants=constants,
         params=params,
         grid_axes=axes,
         domain=domain,

@@ -54,7 +54,8 @@ def _parse_grid(pairs):
         try:
             name, spec = pair.split("=", 1)
             start, stop, count = spec.split(":")
-            grid[name.strip()] = np.linspace(float(start), float(stop), int(count))
+            with np.errstate(invalid="ignore"):  # SuiteContext rejects a non-finite value
+                grid[name.strip()] = np.linspace(float(start), float(stop), int(count))
         except ValueError:
             raise GeometryError(
                 f"bad --grid {pair!r}, expected coord=start:stop:count"

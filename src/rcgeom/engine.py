@@ -300,7 +300,16 @@ class GeometrySnapshot:
 
     @_cached
     def metric(self):
-        return MetricAtPoint.from_components(self.g)
+        """The validated metric; an error names the first point at fault."""
+        try:
+            return MetricAtPoint.from_components(self.g)
+        except MetricError as err:
+            for x, g in zip(self.x, self.g):
+                try:
+                    MetricAtPoint.from_components(g)
+                except MetricError as at_x:
+                    raise type(at_x)(f"{at_x} at {point_text(x)}") from err
+            raise
 
     @_metric_member(1)
     def det_g(self):

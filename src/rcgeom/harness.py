@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .catalog import CATALOG_NAMES, FIXTURE_NAMES, catalog_get, load_spacetime_file
-from .checks import CHECK_DEFS, default_tolerance
+from .checks import CHECK_DEFS, default_tolerance, suite_of
 from .dynamics import (
     IntegratorConfig,
     WorldlineState,
@@ -33,15 +33,10 @@ from .dynamics import (
     exchange_identities,
     integrate_worldline,
     normalize_velocity,
-    probe_velocity,
-    transport_residual,
 )
-from .engine import GeometrySnapshot, batched_einsum, max_abs
+from .engine import GeometrySnapshot, max_abs
 from .errors import GeometryError, batch_then_rows, point_text
-from .fields import finite_difference_derivatives
 from .gauge import (
-    CHANGED_CHECKS,
-    INVARIANT_CHECKS,
     as_phi_field,
     contorsion_shift,
     gauge_invariance_suite,
@@ -159,11 +154,17 @@ class SuiteContext:
                 f"unknown check id in tolerance overrides: {', '.join(unknown)}; "
                 f"valid ids: {', '.join(CHECK_DEFS)}"
             )
+        # negative tolerances stay allowed: they force a check to fail
+        bad = {cid: tol for cid, tol in self.tol_overrides.items() if not math.isfinite(tol)}
+        if bad:
+            raise GeometryError(f"tolerance overrides must be finite: {bad}")
         axes = dict(model.grid_axes)
         for name, values in (grid_overrides or {}).items():
             if name not in axes:
                 raise GeometryError(f"unknown grid coordinate {name!r}")
             axes[name] = tuple(float(v) for v in values)
+            if not all(map(math.isfinite, axes[name])):
+                raise GeometryError(f"grid values of {name!r} must be finite: {axes[name]}")
         ordered = [axes[n] for n in model.chart.names]
         self.grid = np.array(list(itertools.product(*ordered)), dtype=float)
         if len(self.grid) == 0:
@@ -229,14 +230,16 @@ class SuiteContext:
 
 
 def _make_result(ctx, check_id, residual, npoints, note=None):
-    anchor = CHECK_DEFS[check_id][0]
+    """A report row; an informational check carries its table note."""
+    row = CHECK_DEFS[check_id]
+    note = note or row.note
     tol = ctx.tolerance(check_id)
     if residual is None:
         passed = False
     else:
         residual = float(residual)
         passed = tol is None or residual <= tol
-    return CheckResult(check_id, anchor, int(npoints), residual, tol, passed, note)
+    return CheckResult(check_id, row.anchor, int(npoints), residual, tol, passed, note)
 
 
 # Points per chunk snapshot.  A chunk's snapshot holds every member it has
@@ -273,9 +276,17 @@ class _Worst:
         self.note = self.note or f"{type(err).__name__}: {err}"
 
 
-def _run_pointwise(ctx, plans):
-    """plans: ordered list of (check_id, point group, jet order, fn), where
-    fn(snapshot) gives the residual at every point of the snapshot.
+def _pointwise_rows(suite, meta):
+    """(check id, row) for every pointwise check a suite runs on a model, in
+    table order.  A row with a claim runs only on a model that sets it, but
+    ``--suite einstein`` runs ``einstein.residual`` on any model."""
+    return [(cid, row) for cid, row in CHECK_DEFS.items()
+            if row.residual and suite in ("all", suite_of(cid))
+            and (row.claim is None or meta.get(row.claim) or suite == "einstein")]
+
+
+def _run_pointwise(ctx, rows):
+    """rows: ordered (check id, CHECK_DEFS row) pairs of pointwise checks.
 
     Each point set is evaluated in chunks of CHUNK points, one snapshot per
     chunk, whose field jets are computed once at the highest order its
@@ -283,18 +294,17 @@ def _run_pointwise(ctx, plans):
     rows as a batch of one, so every error is attributed to the first point
     that meets it, exactly as a point-by-point evaluation would.
     """
-    worst = {cid: _Worst() for cid, _g, _o, _f in plans}
+    worst = {cid: _Worst() for cid, _row in rows}
     for point_set in ("grid", "random", "small"):
-        checks = [(cid, order, fn) for cid, grp, order, fn in plans
-                  if point_set in _POINT_SETS[grp]]
+        checks = [(cid, row) for cid, row in rows if point_set in _POINT_SETS[row.group]]
         if not checks:
             continue
         pts = ctx.points(point_set)
-        top = max(order for _c, order, _f in checks)
+        top = max(row.order for _cid, row in checks)
         for start in range(0, len(pts), CHUNK):
             _run_chunk(ctx, pts[start:start + CHUNK], checks, top, worst)
     return [(cid, None if worst[cid].note else worst[cid].value,
-             len(ctx.points(grp)), worst[cid].note) for cid, grp, _o, _f in plans]
+             len(ctx.points(row.group)), worst[cid].note) for cid, row in rows]
 
 
 def _run_chunk(ctx, chunk, checks, order, worst):
@@ -313,150 +323,11 @@ def _run_chunk(ctx, chunk, checks, order, worst):
             w.fail(err)
             return np.nan
 
-    for cid, _order, fn in checks:
-        w = worst[cid]
+    for cid, check in checks:
+        fn, w = check.residual, worst[cid]
         for residuals in batch_then_rows(lambda: [fn(snap)], range(len(chunk)),
                                          lambda i: on_row(fn, i, w)):
             w.add(residuals)
-
-
-# -- pointwise check functions -------------------------------------------------
-# Each takes a snapshot and returns its residual at every point, an (N,)
-# array.
-
-
-def _iter_fields(model):
-    for i in range(4):
-        for j in range(i, 4):
-            yield model.g_fields[i][j]
-    yield from model.A_fields
-
-
-def _dual_vs_fd(snap):
-    worst = 0.0
-    for f in _iter_fields(snap.model):
-        jv = f.jet(snap.x, 2)
-        grad, hess = finite_difference_derivatives(f, snap.x)
-        scale = 1.0 + np.abs(jv.value)
-        worst = np.maximum(
-            worst,
-            np.maximum(
-                np.abs(grad - jv.grad).max(axis=0) / scale,
-                np.abs(hess - jv.hess).max(axis=(0, 1)) / scale,
-            ),
-        )
-    return worst
-
-
-def _torsion_roundtrip(snap):
-    K = snap.K_mix
-    T = K - np.swapaxes(K, -3, -2)
-    gi, g = snap.ginv, snap.g
-    rebuilt = 0.5 * (
-        T
-        - batched_einsum("lb,nr,mlr->mnb", gi, g, T)
-        - batched_einsum("lb,mr,nlr->mnb", gi, g, T)
-    )
-    return max_abs(rebuilt - K)
-
-
-def _scalar_split_residual(snap):
-    R, R_bar, em, coupling, R_traced = snap.scalar_split()
-    target = R_bar + em + coupling
-    return np.maximum(np.abs(R - target), np.abs(R_traced - target))
-
-
-def _source_density_residual(snap):
-    model = snap.model
-    expected = snap.c_light * model.params[model.meta["charge_density_param"]]
-    J = snap.J_up
-    return np.maximum(np.abs(J[..., 0] - expected), np.abs(J[..., 1:]).max(axis=-1))
-
-
-def _energy_density_residual(snap):
-    t00 = snap.T_em_dd[..., 0, 0] / snap.g[..., 0, 0]
-    return np.maximum(0.0, -t00)
-
-
-def _transport_identity(snap):
-    """Residual of the transport identity with a probe velocity at every
-    point."""
-    return transport_residual(snap, probe_velocity(snap), 0.7)
-
-
-def _suite_plans(ctx, suite):
-    """(check id, point group, jet order, fn) for every pointwise check of a
-    suite; the order is what fn reads from the snapshot's own field jets
-    (0: none, fn evaluates the fields itself)."""
-    model = ctx.model
-    meta = model.meta
-    plans = []
-    if suite in ("metric", "all"):
-        plans += [
-            ("metric.inverse", "grid", 1,
-             lambda s: max_abs(s.metric.inverse @ s.metric.matrix - np.eye(4))),
-            ("metric.signature", "grid", 1, lambda s: 0.0 if s.metric else 1.0),
-            ("fields.dual_vs_fd", "small", 0, _dual_vs_fd),
-        ]
-    if suite in ("lc", "all"):
-        plans += [
-            ("lc.christoffel_symmetry", "grid", 1,
-             lambda s: max_abs(s.gamma_lc - np.swapaxes(s.gamma_lc, -3, -2))),
-            ("lc.metric_compatibility", "grid", 1,
-             lambda s: s.metric_compatibility_residual("lc")),
-            ("lc.riemann_antisymmetry", "grid", 2,
-             lambda s: max_abs(s.riemann_lc + np.swapaxes(s.riemann_lc, -4, -3))),
-            ("lc.ricci_symmetry", "grid", 2,
-             lambda s: max_abs(s.ricci_lc - np.swapaxes(s.ricci_lc, -2, -1))),
-            ("lc.bianchi", "small", 3, lambda s: s.bianchi_residual()),
-            ("lc.divergence_forms", "grid", 2,
-             lambda s: max_abs(s.lc_div_F_det - s.lc_div_F_gamma)),
-        ]
-    if suite in ("maxwell", "all"):
-        plans += [
-            ("em.homogeneous", "grid", 2, lambda s: s.homogeneous_residual()),
-        ]
-        if meta.get("source_free"):
-            plans.append(("em.source_free", "grid", 2, lambda s: max_abs(s.J_up)))
-        if "charge_density_param" in meta:
-            plans.append(("em.source_density", "grid", 2, _source_density_residual))
-        plans += [
-            ("em.current_conservation", "small", 3,
-             lambda s: s.current_conservation_residual()),
-            ("em.divergence_rc_lc", "grid", 2,
-             lambda s: max_abs(s.rc_div_F - s.lc_div_F_det)),
-            ("em.stress_trace", "grid", 1,
-             lambda s: np.abs(batched_einsum("mn,mn->", s.ginv, s.T_em_dd))),
-            ("em.stress_symmetry", "grid", 1,
-             lambda s: max_abs(s.T_em_dd - np.swapaxes(s.T_em_dd, -2, -1))),
-            ("em.stress_conservation", "grid", 2, lambda s: s.stress_exchange_residual()),
-        ]
-        if meta.get("diag_static"):
-            plans.append(("em.energy_density", "grid", 1, _energy_density_residual))
-    if suite in ("rc", "all"):
-        plans += [
-            ("rc.additivity", "grid", 1,
-             lambda s: max_abs(s.gamma_full - s.gamma_lc - s.K_mix)),
-            ("rc.contorsion_antisymmetry", "grid", 1,
-             lambda s: max_abs(s.K_down + np.swapaxes(s.K_down, -2, -1))),
-            ("rc.torsion_roundtrip", "grid", 1, _torsion_roundtrip),
-            ("rc.metric_compatibility", "grid", 1,
-             lambda s: s.metric_compatibility_residual("rc")),
-            ("rc.k_f_pair", "grid+random", 1, lambda s: s.pair_residual_F()),
-            ("rc.quadratic_pair", "grid+random", 1, lambda s: s.quadratic_pair_residual()),
-            ("rc.stress_pair", "grid+random", 1, lambda s: s.pair_residual_T()),
-            ("rc.decomposition", "grid", 2, lambda s: s.decomposition_residual()),
-            ("rc.scalar_split", "grid", 2, _scalar_split_residual),
-        ]
-    if suite == "einstein" or (suite == "all" and meta.get("einstein_exact")):
-        eight_pi_c = 8.0 * np.pi * model.constants.coupling
-        plans.append(
-            ("einstein.residual", "grid", 2,
-             lambda s: max_abs(s.einstein_lc_dd - eight_pi_c * s.T_em_dd))
-        )
-    if suite in ("dynamics", "all"):
-        plans.append(("dyn.transport_identity", "small", 1, _transport_identity))
-    return plans
 
 
 # -- scenario checks -----------------------------------------------------------
@@ -487,8 +358,7 @@ def _scenario_dynamics(ctx):
 
         out.append(("dyn.exchange_pair", worst("pair_cancellation"), len(pts), None))
         out.append(("dyn.exchange_energy", worst("energy_transfer"), len(pts), None))
-        out.append(("dyn.exchange_mass_flux", worst("rc_mass_flux"), len(pts),
-                    "informational: reported with the source sign as printed"))
+        out.append(("dyn.exchange_mass_flux", worst("rc_mass_flux"), len(pts), None))
         out.append(("dyn.exchange_conservation", worst("matter_conservation"), len(pts), None))
     return out
 
@@ -529,9 +399,8 @@ def _scenario_gauge(ctx):
             return gauge_invariance_suite(model, phi, points=old(rows).x, mode=mode, old=old(rows))
 
         for rep in stage(report, len(pts)):
-            deltas = {**rep.invariant_deltas, **rep.changed_deltas}
-            for key, cid in {**INVARIANT_CHECKS, **CHANGED_CHECKS}.items():
-                worst[cid] = max(worst.get(cid, 0.0), deltas[key])
+            for cid, delta in rep.deltas.items():
+                worst[cid] = max(worst.get(cid, 0.0), delta)
         worst["gauge.contorsion_shift"] = max(worst["gauge.contorsion_shift"], *stage(
             lambda rows: peak(contorsion_shift(*report(rows).pair, phi)), len(pts)))
         # the first n_shift rows of the pair over all the points
@@ -560,9 +429,7 @@ def _scenario_gauge(ctx):
     n_phis = len(ctx.phi_fields)
     for cid, value in worst.items():
         n = n_shift if cid == "gauge.scalar_shift" else len(pts)
-        note = None if CHECK_DEFS[cid][1] is not None else (
-            "informational: nonzero evidences the expected non-invariance")
-        out.append((cid, value, n * n_phis, note))
+        out.append((cid, value, n * n_phis, None))
     if orbit is not None:
         out.append(("gauge.orbit", orbit, len(pts[:2]), None))
     return out
@@ -578,8 +445,7 @@ def run_suite(suite, model, mode="dual", grid_overrides=None,
                        tol_overrides=tol_overrides, phis=phis)
 
     checks = []
-    plans = _suite_plans(ctx, suite)
-    for cid, residual, npts, note in _run_pointwise(ctx, plans):
+    for cid, residual, npts, note in _run_pointwise(ctx, _pointwise_rows(suite, model.meta)):
         checks.append(_make_result(ctx, cid, residual, npts, note))
 
     scenario_rows = []

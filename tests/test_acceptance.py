@@ -171,7 +171,7 @@ def test_criterion_7_gauge_suite(models, ball):
                 shift_worst = max(shift_worst, scalar_shift_residual(model, phi, p)[0])
             rep = gauge_invariance_suite(model, phi, points=model.default_grid[::16])
             invariants_ok = invariants_ok and rep.passed
-            delta_k_min = min(delta_k_min, rep.changed_deltas["contorsion"])
+            delta_k_min = min(delta_k_min, rep.deltas["gauge.contorsion_delta"])
     ok = shift_worst <= 1e-8 and invariants_ok and delta_k_min > 0.0
     _report(7, "gauge shifts: divergence law, invariants, shifted contorsion",
             ok, f"shift residual={shift_worst:.2e} min dK={delta_k_min:.2e}")

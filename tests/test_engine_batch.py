@@ -16,6 +16,7 @@ from rcgeom import (
     transform_potential,
 )
 from rcgeom.catalog import build_model, parse_spacetime_text
+from rcgeom.checks import CHECK_DEFS
 from rcgeom.dynamics import dust_from_sources, probe_velocity
 from rcgeom.engine import GeometrySnapshot
 from rcgeom.harness import run_suite
@@ -320,11 +321,11 @@ def test_batched_gauge_scenario_matches_point_by_point(name, mode):
     assert [(cid, n) for cid, _v, n, _note in rows] == [(cid, n) for cid, _v, n in reference]
     for (cid, value, _n, note), (_cid, ref, _rn) in zip(rows, reference):
         tol = ctx.tolerance(cid)
+        assert note is None  # an informational row's note comes from its table row
         if tol is None:
-            assert note.startswith("informational")
+            assert CHECK_DEFS[cid].note.startswith("informational")
             assert abs(value - ref) <= 1e-12 * abs(ref)
         else:
-            assert note is None
             assert (value <= tol) == (ref <= tol)
             assert abs(value - ref) <= 1e-6 * tol, cid
 
@@ -359,7 +360,7 @@ def test_batched_dynamics_rows_match_batches_of_one(name, mode):
     model = DYNAMICS_MODELS[name]
     ctx = harness.SuiteContext(model, mode)
     pts = ctx.points("small")
-    transport = harness._transport_identity
+    transport = CHECK_DEFS["dyn.transport_identity"].residual
 
     rows = [GeometrySnapshot(model, pts[i:i + 1], mode) for i in range(len(pts))]
     _assert_rows_match(ctx, "dyn.transport_identity",

@@ -1,7 +1,10 @@
 """Suites, reports, CLI behavior, and determinism guarantees."""
 
 import json
+import re
+import shlex
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,9 +12,11 @@ import pytest
 from rcgeom import CATALOG_NAMES, GeometryError, catalog_get, cli, engine
 from rcgeom.catalog import parse_spacetime_text
 from rcgeom.cli import main
+from rcgeom.checks import suite_of
 from rcgeom.harness import (
     _RNG_SALT,
     CHECK_DEFS,
+    SUITES,
     SuiteContext,
     canonical_json,
     resolve_model,
@@ -277,6 +282,24 @@ def test_informational_checks_never_gate():
     assert info.max_residual > 0.0  # the documented gap is visible
 
 
+def test_check_table_rows_are_complete():
+    """A pointwise row has a point group, a jet order and a residual; a
+    scenario row has none; a row is informational exactly when it carries a
+    note; every id's prefix names a suite."""
+    for cid, row in CHECK_DEFS.items():
+        assert suite_of(cid) in SUITES, cid
+        assert (row.group is None) == (row.residual is None), cid
+        assert row.group is not None or row.order == 0, cid
+        assert (row.dual is None) == (row.fd is None) == (row.note is not None), cid
+
+
+def test_only_the_einstein_suite_ignores_the_exact_solution_claim():
+    ball = resolve_model("charge-ball")  # not an exact solution
+    assert not ball.meta.get("einstein_exact")
+    assert [c.check_id for c in run_suite("einstein", ball).checks] == ["einstein.residual"]
+    assert "einstein.residual" not in {c.check_id for c in run_suite("all", ball).checks}
+
+
 def test_cli_suite_all_on_every_model_writes_json(tmp_path, capsys):
     """Every catalog entry and fixture runs --suite all to a loadable
     report, and together the reports cover exactly the check table."""
@@ -297,6 +320,82 @@ def test_empty_grid_is_a_usage_error(tmp_path, capsys):
     assert "no points" in capsys.readouterr().err
     with pytest.raises(GeometryError):
         SuiteContext(catalog_get("minkowski"), grid_overrides={"t": []})
+
+
+@pytest.mark.parametrize("args", [
+    ["--param", "c=inf"],
+    ["--param", "G=nan"],
+    ["--tol", "metric.inverse=nan"],
+    ["--tol", "metric.inverse=inf"],
+    ["--grid", "r=nan:5:3"],
+    ["--grid", "r=3:inf:3"],
+], ids=["c-inf", "G-nan", "tol-nan", "tol-inf", "grid-nan", "grid-inf"])
+def test_non_finite_input_is_a_usage_error(args, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["run", "--spacetime", "schwarzschild", "--suite", "metric", *args,
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "finite" in err
+    assert not out.exists()
+
+
+def test_non_finite_constant_in_a_definition_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "rn.spacetime"
+    path.write_text(RN_FILE.replace("param q = 0.3", "param q = 0.3\nG = nan"))
+    assert main(["run", "--spacetime", str(path), "--suite", "metric",
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert "constants must be finite and positive: G=nan" in capsys.readouterr().err
+
+
+NEGATIVE_G00_FILE = """
+name = negative-g00
+coords = t, x, y, z
+g[0][0] = "x"
+g[1][1] = "-1"
+g[2][2] = "-1"
+g[3][3] = "-1"
+grid.t = 0:1:2
+grid.x = 1:2:2
+grid.y = 0:1:2
+grid.z = 0:1:2
+"""
+
+
+def test_metric_checks_fail_and_name_the_point(tmp_path, capsys):
+    """Negative control of metric.inverse and metric.signature: where g_00 < 0
+    both fail, with a note naming the first point at fault."""
+    path = tmp_path / "neg.spacetime"
+    path.write_text(NEGATIVE_G00_FILE)
+    out = tmp_path / "r.json"
+    assert main(["run", "--spacetime", str(path), "--suite", "metric",
+                 "--grid", "x=-2:-1:2", "--out", str(out)]) == 1
+    checks = {c["id"]: c for c in json.loads(out.read_text())["checks"]}
+    note = ("SignatureError: metric determinant must be negative, got 2.000e+00 "
+            "at (0.0, -2.0, 0.0, 0.0)")
+    for cid in ("metric.inverse", "metric.signature"):
+        assert checks[cid]["pass"] is False and checks[cid]["note"] == note, cid
+    # at load time the same fault is a load error that names the grid point
+    path.write_text(NEGATIVE_G00_FILE.replace("grid.x = 1:2:2", "grid.x = -2:-1:2"))
+    assert main(["run", "--spacetime", str(path), "--suite", "metric",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err.endswith(
+        "error: metric determinant must be negative, got 2.000e+00 "
+        "at grid point (0.0, -2.0, 0.0, 0.0)\n")
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_worldline_example(tmp_path, capsys):
+    """README's ``verify worldline`` example prints the summary line README
+    shows, byte for byte."""
+    text = README.read_text(encoding="utf-8")
+    command = re.search(r"```\n(verify worldline .*?)\n```", text, re.S).group(1)
+    argv = shlex.split(command.replace("\\\n", " "))[1:]
+    argv[argv.index("--out") + 1] = str(tmp_path / "traj.csv")
+    summary = re.search(r'```\n(\{"spacetime":.*)\n```', text).group(1)
+    assert main(argv) == 0
+    assert capsys.readouterr().out == summary + "\n"
 
 
 def test_unknown_tolerance_id_is_a_usage_error(tmp_path, capsys):

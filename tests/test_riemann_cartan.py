@@ -7,7 +7,9 @@ import pytest
 
 from rcgeom import MetricAtPoint, catalog_get
 from rcgeom.engine import GeometrySnapshot
-from rcgeom.harness import _torsion_roundtrip
+from rcgeom.checks import CHECK_DEFS
+
+_torsion_roundtrip = CHECK_DEFS["rc.torsion_roundtrip"].residual
 
 ALL_ENTRIES = (
     "minkowski",
