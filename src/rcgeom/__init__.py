@@ -5,6 +5,7 @@ __version__ = "0.1.0"
 
 from .catalog import (  # noqa: F401
     CATALOG_NAMES,
+    DustModel,
     PhysicalConstants,
     SpacetimeModel,
     catalog_get,
@@ -12,14 +13,11 @@ from .catalog import (  # noqa: F401
     parse_spacetime_text,
 )
 from .dynamics import (  # noqa: F401
-    DustModel,
     IntegratorConfig,
     WorldlineState,
-    exchange_identities,
     integrate_worldline,
     lorentz_rhs,
     normalize_velocity,
-    rc_transport_residual,
 )
 from .engine import GeometrySnapshot  # noqa: F401
 from .errors import (  # noqa: F401

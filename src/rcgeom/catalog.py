@@ -97,6 +97,16 @@ class FieldLayout:
 
 
 @dataclass(frozen=True)
+class DustModel:
+    """Charged dust over a model's chart: proper mass and charge density
+    fields and the four fields of its velocity V^m."""
+
+    rho0: object
+    rhoq: object
+    V_fields: tuple
+
+
+@dataclass(frozen=True)
 class SpacetimeModel:
     name: str
     chart: ChartSpec
@@ -113,6 +123,20 @@ class SpacetimeModel:
         """The constant template and the coordinate-dependent components of
         the fields, built on first use."""
         return FieldLayout.of(self)
+
+    @cached_property
+    def dust(self):
+        """The dust matched to the model (``meta["dust"]``: the sources of
+        rho0, rhoq and V), parsed on first use; None without one."""
+        sources = self.meta.get("dust")
+        if sources is None:
+            return None
+        rho0, rhoq, V = sources
+        return DustModel(
+            rho0=self.scalar_field(rho0, "rho0"),
+            rhoq=self.scalar_field(rhoq, "rhoq"),
+            V_fields=tuple(self.scalar_field(src, f"V[{i}]") for i, src in enumerate(V)),
+        )
 
     def with_potential(self, A_fields, name):
         """This model with the potential ``A_fields``.  It keeps the metric
@@ -210,6 +234,9 @@ def build_model(
     constants = PhysicalConstants(float(G), float(c))
     chart = ChartSpec(tuple(coord_names), domain_src)
     params = dict(params or {})
+    bad = [f"{k}={v}" for k, v in params.items() if not math.isfinite(v)]
+    if bad:
+        raise GeometryError(f"parameters must be finite: {', '.join(bad)}")
     env = dict(params, G=constants.G, c=constants.c)
 
     filled = {}

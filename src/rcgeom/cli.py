@@ -2,7 +2,7 @@
 
     verify run       --spacetime <name|file> --suite <name> ... --out report.json
     verify worldline --spacetime <name|file> --x0 .. --v0 .. --out traj.csv
-    verify gauge     --spacetime <name|file> --phi "<expr>" --out report.json
+    verify gauge     --spacetime <name|file> --phi "<expr>" [--phi ...] --out report.json
     verify list
 
 Exit status:
@@ -12,8 +12,7 @@ Exit status:
     2  usage, input or load error
     3  internal error (a defect in rcgeom); the traceback goes to stderr
 
-``--jobs`` is accepted by ``run`` and ``gauge`` for compatibility and has no
-effect: points are evaluated in fixed-size batches, in a fixed order.
+``--jobs`` is accepted by ``run`` and ``gauge`` and has no effect.
 """
 
 from __future__ import annotations
@@ -124,9 +123,11 @@ def build_parser():
 
     sub.add_parser("list", help="list catalog entries and their parameters")
 
-    gauge_p = sub.add_parser("gauge", help="run the gauge suite for one gauge function")
+    gauge_p = sub.add_parser("gauge", help="run the gauge suite for the given gauge functions")
     _add_common(gauge_p)
-    gauge_p.add_argument("--phi", required=True, help="gauge function expression")
+    gauge_p.add_argument("--phi", required=True, action="append",
+                         help="gauge function expression (repeatable; two or more "
+                              "also check that the first two compose)")
     gauge_p.add_argument("--tol", action="append", metavar="CHECK=VALUE")
     gauge_p.add_argument("--jobs", type=int, default=1, help="accepted; has no effect")
     gauge_p.add_argument("--timing", action="store_true")
@@ -203,7 +204,7 @@ def _cmd_gauge(args):
         model,
         mode=args.diff,
         tol_overrides=_parse_tols(args.tol),
-        phis=[args.phi],
+        phis=args.phi,
         include_timing=args.timing,
     )
     return _write_report(report, args.out)

@@ -1,4 +1,4 @@
-"""Charged test-matter worldlines and the dust exchange identities.
+"""Charged test-matter worldlines, the transport identity, and dust jets.
 
 The worldline equation integrated here is
 
@@ -37,22 +37,6 @@ from .errors import (
 from .fields import fd_jet
 
 _ONSHELL_TOL = 1e-6
-
-
-@dataclass(frozen=True)
-class DustModel:
-    rho0: object  # proper mass density field
-    rhoq: object  # proper charge density field
-    V_fields: tuple  # four scalar fields for V^m
-
-
-def dust_from_sources(model, rho0, rhoq, V):
-    """Dust whose densities and velocity are expressions over the model's chart."""
-    return DustModel(
-        rho0=model.scalar_field(rho0, "rho0"),
-        rhoq=model.scalar_field(rhoq, "rhoq"),
-        V_fields=tuple(model.scalar_field(src, f"V[{i}]") for i, src in enumerate(V)),
-    )
 
 
 @dataclass(frozen=True)
@@ -294,31 +278,19 @@ def transport_residual(snap, V, charge_ratio):
     return max_abs(accel - force + coupling)
 
 
-def rc_transport_residual(model, state, charge_ratio, mode="dual"):
-    """``transport_residual`` at the point and velocity of a worldline state."""
-    snap = GeometrySnapshot(model, state.x, mode)
-    return float(transport_residual(snap, state.V[None], charge_ratio)[0])
-
-
-@dataclass(frozen=True)
-class ExchangeResiduals:
-    """Max-abs residuals of the four stress-exchange relations, one value
-    per point: the contorsion/stress contraction pair, stress-energy
-    transfer to the current, the torsionful mass-flux relation (as printed,
-    see notes), and coordinate matter conservation."""
-
-    pair_cancellation: np.ndarray  # K-contraction pair against the EM stress
-    energy_transfer: np.ndarray  # div T = F.J / c
-    rc_mass_flux: np.ndarray  # torsionful divergence of rho0 c^2 V vs coupling
-    matter_conservation: np.ndarray  # d_m(sqrt(-g) rho0 c^2 V^m) = 0
-
-
-def _dust_jets(dust, X, mode):
-    """rho0, its gradient, V and its gradient at every point of X, point
-    axis first: (N,), (N, 4), (N, 4) and (N, 4, 4) (derivative, component)."""
+def _dust_jets(snap):
+    """rho0 of the model's dust, its gradient, V and its gradient at every
+    point of the snapshot, point axis first: (N,), (N, 4), (N, 4) and
+    (N, 4, 4) (derivative, component).  An evaluation error names the
+    field, and the point when the snapshot has one."""
+    X, dust = snap.x, snap.model.dust
 
     def one(f):
-        return f.jet(X, 1) if mode == "dual" else fd_jet(f, X, 1)
+        try:
+            return f.jet(X, 1) if snap.mode == "dual" else fd_jet(f, X, 1)
+        except EvalError as err:
+            where = point_text(X[0]) if len(X) == 1 else f"one of {len(X)} points"
+            raise EvalError(f"dust field {f.name!r} at {where}: {err}") from None
 
     n = len(X)
     r0 = one(dust.rho0)
@@ -329,41 +301,3 @@ def _dust_jets(dust, X, mode):
         V[:, m] = jv.value
         dV[:, :, m] = jv.grad.T
     return np.broadcast_to(r0.value, (n,)), np.broadcast_to(r0.grad.T, (n, 4)), V, dV
-
-
-def dust_normalization_residual(model, dust, x, mode="dual"):
-    g = GeometrySnapshot(model, x, mode).g[0]
-    V = np.array([f.value(x) for f in dust.V_fields])
-    return abs(float(V @ g @ V) - 1.0)
-
-
-def exchange_identities(model, X, dust, mode="dual"):
-    """Evaluate the four exchange residuals at every point of X, shape
-    (N, 4), inside the dust: one value per point."""
-    X = np.atleast_2d(np.asarray(X, dtype=float))
-    snap = GeometrySnapshot(model, X, mode)
-    c = snap.c_light
-    c2 = c * c
-    r0, dr0, V, dV = _dust_jets(dust, X, mode)
-
-    # matter flux P^m = rho0 c^2 V^m and its coordinate divergence
-    P = (r0 * c2)[:, None] * V
-    dP = c2 * (dr0[:, :, None] * V[:, None, :] + r0[:, None, None] * dV)
-    div_sqrtg_P = batched_einsum("m,m->", snap.dsqrt_g, P) + snap.sqrt_g * batched_einsum(
-        "mm->", dP
-    )
-    matter_conservation = np.abs(div_sqrtg_P)
-
-    # torsionful divergence of the mass flux vs the coupling source term,
-    # with the source sign as printed in the derivation being checked
-    div_bar_P = div_sqrtg_P / snap.sqrt_g
-    div_rc_P = div_bar_P + batched_einsum("d,d->", snap.K_first_trace, P)
-    afv = batched_einsum("m,nm,n->", snap.A, snap.F_mix, V)
-    rc_mass_flux = np.abs(div_rc_P - snap.C * r0 * c2 * afv)
-
-    return ExchangeResiduals(
-        pair_cancellation=snap.pair_residual_T(),
-        energy_transfer=snap.stress_exchange_residual(),
-        rc_mass_flux=rc_mass_flux,
-        matter_conservation=matter_conservation,
-    )

@@ -1,13 +1,13 @@
 """Verification suites, residual aggregation, and machine-readable reports.
 
-A suite is a named bundle of checks.  Pointwise checks share one geometry
-snapshot per chunk of points and reduce to a deterministic maximum
-residual.  Scenario checks run once: worldlines step by step, the dust
-exchange as one snapshot over its points, the gauge sweep as one
-(unshifted, shifted) snapshot pair per gauge function.  Wherever a batch
-raises, its rows are re-run as batches of one, so an error names the point
-a point-by-point run names.  The JSON report uses fixed float formatting so
-repeated runs are byte-identical.
+A suite is a named bundle of checks.  Pointwise checks, the dust exchange
+among them, share one geometry snapshot per chunk of points and reduce to
+a deterministic maximum residual.  Scenario checks run once: a closed-form
+worldline step by step, the gauge sweep as one (unshifted, shifted)
+snapshot pair per gauge function.  Wherever a batch raises, its rows are
+re-run as batches of one, so an error names the point a point-by-point run
+names.  The JSON report uses fixed float formatting so repeated runs are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -26,14 +26,7 @@ import numpy as np
 from . import __version__
 from .catalog import CATALOG_NAMES, FIXTURE_NAMES, catalog_get, load_spacetime_file
 from .checks import CHECK_DEFS, default_tolerance, suite_of
-from .dynamics import (
-    IntegratorConfig,
-    WorldlineState,
-    dust_from_sources,
-    exchange_identities,
-    integrate_worldline,
-    normalize_velocity,
-)
+from .dynamics import IntegratorConfig, WorldlineState, integrate_worldline, normalize_velocity
 from .engine import GeometrySnapshot, max_abs
 from .errors import GeometryError, batch_then_rows, point_text
 from .gauge import (
@@ -334,33 +327,16 @@ def _run_chunk(ctx, chunk, checks, order, worst):
 
 
 def _scenario_dynamics(ctx):
-    model, meta = ctx.model, ctx.model.meta
-    out = []
-
-    scenario = meta.get("scenario")
-    if scenario is not None:
-        x0, V0, k, ds, steps = scenario.start(model.params)
-        init = WorldlineState(np.array(x0), np.array(V0), 0.0)
-        cfg = IntegratorConfig(ds=ds, steps=steps)
-        traj = integrate_worldline(model, init, k, cfg, ctx.mode)
-        n = len(traj.states)
-        out.append(("dyn.closed_form", scenario.closed_form(model, traj, k), n, scenario.note))
-        out.append(("dyn.norm_drift", traj.max_drift, n, None))
-
-    if "dust" in meta:
-        dust = dust_from_sources(model, *meta["dust"])
-        pts = ctx.points("small")
-        res = batch_then_rows(lambda: [exchange_identities(model, pts, dust, ctx.mode)], pts,
-                              lambda p: exchange_identities(model, p[None], dust, ctx.mode))
-
-        def worst(name):
-            return peak(np.concatenate([getattr(r, name) for r in res]))
-
-        out.append(("dyn.exchange_pair", worst("pair_cancellation"), len(pts), None))
-        out.append(("dyn.exchange_energy", worst("energy_transfer"), len(pts), None))
-        out.append(("dyn.exchange_mass_flux", worst("rc_mass_flux"), len(pts), None))
-        out.append(("dyn.exchange_conservation", worst("matter_conservation"), len(pts), None))
-    return out
+    """The model's closed-form worldline, if it has one."""
+    model, scenario = ctx.model, ctx.model.meta.get("scenario")
+    if scenario is None:
+        return []
+    x0, V0, k, ds, steps = scenario.start(model.params)
+    init = WorldlineState(np.array(x0), np.array(V0), 0.0)
+    traj = integrate_worldline(model, init, k, IntegratorConfig(ds=ds, steps=steps), ctx.mode)
+    n = len(traj.states)
+    return [("dyn.closed_form", scenario.closed_form(model, traj, k), n, scenario.note),
+            ("dyn.norm_drift", traj.max_drift, n, None)]
 
 
 def _scenario_gauge(ctx):

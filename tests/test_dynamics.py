@@ -10,25 +10,29 @@ from rcgeom import (
     IntegratorConfig,
     WorldlineState,
     catalog_get,
-    exchange_identities,
     integrate_worldline,
     lorentz_rhs,
     normalize_velocity,
-    rc_transport_residual,
 )
-from rcgeom.dynamics import (
-    Trajectory,
-    acceleration,
-    dust_from_sources,
-    dust_normalization_residual,
-)
+from rcgeom.checks import CHECK_DEFS
+from rcgeom.dynamics import Trajectory, acceleration, transport_residual
 from rcgeom.engine import GeometrySnapshot
 from rcgeom.errors import DomainError, EvalError, MetricError, point_text
 
 
-def matched_dust(model):
-    """The dust the catalog entry pairs with its model."""
-    return dust_from_sources(model, *model.meta["dust"])
+def residual(check_id, model, x):
+    """The residual of a pointwise check row at the point x."""
+    return float(CHECK_DEFS[check_id].residual(GeometrySnapshot(model, x))[0])
+
+
+def transport(model, state, charge_ratio):
+    """The transport residual at the point and velocity of a worldline state."""
+    snap = GeometrySnapshot(model, state.x)
+    return float(transport_residual(snap, state.V[None], charge_ratio)[0])
+
+
+def dust_velocity(model, x):
+    return np.array([f.value(x) for f in model.dust.V_fields])
 
 
 def test_straight_worldline_in_flat_space():
@@ -375,17 +379,17 @@ def test_transport_residual_geodesic_case():
     x = np.array([0.0, 5.0, 1.2, 0.4])
     V = normalize_velocity(m, x, np.array([1.0, 0.02, 0.0, 0.01]))
     st = WorldlineState(x, V, 0.0)
-    assert rc_transport_residual(m, st, 0.0) <= 1e-14
+    assert transport(m, st, 0.0) <= 1e-14
 
 
 def test_transport_residual_constant_field_dust():
     m = catalog_get("minkowski-constant-e")
-    dust, k = matched_dust(m), 0.5
+    k = 0.5
     for t in (0.0, 0.7, 1.5):
         x = np.array([t, 0.3, 0.0, 0.0])
-        V = np.array([f.value(x) for f in dust.V_fields])
+        V = dust_velocity(m, x)
         st = WorldlineState(x, V, 0.0)
-        assert rc_transport_residual(m, st, k) <= 1e-8
+        assert transport(m, st, k) <= 1e-8
 
 
 def test_transport_residual_rn_radial_infall():
@@ -393,18 +397,16 @@ def test_transport_residual_rn_radial_infall():
     x = np.array([0.0, 6.0, math.pi / 2, 0.0])
     V = normalize_velocity(m, x, np.array([1.0, -0.2, 0.0, 0.0]))
     st = WorldlineState(x, V, 0.0)
-    assert rc_transport_residual(m, st, 0.05) <= 1e-7
+    assert transport(m, st, 0.05) <= 1e-7
 
 
 def test_exchange_identities_free_dust():
     """No field at all: every exchange residual is exactly zero."""
     m = catalog_get("minkowski")
-    dust = matched_dust(m)
-    res = exchange_identities(m, np.array([0.2, 0.1, 0.0, 0.3]), dust)
-    assert res.pair_cancellation == 0.0
-    assert res.energy_transfer == 0.0
-    assert res.rc_mass_flux == 0.0
-    assert res.matter_conservation == 0.0
+    x = np.array([0.2, 0.1, 0.0, 0.3])
+    for cid in ("rc.stress_pair", "em.stress_conservation",
+                "dyn.exchange_mass_flux", "dyn.exchange_conservation"):
+        assert residual(cid, m, x) == 0.0, cid
 
 
 def test_exchange_pair_cancellation_on_rn():
@@ -416,37 +418,39 @@ def test_exchange_pair_cancellation_on_rn():
 
 def test_exchange_identities_accelerated_dust():
     m = catalog_get("minkowski-constant-e")
-    dust, k = matched_dust(m), 0.5
     for t in (0.0, 0.5, 1.2):
         x = np.array([t, 0.2, 0.1, 0.0])
-        assert dust_normalization_residual(m, dust, x) <= 1e-10
-        res = exchange_identities(m, x, dust)
-        assert res.matter_conservation <= 1e-6
-        assert res.pair_cancellation <= 1e-12
-        assert res.energy_transfer <= 1e-7
+        V, g = dust_velocity(m, x), GeometrySnapshot(m, x).g[0]
+        assert abs(float(V @ g @ V) - 1.0) <= 1e-10
+        assert residual("dyn.exchange_conservation", m, x) <= 1e-6
+        assert residual("rc.stress_pair", m, x) <= 1e-12
+        assert residual("em.stress_conservation", m, x) <= 1e-7
 
 
 def test_exchange_identities_charge_ball():
     m = catalog_get("charge-ball")
-    dust = matched_dust(m)
     for p in m.default_grid[::5]:
-        res = exchange_identities(m, p, dust)
-        assert res.matter_conservation <= 1e-8
-        assert res.energy_transfer <= 1e-7
-        assert res.pair_cancellation <= 1e-12
+        assert residual("dyn.exchange_conservation", m, p) <= 1e-8
+        assert residual("em.stress_conservation", m, p) <= 1e-7
+        assert residual("rc.stress_pair", m, p) <= 1e-12
 
 
 def test_mass_flux_residual_documents_printed_sign():
     """With the definitional contorsion sign the printed relation is off by
     exactly twice the coupling source; the residual reports that gap."""
     m = catalog_get("charge-ball")
-    dust = matched_dust(m)
     x = np.array([0.0, 0.3, 0.1, -0.2])
-    res = exchange_identities(m, x, dust)
     s = GeometrySnapshot(m, x)
-    V = np.array([f.value(x) for f in dust.V_fields])
-    rho0 = dust.rho0.value(x)
+    V = dust_velocity(m, x)
+    rho0 = m.dust.rho0.value(x)
     expected = 2.0 * s.C * rho0 * abs(
         float(np.einsum("m,nm,n->", s.A[0], s.F_mix[0], V))
     )
-    assert res.rc_mass_flux == pytest.approx(expected, abs=1e-12)
+    assert residual("dyn.exchange_mass_flux", m, x) == pytest.approx(expected, abs=1e-12)
+
+
+def test_dust_is_parsed_once_per_model():
+    m = catalog_get("charge-ball")
+    assert m.dust is m.dust
+    assert m.dust.rho0.value(np.zeros(4)) == 0.05
+    assert catalog_get("schwarzschild").dust is None

@@ -1,5 +1,6 @@
 """Suites, reports, CLI behavior, and determinism guarantees."""
 
+import dataclasses
 import json
 import re
 import shlex
@@ -254,6 +255,16 @@ def test_cli_gauge(tmp_path):
     ids = {c["id"] for c in body["checks"]}
     assert "gauge.scalar_shift" in ids
     assert "gauge.contorsion_delta" in ids
+    assert "gauge.orbit" not in ids  # one gauge function has nothing to compose
+
+
+def test_cli_gauge_with_two_phis_checks_the_orbit(tmp_path):
+    out = tmp_path / "g.json"
+    assert main(["gauge", "--spacetime", "charge-ball", "--phi", "0.5*t", "--phi", "0.1*t*x",
+                 "--out", str(out)]) == 0
+    checks = {c["id"]: c for c in json.loads(out.read_text())["checks"]}
+    assert checks["gauge.orbit"]["pass"] is True
+    assert checks["gauge.scalar_shift"]["grid_points"] == 2 * 4  # per gauge function
 
 
 def test_cli_list(capsys):
@@ -280,6 +291,33 @@ def test_informational_checks_never_gate():
     assert info.tolerance is None
     assert info.passed
     assert info.max_residual > 0.0  # the documented gap is visible
+
+
+def _with_dust(model, rho0):
+    """The model with its comoving dust's proper density replaced."""
+    return dataclasses.replace(model, meta={**model.meta, "dust": (rho0, *model.meta["dust"][1:])})
+
+
+def test_dust_that_is_not_conserved_fails_the_conservation_row():
+    """Negative control of dyn.exchange_conservation: comoving dust whose
+    density grows in time is not conserved, and no other row notices."""
+    ball = resolve_model("charge-ball")
+    assert run_suite("dynamics", ball).passed
+    rep = run_suite("dynamics", _with_dust(ball, "0.05*(1 + t)"))
+    assert [c.check_id for c in rep.checks if not c.passed] == ["dyn.exchange_conservation"]
+    row = {c.check_id: c for c in rep.checks}["dyn.exchange_conservation"]
+    assert row.max_residual == pytest.approx(0.05, rel=1e-12)
+
+
+@pytest.mark.parametrize("mode", ["dual", "fd"])
+def test_dust_that_fails_at_a_point_fails_its_own_rows(mode):
+    """The dust rows fail with a note naming the first point where the dust
+    cannot be evaluated; every other row still runs."""
+    rep = run_suite("all", _with_dust(resolve_model("charge-ball"), "log(t)"), mode=mode)
+    failed = {c.check_id: c.note for c in rep.checks if not c.passed}
+    assert sorted(failed) == ["dyn.exchange_conservation", "dyn.exchange_mass_flux"]
+    for note in failed.values():
+        assert note.startswith("EvalError: dust field 'rho0' at (0.0, -0.4, -0.4, -0.4): log of")
 
 
 def test_check_table_rows_are_complete():
@@ -329,13 +367,16 @@ def test_empty_grid_is_a_usage_error(tmp_path, capsys):
     ["--tol", "metric.inverse=inf"],
     ["--grid", "r=nan:5:3"],
     ["--grid", "r=3:inf:3"],
-], ids=["c-inf", "G-nan", "tol-nan", "tol-inf", "grid-nan", "grid-inf"])
+    ["--param", "M=nan"],
+    ["--param", "M=inf"],
+], ids=["c-inf", "G-nan", "tol-nan", "tol-inf", "grid-nan", "grid-inf", "M-nan", "M-inf"])
 def test_non_finite_input_is_a_usage_error(args, tmp_path, capsys):
     out = tmp_path / "r.json"
     assert main(["run", "--spacetime", "schwarzschild", "--suite", "metric", *args,
                  "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "finite" in err
+    assert args[1].split("=")[0] in err  # the message names the input
     assert not out.exists()
 
 
@@ -345,6 +386,14 @@ def test_non_finite_constant_in_a_definition_file_is_a_usage_error(tmp_path, cap
     assert main(["run", "--spacetime", str(path), "--suite", "metric",
                  "--out", str(tmp_path / "r.json")]) == 2
     assert "constants must be finite and positive: G=nan" in capsys.readouterr().err
+
+
+def test_non_finite_parameter_in_a_definition_file_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "rn.spacetime"
+    path.write_text(RN_FILE.replace("param q = 0.3", "param q = inf"))
+    assert main(["run", "--spacetime", str(path), "--suite", "metric",
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert "parameters must be finite: q=inf" in capsys.readouterr().err
 
 
 NEGATIVE_G00_FILE = """
