@@ -16,7 +16,6 @@ from .dynamics import (  # noqa: F401
     IntegratorConfig,
     WorldlineState,
     integrate_worldline,
-    lorentz_rhs,
     normalize_velocity,
 )
 from .engine import GeometrySnapshot  # noqa: F401

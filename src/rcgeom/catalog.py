@@ -23,6 +23,7 @@ from .errors import (
     MetricError,
     ParseError,
     SpacetimeFormatError,
+    _quiet_float_errors,
     batch_then_rows,
     point_text,
 )
@@ -293,6 +294,7 @@ def build_model(
     return model
 
 
+@_quiet_float_errors
 def validate_on_grid(model, origin=None):
     """Check metric and potential invariants at every default-grid point.
 

@@ -136,9 +136,6 @@ CHECK_DEFS = {
         lambda s: max_abs(s.metric.inverse @ s.metric.matrix - np.eye(4))),
     "metric.signature": Check("Sec.2", 0.5, 0.5, "grid", 1, _signature),
     "fields.dual_vs_fd": Check("n/a", 1e-6, 1e-6, "small", 0, _dual_vs_fd),
-    "lc.christoffel_symmetry": Check(
-        "Eq.2", 1e-12, 1e-12, "grid", 1,
-        lambda s: max_abs(s.gamma_lc - np.swapaxes(s.gamma_lc, -3, -2))),
     "lc.metric_compatibility": Check(
         "Eq.2", 1e-10, 1e-8, "grid", 1, lambda s: s.metric_compatibility_residual("lc")),
     "lc.riemann_antisymmetry": Check(
@@ -171,9 +168,6 @@ CHECK_DEFS = {
         "Eq.20Z", 1e-12, 1e-10, "grid", 1, _energy_density, claim="diag_static"),
     "rc.additivity": Check(
         "Eq.1", 1e-14, 1e-14, "grid", 1, lambda s: max_abs(s.gamma_full - s.gamma_lc - s.K_mix)),
-    "rc.contorsion_antisymmetry": Check(
-        "Eq.cont", 1e-12, 1e-12, "grid", 1,
-        lambda s: max_abs(s.K_down + np.swapaxes(s.K_down, -2, -1))),
     "rc.torsion_roundtrip": Check("Eq.cont", 1e-10, 1e-10, "grid", 1, _torsion_roundtrip),
     "rc.metric_compatibility": Check(
         "Eq.1", 1e-10, 1e-8, "grid", 1, lambda s: s.metric_compatibility_residual("rc")),

@@ -32,11 +32,10 @@ from .errors import (
     EvalError,
     GeometryError,
     MetricError,
+    _quiet_float_errors,
     point_text,
 )
 from .fields import fd_jet
-
-_ONSHELL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -138,15 +137,6 @@ def _rhs(snap, V, k):
     return np.concatenate([V, acceleration(snap, V[None], k)[0]])
 
 
-def lorentz_rhs(model, state, charge_ratio, mode="dual"):
-    """(dx/ds, dV/ds) for an on-shell state."""
-    n2 = norm_squared(model, state.x, state.V)
-    if abs(n2 - 1.0) > _ONSHELL_TOL:
-        raise GeometryError(f"state is off shell: g(V,V) = {n2!r}")
-    dy = _rhs(GeometrySnapshot(model, state.x, mode), state.V, charge_ratio)
-    return dy[:4], dy[4:]
-
-
 # Row i of ``a`` builds stage i + 2, ``b`` weighs the stages over ``denom``,
 # and ``b_low`` is a pair's embedded solution; 5(4): Dormand & Prince (1980).
 # Each row is kept as its nonzero (coefficient, stage index) pairs.
@@ -201,6 +191,7 @@ def _rk_step(tableau, stage, y, k1, ds):
     return y_new, float(np.abs(y_new - (y + ds * weigh(tableau.b_low))).max())
 
 
+@_quiet_float_errors
 def integrate_worldline(model, init, charge_ratio, config, mode="dual"):
     """Integrate the worldline equation; returns the sampled trajectory."""
     y = np.concatenate([init.x, init.V], dtype=float)

@@ -20,9 +20,10 @@ template (``SpacetimeModel.layout``) and evaluates only the
 coordinate-dependent components, each through its compiled expression; a
 batch of one runs those on floats, a larger batch on arrays.
 Derivatives of computed objects are assembled analytically from the exact
-field jets (product rule on the closed forms), never by differencing grids
-of computed values; in finite-difference mode the handful of third-order
-consumers fall back to stencils applied to the computed field.
+field jets, each as the Leibniz expansion (``_leibniz``) of the product it
+differentiates, never by differencing grids of computed values; in
+finite-difference mode the handful of third-order consumers fall back to
+stencils applied to the computed field.
 
 A constant metric (no coordinate-dependent component, as on the flat
 backgrounds of the test-field models) makes every member that reads only
@@ -39,8 +40,10 @@ compute every member per snapshot.
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -79,6 +82,40 @@ def batched_einsum(subscripts, *operands):
     return np.einsum(spec[0], *operands, optimize=spec[1])
 
 
+# (subscripts, letters) -> the Leibniz terms of that derivative, each as
+# (subscripts, derivative order of every operand); filled on first use.
+_LEIBNIZ = {}
+
+
+def _leibniz(subscripts, jets, letters):
+    """The Leibniz terms of d_{letters} of batched_einsum(subscripts, *values).
+
+    ``jets`` holds each operand's (value, d, dd, ...), a derivative's index in
+    front, as the ``letters`` lead the terms' indices.  Each letter, the last
+    first, differentiates every term in each operand in turn: d_j d_k of
+    "a,b" gives a_jk b, a_k b_j, a_j b_k, a b_jk, in that order.
+    """
+    terms = _LEIBNIZ.get((subscripts, letters))
+    if terms is None:
+        ins, out = subscripts.split("->")
+        base = ins.split(",")
+        subs = [base]
+        for c in reversed(letters):
+            subs = [t[:i] + [c + t[i]] + t[i + 1:] for t in subs for i in range(len(t))]
+        # an operand's derivative order is the number of letters put in front of it
+        terms = _LEIBNIZ[subscripts, letters] = [
+            (",".join(t) + "->" + letters + out, [len(a) - len(b) for a, b in zip(t, base)])
+            for t in subs
+        ]
+    for term, orders in terms:
+        yield batched_einsum(term, *map(operator.getitem, jets, orders))
+
+
+def _total(terms):
+    # a + b + c, left to right; sum() would add a 0 first, turning -0.0 into 0.0
+    return functools.reduce(operator.add, terms)
+
+
 def max_abs(a):
     """max |a| over the tensor axes: one value per point."""
     return np.abs(a).reshape(len(a), -1).max(axis=1)
@@ -89,23 +126,10 @@ def _outer(a, b):
     return a[..., :, None] * b[..., None, :]
 
 
-class FieldJets:
-    """Raw metric and potential derivatives at every point of a batch, the
-    point axis first."""
-
-    __slots__ = ("x", "order", "g", "dg", "A", "dA", "ddg", "ddA", "dddg", "dddA")
-
-    def __init__(self, x, order, g, dg, A, dA, ddg=None, ddA=None, dddg=None, dddA=None):
-        self.x = x
-        self.order = order
-        self.g = g
-        self.dg = dg
-        self.A = A
-        self.dA = dA
-        self.ddg = ddg
-        self.ddA = ddA
-        self.dddg = dddg
-        self.dddA = dddA
+# Raw metric and potential derivatives at every point of a batch, the point
+# axis first; the derivatives above the jets' order are None.
+FieldJets = collections.namedtuple(
+    "FieldJets", "x order g dg A dA ddg ddA dddg dddA", defaults=(None,) * 4)
 
 
 def _spans():
@@ -248,6 +272,18 @@ def _metric_member(*orders):
     return decorate
 
 
+def _riemann(gamma, letters=""):
+    """d_{letters} of R_{mnl}^c = d_m G_{nl}^c - d_n G_{ml}^c + G_{mr}^c G_{nl}^r
+    - G_{nr}^c G_{ml}^r, from the connection's jets (G, dG, ...)."""
+    d = gamma[len(letters) + 1]
+    r = d - d.swapaxes(-4, -3)
+    for term in _leibniz("mrc,nlr->mnlc", (gamma, gamma), letters):
+        r += term
+    for term in _leibniz("nrc,mlr->mnlc", (gamma, gamma), letters):
+        r -= term
+    return r
+
+
 def cyclic_gradient_residual(dF_dd):
     """max of the cyclic sum d_l F_mn + d_m F_nl + d_n F_lm over a gradient
     array (slots: point, derivative, first, second), one value per point;
@@ -352,10 +388,8 @@ class GeometrySnapshot:
 
     @_metric_member(1, 2)
     def ddginv(self):
-        t1 = batched_einsum("kma,lab,bn->klmn", self.dginv, self.dg, self.ginv)
-        t2 = batched_einsum("ma,klab,bn->klmn", self.ginv, self.ddg, self.ginv)
-        t3 = batched_einsum("ma,lab,kbn->klmn", self.ginv, self.dg, self.dginv)
-        return -(t1 + t2 + t3)
+        gi = (self.ginv, self.dginv)
+        return -_total(_leibniz("ma,lab,bn->lmn", (gi, (self.dg, self.ddg), gi), "k"))
 
     @_metric_member(1)
     def dsqrt_g(self):
@@ -364,9 +398,7 @@ class GeometrySnapshot:
     @_metric_member(1, 2)
     def ddsqrt_g(self):
         tr = batched_einsum("mn,lmn->l", self.ginv, self.dg)
-        dtr = batched_einsum("kmn,lmn->kl", self.dginv, self.dg) + batched_einsum(
-            "mn,klmn->kl", self.ginv, self.ddg
-        )
+        dtr = _total(_leibniz("mn,lmn->l", ((self.ginv, self.dginv), (self.dg, self.ddg)), "k"))
         return 0.5 * (_outer(self.dsqrt_g, tr) + self.sqrt_g[:, None, None] * dtr)
 
     # -- Levi-Civita layer ---------------------------------------------------
@@ -388,37 +420,24 @@ class GeometrySnapshot:
 
     @_metric_member(1, 2)
     def dgamma_lc(self):
-        return 0.5 * (
-            batched_einsum("kla,mna->kmnl", self.dginv, self._sym_dg)
-            + batched_einsum("la,kmna->kmnl", self.ginv, self._dsym_dg)
-        )
+        jets = ((self.ginv, self.dginv), (self._sym_dg, self._dsym_dg))
+        return 0.5 * _total(_leibniz("la,mna->mnl", jets, "k"))
 
     @_metric_member(3)
     def ddgamma_lc(self):
         dddg = self.jets(3).dddg
         ddsym = dddg + dddg.swapaxes(-3, -2) - dddg.transpose(0, 1, 2, 4, 5, 3)
-        return 0.5 * (
-            batched_einsum("jkla,mna->jkmnl", self.ddginv, self._sym_dg)
-            + batched_einsum("kla,jmna->jkmnl", self.dginv, self._dsym_dg)
-            + batched_einsum("jla,kmna->jkmnl", self.dginv, self._dsym_dg)
-            + batched_einsum("la,jkmna->jkmnl", self.ginv, ddsym)
-        )
+        jets = ((self.ginv, self.dginv, self.ddginv), (self._sym_dg, self._dsym_dg, ddsym))
+        return 0.5 * _total(_leibniz("la,mna->mnl", jets, "jk"))
 
     @_metric_member(1)
     def gamma_lc_trace(self):
         # G_{mr}^m as a function of r
         return batched_einsum("mrm->r", self.gamma_lc)
 
-    def _riemann(self, gamma, dgamma):
-        """R_{mnl}^c = d_m G_{nl}^c - d_n G_{ml}^c + G_{mr}^c G_{nl}^r - G_{nr}^c G_{ml}^r."""
-        r = dgamma - dgamma.swapaxes(-4, -3)
-        r += batched_einsum("mrc,nlr->mnlc", gamma, gamma)
-        r -= batched_einsum("nrc,mlr->mnlc", gamma, gamma)
-        return r
-
     @_metric_member(1, 2)
     def riemann_lc(self):
-        return self._riemann(self.gamma_lc, self.dgamma_lc)
+        return _riemann((self.gamma_lc, self.dgamma_lc))
 
     @_metric_member(1, 2)
     def ricci_lc(self):
@@ -438,40 +457,22 @@ class GeometrySnapshot:
 
     @_metric_member(3)
     def d_riemann_lc(self):
-        ddgamma = self.ddgamma_lc
-        dgamma = self.dgamma_lc
-        gamma = self.gamma_lc
-        dr = ddgamma - ddgamma.swapaxes(-4, -3)
-        dr += batched_einsum("kmrc,nlr->kmnlc", dgamma, gamma)
-        dr += batched_einsum("mrc,knlr->kmnlc", gamma, dgamma)
-        dr -= batched_einsum("knrc,mlr->kmnlc", dgamma, gamma)
-        dr -= batched_einsum("nrc,kmlr->kmnlc", gamma, dgamma)
-        return dr
+        return _riemann((self.gamma_lc, self.dgamma_lc, self.ddgamma_lc), "k")
 
     @_cached
     def d_einstein_lc_uu(self):
         if self.mode == "fd":
             return _fd_pipeline(self.model, self.x, lambda s: s.einstein_lc_uu, self.mode)
+        gi = (self.ginv, self.dginv)
         d_ricci = batched_einsum("kmnlm->knl", self.d_riemann_lc)
-        d_scalar = batched_einsum("knl,nl->k", self.dginv, self.ricci_lc) + batched_einsum(
-            "nl,knl->k", self.ginv, d_ricci
-        )
-        dG_dd = d_ricci - 0.5 * (
-            self.dg * self.scalar_lc[:, None, None, None]
-            + batched_einsum("mn,k->kmn", self.g, d_scalar)
-        )
-        return (
-            batched_einsum("kma,ab,bn->kmn", self.dginv, self.einstein_lc_dd, self.ginv)
-            + batched_einsum("ma,kab,bn->kmn", self.ginv, dG_dd, self.ginv)
-            + batched_einsum("ma,ab,kbn->kmn", self.ginv, self.einstein_lc_dd, self.dginv)
-        )
+        d_scalar = _total(_leibniz("nl,nl->", (gi, (self.ricci_lc, d_ricci)), "k"))
+        gR = ((self.g, self.dg), (self.scalar_lc, d_scalar))
+        dG_dd = d_ricci - 0.5 * _total(_leibniz("mn,->mn", gR, "k"))
+        return _total(_leibniz("ma,ab,bn->mn", (gi, (self.einstein_lc_dd, dG_dd), gi), "k"))
 
     def bianchi_residual(self):
         """max_n |covariant divergence of the Einstein tensor|."""
-        div = batched_einsum("mmn->n", self.d_einstein_lc_uu)
-        div += batched_einsum("r,rn->n", self.gamma_lc_trace, self.einstein_lc_uu)
-        div += batched_einsum("mrn,mr->n", self.gamma_lc, self.einstein_lc_uu)
-        return max_abs(div)
+        return max_abs(self._div(self.d_einstein_lc_uu, self.einstein_lc_uu))
 
     # -- electromagnetic layer -----------------------------------------------
 
@@ -505,9 +506,8 @@ class GeometrySnapshot:
 
     @_cached
     def dF_mix(self):
-        return batched_einsum("kla,na->knl", self.dginv, self.F_dd) + batched_einsum(
-            "la,kna->knl", self.ginv, self.dF_dd
-        )
+        jets = ((self.ginv, self.dginv), (self.F_dd, self.dF_dd))
+        return _total(_leibniz("la,na->nl", jets, "k"))
 
     @_cached
     def F_uu(self):
@@ -515,28 +515,14 @@ class GeometrySnapshot:
 
     @_cached
     def dF_uu(self):
-        return (
-            batched_einsum("kma,nb,ab->kmn", self.dginv, self.ginv, self.F_dd)
-            + batched_einsum("ma,knb,ab->kmn", self.ginv, self.dginv, self.F_dd)
-            + batched_einsum("ma,nb,kab->kmn", self.ginv, self.ginv, self.dF_dd)
-        )
+        gi = (self.ginv, self.dginv)
+        return _total(_leibniz("ma,nb,ab->mn", (gi, gi, (self.F_dd, self.dF_dd)), "k"))
 
     @_cached
     def ddF_uu(self):
-        gi, dgi, ddgi = self.ginv, self.dginv, self.ddginv
-        F, dF, ddF = self.F_dd, self.dF_dd, self.ddF_dd
-        ein = batched_einsum
-        return (
-            ein("jkma,nb,ab->jkmn", ddgi, gi, F)
-            + ein("kma,jnb,ab->jkmn", dgi, dgi, F)
-            + ein("kma,nb,jab->jkmn", dgi, gi, dF)
-            + ein("jma,knb,ab->jkmn", dgi, dgi, F)
-            + ein("ma,jknb,ab->jkmn", gi, ddgi, F)
-            + ein("ma,knb,jab->jkmn", gi, dgi, dF)
-            + ein("jma,nb,kab->jkmn", dgi, gi, dF)
-            + ein("ma,jnb,kab->jkmn", gi, dgi, dF)
-            + ein("ma,nb,jkab->jkmn", gi, gi, ddF)
-        )
+        gi = (self.ginv, self.dginv, self.ddginv)
+        F = (self.F_dd, self.dF_dd, self.ddF_dd)
+        return _total(_leibniz("ma,nb,ab->mn", (gi, gi, F), "jk"))
 
     @_cached
     def F2(self):
@@ -544,9 +530,7 @@ class GeometrySnapshot:
 
     @_cached
     def dF2(self):
-        return batched_einsum("lmn,mn->l", self.dF_dd, self.F_uu) + batched_einsum(
-            "mn,lmn->l", self.F_dd, self.dF_uu
-        )
+        return _total(_leibniz("mn,mn->", ((self.F_dd, self.dF_dd), (self.F_uu, self.dF_uu)), "l"))
 
     def homogeneous_residual(self):
         """max of the cyclic sum d_m F_nl + d_n F_lm + d_l F_mn."""
@@ -561,19 +545,11 @@ class GeometrySnapshot:
 
     @_cached
     def lc_div_F_gamma(self):
-        return (
-            batched_einsum("mmn->n", self.dF_uu)
-            + batched_einsum("r,rn->n", self.gamma_lc_trace, self.F_uu)
-            + batched_einsum("mrn,mr->n", self.gamma_lc, self.F_uu)
-        )
+        return self._div(self.dF_uu, self.F_uu)
 
     @_cached
     def rc_div_F(self):
-        return (
-            batched_einsum("mmn->n", self.dF_uu)
-            + batched_einsum("r,rn->n", self.gamma_full_trace, self.F_uu)
-            + batched_einsum("mrn,mr->n", self.gamma_full, self.F_uu)
-        )
+        return self._div(self.dF_uu, self.F_uu, "rc")
 
     @_cached
     def J_up(self):
@@ -587,13 +563,10 @@ class GeometrySnapshot:
     def dJ_up(self):
         if self.mode == "fd":
             return _fd_pipeline(self.model, self.x, lambda s: s.J_up, self.mode)
-        s, ds, dds = self.sqrt_g, self.dsqrt_g, self.ddsqrt_g
-        ddW = (
-            batched_einsum("kl,mn->klmn", dds, self.F_uu)
-            + batched_einsum("l,kmn->klmn", ds, self.dF_uu)
-            + batched_einsum("k,lmn->klmn", ds, self.dF_uu)
-            + s[:, None, None, None, None] * self.ddF_uu
-        )
+        s, ds = self.sqrt_g, self.dsqrt_g
+        # W^{mn} = sqrt(-g) F^{mn}
+        jets = ((s, ds, self.ddsqrt_g), (self.F_uu, self.dF_uu, self.ddF_uu))
+        ddW = _total(_leibniz(",mn->mn", jets, "kl"))
         D = batched_einsum("m,mn->n", ds, self.F_uu) + s[:, None] * batched_einsum(
             "mmn->n", self.dF_uu
         )
@@ -616,16 +589,10 @@ class GeometrySnapshot:
 
     @_cached
     def dT_em_dd(self):
-        dm = batched_einsum("lmb,nb->lmn", self.dF_mix, self.F_dd) + batched_einsum(
-            "mb,lnb->lmn", self.F_mix, self.dF_dd
-        )
-        return (
-            -dm
-            + 0.25 * (
-                self.dg * self.F2[:, None, None, None]
-                + batched_einsum("mn,l->lmn", self.g, self.dF2)
-            )
-        ) / FOUR_PI
+        FF = ((self.F_mix, self.dF_mix), (self.F_dd, self.dF_dd))
+        gF2 = ((self.g, self.dg), (self.F2, self.dF2))
+        dm = _total(_leibniz("mb,nb->mn", FF, "l"))
+        return (-dm + 0.25 * _total(_leibniz("mn,->mn", gF2, "l"))) / FOUR_PI
 
     @_cached
     def T_em_uu(self):
@@ -633,20 +600,11 @@ class GeometrySnapshot:
 
     @_cached
     def dT_em_uu(self):
-        return (
-            batched_einsum("kma,ab,bn->kmn", self.dginv, self.T_em_dd, self.ginv)
-            + batched_einsum("ma,kab,bn->kmn", self.ginv, self.dT_em_dd, self.ginv)
-            + batched_einsum("ma,ab,kbn->kmn", self.ginv, self.T_em_dd, self.dginv)
-        )
+        gi = (self.ginv, self.dginv)
+        return _total(_leibniz("ma,ab,bn->mn", (gi, (self.T_em_dd, self.dT_em_dd), gi), "k"))
 
     def div_T_em(self, connection="rc"):
-        gamma = self.gamma_full if connection == "rc" else self.gamma_lc
-        gtr = self.gamma_full_trace if connection == "rc" else self.gamma_lc_trace
-        return (
-            batched_einsum("mmn->n", self.dT_em_uu)
-            + batched_einsum("r,rn->n", gtr, self.T_em_uu)
-            + batched_einsum("mrn,mr->n", gamma, self.T_em_uu)
-        )
+        return self._div(self.dT_em_uu, self.T_em_uu, connection)
 
     def stress_exchange_residual(self):
         """max_n |div T^{mn} - F^{mn} J_m / c|, divergence with the full connection."""
@@ -670,10 +628,8 @@ class GeometrySnapshot:
 
     @_cached
     def dK_mix(self):
-        return -self.C * (
-            batched_einsum("km,nl->kmnl", self.dA, self.F_mix)
-            + batched_einsum("m,knl->kmnl", self.A, self.dF_mix)
-        )
+        jets = ((self.A, self.dA), (self.F_mix, self.dF_mix))
+        return -self.C * _total(_leibniz("m,nl->mnl", jets, "k"))
 
     @_cached
     def covd_K(self):
@@ -706,7 +662,7 @@ class GeometrySnapshot:
 
     @_cached
     def riemann_rc(self):
-        return self._riemann(self.gamma_full, self.dgamma_full)
+        return _riemann((self.gamma_full, self.dgamma_full))
 
     @_cached
     def quadratic_pair(self):
@@ -739,10 +695,8 @@ class GeometrySnapshot:
 
     @_cached
     def d_contorsion_trace_vector(self):
-        return -self.C * (
-            batched_einsum("ln,nm->lm", self.dA, self.F_uu)
-            + batched_einsum("n,lnm->lm", self.A, self.dF_uu)
-        )
+        jets = ((self.A, self.dA), (self.F_uu, self.dF_uu))
+        return -self.C * _total(_leibniz("n,nm->m", jets, "l"))
 
     @_cached
     def scalar_rc_traced(self):
@@ -781,7 +735,16 @@ class GeometrySnapshot:
         )
         return max_abs(val)
 
-    # -- compatibility checks ---------------------------------------------------
+    # -- covariant derivatives -------------------------------------------------
+
+    def _div(self, dX, X, connection="lc"):
+        """nabla_m X^{mn} = d_m X^{mn} + G_{mr}^m X^{rn} + G_{mr}^n X^{mr} with the
+        Levi-Civita ("lc") or the full ("rc") connection."""
+        rc = connection == "rc"
+        gamma = self.gamma_full if rc else self.gamma_lc
+        trace = self.gamma_full_trace if rc else self.gamma_lc_trace
+        return (batched_einsum("mmn->n", dX) + batched_einsum("r,rn->n", trace, X)
+                + batched_einsum("mrn,mr->n", gamma, X))
 
     def metric_compatibility_residual(self, connection="lc"):
         gamma = self.gamma_lc if connection == "lc" else self.gamma_full

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import numpy as np
+
 
 def point_text(x):
     """A chart point for an error note, as a tuple of plain floats:
@@ -69,3 +71,15 @@ def batch_then_rows(batch, rows, row):
         return batch()
     except GeometryError:
         return [row(r) for r in rows]
+
+
+def _quiet_float_errors(fn):
+    """``fn`` with numpy's overflow and invalid-operation warnings off.
+
+    A field that overflows leaves inf or NaN behind, which a finiteness check
+    then turns into an ``EvalError`` naming the field and the point; numpy's
+    warning would only repeat it.  The entry points that evaluate fields (a
+    suite run, a worldline integration, a model's grid validation) run under
+    it: one setting per call, not one per evaluation.
+    """
+    return np.errstate(over="ignore", invalid="ignore")(fn)

@@ -28,7 +28,7 @@ from .catalog import CATALOG_NAMES, FIXTURE_NAMES, catalog_get, load_spacetime_f
 from .checks import CHECK_DEFS, default_tolerance, suite_of
 from .dynamics import IntegratorConfig, WorldlineState, integrate_worldline, normalize_velocity
 from .engine import GeometrySnapshot, max_abs
-from .errors import GeometryError, batch_then_rows, point_text
+from .errors import GeometryError, _quiet_float_errors, batch_then_rows, point_text
 from .gauge import (
     as_phi_field,
     contorsion_shift,
@@ -411,6 +411,7 @@ def _scenario_gauge(ctx):
     return out
 
 
+@_quiet_float_errors
 def run_suite(suite, model, mode="dual", grid_overrides=None,
               tol_overrides=None, phis=None, include_timing=False):
     """Execute a named suite and assemble the verification report."""

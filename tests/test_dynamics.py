@@ -11,7 +11,6 @@ from rcgeom import (
     WorldlineState,
     catalog_get,
     integrate_worldline,
-    lorentz_rhs,
     normalize_velocity,
 )
 from rcgeom.checks import CHECK_DEFS
@@ -331,18 +330,11 @@ def test_integrator_matches_reference_steppers(name):
     if config.method == "rk45-adaptive" and exit_message is None:
         assert ref.rejected_steps > 0
 
-def test_lorentz_rhs_requires_on_shell_state():
+def test_acceleration_flat_no_field():
     m = catalog_get("minkowski")
-    bad = WorldlineState(np.zeros(4), np.array([2.0, 0, 0, 0]), 0.0)
-    with pytest.raises(GeometryError):
-        lorentz_rhs(m, bad, 0.0)
-
-
-def test_lorentz_rhs_flat_no_field():
-    m = catalog_get("minkowski")
-    st = WorldlineState(np.zeros(4), np.array([1.0, 0, 0, 0]), 0.0)
-    dx, dv = lorentz_rhs(m, st, 0.7)
-    assert np.abs(dx - st.V).max() == 0.0
+    V = np.array([[1.0, 0, 0, 0], [1.25, 0.6, 0.3, 0.0]])
+    dv = acceleration(GeometrySnapshot(m, np.zeros((2, 4))), V, 0.7)
+    assert dv.shape == (2, 4)
     assert np.abs(dv).max() == 0.0
 
 
@@ -367,10 +359,10 @@ def test_gauge_shift_leaves_rhs_unchanged():
     m = catalog_get("minkowski-constant-e")
     shifted = transform_potential(m, "0.3*t*x + sin(t)")
     x = np.array([0.4, 0.2, 0.1, 0.0])
-    V = normalize_velocity(m, x, np.array([1.0, 0.1, 0.05, 0.0]))
-    st = WorldlineState(x, V, 0.0)
-    _, dv0 = lorentz_rhs(m, st, 0.7)
-    _, dv1 = lorentz_rhs(shifted, st, 0.7)
+    V = normalize_velocity(m, x, np.array([1.0, 0.1, 0.05, 0.0]))[None]
+    dv0 = acceleration(GeometrySnapshot(m, x), V, 0.7)
+    dv1 = acceleration(GeometrySnapshot(shifted, x), V, 0.7)
+    assert np.abs(dv0).max() > 0.1  # the field accelerates the charge
     assert np.abs(dv1 - dv0).max() <= 1e-15
 
 

@@ -17,7 +17,7 @@ from rcgeom import (
 from rcgeom.catalog import build_model, parse_spacetime_text
 from rcgeom.checks import CHECK_DEFS
 from rcgeom.dynamics import probe_velocity
-from rcgeom.engine import GeometrySnapshot
+from rcgeom.engine import GeometrySnapshot, batched_einsum
 from rcgeom.harness import run_suite
 
 KN_FILE = Path(__file__).resolve().parents[1] / "bench" / "kerr_newman.spacetime"
@@ -235,6 +235,103 @@ def test_generic_model_current_is_not_vacuous():
     assert np.abs(snap.J_up).max() > 1e-3
     assert np.abs(snap.dJ_up).max() > 1e-3
     assert check.max_residual <= 1e-12
+
+
+# -- the product rule against the hand expansions it replaced -----------------
+# Each reference writes the Leibniz terms out, in the order, with the
+# subscripts and the summation order that ``leibniz`` must give.
+
+ein = batched_einsum
+
+
+def _hand_ddginv(s):
+    t1 = ein("kma,lab,bn->klmn", s.dginv, s.dg, s.ginv)
+    t2 = ein("ma,klab,bn->klmn", s.ginv, s.ddg, s.ginv)
+    t3 = ein("ma,lab,kbn->klmn", s.ginv, s.dg, s.dginv)
+    return -(t1 + t2 + t3)
+
+
+def _hand_ddgamma_lc(s):
+    dddg = s.jets(3).dddg
+    ddsym = dddg + dddg.swapaxes(-3, -2) - dddg.transpose(0, 1, 2, 4, 5, 3)
+    return 0.5 * (
+        ein("jkla,mna->jkmnl", s.ddginv, s._sym_dg)
+        + ein("kla,jmna->jkmnl", s.dginv, s._dsym_dg)
+        + ein("jla,kmna->jkmnl", s.dginv, s._dsym_dg)
+        + ein("la,jkmna->jkmnl", s.ginv, ddsym)
+    )
+
+
+def _hand_d_riemann_lc(s):
+    ddgamma, dgamma, gamma = s.ddgamma_lc, s.dgamma_lc, s.gamma_lc
+    dr = ddgamma - ddgamma.swapaxes(-4, -3)
+    dr += ein("kmrc,nlr->kmnlc", dgamma, gamma)
+    dr += ein("mrc,knlr->kmnlc", gamma, dgamma)
+    dr -= ein("knrc,mlr->kmnlc", dgamma, gamma)
+    dr -= ein("nrc,kmlr->kmnlc", gamma, dgamma)
+    return dr
+
+
+def _hand_ddF_uu(s):
+    gi, dgi, ddgi = s.ginv, s.dginv, s.ddginv
+    F, dF, ddF = s.F_dd, s.dF_dd, s.ddF_dd
+    return (
+        ein("jkma,nb,ab->jkmn", ddgi, gi, F)
+        + ein("kma,jnb,ab->jkmn", dgi, dgi, F)
+        + ein("kma,nb,jab->jkmn", dgi, gi, dF)
+        + ein("jma,knb,ab->jkmn", dgi, dgi, F)
+        + ein("ma,jknb,ab->jkmn", gi, ddgi, F)
+        + ein("ma,knb,jab->jkmn", gi, dgi, dF)
+        + ein("jma,nb,kab->jkmn", dgi, gi, dF)
+        + ein("ma,jnb,kab->jkmn", gi, dgi, dF)
+        + ein("ma,nb,jkab->jkmn", gi, gi, ddF)
+    )
+
+
+HAND_EXPANSIONS = {
+    "ddginv": _hand_ddginv,
+    "ddgamma_lc": _hand_ddgamma_lc,
+    "d_riemann_lc": _hand_d_riemann_lc,
+    "ddF_uu": _hand_ddF_uu,
+}
+
+
+@pytest.mark.parametrize("member", sorted(HAND_EXPANSIONS))
+@pytest.mark.parametrize("name", ["generic", "kerr-newman"])
+def test_product_rule_gives_the_hand_expansion_bit_for_bit(name, member):
+    model = MODELS[name]
+    X = _points(model)
+    for pts in (X, X[2:3]):
+        snap = GeometrySnapshot(model, pts)
+        got = getattr(snap, member)
+        want = HAND_EXPANSIONS[member](snap)
+        assert np.abs(want).max() > 0.0
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# -- construction invariants ---------------------------------------------------
+
+INVARIANT_MODELS = {
+    "generic": MODELS["generic"],
+    "kerr-newman": MODELS["kerr-newman"],
+    "charge-ball+gauge": transform_potential(catalog_get("charge-ball"), "0.1*t*x + 0.05*sin(y)"),
+}
+
+
+@pytest.mark.parametrize("mode", ["dual", "fd"])
+@pytest.mark.parametrize("name", sorted(INVARIANT_MODELS))
+def test_connection_symmetries_hold_by_construction(name, mode):
+    """G_{mn}^l = G_{nm}^l and K_{mnl} = -K_{mln} hold bit for bit: gamma_lc
+    contracts a _sym_dg that is symmetric in m, n, and K_down = -C A (x) F
+    with F = dA - dA^T.  No input can fail them, so they are no report rows."""
+    model = INVARIANT_MODELS[name]
+    grid = harness.SuiteContext(model, mode).grid
+    for pts in (grid, grid[:1]):
+        s = GeometrySnapshot(model, pts, mode)
+        assert np.abs(s.K_down).max() > 0.0
+        assert np.abs(s.gamma_lc).max() > 0.0 or not model.layout.g_live  # charge-ball is flat
+        assert np.array_equal(s.gamma_lc, s.gamma_lc.swapaxes(-3, -2))
+        assert np.array_equal(s.K_down, -s.K_down.swapaxes(-2, -1))
 
 
 # -- the gauge scenario against a point-by-point reference ----------------------
