@@ -1,32 +1,37 @@
 """The check table: every identity the suites verify, each defined once.
 
 A row of ``CHECK_DEFS`` holds the check's paper anchor and its tolerance in
-the dual and the fd derivative mode (None: informational).  A pointwise row
-also holds its point group, the order of the field jets its residual reads
-from the snapshot (0: none, the residual evaluates the fields itself), the
-residual, a function of a snapshot that gives one value per point, and the
-model claim (a ``model.meta`` key) without which it does not run.  The
-scenarios of the dynamics and gauge suites compute the other rows; an
-informational row holds the note its report entry carries.  A check belongs
-to the suite its id's prefix names (``suite_of``).
+the dual and the fd derivative mode (None: informational).  A row with a
+residual also holds its point group, the order of the field jets it reads
+(0: none, the residual evaluates the fields itself), the residual, a
+function that gives one value per point, and the model claim (a
+``model.meta`` key) without which it does not run.  A residual reads a
+snapshot; a gauge row's (point groups "gauge" and "orbit") reads a
+``GaugePair`` instead, and its order is the one it reads from the pair's
+unshifted side.  The dynamics scenario computes the two rows without a
+residual; an informational row holds the note its report entry carries.  A
+check belongs to the suite its id's prefix names (``suite_of``).
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import fields
-from .dynamics import _dust_jets, probe_velocity, transport_residual
+from .dynamics import _dust_jets, acceleration, probe_velocity, transport_residual
 from .engine import batched_einsum, max_abs
+from .gauge import contorsion_shift, scalar_shift
 
 
 class Check(NamedTuple):
     anchor: str
     dual: float | None
     fd: float | None
-    group: str | None = None  # pointwise: "grid", "small", "random" or "grid+random"
+    # "grid", "small", "random", "grid+random", "gauge" or "orbit"
+    group: str | None = None
     order: int = 0
     residual: Callable | None = None
     claim: str | None = None
@@ -93,6 +98,11 @@ def _scalar_split(snap):
     return np.maximum(np.abs(R - target), np.abs(R_traced - target))
 
 
+def _einstein_gap(snap):
+    """G_mn - 8 pi (G / c^4) T_mn, with the Levi-Civita Einstein tensor."""
+    return snap.einstein_lc_dd - 8.0 * np.pi * snap.C * snap.T_em_dd
+
+
 def _source_density(snap):
     model = snap.model
     expected = snap.c_light * model.params[model.meta["charge_density_param"]]
@@ -113,8 +123,7 @@ def _matter_flux(snap):
     r0, dr0, V, dV = _dust_jets(snap)
     P = (r0 * c2)[:, None] * V
     dP = c2 * (dr0[:, :, None] * V[:, None, :] + r0[:, None, None] * dV)
-    div = batched_einsum("m,m->", snap.dsqrt_g, P) + snap.sqrt_g * batched_einsum("mm->", dP)
-    return r0, V, c2, P, div
+    return r0, V, c2, P, snap.density_div(P, dP)
 
 
 def _mass_flux(snap):
@@ -126,10 +135,38 @@ def _mass_flux(snap):
     return np.abs(div_rc - snap.C * r0 * c2 * afv)
 
 
+# -- gauge residuals -----------------------------------------------------------
+
+
+# What a gauge row reads over a batch of points: the unshifted snapshot, the
+# snapshot of the model shifted by the gradient of phi, and phi.  The orbit's
+# pair is (shifted by phi1 then by phi2, shifted by phi1 + phi2, their sum).
+GaugePair = namedtuple("GaugePair", "old new phi")
+
+
+def _delta(member):
+    """|new - old| of a snapshot member, its largest entry at every point."""
+    return lambda p: max_abs(getattr(p.new, member) - getattr(p.old, member))
+
+
+def _lorentz_delta(p):
+    """The change of the force law at a probe velocity, charge ratio 0.7."""
+    V = probe_velocity(p.old)
+    return max_abs(acceleration(p.new, V, 0.7) - acceleration(p.old, V, 0.7))
+
+
+def _orbit(p):
+    """Composing two shifts against the one combined shift: contorsion, field
+    strength and RC scalar curvature, the largest mismatch at every point."""
+    twice, once = p.old, p.new
+    return np.fmax(np.fmax(max_abs(twice.K_mix - once.K_mix), max_abs(twice.F_dd - once.F_dd)),
+                   np.abs(twice.scalar_rc - once.scalar_rc))
+
+
 _INFORMATIONAL_SHIFT = "informational: nonzero evidences the expected non-invariance"
 
-# check id -> Check; the pointwise rows are in report order, the scenarios order
-# their own rows
+# check id -> Check, in report order but for the dynamics scenario's two rows,
+# which it reports between the pointwise rows and the gauge rows
 CHECK_DEFS = {
     "metric.inverse": Check(
         "Eq.rec", 1e-12, 1e-12, "grid", 1,
@@ -180,8 +217,7 @@ CHECK_DEFS = {
     "rc.scalar_split": Check("Eq.19", 1e-8, 1e-5, "grid", 2, _scalar_split),
     "einstein.residual": Check(
         "Eq.31", 1e-8, 1e-5, "grid", 2,
-        lambda s: max_abs(s.einstein_lc_dd - 8.0 * np.pi * s.C * s.T_em_dd),
-        claim="einstein_exact"),
+        lambda s: max_abs(_einstein_gap(s)), claim="einstein_exact"),
     "dyn.transport_identity": Check(
         "Eq.43", 1e-8, 1e-8, "small", 1,
         lambda s: transport_residual(s, probe_velocity(s), 0.7)),
@@ -192,16 +228,21 @@ CHECK_DEFS = {
         "Eq.46", 1e-6, 1e-5, "small", 1, lambda s: np.abs(_matter_flux(s)[-1]), "dust"),
     "dyn.norm_drift": Check("Eq.45", 1e-8, 1e-8),
     "dyn.closed_form": Check("Eq.45", 1e-6, 1e-6),
-    "gauge.contorsion_shift": Check("Eq.47", 1e-12, 1e-8),
-    "gauge.scalar_shift": Check("Eq.49", 1e-8, 1e-5),
-    "gauge.f_invariance": Check("Eq.13", 1e-12, 1e-8),
-    "gauge.current_invariance": Check("Eq.15", 1e-10, 1e-6),
-    "gauge.stress_invariance": Check("Eq.31", 1e-10, 1e-8),
-    "gauge.einstein_invariance": Check("Eq.31", 1e-10, 1e-8),
-    "gauge.lorentz_invariance": Check("Eq.45", 1e-12, 1e-8),
-    "gauge.contorsion_delta": Check("Eq.47", None, None, note=_INFORMATIONAL_SHIFT),
-    "gauge.curvature_delta": Check("Eq.48", None, None, note=_INFORMATIONAL_SHIFT),
-    "gauge.orbit": Check("Sec.5", 1e-12, 1e-7),
+    "gauge.contorsion_shift": Check(
+        "Eq.47", 1e-12, 1e-8, "gauge", 1, lambda p: contorsion_shift(*p)),
+    "gauge.scalar_shift": Check("Eq.49", 1e-8, 1e-5, "gauge", 3, lambda p: scalar_shift(*p)),
+    "gauge.f_invariance": Check("Eq.13", 1e-12, 1e-8, "gauge", 1, _delta("F_dd")),
+    "gauge.current_invariance": Check("Eq.15", 1e-10, 1e-6, "gauge", 2, _delta("J_up")),
+    "gauge.stress_invariance": Check("Eq.31", 1e-10, 1e-8, "gauge", 1, _delta("T_em_dd")),
+    "gauge.einstein_invariance": Check(
+        "Eq.31", 1e-10, 1e-8, "gauge", 2,
+        lambda p: max_abs(_einstein_gap(p.new) - _einstein_gap(p.old))),
+    "gauge.lorentz_invariance": Check("Eq.45", 1e-12, 1e-8, "gauge", 1, _lorentz_delta),
+    "gauge.contorsion_delta": Check(
+        "Eq.47", None, None, "gauge", 1, _delta("K_mix"), note=_INFORMATIONAL_SHIFT),
+    "gauge.curvature_delta": Check(
+        "Eq.48", None, None, "gauge", 2, _delta("riemann_rc"), note=_INFORMATIONAL_SHIFT),
+    "gauge.orbit": Check("Sec.5", 1e-12, 1e-7, "orbit", 2, _orbit),
 }
 
 

@@ -21,7 +21,7 @@ import argparse
 import sys
 import traceback
 
-from .catalog import CATALOG_NAMES, catalog_get
+from .catalog import CATALOG_NAMES, FIXTURE_NAMES, catalog_get
 from .errors import GeometryError
 from .harness import (
     SUITES,
@@ -186,13 +186,11 @@ def _cmd_worldline(args):
 
 
 def _cmd_list(_args):
-    print("catalog entries:")
-    for name in CATALOG_NAMES:
-        model = catalog_get(name)
-        params = ", ".join(f"{k}={v}" for k, v in sorted(model.params.items()))
-        print(f"  {name:24s} params: {params or '(none)'}")
-    print("fixtures:")
-    print("  charge-ball              params: rho_q=0.02, rho0=0.05")
+    for title, names in (("catalog entries", CATALOG_NAMES), ("fixtures", FIXTURE_NAMES)):
+        print(f"{title}:")
+        for name in names:
+            params = ", ".join(f"{k}={v}" for k, v in sorted(catalog_get(name).params.items()))
+            print(f"  {name:24s} params: {params or '(none)'}")
     print("a path to a definition file is accepted wherever a name is.")
     return 0
 

@@ -401,6 +401,14 @@ class GeometrySnapshot:
         dtr = _total(_leibniz("mn,lmn->l", ((self.ginv, self.dginv), (self.dg, self.ddg)), "k"))
         return 0.5 * (_outer(self.dsqrt_g, tr) + self.sqrt_g[:, None, None] * dtr)
 
+    def density_div(self, X, dX):
+        """d_m(sqrt(-g) X^{m...}) = d_m sqrt(-g) X^{m...} + sqrt(-g) d_m X^{m...},
+        for a vector or a 2-index X and its gradient dX, at every point."""
+        rest = "n" if X.ndim == 3 else ""
+        s = self.sqrt_g[:, None] if rest else self.sqrt_g
+        return (batched_einsum(f"m,m{rest}->{rest}", self.dsqrt_g, X)
+                + s * batched_einsum(f"mm{rest}->{rest}", dX))
+
     # -- Levi-Civita layer ---------------------------------------------------
 
     @_metric_member(1)
@@ -567,9 +575,7 @@ class GeometrySnapshot:
         # W^{mn} = sqrt(-g) F^{mn}
         jets = ((s, ds, self.ddsqrt_g), (self.F_uu, self.dF_uu, self.ddF_uu))
         ddW = _total(_leibniz(",mn->mn", jets, "kl"))
-        D = batched_einsum("m,mn->n", ds, self.F_uu) + s[:, None] * batched_einsum(
-            "mmn->n", self.dF_uu
-        )
+        D = self.density_div(self.F_uu, self.dF_uu)
         dD = batched_einsum("kmmn->kn", ddW)
         return (self.c_light / FOUR_PI) * (
             dD / s[:, None, None] - _outer(ds / (s * s)[:, None], D)
@@ -577,10 +583,7 @@ class GeometrySnapshot:
 
     def current_conservation_residual(self):
         """|d_n(sqrt(-g) J^n)| with the current differentiated exactly."""
-        val = batched_einsum("n,n->", self.dsqrt_g, self.J_up) + self.sqrt_g * batched_einsum(
-            "nn->", self.dJ_up
-        )
-        return np.abs(val)
+        return np.abs(self.density_div(self.J_up, self.dJ_up))
 
     @_cached
     def T_em_dd(self):
@@ -757,7 +760,7 @@ class GeometrySnapshot:
         return max_abs(grad)
 
 
-def _fd_pipeline(model, x, extract, mode, h=PIPELINE_FD_STEP):
+def _fd_pipeline(model, x, extract, mode):
     """Central-difference derivative of a computed pointwise quantity at
     every point of x, shape (N, 4); the derivative-direction axis follows
     the point axis.  The eight shifted copies of every point form one
@@ -766,8 +769,9 @@ def _fd_pipeline(model, x, extract, mode, h=PIPELINE_FD_STEP):
     shifted = []
     for k in range(DIM):
         e = np.zeros(DIM)
-        e[k] = h
+        e[k] = PIPELINE_FD_STEP
         shifted += [x + e, x - e]
     vals = np.asarray(extract(GeometrySnapshot(model, np.concatenate(shifted), mode)))
     vals = vals.reshape((2 * DIM, len(x)) + vals.shape[1:])
-    return np.stack([(vals[2 * k] - vals[2 * k + 1]) / (2.0 * h) for k in range(DIM)], axis=1)
+    return np.stack([(vals[2 * k] - vals[2 * k + 1]) / (2.0 * PIPELINE_FD_STEP)
+                     for k in range(DIM)], axis=1)

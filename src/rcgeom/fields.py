@@ -143,6 +143,18 @@ class ExprField:
         return _check_finite(self.jet_unchecked(x, order), self.name, x)
 
 
+def gauge_function_jet(phi, x, order, check=False):
+    """The jet of a gauge function at a point or a batch, checked for
+    finiteness when ``check``; an evaluation error names the gauge function
+    and the point (over a batch, the number of points)."""
+    try:
+        jv = phi.jet_unchecked(x, order)
+    except EvalError as err:
+        where = point_text(np.ravel(x)) if np.size(x) == DIM else f"one of {len(x)} points"
+        raise EvalError(f"gauge function {phi.name!r} at {where}: {err}") from None
+    return _check_finite(jv, phi.name, x) if check else jv
+
+
 class ShiftedPotentialField:
     """Potential component after a gauge shift: base + d(phi)/dx_axis.
 
@@ -163,7 +175,7 @@ class ShiftedPotentialField:
         return f"ShiftedPotentialField({self.name!r})"
 
     def value(self, x):
-        return self.base.value(x) + self.phi.jet(x, order=1).grad[self.axis]
+        return self.base.value(x) + gauge_function_jet(self.phi, x, 1, check=True).grad[self.axis]
 
     def values(self, X):
         """Values at the N rows of an (N, 4) array from one batched phi jet.
@@ -178,7 +190,7 @@ class ShiftedPotentialField:
         X = np.asarray(X, dtype=float)
 
         def batch():
-            p = self.phi.jet_unchecked(X, 1)
+            p = gauge_function_jet(self.phi, X, 1)
             if not (np.isfinite(p.value).all() and np.isfinite(p.grad).all()):
                 raise EvalError(f"non-finite gauge function jet for field {self.name!r}")
             return self.base.values(X) + p.grad[self.axis]
@@ -191,7 +203,7 @@ class ShiftedPotentialField:
                 "gauge-shifted potentials carry derivatives only to 2nd order"
             )
         b = self.base.jet_unchecked(x, order)
-        p = self.phi.jet_unchecked(x, order + 1)
+        p = gauge_function_jet(self.phi, x, order + 1)
         a = self.axis
         value = b.value + p.grad[a]
         grad = b.grad + p.hess[a]
@@ -202,15 +214,7 @@ class ShiftedPotentialField:
         return _check_finite(self.jet_unchecked(x, order), self.name, x)
 
 
-def fd_steps(x, h=None):
-    """Per-axis step: h or the default 1e-4 * max(1, |x_mu|), per point."""
-    x = np.asarray(x, dtype=float)
-    if h is not None:
-        return np.full(x.shape, float(h))
-    return FD_STEP_SCALE * np.maximum(1.0, np.abs(x))
-
-
-def _fd_batch(field, X, order, h):
+def _fd_batch(field, X, order):
     """Stencil value, gradient and (order 2) Hessian at every row of X,
     batch axis last as in jets.
 
@@ -219,7 +223,7 @@ def _fd_batch(field, X, order, h):
     at order 2, last at order 1), so the first bad stencil point is the one
     reported.
     """
-    steps = fd_steps(X, h)
+    steps = FD_STEP_SCALE * np.maximum(1.0, np.abs(X))  # per axis and point
     shift = []
     for m in range(DIM):
         e = np.zeros_like(X)
@@ -258,18 +262,18 @@ def _one_point(jv):
                     None if jv.hess is None else jv.hess[:, :, 0], None)
 
 
-def finite_difference_derivatives(field, x, h=None):
+def finite_difference_derivatives(field, x):
     """Central-difference gradient and Hessian of a scalar field, at a point
     (4,) or at every row of an (N, 4) batch (batch axis last)."""
-    jv = fd_jet(field, x, 2, h)
+    jv = fd_jet(field, x, 2)
     return jv.grad, jv.hess
 
 
-def fd_jet(field, x, order=2, h=None):
+def fd_jet(field, x, order=2):
     """JetValue built from finite differences (orders 1 and 2 only)."""
     if order > 2:
         raise EvalError("finite-difference mode carries derivatives only to 2nd order")
     x = np.asarray(x, dtype=float)
     if x.ndim == 2:
-        return _fd_batch(field, x, order, h)
-    return _one_point(_fd_batch(field, x[None], order, h))
+        return _fd_batch(field, x, order)
+    return _one_point(_fd_batch(field, x[None], order))

@@ -6,7 +6,10 @@ the contorsion and the full-connection curvature in a controlled way; the
 scalar-curvature change is a pure divergence.  Every quantity is compared
 on one (unshifted, shifted) snapshot pair over a batch of points: each side
 is one snapshot, and each comparison one array reduction with a value per
-point.
+point.  The comparisons are the residuals of the ``gauge.*`` rows of
+``checks.CHECK_DEFS``, which read a ``checks.GaugePair``; the closed-form
+shifts they compare with (``contorsion_shift``, ``scalar_shift`` and its
+``divergence_term``) are here.
 """
 
 from __future__ import annotations
@@ -15,10 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import default_tolerance
-from .dynamics import acceleration, probe_velocity
 from .engine import GeometrySnapshot, batched_einsum, max_abs
-from .fields import ShiftedPotentialField
+from .fields import ShiftedPotentialField, gauge_function_jet
 
 
 def as_phi_field(model, phi):
@@ -39,7 +40,7 @@ def transform_potential(model, phi):
 
 def _phi_jet(phi, snap):
     """phi and its gradient at the snapshot's points, point axis first."""
-    pj = phi.jet(snap.x, 1)
+    pj = gauge_function_jet(phi, snap.x, 1, check=True)
     n = len(snap.x)
     return np.broadcast_to(pj.value, (n,)), np.broadcast_to(pj.grad.T, (n, 4))
 
@@ -97,44 +98,30 @@ class GaugeInvarianceReport:
     pair: tuple  # (unshifted, shifted) snapshot over all the points
 
 
-def gauge_invariance_suite(model, phi, points=None, charge_ratio=0.7, mode="dual", old=None):
+def gauge_invariance_suite(model, phi, points=None, mode="dual"):
     """Check the gauge-invariant observables and report what shifted.
 
     The field strength, current, stress-energy, Einstein-equation residual,
     and force-law right-hand side must not move; the contorsion and the
     full-connection curvature are expected to move and their maximum deltas
     are reported as evidence: their rows in ``CHECK_DEFS`` are
-    informational.  Both sides are evaluated as one snapshot each over all
-    the points (an (N, 4) batch; one point is a batch of one); ``old``, an
-    unshifted snapshot over the same points, is reused when given, so
-    several gauge functions can share it.
+    informational.  Each delta is its row's residual, read from one
+    (unshifted, shifted) snapshot pair over all the points (an (N, 4) batch;
+    one point is a batch of one).
     """
+    from .checks import CHECK_DEFS, GaugePair, default_tolerance  # checks reads this module
+
     phi = as_phi_field(model, phi)
     if points is None:
         points = model.default_grid
-    if old is None:
-        old = GeometrySnapshot(model, points, mode)
+    old = GeometrySnapshot(model, points, mode)
     new = GeometrySnapshot(transform_potential(model, phi), points, mode)
     new.preload(2)  # the curvature deltas read second derivatives
-
-    eight_pi_c = 8.0 * np.pi * model.constants.coupling
-    V = probe_velocity(old)
-    deltas = {
-        "gauge.f_invariance": new.F_dd - old.F_dd,
-        "gauge.current_invariance": new.J_up - old.J_up,
-        "gauge.stress_invariance": new.T_em_dd - old.T_em_dd,
-        "gauge.einstein_invariance": (new.einstein_lc_dd - eight_pi_c * new.T_em_dd)
-        - (old.einstein_lc_dd - eight_pi_c * old.T_em_dd),
-        "gauge.lorentz_invariance":
-            acceleration(new, V, charge_ratio) - acceleration(old, V, charge_ratio),
-        "gauge.contorsion_delta": new.K_mix - old.K_mix,
-        "gauge.curvature_delta": new.riemann_rc - old.riemann_rc,
-    }
-    # per point first: a point whose delta holds a NaN is skipped whole
-    worst = {cid: peak(max_abs(delta)) for cid, delta in deltas.items()}
+    pair = GaugePair(old, new, phi)
+    # the rows of the seven deltas; per point first: a point whose delta
+    # holds a NaN is skipped whole
+    worst = {cid: peak(row.residual(pair)) for cid, row in CHECK_DEFS.items()
+             if cid.startswith("gauge.") and cid.endswith(("_invariance", "_delta"))}
     tols = {cid: default_tolerance(cid, mode) for cid in worst}
-    return GaugeInvarianceReport(
-        deltas=worst,
-        passed=all(tol is None or worst[cid] <= tol for cid, tol in tols.items()),
-        pair=(old, new),
-    )
+    passed = all(tol is None or worst[cid] <= tol for cid, tol in tols.items())
+    return GaugeInvarianceReport(worst, passed, (old, new))

@@ -1,13 +1,15 @@
 """Verification suites, residual aggregation, and machine-readable reports.
 
-A suite is a named bundle of checks.  Pointwise checks, the dust exchange
-among them, share one geometry snapshot per chunk of points and reduce to
-a deterministic maximum residual.  Scenario checks run once: a closed-form
-worldline step by step, the gauge sweep as one (unshifted, shifted)
-snapshot pair per gauge function.  Wherever a batch raises, its rows are
-re-run as batches of one, so an error names the point a point-by-point run
-names.  The JSON report uses fixed float formatting so repeated runs are
-byte-identical.
+A suite is a named bundle of checks.  Every check with a residual in the
+check table runs on one runner: its point set is evaluated in chunks, each
+chunk as one geometry snapshot (the dust exchange among them), or, for the
+gauge rows, as one (unshifted, shifted) snapshot pair per gauge function
+sharing one unshifted snapshot; the per-point residuals reduce to a
+deterministic maximum.  A row that raises on a chunk is re-run on each of
+its points as a batch of one, so its note names the point a point-by-point
+run names, and the other rows still run.  The dynamics scenario runs once:
+a closed-form worldline step by step.  The JSON report uses fixed float
+formatting so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -25,18 +27,11 @@ import numpy as np
 
 from . import __version__
 from .catalog import CATALOG_NAMES, FIXTURE_NAMES, catalog_get, load_spacetime_file
-from .checks import CHECK_DEFS, default_tolerance, suite_of
+from .checks import CHECK_DEFS, GaugePair, default_tolerance, suite_of
 from .dynamics import IntegratorConfig, WorldlineState, integrate_worldline, normalize_velocity
-from .engine import GeometrySnapshot, max_abs
+from .engine import GeometrySnapshot
 from .errors import GeometryError, _quiet_float_errors, batch_then_rows, point_text
-from .gauge import (
-    as_phi_field,
-    contorsion_shift,
-    gauge_invariance_suite,
-    peak,
-    scalar_shift,
-    transform_potential,
-)
+from .gauge import as_phi_field, peak, transform_potential
 
 SUITES = ("metric", "lc", "rc", "maxwell", "einstein", "dynamics", "gauge", "all")
 
@@ -165,15 +160,11 @@ class SuiteContext:
         # Gauge functions are parsed once, here, so a bad one is a usage
         # error rather than a failed check; the orbit check composes the
         # first two and compares with their sum.
-        if phis:
-            sources = list(phis)
-        else:
-            c0, c1 = model.chart.names[0], model.chart.names[1]
-            sources = [f"0.2*{c0}", f"0.1*{c0}*{c1}", f"sin({c0})"]
+        c0, c1 = model.chart.names[:2]
+        sources = list(phis or (f"0.2*{c0}", f"0.1*{c0}*{c1}", f"sin({c0})"))
         self.phi_fields = [as_phi_field(model, src) for src in sources]
-        self.orbit_phi = (
-            as_phi_field(model, f"({sources[0]}) + ({sources[1]})") if len(sources) >= 2 else None
-        )
+        self.orbit_phi = (as_phi_field(model, f"({sources[0]}) + ({sources[1]})")
+                          if len(sources) >= 2 else None)
         self._random = None
 
     def points(self, group):
@@ -183,6 +174,10 @@ class SuiteContext:
             n = len(self.grid)
             stride = max(1, n // 12)
             return self.grid[::stride][:12]
+        if group == "gauge":
+            return self.points("small")[:8]
+        if group == "orbit":
+            return self.points("small")[:2]
         if group == "random":
             return self.random_points()
         if group == "grid+random":
@@ -227,11 +222,8 @@ def _make_result(ctx, check_id, residual, npoints, note=None):
     row = CHECK_DEFS[check_id]
     note = note or row.note
     tol = ctx.tolerance(check_id)
-    if residual is None:
-        passed = False
-    else:
-        residual = float(residual)
-        passed = tol is None or residual <= tol
+    residual = None if residual is None else float(residual)
+    passed = residual is not None and (tol is None or residual <= tol)
     return CheckResult(check_id, row.anchor, int(npoints), residual, tol, passed, note)
 
 
@@ -243,84 +235,105 @@ def _make_result(ctx, check_id, residual, npoints, note=None):
 # 10-30% more time per point on the 512-point grids).
 CHUNK = 40
 
-# point group -> the point sets it covers, in report order
-_POINT_SETS = {
-    "grid": ("grid",),
-    "small": ("small",),
-    "random": ("random",),
-    "grid+random": ("grid", "random"),
-}
-
 
 class _Worst:
-    """Running maximum of one check's per-point residuals, and its first error."""
+    """One check's running maximum residual, residual count and first error."""
 
-    __slots__ = ("value", "note")
+    __slots__ = ("value", "points", "note")
 
     def __init__(self):
         self.value = 0.0
+        self.points = 0
         self.note = None
 
     def add(self, residuals):
-        # NaN residuals are skipped, as a running max(worst, value) skips them
-        self.value = max(self.value, float(np.fmax.reduce(np.ravel(residuals))))
+        self.value = max(self.value, peak(residuals))  # skipping NaN
 
     def fail(self, err):
         self.note = self.note or f"{type(err).__name__}: {err}"
 
 
-def _pointwise_rows(suite, meta):
-    """(check id, row) for every pointwise check a suite runs on a model, in
-    table order.  A row with a claim runs only on a model that sets it, but
-    ``--suite einstein`` runs ``einstein.residual`` on any model."""
+def _pointwise_rows(ctx, suite):
+    """(check id, row) for every check with a residual that a suite runs on
+    the context's model, in table order.  A row with a claim runs only on a
+    model that sets it, but ``--suite einstein`` runs ``einstein.residual``
+    on any model; the orbit runs only with two gauge functions to compose."""
+    meta = ctx.model.meta
     return [(cid, row) for cid, row in CHECK_DEFS.items()
             if row.residual and suite in ("all", suite_of(cid))
-            and (row.claim is None or meta.get(row.claim) or suite == "einstein")]
+            and (row.claim is None or meta.get(row.claim) or suite == "einstein")
+            and (row.group != "orbit" or ctx.orbit_phi is not None)]
 
 
 def _run_pointwise(ctx, rows):
-    """rows: ordered (check id, CHECK_DEFS row) pairs of pointwise checks.
+    """rows: ordered (check id, CHECK_DEFS row) pairs of checks with a residual.
 
-    Each point set is evaluated in chunks of CHUNK points, one snapshot per
-    chunk, whose field jets are computed once at the highest order its
-    checks need.  A check that raises on a chunk is re-run on each of its
-    rows as a batch of one, so every error is attributed to the first point
-    that meets it, exactly as a point-by-point evaluation would.
+    Each point set is evaluated in chunks of CHUNK points, one set of
+    subjects (``_subjects``) per chunk, whose field jets are computed once at
+    the highest order its checks need.  A check that raises on a subject is
+    re-run on each of its points as a batch of one, so every error is
+    attributed to the first point that meets it, exactly as a point-by-point
+    evaluation would.
     """
     worst = {cid: _Worst() for cid, _row in rows}
-    for point_set in ("grid", "random", "small"):
-        checks = [(cid, row) for cid, row in rows if point_set in _POINT_SETS[row.group]]
+    for point_set in ("grid", "random", "small", "gauge", "orbit"):
+        # a point group is a point set, or two joined by "+"
+        checks = [(cid, row) for cid, row in rows if point_set in row.group.split("+")]
         if not checks:
             continue
         pts = ctx.points(point_set)
         top = max(row.order for _cid, row in checks)
         for start in range(0, len(pts), CHUNK):
-            _run_chunk(ctx, pts[start:start + CHUNK], checks, top, worst)
-    return [(cid, None if worst[cid].note else worst[cid].value,
-             len(ctx.points(row.group)), worst[cid].note) for cid, row in rows]
+            _run_chunk(ctx, point_set, pts[start:start + CHUNK], checks, top, worst)
+    return [(cid, None if w.note else w.value, w.points, w.note) for cid, w in worst.items()]
 
 
-def _run_chunk(ctx, chunk, checks, order, worst):
-    snap = GeometrySnapshot(ctx.model, chunk, ctx.mode)
-    if order:
-        snap.preload(order)
+def _subjects(ctx, point_set, pts, order):
+    """What the rows of a point set read over the points pts, with the field
+    jets evaluated at ``order``: one snapshot, or, for the gauge rows, one
+    ``GaugePair`` per gauge function, all sharing one unshifted snapshot, or
+    the orbit's one pair."""
+
+    def snap(model, top=order):
+        s = GeometrySnapshot(model, pts, ctx.mode)
+        if top:
+            s.preload(top)
+        return s
+
+    if point_set == "gauge":
+        old = snap(ctx.model)
+        # a shifted potential's jets stop at order 2: its n-th derivatives
+        # read phi's derivatives of order n + 1
+        return [GaugePair(old, snap(transform_potential(ctx.model, phi), min(order, 2)), phi)
+                for phi in ctx.phi_fields]
+    if point_set == "orbit":
+        twice = functools.reduce(transform_potential, ctx.phi_fields[:2], ctx.model)
+        once = transform_potential(ctx.model, ctx.orbit_phi)
+        return [GaugePair(snap(twice), snap(once), ctx.orbit_phi)]
+    return [snap(ctx.model)]
+
+
+def _run_chunk(ctx, point_set, chunk, checks, order, worst):
+    subjects = _subjects(ctx, point_set, chunk, order)
 
     @functools.cache
-    def row(i):  # row i as a batch of one, built on first use
-        return GeometrySnapshot(ctx.model, chunk[i:i + 1], ctx.mode)
+    def row(i):  # the subjects at point i as batches of one, built on first use
+        return _subjects(ctx, point_set, chunk[i:i + 1], 0)
 
-    def on_row(fn, i, w):
+    def on_row(fn, k, i, w):
         try:
-            return fn(row(i))
+            return fn(row(i)[k])
         except GeometryError as err:
             w.fail(err)
             return np.nan
 
     for cid, check in checks:
         fn, w = check.residual, worst[cid]
-        for residuals in batch_then_rows(lambda: [fn(snap)], range(len(chunk)),
-                                         lambda i: on_row(fn, i, w)):
-            w.add(residuals)
+        for k, subject in enumerate(subjects):
+            w.points += len(chunk)
+            for residuals in batch_then_rows(lambda: [fn(subject)], range(len(chunk)),
+                                             lambda i: on_row(fn, k, i, w)):
+                w.add(residuals)
 
 
 # -- scenario checks -----------------------------------------------------------
@@ -339,78 +352,6 @@ def _scenario_dynamics(ctx):
             ("dyn.norm_drift", traj.max_drift, n, None)]
 
 
-def _scenario_gauge(ctx):
-    """Gauge rows over the first 8 small points.
-
-    Each stage (per gauge function: the invariance deltas, the contorsion
-    shift, the scalar shift; then the orbit) runs as one batch.  A batch
-    meets the errors of all its points at once, and its stencils visit them
-    in another order; so a stage that raises is re-run on each point as a
-    batch of one, and the scenario fails (or passes) as a point-by-point
-    run does.
-    """
-    model, mode = ctx.model, ctx.mode
-    pts = ctx.points("small")[:8]
-    n_shift = min(4, len(pts))
-
-    @functools.cache
-    def old(rows):
-        # The unshifted side does not depend on phi: one snapshot per point
-        # set, its jets at order 3 for the scalar shift's current derivative.
-        snap = GeometrySnapshot(model, pts[slice(*rows)], mode)
-        snap.preload(3)
-        return snap
-
-    def stage(fn, n, batch=None):
-        """fn over the rows (start, stop) of the batch, by default the first
-        n points, or, when that raises, over each of the first n points."""
-        return batch_then_rows(lambda: [fn(batch or (0, n))],
-                               [(i, i + 1) for i in range(n)], fn)
-
-    worst = {"gauge.contorsion_shift": 0.0, "gauge.scalar_shift": 0.0}
-    for phi in ctx.phi_fields:
-
-        @functools.cache
-        def report(rows):
-            return gauge_invariance_suite(model, phi, points=old(rows).x, mode=mode, old=old(rows))
-
-        for rep in stage(report, len(pts)):
-            for cid, delta in rep.deltas.items():
-                worst[cid] = max(worst.get(cid, 0.0), delta)
-        worst["gauge.contorsion_shift"] = max(worst["gauge.contorsion_shift"], *stage(
-            lambda rows: peak(contorsion_shift(*report(rows).pair, phi)), len(pts)))
-        # the first n_shift rows of the pair over all the points
-        worst["gauge.scalar_shift"] = max(worst["gauge.scalar_shift"], *stage(
-            lambda rows: peak(scalar_shift(*report(rows).pair, phi)[:n_shift]),
-            n_shift, (0, len(pts))))
-
-    # Composing two shifts must match the single combined shift.
-    orbit = None
-    if ctx.orbit_phi is not None:
-        phi1, phi2 = ctx.phi_fields[:2]
-        twice = transform_potential(transform_potential(model, phi1), phi2)
-        once = transform_potential(model, ctx.orbit_phi)
-
-        def orbit_delta(rows):
-            s2 = GeometrySnapshot(twice, pts[slice(*rows)], mode)
-            s1 = GeometrySnapshot(once, pts[slice(*rows)], mode)
-            s2.preload(2)
-            s1.preload(2)
-            return peak(np.stack([max_abs(s2.K_mix - s1.K_mix), max_abs(s2.F_dd - s1.F_dd),
-                                  np.abs(s2.scalar_rc - s1.scalar_rc)]))
-
-        orbit = max(0.0, *stage(orbit_delta, len(pts[:2])))
-
-    out = []
-    n_phis = len(ctx.phi_fields)
-    for cid, value in worst.items():
-        n = n_shift if cid == "gauge.scalar_shift" else len(pts)
-        out.append((cid, value, n * n_phis, None))
-    if orbit is not None:
-        out.append(("gauge.orbit", orbit, len(pts[:2]), None))
-    return out
-
-
 @_quiet_float_errors
 def run_suite(suite, model, mode="dual", grid_overrides=None,
               tol_overrides=None, phis=None, include_timing=False):
@@ -421,22 +362,19 @@ def run_suite(suite, model, mode="dual", grid_overrides=None,
     ctx = SuiteContext(model, mode=mode, grid_overrides=grid_overrides,
                        tol_overrides=tol_overrides, phis=phis)
 
-    checks = []
-    for cid, residual, npts, note in _run_pointwise(ctx, _pointwise_rows(suite, model.meta)):
-        checks.append(_make_result(ctx, cid, residual, npts, note))
-
-    scenario_rows = []
-    try:
-        if suite in ("dynamics", "all"):
-            scenario_rows += _scenario_dynamics(ctx)
-        if suite in ("gauge", "all"):
-            scenario_rows += _scenario_gauge(ctx)
-    except GeometryError as err:
-        checks.append(CheckResult(
-            "scenario.error", "n/a", 0, None, None, False,
-            f"{type(err).__name__}: {err}"))
-    for cid, residual, npts, note in scenario_rows:
-        checks.append(_make_result(ctx, cid, residual, npts, note))
+    # report order: the pointwise rows, the dynamics scenario's, the gauge rows
+    rows = _pointwise_rows(ctx, suite)
+    plain = [(cid, row) for cid, row in rows if suite_of(cid) != "gauge"]
+    gauge = [(cid, row) for cid, row in rows if suite_of(cid) == "gauge"]
+    checks = [_make_result(ctx, *r) for r in _run_pointwise(ctx, plain)]
+    if suite in ("dynamics", "all"):
+        try:
+            checks += [_make_result(ctx, *r) for r in _scenario_dynamics(ctx)]
+        except GeometryError as err:
+            checks.append(CheckResult(
+                "scenario.error", "n/a", 0, None, None, False,
+                f"{type(err).__name__}: {err}"))
+    checks += [_make_result(ctx, *r) for r in _run_pointwise(ctx, gauge)]
 
     wall = (time.monotonic() - t0) * 1000.0 if include_timing else None
     consts = {

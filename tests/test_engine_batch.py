@@ -18,6 +18,7 @@ from rcgeom.catalog import build_model, parse_spacetime_text
 from rcgeom.checks import CHECK_DEFS
 from rcgeom.dynamics import probe_velocity
 from rcgeom.engine import GeometrySnapshot, batched_einsum
+from rcgeom.fields import gauge_function_jet
 from rcgeom.harness import run_suite
 
 KN_FILE = Path(__file__).resolve().parents[1] / "bench" / "kerr_newman.spacetime"
@@ -334,90 +335,105 @@ def test_connection_symmetries_hold_by_construction(name, mode):
         assert np.array_equal(s.K_down, -s.K_down.swapaxes(-2, -1))
 
 
-# -- the gauge scenario against a point-by-point reference ----------------------
+# -- the gauge rows against a point-by-point reference --------------------------
 
 GAUGE_MODELS = {**MODELS, "charge-ball": catalog_get("charge-ball")}
 
 
 def _reference_gauge_rows(ctx):
-    """The gauge scenario one point at a time, with one-point snapshots:
-    (check id, value, points) rows in report order."""
+    """The gauge rows one point at a time, with one-point snapshots and the
+    residuals written out again: (check id, value, points, note) in report
+    order.  A row that raises at a point has no value, and its note is the
+    first error it meets, gauge function by gauge function and point by
+    point."""
     model, mode = ctx.model, ctx.mode
     pts = ctx.points("small")[:8]
-    n_shift = min(4, len(pts))
     eight_pi_c = 8.0 * np.pi * model.constants.coupling
-    worst = {"gauge.contorsion_shift": 0.0, "gauge.scalar_shift": 0.0}
+    worst, notes = {}, {}
 
     def acc(s, V, k):
         return (-np.einsum("mdn,m,d->n", s.gamma_lc[0], V, V)
                 + k * np.einsum("mn,m->n", s.F_mix[0], V))
 
-    for phi in ctx.phi_fields:
-        new_model = transform_potential(model, phi)
-        pairs = []
-        for p in pts:
-            old, new = GeometrySnapshot(model, p, mode), GeometrySnapshot(new_model, p, mode)
-            pairs.append((old, new))
-            V = probe_velocity(old)[0]
-            deltas = {
-                "gauge.f_invariance": new.F_dd - old.F_dd,
-                "gauge.current_invariance": new.J_up - old.J_up,
-                "gauge.stress_invariance": new.T_em_dd - old.T_em_dd,
-                "gauge.einstein_invariance":
-                    (new.einstein_lc_dd - eight_pi_c * new.T_em_dd)
-                    - (old.einstein_lc_dd - eight_pi_c * old.T_em_dd),
-                "gauge.lorentz_invariance": acc(new, V, 0.7) - acc(old, V, 0.7),
-                "gauge.contorsion_delta": new.K_mix - old.K_mix,
-                "gauge.curvature_delta": new.riemann_rc - old.riemann_rc,
-            }
-            for cid, delta in deltas.items():
-                worst[cid] = max(worst.get(cid, 0.0), float(np.abs(delta).max()))
-        for i, (old, new) in enumerate(pairs):
-            pj = phi.jet(old.x[0], 1)
-            route = old.K_mix[0] - old.C * np.einsum("m,nl->mnl", pj.grad, old.F_mix[0])
-            shift = float(np.abs(new.K_mix[0] - route).max()) / (1.0 + float(np.abs(new.K_mix[0]).max()))
-            worst["gauge.contorsion_shift"] = max(worst["gauge.contorsion_shift"], shift)
-            if i < n_shift:
-                s, J = old.sqrt_g[0], old.J_up[0]
-                div = (np.dot(old.dsqrt_g[0], pj.value * J) + s * np.dot(pj.grad, J)
-                       + s * pj.value * np.trace(old.dJ_up[0]))
-                div_term = 8.0 * np.pi * old.C / (old.c_light * s) * div
-                shift = (abs(new.scalar_rc[0] - old.scalar_rc[0] - div_term)
-                         / (1.0 + abs(old.scalar_rc[0])))
-                worst["gauge.scalar_shift"] = max(worst["gauge.scalar_shift"], shift)
+    def contorsion_shift(old, new, phi):
+        pj = gauge_function_jet(phi, old.x[0], 1, check=True)
+        route = old.K_mix[0] - old.C * np.einsum("m,nl->mnl", pj.grad, old.F_mix[0])
+        return float(np.abs(new.K_mix[0] - route).max()) / (1.0 + float(np.abs(new.K_mix[0]).max()))
 
-    orbit = 0.0
+    def scalar_shift(old, new, phi):
+        pj = gauge_function_jet(phi, old.x[0], 1, check=True)
+        s, J = old.sqrt_g[0], old.J_up[0]
+        div = (np.dot(old.dsqrt_g[0], pj.value * J) + s * np.dot(pj.grad, J)
+               + s * pj.value * np.trace(old.dJ_up[0]))
+        div_term = 8.0 * np.pi * old.C / (old.c_light * s) * div
+        return abs(new.scalar_rc[0] - old.scalar_rc[0] - div_term) / (1.0 + abs(old.scalar_rc[0]))
+
+    def delta(member):
+        return lambda old, new, phi: np.abs(getattr(new, member) - getattr(old, member)).max()
+
+    def einstein(old, new, phi):
+        return np.abs((new.einstein_lc_dd - eight_pi_c * new.T_em_dd)
+                      - (old.einstein_lc_dd - eight_pi_c * old.T_em_dd)).max()
+
+    def lorentz(old, new, phi):
+        V = probe_velocity(old)[0]
+        return np.abs(acc(new, V, 0.7) - acc(old, V, 0.7)).max()
+
+    def orbit(twice, once, phi):
+        return max(float(np.abs(twice.K_mix - once.K_mix).max()),
+                   float(np.abs(twice.F_dd - once.F_dd).max()),
+                   abs(twice.scalar_rc[0] - once.scalar_rc[0]))
+
+    def run(cid, fn, model_old, model_new, phi, points):
+        for p in points:
+            try:
+                value = float(fn(GeometrySnapshot(model_old, p, mode),
+                                 GeometrySnapshot(model_new, p, mode), phi))
+            except GeometryError as err:
+                notes.setdefault(cid, f"{type(err).__name__}: {err}")
+            else:
+                worst[cid] = max(worst.get(cid, 0.0), value)
+
+    rows = {
+        "gauge.contorsion_shift": contorsion_shift,
+        "gauge.scalar_shift": scalar_shift,
+        "gauge.f_invariance": delta("F_dd"),
+        "gauge.current_invariance": delta("J_up"),
+        "gauge.stress_invariance": delta("T_em_dd"),
+        "gauge.einstein_invariance": einstein,
+        "gauge.lorentz_invariance": lorentz,
+        "gauge.contorsion_delta": delta("K_mix"),
+        "gauge.curvature_delta": delta("riemann_rc"),
+    }
+    for cid, fn in rows.items():
+        for phi in ctx.phi_fields:
+            run(cid, fn, model, transform_potential(model, phi), phi, pts)
     twice = transform_potential(transform_potential(model, ctx.phi_fields[0]), ctx.phi_fields[1])
-    once = transform_potential(model, ctx.orbit_phi)
-    for p in pts[:2]:
-        s2, s1 = GeometrySnapshot(twice, p, mode), GeometrySnapshot(once, p, mode)
-        orbit = max(orbit, float(np.abs(s2.K_mix - s1.K_mix).max()),
-                    float(np.abs(s2.F_dd - s1.F_dd).max()), abs(s2.scalar_rc[0] - s1.scalar_rc[0]))
+    run("gauge.orbit", orbit, twice, transform_potential(model, ctx.orbit_phi), ctx.orbit_phi,
+        pts[:2])
 
-    n_phis = len(ctx.phi_fields)
-    rows = [(cid, value, (n_shift if cid == "gauge.scalar_shift" else len(pts)) * n_phis)
-            for cid, value in worst.items()]
-    return rows + [("gauge.orbit", orbit, len(pts[:2]))]
+    counts = {**dict.fromkeys(rows, len(pts) * len(ctx.phi_fields)), "gauge.orbit": len(pts[:2])}
+    return [(cid, None if cid in notes else worst.get(cid, 0.0), n, notes.get(cid))
+            for cid, n in counts.items()]
 
 
-def _reference_error(ctx):
-    try:
-        _reference_gauge_rows(ctx)
-    except GeometryError as err:
-        return f"{type(err).__name__}: {err}"
-    return None
+def _gauge_rows(ctx):
+    """The gauge rows as ``run_suite`` runs them."""
+    rows = harness._pointwise_rows(ctx, "gauge")
+    assert [row.group for _cid, row in rows] == ["gauge"] * 9 + ["orbit"]
+    return harness._run_pointwise(ctx, rows)
 
 
 @pytest.mark.parametrize("mode", ["dual", "fd"])
 @pytest.mark.parametrize("name", sorted(GAUGE_MODELS))
 def test_batched_gauge_scenario_matches_point_by_point(name, mode):
     ctx = harness.SuiteContext(GAUGE_MODELS[name], mode)
-    rows = harness._scenario_gauge(ctx)
+    rows = _gauge_rows(ctx)
     reference = _reference_gauge_rows(ctx)
-    assert [(cid, n) for cid, _v, n, _note in rows] == [(cid, n) for cid, _v, n in reference]
-    for (cid, value, _n, note), (_cid, ref, _rn) in zip(rows, reference):
+    assert [(cid, n) for cid, _v, n, _note in rows] == [(cid, n) for cid, _v, n, _note in reference]
+    for (cid, value, _n, note), (_cid, ref, _rn, ref_note) in zip(rows, reference):
         tol = ctx.tolerance(cid)
-        assert note is None  # an informational row's note comes from its table row
+        assert note is None and ref_note is None  # an informational row's note is its table row's
         if tol is None:
             assert CHECK_DEFS[cid].note.startswith("informational")
             assert abs(value - ref) <= 1e-12 * abs(ref)
@@ -482,20 +498,36 @@ grid.z = 0:0:1
 
 
 @pytest.mark.parametrize("mode", ["dual", "fd"])
-@pytest.mark.parametrize("case", ["across-horizon", "stencils-leave-domain"])
+@pytest.mark.parametrize("case", ["across-horizon", "stencils-leave-domain", "log-gauge-function"])
 def test_gauge_scenario_error_is_the_point_by_point_one(case, mode):
+    """Each gauge row that raises fails alone, with the note of its first
+    failing point in a point-by-point run; the other rows still run."""
+    phis = None
     if case == "across-horizon":
         model = catalog_get("reissner-nordstrom")
         grid = {"r": [3.0, 1.5, 4.5], "theta": [1.0], "phi": [0.1], "t": [0.0, 0.2]}
+    elif case == "log-gauge-function":
+        model, grid, phis = catalog_get("schwarzschild"), None, ["0.2*t", "log(t)"]
     else:
         model, grid = parse_spacetime_text(EDGES), None
-    report = run_suite("gauge", model, mode=mode, grid_overrides=grid)
-    expected = _reference_error(harness.SuiteContext(model, mode, grid_overrides=grid))
-    errors = [c for c in report.checks if c.check_id == "scenario.error"]
-    if expected is None:
-        assert not errors and report.passed
+    report = run_suite("gauge", model, mode=mode, grid_overrides=grid, phis=phis)
+    ctx = harness.SuiteContext(model, mode, grid_overrides=grid, phis=phis)
+    reference = _reference_gauge_rows(ctx)
+    assert not [c for c in report.checks if c.check_id == "scenario.error"]
+    assert [c.check_id for c in report.checks] == [cid for cid, *_ in reference]
+    failing = {cid: note for cid, _v, _n, note in reference if note}
+    if case == "stencils-leave-domain":
+        # only the scalar shift reads the current's derivative, whose fd
+        # stencils leave the domain
+        assert list(failing) == (["gauge.scalar_shift"] if mode == "fd" else [])
     else:
-        assert [c.note for c in errors] == [expected]
+        assert len(failing) == 10
+    for check, (_cid, value, _n, note) in zip(report.checks, reference):
+        assert check.note == (note or CHECK_DEFS[check.check_id].note)
+        if note:
+            assert check.max_residual is None and not check.passed
+        else:
+            assert check.max_residual is not None
 
 
 # -- a constant metric is evaluated once per model -------------------------------

@@ -175,7 +175,7 @@ def test_sin_matches_central_differences():
     v, grad, hess, _ = f.jet(x, 2)
     assert grad[1] == pytest.approx(math.cos(0.7), abs=1e-12)
     assert hess[1, 1] == pytest.approx(-math.sin(0.7), abs=1e-12)
-    fd_grad, fd_hess = finite_difference_derivatives(f, x, h=1e-4)
+    fd_grad, fd_hess = finite_difference_derivatives(f, x)
     assert abs(fd_grad[1] - grad[1]) <= 1e-7
     assert abs(fd_hess[1, 1] - hess[1, 1]) <= 1e-7
 
@@ -203,7 +203,7 @@ def test_fd_constant_gradient_vanishes():
 
 def test_fd_exponential_gradient():
     f = ExprField("exp(t)", CART)
-    grad, _ = finite_difference_derivatives(f, [0.0, 0.0, 0.0, 0.0], h=1e-4)
+    grad, _ = finite_difference_derivatives(f, [0.0, 0.0, 0.0, 0.0])
     assert abs(grad[0] - 1.0) <= 1e-8
 
 

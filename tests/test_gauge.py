@@ -13,14 +13,18 @@ from rcgeom import (
     load_spacetime_file,
     transform_potential,
 )
+from rcgeom.checks import CHECK_DEFS, GaugePair, default_tolerance
 from rcgeom.engine import GeometrySnapshot
+from rcgeom.fields import ShiftedPotentialField
 from rcgeom.gauge import (
     as_phi_field,
     contorsion_shift,
     divergence_term,
+    peak,
     scalar_shift,
     scalar_shift_residual,
 )
+from rcgeom.harness import SuiteContext
 
 
 def charge_ball_model(**params):
@@ -217,3 +221,75 @@ def test_shift_functions_give_one_value_per_point(mode):
         assert contorsion[i] == pytest.approx(contorsion_shift(o, n, phi), abs=1e-16)
         assert div[i] == pytest.approx(divergence_term(o, phi), rel=1e-12)
         assert scalar[i] == pytest.approx(scalar_shift(o, n, phi), abs=1e-15)
+
+
+# -- negative controls: every gating gauge row fails on a corrupted pair --------
+
+NEGATIVE_MODELS = {
+    "charge-ball": charge_ball_model(),
+    "reissner-nordstrom": catalog_get("reissner-nordstrom"),
+    "kerr-newman": load_spacetime_file(KN_FILE),
+    "minkowski-constant-e": catalog_get("minkowski-constant-e"),
+    "em-plane-wave": catalog_get("em-plane-wave"),
+}
+SHIFT_MODELS = ("charge-ball", "reissner-nordstrom", "kerr-newman")
+INVARIANCE_ROWS = ("gauge.f_invariance", "gauge.current_invariance", "gauge.stress_invariance",
+                   "gauge.einstein_invariance", "gauge.lorentz_invariance")
+
+
+def _reading(cid, pair, mode):
+    """A gauge row's reading on a pair, and its tolerance."""
+    return peak(CHECK_DEFS[cid].residual(pair)), default_tolerance(cid, mode)
+
+
+def _gauge_setup(name, mode, group="gauge"):
+    model = NEGATIVE_MODELS[name]
+    c0, c1 = model.chart.names[:2]
+    return model, c0, c1, SuiteContext(model, mode).points(group)
+
+
+@pytest.mark.parametrize("mode", ["dual", "fd"])
+@pytest.mark.parametrize("name", SHIFT_MODELS)
+def test_mismatched_shift_fails_the_shift_rows(name, mode):
+    """The shifted side is built with 1.1 phi, and the pair carries phi."""
+    model, c0, c1, X = _gauge_setup(name, mode)
+    src = f"0.1*{c0}*{c1}"
+    pair = GaugePair(GeometrySnapshot(model, X, mode),
+                     GeometrySnapshot(transform_potential(model, f"1.1*({src})"), X, mode),
+                     as_phi_field(model, src))
+    value, tol = _reading("gauge.contorsion_shift", pair, mode)
+    assert value > 1e3 * tol
+    # Without a current the divergence term is zero, and so is the mismatch
+    # of the scalar shift: it can fail only on a model with a charge.
+    value, tol = _reading("gauge.scalar_shift", pair, mode)
+    assert value > 100.0 * tol if name == "charge-ball" else value <= tol
+
+
+@pytest.mark.parametrize("mode", ["dual", "fd"])
+@pytest.mark.parametrize("name", SHIFT_MODELS)
+def test_non_gradient_potential_fails_every_invariance_row(name, mode):
+    """The "shifted" side adds 0.01 t c1^2 to A[1] alone: d_1 of
+    0.01 t c1^3 / 3, with no matching change of A[0], is no gradient."""
+    model, c0, c1, X = _gauge_setup(name, mode)
+    A = list(model.A_fields)
+    A[1] = ShiftedPotentialField(A[1], model.scalar_field(f"0.01*{c0}*{c1}^3/3"), 1)
+    pair = GaugePair(GeometrySnapshot(model, X, mode),
+                     GeometrySnapshot(model.with_potential(tuple(A), "curl"), X, mode),
+                     as_phi_field(model, "0"))
+    for cid in INVARIANCE_ROWS:
+        value, tol = _reading(cid, pair, mode)
+        assert value > 10.0 * tol, cid
+
+
+@pytest.mark.parametrize("mode", ["dual", "fd"])
+@pytest.mark.parametrize("name", sorted(NEGATIVE_MODELS))
+def test_wrong_orbit_fails_the_orbit_row(name, mode):
+    """The "once" side is built from phi1 + 1.1 phi2."""
+    model, c0, c1, X = _gauge_setup(name, mode, "orbit")
+    phi1, phi2 = f"0.2*{c0}", f"0.1*{c0}*{c1}"
+    twice = transform_potential(transform_potential(model, phi1), phi2)
+    once = transform_potential(model, f"({phi1}) + 1.1*({phi2})")
+    pair = GaugePair(GeometrySnapshot(twice, X, mode), GeometrySnapshot(once, X, mode),
+                     as_phi_field(model, f"({phi1}) + ({phi2})"))
+    value, tol = _reading("gauge.orbit", pair, mode)
+    assert value > 1e3 * tol

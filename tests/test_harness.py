@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from rcgeom import CATALOG_NAMES, GeometryError, catalog_get, cli, engine
-from rcgeom.catalog import parse_spacetime_text
+from rcgeom.catalog import FIXTURE_NAMES, parse_spacetime_text
 from rcgeom.cli import main
 from rcgeom.checks import suite_of
 from rcgeom.harness import (
@@ -210,7 +210,10 @@ def test_error_notes_print_points_as_plain_floats():
     rep = run_suite("all", resolve_model("reissner-nordstrom"),
                     grid_overrides={"r": np.linspace(0.5, 4.0, 6)})
     notes = {c.check_id: c.note for c in rep.checks if c.note}
-    assert "point (0.0, 0.5, " in notes["scenario.error"]
+    gauge = [cid for cid in CHECK_DEFS if cid.startswith("gauge.")]
+    assert "scenario.error" not in notes
+    for cid in gauge:
+        assert "point (0.0, 0.5, " in notes[cid], cid
     assert not [n for n in notes.values() if "np.float64" in n]
 
 
@@ -264,14 +267,19 @@ def test_cli_gauge_with_two_phis_checks_the_orbit(tmp_path):
                  "--out", str(out)]) == 0
     checks = {c["id"]: c for c in json.loads(out.read_text())["checks"]}
     assert checks["gauge.orbit"]["pass"] is True
-    assert checks["gauge.scalar_shift"]["grid_points"] == 2 * 4  # per gauge function
+    assert checks["gauge.scalar_shift"]["grid_points"] == 2 * 8  # per gauge function
 
 
 def test_cli_list(capsys):
+    """Every catalog entry and fixture is listed, on one line with every
+    parameter it declares and accepts as --param."""
     assert main(["list"]) == 0
-    text = capsys.readouterr().out
-    for name in ("minkowski", "reissner-nordstrom", "charge-ball"):
-        assert name in text
+    lines = capsys.readouterr().out.splitlines()
+    for name in CATALOG_NAMES + FIXTURE_NAMES:
+        [line] = [ln for ln in lines if ln.split()[:1] == [name]]
+        for key, value in catalog_get(name).params.items():
+            assert f"{key}={value}" in line, (name, key)
+    assert "pi=3.141592653589793" in lines[lines.index("fixtures:") + 1]
 
 
 def test_resolve_model_variants(tmp_path):
@@ -321,14 +329,18 @@ def test_dust_that_fails_at_a_point_fails_its_own_rows(mode):
 
 
 def test_check_table_rows_are_complete():
-    """A pointwise row has a point group, a jet order and a residual; a
-    scenario row has none; a row is informational exactly when it carries a
+    """A row with a residual has a point group and a jet order; the dynamics
+    scenario's two rows have neither; a gauge row reads a gauge pair (group
+    "gauge" or "orbit"); a row is informational exactly when it carries a
     note; every id's prefix names a suite."""
     for cid, row in CHECK_DEFS.items():
         assert suite_of(cid) in SUITES, cid
         assert (row.group is None) == (row.residual is None), cid
         assert row.group is not None or row.order == 0, cid
         assert (row.dual is None) == (row.fd is None) == (row.note is not None), cid
+        assert (suite_of(cid) == "gauge") == (row.group in ("gauge", "orbit")), cid
+    assert [cid for cid, row in CHECK_DEFS.items() if row.residual is None] == [
+        "dyn.norm_drift", "dyn.closed_form"]
 
 
 def test_only_the_einstein_suite_ignores_the_exact_solution_claim():
@@ -547,13 +559,23 @@ def test_bad_gauge_function_is_a_usage_error(phi, tmp_path, capsys):
 
 
 def test_gauge_function_failing_at_a_point_is_a_failed_check(tmp_path):
+    """Each gauge row fails with its own note, naming the gauge function and
+    the point.  The rows that read only the unshifted side and phi's exact
+    jet name the grid point; in fd mode the shifted side's stencils meet the
+    function first at t = -1e-4."""
     out = tmp_path / "g.json"
+    gauge = [cid for cid, row in CHECK_DEFS.items() if row.group == "gauge"]
     for mode in ("dual", "fd"):
         assert main(["gauge", "--spacetime", "schwarzschild", "--phi", "log(t)",
                      "--diff", mode, "--out", str(out)]) == 1
         checks = json.loads(out.read_text())["checks"]
-        assert [c["id"] for c in checks] == ["scenario.error"]
-        assert checks[0]["note"].startswith("EvalError: log of non-positive argument")
+        assert [c["id"] for c in checks] == gauge
+        for c in checks:
+            exact = mode == "dual" or c["id"] in ("gauge.contorsion_shift", "gauge.scalar_shift")
+            t, arg = ("0.0", "0.0") if exact else ("-0.0001", "-0.0001")
+            assert c["pass"] is False and c["max_residual"] is None
+            assert c["note"] == (f"EvalError: gauge function 'phi:log(t)' at ({t}, 3.0, 0.3, 0.1): "
+                                 f"log of non-positive argument {arg}"), c["id"]
 
 
 def _random_points_one_at_a_time(model, n=100):
