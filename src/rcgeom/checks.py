@@ -16,14 +16,15 @@ check belongs to the suite its id's prefix names (``suite_of``).
 from __future__ import annotations
 
 from collections import namedtuple
+from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import fields
 from .dynamics import _dust_jets, acceleration, probe_velocity, transport_residual
-from .engine import batched_einsum, max_abs
-from .gauge import contorsion_shift, scalar_shift
+from .engine import GeometrySnapshot, batched_einsum, max_abs
+from .gauge import as_phi_field, contorsion_shift, peak, scalar_shift, transform_potential
 
 
 class Check(NamedTuple):
@@ -250,3 +251,38 @@ def default_tolerance(check_id, mode):
     """Tolerance of a check in the given derivative mode (None: informational)."""
     row = CHECK_DEFS[check_id]
     return row.dual if mode == "dual" else row.fd
+
+
+@dataclass
+class GaugeInvarianceReport:
+    deltas: dict  # check id -> max delta over the points
+    passed: bool  # every gating delta within its tolerance
+    pair: tuple  # (unshifted, shifted) snapshot over all the points
+
+
+def gauge_invariance_suite(model, phi, points=None, mode="dual"):
+    """Check the gauge-invariant observables and report what shifted.
+
+    The field strength, current, stress-energy, Einstein-equation residual,
+    and force-law right-hand side must not move; the contorsion and the
+    full-connection curvature are expected to move and their maximum deltas
+    are reported as evidence: their rows in ``CHECK_DEFS`` are
+    informational.  Each delta is its row's residual, read from one
+    (unshifted, shifted) snapshot pair over all the points (an (N, 4) batch;
+    one point is a batch of one).
+    """
+    phi = as_phi_field(model, phi)
+    if points is None:
+        points = model.default_grid
+    old = GeometrySnapshot(model, points, mode)
+    new = GeometrySnapshot(transform_potential(model, phi), points, mode)
+    new.preload(2)  # the curvature deltas read second derivatives
+    pair = GaugePair(old, new, phi)
+    # the "gauge" rows but the two that compare with a closed-form shift; per
+    # point first: a point whose delta holds a NaN is skipped whole
+    shifts = ("gauge.contorsion_shift", "gauge.scalar_shift")
+    worst = {cid: peak(row.residual(pair)) for cid, row in CHECK_DEFS.items()
+             if row.group == "gauge" and cid not in shifts}
+    tols = {cid: default_tolerance(cid, mode) for cid in worst}
+    passed = all(tol is None or worst[cid] <= tol for cid, tol in tols.items())
+    return GaugeInvarianceReport(worst, passed, (old, new))

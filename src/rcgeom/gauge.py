@@ -14,8 +14,6 @@ shifts they compare with (``contorsion_shift``, ``scalar_shift`` and its
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .engine import GeometrySnapshot, batched_einsum, max_abs
@@ -89,39 +87,3 @@ def peak(values):
     """Largest of per-point values, and 0.0 for none; NaN is skipped, as a
     running max(worst, value) skips it."""
     return float(np.fmax.reduce(np.ravel(values), initial=0.0))
-
-
-@dataclass
-class GaugeInvarianceReport:
-    deltas: dict  # check id -> max delta over the points
-    passed: bool  # every gating delta within its tolerance
-    pair: tuple  # (unshifted, shifted) snapshot over all the points
-
-
-def gauge_invariance_suite(model, phi, points=None, mode="dual"):
-    """Check the gauge-invariant observables and report what shifted.
-
-    The field strength, current, stress-energy, Einstein-equation residual,
-    and force-law right-hand side must not move; the contorsion and the
-    full-connection curvature are expected to move and their maximum deltas
-    are reported as evidence: their rows in ``CHECK_DEFS`` are
-    informational.  Each delta is its row's residual, read from one
-    (unshifted, shifted) snapshot pair over all the points (an (N, 4) batch;
-    one point is a batch of one).
-    """
-    from .checks import CHECK_DEFS, GaugePair, default_tolerance  # checks reads this module
-
-    phi = as_phi_field(model, phi)
-    if points is None:
-        points = model.default_grid
-    old = GeometrySnapshot(model, points, mode)
-    new = GeometrySnapshot(transform_potential(model, phi), points, mode)
-    new.preload(2)  # the curvature deltas read second derivatives
-    pair = GaugePair(old, new, phi)
-    # the rows of the seven deltas; per point first: a point whose delta
-    # holds a NaN is skipped whole
-    worst = {cid: peak(row.residual(pair)) for cid, row in CHECK_DEFS.items()
-             if cid.startswith("gauge.") and cid.endswith(("_invariance", "_delta"))}
-    tols = {cid: default_tolerance(cid, mode) for cid in worst}
-    passed = all(tol is None or worst[cid] <= tol for cid, tol in tols.items())
-    return GaugeInvarianceReport(worst, passed, (old, new))

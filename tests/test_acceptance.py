@@ -21,7 +21,8 @@ from rcgeom import (
 from rcgeom.cli import main
 from rcgeom.engine import GeometrySnapshot
 from rcgeom.fields import finite_difference_derivatives
-from rcgeom.gauge import gauge_invariance_suite, scalar_shift_residual
+from rcgeom.checks import gauge_invariance_suite
+from rcgeom.gauge import scalar_shift_residual
 from rcgeom.harness import SuiteContext, run_suite
 
 

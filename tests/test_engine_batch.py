@@ -524,10 +524,12 @@ def test_gauge_scenario_error_is_the_point_by_point_one(case, mode):
         assert len(failing) == 10
     for check, (_cid, value, _n, note) in zip(report.checks, reference):
         assert check.note == (note or CHECK_DEFS[check.check_id].note)
+        assert check.passed == (note is None)
         if note:
-            assert check.max_residual is None and not check.passed
+            assert check.max_residual is None
         else:
             assert check.max_residual is not None
+    assert report.passed == (not failing)
 
 
 # -- a constant metric is evaluated once per model -------------------------------
