@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from functools import cached_property
 
@@ -370,34 +371,30 @@ def _static_spherical_metric(f):
     return {(0, 0): f, (1, 1): f"-1/({f})", (2, 2): "-r^2", (3, 3): "-r^2*sin(theta)^2"}
 
 
-# -- closed forms: (model, trajectory, charge ratio) -> max error ---------------
+# -- closed forms: (model, trajectory, charge ratio) -> error at every state ---
 
 
 def straight_line_error(model, traj, charge_ratio):
     """Free motion in flat space: x(s) = x(0) + s V(0)."""
     x0, V0 = traj.states[0].x, traj.states[0].V
-    return max(float(np.abs(st.x - (x0 + st.s * V0)).max()) for st in traj.states)
+    return [float(np.abs(st.x - (x0 + st.s * V0)).max()) for st in traj.states]
 
 
 def uniform_acceleration_error(model, traj, charge_ratio):
     """Rest start in the uniform field E: V^0(s) = cosh(k E s)."""
     a = charge_ratio * model.params["E"]
-    return max(abs(st.V[0] - math.cosh(a * st.s)) for st in traj.states)
+    return [abs(st.V[0] - math.cosh(a * st.s)) for st in traj.states]
 
 
 def circular_radius_error(model, traj, charge_ratio):
     """A circular orbit keeps its starting radius."""
     r = traj.states[0].x[1]
-    return max(abs(st.x[1] - r) for st in traj.states)
+    return [abs(st.x[1] - r) for st in traj.states]
 
 
-@dataclass(frozen=True)
-class ClosedFormScenario:
-    """A worldline with a known solution, run by the dynamics suite."""
-
-    note: str
-    start: object  # params -> (x0, V0, charge ratio, ds, steps)
-    closed_form: object
+# A worldline with a known solution, run by the dynamics suite: its start,
+# params -> (x0, V0, charge ratio, ds, steps), and its closed form.
+ClosedFormScenario = namedtuple("ClosedFormScenario", "start closed_form")
 
 
 @dataclass(frozen=True)
@@ -416,12 +413,21 @@ class WorldlineOracle:
             return None
         if self.from_rest and not np.allclose(V0, [1.0, 0.0, 0.0, 0.0]):
             return None
-        return {"name": self.name, "max_error": self.closed_form(model, traj, charge_ratio)}
+        return {"name": self.name, "max_error": max(self.closed_form(model, traj, charge_ratio))}
+
+
+def _accelerated_start(p):
+    """A rest start at charge ratio 0.5 / E, for 2000 steps of 1e-3."""
+    if p["E"] == 0.0:
+        raise GeometryError(f"the uniform acceleration scenario needs E != 0, got E = {p['E']!r}")
+    return _ORIGIN, _AT_REST, 0.5 / p["E"], 1e-3, 2000
 
 
 def _circular_orbit(p, r=8.0, steps=1500):
-    """One period of the circular geodesic of radius r."""
+    """One period of the circular geodesic of radius r (0 < M < r/3)."""
     M = p["M"]
+    if not 0.0 < M < r / 3.0:
+        raise GeometryError(f"the circular orbit at r = {r} needs 0 < M < r/3, got M = {M!r}")
     vt = 1.0 / math.sqrt(1.0 - 3.0 * M / r)
     vphi = math.sqrt(M / r**3) * vt
     period = 2.0 * math.pi / vphi
@@ -441,25 +447,21 @@ class _Entry:
 
 # meta keys read by the suites: source_free, einstein_exact, diag_static,
 # sample_box, charge_density_param (the parameter holding a uniform proper
-# charge density), scenario (ClosedFormScenario), oracle (WorldlineOracle) and
-# dust (expression sources of a matched dust: rho0, rhoq, V).
+# charge density), scenario (ClosedFormScenario, the worldline rows' claim),
+# oracle (WorldlineOracle) and dust (sources of a matched dust: rho0, rhoq, V).
 _ENTRIES = {
     "minkowski": _Entry(
         _CARTESIAN, _FLAT, {}, {}, _BOX_GRID,
         {**_FLAT_META, "einstein_exact": True,
          "scenario": ClosedFormScenario(
-             "straight worldline", lambda p: (_ORIGIN, _AT_REST, 0.0, 0.01, 200),
-             straight_line_error),
+             lambda p: (_ORIGIN, _AT_REST, 0.0, 0.01, 200), straight_line_error),
          "oracle": WorldlineOracle("straight-line", straight_line_error, charged=False),
          "dust": ("0.05", "0", _COMOVING)},
     ),
     "minkowski-constant-e": _Entry(
         _CARTESIAN, _FLAT, {0: "-(E*x)"}, {"E": 1.0}, _BOX_GRID,
         {**_FLAT_META,
-         "scenario": ClosedFormScenario(
-             "uniform acceleration",
-             lambda p: (_ORIGIN, _AT_REST, 0.5 / p["E"], 1e-3, 2000),
-             uniform_acceleration_error),
+         "scenario": ClosedFormScenario(_accelerated_start, uniform_acceleration_error),
          "oracle": WorldlineOracle("uniform-acceleration", uniform_acceleration_error,
                                    charged=True, from_rest=True),
          "dust": (f"0.05/{_ACCEL_GAMMA}", f"0.025*c^2/{_ACCEL_GAMMA}",
@@ -469,8 +471,7 @@ _ENTRIES = {
         _SPHERICAL, _static_spherical_metric("1 - 2*G*M/(c^2*r)"), {}, {"M": 1.0},
         _STATIC_SPHERICAL_GRID,
         {**_STATIC_META,
-         "scenario": ClosedFormScenario(
-             "circular orbit radius", _circular_orbit, circular_radius_error)},
+         "scenario": ClosedFormScenario(_circular_orbit, circular_radius_error)},
         domain="(r - 2*G*M/c^2) * sin(theta)",
     ),
     "reissner-nordstrom": _Entry(

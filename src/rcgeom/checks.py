@@ -1,15 +1,14 @@
 """The check table: every identity the suites verify, each defined once.
 
-A row of ``CHECK_DEFS`` holds the check's paper anchor and its tolerance in
-the dual and the fd derivative mode (None: informational).  A row with a
-residual also holds its point group, the order of the field jets it reads
-(0: none, the residual evaluates the fields itself), the residual, a
-function that gives one value per point, and the model claim (a
-``model.meta`` key) without which it does not run.  A residual reads a
-snapshot; a gauge row's (point groups "gauge" and "orbit") reads a
-``GaugePair`` instead, and its order is the one it reads from the pair's
-unshifted side.  The dynamics scenario computes the two rows without a
-residual; an informational row holds the note its report entry carries.  A
+A row of ``CHECK_DEFS`` holds the check's paper anchor, its tolerance in the
+dual and the fd derivative mode (None: informational), its point group, the
+order of the field jets it reads (0: none, the residual evaluates the fields
+itself), its residual, a function that gives one value per point, and the
+model claim (a ``model.meta`` key) without which it does not run.  A
+residual reads a snapshot; a gauge row's (groups "gauge" and "orbit") reads
+a ``GaugePair``, and its order is the one it reads from the pair's
+unshifted side; a worldline row's reads a ``Worldline``, one value per
+state.  An informational row holds the note its report entry carries.  A
 check belongs to the suite its id's prefix names (``suite_of``).
 """
 
@@ -31,10 +30,10 @@ class Check(NamedTuple):
     anchor: str
     dual: float | None
     fd: float | None
-    # "grid", "small", "random", "grid+random", "gauge" or "orbit"
-    group: str | None = None
-    order: int = 0
-    residual: Callable | None = None
+    # "grid", "small", "random", "grid+random", "gauge", "orbit" or "worldline"
+    group: str
+    order: int
+    residual: Callable
     claim: str | None = None
     note: str | None = None
 
@@ -164,10 +163,12 @@ def _orbit(p):
                    np.abs(twice.scalar_rc - once.scalar_rc))
 
 
+# What a worldline row reads: a scenario model, a trajectory and its charge ratio k.
+Worldline = namedtuple("Worldline", "model traj k")
+
 _INFORMATIONAL_SHIFT = "informational: nonzero evidences the expected non-invariance"
 
-# check id -> Check, in report order but for the dynamics scenario's two rows,
-# which it reports between the pointwise rows and the gauge rows
+# check id -> Check, in report order
 CHECK_DEFS = {
     "metric.inverse": Check(
         "Eq.rec", 1e-12, 1e-12, "grid", 1,
@@ -227,8 +228,11 @@ CHECK_DEFS = {
         "informational: reported with the source sign as printed"),
     "dyn.exchange_conservation": Check(
         "Eq.46", 1e-6, 1e-5, "small", 1, lambda s: np.abs(_matter_flux(s)[-1]), "dust"),
-    "dyn.norm_drift": Check("Eq.45", 1e-8, 1e-8),
-    "dyn.closed_form": Check("Eq.45", 1e-6, 1e-6),
+    "dyn.closed_form": Check(
+        "Eq.45", 1e-6, 1e-6, "worldline", 0,
+        lambda w: w.model.meta["scenario"].closed_form(w.model, w.traj, w.k), "scenario"),
+    "dyn.norm_drift": Check(
+        "Eq.45", 1e-8, 1e-8, "worldline", 0, lambda w: w.traj.norm_residuals, "scenario"),
     "gauge.contorsion_shift": Check(
         "Eq.47", 1e-12, 1e-8, "gauge", 1, lambda p: contorsion_shift(*p)),
     "gauge.scalar_shift": Check("Eq.49", 1e-8, 1e-5, "gauge", 3, lambda p: scalar_shift(*p)),

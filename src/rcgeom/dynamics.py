@@ -65,6 +65,8 @@ class IntegratorConfig:
             raise GeometryError(f"unknown integrator method {self.method!r}")
         if self.renormalize_every < 0:
             raise GeometryError("renormalize_every must be at least 0 (0: never)")
+        if self.renormalize_every and self.method != "rk4":
+            raise GeometryError(f"renormalize_every needs rk4; {self.method} never renormalizes")
 
 
 @dataclass

@@ -1,15 +1,15 @@
 """Verification suites, residual aggregation, and machine-readable reports.
 
-A suite is a named bundle of checks.  Every check with a residual in the
-check table runs on one runner: its point set is evaluated in chunks, each
-chunk as one geometry snapshot (the dust exchange among them), or, for the
-gauge rows, as one (unshifted, shifted) snapshot pair per gauge function
-sharing one unshifted snapshot; the per-point residuals reduce to a
-deterministic maximum.  A row that raises on a chunk is re-run on each of
-its points as a batch of one, so its note names the point a point-by-point
-run names, and the other rows still run.  The dynamics scenario runs once:
-a closed-form worldline step by step.  The JSON report uses fixed float
-formatting so repeated runs are byte-identical.
+A suite is a named bundle of checks.  Every row of the check table runs on
+one runner: its point set is evaluated in chunks, each chunk as one
+geometry snapshot (the dust exchange among them), or, for the gauge rows,
+as one (unshifted, shifted) snapshot pair per gauge function sharing one
+unshifted snapshot, or, for the worldline rows, as the model's closed-form
+worldline, integrated once; the residuals, one per point or per worldline
+state, reduce to a deterministic maximum.  A row that raises on a chunk is
+re-run on each of its points as a batch of one, so its note names the point
+a point-by-point run names, and the other rows still run.  The JSON report
+uses fixed float formatting so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -178,6 +178,8 @@ class SuiteContext:
             return self.points("small")[:8]
         if group == "orbit":
             return self.points("small")[:2]
+        if group == "worldline":  # one subject: the worldline, whose rows count its states
+            return self.grid[:1]
         if group == "random":
             return self.random_points()
         if group == "grid+random":
@@ -222,7 +224,6 @@ def _make_result(ctx, check_id, residual, npoints, note=None):
     row = CHECK_DEFS[check_id]
     note = note or row.note
     tol = ctx.tolerance(check_id)
-    residual = None if residual is None else float(residual)
     passed = residual is not None and (tol is None or residual <= tol)
     return CheckResult(check_id, row.anchor, int(npoints), residual, tol, passed, note)
 
@@ -254,29 +255,30 @@ class _Worst:
 
 
 def _pointwise_rows(ctx, suite):
-    """(check id, row) for every check with a residual that a suite runs on
-    the context's model, in table order.  A row with a claim runs only on a
-    model that sets it, but ``--suite einstein`` runs ``einstein.residual``
-    on any model; the orbit runs only with two gauge functions to compose."""
+    """(check id, row) for every check that a suite runs on the context's
+    model, in table order.  A row with a claim runs only on a model that
+    sets it, but ``--suite einstein`` runs ``einstein.residual`` on any
+    model; the orbit runs only with two gauge functions to compose."""
     meta = ctx.model.meta
     return [(cid, row) for cid, row in CHECK_DEFS.items()
-            if row.residual and suite in ("all", suite_of(cid))
+            if suite in ("all", suite_of(cid))
             and (row.claim is None or meta.get(row.claim) or suite == "einstein")
             and (row.group != "orbit" or ctx.orbit_phi is not None)]
 
 
 def _run_pointwise(ctx, rows):
-    """rows: ordered (check id, CHECK_DEFS row) pairs of checks with a residual.
+    """rows: ordered (check id, CHECK_DEFS row) pairs.
 
     Each point set is evaluated in chunks of CHUNK points, one set of
     subjects (``_subjects``) per chunk, whose field jets are computed once at
     the highest order its checks need.  A check that raises on a subject is
     re-run on each of its points as a batch of one, so every error is
     attributed to the first point that meets it, exactly as a point-by-point
-    evaluation would.
+    evaluation would.  A row's point count is the number of residuals it
+    gave: one per point, or per state of a worldline.
     """
     worst = {cid: _Worst() for cid, _row in rows}
-    for point_set in ("grid", "random", "small", "gauge", "orbit"):
+    for point_set in ("grid", "random", "small", "worldline", "gauge", "orbit"):
         # a point group is a point set, or two joined by "+"
         checks = [(cid, row) for cid, row in rows if point_set in row.group.split("+")]
         if not checks:
@@ -292,7 +294,7 @@ def _subjects(ctx, point_set, pts, order):
     """What the rows of a point set read over the points pts, with the field
     jets evaluated at ``order``: one snapshot, or, for the gauge rows, one
     ``GaugePair`` per gauge function, all sharing one unshifted snapshot, or
-    the orbit's one pair."""
+    the orbit's one pair, or the model's closed-form worldline."""
 
     def snap(model, top=order):
         s = GeometrySnapshot(model, pts, ctx.mode)
@@ -310,7 +312,26 @@ def _subjects(ctx, point_set, pts, order):
         twice = functools.reduce(transform_potential, ctx.phi_fields[:2], ctx.model)
         once = transform_potential(ctx.model, ctx.orbit_phi)
         return [GaugePair(snap(twice), snap(once), ctx.orbit_phi)]
+    if point_set == "worldline":
+        return [_ScenarioWorldline(ctx.model, ctx.mode)]
     return [snap(ctx.model)]
+
+
+class _ScenarioWorldline:
+    """The model's closed-form worldline as a ``checks.Worldline``, integrated on the
+    first read of ``traj`` or ``k``, so that a raising start fails the rows that read it."""
+
+    def __init__(self, model, mode):
+        self.model, self.mode = model, mode
+
+    @functools.cached_property
+    def _run(self):
+        x0, V0, k, ds, steps = self.model.meta["scenario"].start(self.model.params)
+        init, cfg = WorldlineState(x0, V0, 0.0), IntegratorConfig(ds=ds, steps=steps)
+        return integrate_worldline(self.model, init, k, cfg, self.mode), k
+
+    traj = property(lambda self: self._run[0])
+    k = property(lambda self: self._run[1])
 
 
 def _run_chunk(ctx, point_set, chunk, checks, order, worst):
@@ -330,26 +351,10 @@ def _run_chunk(ctx, point_set, chunk, checks, order, worst):
     for cid, check in checks:
         fn, w = check.residual, worst[cid]
         for k, subject in enumerate(subjects):
-            w.points += len(chunk)
             for residuals in batch_then_rows(lambda: [fn(subject)], range(len(chunk)),
                                              lambda i: on_row(fn, k, i, w)):
                 w.add(residuals)
-
-
-# -- scenario checks -----------------------------------------------------------
-
-
-def _scenario_dynamics(ctx):
-    """The model's closed-form worldline, if it has one."""
-    model, scenario = ctx.model, ctx.model.meta.get("scenario")
-    if scenario is None:
-        return []
-    x0, V0, k, ds, steps = scenario.start(model.params)
-    init = WorldlineState(np.array(x0), np.array(V0), 0.0)
-    traj = integrate_worldline(model, init, k, IntegratorConfig(ds=ds, steps=steps), ctx.mode)
-    n = len(traj.states)
-    return [("dyn.closed_form", scenario.closed_form(model, traj, k), n, scenario.note),
-            ("dyn.norm_drift", traj.max_drift, n, None)]
+                w.points += np.size(residuals)
 
 
 @_quiet_float_errors
@@ -361,20 +366,7 @@ def run_suite(suite, model, mode="dual", grid_overrides=None,
     t0 = time.monotonic()
     ctx = SuiteContext(model, mode=mode, grid_overrides=grid_overrides,
                        tol_overrides=tol_overrides, phis=phis)
-
-    # report order: the pointwise rows, the dynamics scenario's, the gauge rows
-    rows = _pointwise_rows(ctx, suite)
-    plain = [(cid, row) for cid, row in rows if suite_of(cid) != "gauge"]
-    gauge = [(cid, row) for cid, row in rows if suite_of(cid) == "gauge"]
-    checks = [_make_result(ctx, *r) for r in _run_pointwise(ctx, plain)]
-    if suite in ("dynamics", "all"):
-        try:
-            checks += [_make_result(ctx, *r) for r in _scenario_dynamics(ctx)]
-        except GeometryError as err:
-            checks.append(CheckResult(
-                "scenario.error", "n/a", 0, None, None, False,
-                f"{type(err).__name__}: {err}"))
-    checks += [_make_result(ctx, *r) for r in _run_pointwise(ctx, gauge)]
+    checks = [_make_result(ctx, *r) for r in _run_pointwise(ctx, _pointwise_rows(ctx, suite))]
 
     wall = (time.monotonic() - t0) * 1000.0 if include_timing else None
     consts = {

@@ -1,5 +1,7 @@
 """Worldline integration, transport identity, and dust exchange relations."""
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -13,10 +15,11 @@ from rcgeom import (
     integrate_worldline,
     normalize_velocity,
 )
-from rcgeom.checks import CHECK_DEFS
+from rcgeom.checks import CHECK_DEFS, Worldline
 from rcgeom.dynamics import Trajectory, acceleration, transport_residual
 from rcgeom.engine import GeometrySnapshot
 from rcgeom.errors import DomainError, EvalError, MetricError, point_text
+from rcgeom.gauge import peak
 
 
 def residual(check_id, model, x):
@@ -351,6 +354,10 @@ def test_integrator_config_validation():
         IntegratorConfig(ds=0.1, steps=0)
     with pytest.raises(GeometryError):
         IntegratorConfig(ds=0.1, steps=10, method="euler")
+    # the adaptive method never renormalizes, so asking it to is bad input
+    with pytest.raises(GeometryError, match="needs rk4"):
+        IntegratorConfig(ds=0.1, steps=10, method="rk45-adaptive", renormalize_every=2)
+    IntegratorConfig(ds=0.1, steps=10, method="rk45-adaptive", renormalize_every=0)
 
 
 def test_gauge_shift_leaves_rhs_unchanged():
@@ -446,3 +453,71 @@ def test_dust_is_parsed_once_per_model():
     assert m.dust is m.dust
     assert m.dust.rho0.value(np.zeros(4)) == 0.05
     assert catalog_get("schwarzschild").dust is None
+
+
+# -- negative controls of the worldline rows -----------------------------------
+
+SCENARIO_MODELS = ("minkowski", "minkowski-constant-e", "schwarzschild")
+
+
+def _scenario_trajectory(model, V0=None, k=None):
+    """The trajectory from the model's closed-form start, with its velocity
+    or its charge ratio replaced."""
+    x0, V, k0, ds, steps = model.meta["scenario"].start(model.params)
+    init = WorldlineState(np.array(x0), np.array(V if V0 is None else V0), 0.0)
+    return integrate_worldline(model, init, k0 if k is None else k,
+                               IntegratorConfig(ds=ds, steps=steps))
+
+
+@functools.cache
+def _scenario(name):
+    """A scenario model's own worldline subject."""
+    model = catalog_get(name)
+    k = model.meta["scenario"].start(model.params)[2]
+    return Worldline(model, _scenario_trajectory(model), k)
+
+
+def _failing_worldline_rows(worldline):
+    """The worldline rows whose reading on the subject exceeds the dual tolerance."""
+    rows = [cid for cid, row in CHECK_DEFS.items() if row.group == "worldline"]
+    assert rows == ["dyn.closed_form", "dyn.norm_drift"]
+    return [cid for cid in rows
+            if not peak(CHECK_DEFS[cid].residual(worldline)) <= CHECK_DEFS[cid].dual]
+
+
+@pytest.mark.parametrize("name", SCENARIO_MODELS)
+def test_scenario_worldline_passes_both_rows(name):
+    w = _scenario(name)
+    assert _failing_worldline_rows(w) == []
+    # one value per state
+    for cid in ("dyn.closed_form", "dyn.norm_drift"):
+        assert len(CHECK_DEFS[cid].residual(w)) == len(w.traj.states), cid
+
+
+def test_off_circular_start_fails_the_closed_form_row():
+    """A Schwarzschild circular start with V^phi off by 1e-4, rescaled to
+    unit norm: the radius drifts, while the norm holds."""
+    model = catalog_get("schwarzschild")
+    x0, V0, k, _ds, _steps = model.meta["scenario"].start(model.params)
+    V = np.array(V0) + np.array([0.0, 0.0, 0.0, 1e-4])
+    w = Worldline(model, _scenario_trajectory(model, V0=normalize_velocity(model, x0, V)), k)
+    assert _failing_worldline_rows(w) == ["dyn.closed_form"]
+    row = CHECK_DEFS["dyn.closed_form"]
+    assert peak(row.residual(w)) > 1e3 * row.dual
+
+
+def test_mis_scaled_charge_fails_the_closed_form_row():
+    """The uniform-acceleration trajectory integrated with the charge ratio
+    1e-4 too large, read with the scenario's own."""
+    model = catalog_get("minkowski-constant-e")
+    k = _scenario("minkowski-constant-e").k
+    w = Worldline(model, _scenario_trajectory(model, k=k * (1.0 + 1e-4)), k)
+    assert _failing_worldline_rows(w) == ["dyn.closed_form"]
+
+
+@pytest.mark.parametrize("name", SCENARIO_MODELS)
+def test_drifting_norm_fails_the_norm_drift_row(name):
+    """The scenario's own states, with a norm residual of 1e-7 at each."""
+    w = _scenario(name)
+    drifting = dataclasses.replace(w.traj, norm_residuals=[1e-7] * len(w.traj.states))
+    assert _failing_worldline_rows(w._replace(traj=drifting)) == ["dyn.norm_drift"]

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rcgeom import CATALOG_NAMES, GeometryError, catalog_get, cli, engine
+from rcgeom import CATALOG_NAMES, GeometryError, catalog_get, cli, engine, harness
 from rcgeom.catalog import FIXTURE_NAMES, parse_spacetime_text
 from rcgeom.cli import main
 from rcgeom.checks import suite_of
@@ -211,7 +211,6 @@ def test_error_notes_print_points_as_plain_floats():
                     grid_overrides={"r": np.linspace(0.5, 4.0, 6)})
     notes = {c.check_id: c.note for c in rep.checks if c.note}
     gauge = [cid for cid in CHECK_DEFS if cid.startswith("gauge.")]
-    assert "scenario.error" not in notes
     for cid in gauge:
         assert "point (0.0, 0.5, " in notes[cid], cid
     assert not [n for n in notes.values() if "np.float64" in n]
@@ -237,12 +236,13 @@ def test_cli_worldline_domain_exit(tmp_path, capsys):
     ["--ds", "nan"],
     ["--charge-ratio", "inf"],
     ["--x0", "0,0,nan,0"],
+    ["--method", "rk45-adaptive", "--renormalize-every", "2"],
 ], ids=["x0-not-a-number", "save-every-0", "renormalize-every-negative", "ds-nan",
-        "charge-ratio-inf", "x0-nan"])
+        "charge-ratio-inf", "x0-nan", "renormalize-every-adaptive"])
 def test_cli_worldline_bad_input_is_a_usage_error(bad, tmp_path, capsys):
     argv = {"--x0": "0,0,0,0", "--v0": "1,0,0,0", "--charge-ratio": "0.5", "--ds": "0.01",
             "--save-every": "1", "--renormalize-every": "0"}
-    argv[bad[0]] = bad[1]
+    argv.update(zip(bad[::2], bad[1::2]))
     code = main(["worldline", "--spacetime", "minkowski-constant-e", "--steps", "5",
                  "--out", str(tmp_path / "traj.csv"), *(f"{k}={v}" for k, v in argv.items())])
     assert code == 2
@@ -329,18 +329,70 @@ def test_dust_that_fails_at_a_point_fails_its_own_rows(mode):
 
 
 def test_check_table_rows_are_complete():
-    """A row with a residual has a point group and a jet order; the dynamics
-    scenario's two rows have neither; a gauge row reads a gauge pair (group
-    "gauge" or "orbit"); a row is informational exactly when it carries a
-    note; every id's prefix names a suite."""
+    """Every row has a point group and a residual; a gauge row reads a gauge
+    pair (group "gauge" or "orbit"); a worldline row reads no field jets and
+    needs a closed-form scenario; a row is informational exactly when it
+    carries a note; every id's prefix names a suite."""
+    groups = {"grid", "small", "random", "grid+random", "gauge", "orbit", "worldline"}
     for cid, row in CHECK_DEFS.items():
         assert suite_of(cid) in SUITES, cid
-        assert (row.group is None) == (row.residual is None), cid
-        assert row.group is not None or row.order == 0, cid
+        assert row.group in groups and callable(row.residual), cid
         assert (row.dual is None) == (row.fd is None) == (row.note is not None), cid
         assert (suite_of(cid) == "gauge") == (row.group in ("gauge", "orbit")), cid
-    assert [cid for cid, row in CHECK_DEFS.items() if row.residual is None] == [
-        "dyn.norm_drift", "dyn.closed_form"]
+    assert {cid: (row.order, row.claim) for cid, row in CHECK_DEFS.items()
+            if row.group == "worldline"} == {"dyn.closed_form": (0, "scenario"),
+                                             "dyn.norm_drift": (0, "scenario")}
+
+
+def _note_rule_holds(checks):
+    """A report row carries a note exactly when it is informational or
+    failed with an error."""
+    for c in checks:
+        informational = CHECK_DEFS[c["id"]].dual is None
+        errored = c["max_residual"] is None and not c["pass"]
+        assert ("note" in c) == (informational or errored), c["id"]
+
+
+@pytest.mark.parametrize("name", CATALOG_NAMES + ("charge-ball",))
+def test_a_row_carries_a_note_exactly_when_informational_or_errored(name, tmp_path,
+                                                                    monkeypatch):
+    """Over suite all, whose closed-form worldline, if the model has one, is
+    integrated exactly once."""
+    calls = []
+
+    def counting(model, *args, **kwargs):
+        calls.append(model.name)
+        return integrate(model, *args, **kwargs)
+
+    integrate = harness.integrate_worldline
+    monkeypatch.setattr(harness, "integrate_worldline", counting)
+    out = tmp_path / "r.json"
+    assert main(["run", "--spacetime", name, "--suite", "all", "--out", str(out)]) == 0
+    _note_rule_holds(json.loads(out.read_text())["checks"])
+    assert calls == ([name] if "scenario" in catalog_get(name).meta else [])
+
+
+# Starts that have no closed-form worldline, and the parameter each names.
+BAD_STARTS = [("schwarzschild", "M=0", "got M = 0.0"), ("schwarzschild", "M=-1", "got M = -1.0"),
+              ("minkowski-constant-e", "E=0", "got E = 0.0")]
+
+
+@pytest.mark.parametrize("suite", ["all", "dynamics"])
+@pytest.mark.parametrize("name,param,named", BAD_STARTS, ids=[p for _n, p, _m in BAD_STARTS])
+def test_a_start_without_a_closed_form_fails_the_worldline_rows(name, param, named, suite,
+                                                                 tmp_path):
+    """Both worldline rows fail with the start's error, which names the
+    parameter; every other row still runs and passes; the exit code is 1."""
+    out = tmp_path / "r.json"
+    assert main(["run", "--spacetime", name, "--param", param, "--suite", suite,
+                 "--out", str(out)]) == 1
+    checks = json.loads(out.read_text())["checks"]
+    _note_rule_holds(checks)
+    failed = {c["id"]: c for c in checks if not c["pass"]}
+    assert sorted(failed) == ["dyn.closed_form", "dyn.norm_drift"]
+    for c in failed.values():
+        assert c["note"].startswith("GeometryError: ") and c["note"].endswith(named)
+    assert len(checks) > 2
 
 
 def test_only_the_einstein_suite_ignores_the_exact_solution_claim():
