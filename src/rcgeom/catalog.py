@@ -70,6 +70,9 @@ class FieldLayout:
     ``shared`` holds, when ``g_live`` is empty, the snapshot members that
     read only the constant metric, keyed by (member, derivative mode), each
     a read-only array over a batch of one; ``GeometrySnapshot`` fills it.
+    ``generated`` maps the derivative order 1 to the model's generated
+    one-point function (None where the generator declined), which
+    ``engine.field_jets`` makes on its first one-point order-1 call.
     """
 
     g: np.ndarray
@@ -77,6 +80,7 @@ class FieldLayout:
     g_live: tuple
     A_live: tuple
     shared: dict = field(default_factory=dict, compare=False, repr=False)
+    generated: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def of(cls, model):
@@ -381,9 +385,11 @@ def straight_line_error(model, traj, charge_ratio):
 
 
 def uniform_acceleration_error(model, traj, charge_ratio):
-    """Rest start in the uniform field E: V^0(s) = cosh(k E s)."""
+    """Rest start in the uniform field E: V^0(s) = cosh(k E s) and
+    V^1(s) = -sinh(k E s), which is odd in k and so fixes the charge sign."""
     a = charge_ratio * model.params["E"]
-    return [abs(st.V[0] - math.cosh(a * st.s)) for st in traj.states]
+    return [max(abs(st.V[0] - math.cosh(a * st.s)), abs(st.V[1] + math.sinh(a * st.s)))
+            for st in traj.states]
 
 
 def circular_radius_error(model, traj, charge_ratio):
@@ -393,7 +399,7 @@ def circular_radius_error(model, traj, charge_ratio):
 
 
 # A worldline with a known solution, run by the dynamics suite: its start,
-# params -> (x0, V0, charge ratio, ds, steps), and its closed form.
+# model -> (x0, V0, charge ratio, ds, steps), and its closed form.
 ClosedFormScenario = namedtuple("ClosedFormScenario", "start closed_form")
 
 
@@ -416,20 +422,24 @@ class WorldlineOracle:
         return {"name": self.name, "max_error": max(self.closed_form(model, traj, charge_ratio))}
 
 
-def _accelerated_start(p):
+def _accelerated_start(model):
     """A rest start at charge ratio 0.5 / E, for 2000 steps of 1e-3."""
-    if p["E"] == 0.0:
-        raise GeometryError(f"the uniform acceleration scenario needs E != 0, got E = {p['E']!r}")
-    return _ORIGIN, _AT_REST, 0.5 / p["E"], 1e-3, 2000
+    E = model.params["E"]
+    if E == 0.0:
+        raise GeometryError(f"the uniform acceleration scenario needs E != 0, got E = {E!r}")
+    return _ORIGIN, _AT_REST, 0.5 / E, 1e-3, 2000
 
 
-def _circular_orbit(p, r=8.0, steps=1500):
-    """One period of the circular geodesic of radius r (0 < M < r/3)."""
-    M = p["M"]
-    if not 0.0 < M < r / 3.0:
-        raise GeometryError(f"the circular orbit at r = {r} needs 0 < M < r/3, got M = {M!r}")
-    vt = 1.0 / math.sqrt(1.0 - 3.0 * M / r)
-    vphi = math.sqrt(M / r**3) * vt
+def _circular_orbit(model, r=8.0, steps=1500):
+    """One period of the circular geodesic of radius r around the mass
+    m = G M / c^2, which the metric reads (0 < m < r/3)."""
+    M, G, c = model.params["M"], model.constants.G, model.constants.c
+    m = G * M / c**2
+    if not 0.0 < m < r / 3.0:
+        raise GeometryError(f"the circular orbit at r = {r} needs 0 < G*M/c^2 < r/3 "
+                            f"(G = {G!r}, c = {c!r}), got M = {M!r}")
+    vt = 1.0 / math.sqrt(1.0 - 3.0 * m / r)
+    vphi = math.sqrt(m / r**3) * vt
     period = 2.0 * math.pi / vphi
     return (0.0, r, math.pi / 2, 0.0), (vt, 0.0, 0.0, vphi), 0.0, period / steps, steps
 
@@ -454,7 +464,7 @@ _ENTRIES = {
         _CARTESIAN, _FLAT, {}, {}, _BOX_GRID,
         {**_FLAT_META, "einstein_exact": True,
          "scenario": ClosedFormScenario(
-             lambda p: (_ORIGIN, _AT_REST, 0.0, 0.01, 200), straight_line_error),
+             lambda model: (_ORIGIN, _AT_REST, 0.0, 0.01, 200), straight_line_error),
          "oracle": WorldlineOracle("straight-line", straight_line_error, charged=False),
          "dust": ("0.05", "0", _COMOVING)},
     ),

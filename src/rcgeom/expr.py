@@ -16,18 +16,27 @@ compiler never exceed the interpreter's recursion limit.
 a tree, once, into a tree of closures that does the same arithmetic in the
 same order with the same checks, so its results equal ``evaluate``'s bit
 for bit, with the parameter-only subtrees folded into their values.
+
+``compile_one_point`` generates one straight-line Python function of four
+floats for a set of trees: the value and gradient of each (its order-1
+jet) and a domain test, with the operations of ``Jet`` arithmetic on
+floats, so its results are those of the jets bit for bit.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 import re
+import sys
 from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
 
 from .errors import EvalError, ParseError, UnknownIdentifierError
-from .jets import FUNCTIONS, Jet, jet_pow
+from .jets import _POW_DOMAIN, _TABLE, FUNCTIONS, UNIT_ROWS, Jet, _pow_terms, jet_pow
 
 # The deepest shipped expression (Kerr-Newman) has depth 9.
 MAX_DEPTH = 200
@@ -452,3 +461,278 @@ def _binary(makers, left, right):
     if callable(right):
         return right_only(left, right)
     return both(_closure(left), _closure(right))
+
+
+# -- one-point order-1 code generator ------------------------------------------
+
+_RULES = {name: rule for name, rule, _domain in _TABLE}
+
+
+class _Decline(Exception):
+    """The trees stay on the jet path: the folding of a subtree raised, a
+    constant is not finite, or an operation fails at every point."""
+
+
+def compile_one_point(buffer, fields, domain=None):
+    """One generated Python function ``f(x0, x1, x2, x3)`` that fills
+    ``buffer`` with the order-1 jets of ``fields`` at one point, or None
+    where the generator declines.
+
+    ``buffer`` holds the constant entries of the output; each field is
+    ``(tree, params, value_slots, gradient_slots)``: the entries that take
+    its value and, for each axis k, the entries that take its derivative
+    along x_k.  ``f`` returns the filled buffer as a tuple, or None when the
+    ``domain`` tree (a ``(tree, params)`` pair) is not positive and finite
+    at the point.
+
+    The function is straight-line code over floats.  Each tree is folded as
+    ``compile_ast`` folds it and run through ``Jet`` itself (and through the
+    ``_TABLE`` rules, with the tape as their ``m``), whose operations on
+    floats are recorded as statements.  So ``f`` does the operations of the
+    jet path, on the same operands in the same order, and its results are
+    the jet path's bit for bit, signed zeros included.  Operations are
+    hash-consed, on the folded trees and on the statement text, so a
+    subexpression shared by several fields is computed once.  A statement
+    that neither leads to an output nor can raise is dropped (the unused
+    second and third derivatives of the rules); one that can raise is kept,
+    so that ``f`` raises where the jets raise.  The source holds only the
+    arguments, temporaries, finite float literals and ``math`` functions
+    (``f.source``), never text from a definition file.
+
+    The generator declines when the folding of a subtree raises or an
+    operation fails at every point; ``f`` raises ``ArithmeticError`` or
+    ``ValueError`` where the jets raise, and may return non-finite entries.
+    Either way the caller runs the jet path, which gives its own note.
+    """
+    tape = _Tape()
+    xs = [_Var(tape, f"x{i}") for i in range(4)]
+    seeds = [Jet(x, UNIT_ROWS[i]) for i, x in enumerate(xs)]
+    out = list(buffer)
+    try:
+        if domain is not None:
+            d = _symbolic(_folded(*domain), xs, tape, {})
+            if isinstance(d, _Var):
+                tape.guard("not 0.0 < {} <= " + repr(sys.float_info.max), d)
+            elif not d > 0.0:  # no point is inside
+                raise _Decline
+        memo = {}
+        for tree, params, value_slots, gradient_slots in fields:
+            jet = _symbolic(_folded(tree, params), seeds, tape, memo)
+            for s in value_slots:
+                out[s] = jet.f
+            for d, slots in zip(jet.g, gradient_slots):
+                for s in slots:
+                    out[s] = d
+        source = tape.source(out)
+    except _Decline:
+        return None
+    namespace = {"math": math}
+    exec(compile(source, "<rcgeom one-point jets>", "exec"), namespace)
+    run = namespace["one_point"]
+    run.source = source
+    return run
+
+
+def _folded(node, params):
+    """The tree with each subtree that ``compile_ast`` folds replaced by
+    its value; a -0.0 becomes ``Neg(Num(0.0))``, so that equal folded trees
+    (they are frozen dataclasses) have equal bits."""
+    free = set()
+    _coordinate_free(node, free)
+
+    def fold(node):
+        if id(node) in free:
+            try:
+                v = float(evaluate(node, _ORIGIN, params))
+            except (EvalError, ArithmeticError, ValueError):
+                raise _Decline from None
+            return Neg(Num(0.0)) if v == 0.0 and math.copysign(1.0, v) < 0.0 else Num(v)
+        if isinstance(node, Coord):
+            return node
+        if isinstance(node, Neg):
+            return Neg(fold(node.arg))
+        if isinstance(node, Call):
+            return Call(node.func, fold(node.arg))
+        return type(node)(fold(node.left), fold(node.right))
+
+    return fold(node)
+
+
+def _symbolic(node, coords, tape, memo):
+    """``evaluate`` of a folded tree over recorded floats: the coordinates
+    are the arguments (``_Var``) or their order-1 jets, and the result is a
+    float constant, a ``_Var`` or a Jet.  ``memo`` keeps each subtree's
+    result, so a repeated subtree is evaluated once."""
+    hit = memo.get(node)
+    if hit is not None:
+        return hit
+    if isinstance(node, Num):
+        return node.value
+    if isinstance(node, Coord):
+        return coords[node.index]
+    if isinstance(node, Neg):
+        out = -_symbolic(node.arg, coords, tape, memo)
+    elif isinstance(node, Call):
+        out = _call(node.func, _symbolic(node.arg, coords, tape, memo), tape)
+    else:
+        a = _symbolic(node.left, coords, tape, memo)
+        b = _symbolic(node.right, coords, tape, memo)
+        if isinstance(node, Pow):
+            out = _pow(a, b, tape)
+        elif isinstance(node, Div):
+            if not isinstance(b, (_Var, Jet)) and b == 0.0:
+                raise _Decline  # _divide's zero test fails at every point
+            out = a / b
+        else:
+            out = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}[type(node)](a, b)
+    memo[node] = out
+    return out
+
+
+def _call(name, u, tape):
+    """``FUNCTIONS[name](u)``: a Jet composes with its ``_TABLE`` rule run
+    on the tape; the rule's f'' and f''' are recorded and then dropped."""
+    if isinstance(u, Jet):
+        d0, d1, d2, d3 = _RULES[name](tape, u.f)
+        return u.compose(d0, d1, d2, d3)
+    return tape.call(name, u)
+
+
+# which of ``v <= 0.0``, ``v == 0.0`` and ``v < 0.0`` fail the power rules,
+# by whether they fail at a zero and at a negative base
+_POW_GUARDS = {(True, True): "{} <= 0.0", (True, False): "{} == 0.0", (False, True): "{} < 0.0"}
+
+
+def _pow(u, p, tape):
+    """``jet_pow(u, p)``.  The domain rules of the base become a guard,
+    tested on a zero and on a negative base (an exponent that depends on the
+    coordinates may fail at any base <= 0); ``**`` of floats gives the bits
+    of ``math.pow`` and raises where it does once the guard has passed."""
+    if isinstance(p, Jet):
+        return _call("exp", p * _call("log", u, tape), tape)
+    jet = isinstance(u, Jet)
+    v = u.f if jet else u
+    rules = _POW_DOMAIN if jet else _POW_DOMAIN[:2]
+    fails = (True, True) if isinstance(p, _Var) else tuple(
+        any(bad(base, p) for bad, _ in rules) for base in (0.0, -1.0))
+    if not isinstance(v, _Var):  # a constant base, so p depends on the coordinates
+        if v <= 0.0:
+            raise _Decline
+    elif fails in _POW_GUARDS:
+        tape.guard(_POW_GUARDS[fails], v)
+    if not jet:
+        return v ** p
+    d0, d1, d2, d3 = _pow_terms(v, p, pow)
+    return u.compose(d0, d1, d2, d3)
+
+
+def _literal(v):
+    v = float(v)
+    if not math.isfinite(v):
+        raise _Decline
+    text = repr(v)
+    return f"({text})" if text.startswith("-") else text
+
+
+def _text(a):
+    return a.name if isinstance(a, _Var) else _literal(a)
+
+
+def _is(a, value):
+    """Whether a is the float constant value."""
+    return not isinstance(a, _Var) and a == value
+
+
+class _Tape:
+    """The statements of one generated function, in the order they were
+    recorded.  An operation already recorded on the same operands gives
+    the same temporary.  The tape is also the ``m`` of the ``_TABLE`` rules:
+    ``tape.sin(v)`` records ``math.sin(v)``."""
+
+    def __init__(self):
+        self.lines = []  # (temporary or None for a guard, text, operand names, can raise)
+        self.temps = {}  # expression text -> _Var
+        self.guards = set()  # guard conditions
+        for name in FUNCTIONS:
+            setattr(self, name, functools.partial(self.call, name))
+
+    def op(self, template, *args, raises=False):
+        text = template.format(*map(_text, args))
+        var = self.temps.get(text)
+        if var is None:
+            var = self.temps[text] = _Var(self, f"t{len(self.temps)}")
+            self.lines.append((var.name, text, [a.name for a in args if isinstance(a, _Var)],
+                               raises))
+        return var
+
+    def guard(self, template, v):
+        """``if <condition>: return None``, recorded once per condition."""
+        text = template.format(v.name)
+        if text not in self.guards:
+            self.guards.add(text)
+            self.lines.append((None, text, [v.name], True))
+
+    def binary(self, a, symbol, b):
+        if not all(isinstance(v, (_Var, float, int)) for v in (a, b)):
+            return NotImplemented  # an array: numpy applies the operation entry by entry
+        # x * 1.0 is x and x ** 0.0 is 1.0, for every float x
+        if symbol == "*" and (_is(a, 1.0) or _is(b, 1.0)):
+            return b if _is(a, 1.0) else a
+        if symbol == "**" and not isinstance(b, _Var) and b == 0.0:
+            return 1.0
+        if symbol in "+*" and _text(b) < _text(a):  # one text for a + b and b + a
+            a, b = b, a
+        return self.op("{} " + symbol + " {}", a, b, raises=symbol in ("/", "**"))
+
+    def call(self, name, v):
+        if isinstance(v, _Var):
+            return self.op(f"math.{name}({{}})", v, raises=True)
+        try:
+            return getattr(math, name)(v)
+        except (ArithmeticError, ValueError):
+            raise _Decline from None
+
+    def source(self, outputs):
+        """The function returning the outputs, without the statements that
+        neither lead to an output nor can raise."""
+        live = {a.name for a in outputs if isinstance(a, _Var)}
+        body = []
+        for name, text, operands, raises in reversed(self.lines):
+            if raises or name in live:
+                live.update(operands)
+                body.append(f"{name} = {text}" if name else f"if {text}: return None")
+        body.reverse()
+        body.append(f"return ({''.join(_text(a) + ', ' for a in outputs)})")
+        return "def one_point(x0, x1, x2, x3):\n" + "".join(f"    {s}\n" for s in body)
+
+
+class _Var:
+    """A float of the generated function: an argument or a temporary.
+    Python's operators on it record the operation on its tape; operations
+    on float constants alone are done by Python, as when the jets run."""
+
+    __slots__ = ("tape", "name")
+
+    def __init__(self, tape, name):
+        self.tape, self.name = tape, name
+
+    def __neg__(self):
+        return self.tape.op("-{}", self)
+
+    def __eq__(self, other):
+        # Jet._reciprocal's zero test.  A zero divisor raises at the
+        # generated ``1.0 / v`` instead, so the test records nothing.
+        return False
+
+    __hash__ = None
+
+
+def _recorded(symbol, reflected):
+    if reflected:
+        return lambda self, other: self.tape.binary(other, symbol, self)
+    return lambda self, other: self.tape.binary(self, symbol, other)
+
+
+for _symbol, _name in (("+", "add"), ("-", "sub"), ("*", "mul"), ("/", "truediv"), ("**", "pow")):
+    setattr(_Var, f"__{_name}__", _recorded(_symbol, False))
+    setattr(_Var, f"__r{_name}__", _recorded(_symbol, True))

@@ -326,7 +326,7 @@ class _ScenarioWorldline:
 
     @functools.cached_property
     def _run(self):
-        x0, V0, k, ds, steps = self.model.meta["scenario"].start(self.model.params)
+        x0, V0, k, ds, steps = self.model.meta["scenario"].start(self.model)
         init, cfg = WorldlineState(x0, V0, 0.0), IntegratorConfig(ds=ds, steps=steps)
         return integrate_worldline(self.model, init, k, cfg, self.mode), k
 

@@ -1,20 +1,25 @@
 """The compiled expression path against the interpreter, ``expr.evaluate``,
-bit for bit; and ``field_jets`` against a per-component loop."""
+bit for bit; ``field_jets`` against a per-component loop; and the generated
+one-point order-1 code against the jet path."""
 
+import ast
 import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rcgeom import CATALOG_NAMES, ChartSpec, EvalError, ExprField, catalog_get, expr
 from rcgeom import load_spacetime_file, transform_potential
-from rcgeom.catalog import parse_spacetime_text
+from rcgeom.catalog import build_model, parse_spacetime_text
 from rcgeom.engine import field_jets
 from rcgeom.fields import fd_jet, make_seeds
-from rcgeom.jets import Jet
+from rcgeom.jets import FUNCTIONS, Jet
 
 from test_engine_batch import GENERIC
+from test_expr import _combine, _leaf
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -190,3 +195,143 @@ def test_field_jets_equal_a_per_component_loop(name):
                 for member, arr in ref.items():
                     got = getattr(fj, member)
                     assert same_bits(got if x.ndim == 2 else got[0], arr), (mode, order, member)
+
+
+# -- generated one-point order-1 code ------------------------------------------
+
+
+def _jet_path(model, X):
+    """field_jets at order 1 with the generated function switched off."""
+    generated = model.layout.generated
+    kept = generated.get(1, False)
+    generated[1] = None
+    try:
+        return field_jets(model, X, 1)
+    finally:
+        if kept is False:
+            del generated[1]
+        else:
+            generated[1] = kept
+
+
+ORDER1_MEMBERS = ("g", "dg", "A", "dA")
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_generated_one_point_jets_equal_the_jet_path(name):
+    """Every member, bit for bit, at points spread over the default grid;
+    the function is generated on the first call and kept on the layout."""
+    model = MODELS[name]
+    grid = model.default_grid
+    for x in grid[:: max(1, len(grid) // 24)]:
+        got, want = field_jets(model, x[None], 1), _jet_path(model, x[None])
+        assert model.layout.generated[1] is not None
+        for member in ORDER1_MEMBERS:
+            assert same_bits(getattr(got, member), getattr(want, member)), (x, member)
+
+
+def test_a_gauge_shifted_potential_keeps_the_jet_path():
+    model = JET_MODELS["gauge"]
+    x = model.default_grid[:1]
+    got = field_jets(model, x, 1)
+    assert model.layout.generated[1] is None
+    for member in ORDER1_MEMBERS:
+        assert same_bits(getattr(got, member), getattr(_jet_path(model, x), member))
+
+
+def _one_field_model(src, params, domain=None):
+    return build_model("one-field", CART.names, {(0, 0): "1", (1, 1): "-1", (2, 2): "-1",
+                                                 (3, 3): "-1"},
+                       {1: src}, params=params, domain_src=domain,
+                       grid_axes={n: (0.0,) for n in CART.names}, validate=False)
+
+
+@pytest.mark.parametrize("src,x,params", FAILURES, ids=[s for s, _, _ in FAILURES])
+def test_failures_give_the_jet_path_note_through_one_point_field_jets(src, x, params):
+    """A field that fails at the point raises what the jet path raises
+    there, as a component and as the domain."""
+    X = np.array([x])
+    ref = _error_of(lambda: ExprField(src, CART, params).jet_unchecked(X[0], 1))
+    model = _one_field_model(src, params)
+    assert _error_of(lambda: field_jets(model, X, 1)) == ref
+    assert _error_of(lambda: _jet_path(model, X)) == ref
+    model = _one_field_model("x", params, domain=src)
+    want = _error_of(lambda: _jet_path(model, X))
+    assert want[0].__name__ == "DomainError"
+    assert _error_of(lambda: field_jets(model, X, 1)) == want
+
+
+def _generated(tree, domain=None):
+    """The generated function of one field, its value and gradient in
+    entries 0-4."""
+    return expr.compile_one_point([0.0] * 5, [(tree, {}, (0,), [(1,), (2,), (3,), (4,)])],
+                                  domain)
+
+
+def _outcome(call):
+    """The entries call returns, or None where it raises (or fails a guard)."""
+    try:
+        out = call()
+    except (EvalError, ArithmeticError, ValueError):
+        return None
+    return None if out is None else np.array(out, dtype=float)
+
+
+def _value_and_gradient(f, x):
+    jv = f.jet_unchecked(np.array(x), 1)
+    return [jv.value, *jv.grad]
+
+
+_COORD = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-120]))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(_leaf, _combine, max_leaves=12), st.lists(_COORD, min_size=4, max_size=4))
+def test_generated_code_equals_the_jet_path_on_random_trees(tree, x):
+    """Value and gradient equal the jet path's bit for bit, and the generated
+    code fails (raises or returns None) exactly where the jet path raises.
+    As a domain, it passes a point only where the predicate is positive."""
+    try:
+        f = ExprField(tree, CART)
+    except EvalError:  # a constant tree that fails
+        return
+    if f.const is not None:
+        return
+    run = _generated(tree)
+    jv = _outcome(lambda: _value_and_gradient(f, x))
+    if run is None:  # declined: a folded subtree raises, so the jets fail everywhere
+        assert jv is None
+        return
+    got = _outcome(lambda: run(*x))
+    assert (got is None) == (jv is None)
+    if got is not None:
+        assert got.tobytes() == jv.tobytes()
+    inside = _outcome(lambda: [f.value(np.array(x))])
+    domain = expr.compile_one_point([], [], (tree, {}))  # None: no point is inside
+    if domain is not None and _outcome(lambda: domain(*x)) is not None:
+        assert inside is not None and inside[0] > 0.0
+
+
+_ALLOWED_NAMES = {"x0", "x1", "x2", "x3", "math"}
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_generated_source_holds_no_definition_text(name):
+    """Only the arguments, temporaries, finite float literals (and the None
+    of a failed guard) and math functions."""
+    model = MODELS[name]
+    field_jets(model, model.default_grid[:1], 1)
+    tree = ast.parse(model.layout.generated[1].source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            assert node.id in _ALLOWED_NAMES or (node.id[0] == "t" and node.id[1:].isdigit())
+        elif isinstance(node, ast.Attribute):
+            assert isinstance(node.value, ast.Name) and node.value.id == "math"
+            assert node.attr in FUNCTIONS
+        elif isinstance(node, ast.Constant):
+            assert node.value is None or (type(node.value) is float
+                                          and math.isfinite(node.value))
+        elif isinstance(node, ast.Call):
+            assert isinstance(node.func, ast.Attribute)
+        elif isinstance(node, ast.FunctionDef):
+            assert node.name == "one_point"

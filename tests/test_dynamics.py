@@ -2,6 +2,7 @@
 
 import dataclasses
 import functools
+import json
 import math
 
 import numpy as np
@@ -16,6 +17,7 @@ from rcgeom import (
     normalize_velocity,
 )
 from rcgeom.checks import CHECK_DEFS, Worldline
+from rcgeom.cli import main
 from rcgeom.dynamics import Trajectory, acceleration, transport_residual
 from rcgeom.engine import GeometrySnapshot
 from rcgeom.errors import DomainError, EvalError, MetricError, point_text
@@ -463,7 +465,7 @@ SCENARIO_MODELS = ("minkowski", "minkowski-constant-e", "schwarzschild")
 def _scenario_trajectory(model, V0=None, k=None):
     """The trajectory from the model's closed-form start, with its velocity
     or its charge ratio replaced."""
-    x0, V, k0, ds, steps = model.meta["scenario"].start(model.params)
+    x0, V, k0, ds, steps = model.meta["scenario"].start(model)
     init = WorldlineState(np.array(x0), np.array(V if V0 is None else V0), 0.0)
     return integrate_worldline(model, init, k0 if k is None else k,
                                IntegratorConfig(ds=ds, steps=steps))
@@ -473,7 +475,7 @@ def _scenario_trajectory(model, V0=None, k=None):
 def _scenario(name):
     """A scenario model's own worldline subject."""
     model = catalog_get(name)
-    k = model.meta["scenario"].start(model.params)[2]
+    k = model.meta["scenario"].start(model)[2]
     return Worldline(model, _scenario_trajectory(model), k)
 
 
@@ -498,7 +500,7 @@ def test_off_circular_start_fails_the_closed_form_row():
     """A Schwarzschild circular start with V^phi off by 1e-4, rescaled to
     unit norm: the radius drifts, while the norm holds."""
     model = catalog_get("schwarzschild")
-    x0, V0, k, _ds, _steps = model.meta["scenario"].start(model.params)
+    x0, V0, k, _ds, _steps = model.meta["scenario"].start(model)
     V = np.array(V0) + np.array([0.0, 0.0, 0.0, 1e-4])
     w = Worldline(model, _scenario_trajectory(model, V0=normalize_velocity(model, x0, V)), k)
     assert _failing_worldline_rows(w) == ["dyn.closed_form"]
@@ -513,6 +515,30 @@ def test_mis_scaled_charge_fails_the_closed_form_row():
     k = _scenario("minkowski-constant-e").k
     w = Worldline(model, _scenario_trajectory(model, k=k * (1.0 + 1e-4)), k)
     assert _failing_worldline_rows(w) == ["dyn.closed_form"]
+
+
+def test_flipped_charge_sign_fails_the_closed_form_row():
+    """The uniform-acceleration trajectory integrated with the charge
+    ratio's sign flipped, read with the scenario's own: V^0 = cosh(k E s)
+    is even in k, V^1 = -sinh(k E s) is not."""
+    model = catalog_get("minkowski-constant-e")
+    k = _scenario("minkowski-constant-e").k
+    w = Worldline(model, _scenario_trajectory(model, k=-k), k)
+    assert _failing_worldline_rows(w) == ["dyn.closed_form"]
+    assert peak(CHECK_DEFS["dyn.closed_form"].residual(w)) > 1.0
+
+
+@pytest.mark.parametrize("param", ["c=2", "G=0.5"])
+def test_circular_start_uses_the_mass_the_metric_reads(param, tmp_path):
+    """The Schwarzschild circular start reads the mass as G M / c^2, as the
+    metric does: with M alone, c = 2 failed dyn.closed_form (33.0) and
+    dyn.norm_drift (0.30) on a correct model, G = 0.5 at 22.7 and 0.20."""
+    out = tmp_path / "r.json"
+    assert main(["run", "--spacetime", "schwarzschild", "--param", param,
+                 "--suite", "dynamics", "--out", str(out)]) == 0
+    rows = {c["id"]: c for c in json.loads(out.read_text())["checks"]}
+    assert rows["dyn.closed_form"]["pass"] and rows["dyn.norm_drift"]["pass"]
+    assert rows["dyn.closed_form"]["grid_points"] == 1501
 
 
 @pytest.mark.parametrize("name", SCENARIO_MODELS)
