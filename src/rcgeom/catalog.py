@@ -70,9 +70,9 @@ class FieldLayout:
     ``shared`` holds, when ``g_live`` is empty, the snapshot members that
     read only the constant metric, keyed by (member, derivative mode), each
     a read-only array over a batch of one; ``GeometrySnapshot`` fills it.
-    ``generated`` maps the derivative order 1 to the model's generated
-    one-point function (None where the generator declined), which
-    ``engine.field_jets`` makes on its first one-point order-1 call.
+    ``generated`` maps "rhs" to the model's force law as generated code
+    (None where the generator declined), which ``dynamics._rhs`` makes on
+    its first dual-mode call.
     """
 
     g: np.ndarray

@@ -10,11 +10,18 @@ runs are decoupled from dust density fields.  Skew symmetry of F makes the
 equation preserve g(V, V) exactly in the continuum, which turns measured
 normalization drift into a pure integrator-quality metric.
 
-One Runge-Kutta step takes the method as a Butcher tableau: RK4, or
-Dormand-Prince 5(4) with error control.  Each accepted state has one snapshot
-over a batch of one point: its first read tests the domain, its metric gives
-the norm residual (and any rescale of V), and it is stage 1 of every step
-from that state.  Identities take a batch of points, one velocity per point.
+The state is eight floats, y = (x, V).  One Runge-Kutta step takes the
+method as a Butcher tableau: RK4, or Dormand-Prince 5(4) with error control,
+whose last stage is taken at the new state and so is the next step's first
+("first same as last").  Every stage calls ``_rhs``, which gives dy/ds and
+the norm g(V, V) at its point.  In dual mode that is the model's force law
+as one generated straight-line function (``_generate_rhs``), made on first
+use and kept on the model's layout, so a step builds no snapshot; in fd
+mode, and at a point where the generated function declines, raises or
+returns None, it is a snapshot of the point, whose error notes are the
+engine's own.  An accepted state takes its norm, and its domain test, from
+the stage at that state, which is also the next step's first.  Identities
+take a batch of points, one velocity per point.
 """
 
 from __future__ import annotations
@@ -25,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import GeometrySnapshot, batched_einsum, max_abs
+from .engine import _SPANS, DIM, GeometrySnapshot, batched_einsum, max_abs
 from .errors import (
     ConsistencyError,
     DomainError,
@@ -35,7 +42,9 @@ from .errors import (
     _quiet_float_errors,
     point_text,
 )
-from .fields import fd_jet
+from .expr import compile_one_point
+from .fields import ExprField, fd_jet
+from .tensor import DEGENERACY_TOL
 
 
 @dataclass(frozen=True)
@@ -76,6 +85,7 @@ class Trajectory:
     exited: bool = False
     exit_message: str = ""
     rejected_steps: int = 0
+    rhs_evals: int = 0  # calls of the right-hand side, _rhs
 
     @property
     def max_drift(self):
@@ -93,34 +103,41 @@ def norm_squared(model, x, V):
 def normalize_velocity(model, x, V):
     """Rescale V to unit norm; the vector must be timelike."""
     V = np.asarray(V, dtype=float)
-    return _unit(V, norm_squared(model, x, V), x)
+    return np.array(_unit(V, norm_squared(model, x, V), x))
 
 
 def _unit(V, n2, x):
+    """V / sqrt(n2), a list of floats; V must be timelike (n2 > 0)."""
     if n2 <= 0:
         raise GeometryError(f"velocity {point_text(V)} is not timelike at {point_text(x)}")
-    return V / np.sqrt(n2)
+    r = math.sqrt(n2)
+    return [v / r for v in V]
 
 
 def probe_velocity(snap):
     """A fixed unit timelike velocity at every point of the snapshot, shape
     (N, 4), for identities that hold for any velocity."""
-    return np.array([_probe_velocity(g, x) for g, x in zip(snap.g, snap.x)])
+    return np.array([_probe_velocity(snap, i) for i in range(len(snap.x))])
 
 
-def _probe_velocity(g, x):
-    w = np.array([1.0, 0.05, 0.03, 0.02])
+def _probe_velocity(snap, i):
+    g, w = snap.g[i], np.array([1.0, 0.05, 0.03, 0.02])
     for _ in range(8):
         n2 = float(w @ g @ w)
         if n2 > 1e-6:
             return w / np.sqrt(n2)
         w[1:] *= 0.25
-    raise ConsistencyError(f"could not build a timelike test velocity at {point_text(x)}")
+    # No candidate is timelike where g_tt <= 0, inside an ergoregion; the
+    # normal to t = const, V^m = g^{m0} / sqrt(g^{00}), is where g^{00} > 0.
+    w = snap.ginv[i][:, 0]
+    if (n2 := float(w @ g @ w)) > 0.0:
+        return w / np.sqrt(n2)
+    raise ConsistencyError(f"could not build a timelike test velocity at {point_text(snap.x[i])}")
 
 
 # The force law's contractions are summed directly, without the contraction
 # path batched_einsum takes for three operands: every row then has the bits
-# of the direct one-point sum, which the worldline integrator compounds.
+# of the direct one-point sum.
 _GEODESIC = "...mdn,...m,...d->...n"
 _LORENTZ = "...mn,...m->...n"
 
@@ -134,15 +151,192 @@ def acceleration(snap, V, k):
     return -geodesic
 
 
-def _rhs(snap, V, k):
-    """d(x, V)/ds, shape (8,), at the one point of the snapshot."""
-    return np.concatenate([V, acceleration(snap, V[None], k)[0]])
+# -- the right-hand side of the integrator -------------------------------------
 
+
+def _rhs(model, y, k, mode="dual"):
+    """(dy/ds, g(V, V)) at y = (x, V), eight floats: dy/ds is eight floats,
+    (V, dV/ds).
+
+    Dual mode runs the model's generated force law (``_generate_rhs``),
+    made on the first call and kept on the model's layout; fd mode, and a
+    point where that declines, raises ``ArithmeticError`` or ``ValueError``,
+    or returns None, takes ``_snapshot_rhs``.
+    """
+    if mode == "dual":
+        generated = model.layout.generated
+        if "rhs" not in generated:
+            generated["rhs"] = _generate_rhs(model)
+        run = generated["rhs"]
+        if run is not None:
+            try:
+                out = run(*y, k)
+            except (ArithmeticError, ValueError):
+                out = None
+            if out is not None:
+                return out
+    return _snapshot_rhs(model, y, k, mode)
+
+
+def _snapshot_rhs(model, y, k, mode):
+    """``_rhs`` from a snapshot of the point, with the engine's error notes:
+    the field jets' (the domain, an evaluation, a non-finite entry) raise,
+    and where only the force law fails (a degenerate metric) the derivative
+    is that ``MetricError``, raised where the derivative is used, so that an
+    accepted state still gets its norm."""
+    snap = GeometrySnapshot(model, y[:4], mode)
+    V = np.array(y[4:], dtype=float)
+    n2 = float(V @ snap.g[0] @ V)
+    try:
+        a = acceleration(snap, V[None], k)[0]
+    except MetricError as err:
+        return err, n2
+    return (*V.tolist(), *a.tolist()), n2
+
+
+def _order1_fields(model):
+    """The arguments of ``expr.compile_one_point`` for the model's order-1
+    field jets in the flat ``engine.field_jets`` buffer (g, dg, A, dA): the
+    buffer with the constant template filled in, the entries of each
+    coordinate-dependent component, and the domain.  None when a component
+    is not an expression (a gauge-shifted potential)."""
+    layout, spans = model.layout, _SPANS[1]
+    buf, slots = np.zeros(spans[-1][1]), np.arange(spans[-1][1])
+    g, _, A, _ = (buf[a:b].reshape(shape) for a, b, shape in spans)
+    g[...], A[...] = layout.g, layout.A
+    sg, sdg, sA, sdA = (slots[a:b].reshape(shape) for a, b, shape in spans)
+    fields = [(f, (sg[i, j], sg[j, i]), [(sdg[k, i, j], sdg[k, j, i]) for k in range(DIM)])
+              for i, j, f in layout.g_live]
+    fields += [(f, (sA[n],), [(sdA[k, n],) for k in range(DIM)]) for n, f in layout.A_live]
+    if not all(isinstance(f, ExprField) for f, _, _ in fields):
+        return None
+    domain = None if model.domain is None else (model.domain.ast, model.domain.params)
+    return buf.tolist(), [(f.ast, f.params, v, d) for f, v, d in fields], domain
+
+
+def _generate_rhs(model):
+    """The model's force law as one generated function
+    ``rhs(x0, x1, x2, x3, v0, v1, v2, v3, k)`` (``expr.compile_one_point``
+    continued by ``_force_law``), or None where a component is not an
+    expression or the generator declines.
+
+    ``rhs`` returns ``_rhs``'s pair, or None where the snapshot route must
+    decide: outside the domain, within a factor 2 of the degeneracy bound
+    (the snapshot applies the bound itself, to numpy's determinant), or
+    where an input, an output or a field entry the outputs do not read
+    (the potential's value, the diagonal of its gradient) is not finite.
+    """
+    spec = _order1_fields(model)
+    return None if spec is None else compile_one_point(
+        *spec, args=("v0", "v1", "v2", "v3", "k"), then=_force_law)
+
+
+def _force_law(tape, buffer, x0, x1, x2, x3, v0, v1, v2, v3, k):
+    """``compile_one_point``'s continuation for ``_generate_rhs``: the force
+    law from the recorded order-1 field buffer.
+
+    It inverts g by cofactors, lowers the geodesic term to
+    w_l = Gamma_{l,md} V^m V^d, adds the Lorentz term u_l = F_{ml} V^m, and
+    raises their sum with the inverse once: dV^n/ds = g^{nl} (k u_l - w_l).
+    Every term with a constant 0.0 operand is left out, so a metric's
+    constant zeros cost nothing.
+    """
+    x, V = (x0, x1, x2, x3), (v0, v1, v2, v3)
+    g, dg, A, dA = (np.array(buffer, dtype=object)[a:b].reshape(shape).tolist()
+                    for a, b, shape in _SPANS[1])
+    upper = [(a, b) for a in range(DIM) for b in range(a, DIM)]
+
+    det, adj = _adjugate(g)
+    # GeometrySnapshot.ginv's degeneracy bound, doubled: a point near it
+    # takes the snapshot route, which applies the bound to numpy's det
+    entries = [g[a][b] for a, b in upper]
+    scale = max([1.0] + [abs(e) for e in entries if isinstance(e, float)])
+    live = [e for e in entries if not isinstance(e, float)]
+    if live:
+        scale = tape.op("max({}" + ", abs({})" * len(live) + ")", scale, *live)
+    bound = 2.0 * DEGENERACY_TOL * scale**4
+    if live:
+        tape.guard("abs({}) < {}", det, bound)
+    elif abs(det) < bound:  # a constant metric, near the bound everywhere
+        return None
+    neg_inv_det = -1.0 / det
+
+    VV = [_mul(V[a], V[b]) for a, b in upper]
+    norm = _dot([g[a][b] if a == b else _mul(2.0, g[a][b]) for a, b in upper], VV)
+
+    def first_kind(l, m, d):
+        # the factor of V^m V^d (m <= d) in w_l: Gamma_{l,mm}, or 2 Gamma_{l,md}
+        if m == d:
+            return _signed([(1, dg[m][l][m]), (-1, _mul(0.5, dg[l][m][m]))])
+        return _signed([(1, dg[m][l][d]), (1, dg[d][l][m]), (-1, dg[l][m][d])])
+
+    w = [_dot([first_kind(l, m, d) for m, d in upper], VV) for l in range(DIM)]
+    F = {(m, l): _signed([(1, dA[m][l]), (-1, dA[l][m])]) for m, l in upper if m < l}
+    u = [_signed([(1, _mul(F[m, l], V[m])) for m in range(l)]
+                 + [(-1, _mul(F[l, m], V[m])) for m in range(l + 1, DIM)])
+         for l in range(DIM)]
+    force = [_signed([(1, w[l]), (-1, _mul(k, u[l]))]) for l in range(DIM)]
+    accel = [_mul(neg_inv_det, _dot(adj[n], force)) for n in range(DIM)]
+
+    checked = [*x, *V, k, *accel, norm, *A, *(dA[a][a] for a in range(DIM))]
+    checked = [c for c in checked if not isinstance(c, float)]
+    tape.guard("not math.isfinite(" + " + ".join(["{}"] * len(checked)) + ")", *checked)
+    return (*V, *accel), norm
+
+
+def _mul(a, b):
+    """a * b, or 0.0 when either is the constant 0.0 (a recorded float
+    compares unequal to every number)."""
+    return 0.0 if a == 0.0 or b == 0.0 else a * b
+
+
+def _dot(a, b):
+    """sum a_i b_i, left to right, without the terms with a constant 0.0."""
+    return _signed([(1, _mul(p, q)) for p, q in zip(a, b)])
+
+
+def _signed(terms):
+    """The sum of +t or -t over (sign, t), left to right, without the
+    constant 0.0 terms; 0.0 when none is left."""
+    total = None
+    for sign, t in terms:
+        if t == 0.0:
+            continue
+        if total is None:
+            total = t if sign > 0 else -t
+        else:
+            total = total + t if sign > 0 else total - t
+    return 0.0 if total is None else total
+
+
+def _adjugate(g):
+    """det g and the adjugate of the symmetric 4x4 g (nested lists), by
+    Laplace expansion, without the terms that have a constant 0.0 operand;
+    the tape computes each shared minor once."""
+    def det(rows, cols):
+        if len(rows) == 1:
+            return g[rows[0]][cols[0]]
+        return _signed([((-1) ** i, _mul(g[rows[0]][c], det(rows[1:], _without(cols, i))))
+                        for i, c in enumerate(cols)])
+
+    axes = tuple(range(DIM))
+    # adj_ab is the cofactor of g_ba
+    upper = {(a, b): _signed([((-1) ** (a + b), det(_without(axes, b), _without(axes, a)))])
+             for a in axes for b in axes[a:]}
+    return det(axes, axes), [[upper[min(a, b), max(a, b)] for b in axes] for a in axes]
+
+
+def _without(seq, i):
+    return seq[:i] + seq[i + 1:]
+
+
+# -- Runge-Kutta steps -----------------------------------------------------------
 
 # Row i of ``a`` builds stage i + 2, ``b`` weighs the stages over ``denom``,
 # and ``b_low`` is a pair's embedded solution; 5(4): Dormand & Prince (1980).
-# Each row is kept as its nonzero (coefficient, stage index) pairs.
-_Tableau = namedtuple("_Tableau", "a b denom b_low")
+# Each row is kept as its nonzero (coefficient, stage index) pairs.  ``fsal``:
+# the last row is ``b`` over 1, so the last stage is taken at the new state.
+_Tableau = namedtuple("_Tableau", "a b denom b_low fsal")
 
 
 def _pairs(row):
@@ -150,7 +344,8 @@ def _pairs(row):
 
 
 def _tableau(a, b, denom, b_low=None):
-    return _Tableau(tuple(map(_pairs, a)), _pairs(b), denom, b_low and _pairs(b_low))
+    a, b = tuple(map(_pairs, a)), _pairs(b)
+    return _Tableau(a, b, denom, b_low and _pairs(b_low), a[-1] == b and denom == 1.0)
 
 
 _DP_A = (
@@ -168,68 +363,88 @@ _TABLEAUX = {
 }
 
 
+def _derivative(dy):
+    """dy/ds of an ``_rhs`` pair, raising the force law's error if it is one."""
+    if isinstance(dy, Exception):
+        raise dy
+    return dy
+
+
 def _rk_step(tableau, stage, y, k1, ds):
-    """One step of size ds from y, whose derivative is k1; ``stage(y)``
-    gives the derivative at a new point.  Returns the new y and the
-    largest difference from the embedded solution (0.0 without one)."""
-    ks = [k1]
+    """One step of size ds from y, whose derivative is k1, over sequences of
+    floats; ``stage(y)`` gives the ``_rhs`` pair at a new point.
+
+    Returns the new y, the largest difference from the embedded solution
+    (0.0 without one), and, when the last stage is taken at the new y
+    (``fsal``), its pair, else None."""
+    ks = [_derivative(k1)]
     for row in tableau.a:
         yi = y
         for a, j in row:
-            yi = yi + (ds * a) * ks[j]
-        ks.append(stage(yi))
+            c = ds * a
+            yi = [u + c * v for u, v in zip(yi, ks[j])]
+        last = stage(yi)
+        ks.append(_derivative(last[0]))
 
     def weigh(pairs):
         # a unit weight takes its stage as is: 1.0 * k is k, bit for bit
         total = None
         for w, j in pairs:
-            term = ks[j] if w == 1.0 else w * ks[j]
-            total = term if total is None else total + term
+            term = ks[j] if w == 1.0 else [w * v for v in ks[j]]
+            total = term if total is None else [a + b for a, b in zip(total, term)]
         return total
 
-    y_new = y + (ds / tableau.denom) * weigh(tableau.b)
+    if tableau.fsal:
+        y_new = yi
+    else:
+        c = ds / tableau.denom
+        y_new, last = [u + c * v for u, v in zip(y, weigh(tableau.b))], None
     if tableau.b_low is None:
-        return y_new, 0.0
-    return y_new, float(np.abs(y_new - (y + ds * weigh(tableau.b_low))).max())
+        return y_new, 0.0, last
+    low = weigh(tableau.b_low)
+    return y_new, max(abs(a - (u + ds * v)) for a, u, v in zip(y_new, y, low)), last
 
 
 @_quiet_float_errors
 def integrate_worldline(model, init, charge_ratio, config, mode="dual"):
     """Integrate the worldline equation; returns the sampled trajectory."""
-    y = np.concatenate([init.x, init.V], dtype=float)
+    x0, V0 = np.asarray(init.x, dtype=float), np.asarray(init.V, dtype=float)
+    y = x0.tolist() + V0.tolist()
     s = float(init.s)
     k = float(charge_ratio)
     tableau = _TABLEAUX[config.method]
-    traj = Trajectory(states=[WorldlineState(y[:4], y[4:], s)],
-                      norm_residuals=[abs(norm_squared(model, y[:4], y[4:]) - 1.0)])
+    traj = Trajectory(states=[WorldlineState(x0, V0, s)],
+                      norm_residuals=[abs(norm_squared(model, x0, V0) - 1.0)])
 
-    def stage(y):
-        return _rhs(GeometrySnapshot(model, y[:4], mode), y[4:], k)
+    def rhs(y):
+        traj.rhs_evals += 1
+        return _rhs(model, y, k, mode)
 
-    def accept(y, s, renormalize=False):
-        """Record an accepted state; returns it (rescaled if asked) and its snapshot."""
-        snap = GeometrySnapshot(model, y[:4], mode)
-        try:
-            g = snap.g[0]
-        except DomainError:
-            raise DomainError(
-                f"worldline left the domain of {model.name!r} near {point_text(y[:4])}"
-            ) from None
+    def accept(y, s, pair, renormalize=False):
+        """Record an accepted state from its ``_rhs`` pair; returns the state
+        (rescaled if asked) and its derivative."""
+        dy, n2 = pair
         if renormalize:
-            y = np.concatenate([y[:4], _unit(y[4:], float(y[4:] @ g @ y[4:]), y[:4])])
-        # copies: views would keep y alive, and cost more memory per state
-        traj.states.append(WorldlineState(y[:4].copy(), y[4:].copy(), s))
-        traj.norm_residuals.append(abs(float(y[4:] @ g @ y[4:]) - 1.0))
-        return y, snap
+            y = y[:4] + _unit(y[4:], n2, y[:4])
+            dy, n2 = rhs(y)
+        traj.states.append(WorldlineState(y[:4], y[4:], s))
+        traj.norm_residuals.append(abs(n2 - 1.0))
+        return y, dy
 
-    snap = GeometrySnapshot(model, y[:4], mode)
     try:
+        dy = _derivative(rhs(y)[0])
         if config.method == "rk4":
             every = config.renormalize_every
             for step in range(config.steps):
-                y, _ = _rk_step(tableau, stage, y, _rhs(snap, y[4:], k), config.ds)
+                y, _, _ = _rk_step(tableau, rhs, y, dy, config.ds)
                 s += config.ds
-                y, snap = accept(y, s, every and (step + 1) % every == 0)
+                try:
+                    pair = rhs(y)
+                except DomainError:
+                    raise DomainError(
+                        f"worldline left the domain of {model.name!r} near {point_text(y[:4])}"
+                    ) from None
+                y, dy = accept(y, s, pair, every and (step + 1) % every == 0)
         else:
             s_end = s + config.ds * config.steps
             ds = config.ds
@@ -237,11 +452,11 @@ def integrate_worldline(model, init, charge_ratio, config, mode="dual"):
             attempts = 0
             while s < s_end - 1e-15:
                 ds = min(ds, s_end - s)
-                y_new, err = _rk_step(tableau, stage, y, _rhs(snap, y[4:], k), ds)
-                tol = atol + rtol * float(np.abs(y).max())
+                y_new, err, last = _rk_step(tableau, rhs, y, dy, ds)
+                tol = atol + rtol * max(map(abs, y))
                 if err <= tol:
                     s += ds
-                    y, snap = accept(y_new, s)
+                    y, dy = accept(y_new, s, last)
                 else:
                     traj.rejected_steps += 1
                 safety = 0.9 * (tol / err) ** 0.2 if err > 0 else 2.0

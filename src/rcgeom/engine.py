@@ -18,15 +18,7 @@ batch around it beyond roundoff.
 The field jets come from ``field_jets``, which fills the model's constant
 template (``SpacetimeModel.layout``) and evaluates only the
 coordinate-dependent components, each through its compiled expression; a
-batch of one runs those on floats, a larger batch on arrays.  A batch of
-one at order 1 in dual mode, the snapshot of every worldline step, runs
-instead the model's generated straight-line function
-(``expr.compile_one_point``), made on the model's first such call and kept
-on its layout; its members are the jet path's bit for bit.  The jet path
-runs where the generator declined (a gauge-shifted potential, a folded
-subtree that raises) and at a point where the generated function raises,
-fails the domain test, or meets a non-finite coordinate or entry, so every
-error note is the jet path's own.
+batch of one runs those on floats, a larger batch on arrays.
 Derivatives of computed objects are assembled analytically from the exact
 field jets, each as the Leibniz expansion (``_leibniz``) of the product it
 differentiates, never by differencing grids of computed values; in
@@ -56,8 +48,7 @@ import operator
 import numpy as np
 
 from .errors import EvalError, GeometryError, MetricError, point_text
-from .expr import compile_one_point
-from .fields import ExprField, fd_jet, make_seeds
+from .fields import fd_jet, make_seeds
 from .tensor import DEGENERACY_TOL, MetricAtPoint, first_bad
 
 DIM = 4
@@ -165,14 +156,8 @@ def field_jets(model, X, order=2, mode="dual"):
     the constant components, and the zero derivatives of them, are filled
     in, and only the coordinate-dependent components are evaluated.  The
     members are views of one buffer, so one finiteness check covers them
-    all.  A dual batch of one at order 1 takes the model's generated
-    function instead (``_one_point_jets``), and this path only where that
-    returns None.
+    all.
     """
-    if order == 1 and mode == "dual" and len(X) == 1:
-        jets = _one_point_jets(model, X)
-        if jets is not None:
-            return jets
     model.require_in_domain(X)
     if mode not in ("dual", "fd"):
         raise ValueError(f"unknown derivative mode {mode!r}")
@@ -232,56 +217,6 @@ def field_jets(model, X, order=2, mode="dual"):
     if n > 1:
         parts = [np.ascontiguousarray(np.moveaxis(v, -1, 0)) for v in views]
     return FieldJets(X, order, *parts)
-
-
-def _one_point_jets(model, X):
-    """The order-1 field jets at the one point of X from the model's
-    generated function (``expr.compile_one_point``), which is made on the
-    first call and kept on the model's layout.
-
-    None when the jet path must run: the generator declined, or at this
-    point a coordinate is not finite, the domain test fails, an operation
-    raises or an entry is not finite.  The jet path then raises its own
-    note, or gives the members where a test was only cautious (finite
-    entries whose sum overflows); otherwise the members are the jet path's
-    bit for bit.
-    """
-    generated = model.layout.generated
-    if 1 not in generated:
-        generated[1] = _generate_one_point(model)
-    run, x = generated[1], X[0].tolist()
-    if run is None or not all(map(math.isfinite, x)):
-        return None
-    try:
-        out = run(*x)
-    except (ArithmeticError, ValueError):
-        return None
-    # a sum is finite only if every entry is (one that overflows merely
-    # sends the point to the jet path)
-    if out is None or not math.isfinite(sum(out)):
-        return None
-    buf = np.fromiter(out, float, len(out))
-    return FieldJets(X, 1, *[buf[a:b].reshape((1,) + shape) for a, b, shape in _SPANS[1]])
-
-
-def _generate_one_point(model):
-    """The model's one-point order-1 function: the ``field_jets`` buffer
-    with the constant template filled in, the entries of each
-    coordinate-dependent component, and the domain.  None when a component
-    is not an expression (a gauge-shifted potential)."""
-    layout, spans = model.layout, _SPANS[1]
-    buf, slots = np.zeros(spans[-1][1]), np.arange(spans[-1][1])
-    g, _, A, _ = (buf[a:b].reshape(shape) for a, b, shape in spans)
-    g[...], A[...] = layout.g, layout.A
-    sg, sdg, sA, sdA = (slots[a:b].reshape(shape) for a, b, shape in spans)
-    fields = [(f, (sg[i, j], sg[j, i]), [(sdg[k, i, j], sdg[k, j, i]) for k in range(DIM)])
-              for i, j, f in layout.g_live]
-    fields += [(f, (sA[n],), [(sdA[k, n],) for k in range(DIM)]) for n, f in layout.A_live]
-    if not all(isinstance(f, ExprField) for f, _, _ in fields):
-        return None
-    domain = None if model.domain is None else (model.domain.ast, model.domain.params)
-    return compile_one_point(buf.tolist(), [(f.ast, f.params, v, d) for f, v, d in fields],
-                             domain)
 
 
 class _cached(functools.cached_property):

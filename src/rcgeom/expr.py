@@ -20,7 +20,8 @@ for bit, with the parameter-only subtrees folded into their values.
 ``compile_one_point`` generates one straight-line Python function of four
 floats for a set of trees: the value and gradient of each (its order-1
 jet) and a domain test, with the operations of ``Jet`` arithmetic on
-floats, so its results are those of the jets bit for bit.
+floats, so its results are those of the jets bit for bit.  A caller may
+carry the function on from those jets (``dynamics`` appends the force law).
 """
 
 from __future__ import annotations
@@ -473,31 +474,35 @@ class _Decline(Exception):
     constant is not finite, or an operation fails at every point."""
 
 
-def compile_one_point(buffer, fields, domain=None):
-    """One generated Python function ``f(x0, x1, x2, x3)`` that fills
-    ``buffer`` with the order-1 jets of ``fields`` at one point, or None
-    where the generator declines.
+def compile_one_point(buffer, fields, domain=None, args=(), then=None):
+    """One generated Python function ``f(x0, x1, x2, x3, *args)`` of the
+    order-1 jets of ``fields`` at one point, or None where the generator
+    declines.
 
-    ``buffer`` holds the constant entries of the output; each field is
+    ``buffer`` holds the constant entries of the jets; each field is
     ``(tree, params, value_slots, gradient_slots)``: the entries that take
     its value and, for each axis k, the entries that take its derivative
-    along x_k.  ``f`` returns the filled buffer as a tuple, or None when the
-    ``domain`` tree (a ``(tree, params)`` pair) is not positive and finite
-    at the point.
+    along x_k.  Without ``then``, ``f`` returns the filled buffer as a
+    tuple.  ``then(tape, filled, *arguments)`` carries the function on: it
+    gets the filled buffer (float constants and recorded floats) and the
+    recorded arguments of ``f``, may record statements and guards of its
+    own, and returns the outputs (a tuple whose entries may be tuples), or
+    None to decline.  ``f`` returns None when the ``domain`` tree (a
+    ``(tree, params)`` pair) is not positive and finite at the point, or
+    when a guard fails.
 
     The function is straight-line code over floats.  Each tree is folded as
     ``compile_ast`` folds it and run through ``Jet`` itself (and through the
-    ``_TABLE`` rules, with the tape as their ``m``), whose operations on
-    floats are recorded as statements.  So ``f`` does the operations of the
-    jet path, on the same operands in the same order, and its results are
-    the jet path's bit for bit, signed zeros included.  Operations are
-    hash-consed, on the folded trees and on the statement text, so a
-    subexpression shared by several fields is computed once.  A statement
-    that neither leads to an output nor can raise is dropped (the unused
-    second and third derivatives of the rules); one that can raise is kept,
-    so that ``f`` raises where the jets raise.  The source holds only the
-    arguments, temporaries, finite float literals and ``math`` functions
-    (``f.source``), never text from a definition file.
+    ``_TABLE`` rules at order 1, with the tape as their ``m``), whose
+    operations on floats are recorded as statements.  So the buffer holds
+    the operations of the jet path, on the same operands in the same order,
+    and its entries are the jet path's bit for bit, signed zeros included.
+    Operations are hash-consed, on the folded trees and on the statement
+    text, so a subexpression shared by several fields is computed once.  A
+    statement that neither leads to an output nor can raise is dropped; one
+    that can raise is kept, so that ``f`` raises where the jets raise.  The
+    source holds only the arguments, temporaries, finite float literals and
+    ``math`` functions (``f.source``), never text from a definition file.
 
     The generator declines when the folding of a subtree raises or an
     operation fails at every point; ``f`` raises ``ArithmeticError`` or
@@ -523,11 +528,15 @@ def compile_one_point(buffer, fields, domain=None):
             for d, slots in zip(jet.g, gradient_slots):
                 for s in slots:
                     out[s] = d
-        source = tape.source(out)
+        outputs = tuple(out) if then is None else then(
+            tape, out, *xs, *(_Var(tape, name) for name in args))
+        if outputs is None:
+            raise _Decline
+        source = tape.source(outputs, [x.name for x in xs] + list(args))
     except _Decline:
         return None
     namespace = {"math": math}
-    exec(compile(source, "<rcgeom one-point jets>", "exec"), namespace)
+    exec(compile(source, "<rcgeom generated one-point code>", "exec"), namespace)
     run = namespace["one_point"]
     run.source = source
     return run
@@ -591,10 +600,10 @@ def _symbolic(node, coords, tape, memo):
 
 def _call(name, u, tape):
     """``FUNCTIONS[name](u)``: a Jet composes with its ``_TABLE`` rule run
-    on the tape; the rule's f'' and f''' are recorded and then dropped."""
+    on the tape at order 1."""
     if isinstance(u, Jet):
-        d0, d1, d2, d3 = _RULES[name](tape, u.f)
-        return u.compose(d0, d1, d2, d3)
+        d0, d1, _, _ = _RULES[name](tape, u.f, 1)
+        return u.compose(d0, d1)
     return tape.call(name, u)
 
 
@@ -622,8 +631,8 @@ def _pow(u, p, tape):
         tape.guard(_POW_GUARDS[fails], v)
     if not jet:
         return v ** p
-    d0, d1, d2, d3 = _pow_terms(v, p, pow)
-    return u.compose(d0, d1, d2, d3)
+    d0, d1, _, _ = _pow_terms(v, p, 1, pow)
+    return u.compose(d0, d1)
 
 
 def _literal(v):
@@ -665,12 +674,12 @@ class _Tape:
                                raises))
         return var
 
-    def guard(self, template, v):
+    def guard(self, template, *args):
         """``if <condition>: return None``, recorded once per condition."""
-        text = template.format(v.name)
+        text = template.format(*map(_text, args))
         if text not in self.guards:
             self.guards.add(text)
-            self.lines.append((None, text, [v.name], True))
+            self.lines.append((None, text, [a.name for a in args if isinstance(a, _Var)], True))
 
     def binary(self, a, symbol, b):
         if not all(isinstance(v, (_Var, float, int)) for v in (a, b)):
@@ -692,18 +701,26 @@ class _Tape:
         except (ArithmeticError, ValueError):
             raise _Decline from None
 
-    def source(self, outputs):
-        """The function returning the outputs, without the statements that
-        neither lead to an output nor can raise."""
-        live = {a.name for a in outputs if isinstance(a, _Var)}
-        body = []
-        for name, text, operands, raises in reversed(self.lines):
+    def source(self, outputs, params):
+        """The function of ``params`` returning the outputs (a tuple, whose
+        entries may be tuples), without the statements that neither lead to
+        an output nor can raise."""
+        live = set()
+
+        def text(a):
+            if isinstance(a, tuple):
+                return f"({''.join(text(b) + ', ' for b in a)})"
+            if isinstance(a, _Var):
+                live.add(a.name)
+            return _text(a)
+
+        body = [f"return {text(outputs)}"]
+        for name, line, operands, raises in reversed(self.lines):
             if raises or name in live:
                 live.update(operands)
-                body.append(f"{name} = {text}" if name else f"if {text}: return None")
+                body.append(f"{name} = {line}" if name else f"if {line}: return None")
         body.reverse()
-        body.append(f"return ({''.join(_text(a) + ', ' for a in outputs)})")
-        return "def one_point(x0, x1, x2, x3):\n" + "".join(f"    {s}\n" for s in body)
+        return f"def one_point({', '.join(params)}):\n" + "".join(f"    {s}\n" for s in body)
 
 
 class _Var:

@@ -12,11 +12,7 @@ Every evaluation accepts a batch, shape (N, 4), or one point, shape (4,).
 Batched jets keep the batch axis last (value (N,), gradient (4, N), Hessian
 (4, 4, N)), as in ``jets``; one point gives plain one-point jets (a float
 value, a (4,) gradient), which ``engine.field_jets`` runs for a batch of
-one.  At order 1 in dual mode it first runs the model's generated
-straight-line code (``expr.compile_one_point``, built from the same ``ast``
-and ``params``), which gives these jets' bits, and comes here only where
-that declines or fails.  ``values`` evaluates a batch of one on floats
-(``math``) as well.
+one.  ``values`` evaluates a batch of one on floats (``math``) as well.
 Stencils evaluate every stencil point of every point in one ``values``
 call, whose values equal the one-point ``value`` bit for bit, so a stencil
 over a batch gives what it gives point by point.

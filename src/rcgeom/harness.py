@@ -421,6 +421,7 @@ def run_worldline(model, x0, v0, charge_ratio, ds, steps, method="rk4",
         "method": method,
         "steps_taken": len(traj.states) - 1,
         "rejected_steps": traj.rejected_steps,
+        "rhs_evals": traj.rhs_evals,
         "initial_rescale_factor": rescale,
         "final_state": {
             "s": final.s,

@@ -214,7 +214,19 @@ class Jet:
         if (v == 0.0).any() if isinstance(v, np.ndarray) else v == 0.0:
             raise EvalError("division by zero")
         iv = 1.0 / v
-        return self.compose(iv, -iv * iv, 2.0 * iv**3, -6.0 * iv**4)
+        if self.h is None:  # order 1: the higher derivatives are not used
+            return self.compose(iv, -iv * iv)
+        return self.compose(iv, -iv * iv, 2.0 * _power(iv, 3),
+                            0.0 if self.t is None else -6.0 * _power(iv, 4))
+
+
+def _power(x, k):
+    """x ** k for an integer k.  A float that overflows gives +-inf, as an
+    array entry does, for the caller's finiteness check to report."""
+    try:
+        return x**k
+    except OverflowError:
+        return math.copysign(math.inf, x) ** k
 
 
 # -- elementary functions: one rule each, one dispatcher ----------------------
@@ -265,40 +277,47 @@ def _elementary(name, rule, domain):
             except _MATH_ERRORS:
                 return np.array(_entries(plain, message, u))
         v = u.f
+        n = u.order
         try:
             if isinstance(v, np.ndarray):
                 with np.errstate(**_RAISE):
-                    d = rule(np, v)
+                    d = rule(np, v, n)
             else:
-                d = rule(math, v)
+                d = rule(math, v, n)
         except _MATH_ERRORS:
-            d = np.array(_entries(lambda x: rule(math, x), message, v)).T
+            d = np.array(_entries(lambda x: rule(math, x, n), message, v)).T
         d0, d1, d2, d3 = d  # compose(*d) costs a slower call
         return u.compose(d0, d1, d2, d3)
 
     return apply
 
 
-# Each entry: name, derivative rule (m, v) -> (f, f', f'', f''') with m =
-# math or numpy, domain rule as (test, message) pairs.  The cos and cosh
-# rules call sin and sinh first, as the sin and sinh rules do.  Overflow needs
-# no rule: it is the failure that no rule explains.
+# Each entry: name, derivative rule (m, v, n) -> (f, f', f'', f''') with m =
+# math or numpy and n the jet's order, domain rule as (test, message) pairs.
+# A derivative above order n is 0.0, never computed, so that an unused term
+# cannot fail.  The cos and cosh rules call sin and sinh first, as the sin and
+# sinh rules do.  Overflow needs no rule: it is the failure that no rule
+# explains.
 _TABLE = (
-    ("sin", lambda m, v: (s := m.sin(v), c := m.cos(v), -s, -c),
+    ("sin", lambda m, v, n: (s := m.sin(v), c := m.cos(v), -s, -c),
      ((np.isinf, "sin of infinite argument {!r}"),)),
-    ("cos", lambda m, v: (s := m.sin(v), c := m.cos(v)) and (c, -s, -c, s),
+    ("cos", lambda m, v, n: (s := m.sin(v), c := m.cos(v)) and (c, -s, -c, s),
      ((np.isinf, "cos of infinite argument {!r}"),)),
-    ("tan", lambda m, v: (f := m.tan(v), s := 1.0 + f * f,
-                          2.0 * f * s, 2.0 * s * (s + 2.0 * f * f)),
+    ("tan", lambda m, v, n: (f := m.tan(v), s := 1.0 + f * f,
+                             2.0 * f * s if n > 1 else 0.0,
+                             2.0 * s * (s + 2.0 * f * f) if n > 2 else 0.0),
      ((np.isinf, "tan of infinite argument {!r}"),)),
-    ("sinh", lambda m, v: (s := m.sinh(v), c := m.cosh(v), s, c), ()),
-    ("cosh", lambda m, v: (s := m.sinh(v), c := m.cosh(v)) and (c, s, c, s), ()),
-    ("tanh", lambda m, v: (f := m.tanh(v), s := 1.0 - f * f,
-                           -2.0 * f * s, -2.0 * s * (s - 2.0 * f * f)), ()),
-    ("exp", lambda m, v: (e := m.exp(v), e, e, e), ()),
-    ("log", lambda m, v: (m.log(v), iv := 1.0 / v, -iv * iv, 2.0 * iv**3),
+    ("sinh", lambda m, v, n: (s := m.sinh(v), c := m.cosh(v), s, c), ()),
+    ("cosh", lambda m, v, n: (s := m.sinh(v), c := m.cosh(v)) and (c, s, c, s), ()),
+    ("tanh", lambda m, v, n: (f := m.tanh(v), s := 1.0 - f * f,
+                              -2.0 * f * s if n > 1 else 0.0,
+                              -2.0 * s * (s - 2.0 * f * f) if n > 2 else 0.0), ()),
+    ("exp", lambda m, v, n: (e := m.exp(v), e, e, e), ()),
+    ("log", lambda m, v, n: (m.log(v), iv := 1.0 / v, -iv * iv if n > 1 else 0.0,
+                             2.0 * iv**3 if n > 2 else 0.0),
      ((lambda v: v <= 0.0, "log of non-positive argument {!r}"),)),
-    ("sqrt", lambda m, v: (r := m.sqrt(v), 0.5 / r, -0.25 / (r * v), 0.375 / (r * v * v)),
+    ("sqrt", lambda m, v, n: (r := m.sqrt(v), 0.5 / r, -0.25 / (r * v) if n > 1 else 0.0,
+                              0.375 / (r * v * v) if n > 2 else 0.0),
      ((lambda v: v < 0.0, "sqrt of negative argument {!r}"),
       (lambda v: v == 0.0, "sqrt derivative singular at zero"))),
 )
@@ -316,18 +335,19 @@ _POW_DOMAIN = (
 _POW_OVERFLOW = "power overflow at base {!r}".format
 
 
-def _pow_terms(v, p, power=math.pow):
-    """v ** p and its first three derivatives, with power = math.pow or
-    np.power.  At a zero base with a non-negative integer exponent this gives
-    n! in slot n, because each power of zero it takes is non-negative."""
+def _pow_terms(v, p, order, power=math.pow):
+    """v ** p and its derivatives up to ``order`` (0.0 above it, never
+    computed), with power = math.pow or np.power.  At a zero base with a
+    non-negative integer exponent this gives n! in slot n, because each
+    power of zero it takes is non-negative."""
     c1 = p
     c2 = p * (p - 1.0)
     c3 = c2 * (p - 2.0)
     return (
         power(v, p),
         0.0 if c1 == 0.0 else c1 * power(v, p - 1.0),
-        0.0 if c2 == 0.0 else c2 * power(v, p - 2.0),
-        0.0 if c3 == 0.0 else c3 * power(v, p - 3.0),
+        0.0 if order < 2 or c2 == 0.0 else c2 * power(v, p - 2.0),
+        0.0 if order < 3 or c3 == 0.0 else c3 * power(v, p - 3.0),
     )
 
 
@@ -353,13 +373,14 @@ def jet_pow(u, p):
             return _each(math.pow, v, p) if batch else math.pow(v, p)
         except _MATH_ERRORS:
             return np.array(_entries(math.pow, _POW_OVERFLOW, v, p))
+    n = u.order
     try:
         if batch:
             with np.errstate(**_RAISE):
-                d = _pow_terms(v, p, np.power)
+                d = _pow_terms(v, p, n, np.power)
         else:
-            d = _pow_terms(v, p)
+            d = _pow_terms(v, p, n)
     except _MATH_ERRORS:
-        d = np.array(_entries(lambda x: _pow_terms(x, p), _POW_OVERFLOW, v)).T
+        d = np.array(_entries(lambda x: _pow_terms(x, p, n), _POW_OVERFLOW, v)).T
     d0, d1, d2, d3 = d
     return u.compose(d0, d1, d2, d3)

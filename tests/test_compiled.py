@@ -1,6 +1,7 @@
 """The compiled expression path against the interpreter, ``expr.evaluate``,
 bit for bit; ``field_jets`` against a per-component loop; and the generated
-one-point order-1 code against the jet path."""
+one-point order-1 code against the jet path, which the generated force law
+of the worldline starts from."""
 
 import ast
 import math
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcgeom import CATALOG_NAMES, ChartSpec, EvalError, ExprField, catalog_get, expr
+from rcgeom import CATALOG_NAMES, ChartSpec, EvalError, ExprField, catalog_get, dynamics, expr
 from rcgeom import load_spacetime_file, transform_potential
 from rcgeom.catalog import build_model, parse_spacetime_text
 from rcgeom.engine import field_jets
@@ -200,18 +201,11 @@ def test_field_jets_equal_a_per_component_loop(name):
 # -- generated one-point order-1 code ------------------------------------------
 
 
-def _jet_path(model, X):
-    """field_jets at order 1 with the generated function switched off."""
-    generated = model.layout.generated
-    kept = generated.get(1, False)
-    generated[1] = None
-    try:
-        return field_jets(model, X, 1)
-    finally:
-        if kept is False:
-            del generated[1]
-        else:
-            generated[1] = kept
+def _generated_jets(model):
+    """The model's order-1 field jets as generated code: the flat
+    ``field_jets`` buffer (g, dg, A, dA) that its generated force law
+    starts from."""
+    return expr.compile_one_point(*dynamics._order1_fields(model))
 
 
 ORDER1_MEMBERS = ("g", "dg", "A", "dA")
@@ -219,24 +213,24 @@ ORDER1_MEMBERS = ("g", "dg", "A", "dA")
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_generated_one_point_jets_equal_the_jet_path(name):
-    """Every member, bit for bit, at points spread over the default grid;
-    the function is generated on the first call and kept on the layout."""
+    """Every member, bit for bit, at points spread over the default grid."""
     model = MODELS[name]
+    run = _generated_jets(model)
     grid = model.default_grid
     for x in grid[:: max(1, len(grid) // 24)]:
-        got, want = field_jets(model, x[None], 1), _jet_path(model, x[None])
-        assert model.layout.generated[1] is not None
-        for member in ORDER1_MEMBERS:
-            assert same_bits(getattr(got, member), getattr(want, member)), (x, member)
+        want = field_jets(model, x[None], 1)
+        flat = np.concatenate([getattr(want, member).ravel() for member in ORDER1_MEMBERS])
+        assert same_bits(run(*x.tolist()), flat), x
 
 
 def test_a_gauge_shifted_potential_keeps_the_jet_path():
+    """A shifted potential is not an expression: the model has no generated
+    force law, and the worldline right-hand side takes a snapshot."""
     model = JET_MODELS["gauge"]
-    x = model.default_grid[:1]
-    got = field_jets(model, x, 1)
-    assert model.layout.generated[1] is None
-    for member in ORDER1_MEMBERS:
-        assert same_bits(getattr(got, member), getattr(_jet_path(model, x), member))
+    y = model.default_grid[0].tolist() + [1.0, 0.1, 0.0, 0.0]
+    assert dynamics._order1_fields(model) is None
+    assert dynamics._rhs(model, y, 0.5) == dynamics._snapshot_rhs(model, y, 0.5, "dual")
+    assert model.layout.generated["rhs"] is None
 
 
 def _one_field_model(src, params, domain=None):
@@ -249,16 +243,19 @@ def _one_field_model(src, params, domain=None):
 @pytest.mark.parametrize("src,x,params", FAILURES, ids=[s for s, _, _ in FAILURES])
 def test_failures_give_the_jet_path_note_through_one_point_field_jets(src, x, params):
     """A field that fails at the point raises what the jet path raises
-    there, as a component and as the domain."""
+    there, in one-point field jets and in the worldline right-hand side
+    (whose generated code falls back to a snapshot), as a component and as
+    the domain."""
     X = np.array([x])
+    y = list(x) + [1.0, 0.0, 0.0, 0.0]
     ref = _error_of(lambda: ExprField(src, CART, params).jet_unchecked(X[0], 1))
     model = _one_field_model(src, params)
     assert _error_of(lambda: field_jets(model, X, 1)) == ref
-    assert _error_of(lambda: _jet_path(model, X)) == ref
+    assert _error_of(lambda: dynamics._rhs(model, y, 0.5)) == ref
     model = _one_field_model("x", params, domain=src)
-    want = _error_of(lambda: _jet_path(model, X))
+    want = _error_of(lambda: field_jets(model, X, 1))
     assert want[0].__name__ == "DomainError"
-    assert _error_of(lambda: field_jets(model, X, 1)) == want
+    assert _error_of(lambda: dynamics._rhs(model, y, 0.5)) == want
 
 
 def _generated(tree, domain=None):
@@ -278,7 +275,10 @@ def _outcome(call):
 
 
 def _value_and_gradient(f, x):
-    jv = f.jet_unchecked(np.array(x), 1)
+    # quiet, as every entry point runs the jets: an overflow leaves inf or
+    # NaN behind (1/x at 2e-308 has the gradient 0 * -inf), as on floats
+    with np.errstate(over="ignore", invalid="ignore"):
+        jv = f.jet_unchecked(np.array(x), 1)
     return [jv.value, *jv.grad]
 
 
@@ -312,26 +312,30 @@ def test_generated_code_equals_the_jet_path_on_random_trees(tree, x):
         assert inside is not None and inside[0] > 0.0
 
 
-_ALLOWED_NAMES = {"x0", "x1", "x2", "x3", "math"}
+_ARGUMENTS = ["x0", "x1", "x2", "x3", "v0", "v1", "v2", "v3", "k"]
+_BUILTINS = {"abs", "max"}
 
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_generated_source_holds_no_definition_text(name):
-    """Only the arguments, temporaries, finite float literals (and the None
-    of a failed guard) and math functions."""
+    """The generated force law holds only the arguments, temporaries,
+    finite float literals (and the None of a failed guard), math functions
+    and the abs and max of the degeneracy test."""
     model = MODELS[name]
-    field_jets(model, model.default_grid[:1], 1)
-    tree = ast.parse(model.layout.generated[1].source)
+    dynamics._rhs(model, model.default_grid[0].tolist() + [1.0, 0.0, 0.0, 0.0], 0.5)
+    tree = ast.parse(model.layout.generated["rhs"].source)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            assert node.id in _ALLOWED_NAMES or (node.id[0] == "t" and node.id[1:].isdigit())
+            assert node.id in {*_ARGUMENTS, *_BUILTINS, "math"} or (
+                node.id[0] == "t" and node.id[1:].isdigit())
         elif isinstance(node, ast.Attribute):
             assert isinstance(node.value, ast.Name) and node.value.id == "math"
-            assert node.attr in FUNCTIONS
+            assert node.attr in FUNCTIONS or node.attr == "isfinite"
         elif isinstance(node, ast.Constant):
             assert node.value is None or (type(node.value) is float
                                           and math.isfinite(node.value))
         elif isinstance(node, ast.Call):
-            assert isinstance(node.func, ast.Attribute)
+            assert isinstance(node.func, ast.Attribute) or node.func.id in _BUILTINS
         elif isinstance(node, ast.FunctionDef):
             assert node.name == "one_point"
+            assert [a.arg for a in node.args.args] == _ARGUMENTS

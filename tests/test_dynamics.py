@@ -4,21 +4,28 @@ import dataclasses
 import functools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from rcgeom import (
+    CATALOG_NAMES,
     GeometryError,
     IntegratorConfig,
     WorldlineState,
     catalog_get,
+    dynamics,
     integrate_worldline,
+    load_spacetime_file,
     normalize_velocity,
 )
+from rcgeom.catalog import build_model
 from rcgeom.checks import CHECK_DEFS, Worldline
 from rcgeom.cli import main
-from rcgeom.dynamics import Trajectory, acceleration, transport_residual
+from rcgeom.dynamics import Trajectory, _rhs, acceleration, probe_velocity, transport_residual
 from rcgeom.engine import GeometrySnapshot
 from rcgeom.errors import DomainError, EvalError, MetricError, point_text
 from rcgeom.gauge import peak
@@ -152,26 +159,39 @@ def _ref_norm_squared(model, x, V):
     return float(V @ g @ V)
 
 
-def _ref_normalize_velocity(model, x, V):
-    V = np.asarray(V, dtype=float)
-    n2 = _ref_norm_squared(model, x, V)
+def _ref_normalize(V, n2, x):
     if n2 <= 0:
         raise GeometryError(f"velocity {point_text(V)} is not timelike at {point_text(x)}")
     return V / np.sqrt(n2)
 
 
-def _ref_rhs(model, x, V, k, mode):
-    return V, acceleration(GeometrySnapshot(model, x[None], mode), V[None], k)[0]
+def _ref_derivative(model, y, k, mode):
+    """dy/ds at y, an (8,) array.  Dual mode reads the integrator's
+    right-hand side, the model's generated force law (a failed force law
+    comes as its error, raised here); fd mode keeps a snapshot."""
+    if mode == "dual":
+        dy = _rhs(model, y.tolist(), k)[0]
+        if isinstance(dy, Exception):
+            raise dy
+        return np.array(dy)
+    snap = GeometrySnapshot(model, y[:4][None], mode)
+    return np.concatenate([y[4:], acceleration(snap, y[4:][None], k)[0]])
 
 
-def _ref_rk4_step(model, x, V, k, ds, mode):
-    k1x, k1v = _ref_rhs(model, x, V, k, mode)
-    k2x, k2v = _ref_rhs(model, x + 0.5 * ds * k1x, V + 0.5 * ds * k1v, k, mode)
-    k3x, k3v = _ref_rhs(model, x + 0.5 * ds * k2x, V + 0.5 * ds * k2v, k, mode)
-    k4x, k4v = _ref_rhs(model, x + ds * k3x, V + ds * k3v, k, mode)
-    xn = x + (ds / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-    Vn = V + (ds / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return xn, Vn
+def _ref_norm(model, y, k, mode):
+    """g(V, V) at y: the generated force law's in dual mode, the metric's
+    plain values in fd mode."""
+    if mode == "dual":
+        return _rhs(model, y.tolist(), k)[1]
+    return _ref_norm_squared(model, y[:4], y[4:])
+
+
+def _ref_rk4_step(f, y, ds):
+    k1 = f(y)
+    k2 = f(y + 0.5 * ds * k1)
+    k3 = f(y + 0.5 * ds * k2)
+    k4 = f(y + ds * k3)
+    return y + (ds / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 _DP_A = (
@@ -183,72 +203,68 @@ _DP_A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_DP_B5 = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0)
 _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)
 
 
-def _ref_dp54_step(model, y, k, ds, mode):
-    def f(yv):
-        dx, dv = _ref_rhs(model, yv[:4], yv[4:], k, mode)
-        return np.concatenate([dx, dv])
-
-    ks = []
-    for i in range(7):
+def _ref_dp54_step(f, y, k1, ds):
+    """The fifth-order solution is the last stage's point (its row is the
+    fifth-order weights), so its derivative is the next step's first."""
+    ks = [k1]
+    for i in range(1, 7):
         yi = y.copy()
         for j, a in enumerate(_DP_A[i]):
             yi = yi + ds * a * ks[j]
         ks.append(f(yi))
-    y5 = y + ds * sum(b * ki for b, ki in zip(_DP_B5, ks))
     y4 = y + ds * sum(b * ki for b, ki in zip(_DP_B4, ks))
-    return y5, float(np.abs(y5 - y4).max())
+    return yi, float(np.abs(yi - y4).max()), ks[-1]
 
 
 def _reference_worldline(model, init, charge_ratio, config, mode="dual"):
     """The integrator as two hand-written steppers, each step testing the
-    domain and evaluating the metric at the accepted point on its own."""
-    x = np.asarray(init.x, dtype=float)
-    V = np.asarray(init.V, dtype=float)
+    domain at the accepted point on its own."""
+    y = np.concatenate([init.x, init.V]).astype(float)
     s = float(init.s)
     k = float(charge_ratio)
 
-    states = [WorldlineState(x, V, s)]
-    residuals = [abs(_ref_norm_squared(model, x, V) - 1.0)]
+    def f(y):
+        return _ref_derivative(model, y, k, mode)
+
+    def left(y):
+        return DomainError(f"worldline left the domain of {model.name!r} near {point_text(y[:4])}")
+
+    states = [WorldlineState(y[:4], y[4:], s)]
+    residuals = [abs(_ref_norm_squared(model, y[:4], y[4:]) - 1.0)]
     traj = Trajectory(states=states, norm_residuals=residuals)
 
     try:
         if config.method == "rk4":
             for step in range(config.steps):
-                x, V = _ref_rk4_step(model, x, V, k, config.ds, mode)
+                y = _ref_rk4_step(f, y, config.ds)
                 s += config.ds
-                if not model.in_domain(x):
-                    raise DomainError(
-                        f"worldline left the domain of {model.name!r} near {point_text(x)}"
-                    )
+                if not model.in_domain(y[:4]):
+                    raise left(y)
                 if config.renormalize_every and (step + 1) % config.renormalize_every == 0:
-                    V = _ref_normalize_velocity(model, x, V)
-                states.append(WorldlineState(x, V, s))
-                residuals.append(abs(_ref_norm_squared(model, x, V) - 1.0))
+                    y[4:] = _ref_normalize(y[4:], _ref_norm(model, y, k, mode), y[:4])
+                states.append(WorldlineState(y[:4], y[4:], s))
+                residuals.append(abs(_ref_norm(model, y, k, mode) - 1.0))
         else:
             s_end = s + config.ds * config.steps
             ds = config.ds
             atol, rtol = 1e-12, 1e-10
-            y = np.concatenate([x, V])
             max_attempts = 20 * config.steps
             attempts = 0
+            k1 = f(y)
             while s < s_end - 1e-15:
                 ds = min(ds, s_end - s)
-                y5, err = _ref_dp54_step(model, y, k, ds, mode)
+                y5, err, k7 = _ref_dp54_step(f, y, k1, ds)
                 tol = atol + rtol * float(np.abs(y).max())
                 if err <= tol:
                     if not model.in_domain(y5[:4]):
-                        raise DomainError(
-                            f"worldline left the domain of {model.name!r} near "
-                            f"{point_text(y5[:4])}"
-                        )
-                    y = y5
+                        raise left(y5)
+                    y, k1 = y5, k7
                     s += ds
                     states.append(WorldlineState(y[:4], y[4:], s))
-                    residuals.append(abs(_ref_norm_squared(model, y[:4], y[4:]) - 1.0))
+                    residuals.append(abs(_ref_norm(model, y, k, mode) - 1.0))
                 else:
                     traj.rejected_steps += 1
                 safety = 0.9 * (tol / err) ** 0.2 if err > 0 else 2.0
@@ -306,18 +322,23 @@ REFERENCE_RUNS = {
         IntegratorConfig(ds=0.05, steps=20),
         "point (0.0, 1.5, 1.5707963267948966, 0.0) is outside the domain of 'schwarzschild'"),
 }
+# fd mode takes a snapshot at every stage
+REFERENCE_RUNS.update({f"{name}-fd": REFERENCE_RUNS[name] for name in (
+    "constant-e-charged-rk4", "rn-charged-rk45", "schwarzschild-infall-rk4",
+    "schwarzschild-infall-rk45")})
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_RUNS))
 def test_integrator_matches_reference_steppers(name):
     entry, params, x0, v0, k, config, exit_message = REFERENCE_RUNS[name]
+    mode = "fd" if name.endswith("-fd") else "dual"
     m = catalog_get(entry, params=params)
     x0 = np.array(x0)
     # the start outside the domain keeps a unit, spacelike there, velocity
     V0 = np.array([1.0, 0.0, 0.0, 0.0]) if v0 is None else normalize_velocity(m, x0, np.array(v0))
     init = WorldlineState(x0, V0, 0.0)
-    ref = _reference_worldline(m, init, k, config)
-    traj = integrate_worldline(m, init, k, config)
+    ref = _reference_worldline(m, init, k, config, mode)
+    traj = integrate_worldline(m, init, k, config, mode)
 
     assert len(traj.states) == len(ref.states)
     for got, want in zip(traj.states, ref.states):
@@ -547,3 +568,137 @@ def test_drifting_norm_fails_the_norm_drift_row(name):
     w = _scenario(name)
     drifting = dataclasses.replace(w.traj, norm_residuals=[1e-7] * len(w.traj.states))
     assert _failing_worldline_rows(w._replace(traj=drifting)) == ["dyn.norm_drift"]
+
+
+# -- the generated right-hand side ----------------------------------------------
+
+KN_FILE = Path(__file__).resolve().parents[1] / "bench" / "kerr_newman.spacetime"
+RHS_MODELS = {name: catalog_get(name) for name in CATALOG_NAMES + ("charge-ball",)}
+RHS_MODELS["kerr-newman"] = load_spacetime_file(KN_FILE)
+EPS, TINY = np.finfo(float).eps, np.finfo(float).tiny
+_COMPONENT = st.floats(-2.0, 2.0)
+
+
+@pytest.mark.parametrize("name", sorted(RHS_MODELS))
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.floats(0.0, 1.0), min_size=4, max_size=4),
+       st.lists(_COMPONENT, min_size=4, max_size=4), _COMPONENT)
+def test_generated_rhs_agrees_with_the_snapshot(name, where, V, k):
+    """At a point of the default grid's box inside the domain, with any
+    velocity and charge ratio: dV^n/ds within 8 ulps of the sum of the
+    absolute terms g^{nl} (|Gamma_{l,md} V^m V^d| + |k F_{ml} V^m|), and
+    g(V, V) within 8 ulps of the sum of |g_ab V^a V^b|; the velocity part
+    of dy/ds is V itself."""
+    model = RHS_MODELS[name]
+    axes = [model.grid_axes[c] for c in model.chart.names]
+    x = [min(a) + w * (max(a) - min(a)) for a, w in zip(axes, where)]
+    assume(model.in_domain(np.array(x)))
+    y = x + V
+    dynamics._rhs(model, y, k)  # makes the generated function
+    got = model.layout.generated["rhs"](*y, k)
+    assert got is not None
+    want = dynamics._snapshot_rhs(model, y, k, "dual")
+    assert got[0][:4] == want[0][:4] == tuple(V)
+
+    snap = GeometrySnapshot(model, np.array(x))
+    dg, aV = np.abs(snap.dg[0]), np.abs(V)
+    first = 0.5 * (dg.transpose(1, 0, 2) + dg.transpose(1, 2, 0) + dg)  # |Gamma_{l,md}| terms
+    terms = np.abs(snap.ginv[0]) @ (np.einsum("lmd,m,d->l", first, aV, aV)
+                                    + abs(k) * np.abs(snap.F_dd[0]).T @ aV)
+    # TINY: below the normal range the spacing of the floats is absolute
+    assert np.all(np.abs(np.subtract(got[0][4:], want[0][4:])) <= 8 * EPS * terms + TINY)
+    norm_terms = (np.abs(snap.g[0]) * np.outer(aV, aV)).sum()
+    assert abs(got[1] - want[1]) <= 8 * EPS * norm_terms + TINY
+
+
+def _kn_trajectory(k=0.5, mode="dual"):
+    """The Kerr-Newman worldline of the CI comparison."""
+    model = RHS_MODELS["kerr-newman"]
+    x0 = np.array([0.0, 7.0, 1.2, 0.3])
+    init = WorldlineState(x0, normalize_velocity(model, x0, np.array([1.0, 0.0, 0.0, 0.05])), 0.0)
+    return integrate_worldline(model, init, k, IntegratorConfig(ds=0.02, steps=500), mode)
+
+
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """The points at which ``_rhs`` took the snapshot route."""
+    seen, snapshot_rhs = [], dynamics._snapshot_rhs
+
+    def counted(model, y, k, mode):
+        seen.append(y)
+        return snapshot_rhs(model, y, k, mode)
+
+    monkeypatch.setattr(dynamics, "_snapshot_rhs", counted)
+    return seen
+
+
+def test_worldlines_take_the_generated_path(fallbacks):
+    """Every stage of the scenario worldlines, of their failing controls and
+    of the Kerr-Newman worldline runs the generated force law: a silent
+    fallback to snapshots would pass every other test."""
+    trajs = [_scenario_trajectory(catalog_get(name)) for name in SCENARIO_MODELS]
+    schwarzschild, constant_e = catalog_get("schwarzschild"), catalog_get("minkowski-constant-e")
+    x0, V0, _, _, _ = schwarzschild.meta["scenario"].start(schwarzschild)
+    off = normalize_velocity(schwarzschild, x0, np.array(V0) + np.array([0.0, 0.0, 0.0, 1e-4]))
+    trajs.append(_scenario_trajectory(schwarzschild, V0=off))
+    trajs.append(_scenario_trajectory(constant_e, k=-_scenario("minkowski-constant-e").k))
+    trajs.append(_kn_trajectory())
+    assert sum(t.rhs_evals for t in trajs) > 10_000
+    assert not any(t.exited for t in trajs)
+    assert fallbacks == []
+    # fd mode takes a snapshot at every stage
+    assert _kn_trajectory(mode="fd").rhs_evals == len(fallbacks) == 1 + 4 * 500
+
+
+@pytest.mark.parametrize("method, ds, renormalize_every", [
+    ("rk4", 0.05, 0), ("rk4", 0.05, 3), ("rk45-adaptive", 0.5, 0)])
+def test_rhs_evaluations_per_step(monkeypatch, method, ds, renormalize_every):
+    """rk4: 1 + 4 per step, plus 1 per renormalization; DP54: 1 + 6 per
+    attempt, the last stage of an accepted step being the next one's first.
+    ``rhs_evals`` counts the calls of ``_rhs``, which the bench tracer wraps."""
+    calls, rhs = [], dynamics._rhs
+    monkeypatch.setattr(dynamics, "_rhs", lambda *a: calls.append(a) or rhs(*a))
+    init = WorldlineState(np.zeros(4), np.array([1.0, 0.0, 0.0, 0.0]), 0.0)
+    cfg = IntegratorConfig(ds=ds, steps=10, method=method, renormalize_every=renormalize_every)
+    traj = integrate_worldline(catalog_get("minkowski-constant-e"), init, 0.5, cfg)
+    steps = len(traj.states) - 1
+    if method == "rk4":
+        assert traj.rhs_evals == 1 + 4 * steps + (renormalize_every and steps // renormalize_every)
+    else:
+        assert traj.rejected_steps > 0
+        assert traj.rhs_evals == 1 + 6 * (steps + traj.rejected_steps)
+    assert traj.rhs_evals == len(calls)
+
+
+def test_probe_velocity_inside_the_ergoregion(tmp_path):
+    """Kerr-Newman at r = 1.79, theta = 1.5 lies outside the horizon and
+    inside the ergoregion (g_tt < 0), where no candidate of the fixed probe
+    is timelike: the probe is the unit normal to t = const there."""
+    model = RHS_MODELS["kerr-newman"]
+    snap = GeometrySnapshot(model, np.array([0.0, 1.79, 1.5, 0.1]))
+    g = snap.g[0]
+    assert g[0, 0] < 0.0
+    V = probe_velocity(snap)[0]
+    assert abs(V @ g @ V - 1.0) <= 1e-12
+    assert np.allclose(V, snap.ginv[0][:, 0] / math.sqrt(snap.ginv[0][0, 0]), rtol=1e-12)
+    out = tmp_path / "r.json"
+    grid = ["--grid", "r=1.79:1.79:1", "--grid", "theta=1.5:1.5:1"]
+    for suite, row in (("dynamics", "dyn.transport_identity"), ("gauge", "gauge.lorentz_invariance")):
+        assert main(["run", "--spacetime", str(KN_FILE), "--suite", suite, *grid,
+                     "--out", str(out)]) == 0
+        rows = {c["id"]: c for c in json.loads(out.read_text())["checks"]}
+        assert rows[row]["pass"] and rows[row]["max_residual"] <= 1e-12, rows[row]
+
+
+def test_a_non_finite_entry_the_force_law_does_not_read_ends_the_worldline():
+    """A[0] = t*1e300*1e300 and its t-derivative overflow at t = 1, and the
+    force law reads neither (F_00 = 0): the generated code still returns
+    None there, so the worldline ends with the engine's note."""
+    model = build_model("overflowing-potential", ("t", "x", "y", "z"),
+                        {(0, 0): "1", (1, 1): "-1", (2, 2): "-1", (3, 3): "-1"},
+                        {0: "t*1e300*1e300"}, grid_axes={n: (0.0,) for n in "txyz"},
+                        validate=False)
+    init = WorldlineState(np.array([1.0, 0.5, 0.0, 0.0]), np.array([1.0, 0.0, 0.0, 0.0]), 0.0)
+    traj = integrate_worldline(model, init, 0.5, IntegratorConfig(ds=0.1, steps=3))
+    assert traj.exited and len(traj.states) == 1
+    assert traj.exit_message.startswith("non-finite field derivatives for 'overflowing-potential'")

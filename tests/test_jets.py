@@ -1,7 +1,9 @@
 """The four routes of every elementary function and of ``^`` agree: a plain
 float, a plain array (``math`` entry by entry), a Jet of a float (``math``)
-and a Jet of an array (numpy)."""
+and a Jet of an array (numpy); and a derivative above a jet's order is never
+computed, so it cannot fail."""
 
+import json
 import math
 import sys
 
@@ -10,8 +12,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rcgeom import ChartSpec, ExprField
+from rcgeom.cli import main
 from rcgeom.errors import EvalError
 from rcgeom.jets import FUNCTIONS, Jet, jet_pow
+
+CART = ChartSpec(("t", "x", "y", "z"))
 
 BIG = sys.float_info.max
 SINH_MAX = math.asinh(BIG)
@@ -160,3 +166,44 @@ def test_pow_of_negative_zero_keeps_the_sign_on_every_route():
         assert math.copysign(1.0, jet_pow(-0.0, p)) == -1.0
         assert math.copysign(1.0, jet_pow(_jet(-0.0), p).f) == -1.0
         assert math.copysign(1.0, jet_pow(_jet(np.array([-0.0])), p).f[0]) == -1.0
+
+
+# An argument at which the value and gradient are finite and the higher
+# derivatives overflow (or divide by an underflowed zero), and the lowest
+# order whose jets use one of them.
+UNUSED_OVERFLOW = [
+    ("1/x", 1e-110, 2),  # 1/x^3 overflows
+    ("log(x)", 1e-110, 3),  # 1/x^3 again
+    ("sqrt(x)", 1e-250, 2),  # -0.25/(sqrt(x)*x), and sqrt(x)*x underflows
+    ("x^(-1.5)", 1e-110, 2),  # x^-3.5 overflows
+]
+
+
+@pytest.mark.parametrize("src, x, used", UNUSED_OVERFLOW, ids=[s for s, _, _ in UNUSED_OVERFLOW])
+def test_an_unused_higher_derivative_cannot_fail(src, x, used):
+    """Jets below the order that reads the failing derivative are finite, on
+    one point and over a batch; a jet that reads it is an EvalError."""
+    f = ExprField(src, CART)
+    for order in range(1, 4):
+        for X in (np.array([0.0, x, 0.0, 0.0]), np.array([[0.0, x, 0.0, 0.0]] * 2)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                if order < used:
+                    jv = f.jet(X, order)
+                    assert all(np.isfinite(p).all() for p in jv if p is not None)
+                else:
+                    with pytest.raises(EvalError):
+                        f.jet(X, order)
+
+
+def test_an_overflowing_field_is_a_failed_check_not_a_traceback(tmp_path, capsys):
+    """A[0] = 1/x on a grid at x = 1e-110: the Maxwell rows read the second
+    and third derivatives, which overflow, so rows fail with a note."""
+    path = tmp_path / "overflow.spacetime"
+    path.write_text('name = overflow\ncoords = t, x, y, z\n'
+                    'g[0][0] = "1"\ng[1][1] = "-1"\ng[2][2] = "-1"\ng[3][3] = "-1"\n'
+                    'A[0] = "1/x"\ngrid.t = 0:0:1\ngrid.x = 1e-110:1e-110:1\n'
+                    'grid.y = 0:0:1\ngrid.z = 0:0:1\n')
+    out = tmp_path / "r.json"
+    assert main(["run", "--spacetime", str(path), "--suite", "maxwell", "--out", str(out)]) == 1
+    notes = [c["note"] for c in json.loads(out.read_text())["checks"] if not c["pass"]]
+    assert notes and all("non-finite" in n for n in notes), notes
