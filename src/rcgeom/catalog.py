@@ -555,7 +555,8 @@ _LINE_RES = {
 
 
 def parse_spacetime_text(text, origin="<string>", param_overrides=None):
-    """Parse the line-oriented definition format into a model."""
+    """Parse the line-oriented definition format into a model.  A key may
+    be given again only with the same value."""
     name = None
     coords = None
     params = {}
@@ -564,36 +565,37 @@ def parse_spacetime_text(text, origin="<string>", param_overrides=None):
     A_sources = {}
     domain_src = None
     grid_axes = {}
+    seen = {}  # key -> the value its first line gave
+
+    def once(key, value, lineno, what="value"):
+        first = seen.setdefault(key, value)
+        if first is not value and first != value:  # a NaN equals no value, itself included
+            raise SpacetimeFormatError(f"duplicate {key} with a different {what}", origin, lineno)
+        return value
+
+    def number(text, lineno):
+        try:
+            return float(text)
+        except ValueError:
+            raise SpacetimeFormatError(f"bad number {text!r}", origin, lineno) from None
 
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
         if m := _LINE_RES["name"].match(line):
-            name = m.group(1)
+            name = once("name", m.group(1), lineno)
         elif m := _LINE_RES["coords"].match(line):
-            coords = tuple(s.strip() for s in m.group(1).split(","))
+            coords = once("coords", tuple(s.strip() for s in m.group(1).split(",")), lineno)
         elif m := _LINE_RES["param"].match(line):
-            try:
-                params[m.group(1)] = float(m.group(2))
-            except ValueError:
-                raise SpacetimeFormatError(
-                    f"bad number {m.group(2)!r}", origin, lineno
-                ) from None
+            params[m.group(1)] = once(f"param {m.group(1)}", number(m.group(2), lineno), lineno)
         elif m := _LINE_RES["const"].match(line):
-            try:
-                consts[m.group(1)] = float(m.group(2))
-            except ValueError:
-                raise SpacetimeFormatError(
-                    f"bad number {m.group(2)!r}", origin, lineno
-                ) from None
+            consts[m.group(1)] = once(m.group(1), number(m.group(2), lineno), lineno)
         elif m := _LINE_RES["g"].match(line):
             i, j = int(m.group(1)), int(m.group(2))
             if i > 3 or j > 3:
                 raise SpacetimeFormatError(f"metric index out of range: g[{i}][{j}]", origin, lineno)
-            prev = g_sources.get((i, j))
-            if prev is not None and prev != m.group(3):
-                raise SpacetimeFormatError(f"duplicate g[{i}][{j}] with a different expression", origin, lineno)
+            once(f"g[{i}][{j}]", m.group(3), lineno, "expression")
             mirror = g_sources.get((j, i))
             if mirror is not None and mirror != m.group(3):
                 raise SpacetimeFormatError(
@@ -604,9 +606,9 @@ def parse_spacetime_text(text, origin="<string>", param_overrides=None):
             i = int(m.group(1))
             if i > 3:
                 raise SpacetimeFormatError(f"potential index out of range: A[{i}]", origin, lineno)
-            A_sources[i] = m.group(2)
+            A_sources[i] = once(f"A[{i}]", m.group(2), lineno, "expression")
         elif m := _LINE_RES["domain"].match(line):
-            domain_src = m.group(1)
+            domain_src = once("domain", m.group(1), lineno, "expression")
         elif m := _LINE_RES["grid"].match(line):
             try:
                 start, stop, count = float(m.group(2)), float(m.group(3)), int(m.group(4))
@@ -614,6 +616,7 @@ def parse_spacetime_text(text, origin="<string>", param_overrides=None):
                 raise SpacetimeFormatError("bad grid range", origin, lineno) from None
             if count < 1:
                 raise SpacetimeFormatError("grid count must be >= 1", origin, lineno)
+            once(f"grid.{m.group(1)}", (start, stop, count), lineno, "range")
             grid_axes[m.group(1)] = tuple(np.linspace(start, stop, count))
         else:
             raise SpacetimeFormatError(f"unrecognized line: {line!r}", origin, lineno)

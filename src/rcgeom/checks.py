@@ -81,8 +81,7 @@ def _dual_vs_fd(snap):
 
 
 def _torsion_roundtrip(snap):
-    K = snap.K_mix
-    T = K - np.swapaxes(K, -3, -2)
+    K, T = snap.K_mix, snap.torsion_mix
     gi, g = snap.ginv, snap.g
     rebuilt = 0.5 * (
         T

@@ -210,8 +210,8 @@ def _order1_fields(model):
     fields += [(f, (sA[n],), [(sdA[k, n],) for k in range(DIM)]) for n, f in layout.A_live]
     if not all(isinstance(f, ExprField) for f, _, _ in fields):
         return None
-    domain = None if model.domain is None else (model.domain.ast, model.domain.params)
-    return buf.tolist(), [(f.ast, f.params, v, d) for f, v, d in fields], domain
+    domain = None if model.domain is None else model.domain.tree
+    return buf.tolist(), [(f.tree, v, d) for f, v, d in fields], domain
 
 
 def _generate_rhs(model):

@@ -17,7 +17,7 @@ batch around it beyond roundoff.
 
 The field jets come from ``field_jets``, which fills the model's constant
 template (``SpacetimeModel.layout``) and evaluates only the
-coordinate-dependent components, each through its compiled expression; a
+coordinate-dependent components, each through its folded expression; a
 batch of one runs those on floats, a larger batch on arrays.
 Derivatives of computed objects are assembled analytically from the exact
 field jets, each as the Leibniz expansion (``_leibniz``) of the product it

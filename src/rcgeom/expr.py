@@ -10,15 +10,15 @@ Grammar:
 ``^`` is right-associative; a fully parenthesized printer is provided so
 ``parse(to_source(ast))`` reproduces the tree exactly.  Nesting and tree
 depth are bounded by ``MAX_DEPTH``, so the recursive printer, evaluator and
-compiler never exceed the interpreter's recursion limit.
+folder never exceed the interpreter's recursion limit.
 
-``evaluate`` interprets a tree; it is the reference.  ``compile_ast`` turns
-a tree, once, into a tree of closures that does the same arithmetic in the
-same order with the same checks, so its results equal ``evaluate``'s bit
-for bit, with the parameter-only subtrees folded into their values.
+``evaluate`` interprets a tree over float, (N,) array or Jet coordinates.
+``fold`` replaces the parameter-only subtrees of a tree, once, by their
+values; ``evaluate`` of the folded tree equals ``evaluate`` of the tree bit
+for bit.  Every field evaluates its folded tree.
 
 ``compile_one_point`` generates one straight-line Python function of four
-floats for a set of trees: the value and gradient of each (its order-1
+floats for a set of folded trees: the value and gradient of each (its order-1
 jet) and a domain test, with the operations of ``Jet`` arithmetic on
 floats, so its results are those of the jets bit for bit.  A caller may
 carry the function on from those jets (``dynamics`` appends the force law).
@@ -31,8 +31,7 @@ import math
 import operator
 import re
 import sys
-from dataclasses import dataclass
-from operator import itemgetter
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -319,28 +318,29 @@ def to_source(node):
 
 def evaluate(node, coords, params):
     """Evaluate an AST with float, (N,) array or Jet coordinate values."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Coord):
+    kind = type(node)  # no node class is subclassed; the most frequent come first
+    if kind is Coord:
         return coords[node.index]
-    if isinstance(node, Param):
-        return params[node.name]
-    if isinstance(node, Neg):
-        return -evaluate(node.arg, coords, params)
-    if isinstance(node, Add):
-        return evaluate(node.left, coords, params) + evaluate(node.right, coords, params)
-    if isinstance(node, Sub):
-        return evaluate(node.left, coords, params) - evaluate(node.right, coords, params)
-    if isinstance(node, Mul):
+    if kind is Num:
+        return node.value
+    if kind is Mul:
         return evaluate(node.left, coords, params) * evaluate(node.right, coords, params)
-    if isinstance(node, Div):
+    if kind is Add:
+        return evaluate(node.left, coords, params) + evaluate(node.right, coords, params)
+    if kind is Sub:
+        return evaluate(node.left, coords, params) - evaluate(node.right, coords, params)
+    if kind is Div:
         return _divide(evaluate(node.left, coords, params), evaluate(node.right, coords, params))
-    if isinstance(node, Pow):
+    if kind is Pow:
         base = evaluate(node.left, coords, params)
         exponent = evaluate(node.right, coords, params)
         return jet_pow(base, exponent)
-    if isinstance(node, Call):
+    if kind is Call:
         return FUNCTIONS[node.func](evaluate(node.arg, coords, params))
+    if kind is Neg:
+        return -evaluate(node.arg, coords, params)
+    if kind is Param:
+        return params[node.name]
     raise TypeError(f"not an AST node: {node!r}")
 
 
@@ -352,116 +352,55 @@ def _divide(num, den):
     return num / den
 
 
-# -- compiler ----------------------------------------------------------------
-
-_ORIGIN = (0.0,) * 4
+# -- folding -----------------------------------------------------------------
 
 
-def compile_ast(node, params):
-    """The tree as ``f(coords)``, built once; a coordinate-free tree is
-    evaluated now and returned as its value (an error raises here).
+def fold(node, params):
+    """The tree with each parameter-only subtree replaced by its value, a
+    ``Num``; a -0.0 becomes ``Neg(Num(0.0))``, so that equal folded trees
+    (they are frozen dataclasses) have equal bits.  A tree without
+    coordinates folds to its value.
 
-    ``f`` takes the same float, (N,) array or Jet coordinates as
-    ``evaluate`` and returns what ``evaluate`` returns, bit for bit: each
-    closure does its node's arithmetic on the same operands in the same
-    order.  Parameter-only subtrees are folded into their values by
-    ``evaluate``; one whose folding raises stays a closure, so it raises the
-    same error at every evaluation.
+    A subtree whose folding raises keeps its shape, with its foldable
+    children folded, so that ``evaluate`` raises the same error at every
+    point.  ``evaluate`` of the folded tree gives what it gives of the
+    tree, bit for bit: each node does its arithmetic on the same operands
+    in the same order.
     """
     free = set()
-    if _coordinate_free(node, free):
-        return evaluate(node, _ORIGIN, params)
-    return _compile(node, params, free)
+    coordinate_free(node, free)
+    return _fold(node, params, free)
 
 
-def _coordinate_free(node, free):
+def _fold(node, params, free):
+    if id(node) in free:
+        try:
+            v = float(evaluate(node, (), params))  # no coordinate is read
+        except (EvalError, ArithmeticError, ValueError):
+            pass  # kept: it raises the same error at every evaluation
+        else:
+            return Neg(Num(0.0)) if v == 0.0 and math.copysign(1.0, v) < 0.0 else Num(v)
+    if isinstance(node, Coord):
+        return node
+    if isinstance(node, (Neg, Call)):
+        return replace(node, arg=_fold(node.arg, params, free))
+    return type(node)(_fold(node.left, params, free), _fold(node.right, params, free))
+
+
+def coordinate_free(node, free=None):
     """Whether no coordinate appears in the tree; adds the id of every
-    coordinate-free node to ``free``."""
+    coordinate-free node to the set ``free``, when one is given."""
     if isinstance(node, Coord):
         return False
     if isinstance(node, (Num, Param)):
         ok = True
     elif isinstance(node, (Neg, Call)):
-        ok = _coordinate_free(node.arg, free)
+        ok = coordinate_free(node.arg, free)
     else:
-        ok = _coordinate_free(node.left, free) & _coordinate_free(node.right, free)
-    if ok:
+        ok = coordinate_free(node.left, free) & coordinate_free(node.right, free)
+    if ok and free is not None:
         free.add(id(node))
     return ok
-
-
-def _compile(node, params, free):
-    """A closure of the coordinates, or the folded value of a subtree."""
-    if id(node) in free:
-        try:
-            return evaluate(node, _ORIGIN, params)
-        except (EvalError, ArithmeticError, ValueError):
-            pass  # left unfolded: it raises the same error at evaluation
-    if isinstance(node, Coord):
-        return itemgetter(node.index)
-    if isinstance(node, Param):
-        name = node.name
-        return lambda c: params[name]
-    if isinstance(node, Neg):
-        arg = _closure(_compile(node.arg, params, free))
-        return lambda c: -arg(c)
-    if isinstance(node, Call):
-        fn, arg = FUNCTIONS[node.func], _closure(_compile(node.arg, params, free))
-        return lambda c: fn(arg(c))
-    left, right = _compile(node.left, params, free), _compile(node.right, params, free)
-    if isinstance(node, Div) and callable(left) and not callable(right) and not (
-        isinstance(right, float) and right == 0.0
-    ):
-        # the zero check of a constant nonzero denominator always passes
-        return lambda c: left(c) / right
-    return _binary(_BINARY[type(node)], left, right)
-
-
-def _closure(v):
-    return v if callable(v) else (lambda c: v)
-
-
-# node type -> closure makers for (closure, closure), (closure, value) and
-# (value, closure) operands; a (value, value) pair, left when its folding
-# raised, takes the first with the values wrapped.
-_BINARY = {
-    Add: (
-        lambda a, b: lambda c: a(c) + b(c),
-        lambda a, b: lambda c: a(c) + b,
-        lambda a, b: lambda c: a + b(c),
-    ),
-    Sub: (
-        lambda a, b: lambda c: a(c) - b(c),
-        lambda a, b: lambda c: a(c) - b,
-        lambda a, b: lambda c: a - b(c),
-    ),
-    Mul: (
-        lambda a, b: lambda c: a(c) * b(c),
-        lambda a, b: lambda c: a(c) * b,
-        lambda a, b: lambda c: a * b(c),
-    ),
-    Div: (
-        lambda a, b: lambda c: _divide(a(c), b(c)),
-        lambda a, b: lambda c: _divide(a(c), b),
-        lambda a, b: lambda c: _divide(a, b(c)),
-    ),
-    Pow: (
-        lambda a, b: lambda c: jet_pow(a(c), b(c)),
-        lambda a, b: lambda c: jet_pow(a(c), b),
-        lambda a, b: lambda c: jet_pow(a, b(c)),
-    ),
-}
-
-
-def _binary(makers, left, right):
-    both, left_only, right_only = makers
-    if callable(left) and callable(right):
-        return both(left, right)
-    if callable(left):
-        return left_only(left, right)
-    if callable(right):
-        return right_only(left, right)
-    return both(_closure(left), _closure(right))
 
 
 # -- one-point order-1 code generator ------------------------------------------
@@ -470,8 +409,9 @@ _RULES = {name: rule for name, rule, _domain in _TABLE}
 
 
 class _Decline(Exception):
-    """The trees stay on the jet path: the folding of a subtree raised, a
-    constant is not finite, or an operation fails at every point."""
+    """The trees stay on the jet path: a constant is not finite, or an
+    operation fails at every point.  An operation on constants that raises
+    (one in a subtree that did not fold) declines as well."""
 
 
 def compile_one_point(buffer, fields, domain=None, args=(), then=None):
@@ -480,34 +420,35 @@ def compile_one_point(buffer, fields, domain=None, args=(), then=None):
     declines.
 
     ``buffer`` holds the constant entries of the jets; each field is
-    ``(tree, params, value_slots, gradient_slots)``: the entries that take
-    its value and, for each axis k, the entries that take its derivative
-    along x_k.  Without ``then``, ``f`` returns the filled buffer as a
-    tuple.  ``then(tape, filled, *arguments)`` carries the function on: it
-    gets the filled buffer (float constants and recorded floats) and the
-    recorded arguments of ``f``, may record statements and guards of its
-    own, and returns the outputs (a tuple whose entries may be tuples), or
-    None to decline.  ``f`` returns None when the ``domain`` tree (a
-    ``(tree, params)`` pair) is not positive and finite at the point, or
-    when a guard fails.
+    ``(tree, value_slots, gradient_slots)``: its folded tree (``fold``), the
+    entries that take its value and, for each axis k, the entries that take
+    its derivative along x_k.  Without ``then``, ``f`` returns the filled
+    buffer as a tuple.  ``then(tape, filled, *arguments)`` carries the
+    function on: it gets the filled buffer (float constants and recorded
+    floats) and the recorded arguments of ``f``, may record statements and
+    guards of its own, and returns the outputs (a tuple whose entries may
+    be tuples), or None to decline.  ``f`` returns None when the folded
+    ``domain`` tree is not positive and finite at the point, or when a
+    guard fails.
 
-    The function is straight-line code over floats.  Each tree is folded as
-    ``compile_ast`` folds it and run through ``Jet`` itself (and through the
-    ``_TABLE`` rules at order 1, with the tape as their ``m``), whose
-    operations on floats are recorded as statements.  So the buffer holds
-    the operations of the jet path, on the same operands in the same order,
-    and its entries are the jet path's bit for bit, signed zeros included.
-    Operations are hash-consed, on the folded trees and on the statement
-    text, so a subexpression shared by several fields is computed once.  A
-    statement that neither leads to an output nor can raise is dropped; one
-    that can raise is kept, so that ``f`` raises where the jets raise.  The
-    source holds only the arguments, temporaries, finite float literals and
-    ``math`` functions (``f.source``), never text from a definition file.
+    The function is straight-line code over floats.  Each tree is run
+    through ``Jet`` itself (and through the ``_TABLE`` rules at order 1,
+    with the tape as their ``m``), whose operations on floats are recorded
+    as statements.  So the buffer holds the operations of the jet path, on
+    the same operands in the same order, and its entries are the jet path's
+    bit for bit, signed zeros included.  Operations are hash-consed, on the
+    folded trees and on the statement text, so a subexpression shared by
+    several fields is computed once.  A statement that neither leads to an
+    output nor can raise is dropped; one that can raise is kept, so that
+    ``f`` raises where the jets raise.  The source holds only the
+    arguments, temporaries, finite float literals and ``math`` functions
+    (``f.source``), never text from a definition file.
 
-    The generator declines when the folding of a subtree raises or an
-    operation fails at every point; ``f`` raises ``ArithmeticError`` or
-    ``ValueError`` where the jets raise, and may return non-finite entries.
-    Either way the caller runs the jet path, which gives its own note.
+    The generator declines when an operation on constants fails (as one in
+    a subtree that did not fold does) or an operation fails at every point;
+    ``f`` raises ``ArithmeticError`` or ``ValueError`` where the jets raise,
+    and may return non-finite entries.  Either way the caller runs the jet
+    path, which gives its own note.
     """
     tape = _Tape()
     xs = [_Var(tape, f"x{i}") for i in range(4)]
@@ -515,14 +456,14 @@ def compile_one_point(buffer, fields, domain=None, args=(), then=None):
     out = list(buffer)
     try:
         if domain is not None:
-            d = _symbolic(_folded(*domain), xs, tape, {})
+            d = _symbolic(domain, xs, tape, {})
             if isinstance(d, _Var):
                 tape.guard("not 0.0 < {} <= " + repr(sys.float_info.max), d)
             elif not d > 0.0:  # no point is inside
                 raise _Decline
         memo = {}
-        for tree, params, value_slots, gradient_slots in fields:
-            jet = _symbolic(_folded(tree, params), seeds, tape, memo)
+        for tree, value_slots, gradient_slots in fields:
+            jet = _symbolic(tree, seeds, tape, memo)
             for s in value_slots:
                 out[s] = jet.f
             for d, slots in zip(jet.g, gradient_slots):
@@ -533,38 +474,13 @@ def compile_one_point(buffer, fields, domain=None, args=(), then=None):
         if outputs is None:
             raise _Decline
         source = tape.source(outputs, [x.name for x in xs] + list(args))
-    except _Decline:
+    except (_Decline, ArithmeticError, ValueError):
         return None
     namespace = {"math": math}
     exec(compile(source, "<rcgeom generated one-point code>", "exec"), namespace)
     run = namespace["one_point"]
     run.source = source
     return run
-
-
-def _folded(node, params):
-    """The tree with each subtree that ``compile_ast`` folds replaced by
-    its value; a -0.0 becomes ``Neg(Num(0.0))``, so that equal folded trees
-    (they are frozen dataclasses) have equal bits."""
-    free = set()
-    _coordinate_free(node, free)
-
-    def fold(node):
-        if id(node) in free:
-            try:
-                v = float(evaluate(node, _ORIGIN, params))
-            except (EvalError, ArithmeticError, ValueError):
-                raise _Decline from None
-            return Neg(Num(0.0)) if v == 0.0 and math.copysign(1.0, v) < 0.0 else Num(v)
-        if isinstance(node, Coord):
-            return node
-        if isinstance(node, Neg):
-            return Neg(fold(node.arg))
-        if isinstance(node, Call):
-            return Call(node.func, fold(node.arg))
-        return type(node)(fold(node.left), fold(node.right))
-
-    return fold(node)
 
 
 def _symbolic(node, coords, tape, memo):
@@ -696,10 +612,7 @@ class _Tape:
     def call(self, name, v):
         if isinstance(v, _Var):
             return self.op(f"math.{name}({{}})", v, raises=True)
-        try:
-            return getattr(math, name)(v)
-        except (ArithmeticError, ValueError):
-            raise _Decline from None
+        return getattr(math, name)(v)
 
     def source(self, outputs, params):
         """The function of ``params`` returning the outputs (a tuple, whose

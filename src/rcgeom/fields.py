@@ -1,12 +1,13 @@
 """Differentiable scalar fields over a chart.
 
-An ``ExprField`` compiles its expression once, at construction
-(``expr.compile_ast``): parameter-only subtrees are folded into floats, and
-a field with no coordinate left in it is a constant (``const``), whose
-derivatives are zero.  The default evaluation path pushes truncated Taylor
-carriers (jets) through the compiled tree, giving exact gradients and
-Hessians (and third derivatives on request).  A central finite-difference
-fallback exists for cross-validation of the dual-number engine.
+An ``ExprField`` folds its expression once, at construction
+(``expr.fold``): parameter-only subtrees become numbers, and a field with
+no coordinate left in it is a constant (``const``), whose derivatives are
+zero.  Every evaluation runs the folded tree through ``expr.evaluate``; the
+default path pushes truncated Taylor carriers (jets) through it, giving
+exact gradients and Hessians (and third derivatives on request).  A central
+finite-difference fallback exists for cross-validation of the dual-number
+engine.
 
 Every evaluation accepts a batch, shape (N, 4), or one point, shape (4,).
 Batched jets keep the batch axis last (value (N,), gradient (4, N), Hessian
@@ -91,20 +92,22 @@ def _check_values(v, name, X):
 class ExprField:
     """Scalar field defined by an expression with bound parameters.
 
-    ``const`` is the field's value when no coordinate is left in it after
-    folding, else None; ``value``, ``values`` and ``jet_unchecked`` run the
-    compiled tree.
+    ``tree`` is the folded expression (``expr.fold``), which ``value``,
+    ``values`` and ``jet_unchecked`` evaluate; ``const`` is the field's
+    value when no coordinate is left in it, else None.
     """
 
-    __slots__ = ("ast", "chart", "params", "name", "const", "_run")
+    __slots__ = ("ast", "tree", "chart", "params", "name", "const")
 
     def __init__(self, src, chart, params=None, name=""):
         self.ast = expr.parse(src, chart, params or {}) if isinstance(src, str) else src
         self.chart = chart
         self.params = dict(params or {})
         self.name = name or (src if isinstance(src, str) else expr.to_source(src))
-        self._run = expr.compile_ast(self.ast, self.params)
-        self.const = None if callable(self._run) else float(self._run)
+        self.tree = expr.fold(self.ast, self.params)
+        self.const = None
+        if expr.coordinate_free(self.tree):  # a value, or a subtree that did not fold raises
+            self.const = float(expr.evaluate(self.tree, (), self.params))
 
     def __repr__(self):
         return f"ExprField({self.name!r})"
@@ -112,7 +115,7 @@ class ExprField:
     def value(self, x):
         if self.const is not None:
             return self.const
-        v = self._run(np.asarray(x, dtype=float).tolist())
+        v = expr.evaluate(self.tree, np.asarray(x, dtype=float).tolist(), self.params)
         if not math.isfinite(v):
             raise EvalError(f"non-finite value for field {self.name!r} at {point_text(x)}")
         return float(v)
@@ -127,7 +130,8 @@ class ExprField:
         if len(X) == 1:
             return np.array([self.value(X[0])])
         return np.asarray(batch_then_rows(
-            lambda: _check_values(self._run(list(np.ascontiguousarray(X.T))), self.name, X),
+            lambda: _check_values(
+                expr.evaluate(self.tree, list(np.ascontiguousarray(X.T)), self.params), self.name, X),
             X, self.value))
 
     def jet_unchecked(self, x, order=2, seeds=None):
@@ -137,7 +141,7 @@ class ExprField:
             return _expand(self.const, order, _ZEROS_B if batched else _ZEROS)
         if seeds is None:
             seeds = make_seeds(x, order)
-        return _expand(self._run(seeds), order)
+        return _expand(expr.evaluate(self.tree, seeds, self.params), order)
 
     def jet(self, x, order=2):
         return _check_finite(self.jet_unchecked(x, order), self.name, x)

@@ -286,6 +286,52 @@ def test_loader_unrecognized_line_reports_location():
     assert "f.spacetime" in str(err.value)
 
 
+DUPLICATE_BASE = """\
+name = m
+coords = t, x, y, z
+param E = 1
+G = 1
+c = 1
+g[0][0] = "1"
+g[1][1] = "-1"
+g[2][2] = "-1"
+g[3][3] = "-1"
+A[0] = "-E*x"
+domain = "x + 2"
+grid.t = 0:1:2
+grid.x = 0:1:2
+grid.y = 0:1:2
+grid.z = 0:1:2
+"""
+
+# key -> (a second line with a different value, the error, a second line with the same value)
+DUPLICATES = {
+    "name": ("name = other", "name with a different value", "name = m"),
+    "coords": ("coords = t, x, y, w", "coords with a different value", "coords = t,x,y,z"),
+    "param": ("param E = 2", "param E with a different value", "param E = 1.0"),
+    "G": ("G = 2", "G with a different value", "G = 1.0"),
+    "c": ("c = 2", "c with a different value", "c = 1e0"),
+    "g": ('g[0][0] = "2"', "g[0][0] with a different expression", 'g[0][0] = "1"'),
+    "A": ('A[0] = "2*x"', "A[0] with a different expression", 'A[0] = "-E*x"'),
+    "domain": ('domain = "x + 3"', "domain with a different expression", 'domain = "x + 2"'),
+    "grid": ("grid.x = 0:1:3", "grid.x with a different range", "grid.x = 0:1.0:2"),
+}
+
+
+@pytest.mark.parametrize("key", sorted(DUPLICATES))
+def test_a_key_given_twice_with_different_values_is_a_load_error(tmp_path, capsys, key):
+    """Every key of a definition file: a second line with a different value
+    exits 2 with an error that names the line; one with the same value loads."""
+    second, error, same = DUPLICATES[key]
+    path = tmp_path / "dup.spacetime"
+    path.write_text(DUPLICATE_BASE + second + "\n")
+    assert main(["run", "--spacetime", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == f"error: {path}:16: duplicate {error}\n"
+    model = parse_spacetime_text(DUPLICATE_BASE + same + "\n")
+    assert model.params == {"E": 1.0} and model.A_fields[0].name == "A[0]"
+    assert [len(model.grid_axes[n]) for n in model.chart.names] == [2, 2, 2, 2]
+
+
 def test_loader_expression_error_reported():
     text = """
 name = m

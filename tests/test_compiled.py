@@ -1,7 +1,8 @@
-"""The compiled expression path against the interpreter, ``expr.evaluate``,
-bit for bit; ``field_jets`` against a per-component loop; and the generated
-one-point order-1 code against the jet path, which the generated force law
-of the worldline starts from."""
+"""Fields, which evaluate their folded trees, against the interpreter,
+``expr.evaluate``, on the unfolded trees, bit for bit; ``field_jets``
+against a per-component loop; and the generated one-point order-1 code
+against the jet path, which the generated force law of the worldline
+starts from."""
 
 import ast
 import math
@@ -20,7 +21,7 @@ from rcgeom.fields import fd_jet, make_seeds
 from rcgeom.jets import FUNCTIONS, Jet
 
 from test_engine_batch import GENERIC
-from test_expr import _combine, _leaf
+from test_expr import _combine, _leaf, params_strategy
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 
@@ -87,8 +88,8 @@ def test_compiled_field_equals_interpreter(model_name, label, f):
 
 CART = ChartSpec(("t", "x", "y", "z"))
 
-# every closure kind: each operator with a closure or a folded value on
-# either side, a constant nonzero denominator, parameter-only calls
+# every kind of node: each operator with a coordinate-dependent or a folded
+# operand on either side, a constant nonzero denominator, parameter-only calls
 KINDS = ["x + M", "M + x", "x + y", "x - M", "M - x", "x - y", "x*M", "M*x", "x*y",
          "x/M", "x/(M*7)", "M/x", "x/y", "x^M", "M^x", "x^y", "(x + 2)^0.5", "-x",
          "sin(x)*cos(M)", "exp(-M*x^2)/(3*M)", "log(M + x^2)", "sqrt(M)*sqrt(2 + y)",
@@ -104,10 +105,17 @@ def test_every_closure_kind_equals_interpreter(src):
 
 def test_parameter_subtrees_are_folded_and_constants_recognised():
     params = {"M": 2.0, "q": 0.5}
-    assert ExprField("M^2 - q*cos(M)", CART, params).const == 4.0 - 0.5 * math.cos(2.0)
+    f = ExprField("M^2 - q*cos(M)", CART, params)
+    assert f.const == 4.0 - 0.5 * math.cos(2.0) and f.tree == expr.Num(f.const)
     f = ExprField("2*M/(q^2*x)", CART, params)
     assert f.const is None
+    assert f.tree == expr.Div(expr.Num(4.0), expr.Mul(expr.Num(0.25), expr.Coord(1, "x")))
     assert f.value([0.0, 4.0, 0.0, 0.0]) == 2 * 2.0 / (0.5**2 * 4.0)
+    # a -0.0 keeps its sign; a subtree that does not fold keeps its shape
+    x = expr.Coord(1, "x")
+    assert ExprField("(-M*0) + x", CART, params).tree == expr.Add(expr.Neg(expr.Num(0.0)), x)
+    assert ExprField("x + log(M - 2*M)", CART, params).tree == expr.Add(
+        x, expr.Call("log", expr.Num(-2.0)))
 
 
 # (source, point where evaluation fails, parameters)
@@ -118,6 +126,7 @@ FAILURES = [
     ("x * (1/(M - M))", [0.0, 0.5, 0.0, 0.0], {"M": 1.0}),
     ("x + sqrt(M - 3)^2", [0.0, 0.5, 0.0, 0.0], {"M": 1.0}),
     ("(M - M)^(-1) + x", [0.0, 0.5, 0.0, 0.0], {"M": 1.0}),
+    ("x + 2^(5000*M)", [0.0, 0.5, 0.0, 0.0], {"M": 1.0}),
 ]
 
 
@@ -259,10 +268,9 @@ def test_failures_give_the_jet_path_note_through_one_point_field_jets(src, x, pa
 
 
 def _generated(tree, domain=None):
-    """The generated function of one field, its value and gradient in
+    """The generated function of one folded tree, its value and gradient in
     entries 0-4."""
-    return expr.compile_one_point([0.0] * 5, [(tree, {}, (0,), [(1,), (2,), (3,), (4,)])],
-                                  domain)
+    return expr.compile_one_point([0.0] * 5, [(tree, (0,), [(1,), (2,), (3,), (4,)])], domain)
 
 
 def _outcome(call):
@@ -282,24 +290,83 @@ def _value_and_gradient(f, x):
     return [jv.value, *jv.grad]
 
 
+def _result(call):
+    """("ok", what call returns) or ("error", its type, its message)."""
+    try:
+        return "ok", call()
+    except Exception as err:  # the error itself is compared
+        return "error", type(err), str(err)
+
+
+def _bits(v):
+    return np.asarray(v, dtype=float).tobytes()
+
+
+def _jet_bits(jet, order):
+    """The bits of a Jet's or a JetValue's parts up to the order."""
+    parts = (jet.f, jet.g, jet.h, jet.t) if isinstance(jet, Jet) else jet
+    return tuple(_bits(p) for p in parts[:order + 1])
+
+
 _COORD = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-120]))
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.recursive(_leaf, _combine, max_leaves=12), st.lists(_COORD, min_size=4, max_size=4))
-def test_generated_code_equals_the_jet_path_on_random_trees(tree, x):
-    """Value and gradient equal the jet path's bit for bit, and the generated
-    code fails (raises or returns None) exactly where the jet path raises.
-    As a domain, it passes a point only where the predicate is positive."""
+@given(st.recursive(_leaf, _combine, max_leaves=12), params_strategy,
+       st.lists(_COORD, min_size=4, max_size=4))
+def test_folded_fields_equal_the_unfolded_tree_on_random_trees(tree, params, x):
+    """A field evaluates its folded tree.  Its value, values and jets at
+    orders 1-3 give the bits and the errors that ``evaluate`` gives on the
+    unfolded tree, where a parameter-only subtree fails to fold too."""
+    with np.errstate(all="ignore"):
+        _assert_folded_equals_unfolded(tree, params, np.array(x))
+
+
+def _assert_folded_equals_unfolded(tree, params, x):
+    if expr.coordinate_free(tree):  # its value, or its error at construction
+        assert _result(lambda: _bits(ExprField(tree, CART, params).const)) == _result(
+            lambda: _bits(expr.evaluate(tree, (), params)))
+        return
+    f = ExprField(tree, CART, params)
+    X = np.array([[0.5, 1.5, -0.5, 2.0], x, [1.0, -2.0, 0.25, 3.0]])
+    rows = []
+    for r in X:
+        got = _result(lambda: _bits(f.value(r)))
+        want = _result(lambda: expr.evaluate(tree, r.tolist(), params))
+        if want[0] == "ok" and not math.isfinite(want[1]):  # value checks finiteness
+            assert got[:2] == ("error", EvalError) and "non-finite" in got[2]
+        else:
+            assert got == (want if want[0] == "error" else ("ok", _bits(want[1])))
+        rows.append(got)
+    # values meets the error of the first row that fails, or gives every row
+    errors = [r for r in rows if r[0] == "error"]
+    want = errors[0] if errors else ("ok", b"".join(r[1] for r in rows))
+    assert _result(lambda: _bits(f.values(X))) == want
+    for order in (1, 2, 3):
+        for pt in (x, X):
+            got = _result(lambda: _jet_bits(f.jet_unchecked(pt, order), order))
+            want = _result(lambda: _jet_bits(
+                expr.evaluate(tree, make_seeds(pt, order), params), order))
+            assert got == want, (order, pt.ndim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(_leaf, _combine, max_leaves=12), params_strategy,
+       st.lists(_COORD, min_size=4, max_size=4))
+def test_generated_code_equals_the_jet_path_on_random_trees(tree, params, x):
+    """The generated code of a folded tree declines, or its value and
+    gradient equal the jet path's bit for bit, and it fails (raises or
+    returns None) exactly where the jet path raises.  As a domain, it
+    passes a point only where the predicate is positive."""
     try:
-        f = ExprField(tree, CART)
+        f = ExprField(tree, CART, params)
     except EvalError:  # a constant tree that fails
         return
     if f.const is not None:
         return
-    run = _generated(tree)
+    run = _generated(f.tree)
     jv = _outcome(lambda: _value_and_gradient(f, x))
-    if run is None:  # declined: a folded subtree raises, so the jets fail everywhere
+    if run is None:  # declined: an operation on constants fails, so the jets fail everywhere
         assert jv is None
         return
     got = _outcome(lambda: run(*x))
@@ -307,7 +374,7 @@ def test_generated_code_equals_the_jet_path_on_random_trees(tree, x):
     if got is not None:
         assert got.tobytes() == jv.tobytes()
     inside = _outcome(lambda: [f.value(np.array(x))])
-    domain = expr.compile_one_point([], [], (tree, {}))  # None: no point is inside
+    domain = expr.compile_one_point([], [], f.tree)  # None: no point is inside
     if domain is not None and _outcome(lambda: domain(*x)) is not None:
         assert inside is not None and inside[0] > 0.0
 

@@ -118,7 +118,7 @@ def _close(batch, single, scale):
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_batch_members_match_one_point_snapshots(name, mode):
     """A batch matches its rows taken as batches of one.  A batch of one
-    runs the compiled closures on floats, a larger batch on arrays."""
+    evaluates the folded trees on floats, a larger batch on arrays."""
     model = MODELS[name]
     X = _points(model)
     batch = GeometrySnapshot(model, X, mode)

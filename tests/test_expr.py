@@ -19,8 +19,8 @@ from rcgeom.expr import (
     Param,
     Pow,
     Sub,
-    compile_ast,
     evaluate,
+    fold,
     parse,
     to_source,
 )
@@ -120,7 +120,7 @@ def test_deep_expressions_are_parse_errors():
     long_sum = parse(" + ".join(["t"] * MAX_DEPTH), CART)
     assert evaluate(long_sum, (0.5, 0.0, 0.0, 0.0), {}) == pytest.approx(0.5 * MAX_DEPTH)
     assert parse(to_source(long_sum), CART) == long_sum
-    assert compile_ast(long_sum, {})((0.5, 0.0, 0.0, 0.0)) == evaluate(
+    assert evaluate(fold(long_sum, {}), (0.5, 0.0, 0.0, 0.0), {}) == evaluate(
         long_sum, (0.5, 0.0, 0.0, 0.0), {})
     nested = "(" * (MAX_DEPTH - 1) + "t" + ")" * (MAX_DEPTH - 1)
     assert parse(nested, CART) == Coord(0, "t")
@@ -132,10 +132,20 @@ def test_roundtrip_examples():
         assert parse(to_source(ast), SPHERE, params=("M",)) == ast
 
 
+PARAM_NAMES = ("M", "q")
+
 _leaf = st.one_of(
     st.floats(min_value=0.0, max_value=9.0).map(lambda v: Num(round(v, 3))),
     st.sampled_from([Coord(i, n) for i, n in enumerate(CART.names)]),
+    st.sampled_from([Param(n) for n in PARAM_NAMES]),
 )
+
+# Parameter values for the trees' Param leaves.  M == q half of the time,
+# so that M - q is zero and a parameter-only subtree such as log(M - q),
+# 1/(M - q) or (M - q)^-1 fails where it is folded.
+_value = st.sampled_from([0.0, 1.0, 2.5, -1.5])
+params_strategy = _value.flatmap(lambda m: st.fixed_dictionaries(
+    {"M": st.just(m), "q": st.one_of(st.just(m), _value)}))
 
 
 def _combine(children):
@@ -146,13 +156,14 @@ def _combine(children):
         st.tuples(children, children).map(lambda p: Div(*p)),
         st.tuples(children, children).map(lambda p: Pow(*p)),
         children.map(lambda c: Call("sin", c)),
+        children.map(lambda c: Call("log", c)),
     )
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.recursive(_leaf, _combine, max_leaves=12))
 def test_roundtrip_property(ast):
-    assert parse(to_source(ast), CART) == ast
+    assert parse(to_source(ast), CART, params=PARAM_NAMES) == ast
 
 
 # -- derivatives ---------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Contorsion, torsion, the full connection, and its curvature split."""
 
+from functools import cached_property
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from rcgeom import MetricAtPoint, catalog_get
 from rcgeom.engine import GeometrySnapshot
 from rcgeom.checks import CHECK_DEFS
+from rcgeom.harness import run_suite
 
 _torsion_roundtrip = CHECK_DEFS["rc.torsion_roundtrip"].residual
 
@@ -77,10 +79,29 @@ def test_torsion_contorsion_roundtrip_random():
         f = rng.standard_normal((4, 4))
         f = f - f.T
         f_mix = np.einsum("la,na->nl", m.inverse[0], f)
-        # any object with the snapshot's K_mix, g and ginv feeds the check
-        point = SimpleNamespace(K_mix=-np.einsum("m,nl->mnl", a, f_mix)[None],
+        # any object with the snapshot's K_mix, torsion_mix, g and ginv feeds the check
+        K = -np.einsum("m,nl->mnl", a, f_mix)[None]
+        point = SimpleNamespace(K_mix=K, torsion_mix=K - K.swapaxes(-3, -2),
                                 g=m.matrix, ginv=m.inverse)
         assert _torsion_roundtrip(point)[0] <= 1e-12
+
+
+def _torsion_roundtrip_passes(name, mode):
+    rows = {r.check_id: r for r in run_suite("rc", catalog_get(name), mode).checks}
+    return rows["rc.torsion_roundtrip"].passed
+
+
+@pytest.mark.parametrize("mode", ["dual", "fd"])
+@pytest.mark.parametrize("name", ["charge-ball", "reissner-nordstrom"])
+def test_scaled_torsion_fails_the_roundtrip_row(monkeypatch, name, mode):
+    """Negative control of rc.torsion_roundtrip: the engine's torsion, 1.01
+    times too large, no longer rebuilds the contorsion."""
+    assert _torsion_roundtrip_passes(name, mode)
+    original = GeometrySnapshot.torsion_mix
+    mutant = cached_property(lambda snap: 1.01 * original.func(snap))
+    mutant.__set_name__(GeometrySnapshot, "torsion_mix")
+    monkeypatch.setattr(GeometrySnapshot, "torsion_mix", mutant)
+    assert not _torsion_roundtrip_passes(name, mode)
 
 
 def test_full_connection_reduces_without_charge():
