@@ -238,23 +238,21 @@ def build_model(
 ):
     """Assemble a model from expression sources with symmetric completion."""
     constants = PhysicalConstants(float(G), float(c))
-    chart = ChartSpec(tuple(coord_names), domain_src)
+    chart = ChartSpec(tuple(coord_names))
     params = dict(params or {})
     bad = [f"{k}={v}" for k, v in params.items() if not math.isfinite(v)]
     if bad:
         raise GeometryError(f"parameters must be finite: {', '.join(bad)}")
     env = dict(params, G=constants.G, c=constants.c)
 
-    filled = {}
-    for (i, j), src in (g_sources or {}).items():
+    g_sources = dict(g_sources or {})
+    for (i, j), src in g_sources.items():
         if not (0 <= i <= 3 and 0 <= j <= 3):
             raise SpacetimeFormatError(f"metric index out of range: g[{i}][{j}]", origin or name)
-        if (j, i) in filled and filled[(j, i)] != src and (i, j) not in filled:
+        if g_sources.get((j, i), src) != src:
             raise SpacetimeFormatError(
                 f"conflicting sources for g[{i}][{j}] and g[{j}][{i}]", origin or name
             )
-        filled[(i, j)] = src
-        filled.setdefault((j, i), src)
 
     rows = []
     for i in range(4):
@@ -263,7 +261,7 @@ def build_model(
             if j < i:
                 row.append(rows[j][i])
                 continue
-            src = filled.get((i, j), "0")
+            src = g_sources.get((i, j), g_sources.get((j, i), "0"))
             row.append(ExprField(src, chart, env, name=f"g[{i}][{j}]"))
         rows.append(tuple(row))
     g_fields = tuple(rows)
@@ -566,6 +564,7 @@ def parse_spacetime_text(text, origin="<string>", param_overrides=None):
     domain_src = None
     grid_axes = {}
     seen = {}  # key -> the value its first line gave
+    param_lines = {}  # param -> the line that declared it
 
     def once(key, value, lineno, what="value"):
         first = seen.setdefault(key, value)
@@ -588,7 +587,13 @@ def parse_spacetime_text(text, origin="<string>", param_overrides=None):
         elif m := _LINE_RES["coords"].match(line):
             coords = once("coords", tuple(s.strip() for s in m.group(1).split(",")), lineno)
         elif m := _LINE_RES["param"].match(line):
-            params[m.group(1)] = once(f"param {m.group(1)}", number(m.group(2), lineno), lineno)
+            key = m.group(1)
+            if key in consts:
+                raise SpacetimeFormatError(
+                    f"param {key} names a constant; set it with a '{key} = ...' line",
+                    origin, lineno)
+            params[key] = once(f"param {key}", number(m.group(2), lineno), lineno)
+            param_lines.setdefault(key, lineno)
         elif m := _LINE_RES["const"].match(line):
             consts[m.group(1)] = once(m.group(1), number(m.group(2), lineno), lineno)
         elif m := _LINE_RES["g"].match(line):
@@ -625,6 +630,9 @@ def parse_spacetime_text(text, origin="<string>", param_overrides=None):
         raise SpacetimeFormatError("missing required key: name", origin)
     if coords is None:
         raise SpacetimeFormatError("missing required key: coords", origin)
+    for key, lineno in param_lines.items():
+        if key in coords:
+            raise SpacetimeFormatError(f"param {key} names a chart coordinate", origin, lineno)
 
     for key, value in (param_overrides or {}).items():
         if key in ("G", "c"):

@@ -32,17 +32,19 @@ from .harness import (
 )
 
 
-def _parse_params(pairs):
-    params = {}
+def _parse_pairs(pairs, option, form):
+    """The values of a repeatable ``option`` given as ``form`` (NAME=VALUE),
+    as floats by name."""
+    values = {}
     for pair in pairs or []:
         if "=" not in pair:
-            raise GeometryError(f"bad --param {pair!r}, expected NAME=VALUE")
+            raise GeometryError(f"bad {option} {pair!r}, expected {form}")
         key, value = pair.split("=", 1)
         try:
-            params[key.strip()] = float(value)
+            values[key.strip()] = float(value)
         except ValueError:
-            raise GeometryError(f"bad --param value {value!r}") from None
-    return params
+            raise GeometryError(f"bad {option} value {value!r}") from None
+    return values
 
 
 def _parse_grid(pairs):
@@ -62,21 +64,8 @@ def _parse_grid(pairs):
     return grid
 
 
-def _parse_tols(pairs):
-    tols = {}
-    for pair in pairs or []:
-        if "=" not in pair:
-            raise GeometryError(f"bad --tol {pair!r}, expected check=value")
-        key, value = pair.split("=", 1)
-        try:
-            tols[key.strip()] = float(value)
-        except ValueError:
-            raise GeometryError(f"bad --tol value {value!r}") from None
-    return tols
-
-
 def _model_from_args(args):
-    params = _parse_params(getattr(args, "param", None))
+    params = _parse_pairs(args.param, "--param", "NAME=VALUE")
     G = params.pop("G", None)
     c = params.pop("c", None)
     return resolve_model(args.spacetime, params, G=G, c=c)
@@ -143,7 +132,7 @@ def _cmd_run(args):
         model,
         mode=args.diff,
         grid_overrides=_parse_grid(args.grid),
-        tol_overrides=_parse_tols(args.tol),
+        tol_overrides=_parse_pairs(args.tol, "--tol", "check=value"),
         include_timing=args.timing,
     )
     return _write_report(report, args.out)
@@ -201,7 +190,7 @@ def _cmd_gauge(args):
         "gauge",
         model,
         mode=args.diff,
-        tol_overrides=_parse_tols(args.tol),
+        tol_overrides=_parse_pairs(args.tol, "--tol", "check=value"),
         phis=args.phi,
         include_timing=args.timing,
     )

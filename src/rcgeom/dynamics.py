@@ -26,13 +26,14 @@ take a batch of points, one velocity per point.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import _SPANS, DIM, GeometrySnapshot, batched_einsum, max_abs
+from .engine import DIM, GeometrySnapshot, batched_einsum, max_abs
 from .errors import (
     ConsistencyError,
     DomainError,
@@ -194,31 +195,12 @@ def _snapshot_rhs(model, y, k, mode):
     return (*V.tolist(), *a.tolist()), n2
 
 
-def _order1_fields(model):
-    """The arguments of ``expr.compile_one_point`` for the model's order-1
-    field jets in the flat ``engine.field_jets`` buffer (g, dg, A, dA): the
-    buffer with the constant template filled in, the entries of each
-    coordinate-dependent component, and the domain.  None when a component
-    is not an expression (a gauge-shifted potential)."""
-    layout, spans = model.layout, _SPANS[1]
-    buf, slots = np.zeros(spans[-1][1]), np.arange(spans[-1][1])
-    g, _, A, _ = (buf[a:b].reshape(shape) for a, b, shape in spans)
-    g[...], A[...] = layout.g, layout.A
-    sg, sdg, sA, sdA = (slots[a:b].reshape(shape) for a, b, shape in spans)
-    fields = [(f, (sg[i, j], sg[j, i]), [(sdg[k, i, j], sdg[k, j, i]) for k in range(DIM)])
-              for i, j, f in layout.g_live]
-    fields += [(f, (sA[n],), [(sdA[k, n],) for k in range(DIM)]) for n, f in layout.A_live]
-    if not all(isinstance(f, ExprField) for f, _, _ in fields):
-        return None
-    domain = None if model.domain is None else model.domain.tree
-    return buf.tolist(), [(f.tree, v, d) for f, v, d in fields], domain
-
-
 def _generate_rhs(model):
     """The model's force law as one generated function
     ``rhs(x0, x1, x2, x3, v0, v1, v2, v3, k)`` (``expr.compile_one_point``
-    continued by ``_force_law``), or None where a component is not an
-    expression or the generator declines.
+    of the folded trees of the coordinate-dependent components, continued
+    by ``_force_law``), or None where a component is not an expression (a
+    gauge-shifted potential) or the generator declines.
 
     ``rhs`` returns ``_rhs``'s pair, or None where the snapshot route must
     decide: outside the domain, within a factor 2 of the degeneracy bound
@@ -226,14 +208,38 @@ def _generate_rhs(model):
     where an input, an output or a field entry the outputs do not read
     (the potential's value, the diagonal of its gradient) is not finite.
     """
-    spec = _order1_fields(model)
-    return None if spec is None else compile_one_point(
-        *spec, args=("v0", "v1", "v2", "v3", "k"), then=_force_law)
+    layout = model.layout
+    fields = [f for *_, f in layout.g_live + layout.A_live]
+    if not all(isinstance(f, ExprField) for f in fields):
+        return None
+    domain = None if model.domain is None else model.domain.tree
+    return compile_one_point([f.tree for f in fields], domain, ("v0", "v1", "v2", "v3", "k"),
+                             functools.partial(_force_law, layout))
 
 
-def _force_law(tape, buffer, x0, x1, x2, x3, v0, v1, v2, v3, k):
+def _order1_lists(layout, jets):
+    """g, dg, A and dA (derivative index first) as nested lists: the
+    layout's constant template, with the value and gradient of each
+    coordinate-dependent component from its jet, in the order of
+    ``g_live`` and then ``A_live``."""
+    g, A = layout.g.tolist(), layout.A.tolist()
+    dg = [[[0.0] * DIM for _ in range(DIM)] for _ in range(DIM)]
+    dA = [[0.0] * DIM for _ in range(DIM)]
+    jets = iter(jets)
+    for (i, j, _), jet in zip(layout.g_live, jets):
+        g[i][j] = g[j][i] = jet.f
+        for a, d in enumerate(jet.g):
+            dg[a][i][j] = dg[a][j][i] = d
+    for (n, _), jet in zip(layout.A_live, jets):
+        A[n] = jet.f
+        for a, d in enumerate(jet.g):
+            dA[a][n] = d
+    return g, dg, A, dA
+
+
+def _force_law(layout, tape, jets, x0, x1, x2, x3, v0, v1, v2, v3, k):
     """``compile_one_point``'s continuation for ``_generate_rhs``: the force
-    law from the recorded order-1 field buffer.
+    law from the recorded order-1 jets of the layout's components.
 
     It inverts g by cofactors, lowers the geodesic term to
     w_l = Gamma_{l,md} V^m V^d, adds the Lorentz term u_l = F_{ml} V^m, and
@@ -242,8 +248,7 @@ def _force_law(tape, buffer, x0, x1, x2, x3, v0, v1, v2, v3, k):
     constant zeros cost nothing.
     """
     x, V = (x0, x1, x2, x3), (v0, v1, v2, v3)
-    g, dg, A, dA = (np.array(buffer, dtype=object)[a:b].reshape(shape).tolist()
-                    for a, b, shape in _SPANS[1])
+    g, dg, A, dA = _order1_lists(layout, jets)
     upper = [(a, b) for a in range(DIM) for b in range(a, DIM)]
 
     det, adj = _adjugate(g)

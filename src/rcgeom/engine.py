@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import collections
 import functools
-import math
 import operator
 
 import numpy as np
@@ -132,31 +131,14 @@ FieldJets = collections.namedtuple(
     "FieldJets", "x order g dg A dA ddg ddA dddg dddA", defaults=(None,) * 4)
 
 
-def _spans():
-    """order -> (start, stop, per-point shape) of each FieldJets member in
-    one flat buffer per point, in the order of the FieldJets arguments;
-    order n carries the first 2 + 2n members."""
-    shapes = [(DIM, DIM), (DIM,) * 3, (DIM,), (DIM, DIM),
-              (DIM,) * 4, (DIM,) * 3, (DIM,) * 5, (DIM,) * 4]
-    spans, start = [], 0
-    for shape in shapes:
-        spans.append((start, start + math.prod(shape), shape))
-        start = spans[-1][1]
-    return {order: tuple(spans[: 2 + 2 * order]) for order in (1, 2, 3)}
-
-
-_SPANS = _spans()
-
-
 def field_jets(model, X, order=2, mode="dual"):
     """Evaluate the component fields of a model at every point of X, shape
     (N, 4).
 
     The members start from the model's constant template (``model.layout``):
     the constant components, and the zero derivatives of them, are filled
-    in, and only the coordinate-dependent components are evaluated.  The
-    members are views of one buffer, so one finiteness check covers them
-    all.
+    in, and only the coordinate-dependent components are evaluated.  A
+    non-finite entry in any member raises, naming the first point at fault.
     """
     model.require_in_domain(X)
     if mode not in ("dual", "fd"):
@@ -166,20 +148,19 @@ def field_jets(model, X, order=2, mode="dual"):
 
     layout = model.layout
     n = len(X)
-    spans = _SPANS[order]
-    buf = np.zeros(n * spans[-1][1])
+    ranks = (2, 3, 1, 2, 4, 3, 5, 4)[: 2 + 2 * order]  # of g, dg, A, dA, ddg, ...
     if n == 1:
         # A batch of one runs the one-point jets, on floats, and fills its
         # (1, ...) members in place.
         x = X[0]
-        parts = [buf[a:b].reshape((1,) + shape) for a, b, shape in spans]
+        parts = [np.zeros((1,) + (DIM,) * r) for r in ranks]
         views = [p[0] for p in parts]
         g_tmpl, A_tmpl = layout.g, layout.A
     else:
         # Filled with the batch axis last, as the jets of a larger batch
         # carry it; moved to the front below.
         x = X
-        views = [buf[n * a:n * b].reshape(shape + (n,)) for a, b, shape in spans]
+        views = [np.zeros((DIM,) * r + (n,)) for r in ranks]
         g_tmpl, A_tmpl = layout.g[..., None], layout.A[..., None]
     g, dg, A, dA, ddg, ddA, dddg, dddA = views + [None] * (8 - len(views))
     g[...] = g_tmpl
@@ -208,11 +189,11 @@ def field_jets(model, X, order=2, mode="dual"):
         if order >= 3:
             dddA[:, :, :, k] = jv.third
 
-    if np.count_nonzero(np.isfinite(buf)) < len(buf):
-        finite = np.concatenate([np.isfinite(v).reshape(-1, n) for v in views])
+    if not all(np.isfinite(v).all() for v in views):
+        finite = np.logical_and.reduce([np.isfinite(v).reshape(-1, n).all(axis=0) for v in views])
         raise EvalError(
             f"non-finite field derivatives for {model.name!r} at "
-            f"{point_text(X[np.argmin(finite.all(axis=0))])}"
+            f"{point_text(X[np.argmin(finite)])}"
         )
     if n > 1:
         parts = [np.ascontiguousarray(np.moveaxis(v, -1, 0)) for v in views]

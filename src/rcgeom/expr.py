@@ -18,10 +18,10 @@ values; ``evaluate`` of the folded tree equals ``evaluate`` of the tree bit
 for bit.  Every field evaluates its folded tree.
 
 ``compile_one_point`` generates one straight-line Python function of four
-floats for a set of folded trees: the value and gradient of each (its order-1
-jet) and a domain test, with the operations of ``Jet`` arithmetic on
-floats, so its results are those of the jets bit for bit.  A caller may
-carry the function on from those jets (``dynamics`` appends the force law).
+floats from a set of folded trees and a domain test.  It records the order-1
+jet of each tree with the operations of ``Jet`` arithmetic on floats, so
+those jets are the jet path's bit for bit, and hands them to the caller,
+which carries the function on (``dynamics`` records the force law).
 """
 
 from __future__ import annotations
@@ -44,11 +44,9 @@ MAX_DEPTH = 200
 
 @dataclass(frozen=True)
 class ChartSpec:
-    """Names of the four chart coordinates plus an optional domain predicate
-    (an expression whose value is positive inside the domain)."""
+    """Names of the four chart coordinates."""
 
     names: tuple
-    domain_src: str | None = None
 
     def __post_init__(self):
         names = tuple(self.names)
@@ -414,34 +412,31 @@ class _Decline(Exception):
     (one in a subtree that did not fold) declines as well."""
 
 
-def compile_one_point(buffer, fields, domain=None, args=(), then=None):
-    """One generated Python function ``f(x0, x1, x2, x3, *args)`` of the
-    order-1 jets of ``fields`` at one point, or None where the generator
+def compile_one_point(trees, domain, args, then):
+    """One generated Python function ``f(x0, x1, x2, x3, *args)`` that
+    carries the order-1 jets of the folded trees (``fold``), each of which
+    reads a coordinate, on through ``then``, or None where the generator
     declines.
 
-    ``buffer`` holds the constant entries of the jets; each field is
-    ``(tree, value_slots, gradient_slots)``: its folded tree (``fold``), the
-    entries that take its value and, for each axis k, the entries that take
-    its derivative along x_k.  Without ``then``, ``f`` returns the filled
-    buffer as a tuple.  ``then(tape, filled, *arguments)`` carries the
-    function on: it gets the filled buffer (float constants and recorded
-    floats) and the recorded arguments of ``f``, may record statements and
-    guards of its own, and returns the outputs (a tuple whose entries may
-    be tuples), or None to decline.  ``f`` returns None when the folded
-    ``domain`` tree is not positive and finite at the point, or when a
-    guard fails.
+    ``then(tape, jets, *arguments)`` gets one recorded ``Jet`` per tree,
+    whose value and gradient are float constants or recorded floats, and
+    the recorded arguments of ``f``; it may record statements and guards
+    of its own, and returns the outputs (a tuple whose entries may be
+    tuples), or None to decline.  ``f`` returns None when the folded
+    ``domain`` tree (None: every point is inside) is not positive and
+    finite at the point, or when a guard fails.
 
     The function is straight-line code over floats.  Each tree is run
     through ``Jet`` itself (and through the ``_TABLE`` rules at order 1,
     with the tape as their ``m``), whose operations on floats are recorded
-    as statements.  So the buffer holds the operations of the jet path, on
-    the same operands in the same order, and its entries are the jet path's
-    bit for bit, signed zeros included.  Operations are hash-consed, on the
-    folded trees and on the statement text, so a subexpression shared by
-    several fields is computed once.  A statement that neither leads to an
-    output nor can raise is dropped; one that can raise is kept, so that
-    ``f`` raises where the jets raise.  The source holds only the
-    arguments, temporaries, finite float literals and ``math`` functions
+    as statements.  So the jets hold the operations of the jet path, on
+    the same operands in the same order, and are the jet path's bit for
+    bit, signed zeros included.  Operations are hash-consed, on the folded
+    trees and on the statement text, so a subexpression shared by several
+    trees is computed once.  A statement that neither leads to an output
+    nor can raise is dropped; one that can raise is kept, so that ``f``
+    raises where the jets raise.  The source holds only the arguments,
+    temporaries, finite float literals and ``math`` functions
     (``f.source``), never text from a definition file.
 
     The generator declines when an operation on constants fails (as one in
@@ -453,7 +448,6 @@ def compile_one_point(buffer, fields, domain=None, args=(), then=None):
     tape = _Tape()
     xs = [_Var(tape, f"x{i}") for i in range(4)]
     seeds = [Jet(x, UNIT_ROWS[i]) for i, x in enumerate(xs)]
-    out = list(buffer)
     try:
         if domain is not None:
             d = _symbolic(domain, xs, tape, {})
@@ -462,15 +456,8 @@ def compile_one_point(buffer, fields, domain=None, args=(), then=None):
             elif not d > 0.0:  # no point is inside
                 raise _Decline
         memo = {}
-        for tree, value_slots, gradient_slots in fields:
-            jet = _symbolic(tree, seeds, tape, memo)
-            for s in value_slots:
-                out[s] = jet.f
-            for d, slots in zip(jet.g, gradient_slots):
-                for s in slots:
-                    out[s] = d
-        outputs = tuple(out) if then is None else then(
-            tape, out, *xs, *(_Var(tape, name) for name in args))
+        jets = [_symbolic(tree, seeds, tape, memo) for tree in trees]
+        outputs = then(tape, jets, *xs, *(_Var(tape, name) for name in args))
         if outputs is None:
             raise _Decline
         source = tape.source(outputs, [x.name for x in xs] + list(args))

@@ -182,8 +182,6 @@ class SuiteContext:
             return self.grid[:1]
         if group == "random":
             return self.random_points()
-        if group == "grid+random":
-            return np.concatenate([self.grid, self.random_points()], axis=0)
         raise ValueError(f"unknown point group {group!r}")
 
     def random_points(self, n=100):

@@ -14,6 +14,7 @@ from rcgeom import (
     catalog_get,
     parse_spacetime_text,
 )
+from rcgeom.catalog import build_model, load_spacetime_file
 from rcgeom.cli import main
 from rcgeom.engine import GeometrySnapshot
 
@@ -36,6 +37,8 @@ grid.r = 3:10:8
 grid.theta = 0.3:2.8416:4
 grid.phi = 0.1:2:2
 """
+FLAT_SOURCES = {(0, 0): "1", (1, 1): "-1", (2, 2): "-1", (3, 3): "-1"}
+FLAT_GRID = {n: (0.0,) for n in ("t", "x", "y", "z")}
 
 
 def test_catalog_names_complete():
@@ -266,6 +269,23 @@ grid.z = 0:1:2
         parse_spacetime_text(text)
 
 
+@pytest.mark.parametrize("order", [((0, 1), (1, 0)), ((1, 0), (0, 1))],
+                         ids=["01-first", "10-first"])
+def test_build_model_rejects_conflicting_mirror_sources(order):
+    """A library caller's mirror conflict is an error in either key order."""
+    (i, j), (k, l) = order
+    sources = {**FLAT_SOURCES, (i, j): "0.1", (k, l): "0.2"}
+    with pytest.raises(SpacetimeFormatError,
+                       match=rf"conflicting sources for g\[{i}\]\[{j}\] and g\[{j}\]\[{i}\]"):
+        build_model("mirror", ("t", "x", "y", "z"), sources, grid_axes=FLAT_GRID)
+    same = build_model("mirror", ("t", "x", "y", "z"),
+                       {**FLAT_SOURCES, (0, 1): "0.1", (1, 0): "0.1"}, grid_axes=FLAT_GRID)
+    assert same.metric_values([[0.0, 0.0, 0.0, 0.0]])[0][1, 0] == 0.1
+    with pytest.raises(SpacetimeFormatError, match=r"metric index out of range: g\[0\]\[4\]"):
+        build_model("mirror", ("t", "x", "y", "z"), {**FLAT_SOURCES, (0, 4): "0"},
+                    grid_axes=FLAT_GRID)
+
+
 def test_loader_missing_keys():
     with pytest.raises(SpacetimeFormatError) as err:
         parse_spacetime_text("coords = t, x, y, z")
@@ -344,6 +364,48 @@ grid.z = 0:1:2
 """
     with pytest.raises(SpacetimeFormatError):
         parse_spacetime_text(text)
+
+
+SCHWARZSCHILD_FILE = """\
+name = schwarzschild-from-file
+param M = 1.0
+coords = t, r, theta, phi
+g[0][0] = "1 - 2*G*M/(c^2*r)"
+g[1][1] = "-1/(1 - 2*G*M/(c^2*r))"
+g[2][2] = "-r^2"
+g[3][3] = "-r^2*sin(theta)^2"
+domain = "(r - 2*G*M/c^2) * sin(theta)"
+grid.t = 0:0.5:2
+grid.r = 3:10:8
+grid.theta = 0.3:2.8416:4
+grid.phi = 0.1:2:2
+"""
+
+
+@pytest.mark.parametrize("name", ["G", "c"])
+def test_a_param_named_like_a_constant_is_a_load_error(tmp_path, capsys, name):
+    """Expressions read the constants G and c, so a param of that name would
+    be ignored; it names its line, and the constant stays settable."""
+    path = tmp_path / "schw.spacetime"
+    path.write_text(SCHWARZSCHILD_FILE.replace("param M = 1.0",
+                                               f"param M = 1.0\nparam {name} = 1.25"))
+    assert main(["run", "--spacetime", str(path), "--suite", "einstein",
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}:3: param {name} names a constant; set it with a '{name} = ...' line\n")
+    path.write_text(SCHWARZSCHILD_FILE.replace("param M = 1.0", f"param M = 1.0\n{name} = 1.25"))
+    assert getattr(load_spacetime_file(path).constants, name) == 1.25
+
+
+def test_a_param_named_like_a_coordinate_is_a_load_error(tmp_path, capsys):
+    """A coordinate shadows a param of its name; the error names the param's
+    line, which may come before the coords line."""
+    path = tmp_path / "schw.spacetime"
+    path.write_text(SCHWARZSCHILD_FILE.replace("param M = 1.0", "param M = 1.0\nparam r = 5.0"))
+    assert main(["run", "--spacetime", str(path), "--suite", "einstein",
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == f"error: {path}:3: param r names a chart coordinate\n"
+    assert parse_spacetime_text(SCHWARZSCHILD_FILE).params == {"M": 1.0}
 
 
 def test_loader_param_overrides():

@@ -211,10 +211,17 @@ def test_field_jets_equal_a_per_component_loop(name):
 
 
 def _generated_jets(model):
-    """The model's order-1 field jets as generated code: the flat
-    ``field_jets`` buffer (g, dg, A, dA) that its generated force law
-    starts from."""
-    return expr.compile_one_point(*dynamics._order1_fields(model))
+    """The model's order-1 field jets as generated code: g, dg, A and dA,
+    flattened and concatenated, as its generated force law starts from."""
+    layout = model.layout
+    trees = [f.tree for *_, f in layout.g_live + layout.A_live]
+    domain = None if model.domain is None else model.domain.tree
+
+    def members(tape, jets, *coords):
+        return tuple(tuple(np.ravel(np.array(m, dtype=object)))
+                     for m in dynamics._order1_lists(layout, jets))
+
+    return expr.compile_one_point(trees, domain, (), members)
 
 
 ORDER1_MEMBERS = ("g", "dg", "A", "dA")
@@ -229,7 +236,7 @@ def test_generated_one_point_jets_equal_the_jet_path(name):
     for x in grid[:: max(1, len(grid) // 24)]:
         want = field_jets(model, x[None], 1)
         flat = np.concatenate([getattr(want, member).ravel() for member in ORDER1_MEMBERS])
-        assert same_bits(run(*x.tolist()), flat), x
+        assert same_bits(np.concatenate(run(*x.tolist())), flat), x
 
 
 def test_a_gauge_shifted_potential_keeps_the_jet_path():
@@ -237,7 +244,7 @@ def test_a_gauge_shifted_potential_keeps_the_jet_path():
     force law, and the worldline right-hand side takes a snapshot."""
     model = JET_MODELS["gauge"]
     y = model.default_grid[0].tolist() + [1.0, 0.1, 0.0, 0.0]
-    assert dynamics._order1_fields(model) is None
+    assert dynamics._generate_rhs(model) is None
     assert dynamics._rhs(model, y, 0.5) == dynamics._snapshot_rhs(model, y, 0.5, "dual")
     assert model.layout.generated["rhs"] is None
 
@@ -270,7 +277,8 @@ def test_failures_give_the_jet_path_note_through_one_point_field_jets(src, x, pa
 def _generated(tree, domain=None):
     """The generated function of one folded tree, its value and gradient in
     entries 0-4."""
-    return expr.compile_one_point([0.0] * 5, [(tree, (0,), [(1,), (2,), (3,), (4,)])], domain)
+    return expr.compile_one_point([tree], domain, (),
+                                  lambda tape, jets, *xs: (jets[0].f, *jets[0].g))
 
 
 def _outcome(call):
@@ -374,7 +382,7 @@ def test_generated_code_equals_the_jet_path_on_random_trees(tree, params, x):
     if got is not None:
         assert got.tobytes() == jv.tobytes()
     inside = _outcome(lambda: [f.value(np.array(x))])
-    domain = expr.compile_one_point([], [], f.tree)  # None: no point is inside
+    domain = expr.compile_one_point([], f.tree, (), lambda *_: ())  # None: none inside
     if domain is not None and _outcome(lambda: domain(*x)) is not None:
         assert inside is not None and inside[0] > 0.0
 

@@ -444,6 +444,20 @@ def test_non_finite_input_is_a_usage_error(args, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args,error", [
+    (["--param", "M"], "bad --param 'M', expected NAME=VALUE"),
+    (["--param", "M=heavy"], "bad --param value 'heavy'"),
+    (["--tol", "metric.inverse"], "bad --tol 'metric.inverse', expected check=value"),
+    (["--tol", "metric.inverse=tight"], "bad --tol value 'tight'"),
+], ids=["param-form", "param-value", "tol-form", "tol-value"])
+def test_a_malformed_name_value_option_is_a_usage_error(args, error, tmp_path, capsys):
+    out = tmp_path / "r.json"
+    assert main(["run", "--spacetime", "schwarzschild", "--suite", "metric", *args,
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
+
+
 def test_non_finite_constant_in_a_definition_file_is_a_usage_error(tmp_path, capsys):
     path = tmp_path / "rn.spacetime"
     path.write_text(RN_FILE.replace("param q = 0.3", "param q = 0.3\nG = nan"))
