@@ -239,6 +239,9 @@ def build_model(
     """Assemble a model from expression sources with symmetric completion."""
     constants = PhysicalConstants(float(G), float(c))
     chart = ChartSpec(tuple(coord_names))
+    for n in ("G", "c"):
+        if n in chart.names:
+            raise SpacetimeFormatError(f"coordinate {n} names a constant", origin or name)
     params = dict(params or {})
     bad = [f"{k}={v}" for k, v in params.items() if not math.isfinite(v)]
     if bad:
@@ -586,6 +589,9 @@ def parse_spacetime_text(text, origin="<string>", param_overrides=None):
             name = once("name", m.group(1), lineno)
         elif m := _LINE_RES["coords"].match(line):
             coords = once("coords", tuple(s.strip() for s in m.group(1).split(",")), lineno)
+            for key in consts:
+                if key in coords:
+                    raise SpacetimeFormatError(f"coordinate {key} names a constant", origin, lineno)
         elif m := _LINE_RES["param"].match(line):
             key = m.group(1)
             if key in consts:

@@ -13,7 +13,12 @@ normalization drift into a pure integrator-quality metric.
 The state is eight floats, y = (x, V).  One Runge-Kutta step takes the
 method as a Butcher tableau: RK4, or Dormand-Prince 5(4) with error control,
 whose last stage is taken at the new state and so is the next step's first
-("first same as last").  Every stage calls ``_rhs``, which gives dy/ds and
+("first same as last").  The tableau stays data; the step's arithmetic is
+generated from it on first use (``_kernels``): each row's stage point and
+each weighted sum is one straight-line function unrolled over the eight
+floats, doing the float operations of elementwise list sums in their order,
+so a trajectory is the list arithmetic's bit for bit.  Every stage calls
+``_rhs``, which gives dy/ds and
 the norm g(V, V) at its point.  In dual mode that is the model's force law
 as one generated straight-line function (``_generate_rhs``), made on first
 use and kept on the model's layout, so a step builds no snapshot; in fd
@@ -341,16 +346,16 @@ def _without(seq, i):
 # and ``b_low`` is a pair's embedded solution; 5(4): Dormand & Prince (1980).
 # Each row is kept as its nonzero (coefficient, stage index) pairs.  ``fsal``:
 # the last row is ``b`` over 1, so the last stage is taken at the new state.
-_Tableau = namedtuple("_Tableau", "a b denom b_low fsal")
+_Tableau = namedtuple("_Tableau", "method a b denom b_low fsal")
 
 
 def _pairs(row):
     return tuple((w, j) for j, w in enumerate(row) if w)
 
 
-def _tableau(a, b, denom, b_low=None):
+def _tableau(method, a, b, denom, b_low=None):
     a, b = tuple(map(_pairs, a)), _pairs(b)
-    return _Tableau(a, b, denom, b_low and _pairs(b_low), a[-1] == b and denom == 1.0)
+    return _Tableau(method, a, b, denom, b_low and _pairs(b_low), a[-1] == b and denom == 1.0)
 
 
 _DP_A = (
@@ -361,11 +366,73 @@ _DP_A = (
     (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
     (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
 )
-_TABLEAUX = {
-    "rk4": _tableau(((1 / 2,), (0.0, 1 / 2), (0.0, 0.0, 1.0)), (1.0, 2.0, 2.0, 1.0), 6.0),
-    "rk45-adaptive": _tableau(_DP_A, _DP_A[-1], 1.0, (
+_TABLEAUX = {t.method: t for t in (
+    _tableau("rk4", ((1 / 2,), (0.0, 1 / 2), (0.0, 0.0, 1.0)), (1.0, 2.0, 2.0, 1.0), 6.0),
+    _tableau("rk45-adaptive", _DP_A, _DP_A[-1], 1.0, (
         5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)),
-}
+)}
+
+# method -> the kernels of its tableau; filled on first use, bounded by
+# _TABLEAUX.  Keyed by name: hashing the DP54 tableau takes about 1 us.
+_KERNELS = {}
+
+
+def _kernels(tableau):
+    """The tableau's Runge-Kutta kernels ``(rows, solution, error)``,
+    generated on first use: each row and weighted sum as one straight-line
+    function over the 8 floats of the state (``f.source``), with the float
+    operations of the elementwise sums it stands for, in their order:
+
+    - ``rows[i](ds, y, ks)``, the point of stage i + 2: y, then + c * k_j
+      for each pair in turn, with c = ds * a;
+    - ``solution(ds, y, ks)`` (None with ``fsal``):
+      y + (ds / denom) * (the stages weighted by ``b``, left to right);
+    - ``error(ds, y, ks, y_new)`` (None without ``b_low``):
+      max |y_new - (y + ds * (the stages weighted by ``b_low``))|;
+
+    where a unit weight takes its stage as is (1.0 * k is k, bit for bit).
+    """
+    kernels = _KERNELS.get(tableau.method)
+    if kernels is None:
+        rows = []
+        for i, row in enumerate(tableau.a):
+            head = [f"c{p} = ds * {a!r}" for p, (a, _) in enumerate(row)]
+            rows.append(_kernel(f"stage_{i + 2}(ds, y, ks)", row, head, "[{}]", lambda n: (
+                f"y{n}" + "".join(f" + c{p} * k{j}_{n}" for p, (_, j) in enumerate(row)))))
+        solution = error = None
+        if not tableau.fsal:
+            solution = _kernel("solution(ds, y, ks)", tableau.b, [f"c = ds / {tableau.denom!r}"],
+                               "[{}]", lambda n: f"y{n} + c * ({_weighted(tableau.b, n)})")
+        if tableau.b_low is not None:
+            error = _kernel("error(ds, y, ks, y_new)", tableau.b_low, [_unpack("z", "y_new")],
+                            "max({})", lambda n: (
+                                f"abs(z{n} - (y{n} + ds * ({_weighted(tableau.b_low, n)})))"))
+        kernels = _KERNELS[tableau.method] = (tuple(rows), solution, error)
+    return kernels
+
+
+def _weighted(pairs, n):
+    """Component n of the stages' weighted sum, left to right."""
+    return " + ".join(f"k{j}_{n}" if w == 1.0 else f"{w!r} * k{j}_{n}" for w, j in pairs)
+
+
+def _unpack(prefix, seq):
+    return ", ".join(f"{prefix}{n}" for n in range(8)) + f" = {seq}"
+
+
+def _kernel(signature, pairs, head, result, component):
+    """The function ``signature``: it unpacks y and the stages the pairs
+    read, runs the head statements, and returns ``result`` around
+    ``component(n)`` for the 8 components."""
+    stages = sorted({j for _, j in pairs})
+    body = [_unpack("y", "y"), *(_unpack(f"k{j}_", f"ks[{j}]") for j in stages), *head,
+            "return " + result.format(", ".join(map(component, range(8))))]
+    source = f"def {signature}:\n" + "".join(f"    {line}\n" for line in body)
+    namespace = {}
+    exec(compile(source, "<rcgeom generated Runge-Kutta kernel>", "exec"), namespace)
+    run = namespace[signature.split("(")[0]]
+    run.source = source
+    return run
 
 
 def _derivative(dy):
@@ -377,37 +444,25 @@ def _derivative(dy):
 
 def _rk_step(tableau, stage, y, k1, ds):
     """One step of size ds from y, whose derivative is k1, over sequences of
-    floats; ``stage(y)`` gives the ``_rhs`` pair at a new point.
+    floats; ``stage(y)`` gives the ``_rhs`` pair at a new point.  The
+    arithmetic is the tableau's generated kernels (``_kernels``).
 
     Returns the new y, the largest difference from the embedded solution
     (0.0 without one), and, when the last stage is taken at the new y
     (``fsal``), its pair, else None."""
+    rows, solution, error = _kernels(tableau)
     ks = [_derivative(k1)]
-    for row in tableau.a:
-        yi = y
-        for a, j in row:
-            c = ds * a
-            yi = [u + c * v for u, v in zip(yi, ks[j])]
+    for row in rows:
+        yi = row(ds, y, ks)
         last = stage(yi)
         ks.append(_derivative(last[0]))
-
-    def weigh(pairs):
-        # a unit weight takes its stage as is: 1.0 * k is k, bit for bit
-        total = None
-        for w, j in pairs:
-            term = ks[j] if w == 1.0 else [w * v for v in ks[j]]
-            total = term if total is None else [a + b for a, b in zip(total, term)]
-        return total
-
     if tableau.fsal:
         y_new = yi
     else:
-        c = ds / tableau.denom
-        y_new, last = [u + c * v for u, v in zip(y, weigh(tableau.b))], None
-    if tableau.b_low is None:
+        y_new, last = solution(ds, y, ks), None
+    if error is None:
         return y_new, 0.0, last
-    low = weigh(tableau.b_low)
-    return y_new, max(abs(a - (u + ds * v)) for a, u, v in zip(y_new, y, low)), last
+    return y_new, error(ds, y, ks, y_new), last
 
 
 @_quiet_float_errors

@@ -408,6 +408,24 @@ def test_a_param_named_like_a_coordinate_is_a_load_error(tmp_path, capsys):
     assert parse_spacetime_text(SCHWARZSCHILD_FILE).params == {"M": 1.0}
 
 
+@pytest.mark.parametrize("name", ["G", "c"])
+def test_a_coordinate_named_like_a_constant_is_a_load_error(tmp_path, capsys, name):
+    """Expressions would read such a coordinate in place of the constant,
+    which the model (and the contorsion coupling G/c^4) keeps: a file names
+    its coords line, and build_model refuses the chart."""
+    coords = ("t", name, "y", "z")
+    path = tmp_path / "shadow.spacetime"
+    path.write_text(f"name = shadow\ncoords = {', '.join(coords)}\n"
+                    f'g[0][0] = "{name}^2"\ng[1][1] = "-1"\ng[2][2] = "-1"\ng[3][3] = "-1"\n'
+                    + "".join(f"grid.{n} = 1:2:2\n" for n in coords))
+    assert main(["run", "--spacetime", str(path), "--suite", "metric",
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == f"error: {path}:2: coordinate {name} names a constant\n"
+    with pytest.raises(SpacetimeFormatError, match=f"coordinate {name} names a constant"):
+        build_model("shadow", coords, {(0, 0): "1", (1, 1): "-1", (2, 2): "-1", (3, 3): "-1"},
+                    grid_axes={n: (1.0,) for n in coords})
+
+
 def test_loader_param_overrides():
     m = parse_spacetime_text(RN_FILE, param_overrides={"q": 0.0})
     assert m.params["q"] == 0.0

@@ -4,6 +4,7 @@ import dataclasses
 import functools
 import json
 import math
+import struct
 from pathlib import Path
 
 import numpy as np
@@ -668,6 +669,90 @@ def test_rhs_evaluations_per_step(monkeypatch, method, ds, renormalize_every):
         assert traj.rejected_steps > 0
         assert traj.rhs_evals == 1 + 6 * (steps + traj.rejected_steps)
     assert traj.rhs_evals == len(calls)
+
+
+def test_an_rk4_step_that_leaves_the_domain_at_an_inner_stage():
+    """Every accepted state of this infall lies outside the horizon, but the
+    second stage of the fifth step, y + (ds/2) k1, lies inside: the worldline
+    ends with the snapshot's note for that point, after 1 + 4 * 4 + 1 calls
+    of ``_rhs``, holding the start and four accepted states."""
+    m = catalog_get("schwarzschild")
+    x0 = np.array([0.0, 2.5, math.pi / 2, 0.0])
+    V0 = normalize_velocity(m, x0, np.array([1.0, -0.1, 0.0, 0.0]))
+    traj = integrate_worldline(m, WorldlineState(x0, V0, 0.0), 0.0,
+                               IntegratorConfig(ds=0.3, steps=100))
+    assert traj.exited
+    assert traj.exit_message == ("point (8.43502670145681, 1.9928007325726869, 1.5707963267948966,"
+                                 " 0.0) is outside the domain of 'schwarzschild'")
+    assert traj.rhs_evals == 1 + 4 * 4 + 1
+    assert len(traj.states) == 5
+    assert min(s.x[1] for s in traj.states) > 2.0
+
+
+def _list_rk_step(tableau, stage, y, k1, ds):
+    """``_rk_step``'s arithmetic as elementwise list sums: the reference its
+    generated kernels must match bit for bit."""
+    ks = [k1]
+    for row in tableau.a:
+        yi = y
+        for a, j in row:
+            c = ds * a
+            yi = [u + c * v for u, v in zip(yi, ks[j])]
+        last = stage(yi)
+        ks.append(last[0])
+
+    def weigh(pairs):
+        # a unit weight takes its stage as is: 1.0 * k is k, bit for bit
+        total = None
+        for w, j in pairs:
+            term = ks[j] if w == 1.0 else [w * v for v in ks[j]]
+            total = term if total is None else [a + b for a, b in zip(total, term)]
+        return total
+
+    if tableau.fsal:
+        y_new = yi
+    else:
+        c = ds / tableau.denom
+        y_new, last = [u + c * v for u, v in zip(y, weigh(tableau.b))], None
+    if tableau.b_low is None:
+        return y_new, 0.0, last
+    low = weigh(tableau.b_low)
+    return y_new, max(abs(a - (u + ds * v)) for a, u, v in zip(y_new, y, low)), last
+
+
+def _bits(values):
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+# any finite float, with signed zeros, subnormals and magnitudes near the
+# largest float drawn often
+_STEP_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1.7e308]))
+_STATES = st.lists(_STEP_FLOATS, min_size=8, max_size=8)
+
+
+@pytest.mark.parametrize("method", sorted(dynamics._TABLEAUX))
+@settings(max_examples=150, deadline=None)
+@given(y=_STATES, ks=st.lists(_STATES, min_size=7, max_size=7),
+       ds=st.floats(min_value=5e-324, max_value=1e300))
+def test_generated_kernels_match_the_list_arithmetic(method, y, ks, ds):
+    """Stage points, the new y, the error estimate and the first-same-as-last
+    pair are the list arithmetic's, bit for bit (overflow to inf and NaN
+    included); stage i returns the pair (ks[i], i)."""
+    tableau = dynamics._TABLEAUX[method]
+
+    def run(step, points):
+        pairs = iter([(tuple(k), float(i)) for i, k in enumerate(ks[1:], start=2)])
+        return step(tableau, lambda yi: points.append(yi) or next(pairs), y, tuple(ks[0]), ds)
+
+    got_points, want_points = [], []
+    got, want = run(dynamics._rk_step, got_points), run(_list_rk_step, want_points)
+    assert list(map(_bits, got_points)) == list(map(_bits, want_points))
+    assert len(got_points) == len(tableau.a)
+    assert _bits(got[0]) == _bits(want[0])
+    assert _bits([got[1]]) == _bits([want[1]])
+    assert got[2] == want[2] and (got[2] is None) != tableau.fsal
 
 
 def test_probe_velocity_inside_the_ergoregion(tmp_path):
