@@ -22,8 +22,9 @@ import numpy as np
 
 from . import fields
 from .dynamics import _dust_jets, acceleration, probe_velocity, transport_residual
-from .engine import GeometrySnapshot, batched_einsum, max_abs
+from .engine import GeometrySnapshot
 from .gauge import as_phi_field, contorsion_shift, peak, scalar_shift, transform_potential
+from .tensor import batched_einsum, max_abs
 
 
 class Check(NamedTuple):

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .engine import DIM, GeometrySnapshot, batched_einsum, max_abs
+from .engine import DIM, GeometrySnapshot
 from .errors import (
     ConsistencyError,
     DomainError,
@@ -50,7 +50,7 @@ from .errors import (
 )
 from .expr import compile_one_point
 from .fields import ExprField, fd_jet
-from .tensor import DEGENERACY_TOL
+from .tensor import DEGENERACY_TOL, batched_einsum, max_abs
 
 
 @dataclass(frozen=True)
@@ -141,9 +141,9 @@ def _probe_velocity(snap, i):
     raise ConsistencyError(f"could not build a timelike test velocity at {point_text(snap.x[i])}")
 
 
-# The force law's contractions are summed directly, without the contraction
-# path batched_einsum takes for three operands: every row then has the bits
-# of the direct one-point sum.
+# The force law's contractions are each one direct np.einsum, not
+# batched_einsum's pairwise plan: an fd worldline takes a one-point snapshot
+# at every stage, and its states keep the bits of the direct sum.
 _GEODESIC = "...mdn,...m,...d->...n"
 _LORENTZ = "...mn,...m->...n"
 

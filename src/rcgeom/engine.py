@@ -11,9 +11,10 @@ read as a batch of one.  Every member carries the leading point axis
 (``g`` has shape (N, 4, 4)), the scalar members (``det_g``, ``sqrt_g``,
 ``scalar_lc``, ``F2``, ``scalar_rc``) are (N,) arrays, and each residual
 method returns one value per point.  Every contraction is written as at one
-point and runs over the point axis through ``batched_einsum``, along a
-contraction order cached per subscripts, so a row does not depend on the
-batch around it beyond roundoff.
+point and runs over the point axis through ``tensor.batched_einsum``, which
+plans each subscripts string once as pairwise steps (a matrix product per
+point is one stacked matmul), so each row of a contraction has the bits of
+its point taken as a batch of one.
 
 The field jets come from ``field_jets``, which fills the model's constant
 template (``SpacetimeModel.layout``) and evaluates only the
@@ -42,88 +43,17 @@ from __future__ import annotations
 
 import collections
 import functools
-import operator
 
 import numpy as np
 
 from .errors import EvalError, GeometryError, MetricError, point_text
 from .fields import fd_jet, make_seeds
-from .tensor import DEGENERACY_TOL, MetricAtPoint, first_bad
+from .tensor import (DEGENERACY_TOL, MetricAtPoint, _leibniz, _outer, _total, batched_einsum,
+                     first_bad, max_abs)
 
 DIM = 4
 FOUR_PI = 4.0 * np.pi
 PIPELINE_FD_STEP = 1e-3
-
-# subscripts -> (the same contraction over a leading point axis, its
-# contraction path or False); filled on first use, bounded by the
-# subscripts written in this module.
-_BATCHED = {}
-
-
-def batched_einsum(subscripts, *operands):
-    """np.einsum of per-point tensors, written as at one point ("ma,ab->mb"),
-    over a leading point axis.
-
-    Three or more operands are contracted pairwise along a path chosen once
-    per subscripts from the tensors of the first point: the point axis
-    scales every pairwise cost alike, so the path, and with it every result,
-    does not depend on the batch size or on which batch came first.
-    """
-    spec = _BATCHED.get(subscripts)
-    if spec is None:
-        ins, out = subscripts.split("->")
-        subs = ",".join("..." + s for s in ins.split(",")) + "->..." + out
-        path = False
-        if len(operands) > 2:
-            path = np.einsum_path(subscripts, *(op[0] for op in operands),
-                                  optimize="greedy")[0]
-        spec = _BATCHED[subscripts] = (subs, path)
-    return np.einsum(spec[0], *operands, optimize=spec[1])
-
-
-# (subscripts, letters) -> the Leibniz terms of that derivative, each as
-# (subscripts, derivative order of every operand); filled on first use.
-_LEIBNIZ = {}
-
-
-def _leibniz(subscripts, jets, letters):
-    """The Leibniz terms of d_{letters} of batched_einsum(subscripts, *values).
-
-    ``jets`` holds each operand's (value, d, dd, ...), a derivative's index in
-    front, as the ``letters`` lead the terms' indices.  Each letter, the last
-    first, differentiates every term in each operand in turn: d_j d_k of
-    "a,b" gives a_jk b, a_k b_j, a_j b_k, a b_jk, in that order.
-    """
-    terms = _LEIBNIZ.get((subscripts, letters))
-    if terms is None:
-        ins, out = subscripts.split("->")
-        base = ins.split(",")
-        subs = [base]
-        for c in reversed(letters):
-            subs = [t[:i] + [c + t[i]] + t[i + 1:] for t in subs for i in range(len(t))]
-        # an operand's derivative order is the number of letters put in front of it
-        terms = _LEIBNIZ[subscripts, letters] = [
-            (",".join(t) + "->" + letters + out, [len(a) - len(b) for a, b in zip(t, base)])
-            for t in subs
-        ]
-    for term, orders in terms:
-        yield batched_einsum(term, *map(operator.getitem, jets, orders))
-
-
-def _total(terms):
-    # a + b + c, left to right; sum() would add a 0 first, turning -0.0 into 0.0
-    return functools.reduce(operator.add, terms)
-
-
-def max_abs(a):
-    """max |a| over the tensor axes: one value per point."""
-    return np.abs(a).reshape(len(a), -1).max(axis=1)
-
-
-def _outer(a, b):
-    # a_i b_j at every point
-    return a[..., :, None] * b[..., None, :]
-
 
 # Raw metric and potential derivatives at every point of a batch, the point
 # axis first; the derivatives above the jets' order are None.
@@ -244,8 +174,9 @@ def _metric_member(*orders):
             for order in orders:
                 self.jets(order)
             n = len(self.x)
-            # np.repeat, not a stride-0 view: einsum's inner loop, and with
-            # it the bits of every contraction, follows the operand strides.
+            # np.repeat, not a stride-0 view: the bits of a contraction can
+            # follow its operands' strides (einsum's loop order, the BLAS
+            # route matmul takes), so the row is handed on as an ordinary array.
             return row if n == 1 else np.repeat(row, n, axis=0)
 
         return _cached(member)

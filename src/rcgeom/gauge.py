@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .engine import GeometrySnapshot, batched_einsum, max_abs
+from .engine import GeometrySnapshot
 from .fields import ShiftedPotentialField, gauge_function_jet
+from .tensor import batched_einsum, max_abs
 
 
 def as_phi_field(model, phi):

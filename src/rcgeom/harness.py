@@ -142,10 +142,11 @@ class SuiteContext:
                 f"unknown check id in tolerance overrides: {', '.join(unknown)}; "
                 f"valid ids: {', '.join(CHECK_DEFS)}"
             )
-        # negative tolerances stay allowed: they force a check to fail
-        bad = {cid: tol for cid, tol in self.tol_overrides.items() if not math.isfinite(tol)}
+        # no residual meets a negative tolerance; 0 stays valid
+        bad = {cid: tol for cid, tol in self.tol_overrides.items()
+               if not (math.isfinite(tol) and tol >= 0.0)}
         if bad:
-            raise GeometryError(f"tolerance overrides must be finite: {bad}")
+            raise GeometryError(f"tolerance overrides must be finite and non-negative: {bad}")
         axes = dict(model.grid_axes)
         for name, values in (grid_overrides or {}).items():
             if name not in axes:

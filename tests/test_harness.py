@@ -107,10 +107,24 @@ def test_report_timing_opt_in():
 
 
 def test_tolerance_override_can_force_failure():
+    # a zero tolerance fails any residual above 0 (here 1.1e-16)
     rep = run_suite(
-        "metric", resolve_model("minkowski"), tol_overrides={"metric.inverse": -1.0}
+        "metric", resolve_model("schwarzschild"), tol_overrides={"metric.inverse": 0.0}
     )
     assert not rep.passed
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan"), float("inf")])
+def test_negative_or_non_finite_tolerance_is_bad_input(tol, tmp_path, capsys):
+    """No residual can meet a negative tolerance: a usage error naming the
+    check, exit 2, not a failed check; 0 stays a valid tolerance."""
+    out = tmp_path / "r.json"
+    argv = ["run", "--spacetime", "schwarzschild", "--suite", "metric", "--out", str(out)]
+    assert main(argv + ["--tol", f"metric.inverse={tol!r}"]) == 2
+    err = capsys.readouterr().err
+    assert "must be finite and non-negative" in err and "metric.inverse" in err
+    assert not out.exists()
+    assert main(argv + ["--tol", "metric.signature=0"]) == 0
 
 
 def test_fd_mode_within_ten_times_fd_tier():
@@ -159,7 +173,9 @@ def test_cli_exit_codes(tmp_path):
     assert main(["run", "--spacetime", "no-such-model", "--suite", "metric",
                  "--out", str(out)]) == 2
     assert main(["run", "--spacetime", "minkowski", "--suite", "metric",
-                 "--tol", "metric.inverse=-1", "--out", str(out)]) == 1
+                 "--tol", "metric.inverse=-1", "--out", str(out)]) == 2
+    assert main(["run", "--spacetime", "schwarzschild", "--suite", "metric",
+                 "--tol", "metric.inverse=0", "--out", str(out)]) == 1
     assert main(["run", "--spacetime", "minkowski", "--suite", "metric",
                  "--param", "badvalue", "--out", str(out)]) == 2
 

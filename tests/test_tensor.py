@@ -1,14 +1,19 @@
 """The validated metric at a point, and the index operations the engine
-performs with it, against small hand-computed oracles."""
+performs with it, against small hand-computed oracles; the contraction
+executor against np.einsum and against batches of one."""
+
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcgeom import MetricAtPoint, MetricError, SignatureError, catalog_get, parse_spacetime_text
+from rcgeom import (MetricAtPoint, MetricError, SignatureError, catalog_get, parse_spacetime_text,
+                    tensor)
 from rcgeom.dynamics import norm_squared
 from rcgeom.engine import GeometrySnapshot, cyclic_gradient_residual
+from rcgeom.harness import resolve_model, run_suite
 
 MINKOWSKI = np.diag([1.0, -1.0, -1.0, -1.0])
 
@@ -188,3 +193,64 @@ def test_raise_lower_roundtrip_property(seed):
     t = rng.standard_normal((4, 4))
     back = np.einsum("ab,bn,mn->ma", m.matrix[0], m.inverse[0], t)
     assert np.abs(back - t).max() <= 1e-12
+
+
+# -- the contraction executor ---------------------------------------------------
+
+KN_FILE = Path(__file__).resolve().parents[1] / "bench" / "kerr_newman.spacetime"
+
+# An index summed within one operand, a repeated one, and an index shared by
+# both operands that the result keeps (none of the package's products has
+# one), and a chain of three matrix products.
+SYNTHETIC = ["mma,ab->b", "mn,ab->mb", "mab,mbc->mac", "ab,bc,cd->ad"]
+
+
+@pytest.fixture(scope="module")
+def package_subscripts():
+    """Every subscripts string the suites contract, with fresh plans."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(tensor, "_PLANS", {})
+        for spec in ("reissner-nordstrom", "charge-ball", str(KN_FILE)):
+            run_suite("all", resolve_model(spec))
+        subs = sorted(tensor._PLANS)
+    assert {"nrc,mlr->mnlc", "ma,lab,bn->lmn", "mrm->r", "m,nl->mnl"} <= set(subs)
+    return subs
+
+
+def _operands(subscripts, n, rng):
+    return [rng.standard_normal((n,) + (4,) * len(s))
+            for s in subscripts.split("->")[0].split(",")]
+
+
+def test_contractions_agree_with_einsum(package_subscripts, monkeypatch):
+    monkeypatch.setattr(tensor, "_PLANS", {})
+    rng = np.random.default_rng(20)
+    for subscripts in package_subscripts + SYNTHETIC:
+        ins, out = subscripts.split("->")
+        direct = ",".join("..." + s for s in ins.split(",")) + "->..." + out
+        for n in (1, 2, 40):
+            ops = _operands(subscripts, n, rng)
+            got, want = tensor.batched_einsum(subscripts, *ops), np.einsum(direct, *ops)
+            assert got.shape == want.shape, subscripts
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (subscripts, n)
+
+
+def test_each_row_has_the_bits_of_a_batch_of_one(package_subscripts, monkeypatch):
+    """The property that CHUNK-sized batches and their one-point fallbacks
+    rely on: a point's result does not depend on the batch around it."""
+    monkeypatch.setattr(tensor, "_PLANS", {})
+    rng = np.random.default_rng(21)
+    for subscripts in package_subscripts + SYNTHETIC:
+        ops = _operands(subscripts, 40, rng)
+        batch = tensor.batched_einsum(subscripts, *ops)
+        for i in range(40):
+            one = tensor.batched_einsum(subscripts, *(op[i:i + 1] for op in ops))
+            assert one.tobytes() == batch[i:i + 1].tobytes(), (subscripts, i)
+
+
+def test_a_plan_refuses_index_sizes_it_was_not_made_for(monkeypatch):
+    monkeypatch.setattr(tensor, "_PLANS", {})
+    a, b = np.ones((3, 2, 8)), np.ones((3, 8, 2))
+    assert tensor.batched_einsum("ab,bc->ac", a, b).shape == (3, 2, 2)
+    with pytest.raises(ValueError, match="planned for shapes"):
+        tensor.batched_einsum("ab,bc->ac", np.ones((3, 4, 4)), np.ones((3, 4, 4)))
