@@ -18,6 +18,7 @@ Exit status:
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import traceback
 
@@ -79,7 +80,10 @@ def _add_common(p):
                    help="derivative engine (default: dual)")
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: parsing keeps no state
+    in it, and each ``parse_args`` returns a new namespace."""
     parser = argparse.ArgumentParser(
         prog="verify",
         description="Grid verification of the potential-built torsionful geometry",

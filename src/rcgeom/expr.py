@@ -15,7 +15,9 @@ folder never exceed the interpreter's recursion limit.
 ``evaluate`` interprets a tree over float, (N,) array or Jet coordinates.
 ``fold`` replaces the parameter-only subtrees of a tree, once, by their
 values; ``evaluate`` of the folded tree equals ``evaluate`` of the tree bit
-for bit.  Every field evaluates its folded tree.
+for bit.  Every field evaluates its folded tree.  ``axes`` gives the chart
+indices a tree reads, in the one walk over coordinates that ``fold`` also
+takes.
 
 ``compile_one_point`` generates one straight-line Python function of four
 floats from a set of folded trees and a domain test.  It records the order-1
@@ -366,7 +368,7 @@ def fold(node, params):
     in the same order.
     """
     free = set()
-    coordinate_free(node, free)
+    axes(node, free)
     return _fold(node, params, free)
 
 
@@ -385,20 +387,20 @@ def _fold(node, params, free):
     return type(node)(_fold(node.left, params, free), _fold(node.right, params, free))
 
 
-def coordinate_free(node, free=None):
-    """Whether no coordinate appears in the tree; adds the id of every
-    coordinate-free node to the set ``free``, when one is given."""
+def axes(node, free=None):
+    """The chart indices the tree reads, a frozenset; adds the id of every
+    node that reads none to the set ``free``, when one is given."""
     if isinstance(node, Coord):
-        return False
+        return frozenset((node.index,))
     if isinstance(node, (Num, Param)):
-        ok = True
+        found = frozenset()
     elif isinstance(node, (Neg, Call)):
-        ok = coordinate_free(node.arg, free)
+        found = axes(node.arg, free)
     else:
-        ok = coordinate_free(node.left, free) & coordinate_free(node.right, free)
-    if ok and free is not None:
+        found = axes(node.left, free) | axes(node.right, free)
+    if not found and free is not None:
         free.add(id(node))
-    return ok
+    return found
 
 
 # -- one-point order-1 code generator ------------------------------------------

@@ -93,11 +93,12 @@ class ExprField:
     """Scalar field defined by an expression with bound parameters.
 
     ``tree`` is the folded expression (``expr.fold``), which ``value``,
-    ``values`` and ``jet_unchecked`` evaluate; ``const`` is the field's
-    value when no coordinate is left in it, else None.
+    ``values`` and ``jet_unchecked`` evaluate; ``axes`` holds the chart
+    indices it reads (``expr.axes``), and ``const`` is the field's value
+    when it reads none, else None.
     """
 
-    __slots__ = ("ast", "tree", "chart", "params", "name", "const")
+    __slots__ = ("ast", "tree", "chart", "params", "name", "axes", "const")
 
     def __init__(self, src, chart, params=None, name=""):
         self.ast = expr.parse(src, chart, params or {}) if isinstance(src, str) else src
@@ -105,8 +106,9 @@ class ExprField:
         self.params = dict(params or {})
         self.name = name or (src if isinstance(src, str) else expr.to_source(src))
         self.tree = expr.fold(self.ast, self.params)
+        self.axes = expr.axes(self.tree)
         self.const = None
-        if expr.coordinate_free(self.tree):  # a value, or a subtree that did not fold raises
+        if not self.axes:  # a value, or a subtree that did not fold raises
             self.const = float(expr.evaluate(self.tree, (), self.params))
 
     def __repr__(self):
@@ -159,11 +161,16 @@ def gauge_function_jet(phi, x, order, check=False):
     return _check_finite(jv, phi.name, x) if check else jv
 
 
+def axes_of(field):
+    """The chart indices a field reads; all four for a field without a tree."""
+    return getattr(field, "axes", frozenset(range(DIM)))
+
+
 class ShiftedPotentialField:
     """Potential component after a gauge shift: base + d(phi)/dx_axis.
 
     Derivatives of order n require phi to order n+1, which the expression
-    backend supplies up to n = 2.
+    backend supplies up to n = 2.  It reads the axes of base and of phi.
     """
 
     __slots__ = ("base", "phi", "axis", "name")
@@ -177,6 +184,10 @@ class ShiftedPotentialField:
 
     def __repr__(self):
         return f"ShiftedPotentialField({self.name!r})"
+
+    @property
+    def axes(self):
+        return axes_of(self.base) | axes_of(self.phi)
 
     def value(self, x):
         return self.base.value(x) + gauge_function_jet(self.phi, x, 1, check=True).grad[self.axis]

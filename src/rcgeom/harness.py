@@ -6,10 +6,13 @@ geometry snapshot (the dust exchange among them), or, for the gauge rows,
 as one (unshifted, shifted) snapshot pair per gauge function sharing one
 unshifted snapshot, or, for the worldline rows, as the model's closed-form
 worldline, integrated once; the residuals, one per point or per worldline
-state, reduce to a deterministic maximum.  A row that raises on a chunk is
-re-run on each of its points as a batch of one, so its note names the point
-a point-by-point run names, and the other rows still run.  The JSON report
-uses fixed float formatting so repeated runs are byte-identical.
+state, reduce to a deterministic maximum.  The rows are pointwise in the
+fields, so points of a set that agree on every coordinate those fields read
+(an orbit) give the same residuals: each orbit is evaluated once, at its
+first point, and counts for all of its points.  A row that raises on a
+chunk is re-run on each of its points as a batch of one, so its note names
+the point a point-by-point run names, and the other rows still run.  The
+JSON report uses fixed float formatting so repeated runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .checks import CHECK_DEFS, GaugePair, default_tolerance, suite_of
 from .dynamics import IntegratorConfig, WorldlineState, integrate_worldline, normalize_velocity
 from .engine import GeometrySnapshot
 from .errors import GeometryError, _quiet_float_errors, batch_then_rows, point_text
+from .fields import axes_of
 from .gauge import as_phi_field, peak, transform_potential
 
 SUITES = ("metric", "lc", "rc", "maxwell", "einstein", "dynamics", "gauge", "all")
@@ -268,13 +272,14 @@ def _pointwise_rows(ctx, suite):
 def _run_pointwise(ctx, rows):
     """rows: ordered (check id, CHECK_DEFS row) pairs.
 
-    Each point set is evaluated in chunks of CHUNK points, one set of
-    subjects (``_subjects``) per chunk, whose field jets are computed once at
-    the highest order its checks need.  A check that raises on a subject is
-    re-run on each of its points as a batch of one, so every error is
-    attributed to the first point that meets it, exactly as a point-by-point
-    evaluation would.  A row's point count is the number of residuals it
-    gave: one per point, or per state of a worldline.
+    Each point set is evaluated in chunks of at most CHUNK points
+    (``_chunks``), one set of subjects (``_subjects``) per chunk, whose
+    field jets are computed once at the highest order its checks need.  A
+    check that raises on a subject is re-run on each of its points as a
+    batch of one, so every error is attributed to the first point that meets
+    it, exactly as a point-by-point evaluation would.  A row's point count
+    is one per point of the set and subject (a gauge row has one subject
+    per gauge function), or one per state of a worldline.
     """
     worst = {cid: _Worst() for cid, _row in rows}
     for point_set in ("grid", "random", "small", "worldline", "gauge", "orbit"):
@@ -284,9 +289,57 @@ def _run_pointwise(ctx, rows):
             continue
         pts = ctx.points(point_set)
         top = max(row.order for _cid, row in checks)
-        for start in range(0, len(pts), CHUNK):
-            _run_chunk(ctx, point_set, pts[start:start + CHUNK], checks, top, worst)
+        for idx, count in _chunks(ctx, point_set, pts):
+            _run_chunk(ctx, point_set, pts[idx], count, checks, top, worst)
     return [(cid, None if w.note else w.value, w.points, w.note) for cid, w in worst.items()]
+
+
+def _read_axes(ctx, point_set):
+    """The chart indices that the subjects of a point set read: those of
+    every field the model holds (metric, potential, domain and dust), and,
+    for the gauge rows, of the gauge functions."""
+    model, dust = ctx.model, ctx.model.dust
+    held = [*itertools.chain.from_iterable(model.g_fields), *model.A_fields, model.domain]
+    if dust is not None:
+        held += [dust.rho0, dust.rhoq, *dust.V_fields]
+    if point_set in ("gauge", "orbit"):
+        held += [*ctx.phi_fields, ctx.orbit_phi]
+    return sorted(frozenset().union(*(axes_of(f) for f in held if f is not None)))
+
+
+def _orbits(pts, axes):
+    """The index of the first point of each orbit of pts, in order, and the
+    orbit's size.  An orbit holds the points with the same bits on every
+    axis in ``axes``."""
+    if len(axes) == pts.shape[1]:
+        return np.arange(len(pts)), np.ones(len(pts), dtype=int)
+    key = np.ascontiguousarray(pts[:, axes]).view(np.int64)
+    _, first, counts = np.unique(key, axis=0, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return first[order], counts[order]
+
+
+def _chunks(ctx, point_set, pts):
+    """(indices into pts, points counted) for each chunk of a point set.
+
+    The rows are pointwise in what the subjects read, so points that agree
+    on those axes (``_read_axes``) give the same residual bits: each orbit
+    runs at its first point and counts for all of them.  The random points
+    and the worldline run as they are; a worldline counts its states.  A
+    batch of one runs the field jets on floats, whose last bits can differ
+    from an array batch's, so a lone representative whose chunk in the full
+    set held more points runs twice, as a batch of two.
+    """
+    if point_set in ("random", "worldline"):
+        for start in range(0, len(pts), CHUNK):
+            yield slice(start, start + CHUNK), None
+        return
+    first, counts = _orbits(pts, _read_axes(ctx, point_set))
+    for start in range(0, len(first), CHUNK):
+        idx = first[start:start + CHUNK]
+        if len(idx) == 1 and min(CHUNK, len(pts) - idx[0] // CHUNK * CHUNK) > 1:
+            idx = np.repeat(idx, 2)
+        yield idx, int(counts[start:start + CHUNK].sum())
 
 
 def _subjects(ctx, point_set, pts, order):
@@ -333,7 +386,9 @@ class _ScenarioWorldline:
     k = property(lambda self: self._run[1])
 
 
-def _run_chunk(ctx, point_set, chunk, checks, order, worst):
+def _run_chunk(ctx, point_set, chunk, count, checks, order, worst):
+    """Every check on the chunk's subjects; each adds ``count`` points, or
+    one per residual when ``count`` is None."""
     subjects = _subjects(ctx, point_set, chunk, order)
 
     @functools.cache
@@ -350,10 +405,11 @@ def _run_chunk(ctx, point_set, chunk, checks, order, worst):
     for cid, check in checks:
         fn, w = check.residual, worst[cid]
         for k, subject in enumerate(subjects):
-            for residuals in batch_then_rows(lambda: [fn(subject)], range(len(chunk)),
-                                             lambda i: on_row(fn, k, i, w)):
+            results = batch_then_rows(lambda: [fn(subject)], range(len(chunk)),
+                                      lambda i: on_row(fn, k, i, w))
+            for residuals in results:
                 w.add(residuals)
-                w.points += np.size(residuals)
+            w.points += sum(map(np.size, results)) if count is None else count
 
 
 @_quiet_float_errors

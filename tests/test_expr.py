@@ -1,6 +1,7 @@
 """Parser, printer, dual-number engine, and finite-difference tests."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from rcgeom.expr import (
     Param,
     Pow,
     Sub,
+    axes,
     evaluate,
     fold,
     parse,
@@ -164,6 +166,32 @@ def _combine(children):
 @given(st.recursive(_leaf, _combine, max_leaves=12))
 def test_roundtrip_property(ast):
     assert parse(to_source(ast), CART, params=PARAM_NAMES) == ast
+
+
+def _outcome(call):
+    """The bits of what call returns, or its error's type and message."""
+    try:
+        return np.float64(call()).tobytes()
+    except Exception as err:  # the error itself is compared
+        return type(err), str(err)
+
+
+_POINT = st.lists(st.floats(-3.0, 3.0), min_size=4, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(_leaf, _combine, max_leaves=12), params_strategy, _POINT, _POINT)
+def test_a_folded_tree_reads_only_its_axes(tree, params, x, y):
+    """The axes of a folded tree are among the coordinates its source names,
+    and its value, or its error, does not change with any other coordinate."""
+    named = set(re.findall(r"[A-Za-z_]\w*", to_source(tree)))
+    folded = fold(tree, params)
+    read = axes(folded)
+    assert read <= {i for i, name in enumerate(CART.names) if name in named}
+    moved = [x[i] if i in read else y[i] for i in range(4)]
+    with np.errstate(all="ignore"):
+        assert _outcome(lambda: evaluate(folded, x, params)) == _outcome(
+            lambda: evaluate(folded, moved, params))
 
 
 # -- derivatives ---------------------------------------------------------------

@@ -710,3 +710,131 @@ def test_random_points_keep_draw_order_and_the_attempt_cap():
     model = parse_spacetime_text(ANNULUS_FILE.format(r2=1.999))
     with pytest.raises(GeometryError, match="could not sample 5 points"):
         SuiteContext(model).random_points(n=5)
+
+
+# -- orbits of the coordinates no field reads --------------------------------------
+
+_KN = str(Path(__file__).parent.parent / "bench" / "kerr_newman.spacetime")
+
+ORBIT_RUNS = {
+    # the 512-point Kerr-Newman grid of the benchmark, seed 0: 128 orbits of 4
+    "kn-512-all": ["run", "--spacetime", _KN, "--param", "a=0.5955909499238541",
+                   "--param", "q=0.3295498368901768", "--suite", "all",
+                   "--grid", "r=3.2573502729668338:10.257350272966834:32",
+                   "--grid", "theta=0.38203233975752837:2.7595603138322646:4"],
+    # t is read: by the potential, by the dust's velocity, or by the gauge function
+    "em-plane-wave": ["run", "--spacetime", "em-plane-wave", "--suite", "all"],
+    "minkowski-constant-e": ["run", "--spacetime", "minkowski-constant-e", "--suite", "all"],
+    "gauge-0.2t": ["gauge", "--spacetime", "schwarzschild", "--phi", "0.2*t"],
+    "gauge-0.2t-fd": ["gauge", "--spacetime", "charge-ball", "--phi", "0.2*t", "--diff", "fd"],
+    # a single orbit: every point set is one representative
+    "minkowski": ["run", "--spacetime", "minkowski", "--suite", "all"],
+    "schwarzschild-one-orbit": ["run", "--spacetime", "schwarzschild",
+                                "--grid", "r=5:5:1", "--grid", "theta=1:1:1"],
+    # 41 orbits: the last chunk of representatives holds one
+    "rn-41-orbits": ["run", "--spacetime", "reissner-nordstrom", "--diff", "fd",
+                     "--grid", "r=3:10:41", "--grid", "theta=1:1:1"],
+    "schwarzschild-domain-error": ["run", "--spacetime", "schwarzschild", "--grid", "r=-3:3:2"],
+}
+
+
+def _every_point(pts, axes):
+    """The identity reduction: each point is its own orbit."""
+    return np.arange(len(pts)), np.ones(len(pts), dtype=int)
+
+
+def _report_and_points(argv, out, monkeypatch, reduce=None):
+    """The report bytes of argv, and the number of points the snapshots took."""
+    taken = []
+    init = engine.GeometrySnapshot.__init__
+
+    def counting(self, model, x, mode="dual"):
+        taken.append(len(np.atleast_2d(x)))
+        init(self, model, x, mode)
+
+    with monkeypatch.context() as m:
+        m.setattr(engine.GeometrySnapshot, "__init__", counting)
+        if reduce is not None:
+            m.setattr(harness, "_orbits", reduce)
+        main(argv + ["--out", str(out)])
+    return out.read_bytes(), sum(taken)
+
+
+@pytest.mark.parametrize("name", ORBIT_RUNS)
+def test_orbits_give_the_reports_of_every_point(name, tmp_path, monkeypatch):
+    """Each orbit runs once and counts for all of its points: the report is
+    the one every point gives, byte for byte, error notes included."""
+    argv = ORBIT_RUNS[name]
+    every, every_taken = _report_and_points(argv, tmp_path / "every.json", monkeypatch,
+                                            _every_point)
+    orbits, taken = _report_and_points(argv, tmp_path / "orbits.json", monkeypatch)
+    assert orbits == every
+    # the eight gauge points differ in (r, theta) or (x, y, z): no orbit repeats
+    assert taken == every_taken if name.startswith("gauge") else taken < every_taken
+
+
+def test_grid_points_count_every_point_of_an_orbit(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(ORBIT_RUNS["kn-512-all"] + ["--out", str(out)]) == 0
+    counts = {c["id"]: c["grid_points"] for c in json.loads(out.read_text())["checks"]}
+    assert counts["metric.inverse"] == counts["rc.scalar_split"] == 512
+    assert counts["rc.k_f_pair"] == 512 + 100
+    assert counts["lc.bianchi"] == 12 and counts["gauge.scalar_shift"] == 3 * 8
+
+
+def test_a_domain_error_names_the_first_grid_point(tmp_path):
+    out = tmp_path / "r.json"
+    assert main(ORBIT_RUNS["schwarzschild-domain-error"] + ["--out", str(out)]) == 1
+    notes = {c["note"] for c in json.loads(out.read_text())["checks"] if "note" in c}
+    assert {n.replace("+gauge", "") for n in notes} == {
+        "DomainError: point (0.0, -3.0, 0.3, 0.1) is outside the domain of 'schwarzschild'"}
+
+
+@pytest.mark.parametrize("name, phis, point_set, read", [
+    ("schwarzschild", None, "grid", [1, 2]),
+    ("schwarzschild", None, "gauge", [0, 1, 2]),  # the default gauge functions read t and r
+    ("schwarzschild", ["0.2*t"], "gauge", [0, 1, 2]),
+    ("charge-ball", ["0.2*t", "0.1*t*x"], "orbit", [0, 1, 2, 3]),
+    ("charge-ball", ["0.2*t"], "small", [1, 2, 3]),
+    ("em-plane-wave", None, "grid", [0, 1]),
+    ("minkowski-constant-e", None, "grid", [0, 1]),  # the dust's V^1 reads t
+    ("minkowski", None, "grid", []),
+])
+def test_read_axes_cover_every_field_the_model_holds(name, phis, point_set, read):
+    ctx = SuiteContext(resolve_model(name), phis=phis)
+    assert harness._read_axes(ctx, point_set) == read
+
+
+def test_orbits_are_kept_in_grid_order_by_their_first_point():
+    pts = np.array([[0.0, 2.0, 0, 0], [1.0, 1.0, 0, 0], [2.0, 2.0, 0, 0],
+                    [3.0, -0.0, 0, 0], [4.0, 0.0, 0, 0], [5.0, 1.0, 0, 0]])
+    first, counts = harness._orbits(pts, [1, 2, 3])
+    assert first.tolist() == [0, 1, 3, 4]  # -0.0 and 0.0 are different bits
+    assert counts.tolist() == [2, 2, 1, 1]
+    first, counts = harness._orbits(pts, [])
+    assert first.tolist() == [0] and counts.tolist() == [6]
+
+
+# -- the command-line parser ------------------------------------------------------
+
+
+def test_successive_cli_calls_share_no_parsed_options(tmp_path, monkeypatch, capsys):
+    """The parser is built once per process; nothing one call parses reaches
+    the next, a usage error included."""
+    assert cli.build_parser() is cli.build_parser()
+    seen = []
+    monkeypatch.setattr(cli, "_COMMANDS", {**cli._COMMANDS,
+                                           "run": lambda args: seen.append(args) or 0,
+                                           "gauge": lambda args: seen.append(args) or 0})
+    out = str(tmp_path / "r.json")
+    assert main(["run", "--spacetime", "minkowski", "--grid", "t=0:1:2",
+                 "--tol", "metric.inverse=1", "--out", out]) == 0
+    assert main(["gauge", "--spacetime", "minkowski", "--phi", "0.2*t", "--out", out]) == 0
+    assert main(["run", "--spacetime", "minkowski", "--suite", "nope", "--out", out]) == 2
+    assert main(["gauge", "--spacetime", "minkowski", "--phi", "t", "--out", out]) == 0
+    assert main(["run", "--spacetime", "minkowski", "--out", out]) == 0
+    assert "invalid choice" in capsys.readouterr().err
+    first, phi1, phi2, last = seen
+    assert (first.grid, first.tol) == (["t=0:1:2"], ["metric.inverse=1"])
+    assert phi1.phi == ["0.2*t"] and phi2.phi == ["t"]
+    assert (last.grid, last.tol, last.suite) == (None, None, "all")
