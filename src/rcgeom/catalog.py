@@ -69,7 +69,8 @@ class FieldLayout:
 
     ``shared`` holds, when ``g_live`` is empty, the snapshot members that
     read only the constant metric, keyed by (member, derivative mode), each
-    a read-only array over a batch of one; ``GeometrySnapshot`` fills it.
+    one row, shape (1, ...); ``GeometrySnapshot`` fills it and hands each
+    later snapshot that row repeated, never the kept array.
     ``generated`` maps "rhs" to the model's force law as generated code
     (None where the generator declined), which ``dynamics._rhs`` makes on
     its first dual-mode call.

@@ -18,8 +18,8 @@ its point taken as a batch of one.
 
 The field jets come from ``field_jets``, which fills the model's constant
 template (``SpacetimeModel.layout``) and evaluates only the
-coordinate-dependent components, each through its folded expression; a
-batch of one runs those on floats, a larger batch on arrays.
+coordinate-dependent components, each through its folded expression on the
+arrays of the whole batch, a batch of one included.
 Derivatives of computed objects are assembled analytically from the exact
 field jets, each as the Leibniz expansion (``_leibniz``) of the product it
 differentiates, never by differencing grids of computed values; in
@@ -32,11 +32,9 @@ the metric and its derivatives (``det_g``, ``ginv``, ``sqrt_g``, their
 derivatives, the Levi-Civita connection and its curvature) the same at
 every point.  Such a member is computed once per model and derivative mode,
 by the first snapshot that reads it, and kept on the model's layout as one
-row; later snapshots get that row, repeated over their points.  The kept
-row is read-only, because a batch of one hands it out as is: an in-place
-write through one snapshot would otherwise change the member of every
-snapshot of the model.  Models whose metric depends on the coordinates
-compute every member per snapshot.
+row; later snapshots get that row repeated over their points, each an array
+of their own.  Models whose metric depends on the coordinates compute every
+member per snapshot.
 """
 
 from __future__ import annotations
@@ -79,27 +77,17 @@ def field_jets(model, X, order=2, mode="dual"):
     layout = model.layout
     n = len(X)
     ranks = (2, 3, 1, 2, 4, 3, 5, 4)[: 2 + 2 * order]  # of g, dg, A, dA, ddg, ...
-    if n == 1:
-        # A batch of one runs the one-point jets, on floats, and fills its
-        # (1, ...) members in place.
-        x = X[0]
-        parts = [np.zeros((1,) + (DIM,) * r) for r in ranks]
-        views = [p[0] for p in parts]
-        g_tmpl, A_tmpl = layout.g, layout.A
-    else:
-        # Filled with the batch axis last, as the jets of a larger batch
-        # carry it; moved to the front below.
-        x = X
-        views = [np.zeros((DIM,) * r + (n,)) for r in ranks]
-        g_tmpl, A_tmpl = layout.g[..., None], layout.A[..., None]
-    g, dg, A, dA, ddg, ddA, dddg, dddA = views + [None] * (8 - len(views))
-    g[...] = g_tmpl
-    A[...] = A_tmpl
+    # Filled with the point axis last, as the jets carry it; moved to the
+    # front below.
+    members = [np.zeros((DIM,) * r + (n,)) for r in ranks]
+    g, dg, A, dA, ddg, ddA, dddg, dddA = members + [None] * (8 - len(members))
+    g[...] = layout.g[..., None]
+    A[...] = layout.A[..., None]
 
-    seeds = make_seeds(x, order) if mode == "dual" else None
+    seeds = make_seeds(X, order) if mode == "dual" else None
 
     def jet(f):
-        return f.jet_unchecked(x, order, seeds) if mode == "dual" else fd_jet(f, x, order)
+        return f.jet_unchecked(X, order, seeds) if mode == "dual" else fd_jet(f, X, order)
 
     for i, j, f in layout.g_live:
         jv = jet(f)
@@ -119,15 +107,14 @@ def field_jets(model, X, order=2, mode="dual"):
         if order >= 3:
             dddA[:, :, :, k] = jv.third
 
-    if not all(np.isfinite(v).all() for v in views):
-        finite = np.logical_and.reduce([np.isfinite(v).reshape(-1, n).all(axis=0) for v in views])
+    if not all(np.isfinite(v).all() for v in members):
+        finite = np.logical_and.reduce(
+            [np.isfinite(v).reshape(-1, n).all(axis=0) for v in members])
         raise EvalError(
             f"non-finite field derivatives for {model.name!r} at "
             f"{point_text(X[np.argmin(finite)])}"
         )
-    if n > 1:
-        parts = [np.ascontiguousarray(np.moveaxis(v, -1, 0)) for v in views]
-    return FieldJets(X, order, *parts)
+    return FieldJets(X, order, *(np.ascontiguousarray(np.moveaxis(v, -1, 0)) for v in members))
 
 
 class _cached(functools.cached_property):
@@ -148,11 +135,11 @@ def _metric_member(*orders):
 
     When the model's metric is constant (``layout.g_live`` is empty) the
     member is the same at every point: the first snapshot of a model and
-    mode that reads it computes it, and the layout keeps its first row,
-    read-only.  A later snapshot still evaluates its own field jets at
+    mode that reads it computes it, and the layout keeps a copy of its first
+    row.  A later snapshot still evaluates its own field jets at
     ``orders``, so its domain and finiteness errors stay its own, and gets
-    the kept row as is (a batch of one) or repeated over its points.  A
-    member that raises keeps nothing.
+    the kept row repeated over its points, an array of its own.  A member
+    that raises keeps nothing.
     """
 
     def decorate(func):
@@ -167,17 +154,14 @@ def _metric_member(*orders):
             row = layout.shared.get(key)
             if row is None:
                 value = func(self)
-                row = value if len(value) == 1 else value[:1].copy()
-                row.flags.writeable = False
-                layout.shared.setdefault(key, row)
+                layout.shared.setdefault(key, value[:1].copy())
                 return value
             for order in orders:
                 self.jets(order)
-            n = len(self.x)
             # np.repeat, not a stride-0 view: the bits of a contraction can
             # follow its operands' strides (einsum's loop order, the BLAS
             # route matmul takes), so the row is handed on as an ordinary array.
-            return row if n == 1 else np.repeat(row, n, axis=0)
+            return np.repeat(row, len(self.x), axis=0)
 
         return _cached(member)
 

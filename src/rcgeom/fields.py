@@ -12,15 +12,18 @@ engine.
 Every evaluation accepts a batch, shape (N, 4), or one point, shape (4,).
 Batched jets keep the batch axis last (value (N,), gradient (4, N), Hessian
 (4, 4, N)), as in ``jets``; one point gives plain one-point jets (a float
-value, a (4,) gradient), which ``engine.field_jets`` runs for a batch of
-one.  ``values`` evaluates a batch of one on floats (``math``) as well.
-Stencils evaluate every stencil point of every point in one ``values``
-call, whose values equal the one-point ``value`` bit for bit, so a stencil
-over a batch gives what it gives point by point.
+value, a (4,) gradient), the reference that ``expr.compile_one_point``
+mirrors.  ``engine.field_jets`` runs the batched jets for every batch, a
+batch of one included.  ``values`` evaluates a batch of one on floats
+(``math``), with the bits of the array route.  Stencils evaluate every
+stencil point of every point in one ``values`` call, whose values equal
+the one-point ``value`` bit for bit, so a stencil over a batch gives what
+it gives point by point.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 
@@ -28,7 +31,7 @@ import numpy as np
 
 from . import expr
 from .errors import EvalError, batch_then_rows, point_text
-from .jets import DIM, UNIT_ROWS, ZERO_G, ZERO_G_B, ZERO_H, ZERO_H_B, ZERO_T, ZERO_T_B, Jet
+from .jets import DIM, ZERO_G, ZERO_G_B, ZERO_H, ZERO_H_B, ZERO_T, ZERO_T_B, Jet
 
 JetValue = namedtuple("JetValue", "value grad hess third")
 
@@ -59,14 +62,11 @@ def _expand(result, order, zeros=_ZEROS):
 
 
 def make_seeds(x, order):
-    """Coordinate jets for one point or a batch of points, shareable across
-    fields; one point's seeds (``Jet.seed`` of its floats) are built
-    directly."""
+    """Coordinate jets (``Jet.seed``) for one point, of its floats, or for a
+    batch of points, of its columns; shareable across fields."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 2:
-        return [Jet.seed(col, i, order) for i, col in enumerate(np.ascontiguousarray(x.T))]
-    h, t = (ZERO_H if order >= 2 else None), (ZERO_T if order >= 3 else None)
-    return [Jet(v, UNIT_ROWS[i], h, t) for i, v in enumerate(x.tolist())]
+    coords = np.ascontiguousarray(x.T) if x.ndim == 2 else x.tolist()
+    return [Jet.seed(c, i, order) for i, c in enumerate(coords)]
 
 
 def _check_finite(jv, name, x):
@@ -233,21 +233,22 @@ def _fd_batch(field, X, order):
     """Stencil value, gradient and (order 2) Hessian at every row of X,
     batch axis last as in jets.
 
-    All stencil points of all rows go through one ``values`` call, in the
-    order the one-point difference quotients visit them (the centre first
-    at order 2, last at order 1), so the first bad stencil point is the one
-    reported.
+    Only the axes the field reads (``axes_of``) are differenced: every
+    entry along another axis is exactly 0, as in a jet, where a mixed
+    difference across it would leave roundoff.  All stencil points of all
+    rows go through one ``values`` call, in the order the one-point
+    difference quotients visit them (the centre first at order 2, last at
+    order 1), so the first bad stencil point is the one reported.
     """
+    axes = sorted(axes_of(field))
     steps = FD_STEP_SCALE * np.maximum(1.0, np.abs(X))  # per axis and point
-    shift = []
-    for m in range(DIM):
-        e = np.zeros_like(X)
+    shift = {m: np.zeros_like(X) for m in axes}
+    for m, e in shift.items():
         e[:, m] = steps[:, m]
-        shift.append(e)
     axial = []
-    for m in range(DIM):
+    for m in axes:
         axial += [X + shift[m], X - shift[m]]
-    pairs = [(m, n) for m in range(DIM) for n in range(m + 1, DIM)] if order >= 2 else []
+    pairs = list(itertools.combinations(axes, 2)) if order >= 2 else []
     mixed = []
     for m, n in pairs:
         em, en = shift[m], shift[n]
@@ -255,14 +256,14 @@ def _fd_batch(field, X, order):
     pts = [X] + axial + mixed if order >= 2 else axial + [X]
     f = field.values(np.concatenate(pts)).reshape(len(pts), len(X))
     if order >= 2:
-        f0, f_axial, f_mixed = f[0], f[1:9], f[9:]
+        f0, f_axial, f_mixed = f[0], f[1:1 + len(axial)], f[1 + len(axial):]
     else:
-        f0, f_axial, f_mixed = f[8], f[:8], None
+        f0, f_axial = f[-1], f[:-1]
 
-    grad = np.empty((DIM, len(X)))
-    hess = np.empty((DIM, DIM, len(X))) if order >= 2 else None
-    for m in range(DIM):
-        fp, fm = f_axial[2 * m], f_axial[2 * m + 1]
+    grad = np.zeros((DIM, len(X)))
+    hess = np.zeros((DIM, DIM, len(X))) if order >= 2 else None
+    for k, m in enumerate(axes):
+        fp, fm = f_axial[2 * k], f_axial[2 * k + 1]
         grad[m] = (fp - fm) / (2.0 * steps[:, m])
         if hess is not None:
             hess[m, m] = (fp - 2.0 * f0 + fm) / steps[:, m] ** 2

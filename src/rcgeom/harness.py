@@ -325,10 +325,7 @@ def _chunks(ctx, point_set, pts):
     The rows are pointwise in what the subjects read, so points that agree
     on those axes (``_read_axes``) give the same residual bits: each orbit
     runs at its first point and counts for all of them.  The random points
-    and the worldline run as they are; a worldline counts its states.  A
-    batch of one runs the field jets on floats, whose last bits can differ
-    from an array batch's, so a lone representative whose chunk in the full
-    set held more points runs twice, as a batch of two.
+    and the worldline run as they are; a worldline counts its states.
     """
     if point_set in ("random", "worldline"):
         for start in range(0, len(pts), CHUNK):
@@ -336,10 +333,7 @@ def _chunks(ctx, point_set, pts):
         return
     first, counts = _orbits(pts, _read_axes(ctx, point_set))
     for start in range(0, len(first), CHUNK):
-        idx = first[start:start + CHUNK]
-        if len(idx) == 1 and min(CHUNK, len(pts) - idx[0] // CHUNK * CHUNK) > 1:
-            idx = np.repeat(idx, 2)
-        yield idx, int(counts[start:start + CHUNK].sum())
+        yield first[start:start + CHUNK], int(counts[start:start + CHUNK].sum())
 
 
 def _subjects(ctx, point_set, pts, order):
@@ -452,6 +446,7 @@ def run_worldline(model, x0, v0, charge_ratio, ds, steps, method="rk4",
     if not np.isfinite([*x0, *v_raw, charge_ratio]).all():
         raise GeometryError(f"worldline start is not finite: x0 {point_text(x0)}, "
                             f"v0 {point_text(v_raw)}, charge ratio {float(charge_ratio)!r}")
+    model.require_in_domain(x0[None])  # normalize_velocity tests no domain
     V0 = normalize_velocity(model, x0, v_raw)
     rescale = float(np.linalg.norm(V0) / max(np.linalg.norm(v_raw), 1e-300))
 

@@ -245,6 +245,19 @@ def test_cli_worldline_domain_exit(tmp_path, capsys):
     assert out.read_text().count("\n") > 2  # partial trajectory written
 
 
+@pytest.mark.parametrize("x0, v0", [("0,5,0,0", "1,0,0,0"), ("0,1,1,0", "1,1,0,0")],
+                         ids=["on-the-axis", "inside-the-horizon"])
+def test_cli_worldline_start_outside_the_domain_is_a_usage_error(x0, v0, tmp_path, capsys):
+    """The start is tested before its velocity is normalised, which reads
+    the metric there and tests no domain."""
+    code = main(["worldline", "--spacetime", "schwarzschild", "--x0", x0, "--v0", v0,
+                 "--ds", "0.1", "--steps", "2", "--out", str(tmp_path / "traj.csv")])
+    assert code == 2
+    point = ", ".join(str(float(v)) for v in x0.split(","))
+    assert capsys.readouterr().err == (
+        f"error: point ({point}) is outside the domain of 'schwarzschild'\n")
+
+
 @pytest.mark.parametrize("bad", [
     ["--x0", "0,0,zero,0"],
     ["--save-every", "0"],
@@ -803,6 +816,19 @@ def test_a_domain_error_names_the_first_grid_point(tmp_path):
 def test_read_axes_cover_every_field_the_model_holds(name, phis, point_set, read):
     ctx = SuiteContext(resolve_model(name), phis=phis)
     assert harness._read_axes(ctx, point_set) == read
+
+
+def test_each_representative_runs_once():
+    """On a single (r, theta) a set's points are one orbit, or two on the
+    gauge points, whose gauge functions read t: a lone representative runs
+    as a batch of one."""
+    ctx = SuiteContext(resolve_model("schwarzschild"),
+                       grid_overrides={"r": [5.0], "theta": [1.0]})
+    chunks = {point_set: [(idx.tolist(), count) for idx, count
+                          in harness._chunks(ctx, point_set, ctx.points(point_set))]
+              for point_set in ("grid", "small", "gauge", "orbit")}
+    assert chunks == {"grid": [([0], 4)], "small": [([0], 4)], "gauge": [([0, 2], 4)],
+                      "orbit": [([0], 2)]}
 
 
 def test_orbits_are_kept_in_grid_order_by_their_first_point():
