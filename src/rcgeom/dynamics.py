@@ -13,20 +13,22 @@ normalization drift into a pure integrator-quality metric.
 The state is eight floats, y = (x, V).  One Runge-Kutta step takes the
 method as a Butcher tableau: RK4, or Dormand-Prince 5(4) with error control,
 whose last stage is taken at the new state and so is the next step's first
-("first same as last").  The tableau stays data; the step's arithmetic is
-generated from it on first use (``_kernels``): each row's stage point and
-each weighted sum is one straight-line function unrolled over the eight
-floats, doing the float operations of elementwise list sums in their order,
-so a trajectory is the list arithmetic's bit for bit.  Every stage calls
-``_rhs``, which gives dy/ds and
-the norm g(V, V) at its point.  In dual mode that is the model's force law
-as one generated straight-line function (``_generate_rhs``), made on first
-use and kept on the model's layout, so a step builds no snapshot; in fd
-mode, and at a point where the generated function declines, raises or
-returns None, it is a snapshot of the point, whose error notes are the
-engine's own.  An accepted state takes its norm, and its domain test, from
-the stage at that state, which is also the next step's first.  Identities
-take a batch of points, one velocity per point.
+("first same as last").  The tableau stays data; each step is one call of a
+function generated from it on first use (``_step``), unrolled over the eight
+floats, which computes every stage point, the new state and the error
+estimate with the float operations of elementwise list sums in their order,
+so a trajectory is the list arithmetic's bit for bit.  It calls the stage it
+is given at each stage point.  In dual mode that is the model's force law as
+one generated straight-line function (``_generate_rhs``), made on first use
+and kept on the model's layout, so a step builds no snapshot.  Where that
+function declines (returns None), raises ``ArithmeticError`` or
+``ValueError``, the same step is re-run from its start with ``_rhs`` at each
+stage: the generated function, else a snapshot of the point, whose error
+notes are the engine's own.  fd mode runs every step that way.  ``_rhs``
+gives dy/ds and the norm g(V, V) at its point.  An accepted state takes its
+norm, and its domain test, from the stage at that state, which is also the
+next step's first.  Identities take a batch of points, one velocity per
+point.
 """
 
 from __future__ import annotations
@@ -91,7 +93,7 @@ class Trajectory:
     exited: bool = False
     exit_message: str = ""
     rejected_steps: int = 0
-    rhs_evals: int = 0  # calls of the right-hand side, _rhs
+    rhs_evals: int = 0  # right-hand-side evaluations of the steps taken and rejected
 
     @property
     def max_drift(self):
@@ -322,7 +324,8 @@ def _signed(terms):
 def _adjugate(g):
     """det g and the adjugate of the symmetric 4x4 g (nested lists), by
     Laplace expansion, without the terms that have a constant 0.0 operand;
-    the tape computes each shared minor once."""
+    each shared minor is expanded once."""
+    @functools.cache
     def det(rows, cols):
         if len(rows) == 1:
             return g[rows[0]][cols[0]]
@@ -372,43 +375,65 @@ _TABLEAUX = {t.method: t for t in (
         5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 2100, 1 / 40)),
 )}
 
-# method -> the kernels of its tableau; filled on first use, bounded by
-# _TABLEAUX.  Keyed by name: hashing the DP54 tableau takes about 1 us.
-_KERNELS = {}
+# method -> the generated step of its tableau; filled on first use, bounded
+# by _TABLEAUX.  Keyed by name: hashing the DP54 tableau takes about 1 us.
+_STEPS = {}
 
 
-def _kernels(tableau):
-    """The tableau's Runge-Kutta kernels ``(rows, solution, error)``,
-    generated on first use: each row and weighted sum as one straight-line
-    function over the 8 floats of the state (``f.source``), with the float
-    operations of the elementwise sums it stands for, in their order:
+def _step(tableau):
+    """The tableau's Runge-Kutta step as one generated straight-line
+    function ``step(stage, ds, y, dy, k)`` (``step.source``), made on first
+    use, over the eight floats of y and of its derivative dy.
 
-    - ``rows[i](ds, y, ks)``, the point of stage i + 2: y, then + c * k_j
-      for each pair in turn, with c = ds * a;
-    - ``solution(ds, y, ks)`` (None with ``fsal``):
-      y + (ds / denom) * (the stages weighted by ``b``, left to right);
-    - ``error(ds, y, ks, y_new)`` (None without ``b_low``):
-      max |y_new - (y + ds * (the stages weighted by ``b_low``))|;
+    ``stage(*point, k)`` gives the ``_rhs`` pair at a point, or None.  The
+    point of stage i + 2 is y, then + c * k_j for each pair of row i in
+    turn, with c = ds * a.  The new y is the last stage's point with
+    ``fsal``, else y + (ds / denom) * (the stages weighted by ``b``, left to
+    right); the error is max |y_new - (y + ds * (the stages weighted by
+    ``b_low``))|, or 0.0 without ``b_low``.  A unit weight takes its stage
+    as is (1.0 * k is k, bit for bit).  These are the float operations of
+    elementwise list sums, in their order.
 
-    where a unit weight takes its stage as is (1.0 * k is k, bit for bit).
+    Returns ``(y_new, err, pair)``, where pair is the stage at y_new: the
+    last one with ``fsal``, else one more call; or None as soon as a stage
+    returns None.
     """
-    kernels = _KERNELS.get(tableau.method)
-    if kernels is None:
-        rows = []
-        for i, row in enumerate(tableau.a):
-            head = [f"c{p} = ds * {a!r}" for p, (a, _) in enumerate(row)]
-            rows.append(_kernel(f"stage_{i + 2}(ds, y, ks)", row, head, "[{}]", lambda n: (
-                f"y{n}" + "".join(f" + c{p} * k{j}_{n}" for p, (_, j) in enumerate(row)))))
-        solution = error = None
-        if not tableau.fsal:
-            solution = _kernel("solution(ds, y, ks)", tableau.b, [f"c = ds / {tableau.denom!r}"],
-                               "[{}]", lambda n: f"y{n} + c * ({_weighted(tableau.b, n)})")
-        if tableau.b_low is not None:
-            error = _kernel("error(ds, y, ks, y_new)", tableau.b_low, [_unpack("z", "y_new")],
-                            "max({})", lambda n: (
-                                f"abs(z{n} - (y{n} + ds * ({_weighted(tableau.b_low, n)})))"))
-        kernels = _KERNELS[tableau.method] = (tuple(rows), solution, error)
-    return kernels
+    step = _STEPS.get(tableau.method)
+    if step is not None:
+        return step
+    body = [f"{_names('y')} = y", f"{_names('k0_')} = dy"]
+
+    read = {j for pairs in (*tableau.a, tableau.b, tableau.b_low or ()) for _, j in pairs}
+
+    def call(point, j):
+        """Call the stage at the point, naming its derivative k_j if read."""
+        body.extend([f"s = stage({', '.join(point)}, k)", "if s is None:", "    return None"])
+        if j in read:
+            body.append(f"({_names(f'k{j}_')}), _ = s")
+
+    for i, row in enumerate(tableau.a, start=1):
+        body += [f"c{i}_{p} = ds * {a!r}" for p, (a, _) in enumerate(row)]
+        point = [f"y{n}" + "".join(f" + c{i}_{p} * k{j}_{n}" for p, (_, j) in enumerate(row))
+                 for n in range(8)]
+        if tableau.fsal and i == len(tableau.a):
+            body += [f"z{n} = {component}" for n, component in enumerate(point)]
+            point = [f"z{n}" for n in range(8)]
+        call(point, i)
+    if not tableau.fsal:
+        body.append(f"c = ds / {tableau.denom!r}")
+        body += [f"z{n} = y{n} + c * ({_weighted(tableau.b, n)})" for n in range(8)]
+        call([f"z{n}" for n in range(8)], len(tableau.a) + 1)
+    err = "0.0"
+    if tableau.b_low is not None:
+        err = "max({})".format(", ".join(
+            f"abs(z{n} - (y{n} + ds * ({_weighted(tableau.b_low, n)})))" for n in range(8)))
+    body.append(f"return [{_names('z')}], {err}, s")
+    source = "def step(stage, ds, y, dy, k):\n" + "".join(f"    {line}\n" for line in body)
+    namespace = {}
+    exec(compile(source, "<rcgeom generated Runge-Kutta step>", "exec"), namespace)
+    step = _STEPS[tableau.method] = namespace["step"]
+    step.source = source
+    return step
 
 
 def _weighted(pairs, n):
@@ -416,23 +441,8 @@ def _weighted(pairs, n):
     return " + ".join(f"k{j}_{n}" if w == 1.0 else f"{w!r} * k{j}_{n}" for w, j in pairs)
 
 
-def _unpack(prefix, seq):
-    return ", ".join(f"{prefix}{n}" for n in range(8)) + f" = {seq}"
-
-
-def _kernel(signature, pairs, head, result, component):
-    """The function ``signature``: it unpacks y and the stages the pairs
-    read, runs the head statements, and returns ``result`` around
-    ``component(n)`` for the 8 components."""
-    stages = sorted({j for _, j in pairs})
-    body = [_unpack("y", "y"), *(_unpack(f"k{j}_", f"ks[{j}]") for j in stages), *head,
-            "return " + result.format(", ".join(map(component, range(8))))]
-    source = f"def {signature}:\n" + "".join(f"    {line}\n" for line in body)
-    namespace = {}
-    exec(compile(source, "<rcgeom generated Runge-Kutta kernel>", "exec"), namespace)
-    run = namespace[signature.split("(")[0]]
-    run.source = source
-    return run
+def _names(prefix):
+    return ", ".join(f"{prefix}{n}" for n in range(8))
 
 
 def _derivative(dy):
@@ -440,29 +450,6 @@ def _derivative(dy):
     if isinstance(dy, Exception):
         raise dy
     return dy
-
-
-def _rk_step(tableau, stage, y, k1, ds):
-    """One step of size ds from y, whose derivative is k1, over sequences of
-    floats; ``stage(y)`` gives the ``_rhs`` pair at a new point.  The
-    arithmetic is the tableau's generated kernels (``_kernels``).
-
-    Returns the new y, the largest difference from the embedded solution
-    (0.0 without one), and, when the last stage is taken at the new y
-    (``fsal``), its pair, else None."""
-    rows, solution, error = _kernels(tableau)
-    ks = [_derivative(k1)]
-    for row in rows:
-        yi = row(ds, y, ks)
-        last = stage(yi)
-        ks.append(_derivative(last[0]))
-    if tableau.fsal:
-        y_new = yi
-    else:
-        y_new, last = solution(ds, y, ks), None
-    if error is None:
-        return y_new, 0.0, last
-    return y_new, error(ds, y, ks, y_new), last
 
 
 @_quiet_float_errors
@@ -473,12 +460,42 @@ def integrate_worldline(model, init, charge_ratio, config, mode="dual"):
     s = float(init.s)
     k = float(charge_ratio)
     tableau = _TABLEAUX[config.method]
+    step, calls = _step(tableau), len(tableau.a) + (not tableau.fsal)
     traj = Trajectory(states=[WorldlineState(x0, V0, s)],
                       norm_residuals=[abs(norm_squared(model, x0, V0) - 1.0)])
 
     def rhs(y):
         traj.rhs_evals += 1
         return _rhs(model, y, k, mode)
+
+    def advance(y, dy, ds, law):
+        """One step from y, whose derivative is dy: ``step`` with the
+        generated force law at every stage, or, where that is missing,
+        declines or raises, the same step re-run with ``_rhs`` at each."""
+        _derivative(dy)  # a deferred error raises before the step
+        if law is not None:
+            try:
+                out = step(law, ds, y, dy, k)
+            except (ArithmeticError, ValueError):
+                out = None
+            if out is not None:
+                traj.rhs_evals += calls
+                return out
+        stages = iter(range(calls))
+
+        def stage(*point):
+            at = list(point[:8])
+            if next(stages) < len(tableau.a):
+                pair = rhs(at)
+                _derivative(pair[0])
+                return pair
+            try:  # the new state of a step without fsal, accepted with its norm
+                return rhs(at)
+            except DomainError:
+                raise DomainError(f"worldline left the domain of {model.name!r} near "
+                                  f"{point_text(at[:4])}") from None
+
+        return step(stage, ds, y, dy, k)
 
     def accept(y, s, pair, renormalize=False):
         """Record an accepted state from its ``_rhs`` pair; returns the state
@@ -493,18 +510,13 @@ def integrate_worldline(model, init, charge_ratio, config, mode="dual"):
 
     try:
         dy = _derivative(rhs(y)[0])
+        law = model.layout.generated.get("rhs") if mode == "dual" else None
         if config.method == "rk4":
             every = config.renormalize_every
-            for step in range(config.steps):
-                y, _, _ = _rk_step(tableau, rhs, y, dy, config.ds)
+            for n in range(config.steps):
+                y, _, pair = advance(y, dy, config.ds, law)
                 s += config.ds
-                try:
-                    pair = rhs(y)
-                except DomainError:
-                    raise DomainError(
-                        f"worldline left the domain of {model.name!r} near {point_text(y[:4])}"
-                    ) from None
-                y, dy = accept(y, s, pair, every and (step + 1) % every == 0)
+                y, dy = accept(y, s, pair, every and (n + 1) % every == 0)
         else:
             s_end = s + config.ds * config.steps
             ds = config.ds
@@ -512,7 +524,7 @@ def integrate_worldline(model, init, charge_ratio, config, mode="dual"):
             attempts = 0
             while s < s_end - 1e-15:
                 ds = min(ds, s_end - s)
-                y_new, err, last = _rk_step(tableau, rhs, y, dy, ds)
+                y_new, err, last = advance(y, dy, ds, law)
                 tol = atol + rtol * max(map(abs, y))
                 if err <= tol:
                     s += ds

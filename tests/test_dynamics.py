@@ -1,5 +1,6 @@
 """Worldline integration, transport identity, and dust exchange relations."""
 
+import ast
 import dataclasses
 import functools
 import json
@@ -318,6 +319,11 @@ REFERENCE_RUNS = {
         "schwarzschild", {}, *_INFALL, 0.0,
         IntegratorConfig(ds=0.05, steps=2000, method="rk45-adaptive"),
         "metric is numerically degenerate at ("),
+    # the last accepted state is at the degeneracy bound: it keeps its norm,
+    # and the next step ends the worldline before its first stage
+    "schwarzschild-infall-rk4-degenerate": (
+        "schwarzschild", {}, *_INFALL, 0.0, IntegratorConfig(ds=0.002, steps=1000),
+        "metric is numerically degenerate at ("),
     "start-outside-domain": (
         "schwarzschild", {}, [0.0, 1.5, math.pi / 2, 0.0], None, 0.0,
         IntegratorConfig(ds=0.05, steps=20),
@@ -327,19 +333,45 @@ REFERENCE_RUNS = {
 REFERENCE_RUNS.update({f"{name}-fd": REFERENCE_RUNS[name] for name in (
     "constant-e-charged-rk4", "rn-charged-rk45", "schwarzschild-infall-rk4",
     "schwarzschild-infall-rk45")})
+# the generated force law returns None on a band of points the trajectory
+# crosses (phi on the circular orbit, r on the charged one), so the steps
+# there are re-run through the snapshot route
+DECLINES = {
+    "schwarzschild-circular-rk4-declining": lambda y: 0.3 < y[3] < 0.35,
+    "rn-charged-rk45-declining": lambda y: 10.3 < y[1] < 10.5,
+}
+REFERENCE_RUNS.update({name: REFERENCE_RUNS[name.removesuffix("-declining")] for name in DECLINES})
+
+
+def _declining(model, decline):
+    """Give the model a generated force law that returns None where
+    ``decline(point)`` holds; returns the list of those points."""
+    declined, law = [], dynamics._generate_rhs(model)
+
+    def rhs(*args):
+        if decline(args):
+            declined.append(args)
+            return None
+        return law(*args)
+
+    model.layout.generated["rhs"] = rhs
+    return declined
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_RUNS))
-def test_integrator_matches_reference_steppers(name):
+def test_integrator_matches_reference_steppers(fallbacks, name):
     entry, params, x0, v0, k, config, exit_message = REFERENCE_RUNS[name]
     mode = "fd" if name.endswith("-fd") else "dual"
     m = catalog_get(entry, params=params)
+    declined = _declining(m, DECLINES[name]) if name in DECLINES else None
     x0 = np.array(x0)
     # the start outside the domain keeps a unit, spacelike there, velocity
     V0 = np.array([1.0, 0.0, 0.0, 0.0]) if v0 is None else normalize_velocity(m, x0, np.array(v0))
     init = WorldlineState(x0, V0, 0.0)
-    ref = _reference_worldline(m, init, k, config, mode)
     traj = integrate_worldline(m, init, k, config, mode)
+    if declined is not None:  # the integrator re-ran the steps that crossed the band
+        assert declined and fallbacks
+    ref = _reference_worldline(m, init, k, config, mode)
 
     assert len(traj.states) == len(ref.states)
     for got, want in zip(traj.states, ref.states):
@@ -653,22 +685,25 @@ def test_worldlines_take_the_generated_path(fallbacks):
 
 @pytest.mark.parametrize("method, ds, renormalize_every", [
     ("rk4", 0.05, 0), ("rk4", 0.05, 3), ("rk45-adaptive", 0.5, 0)])
-def test_rhs_evaluations_per_step(monkeypatch, method, ds, renormalize_every):
+def test_rhs_evaluations_per_step(fallbacks, method, ds, renormalize_every):
     """rk4: 1 + 4 per step, plus 1 per renormalization; DP54: 1 + 6 per
     attempt, the last stage of an accepted step being the next one's first.
-    ``rhs_evals`` counts the calls of ``_rhs``, which the bench tracer wraps."""
-    calls, rhs = [], dynamics._rhs
-    monkeypatch.setattr(dynamics, "_rhs", lambda *a: calls.append(a) or rhs(*a))
+    ``rhs_evals`` counts the calls of the model's generated force law and
+    of the snapshot route; this model never takes the latter."""
+    model = catalog_get("minkowski-constant-e")
+    calls, law = [], dynamics._generate_rhs(model)
+    model.layout.generated["rhs"] = lambda *a: calls.append(a) or law(*a)
     init = WorldlineState(np.zeros(4), np.array([1.0, 0.0, 0.0, 0.0]), 0.0)
     cfg = IntegratorConfig(ds=ds, steps=10, method=method, renormalize_every=renormalize_every)
-    traj = integrate_worldline(catalog_get("minkowski-constant-e"), init, 0.5, cfg)
+    traj = integrate_worldline(model, init, 0.5, cfg)
     steps = len(traj.states) - 1
     if method == "rk4":
         assert traj.rhs_evals == 1 + 4 * steps + (renormalize_every and steps // renormalize_every)
     else:
         assert traj.rejected_steps > 0
         assert traj.rhs_evals == 1 + 6 * (steps + traj.rejected_steps)
-    assert traj.rhs_evals == len(calls)
+    assert traj.rhs_evals == len(calls) + len(fallbacks)
+    assert fallbacks == []
 
 
 def test_an_rk4_step_that_leaves_the_domain_at_an_inner_stage():
@@ -689,16 +724,18 @@ def test_an_rk4_step_that_leaves_the_domain_at_an_inner_stage():
     assert min(s.x[1] for s in traj.states) > 2.0
 
 
-def _list_rk_step(tableau, stage, y, k1, ds):
-    """``_rk_step``'s arithmetic as elementwise list sums: the reference its
-    generated kernels must match bit for bit."""
+def _list_rk_step(tableau, stage, ds, y, k1, k):
+    """The generated step's arithmetic as elementwise list sums: the
+    reference it must match bit for bit."""
     ks = [k1]
     for row in tableau.a:
         yi = y
         for a, j in row:
             c = ds * a
             yi = [u + c * v for u, v in zip(yi, ks[j])]
-        last = stage(yi)
+        last = stage(*yi, k)
+        if last is None:
+            return None
         ks.append(last[0])
 
     def weigh(pairs):
@@ -713,7 +750,10 @@ def _list_rk_step(tableau, stage, y, k1, ds):
         y_new = yi
     else:
         c = ds / tableau.denom
-        y_new, last = [u + c * v for u, v in zip(y, weigh(tableau.b))], None
+        y_new = [u + c * v for u, v in zip(y, weigh(tableau.b))]
+        last = stage(*y_new, k)
+        if last is None:
+            return None
     if tableau.b_low is None:
         return y_new, 0.0, last
     low = weigh(tableau.b_low)
@@ -737,22 +777,55 @@ _STATES = st.lists(_STEP_FLOATS, min_size=8, max_size=8)
 @given(y=_STATES, ks=st.lists(_STATES, min_size=7, max_size=7),
        ds=st.floats(min_value=5e-324, max_value=1e300))
 def test_generated_kernels_match_the_list_arithmetic(method, y, ks, ds):
-    """Stage points, the new y, the error estimate and the first-same-as-last
-    pair are the list arithmetic's, bit for bit (overflow to inf and NaN
-    included); stage i returns the pair (ks[i], i)."""
+    """The generated step's stage points, new y, error estimate and pair at
+    the new state are the list arithmetic's, bit for bit (overflow to inf
+    and NaN included); call i of the stage returns the pair (ks[i], i).  A
+    stage that returns None at call i ends the step with None after i calls."""
     tableau = dynamics._TABLEAUX[method]
+    calls = len(tableau.a) + (not tableau.fsal)
 
-    def run(step, points):
-        pairs = iter([(tuple(k), float(i)) for i, k in enumerate(ks[1:], start=2)])
-        return step(tableau, lambda yi: points.append(yi) or next(pairs), y, tuple(ks[0]), ds)
+    def run(step, points, none_at=None):
+        def stage(*args):
+            assert args[8] == 0.25  # the charge ratio, passed on
+            points.append(args[:8])
+            i = len(points)
+            return None if i == none_at else (tuple(ks[i]), float(i))
+        return step(stage, ds, y, tuple(ks[0]), 0.25)
 
     got_points, want_points = [], []
-    got, want = run(dynamics._rk_step, got_points), run(_list_rk_step, want_points)
+    got = run(dynamics._step(tableau), got_points)
+    want = run(functools.partial(_list_rk_step, tableau), want_points)
     assert list(map(_bits, got_points)) == list(map(_bits, want_points))
-    assert len(got_points) == len(tableau.a)
+    assert len(got_points) == calls
     assert _bits(got[0]) == _bits(want[0])
     assert _bits([got[1]]) == _bits([want[1]])
-    assert got[2] == want[2] and (got[2] is None) != tableau.fsal
+    assert got[2] == want[2] == (tuple(ks[calls]), float(calls))
+    for i in range(1, calls + 1):
+        points = []
+        assert run(dynamics._step(tableau), points, none_at=i) is None
+        assert len(points) == i
+
+
+@pytest.mark.parametrize("method", sorted(dynamics._TABLEAUX))
+def test_generated_step_source_holds_only_its_own_names(method):
+    """The generated step holds only its arguments, its locals, finite float
+    literals, abs, max and the None of a declining stage."""
+    tree = ast.parse(dynamics._step(dynamics._TABLEAUX[method]).source)
+    (func,) = tree.body
+    arguments = [a.arg for a in func.args.args]
+    assert func.name == "step" and arguments == ["stage", "ds", "y", "dy", "k"]
+    stored = {n.id for n in ast.walk(tree)
+              if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+    assert not stored & {"stage", "abs", "max"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            assert node.id in {*arguments, *stored, "abs", "max"}
+        elif isinstance(node, ast.Constant):
+            assert node.value is None or (type(node.value) is float and math.isfinite(node.value))
+        elif isinstance(node, ast.Call):
+            assert isinstance(node.func, ast.Name) and node.func.id in {"stage", "abs", "max"}
+        else:
+            assert not isinstance(node, (ast.Attribute, ast.Subscript, ast.Lambda))
 
 
 def test_probe_velocity_inside_the_ergoregion(tmp_path):
@@ -787,3 +860,28 @@ def test_a_non_finite_entry_the_force_law_does_not_read_ends_the_worldline():
     traj = integrate_worldline(model, init, 0.5, IntegratorConfig(ds=0.1, steps=3))
     assert traj.exited and len(traj.states) == 1
     assert traj.exit_message.startswith("non-finite field derivatives for 'overflowing-potential'")
+
+
+def test_a_force_law_at_the_parser_depth_limit_compiles(fallbacks):
+    """g_tt = 1 - x*(1 - x*(...)), nested to the parser's depth limit, is a
+    chain of temporaries each read once.  Written inline without a cap, its
+    gradient nests deeper than the 200 parentheses Python's tokenizer
+    accepts; the force law generates and compiles, and the worldline runs
+    it at every stage and is the reference steppers'."""
+    src = "1"
+    for _ in range(99):
+        src = f"(1 - x*{src})"
+    with pytest.raises(GeometryError, match="deeper than"):
+        build_model("deeper", ("t", "x", "y", "z"), {(0, 0): f"(1 - x*{src})"}, {})
+    model = build_model("deep", ("t", "x", "y", "z"),
+                        {(0, 0): src, (1, 1): "-1", (2, 2): "-1", (3, 3): "-1"}, {0: "0.2*x"},
+                        grid_axes={n: (0.0,) for n in "txyz"}, validate=False)
+    x0 = np.array([0.0, 0.1, 0.0, 0.0])
+    init = WorldlineState(x0, normalize_velocity(model, x0, np.array([1.0, 0.1, 0.0, 0.0])), 0.0)
+    config = IntegratorConfig(ds=0.01, steps=50)
+    traj = integrate_worldline(model, init, 0.5, config)
+    assert model.layout.generated["rhs"] is not None and fallbacks == []
+    ref = _reference_worldline(model, init, 0.5, config)
+    assert not traj.exited and len(traj.states) == len(ref.states) == 51
+    for got, want in zip(traj.states, ref.states):
+        assert _bits([*got.x, *got.V, got.s]) == _bits([*want.x, *want.V, want.s])
