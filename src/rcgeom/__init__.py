@@ -32,6 +32,5 @@ from .errors import (  # noqa: F401
 )
 from .expr import ChartSpec  # noqa: F401
 from .fields import ExprField, finite_difference_derivatives  # noqa: F401
-from .checks import gauge_invariance_suite  # noqa: F401
 from .gauge import transform_potential  # noqa: F401
 from .tensor import MetricAtPoint  # noqa: F401

@@ -212,15 +212,26 @@ class SpacetimeModel:
         return np.stack([f.values(X) for f in self.A_fields], axis=-1)
 
     def scalar_field(self, src, name=""):
-        """Scalar field over the chart with the parameters, G and c in scope."""
+        """Scalar field over the chart with the parameters, G and c in scope;
+        a constant one that fails is an error naming the model (``_field``)."""
         env = dict(self.params, G=self.constants.G, c=self.constants.c)
-        return ExprField(src, self.chart, env, name=name)
+        return _field(src, self.chart, env, name or src, self.name)
 
     def sample_box(self):
         box = self.meta.get("sample_box")
         if box is not None:
             return box
         return {n: (min(v), max(v)) for n, v in self.grid_axes.items()}
+
+
+def _field(src, chart, env, name, origin):
+    """The field of an expression source.  One that reads no coordinate is
+    evaluated once, at construction; if that fails, or gives a value that is
+    not finite, it is a load error naming the file or model and the field."""
+    try:
+        return ExprField(src, chart, env, name=name)
+    except EvalError as err:
+        raise SpacetimeFormatError(f"{name} cannot be evaluated: {err}", origin) from None
 
 
 def build_model(
@@ -266,16 +277,16 @@ def build_model(
                 row.append(rows[j][i])
                 continue
             src = g_sources.get((i, j), g_sources.get((j, i), "0"))
-            row.append(ExprField(src, chart, env, name=f"g[{i}][{j}]"))
+            row.append(_field(src, chart, env, f"g[{i}][{j}]", origin or name))
         rows.append(tuple(row))
     g_fields = tuple(rows)
 
     A_list = []
     for i in range(4):
         src = (A_sources or {}).get(i, "0")
-        A_list.append(ExprField(src, chart, env, name=f"A[{i}]"))
+        A_list.append(_field(src, chart, env, f"A[{i}]", origin or name))
 
-    domain = ExprField(domain_src, chart, env, name="domain") if domain_src else None
+    domain = _field(domain_src, chart, env, "domain", origin or name) if domain_src else None
 
     if grid_axes is None:
         raise SpacetimeFormatError("missing required key: grid", origin or name)
@@ -569,6 +580,7 @@ def parse_spacetime_text(text, origin="<string>", param_overrides=None):
     grid_axes = {}
     seen = {}  # key -> the value its first line gave
     param_lines = {}  # param -> the line that declared it
+    grid_lines = {}  # grid coordinate -> the line that gave its range
 
     def once(key, value, lineno, what="value"):
         first = seen.setdefault(key, value)
@@ -628,8 +640,13 @@ def parse_spacetime_text(text, origin="<string>", param_overrides=None):
                 raise SpacetimeFormatError("bad grid range", origin, lineno) from None
             if count < 1:
                 raise SpacetimeFormatError("grid count must be >= 1", origin, lineno)
+            if not math.isfinite(stop - start):  # inf or NaN also when a bound is
+                raise SpacetimeFormatError(
+                    f"grid bounds and their distance must be finite: {start!r}:{stop!r}",
+                    origin, lineno)
             once(f"grid.{m.group(1)}", (start, stop, count), lineno, "range")
             grid_axes[m.group(1)] = tuple(np.linspace(start, stop, count))
+            grid_lines.setdefault(m.group(1), lineno)
         else:
             raise SpacetimeFormatError(f"unrecognized line: {line!r}", origin, lineno)
 
@@ -640,6 +657,9 @@ def parse_spacetime_text(text, origin="<string>", param_overrides=None):
     for key, lineno in param_lines.items():
         if key in coords:
             raise SpacetimeFormatError(f"param {key} names a chart coordinate", origin, lineno)
+    for key, lineno in grid_lines.items():
+        if key not in coords:
+            raise SpacetimeFormatError(f"unknown grid coordinate {key!r}", origin, lineno)
 
     for key, value in (param_overrides or {}).items():
         if key in ("G", "c"):
@@ -670,6 +690,11 @@ def parse_spacetime_text(text, origin="<string>", param_overrides=None):
 
 
 def load_spacetime_file(path, param_overrides=None):
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as err:
+        raise SpacetimeFormatError(
+            f"not UTF-8 text: {err.reason} at byte {err.start}", str(path)) from None
     return parse_spacetime_text(text, origin=str(path), param_overrides=param_overrides)

@@ -3,11 +3,13 @@
 An ``ExprField`` folds its expression once, at construction
 (``expr.fold``): parameter-only subtrees become numbers, and a field with
 no coordinate left in it is a constant (``const``), whose derivatives are
-zero.  Every evaluation runs the folded tree through ``expr.evaluate``; the
-default path pushes truncated Taylor carriers (jets) through it, giving
-exact gradients and Hessians (and third derivatives on request).  A central
-finite-difference fallback exists for cross-validation of the dual-number
-engine.
+zero; one that cannot be evaluated, or is not finite, raises at
+construction.  Every evaluation runs the folded tree through
+``expr.evaluate``; the default path pushes truncated Taylor carriers (jets)
+through it, giving exact gradients and Hessians (and third derivatives on
+request).  A central finite-difference fallback exists for cross-validation
+of the dual-number engine.  Every field class has ``axes``, the chart
+indices it reads.
 
 Every evaluation accepts a batch, shape (N, 4), or one point, shape (4,).
 Batched jets keep the batch axis last (value (N,), gradient (4, N), Hessian
@@ -110,6 +112,8 @@ class ExprField:
         self.const = None
         if not self.axes:  # a value, or a subtree that did not fold raises
             self.const = float(expr.evaluate(self.tree, (), self.params))
+            if not math.isfinite(self.const):
+                raise EvalError(f"non-finite value for field {self.name!r}: {self.const!r}")
 
     def __repr__(self):
         return f"ExprField({self.name!r})"
@@ -161,11 +165,6 @@ def gauge_function_jet(phi, x, order, check=False):
     return _check_finite(jv, phi.name, x) if check else jv
 
 
-def axes_of(field):
-    """The chart indices a field reads; all four for a field without a tree."""
-    return getattr(field, "axes", frozenset(range(DIM)))
-
-
 class ShiftedPotentialField:
     """Potential component after a gauge shift: base + d(phi)/dx_axis.
 
@@ -187,7 +186,7 @@ class ShiftedPotentialField:
 
     @property
     def axes(self):
-        return axes_of(self.base) | axes_of(self.phi)
+        return self.base.axes | self.phi.axes
 
     def value(self, x):
         return self.base.value(x) + gauge_function_jet(self.phi, x, 1, check=True).grad[self.axis]
@@ -199,15 +198,13 @@ class ShiftedPotentialField:
         functions give every entry the same bits whatever the array length),
         so a stencil gives the same bits over a batch as at one point, both
         coming through here; it agrees with ``value`` to roundoff.  An
-        evaluation error or a non-finite result re-evaluates row by row, so
+        evaluation error or a non-finite phi jet re-evaluates row by row, so
         the error is the one ``value`` meets at the first bad row.
         """
         X = np.asarray(X, dtype=float)
 
         def batch():
-            p = gauge_function_jet(self.phi, X, 1)
-            if not (np.isfinite(p.value).all() and np.isfinite(p.grad).all()):
-                raise EvalError(f"non-finite gauge function jet for field {self.name!r}")
+            p = gauge_function_jet(self.phi, X, 1, check=True)
             return self.base.values(X) + p.grad[self.axis]
 
         return np.asarray(batch_then_rows(batch, X, self.value))
@@ -233,14 +230,14 @@ def _fd_batch(field, X, order):
     """Stencil value, gradient and (order 2) Hessian at every row of X,
     batch axis last as in jets.
 
-    Only the axes the field reads (``axes_of``) are differenced: every
+    Only the axes the field reads (``axes``) are differenced: every
     entry along another axis is exactly 0, as in a jet, where a mixed
     difference across it would leave roundoff.  All stencil points of all
     rows go through one ``values`` call, in the order the one-point
     difference quotients visit them (the centre first at order 2, last at
     order 1), so the first bad stencil point is the one reported.
     """
-    axes = sorted(axes_of(field))
+    axes = sorted(field.axes)
     steps = FD_STEP_SCALE * np.maximum(1.0, np.abs(X))  # per axis and point
     shift = {m: np.zeros_like(X) for m in axes}
     for m, e in shift.items():

@@ -7,16 +7,16 @@ scalar-curvature change is a pure divergence.  Every quantity is compared
 on one (unshifted, shifted) snapshot pair over a batch of points: each side
 is one snapshot, and each comparison one array reduction with a value per
 point.  The comparisons are the residuals of the ``gauge.*`` rows of
-``checks.CHECK_DEFS``, which read a ``checks.GaugePair``; the closed-form
-shifts they compare with (``contorsion_shift``, ``scalar_shift`` and its
-``divergence_term``) are here.
+``checks.CHECK_DEFS``, which read a ``checks.GaugePair`` that the harness
+builds; the closed-form shifts they compare with (``contorsion_shift``,
+``scalar_shift`` and its ``divergence_term``) are here.  This module builds
+no snapshot.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .engine import GeometrySnapshot
 from .fields import ShiftedPotentialField, gauge_function_jet
 from .tensor import batched_einsum, max_abs
 
@@ -73,15 +73,6 @@ def scalar_shift(old, new, phi):
     point of the snapshot pair."""
     div_term = divergence_term(old, phi)
     return np.abs(new.scalar_rc - old.scalar_rc - div_term) / (1.0 + np.abs(old.scalar_rc))
-
-
-def scalar_shift_residual(model, phi, x, mode="dual"):
-    """``scalar_shift`` at every point of x, an (N, 4) batch or one point, for
-    a model and a gauge function."""
-    phi = as_phi_field(model, phi)
-    old = GeometrySnapshot(model, x, mode)
-    new = GeometrySnapshot(transform_potential(model, phi), x, mode)
-    return scalar_shift(old, new, phi)
 
 
 def peak(values):

@@ -34,7 +34,6 @@ from .checks import CHECK_DEFS, GaugePair, default_tolerance, suite_of
 from .dynamics import IntegratorConfig, WorldlineState, integrate_worldline, normalize_velocity
 from .engine import GeometrySnapshot
 from .errors import GeometryError, _quiet_float_errors, batch_then_rows, point_text
-from .fields import axes_of
 from .gauge import as_phi_field, peak, transform_potential
 
 SUITES = ("metric", "lc", "rc", "maxwell", "einstein", "dynamics", "gauge", "all")
@@ -304,7 +303,7 @@ def _read_axes(ctx, point_set):
         held += [dust.rho0, dust.rhoq, *dust.V_fields]
     if point_set in ("gauge", "orbit"):
         held += [*ctx.phi_fields, ctx.orbit_phi]
-    return sorted(frozenset().union(*(axes_of(f) for f in held if f is not None)))
+    return sorted(frozenset().union(*(f.axes for f in held if f is not None)))
 
 
 def _orbits(pts, axes):

@@ -196,6 +196,62 @@ def test_field_that_overflows_on_the_grid_names_file_field_and_point(
     )
 
 
+@pytest.mark.parametrize("g11, A0, field, error", [
+    ("-1", "1e400", "A[0]", "non-finite value for field 'A[0]': inf"),
+    ("-1", "1e200*1e200", "A[0]", "non-finite value for field 'A[0]': inf"),
+    ("-1", "0*1e400", "A[0]", "non-finite value for field 'A[0]': nan"),
+    ("-1e400", "x", "g[1][1]", "non-finite value for field 'g[1][1]': -inf"),
+    ("-1", "log(0)", "A[0]", "log of non-positive argument 0.0"),
+], ids=["inf", "overflow", "nan", "metric-inf", "log-zero"])
+def test_constant_field_that_fails_is_a_load_error(tmp_path, capsys, g11, A0, field, error):
+    """A field that reads no coordinate is evaluated once, when the file is
+    loaded: a failure, or a value that is not finite, names the file and the
+    field."""
+    path = tmp_path / "const.spacetime"
+    path.write_text(OVERFLOW_FILE.format(g11=g11, A0=A0, x="0:1:2"))
+    assert main(["run", "--spacetime", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {field} cannot be evaluated: {error}\n"
+
+
+def test_a_file_that_is_not_utf8_is_a_load_error(tmp_path, capsys):
+    path = tmp_path / "binary.spacetime"
+    path.write_bytes(b"name = m\n\xff\xfe\n")
+    assert main(["run", "--spacetime", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: not UTF-8 text: invalid start byte at byte 9\n")
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["before-coords", "last"])
+def test_a_grid_line_that_names_no_coordinate_is_a_load_error(tmp_path, capsys, first):
+    """As with --grid q=..., the error names the line; it is found once every
+    line is read, since the coords line may come after the grid lines."""
+    line = "grid.q = 0:1:2"
+    base = OVERFLOW_FILE.format(g11="-1", A0="x", x="0:1:2")
+    text = f"{line}\n{base}" if first else f"{base}{line}\n"
+    path = tmp_path / "q.spacetime"
+    path.write_text(text)
+    assert main(["run", "--spacetime", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    lineno = text.splitlines().index(line) + 1
+    assert capsys.readouterr().err == f"error: {path}:{lineno}: unknown grid coordinate 'q'\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("x, bounds", [
+    ("0:1e400:2", "0.0:inf"),
+    ("nan:1:2", "nan:1.0"),
+    ("-inf:inf:1", "-inf:inf"),
+    ("-1e308:1e308:3", "-1e+308:1e+308"),  # finite bounds whose distance overflows
+], ids=["inf-stop", "nan-start", "inf-both", "overflowing-distance"])
+def test_a_grid_range_that_is_not_finite_is_a_load_error_at_its_line(tmp_path, capsys, x, bounds):
+    """The bounds are rejected before np.linspace, which would warn and
+    leave NaN grid points behind."""
+    path = tmp_path / "grid.spacetime"
+    path.write_text(OVERFLOW_FILE.format(g11="-1", A0="x", x=x))
+    assert main(["run", "--spacetime", str(path), "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}:10: grid bounds and their distance must be finite: {bounds}\n")
+
+
 @pytest.mark.parametrize("A0, x, grid, note", [
     ("sinh(1000*x)", "0:0:1", "x=1:2:3", "sinh overflow at argument 1000.0"),
     ("cosh(-1000*x)", "0:0:1", "x=1:2:3", "cosh overflow at argument -1000.0"),

@@ -9,7 +9,6 @@ import pytest
 from rcgeom import (
     EvalError,
     catalog_get,
-    gauge_invariance_suite,
     load_spacetime_file,
     transform_potential,
 )
@@ -22,9 +21,8 @@ from rcgeom.gauge import (
     divergence_term,
     peak,
     scalar_shift,
-    scalar_shift_residual,
 )
-from rcgeom.harness import SuiteContext
+from rcgeom.harness import SuiteContext, run_suite
 
 
 def charge_ball_model(**params):
@@ -35,6 +33,24 @@ def _pair(model, phi, x, mode="dual"):
     """(unshifted, shifted) snapshots at x."""
     return (GeometrySnapshot(model, x, mode),
             GeometrySnapshot(transform_potential(model, phi), x, mode))
+
+
+def _reading(cid, pair, mode):
+    """A gauge row's reading on a pair, and its tolerance."""
+    return peak(CHECK_DEFS[cid].residual(pair)), default_tolerance(cid, mode)
+
+
+def _shift_reading(model, phi, x, mode="dual"):
+    """gauge.scalar_shift's reading over the pair at x, one point or an
+    (N, 4) batch, and its tolerance."""
+    phi = as_phi_field(model, phi)
+    return _reading("gauge.scalar_shift", GaugePair(*_pair(model, phi, x, mode), phi), mode)
+
+
+def _gauge_suite(model, phi):
+    """The gauge suite's report on one gauge function, its checks by id."""
+    report = run_suite("gauge", model, phis=[phi])
+    return report, {c.check_id: c for c in report.checks}
 
 
 def test_constant_phi_is_identity():
@@ -96,7 +112,7 @@ def test_curvature_shift_source_free_is_identity():
         x = np.array([0.0, 5.0, 1.1, 0.4])
         old, new = _pair(m, phi, x)
         assert abs(new.scalar_rc - old.scalar_rc) <= 1e-12
-        assert scalar_shift_residual(m, phi, x) <= 1e-12
+        assert _shift_reading(m, phi, x)[0] <= 1e-12
 
 
 def test_curvature_shift_constant_phi():
@@ -104,7 +120,7 @@ def test_curvature_shift_constant_phi():
     x = np.array([0.1, 0.2, 0.1, -0.1])
     old, new = _pair(m, "2.5", x)
     assert abs(new.scalar_rc - old.scalar_rc) <= 1e-12
-    assert scalar_shift_residual(m, "2.5", x) <= 1e-12
+    assert _shift_reading(m, "2.5", x)[0] <= 1e-12
 
 
 def test_curvature_shift_with_source_hand_value():
@@ -119,38 +135,36 @@ def test_curvature_shift_with_source_hand_value():
     assert abs(new.scalar_rc - old.scalar_rc - div) <= 1e-8
 
 
-def test_scalar_shift_residual_small_everywhere():
+def test_scalar_shift_small_everywhere():
     for model in (catalog_get("reissner-nordstrom"), charge_ball_model()):
         for phi in ("0.2*t", f"0.1*t*{model.chart.names[1]}"):
-            for p in model.default_grid[::16]:
-                assert scalar_shift_residual(model, phi, p) <= 1e-8
+            value, tol = _shift_reading(model, phi, model.default_grid[::16])
+            assert value <= tol
 
 
 def test_invariance_suite_rn():
     m = catalog_get("reissner-nordstrom")
-    rep = gauge_invariance_suite(m, "0.1*t*r", points=m.default_grid[::16])
-    assert rep.passed
-    assert rep.deltas["gauge.f_invariance"] <= 1e-12
-    assert rep.deltas["gauge.lorentz_invariance"] <= 1e-12
-    assert rep.deltas["gauge.contorsion_delta"] > 1e-6
-    assert rep.deltas["gauge.curvature_delta"] > 1e-6
-    old, new = rep.pair
-    assert len(old.x) == len(new.x) == len(m.default_grid[::16])
+    report, checks = _gauge_suite(m, "0.1*t*r")
+    assert report.passed
+    assert checks["gauge.f_invariance"].max_residual <= 1e-12
+    assert checks["gauge.lorentz_invariance"].max_residual <= 1e-12
+    assert checks["gauge.contorsion_delta"].max_residual > 1e-6
+    assert checks["gauge.curvature_delta"].max_residual > 1e-6
+    n = len(SuiteContext(m).points("gauge"))
+    assert {c.grid_points for c in report.checks} == {n}
 
 
 def test_invariance_suite_constant_field():
-    m = catalog_get("minkowski-constant-e")
-    rep = gauge_invariance_suite(m, "sin(t)", points=m.default_grid[::3])
-    assert rep.passed
-    assert rep.deltas["gauge.contorsion_delta"] > 1e-6
+    report, checks = _gauge_suite(catalog_get("minkowski-constant-e"), "sin(t)")
+    assert report.passed
+    assert checks["gauge.contorsion_delta"].max_residual > 1e-6
 
 
 def test_invariance_suite_trivial_phi():
-    m = catalog_get("reissner-nordstrom")
-    rep = gauge_invariance_suite(m, "0", points=m.default_grid[::32])
-    assert rep.passed
-    assert rep.deltas["gauge.contorsion_delta"] == 0.0
-    assert rep.deltas["gauge.curvature_delta"] == 0.0
+    report, checks = _gauge_suite(catalog_get("reissner-nordstrom"), "0")
+    assert report.passed
+    assert checks["gauge.contorsion_delta"].max_residual == 0.0
+    assert checks["gauge.curvature_delta"].max_residual == 0.0
 
 
 def test_gauge_orbit_compose_equals_sum():
@@ -168,8 +182,8 @@ def test_gauge_orbit_compose_equals_sum():
 
 def test_fd_mode_curvature_shift():
     m = charge_ball_model()
-    x = np.array([0.1, 0.3, -0.2, 0.1])
-    assert scalar_shift_residual(m, "t", x, mode="fd") <= 1e-5
+    value, tol = _shift_reading(m, "t", np.array([0.1, 0.3, -0.2, 0.1]), "fd")
+    assert value <= tol
 
 
 KN_FILE = Path(__file__).resolve().parents[1] / "bench" / "kerr_newman.spacetime"
@@ -235,11 +249,6 @@ NEGATIVE_MODELS = {
 SHIFT_MODELS = ("charge-ball", "reissner-nordstrom", "kerr-newman")
 INVARIANCE_ROWS = ("gauge.f_invariance", "gauge.current_invariance", "gauge.stress_invariance",
                    "gauge.einstein_invariance", "gauge.lorentz_invariance")
-
-
-def _reading(cid, pair, mode):
-    """A gauge row's reading on a pair, and its tolerance."""
-    return peak(CHECK_DEFS[cid].residual(pair)), default_tolerance(cid, mode)
 
 
 def _gauge_setup(name, mode, group="gauge"):

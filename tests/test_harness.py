@@ -653,6 +653,20 @@ def test_bad_gauge_function_is_a_usage_error(phi, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("phi, error", [
+    ("1e400", "non-finite value for field 'phi:1e400': inf"),
+    ("log(0)", "log of non-positive argument 0.0"),
+], ids=["inf", "log-zero"])
+def test_constant_gauge_function_that_fails_is_a_usage_error(phi, error, tmp_path, capsys):
+    """A gauge function that reads no coordinate is evaluated once, when it
+    is parsed: a failure, or a value that is not finite, exits 2 naming the
+    model and the function."""
+    out = tmp_path / "g.json"
+    assert main(["gauge", "--spacetime", "minkowski", "--phi", phi, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: minkowski: phi:{phi} cannot be evaluated: {error}\n"
+    assert not out.exists()
+
+
 def test_gauge_function_failing_at_a_point_is_a_failed_check(tmp_path):
     """Each gauge row fails with its own note, naming the gauge function and
     the point.  The rows that read only the unshifted side and phi's exact
