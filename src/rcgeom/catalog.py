@@ -393,22 +393,32 @@ def _static_spherical_metric(f):
 
 def straight_line_error(model, traj, charge_ratio):
     """Free motion in flat space: x(s) = x(0) + s V(0)."""
-    x0, V0 = traj.states[0].x, traj.states[0].V
-    return [float(np.abs(st.x - (x0 + st.s * V0)).max()) for st in traj.states]
+    x = traj.x
+    return np.abs(x - (x[0] + traj.s[:, None] * traj.V[0])).max(axis=1)
 
 
 def uniform_acceleration_error(model, traj, charge_ratio):
     """Rest start in the uniform field E: V^0(s) = cosh(k E s) and
     V^1(s) = -sinh(k E s), which is odd in k and so fixes the charge sign."""
     a = charge_ratio * model.params["E"]
-    return [max(abs(st.V[0] - math.cosh(a * st.s)), abs(st.V[1] + math.sinh(a * st.s)))
-            for st in traj.states]
+    # math's cosh and sinh: numpy's differ in the last bit
+    cosh, sinh = np.array([_cosh_sinh(a * s) for s in traj.s.tolist()]).T
+    e0, e1 = np.abs(traj.V[:, 0] - cosh), np.abs(traj.V[:, 1] + sinh)
+    return np.where(e1 > e0, e1, e0)  # max(e0, e1) per state
+
+
+def _cosh_sinh(t):
+    """cosh(t) and sinh(t), infinite where they overflow."""
+    try:
+        return math.cosh(t), math.sinh(t)
+    except OverflowError:
+        return math.inf, math.copysign(math.inf, t)
 
 
 def circular_radius_error(model, traj, charge_ratio):
     """A circular orbit keeps its starting radius."""
-    r = traj.states[0].x[1]
-    return [abs(st.x[1] - r) for st in traj.states]
+    r = traj.x[:, 1]
+    return np.abs(r - r[0])
 
 
 # A worldline with a known solution, run by the dynamics suite: its start,
@@ -427,12 +437,12 @@ class WorldlineOracle:
     from_rest: bool = False
 
     def report(self, model, traj, charge_ratio):
-        V0 = traj.states[0].V
         if traj.exited or (charge_ratio != 0.0) != self.charged:
             return None
-        if self.from_rest and not np.allclose(V0, [1.0, 0.0, 0.0, 0.0]):
+        if self.from_rest and not np.allclose(traj.V[0], [1.0, 0.0, 0.0, 0.0]):
             return None
-        return {"name": self.name, "max_error": max(self.closed_form(model, traj, charge_ratio))}
+        return {"name": self.name,
+                "max_error": float(np.max(self.closed_form(model, traj, charge_ratio)))}
 
 
 def _accelerated_start(model):
@@ -567,6 +577,14 @@ _LINE_RES = {
 }
 
 
+def grid_axis(start, stop, count):
+    """``np.linspace(start, stop, count)`` once the bounds and their
+    distance are finite; linspace would warn and leave NaN points."""
+    if not math.isfinite(stop - start):  # inf or NaN also when a bound is
+        raise GeometryError(f"grid bounds and their distance must be finite: {start!r}:{stop!r}")
+    return np.linspace(start, stop, count)
+
+
 def parse_spacetime_text(text, origin="<string>", param_overrides=None):
     """Parse the line-oriented definition format into a model.  A key may
     be given again only with the same value."""
@@ -623,8 +641,7 @@ def parse_spacetime_text(text, origin="<string>", param_overrides=None):
             mirror = g_sources.get((j, i))
             if mirror is not None and mirror != m.group(3):
                 raise SpacetimeFormatError(
-                    f"g[{i}][{j}] conflicts with g[{j}][{i}]", origin, lineno
-                )
+                    f"g[{i}][{j}] conflicts with g[{j}][{i}]", origin, lineno)
             g_sources[(i, j)] = m.group(3)
         elif m := _LINE_RES["A"].match(line):
             i = int(m.group(1))
@@ -640,12 +657,12 @@ def parse_spacetime_text(text, origin="<string>", param_overrides=None):
                 raise SpacetimeFormatError("bad grid range", origin, lineno) from None
             if count < 1:
                 raise SpacetimeFormatError("grid count must be >= 1", origin, lineno)
-            if not math.isfinite(stop - start):  # inf or NaN also when a bound is
-                raise SpacetimeFormatError(
-                    f"grid bounds and their distance must be finite: {start!r}:{stop!r}",
-                    origin, lineno)
+            try:
+                axis = grid_axis(start, stop, count)
+            except GeometryError as err:
+                raise SpacetimeFormatError(str(err), origin, lineno) from None
             once(f"grid.{m.group(1)}", (start, stop, count), lineno, "range")
-            grid_axes[m.group(1)] = tuple(np.linspace(start, stop, count))
+            grid_axes[m.group(1)] = tuple(axis)
             grid_lines.setdefault(m.group(1), lineno)
         else:
             raise SpacetimeFormatError(f"unrecognized line: {line!r}", origin, lineno)
@@ -667,24 +684,14 @@ def parse_spacetime_text(text, origin="<string>", param_overrides=None):
         elif key in params:
             params[key] = float(value)
         else:
-            raise SpacetimeFormatError(
-                f"override for undeclared parameter {key!r}", origin
-            )
+            raise SpacetimeFormatError(f"override for undeclared parameter {key!r}", origin)
 
     try:
         return build_model(
-            name,
-            coords,
-            g_sources,
-            A_sources,
-            params=params,
-            G=consts["G"],
-            c=consts["c"],
-            domain_src=domain_src,
-            grid_axes=grid_axes,
+            name, coords, g_sources, A_sources, params=params, G=consts["G"], c=consts["c"],
+            domain_src=domain_src, grid_axes=grid_axes,
             meta={"source_free": False, "einstein_exact": False, "diag_static": False},
-            origin=origin,
-        )
+            origin=origin)
     except ParseError as err:
         raise SpacetimeFormatError(f"expression error: {err}", origin) from err
 

@@ -22,7 +22,7 @@ import functools
 import sys
 import traceback
 
-from .catalog import CATALOG_NAMES, FIXTURE_NAMES, catalog_get
+from .catalog import CATALOG_NAMES, FIXTURE_NAMES, catalog_get, grid_axis
 from .errors import GeometryError
 from .harness import (
     SUITES,
@@ -49,19 +49,16 @@ def _parse_pairs(pairs, option, form):
 
 
 def _parse_grid(pairs):
-    import numpy as np
-
     grid = {}
     for pair in pairs or []:
         try:
             name, spec = pair.split("=", 1)
             start, stop, count = spec.split(":")
-            with np.errstate(invalid="ignore"):  # SuiteContext rejects a non-finite value
-                grid[name.strip()] = np.linspace(float(start), float(stop), int(count))
+            grid[name.strip()] = grid_axis(float(start), float(stop), int(count))
         except ValueError:
-            raise GeometryError(
-                f"bad --grid {pair!r}, expected coord=start:stop:count"
-            ) from None
+            raise GeometryError(f"bad --grid {pair!r}, expected coord=start:stop:count") from None
+        except GeometryError as err:
+            raise GeometryError(f"bad --grid {pair!r}: {err}") from None
     return grid
 
 
@@ -162,18 +159,9 @@ def _cmd_worldline(args):
     if len(x0) != 4 or len(v0) != 4:
         raise GeometryError("--x0 and --v0 need exactly four components")
     summary, traj = run_worldline(
-        model,
-        x0,
-        v0,
-        args.charge_ratio,
-        ds=args.ds,
-        steps=args.steps,
-        method=args.method,
-        renormalize_every=args.renormalize_every,
-        save_every=args.save_every,
-        mode=args.diff,
-        out_csv=args.out,
-    )
+        model, x0, v0, args.charge_ratio, ds=args.ds, steps=args.steps, method=args.method,
+        renormalize_every=args.renormalize_every, save_every=args.save_every, mode=args.diff,
+        out_csv=args.out)
     print(canonical_json(summary))
     return 1 if traj.exited else 0
 

@@ -27,14 +27,16 @@ stage: the generated function, else a snapshot of the point, whose error
 notes are the engine's own.  fd mode runs every step that way.  ``_rhs``
 gives dy/ds and the norm g(V, V) at its point.  An accepted state takes its
 norm, and its domain test, from the stage at that state, which is also the
-next step's first.  Identities take a batch of points, one velocity per
-point.
+next step's first.  A ``Trajectory`` keeps the accepted states as columns,
+built once, after the loop.  Identities take a batch of points, one velocity
+per point.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+from array import array
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -55,15 +57,8 @@ from .fields import ExprField, fd_jet
 from .tensor import DEGENERACY_TOL, batched_einsum, max_abs
 
 
-@dataclass(frozen=True)
-class WorldlineState:
-    x: np.ndarray
-    V: np.ndarray
-    s: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "x", np.asarray(self.x, dtype=float))
-        object.__setattr__(self, "V", np.asarray(self.V, dtype=float))
+# A worldline's start, or one state of a trajectory as views of its columns.
+WorldlineState = namedtuple("WorldlineState", "x V s")
 
 
 @dataclass(frozen=True)
@@ -88,19 +83,36 @@ class IntegratorConfig:
 
 @dataclass
 class Trajectory:
-    states: list
-    norm_residuals: list
+    """The accepted states, the start first, as columns: ``s`` (n,) and
+    ``y`` = (x, V) (n, 8), with views ``x`` and ``V``.  ``integrate_worldline``
+    appends each state's floats to ``array("d")`` buffers and views them as
+    arrays after the loop; it keeps no object per state.  It is its own
+    ``states``: a sequence of ``WorldlineState`` views of rows."""
+
+    s: np.ndarray
+    y: np.ndarray
+    norm_residuals: list  # |g(V, V) - 1| at each state
     exited: bool = False
     exit_message: str = ""
     rejected_steps: int = 0
     rhs_evals: int = 0  # right-hand-side evaluations of the steps taken and rejected
+
+    x = property(lambda self: self.y[:, :4])
+    V = property(lambda self: self.y[:, 4:])
+    states = property(lambda self: self)
+
+    def __len__(self):
+        return len(self.s)
+
+    def __getitem__(self, i):
+        return WorldlineState(self.x[i], self.V[i], float(self.s[i]))
 
     @property
     def max_drift(self):
         return max(self.norm_residuals) if self.norm_residuals else 0.0
 
     def final(self):
-        return self.states[-1]
+        return self[-1]
 
 
 def norm_squared(model, x, V):
@@ -457,12 +469,10 @@ def integrate_worldline(model, init, charge_ratio, config, mode="dual"):
     """Integrate the worldline equation; returns the sampled trajectory."""
     x0, V0 = np.asarray(init.x, dtype=float), np.asarray(init.V, dtype=float)
     y = x0.tolist() + V0.tolist()
-    s = float(init.s)
-    k = float(charge_ratio)
+    s, k = float(init.s), float(charge_ratio)
     tableau = _TABLEAUX[config.method]
     step, calls = _step(tableau), len(tableau.a) + (not tableau.fsal)
-    traj = Trajectory(states=[WorldlineState(x0, V0, s)],
-                      norm_residuals=[abs(norm_squared(model, x0, V0) - 1.0)])
+    traj = Trajectory(array("d", [s]), array("d", y), [abs(norm_squared(model, x0, V0) - 1.0)])
 
     def rhs(y):
         traj.rhs_evals += 1
@@ -504,7 +514,8 @@ def integrate_worldline(model, init, charge_ratio, config, mode="dual"):
         if renormalize:
             y = y[:4] + _unit(y[4:], n2, y[:4])
             dy, n2 = rhs(y)
-        traj.states.append(WorldlineState(y[:4], y[4:], s))
+        traj.s.append(s)
+        traj.y.extend(y)
         traj.norm_residuals.append(abs(n2 - 1.0))
         return y, dy
 
@@ -537,8 +548,8 @@ def integrate_worldline(model, init, charge_ratio, config, mode="dual"):
                 if attempts > 20 * config.steps:
                     raise GeometryError("adaptive integrator exceeded its step budget")
     except (DomainError, EvalError, MetricError) as err:
-        traj.exited = True
-        traj.exit_message = str(err)
+        traj.exited, traj.exit_message = True, str(err)
+    traj.s, traj.y = np.frombuffer(traj.s), np.frombuffer(traj.y).reshape(-1, 8)
     return traj
 
 

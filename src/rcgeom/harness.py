@@ -449,18 +449,15 @@ def run_worldline(model, x0, v0, charge_ratio, ds, steps, method="rk4",
     V0 = normalize_velocity(model, x0, v_raw)
     rescale = float(np.linalg.norm(V0) / max(np.linalg.norm(v_raw), 1e-300))
 
-    cfg = IntegratorConfig(ds=ds, steps=steps, method=method,
-                           renormalize_every=renormalize_every)
-    init = WorldlineState(x0, V0, 0.0)
-    traj = integrate_worldline(model, init, charge_ratio, cfg, mode)
+    cfg = IntegratorConfig(ds=ds, steps=steps, method=method, renormalize_every=renormalize_every)
+    traj = integrate_worldline(model, WorldlineState(x0, V0, 0.0), charge_ratio, cfg, mode)
 
+    n = len(traj)
     if out_csv is not None:
+        rows = np.column_stack([traj.s, traj.y, traj.norm_residuals])
         with open(out_csv, "w", encoding="utf-8") as fh:
             fh.write("s,x0,x1,x2,x3,V0,V1,V2,V3,norm_residual\n")
-            for i, st in enumerate(traj.states):
-                if i % save_every and i != len(traj.states) - 1:
-                    continue
-                row = [st.s, *st.x, *st.V, traj.norm_residuals[i]]
+            for row in rows[[*range(0, n - 1, save_every), n - 1]].tolist():
                 fh.write(",".join(format(v, ".17g") for v in row) + "\n")
 
     final = traj.final()
@@ -468,15 +465,11 @@ def run_worldline(model, x0, v0, charge_ratio, ds, steps, method="rk4",
         "spacetime": model.name,
         "charge_ratio": charge_ratio,
         "method": method,
-        "steps_taken": len(traj.states) - 1,
+        "steps_taken": n - 1,
         "rejected_steps": traj.rejected_steps,
         "rhs_evals": traj.rhs_evals,
         "initial_rescale_factor": rescale,
-        "final_state": {
-            "s": final.s,
-            "x": list(final.x),
-            "V": list(final.V),
-        },
+        "final_state": {"s": final.s, "x": list(final.x), "V": list(final.V)},
         "max_norm_drift": traj.max_drift,
         "domain_exit": traj.exited,
         **({"exit_message": traj.exit_message} if traj.exited else {}),

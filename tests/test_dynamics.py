@@ -18,6 +18,7 @@ from rcgeom import (
     GeometryError,
     IntegratorConfig,
     WorldlineState,
+    catalog,
     catalog_get,
     dynamics,
     integrate_worldline,
@@ -119,7 +120,7 @@ def test_circular_orbit_stays_circular():
         np.array([0.0, r, math.pi / 2, 0.0]), np.array([vt, 0, 0, vphi]), 0.0
     )
     traj = integrate_worldline(m, init, 0.0, IntegratorConfig(ds=0.05, steps=400))
-    assert max(abs(st.x[1] - r) for st in traj.states) <= 1e-8
+    assert np.abs(traj.x[:, 1] - r).max() <= 1e-8
 
 
 def test_rk45_matches_closed_form():
@@ -149,8 +150,8 @@ def test_domain_exit_reports_partial_trajectory():
     )
     assert traj.exited
     assert traj.exit_message
-    assert 1 < len(traj.states) < 2001
-    assert traj.states[-1].x[1] > 2.0
+    assert 1 < len(traj.s) < 2001
+    assert traj.x[-1, 1] > 2.0
 
 
 
@@ -234,9 +235,9 @@ def _reference_worldline(model, init, charge_ratio, config, mode="dual"):
     def left(y):
         return DomainError(f"worldline left the domain of {model.name!r} near {point_text(y[:4])}")
 
-    states = [WorldlineState(y[:4], y[4:], s)]
+    ss, ys = [s], [y]
     residuals = [abs(_ref_norm_squared(model, y[:4], y[4:]) - 1.0)]
-    traj = Trajectory(states=states, norm_residuals=residuals)
+    traj = Trajectory(ss, ys, residuals)
 
     try:
         if config.method == "rk4":
@@ -247,7 +248,8 @@ def _reference_worldline(model, init, charge_ratio, config, mode="dual"):
                     raise left(y)
                 if config.renormalize_every and (step + 1) % config.renormalize_every == 0:
                     y[4:] = _ref_normalize(y[4:], _ref_norm(model, y, k, mode), y[:4])
-                states.append(WorldlineState(y[:4], y[4:], s))
+                ss.append(s)
+                ys.append(y)
                 residuals.append(abs(_ref_norm(model, y, k, mode) - 1.0))
         else:
             s_end = s + config.ds * config.steps
@@ -265,7 +267,8 @@ def _reference_worldline(model, init, charge_ratio, config, mode="dual"):
                         raise left(y5)
                     y, k1 = y5, k7
                     s += ds
-                    states.append(WorldlineState(y[:4], y[4:], s))
+                    ss.append(s)
+                    ys.append(y)
                     residuals.append(abs(_ref_norm(model, y, k, mode) - 1.0))
                 else:
                     traj.rejected_steps += 1
@@ -277,6 +280,7 @@ def _reference_worldline(model, init, charge_ratio, config, mode="dual"):
     except (DomainError, EvalError, MetricError) as err:
         traj.exited = True
         traj.exit_message = str(err)
+    traj.s, traj.y = np.array(ss), np.array(ys)
     return traj
 
 
@@ -373,10 +377,8 @@ def test_integrator_matches_reference_steppers(fallbacks, name):
         assert declined and fallbacks
     ref = _reference_worldline(m, init, k, config, mode)
 
-    assert len(traj.states) == len(ref.states)
-    for got, want in zip(traj.states, ref.states):
-        assert got.s == want.s
-        assert np.array_equal(got.x, want.x) and np.array_equal(got.V, want.V)
+    assert traj.y.shape == ref.y.shape
+    assert np.array_equal(traj.s, ref.s) and np.array_equal(traj.y, ref.y)
     assert traj.rejected_steps == ref.rejected_steps
     assert (traj.exited, traj.exit_message) == (ref.exited, ref.exit_message)
     # residuals |g(V,V) - 1| to 1e-12 of g(V,V): the metric comes from field
@@ -603,6 +605,86 @@ def test_drifting_norm_fails_the_norm_drift_row(name):
     assert _failing_worldline_rows(w._replace(traj=drifting)) == ["dyn.norm_drift"]
 
 
+# -- trajectories as columns -------------------------------------------------------
+
+# The closed forms as loops over per-state objects, the form their column
+# expressions replaced, kept as the reference they must match bit for bit.
+
+def _ref_straight_line(model, traj, charge_ratio):
+    x0, V0 = traj.states[0].x, traj.states[0].V
+    return [float(np.abs(st.x - (x0 + st.s * V0)).max()) for st in traj.states]
+
+
+def _ref_uniform_acceleration(model, traj, charge_ratio):
+    a = charge_ratio * model.params["E"]
+    return [max(abs(st.V[0] - math.cosh(a * st.s)), abs(st.V[1] + math.sinh(a * st.s)))
+            for st in traj.states]
+
+
+def _ref_circular_radius(model, traj, charge_ratio):
+    r = traj.states[0].x[1]
+    return [abs(st.x[1] - r) for st in traj.states]
+
+
+CLOSED_FORMS = {
+    "straight-line": (catalog.straight_line_error, _ref_straight_line),
+    "uniform-acceleration": (catalog.uniform_acceleration_error, _ref_uniform_acceleration),
+    "circular-radius": (catalog.circular_radius_error, _ref_circular_radius),
+}
+
+
+@pytest.mark.parametrize("form", sorted(CLOSED_FORMS))
+@pytest.mark.parametrize("name", SCENARIO_MODELS)
+def test_closed_forms_match_the_per_state_loop(form, name):
+    """Every closed form on every scenario worldline, read with the uniform
+    field's E = 1.3 and charge ratio 0.45, so that cosh and sinh of k E s
+    grow along every worldline, not only the accelerated one."""
+    closed_form, reference = CLOSED_FORMS[form]
+    model, traj = catalog_get("minkowski-constant-e", params={"E": 1.3}), _scenario(name).traj
+    got, want = closed_form(model, traj, 0.45), reference(model, traj, 0.45)
+    assert len(want) == len(traj.s) > 200
+    assert _bits(got.tolist()) == _bits(want)
+
+
+@pytest.mark.parametrize("steps, exited", [(10, False), (2000, True)], ids=["full", "exited"])
+def test_states_final_and_columns_agree(steps, exited):
+    m = catalog_get("schwarzschild")
+    x0 = np.array(_INFALL[0])
+    init = WorldlineState(x0, normalize_velocity(m, x0, np.array(_INFALL[1])), 0.0)
+    traj = integrate_worldline(m, init, 0.0, IntegratorConfig(ds=0.05, steps=steps))
+    n = len(traj.states)
+    assert traj.exited == exited and (n == steps + 1) != exited
+    assert traj.s.shape == (n,) and traj.y.shape == (n, 8) and len(traj.norm_residuals) == n
+    assert traj.x.shape == traj.V.shape == (n, 4)
+    assert np.shares_memory(traj.x, traj.y) and np.shares_memory(traj.V, traj.y)
+    final = traj.final()
+    assert type(final.s) is float and final.s == traj.s[-1]
+    assert np.array_equal(final.x, traj.x[-1]) and np.array_equal(final.V, traj.V[-1])
+    assert [st.s for st in traj.states] == traj.s.tolist()
+    assert np.array_equal(traj.states[0].x, x0) and np.array_equal(traj.states[0].V, init.V)
+
+
+def test_an_overflowing_closed_form_is_an_infinite_error(tmp_path, capsys):
+    """cosh(k E s) overflows from s = 2000 on this rest start: the oracle's
+    error is infinite, which the summary prints as null, and the exit status
+    follows the trajectory, which stays in the domain."""
+    out = tmp_path / "w.csv"
+    assert main(["worldline", "--spacetime", "minkowski-constant-e", "--x0", "0,0,0,0",
+                 "--v0", "1,0,0,0", "--charge-ratio", "0.5", "--ds", "1e3", "--steps", "3",
+                 "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    summary = json.loads(captured.out)
+    assert summary["oracle"] == {"name": "uniform-acceleration", "max_error": None}
+    assert summary["steps_taken"] == 3 and not summary["domain_exit"]
+
+    model = catalog_get("minkowski-constant-e")
+    init = WorldlineState(np.zeros(4), np.array([1.0, 0.0, 0.0, 0.0]), 0.0)
+    traj = integrate_worldline(model, init, 0.5, IntegratorConfig(ds=1e3, steps=3))
+    errors = catalog.uniform_acceleration_error(model, traj, 0.5)
+    assert np.isfinite(errors[:2]).all() and errors[2:].tolist() == [math.inf] * 2
+
+
 # -- the generated right-hand side ----------------------------------------------
 
 KN_FILE = Path(__file__).resolve().parents[1] / "bench" / "kerr_newman.spacetime"
@@ -720,8 +802,8 @@ def test_an_rk4_step_that_leaves_the_domain_at_an_inner_stage():
     assert traj.exit_message == ("point (8.43502670145681, 1.9928007325726869, 1.5707963267948966,"
                                  " 0.0) is outside the domain of 'schwarzschild'")
     assert traj.rhs_evals == 1 + 4 * 4 + 1
-    assert len(traj.states) == 5
-    assert min(s.x[1] for s in traj.states) > 2.0
+    assert len(traj.s) == 5
+    assert traj.x[:, 1].min() > 2.0
 
 
 def _list_rk_step(tableau, stage, ds, y, k1, k):
@@ -882,6 +964,5 @@ def test_a_force_law_at_the_parser_depth_limit_compiles(fallbacks):
     traj = integrate_worldline(model, init, 0.5, config)
     assert model.layout.generated["rhs"] is not None and fallbacks == []
     ref = _reference_worldline(model, init, 0.5, config)
-    assert not traj.exited and len(traj.states) == len(ref.states) == 51
-    for got, want in zip(traj.states, ref.states):
-        assert _bits([*got.x, *got.V, got.s]) == _bits([*want.x, *want.V, want.s])
+    assert not traj.exited and traj.y.shape == ref.y.shape == (51, 8)
+    assert _bits([*traj.y.ravel(), *traj.s]) == _bits([*ref.y.ravel(), *ref.s])

@@ -473,6 +473,19 @@ def test_non_finite_input_is_a_usage_error(args, tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_grid_range_whose_distance_overflows_is_a_usage_error(tmp_path, capsys):
+    """Finite bounds 3.4e308 apart: the range is rejected before np.linspace,
+    which would warn of an overflow (an error under the test settings), so
+    stderr holds the error line alone."""
+    out = tmp_path / "r.json"
+    assert main(["run", "--spacetime", "minkowski", "--grid", "x=-1.7e308:1.7e308:3",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        "error: bad --grid 'x=-1.7e308:1.7e308:3': grid bounds and their distance must be "
+        "finite: -1.7e+308:1.7e+308\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("args,error", [
     (["--param", "M"], "bad --param 'M', expected NAME=VALUE"),
     (["--param", "M=heavy"], "bad --param value 'heavy'"),
