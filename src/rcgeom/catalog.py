@@ -72,8 +72,10 @@ class FieldLayout:
     one row, shape (1, ...); ``GeometrySnapshot`` fills it and hands each
     later snapshot that row repeated, never the kept array.
     ``generated`` maps "rhs" to the model's force law as generated code
-    (None where the generator declined), which ``dynamics._rhs`` makes on
-    its first dual-mode call.
+    (None where the generator declined), which ``dynamics._rhs`` looks up on
+    its first dual-mode call.  Models with equal fields and templates share
+    one function, which ``expr.compile_one_point`` keeps once per process;
+    replacing the entry here changes this model's law alone.
     """
 
     g: np.ndarray

@@ -19,8 +19,10 @@ floats, which computes every stage point, the new state and the error
 estimate with the float operations of elementwise list sums in their order,
 so a trajectory is the list arithmetic's bit for bit.  It calls the stage it
 is given at each stage point.  In dual mode that is the model's force law as
-one generated straight-line function (``_generate_rhs``), made on first use
-and kept on the model's layout, so a step builds no snapshot.  Where that
+one generated straight-line function (``_generate_rhs``), so a step builds no
+snapshot.  It is made on first use and kept on the model's layout; the code
+of equal fields and templates is generated once per process, so a model
+built again, as each CLI call builds one, takes the kept function.  Where that
 function declines (returns None), raises ``ArithmeticError`` or
 ``ValueError``, the same step is re-run from its start with ``_rhs`` at each
 stage: the generated function, else a snapshot of the point, whose error
@@ -179,7 +181,7 @@ def _rhs(model, y, k, mode="dual"):
     (V, dV/ds).
 
     Dual mode runs the model's generated force law (``_generate_rhs``),
-    made on the first call and kept on the model's layout; fd mode, and a
+    looked up on the first call and kept on the model's layout; fd mode, and a
     point where that declines, raises ``ArithmeticError`` or ``ValueError``,
     or returns None, takes ``_snapshot_rhs``.
     """
@@ -219,7 +221,9 @@ def _generate_rhs(model):
     ``rhs(x0, x1, x2, x3, v0, v1, v2, v3, k)`` (``expr.compile_one_point``
     of the folded trees of the coordinate-dependent components, continued
     by ``_force_law``), or None where a component is not an expression (a
-    gauge-shifted potential) or the generator declines.
+    gauge-shifted potential) or the generator declines.  A model whose
+    fields record the same jets, over the same constant template, gets the
+    function generated for the first such model in the process.
 
     ``rhs`` returns ``_rhs``'s pair, or None where the snapshot route must
     decide: outside the domain, within a factor 2 of the degeneracy bound
@@ -232,8 +236,11 @@ def _generate_rhs(model):
     if not all(isinstance(f, ExprField) for f in fields):
         return None
     domain = None if model.domain is None else model.domain.tree
+    # what _force_law reads beyond the jets; bytes, so that signed zeros count
+    key = (_force_law, layout.g.tobytes(), layout.A.tobytes(),
+           tuple((i, j) for i, j, _ in layout.g_live), tuple(n for n, _ in layout.A_live))
     return compile_one_point([f.tree for f in fields], domain, ("v0", "v1", "v2", "v3", "k"),
-                             functools.partial(_force_law, layout))
+                             functools.partial(_force_law, layout), key)
 
 
 def _order1_lists(layout, jets):
@@ -529,11 +536,13 @@ def integrate_worldline(model, init, charge_ratio, config, mode="dual"):
                 s += config.ds
                 y, dy = accept(y, s, pair, every and (n + 1) % every == 0)
         else:
-            s_end = s + config.ds * config.steps
+            span = config.ds * config.steps
+            s_end = s + span
             ds = config.ds
             atol, rtol = 1e-12, 1e-10
             attempts = 0
-            while s < s_end - 1e-15:
+            # the end margin scales with a span below 1, so a short one is stepped
+            while s < s_end - 1e-15 * min(1.0, span):
                 ds = min(ds, s_end - s)
                 y_new, err, last = advance(y, dy, ds, law)
                 tol = atol + rtol * max(map(abs, y))

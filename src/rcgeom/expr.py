@@ -10,7 +10,9 @@ Grammar:
 ``^`` is right-associative; a fully parenthesized printer is provided so
 ``parse(to_source(ast))`` reproduces the tree exactly.  Nesting and tree
 depth are bounded by ``MAX_DEPTH``, so the recursive printer, evaluator and
-folder never exceed the interpreter's recursion limit.
+folder never exceed the interpreter's recursion limit.  ``parse`` keeps each
+tree in a bounded memo, keyed by source, chart and parameter names; trees
+are immutable, so models built from one source share them.
 
 ``evaluate`` interprets a tree over float, (N,) array or Jet coordinates.
 ``fold`` replaces the parameter-only subtrees of a tree, once, by their
@@ -23,7 +25,10 @@ takes.
 floats from a set of folded trees and a domain test.  It records the order-1
 jet of each tree with the operations of ``Jet`` arithmetic on floats, so
 those jets are the jet path's bit for bit, and hands them to the caller,
-which carries the function on (``dynamics`` records the force law).
+which carries the function on (``dynamics`` records the force law).  Each
+function is generated once per process: a bounded memo keyed by the
+recorded jets and the caller's key hands it to every later call whose code
+would be the same.
 """
 
 from __future__ import annotations
@@ -35,6 +40,7 @@ import math
 import operator
 import re
 import sys
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -170,7 +176,7 @@ class _Parser:
         self.toks = _lex(src)
         self.i = 0
         self.chart = chart
-        self.params = frozenset(params)
+        self.params = params
         self.nesting = 0
 
     def peek(self):
@@ -269,7 +275,14 @@ class _Parser:
 
 
 def parse(src, chart, params=()):
-    """Parse an expression over the chart coordinates and named parameters."""
+    """Parse an expression over the chart coordinates and named parameters.
+    A source parsed before over the same chart and parameter names gives
+    the same tree, from a bounded memo; a parse error is raised anew."""
+    return _parse(src, chart, frozenset(params))
+
+
+@functools.lru_cache(maxsize=1024)
+def _parse(src, chart, params):
     node = _Parser(src, chart, params).parse()
     if _depth(node) > MAX_DEPTH:
         raise ParseError(f"expression tree is deeper than {MAX_DEPTH} levels")
@@ -416,7 +429,7 @@ class _Decline(Exception):
     (one in a subtree that did not fold) declines as well."""
 
 
-def compile_one_point(trees, domain, args, then):
+def compile_one_point(trees, domain, args, then, key):
     """One generated Python function ``f(x0, x1, x2, x3, *args)`` that
     carries the order-1 jets of the folded trees (``fold``), each of which
     reads a coordinate, on through ``then``, or None where the generator
@@ -448,6 +461,13 @@ def compile_one_point(trees, domain, args, then):
     the arguments, temporaries, finite float literals and ``math``
     functions (``f.source``), never text from a definition file.
 
+    Each result is kept once per process, in a bounded memo keyed by what
+    its code is built from: the recorded statements of the domain and the
+    trees, the text of each jet's entries, ``args``, and the caller's
+    hashable ``key``, which names ``then`` and everything it reads beyond
+    the jets.  The trees are recorded on every call, and a key seen before
+    gives the same function without running ``then`` or compiling again.
+
     The generator declines when an operation on constants fails (as one in
     a subtree that did not fold does) or an operation fails at every point;
     ``f`` raises ``ArithmeticError`` or ``ValueError`` where the jets raise,
@@ -466,6 +486,36 @@ def compile_one_point(trees, domain, args, then):
                 raise _Decline
         memo = {}
         jets = [_symbolic(tree, seeds, tape, memo) for tree in trees]
+    except (_Decline, ArithmeticError, ValueError):
+        return None
+    key = (tuple(tape.lines), tuple(map(_jet_text, jets)), tuple(args), key)
+    with _GENERATED_LOCK:
+        if key in _GENERATED:
+            _GENERATED.move_to_end(key)
+            return _GENERATED[key]
+    run = _generate(tape, jets, xs, args, then)
+    with _GENERATED_LOCK:
+        _GENERATED[key] = run
+        if len(_GENERATED) > _GENERATED_MAX:
+            _GENERATED.popitem(last=False)
+    return run
+
+
+# compile_one_point's results, least recently used first
+_GENERATED = collections.OrderedDict()
+_GENERATED_MAX = 64
+_GENERATED_LOCK = threading.Lock()
+
+
+def _jet_text(jet):
+    """The text of a recorded jet's value and gradient entries; ``repr``
+    tells a signed zero apart."""
+    return tuple(a.name if isinstance(a, _Var) else repr(float(a)) for a in (jet.f, *jet.g))
+
+
+def _generate(tape, jets, xs, args, then):
+    """``compile_one_point``'s function from the recorded tape and jets."""
+    try:
         outputs = then(tape, jets, *xs, *(_Var(tape, name) for name in args))
         if outputs is None:
             raise _Decline

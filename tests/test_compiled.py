@@ -5,7 +5,10 @@ against the jet path, which the generated force law of the worldline
 starts from."""
 
 import ast
+import collections
 import math
+import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -220,7 +223,7 @@ def _generated_jets(model):
         return tuple(tuple(np.ravel(np.array(m, dtype=object)))
                      for m in dynamics._order1_lists(layout, jets))
 
-    return expr.compile_one_point(trees, domain, (), members)
+    return expr.compile_one_point(trees, domain, (), members, members)
 
 
 ORDER1_MEMBERS = ("g", "dg", "A", "dA")
@@ -277,8 +280,15 @@ def test_failures_give_the_jet_path_note_through_one_point_field_jets(src, x, pa
 def _generated(tree, domain=None):
     """The generated function of one folded tree, its value and gradient in
     entries 0-4."""
-    return expr.compile_one_point([tree], domain, (),
-                                  lambda tape, jets, *xs: (jets[0].f, *jets[0].g))
+    return expr.compile_one_point([tree], domain, (), _entries, _entries)
+
+
+def _entries(tape, jets, *xs):
+    return (jets[0].f, *jets[0].g)
+
+
+def _nothing(tape, jets, *xs):
+    return ()
 
 
 def _outcome(call):
@@ -386,7 +396,7 @@ def test_generated_code_equals_the_jet_path_on_random_trees(tree, params, x):
     if got is not None:
         assert got.tobytes() == jv.tobytes()
     inside = _outcome(lambda: [f.value(np.array(x))])
-    domain = expr.compile_one_point([], f.tree, (), lambda *_: ())  # None: none inside
+    domain = expr.compile_one_point([], f.tree, (), _nothing, _nothing)  # None: none inside
     if domain is not None and _outcome(lambda: domain(*x)) is not None:
         assert inside is not None and inside[0] > 0.0
 
@@ -418,3 +428,49 @@ def test_generated_source_holds_no_definition_text(name):
         elif isinstance(node, ast.FunctionDef):
             assert node.name == "one_point"
             assert [a.arg for a in node.args.args] == _ARGUMENTS
+
+
+def test_the_generated_code_memo_is_bounded(monkeypatch):
+    """Distinct keys fill the memo up to its bound; past it the least
+    recently used function is dropped, and asking again generates anew."""
+    monkeypatch.setattr(expr, "_GENERATED", collections.OrderedDict())
+    trees = [expr.fold(expr.parse(f"{n + 2}*x", CART), {}) for n in range(expr._GENERATED_MAX + 2)]
+    runs = []
+    for tree in trees:
+        runs.append(_generated(tree))
+        assert len(expr._GENERATED) <= expr._GENERATED_MAX
+        assert _generated(trees[0]) is runs[0]  # used again, so kept
+    assert len(expr._GENERATED) == expr._GENERATED_MAX
+    assert _generated(trees[1]) is not runs[1]
+    assert _generated(trees[-1]) is runs[-1]
+    assert runs[-1](0.0, 3.0, 0.0, 0.0)[0] == 3.0 * (len(trees) + 1)
+
+
+def test_the_generated_code_memo_under_threads(monkeypatch):
+    """Threads that generate, look up and evict at once, with the switch
+    interval shortened: no call raises, each gives its tree's function, and
+    the memo stays within its bound."""
+    monkeypatch.setattr(expr, "_GENERATED", collections.OrderedDict())
+    trees = [expr.fold(expr.parse(f"{n + 2}*x", CART), {}) for n in range(expr._GENERATED_MAX + 16)]
+    errors = []
+
+    def work(offset):
+        try:
+            for i in range(2 * len(trees)):
+                n = (offset + 7 * i) % len(trees)
+                assert _generated(trees[n])(0.0, 1.0, 0.0, 0.0)[0] == n + 2.0
+        except Exception as err:  # noqa: BLE001 - reported by the main thread
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    assert len(expr._GENERATED) <= expr._GENERATED_MAX

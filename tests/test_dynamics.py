@@ -1,6 +1,7 @@
 """Worldline integration, transport identity, and dust exchange relations."""
 
 import ast
+import collections
 import dataclasses
 import functools
 import json
@@ -21,6 +22,7 @@ from rcgeom import (
     catalog,
     catalog_get,
     dynamics,
+    expr,
     integrate_worldline,
     load_spacetime_file,
     normalize_velocity,
@@ -252,13 +254,14 @@ def _reference_worldline(model, init, charge_ratio, config, mode="dual"):
                 ys.append(y)
                 residuals.append(abs(_ref_norm(model, y, k, mode) - 1.0))
         else:
-            s_end = s + config.ds * config.steps
+            span = config.ds * config.steps
+            s_end = s + span
             ds = config.ds
             atol, rtol = 1e-12, 1e-10
             max_attempts = 20 * config.steps
             attempts = 0
             k1 = f(y)
-            while s < s_end - 1e-15:
+            while s < s_end - 1e-15 * min(1.0, span):
                 ds = min(ds, s_end - s)
                 y5, err, k7 = _ref_dp54_step(f, y, k1, ds)
                 tol = atol + rtol * float(np.abs(y).max())
@@ -966,3 +969,94 @@ def test_a_force_law_at_the_parser_depth_limit_compiles(fallbacks):
     ref = _reference_worldline(model, init, 0.5, config)
     assert not traj.exited and traj.y.shape == ref.y.shape == (51, 8)
     assert _bits([*traj.y.ravel(), *traj.s]) == _bits([*ref.y.ravel(), *ref.s])
+
+
+# -- one generated force law per process ------------------------------------------
+
+
+def _variant(g01="0", a=1.0, domain=None):
+    """A model with one coordinate-dependent metric component and potential;
+    ``g01`` is the constant g_tx of the layout's template."""
+    return build_model("variant", ("t", "x", "y", "z"),
+                       {(0, 0): "1 + a*x*x", (0, 1): g01, (1, 1): "-1", (2, 2): "-1",
+                        (3, 3): "-1"}, {0: "0.2*x"}, params={"a": a}, domain_src=domain,
+                       grid_axes={n: (0.0,) for n in "txyz"}, validate=False)
+
+
+@pytest.fixture
+def generations(monkeypatch):
+    """An empty memo of generated code; counts the functions generated."""
+    made, generate = [], expr._generate
+
+    def counted(*args):
+        made.append(generate(*args))
+        return made[-1]
+
+    monkeypatch.setattr(expr, "_GENERATED", collections.OrderedDict())
+    monkeypatch.setattr(expr, "_generate", counted)
+    return made
+
+
+@pytest.mark.parametrize("name", ["schwarzschild", "reissner-nordstrom", "kerr-newman"])
+def test_models_from_the_same_sources_share_one_force_law(generations, name):
+    def model():
+        return load_spacetime_file(KN_FILE) if name == "kerr-newman" else catalog_get(name)
+
+    first, second = model(), model()
+    y = first.default_grid[0].tolist() + [1.0, 0.0, 0.0, 0.0]
+    assert _rhs(first, y, 0.5) == _rhs(second, y, 0.5)
+    law = first.layout.generated["rhs"]
+    assert law is not None and second.layout.generated["rhs"] is law
+    assert dynamics._generate_rhs(model()) is law and generations == [law]
+
+
+def test_a_parameter_a_domain_or_a_signed_zero_gives_another_force_law(generations):
+    """Equal keys give one function; a different parameter, domain or
+    constant template, -0.0 against 0.0 included, each give their own."""
+    law = dynamics._generate_rhs(_variant())
+    assert dynamics._generate_rhs(_variant()) is law
+    variants = [_variant(a=2.0), _variant(domain="2 - x"), _variant(g01="-0")]
+    assert variants[2].layout.g.tobytes() != _variant().layout.g.tobytes()
+    laws = [dynamics._generate_rhs(m) for m in variants]
+    assert len({id(f) for f in [law, *laws]}) == 4 and generations == [law, *laws]
+    assert laws[2].source == law.source  # a constant zero term is left out either way
+
+
+def test_patching_one_models_force_law_leaves_another_alone(generations):
+    first, second = catalog_get("schwarzschild"), catalog_get("schwarzschild")
+    y = first.default_grid[0].tolist() + [1.0, 0.1, 0.0, 0.0]
+    want = _rhs(first, y, 0.0)
+    law = first.layout.generated["rhs"]
+    first.layout.generated["rhs"] = lambda *a: None  # declines: the snapshot route
+    assert _rhs(first, y, 0.0) == dynamics._snapshot_rhs(first, y, 0.0, "dual")
+    assert _rhs(second, y, 0.0) == want and second.layout.generated["rhs"] is law
+
+
+WL_ARGV = ["worldline", "--spacetime", "reissner-nordstrom", "--x0", "0,11,1.5707963267948966,0",
+           "--v0", "1.17,-0.02,0,0.032", "--charge-ratio", "0.05", "--method", "rk45-adaptive",
+           "--ds", "4", "--steps", "40"]
+
+
+def test_a_warm_force_law_gives_the_cold_worldline(generations, tmp_path, capsys):
+    """The second call in a process takes the kept law, and its CSV and
+    summary are the first call's byte for byte."""
+    outputs = []
+    for run in ("cold", "warm"):
+        out = tmp_path / f"{run}.csv"
+        assert main([*WL_ARGV, "--out", str(out)]) == 0
+        outputs.append((out.read_bytes(), capsys.readouterr().out))
+        assert len(generations) == 1
+    assert outputs[0] == outputs[1]
+
+
+def test_a_dp54_span_below_the_end_margin_is_stepped():
+    """ds = 1e-16 over 10 steps spans 1e-15, the old absolute end margin:
+    the margin scales with a span below 1, so the steps are taken, as the
+    reference steppers take them."""
+    model = catalog_get("minkowski")
+    init = WorldlineState(np.zeros(4), np.array([1.0, 0.0, 0.0, 0.0]), 0.0)
+    config = IntegratorConfig(ds=1e-16, steps=10, method="rk45-adaptive")
+    traj = integrate_worldline(model, init, 0.0, config)
+    ref = _reference_worldline(model, init, 0.0, config)
+    assert len(traj.states) > 1 and traj.s[-1] == pytest.approx(1e-15, rel=1e-12)
+    assert np.array_equal(traj.s, ref.s) and np.array_equal(traj.y, ref.y)

@@ -109,6 +109,17 @@ def test_unclosed_paren_rejected():
         parse("(1 + 2", CART)
 
 
+def test_a_source_is_parsed_once_per_chart_and_parameter_names():
+    """The same source, chart and parameter names give the same tree; a
+    different parameter set gives its own, and an error is raised anew."""
+    tree = parse("M*x/r", ChartSpec(("t", "x", "y", "r")), {"M": 1.0})
+    assert parse("M*x/r", ChartSpec(("t", "x", "y", "r")), ("M",)) is tree
+    assert parse("M*x/r", ChartSpec(("t", "x", "y", "r")), {"M": 1.0, "q": 2.0}) is not tree
+    for _ in range(2):
+        with pytest.raises(UnknownIdentifierError, match="'M'"):
+            parse("M*x/r", ChartSpec(("t", "x", "y", "r")))
+
+
 def test_deep_expressions_are_parse_errors():
     """Nesting and long sums beyond the depth bound fail in the parser, so
     evaluation, compilation and printing never recurse past it."""
