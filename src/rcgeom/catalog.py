@@ -12,7 +12,7 @@ import itertools
 import math
 import re
 from collections import namedtuple
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -67,23 +67,14 @@ class FieldLayout:
     potential.  Evaluation fills arrays from the constant template and
     evaluates only the listed fields.
 
-    ``shared`` holds, when ``g_live`` is empty, the snapshot members that
-    read only the constant metric, keyed by (member, derivative mode), each
-    one row, shape (1, ...); ``GeometrySnapshot`` fills it and hands each
-    later snapshot that row repeated, never the kept array.
-    ``generated`` maps "rhs" to the model's force law as generated code
-    (None where the generator declined), which ``dynamics._rhs`` looks up on
-    its first dual-mode call.  Models with equal fields and templates share
-    one function, which ``expr.compile_one_point`` keeps once per process;
-    replacing the entry here changes this model's law alone.
+    It keeps nothing else: the engine keys a constant metric's rows by the
+    bytes of ``g``, and ``dynamics._generate_rhs`` its law by the template.
     """
 
     g: np.ndarray
     A: np.ndarray
     g_live: tuple
     A_live: tuple
-    shared: dict = field(default_factory=dict, compare=False, repr=False)
-    generated: dict = field(default_factory=dict, compare=False, repr=False)
 
     @classmethod
     def of(cls, model):
@@ -130,7 +121,8 @@ class SpacetimeModel:
     @cached_property
     def layout(self):
         """The constant template and the coordinate-dependent components of
-        the fields, built on first use."""
+        the fields, built on first use (a ``dataclasses.replace`` copy
+        builds its own)."""
         return FieldLayout.of(self)
 
     @cached_property
@@ -146,16 +138,6 @@ class SpacetimeModel:
             rhoq=self.scalar_field(rhoq, "rhoq"),
             V_fields=tuple(self.scalar_field(src, f"V[{i}]") for i, src in enumerate(V)),
         )
-
-    def with_potential(self, A_fields, name):
-        """This model with the potential ``A_fields``.  It keeps the metric
-        fields, and with them the metric part of the layout: the template,
-        ``g_live`` and the members kept for a constant metric."""
-        model = replace(self, name=name, A_fields=A_fields)
-        base = self.layout
-        model.__dict__["layout"] = replace(  # the cached property, filled in
-            FieldLayout.of(model), g=base.g, g_live=base.g_live, shared=base.shared)
-        return model
 
     @property
     def default_grid(self):

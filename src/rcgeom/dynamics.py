@@ -20,13 +20,13 @@ estimate with the float operations of elementwise list sums in their order,
 so a trajectory is the list arithmetic's bit for bit.  It calls the stage it
 is given at each stage point.  In dual mode that is the model's force law as
 one generated straight-line function (``_generate_rhs``), so a step builds no
-snapshot.  It is made on first use and kept on the model's layout; the code
-of equal fields and templates is generated once per process, so a model
-built again, as each CLI call builds one, takes the kept function.  Where that
-function declines (returns None), raises ``ArithmeticError`` or
-``ValueError``, the same step is re-run from its start with ``_rhs`` at each
-stage: the generated function, else a snapshot of the point, whose error
-notes are the engine's own.  fd mode runs every step that way.  ``_rhs``
+snapshot.  ``integrate_worldline`` resolves it once and hands it to every
+``_rhs`` call; the code of equal fields and templates is generated once per
+process, so a model built again, as each CLI call builds one, takes the kept
+function.  Where that function declines (returns None), raises
+``ArithmeticError`` or ``ValueError``, the same step is re-run from its
+start with ``_rhs`` at each stage: the generated function, else a snapshot
+of the point, whose error notes are the engine's own.  fd mode runs every step that way.  ``_rhs``
 gives dy/ds and the norm g(V, V) at its point.  An accepted state takes its
 norm, and its domain test, from the stage at that state, which is also the
 next step's first.  A ``Trajectory`` keeps the accepted states as columns,
@@ -176,27 +176,21 @@ def acceleration(snap, V, k):
 # -- the right-hand side of the integrator -------------------------------------
 
 
-def _rhs(model, y, k, mode="dual"):
+def _rhs(model, y, k, law, mode="dual"):
     """(dy/ds, g(V, V)) at y = (x, V), eight floats: dy/ds is eight floats,
     (V, dV/ds).
 
-    Dual mode runs the model's generated force law (``_generate_rhs``),
-    looked up on the first call and kept on the model's layout; fd mode, and a
-    point where that declines, raises ``ArithmeticError`` or ``ValueError``,
-    or returns None, takes ``_snapshot_rhs``.
+    ``law`` is the model's generated force law (``_generate_rhs``), or None
+    (fd mode).  Without a law, and where it declines (returns None) or
+    raises ``ArithmeticError`` or ``ValueError``, ``_snapshot_rhs`` decides.
     """
-    if mode == "dual":
-        generated = model.layout.generated
-        if "rhs" not in generated:
-            generated["rhs"] = _generate_rhs(model)
-        run = generated["rhs"]
-        if run is not None:
-            try:
-                out = run(*y, k)
-            except (ArithmeticError, ValueError):
-                out = None
-            if out is not None:
-                return out
+    if law is not None:
+        try:
+            out = law(*y, k)
+        except (ArithmeticError, ValueError):
+            out = None
+        if out is not None:
+            return out
     return _snapshot_rhs(model, y, k, mode)
 
 
@@ -223,7 +217,8 @@ def _generate_rhs(model):
     by ``_force_law``), or None where a component is not an expression (a
     gauge-shifted potential) or the generator declines.  A model whose
     fields record the same jets, over the same constant template, gets the
-    function generated for the first such model in the process.
+    function generated for the first such model in the process: a later
+    call records the trees again but generates nothing.
 
     ``rhs`` returns ``_rhs``'s pair, or None where the snapshot route must
     decide: outside the domain, within a factor 2 of the degeneracy bound
@@ -278,8 +273,8 @@ def _force_law(layout, tape, jets, x0, x1, x2, x3, v0, v1, v2, v3, k):
     upper = [(a, b) for a in range(DIM) for b in range(a, DIM)]
 
     det, adj = _adjugate(g)
-    # GeometrySnapshot.ginv's degeneracy bound, doubled: a point near it
-    # takes the snapshot route, which applies the bound to numpy's det
+    # tensor.degenerate's bound, doubled: a point near it takes the
+    # snapshot route, which applies the bound to numpy's det
     entries = [g[a][b] for a, b in upper]
     scale = max([1.0] + [abs(e) for e in entries if isinstance(e, float)])
     live = [e for e in entries if not isinstance(e, float)]
@@ -483,9 +478,9 @@ def integrate_worldline(model, init, charge_ratio, config, mode="dual"):
 
     def rhs(y):
         traj.rhs_evals += 1
-        return _rhs(model, y, k, mode)
+        return _rhs(model, y, k, law, mode)
 
-    def advance(y, dy, ds, law):
+    def advance(y, dy, ds):
         """One step from y, whose derivative is dy: ``step`` with the
         generated force law at every stage, or, where that is missing,
         declines or raises, the same step re-run with ``_rhs`` at each."""
@@ -527,12 +522,12 @@ def integrate_worldline(model, init, charge_ratio, config, mode="dual"):
         return y, dy
 
     try:
+        law = _generate_rhs(model) if mode == "dual" else None
         dy = _derivative(rhs(y)[0])
-        law = model.layout.generated.get("rhs") if mode == "dual" else None
         if config.method == "rk4":
             every = config.renormalize_every
             for n in range(config.steps):
-                y, _, pair = advance(y, dy, config.ds, law)
+                y, _, pair = advance(y, dy, config.ds)
                 s += config.ds
                 y, dy = accept(y, s, pair, every and (n + 1) % every == 0)
         else:
@@ -544,7 +539,7 @@ def integrate_worldline(model, init, charge_ratio, config, mode="dual"):
             # the end margin scales with a span below 1, so a short one is stepped
             while s < s_end - 1e-15 * min(1.0, span):
                 ds = min(ds, s_end - s)
-                y_new, err, last = advance(y, dy, ds, law)
+                y_new, err, last = advance(y, dy, ds)
                 tol = atol + rtol * max(map(abs, y))
                 if err <= tol:
                     s += ds

@@ -30,11 +30,12 @@ A constant metric (no coordinate-dependent component, as on the flat
 backgrounds of the test-field models) makes every member that reads only
 the metric and its derivatives (``det_g``, ``ginv``, ``sqrt_g``, their
 derivatives, the Levi-Civita connection and its curvature) the same at
-every point.  Such a member is computed once per model and derivative mode,
-by the first snapshot that reads it, and kept on the model's layout as one
-row; later snapshots get that row repeated over their points, each an array
-of their own.  Models whose metric depends on the coordinates compute every
-member per snapshot.
+every point of every model with that metric.  Such a member is computed
+once per process for each constant metric and derivative mode, by the first
+snapshot that reads it, and kept in a bounded memo as one row; later
+snapshots, of any model with that metric, get the row repeated over their
+points, each an array of their own.  Models whose metric depends on the
+coordinates compute every member per snapshot.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ import numpy as np
 
 from .errors import EvalError, GeometryError, MetricError, point_text
 from .fields import fd_jet, make_seeds
-from .tensor import (DEGENERACY_TOL, MetricAtPoint, _leibniz, _outer, _total, batched_einsum,
-                     first_bad, max_abs)
+from .tensor import (MetricAtPoint, _leibniz, _outer, _total, batched_einsum,
+                     degenerate, first_bad, max_abs)
 
 DIM = 4
 FOUR_PI = 4.0 * np.pi
@@ -134,12 +135,13 @@ def _metric_member(*orders):
     field jets at ``orders`` in that order.
 
     When the model's metric is constant (``layout.g_live`` is empty) the
-    member is the same at every point: the first snapshot of a model and
-    mode that reads it computes it, and the layout keeps a copy of its first
-    row.  A later snapshot still evaluates its own field jets at
-    ``orders``, so its domain and finiteness errors stay its own, and gets
-    the kept row repeated over its points, an array of its own.  A member
-    that raises keeps nothing.
+    member is the same at every point of every model with that metric: the
+    first snapshot of a template and mode that reads it computes it, and
+    ``_ROWS`` keeps a copy of its first row, keyed by (the template's bytes,
+    member, mode).  A later snapshot, of any model with that template, still
+    evaluates its own field jets at ``orders``, so its domain and finiteness
+    errors stay its own, and gets the kept row repeated over its points, an
+    array of its own.  A member that raises keeps nothing.
     """
 
     def decorate(func):
@@ -150,11 +152,13 @@ def _metric_member(*orders):
             layout = self.model.layout
             if layout.g_live:
                 return func(self)
-            key = (name, self.mode)
-            row = layout.shared.get(key)
+            key = (layout.g.tobytes(), name, self.mode)
+            row = _ROWS.get(key)
             if row is None:
                 value = func(self)
-                layout.shared.setdefault(key, value[:1].copy())
+                _ROWS[key] = value[:1].copy()
+                if len(_ROWS) > _ROWS_MAX:
+                    _ROWS.popitem(last=False)
                 return value
             for order in orders:
                 self.jets(order)
@@ -166,6 +170,13 @@ def _metric_member(*orders):
         return _cached(member)
 
     return decorate
+
+
+# _metric_member's rows of constant metrics, oldest first.  A template's rows
+# in both modes are 34, about 35 KB, so the bound holds three.  Each access is
+# one call of the dict's: snapshots in threads at worst compute a row twice.
+_ROWS = collections.OrderedDict()
+_ROWS_MAX = 128
 
 
 def _riemann(gamma, letters=""):
@@ -250,16 +261,12 @@ class GeometrySnapshot:
     @_metric_member(1)
     def ginv(self):
         det, g = self.det_g, self.g
-        # A point is degenerate when |det| < DEGENERACY_TOL * max(1, max|g|)^4
-        # at that point, so only below the bound of the largest |g| of all.
-        hit = None
-        if np.count_nonzero(np.abs(det) < DEGENERACY_TOL * max(1.0, float(np.abs(g).max())) ** 4):
-            scale = np.maximum(np.abs(g).max(axis=(1, 2)), 1.0)
-            hit = first_bad(np.abs(det) < DEGENERACY_TOL * scale**4, self.x, det)
-        if hit:
-            raise MetricError(
-                f"metric is numerically degenerate at {point_text(hit[0])} (det={hit[1]:.3e})"
-            )
+        # A point is degenerate only below the bound of the largest |g| of
+        # all, the whole batch taken as one 4n x 4 block.
+        if np.count_nonzero(degenerate(det, g.reshape(1, -1, DIM))):
+            if hit := first_bad(degenerate(det, g), self.x, det):
+                raise MetricError(f"metric is numerically degenerate at {point_text(hit[0])} "
+                                  f"(det={hit[1]:.3e})")
         return np.linalg.inv(self.g)
 
     @_metric_member(1)

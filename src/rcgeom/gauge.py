@@ -15,6 +15,8 @@ no snapshot.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .fields import ShiftedPotentialField, gauge_function_jet
@@ -34,7 +36,7 @@ def transform_potential(model, phi):
         ShiftedPotentialField(model.A_fields[n], phi, n, name=f"A'[{n}]")
         for n in range(4)
     )
-    return model.with_potential(shifted, f"{model.name}+gauge")
+    return replace(model, name=f"{model.name}+gauge", A_fields=shifted)
 
 
 def _phi_jet(phi, snap):

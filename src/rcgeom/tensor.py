@@ -40,6 +40,14 @@ def first_bad(bad, *values):
     return tuple(v[i] for v in values)
 
 
+def degenerate(det, g):
+    """Where a metric is numerically degenerate: |det g| < DEGENERACY_TOL *
+    max(1, max|g|)^4, with the max over each 4x4 of g (..., 4, 4) and det
+    of the shape before them; a bool array of that shape."""
+    scale = np.maximum(1.0, np.abs(g).max(axis=(-2, -1)))
+    return np.abs(det) < DEGENERACY_TOL * scale**4
+
+
 @dataclass(frozen=True)
 class MetricAtPoint:
     """Metric, inverse, determinant and volume factor at every point of a
@@ -62,7 +70,7 @@ class MetricAtPoint:
         if first_bad(asym > _SYMMETRY_TOL * scale, asym):
             raise MetricError("metric components are not symmetric")
         det = np.linalg.det(g)
-        if hit := first_bad(np.abs(det) < DEGENERACY_TOL * scale**4, det):
+        if hit := first_bad(degenerate(det, g), det):
             raise MetricError(f"metric is numerically degenerate (det={hit[0]:.3e})")
         if hit := first_bad(det >= 0.0, det):
             raise SignatureError(f"metric determinant must be negative, got {hit[0]:.3e}")

@@ -248,8 +248,7 @@ def test_a_gauge_shifted_potential_keeps_the_jet_path():
     model = JET_MODELS["gauge"]
     y = model.default_grid[0].tolist() + [1.0, 0.1, 0.0, 0.0]
     assert dynamics._generate_rhs(model) is None
-    assert dynamics._rhs(model, y, 0.5) == dynamics._snapshot_rhs(model, y, 0.5, "dual")
-    assert model.layout.generated["rhs"] is None
+    assert dynamics._rhs(model, y, 0.5, None) == dynamics._snapshot_rhs(model, y, 0.5, "dual")
 
 
 def _one_field_model(src, params, domain=None):
@@ -270,11 +269,11 @@ def test_failures_give_the_jet_path_note_through_one_point_field_jets(src, x, pa
     ref = _error_of(lambda: ExprField(src, CART, params).jet_unchecked(X[0], 1))
     model = _one_field_model(src, params)
     assert _error_of(lambda: field_jets(model, X, 1)) == ref
-    assert _error_of(lambda: dynamics._rhs(model, y, 0.5)) == ref
+    assert _error_of(lambda: dynamics._rhs(model, y, 0.5, dynamics._generate_rhs(model))) == ref
     model = _one_field_model("x", params, domain=src)
     want = _error_of(lambda: field_jets(model, X, 1))
     assert want[0].__name__ == "DomainError"
-    assert _error_of(lambda: dynamics._rhs(model, y, 0.5)) == want
+    assert _error_of(lambda: dynamics._rhs(model, y, 0.5, dynamics._generate_rhs(model))) == want
 
 
 def _generated(tree, domain=None):
@@ -411,8 +410,7 @@ def test_generated_source_holds_no_definition_text(name):
     finite float literals (and the None of a failed guard), math functions
     and the abs and max of the degeneracy test."""
     model = MODELS[name]
-    dynamics._rhs(model, model.default_grid[0].tolist() + [1.0, 0.0, 0.0, 0.0], 0.5)
-    tree = ast.parse(model.layout.generated["rhs"].source)
+    tree = ast.parse(dynamics._generate_rhs(model).source)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
             assert node.id in {*_ARGUMENTS, *_BUILTINS, "math"} or (

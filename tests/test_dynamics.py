@@ -170,12 +170,12 @@ def _ref_normalize(V, n2, x):
     return V / np.sqrt(n2)
 
 
-def _ref_derivative(model, y, k, mode):
+def _ref_derivative(model, y, k, mode, law):
     """dy/ds at y, an (8,) array.  Dual mode reads the integrator's
-    right-hand side, the model's generated force law (a failed force law
-    comes as its error, raised here); fd mode keeps a snapshot."""
+    right-hand side on the model's generated force law ``law`` (a failed
+    force law comes as its error, raised here); fd mode keeps a snapshot."""
     if mode == "dual":
-        dy = _rhs(model, y.tolist(), k)[0]
+        dy = _rhs(model, y.tolist(), k, law)[0]
         if isinstance(dy, Exception):
             raise dy
         return np.array(dy)
@@ -183,11 +183,11 @@ def _ref_derivative(model, y, k, mode):
     return np.concatenate([y[4:], acceleration(snap, y[4:][None], k)[0]])
 
 
-def _ref_norm(model, y, k, mode):
+def _ref_norm(model, y, k, mode, law):
     """g(V, V) at y: the generated force law's in dual mode, the metric's
     plain values in fd mode."""
     if mode == "dual":
-        return _rhs(model, y.tolist(), k)[1]
+        return _rhs(model, y.tolist(), k, law)[1]
     return _ref_norm_squared(model, y[:4], y[4:])
 
 
@@ -230,9 +230,10 @@ def _reference_worldline(model, init, charge_ratio, config, mode="dual"):
     y = np.concatenate([init.x, init.V]).astype(float)
     s = float(init.s)
     k = float(charge_ratio)
+    law = dynamics._generate_rhs(model) if mode == "dual" else None
 
     def f(y):
-        return _ref_derivative(model, y, k, mode)
+        return _ref_derivative(model, y, k, mode, law)
 
     def left(y):
         return DomainError(f"worldline left the domain of {model.name!r} near {point_text(y[:4])}")
@@ -249,10 +250,10 @@ def _reference_worldline(model, init, charge_ratio, config, mode="dual"):
                 if not model.in_domain(y[:4]):
                     raise left(y)
                 if config.renormalize_every and (step + 1) % config.renormalize_every == 0:
-                    y[4:] = _ref_normalize(y[4:], _ref_norm(model, y, k, mode), y[:4])
+                    y[4:] = _ref_normalize(y[4:], _ref_norm(model, y, k, mode, law), y[:4])
                 ss.append(s)
                 ys.append(y)
-                residuals.append(abs(_ref_norm(model, y, k, mode) - 1.0))
+                residuals.append(abs(_ref_norm(model, y, k, mode, law) - 1.0))
         else:
             span = config.ds * config.steps
             s_end = s + span
@@ -272,7 +273,7 @@ def _reference_worldline(model, init, charge_ratio, config, mode="dual"):
                     s += ds
                     ss.append(s)
                     ys.append(y)
-                    residuals.append(abs(_ref_norm(model, y, k, mode) - 1.0))
+                    residuals.append(abs(_ref_norm(model, y, k, mode, law) - 1.0))
                 else:
                     traj.rejected_steps += 1
                 safety = 0.9 * (tol / err) ** 0.2 if err > 0 else 2.0
@@ -350,10 +351,11 @@ DECLINES = {
 REFERENCE_RUNS.update({name: REFERENCE_RUNS[name.removesuffix("-declining")] for name in DECLINES})
 
 
-def _declining(model, decline):
-    """Give the model a generated force law that returns None where
-    ``decline(point)`` holds; returns the list of those points."""
-    declined, law = [], dynamics._generate_rhs(model)
+def _declining(monkeypatch, model, decline):
+    """Resolve the model's generated force law to one that returns None
+    where ``decline(point)`` holds; returns the list of those points."""
+    declined, generate = [], dynamics._generate_rhs
+    law = generate(model)
 
     def rhs(*args):
         if decline(args):
@@ -361,16 +363,16 @@ def _declining(model, decline):
             return None
         return law(*args)
 
-    model.layout.generated["rhs"] = rhs
+    monkeypatch.setattr(dynamics, "_generate_rhs", lambda m: rhs if m is model else generate(m))
     return declined
 
 
 @pytest.mark.parametrize("name", sorted(REFERENCE_RUNS))
-def test_integrator_matches_reference_steppers(fallbacks, name):
+def test_integrator_matches_reference_steppers(monkeypatch, fallbacks, name):
     entry, params, x0, v0, k, config, exit_message = REFERENCE_RUNS[name]
     mode = "fd" if name.endswith("-fd") else "dual"
     m = catalog_get(entry, params=params)
-    declined = _declining(m, DECLINES[name]) if name in DECLINES else None
+    declined = _declining(monkeypatch, m, DECLINES[name]) if name in DECLINES else None
     x0 = np.array(x0)
     # the start outside the domain keeps a unit, spacelike there, velocity
     V0 = np.array([1.0, 0.0, 0.0, 0.0]) if v0 is None else normalize_velocity(m, x0, np.array(v0))
@@ -712,8 +714,7 @@ def test_generated_rhs_agrees_with_the_snapshot(name, where, V, k):
     x = [min(a) + w * (max(a) - min(a)) for a, w in zip(axes, where)]
     assume(model.in_domain(np.array(x)))
     y = x + V
-    dynamics._rhs(model, y, k)  # makes the generated function
-    got = model.layout.generated["rhs"](*y, k)
+    got = dynamics._generate_rhs(model)(*y, k)
     assert got is not None
     want = dynamics._snapshot_rhs(model, y, k, "dual")
     assert got[0][:4] == want[0][:4] == tuple(V)
@@ -770,14 +771,14 @@ def test_worldlines_take_the_generated_path(fallbacks):
 
 @pytest.mark.parametrize("method, ds, renormalize_every", [
     ("rk4", 0.05, 0), ("rk4", 0.05, 3), ("rk45-adaptive", 0.5, 0)])
-def test_rhs_evaluations_per_step(fallbacks, method, ds, renormalize_every):
+def test_rhs_evaluations_per_step(monkeypatch, fallbacks, method, ds, renormalize_every):
     """rk4: 1 + 4 per step, plus 1 per renormalization; DP54: 1 + 6 per
     attempt, the last stage of an accepted step being the next one's first.
     ``rhs_evals`` counts the calls of the model's generated force law and
     of the snapshot route; this model never takes the latter."""
     model = catalog_get("minkowski-constant-e")
     calls, law = [], dynamics._generate_rhs(model)
-    model.layout.generated["rhs"] = lambda *a: calls.append(a) or law(*a)
+    monkeypatch.setattr(dynamics, "_generate_rhs", lambda m: lambda *a: calls.append(a) or law(*a))
     init = WorldlineState(np.zeros(4), np.array([1.0, 0.0, 0.0, 0.0]), 0.0)
     cfg = IntegratorConfig(ds=ds, steps=10, method=method, renormalize_every=renormalize_every)
     traj = integrate_worldline(model, init, 0.5, cfg)
@@ -965,7 +966,7 @@ def test_a_force_law_at_the_parser_depth_limit_compiles(fallbacks):
     init = WorldlineState(x0, normalize_velocity(model, x0, np.array([1.0, 0.1, 0.0, 0.0])), 0.0)
     config = IntegratorConfig(ds=0.01, steps=50)
     traj = integrate_worldline(model, init, 0.5, config)
-    assert model.layout.generated["rhs"] is not None and fallbacks == []
+    assert dynamics._generate_rhs(model) is not None and fallbacks == []
     ref = _reference_worldline(model, init, 0.5, config)
     assert not traj.exited and traj.y.shape == ref.y.shape == (51, 8)
     assert _bits([*traj.y.ravel(), *traj.s]) == _bits([*ref.y.ravel(), *ref.s])
@@ -1004,9 +1005,9 @@ def test_models_from_the_same_sources_share_one_force_law(generations, name):
 
     first, second = model(), model()
     y = first.default_grid[0].tolist() + [1.0, 0.0, 0.0, 0.0]
-    assert _rhs(first, y, 0.5) == _rhs(second, y, 0.5)
-    law = first.layout.generated["rhs"]
-    assert law is not None and second.layout.generated["rhs"] is law
+    law = dynamics._generate_rhs(first)
+    assert law is not None and dynamics._generate_rhs(second) is law
+    assert _rhs(first, y, 0.5, law) == _rhs(second, y, 0.5, law)
     assert dynamics._generate_rhs(model()) is law and generations == [law]
 
 
@@ -1020,16 +1021,6 @@ def test_a_parameter_a_domain_or_a_signed_zero_gives_another_force_law(generatio
     laws = [dynamics._generate_rhs(m) for m in variants]
     assert len({id(f) for f in [law, *laws]}) == 4 and generations == [law, *laws]
     assert laws[2].source == law.source  # a constant zero term is left out either way
-
-
-def test_patching_one_models_force_law_leaves_another_alone(generations):
-    first, second = catalog_get("schwarzschild"), catalog_get("schwarzschild")
-    y = first.default_grid[0].tolist() + [1.0, 0.1, 0.0, 0.0]
-    want = _rhs(first, y, 0.0)
-    law = first.layout.generated["rhs"]
-    first.layout.generated["rhs"] = lambda *a: None  # declines: the snapshot route
-    assert _rhs(first, y, 0.0) == dynamics._snapshot_rhs(first, y, 0.0, "dual")
-    assert _rhs(second, y, 0.0) == want and second.layout.generated["rhs"] is law
 
 
 WL_ARGV = ["worldline", "--spacetime", "reissner-nordstrom", "--x0", "0,11,1.5707963267948966,0",

@@ -1,6 +1,7 @@
 """Batches against their rows taken as batches of one, and chunked suites
 and the batched scenarios against point-by-point ones."""
 
+import collections
 from functools import cached_property
 from pathlib import Path
 
@@ -10,6 +11,7 @@ import pytest
 from rcgeom import (
     GeometryError,
     catalog_get,
+    engine,
     harness,
     load_spacetime_file,
     transform_potential,
@@ -591,33 +593,45 @@ def _assert_same_bits(got, want):
             assert (g.dtype, g.shape, g.tobytes()) == (w.dtype, w.shape, w.tobytes()), member
 
 
+@pytest.fixture
+def rows(monkeypatch):
+    """An empty memo of constant-metric rows (``engine._ROWS``) for the
+    test; the process's own memo is put back after it."""
+    store = collections.OrderedDict()
+    monkeypatch.setattr(engine, "_ROWS", store)
+    return store
+
+
+def _keys(model, members, mode):
+    return {(model.layout.g.tobytes(), m, mode) for m in members}
+
+
 @pytest.mark.parametrize("mode", ["dual", "fd"])
 @pytest.mark.parametrize("name", sorted(CONSTANT_METRIC_MODELS))
-def test_shared_metric_members_match_the_unshared_computation(name, mode):
+def test_shared_metric_members_match_the_unshared_computation(rows, name, mode):
     """Whichever batch size computes a member first, every later snapshot,
     of one point or of 40 others, gets the bits its own computation gives."""
     model = CONSTANT_METRIC_MODELS[name]()
     assert not model.layout.g_live
     X, Y = _sample(model, 40, 0), _sample(model, 40, 1)
-    store = model.layout.shared
     unshared = {}
     for n in (1, 40):
-        store.clear()
+        rows.clear()
         unshared[n] = _metric_members(GeometrySnapshot(model, X[:n], mode))
 
     for first in (1, 40):
-        store.clear()
+        rows.clear()
         _metric_members(GeometrySnapshot(model, X[:first], mode))
         raised = {m for m, v in unshared[first].items() if isinstance(v, str)}
         assert raised == ({"ddgamma_lc", "d_riemann_lc"} if mode == "fd" else set())
-        assert set(store) == {(m, mode) for m in METRIC_MEMBERS if m not in raised}
+        assert set(rows) == _keys(model, set(METRIC_MEMBERS) - raised, mode)
         for n in (1, 40):
             snap = GeometrySnapshot(model, Y[:n], mode)
             got = _metric_members(snap)
             _assert_same_bits(got, unshared[n])
 
 
-def test_constant_metric_snapshots_get_writable_members_of_their_own():
+def test_constant_metric_snapshots_get_writable_members_of_their_own(rows):
     """Snapshots of one point and of three, the first of them computing
     each kept member, get writable arrays: writing into one snapshot's
     members leaves the other snapshot's and a fresh snapshot's unchanged."""
@@ -625,6 +639,7 @@ def test_constant_metric_snapshots_get_writable_members_of_their_own():
     flat = GeometrySnapshot(catalog_get("minkowski-constant-e"), np.zeros(4))
     want = {m: getattr(flat, m)[0] for m in members}
     for writer in (0, 1):
+        rows.clear()
         model = catalog_get("minkowski-constant-e")
         snaps = [GeometrySnapshot(model, _sample(model, n, n)) for n in (1, 3)]
         got = [{m: getattr(s, m) for m in members} for s in snaps]
@@ -636,19 +651,42 @@ def test_constant_metric_snapshots_get_writable_members_of_their_own():
                 assert (arr == want[m]).all(), (writer, m)
 
 
-def test_models_with_different_constant_metrics_share_nothing():
+def test_models_with_different_constant_metrics_share_nothing(rows):
     a = parse_spacetime_text(OFFDIAG.format(g00="4"))
     b = parse_spacetime_text(OFFDIAG.format(g00="9"))
     x = _sample(a, 1, 0)
     ginv_a, ginv_b = GeometrySnapshot(a, x).ginv, GeometrySnapshot(b, x).ginv
-    assert a.layout.shared.keys() == b.layout.shared.keys() == {("ginv", "dual"), ("det_g", "dual")}
-    assert ginv_a is not ginv_b
+    assert set(rows) == _keys(a, ("ginv", "det_g"), "dual") | _keys(b, ("ginv", "det_g"), "dual")
+    assert len(rows) == 4 and ginv_a is not ginv_b
     for model, ginv in ((a, ginv_a), (b, ginv_b)):
         assert ginv.tobytes() == np.linalg.inv(model.layout.g[None]).tobytes()
 
 
 @pytest.mark.parametrize("mode", ["dual", "fd"])
-def test_gauge_shifted_model_reuses_the_kept_members(mode):
+def test_models_with_equal_constant_metrics_share_rows(rows, mode):
+    """charge-ball has minkowski-constant-e's metric template: after the
+    latter's snapshot, charge-ball's snapshots of one point and of 40
+    compute no row and get the bits their own computation gives."""
+    first, second = catalog_get("minkowski-constant-e"), catalog_get("charge-ball")
+    assert first.layout.g.tobytes() == second.layout.g.tobytes()
+    assert first.layout.A_live != second.layout.A_live
+    X = _sample(second, 40, 0)
+    unshared = {}
+    for n in (1, 40):
+        rows.clear()
+        unshared[n] = _metric_members(GeometrySnapshot(second, X[:n], mode))
+
+    rows.clear()
+    _metric_members(GeometrySnapshot(first, _sample(first, 3, 1), mode))
+    kept = dict(rows)
+    assert kept
+    for n in (1, 40):
+        _assert_same_bits(_metric_members(GeometrySnapshot(second, X[:n], mode)), unshared[n])
+    assert rows.keys() == kept.keys() and all(rows[k] is v for k, v in kept.items())
+
+
+@pytest.mark.parametrize("mode", ["dual", "fd"])
+def test_gauge_shifted_model_reuses_the_kept_members(rows, mode):
     """A gauge shift keeps the metric fields: the shifted model's snapshots
     add no kept member and get the bits their own computation gives."""
     phi = "0.2*t + 0.05*t*x"
@@ -656,31 +694,53 @@ def test_gauge_shifted_model_reuses_the_kept_members(mode):
     X = _sample(fresh, 40, 0)
     unshared = {}
     for n in (1, 40):
-        fresh.layout.shared.clear()
+        rows.clear()
         unshared[n] = _metric_members(GeometrySnapshot(fresh, X[:n], mode))
 
+    rows.clear()
     model = catalog_get("minkowski-constant-e")
     _metric_members(GeometrySnapshot(model, X[20:21], mode))
-    kept = dict(model.layout.shared)
+    kept = dict(rows)
     assert kept
     shifted = transform_potential(model, phi)
     for n in (1, 40):
         _assert_same_bits(_metric_members(GeometrySnapshot(shifted, X[:n], mode)), unshared[n])
-    store = shifted.layout.shared
-    assert store.keys() == kept.keys() and all(store[k] is v for k, v in kept.items())
+    assert rows.keys() == kept.keys() and all(rows[k] is v for k, v in kept.items())
 
 
 @pytest.mark.parametrize("mode", ["dual", "fd"])
-def test_coordinate_dependent_metric_shares_nothing(mode):
+def test_coordinate_dependent_metric_shares_nothing(rows, mode):
     model = catalog_get("schwarzschild")
     shifted = transform_potential(model, "0.2*t + 0.05*t*r")
     for x in model.default_grid[:2]:
         for m in (model, shifted):
             _metric_members(GeometrySnapshot(m, x, mode))
-    assert model.layout.g_live and model.layout.shared == {} == shifted.layout.shared
+    assert model.layout.g_live and rows == {}
 
 
-def test_constant_degenerate_metric_fails_at_every_snapshot_with_its_point():
+def test_the_row_memo_is_bounded(rows):
+    """Over definition files with 12 distinct constant g_tt, read in both
+    modes, the memo fills to its bound and never holds more, and a template
+    whose rows it dropped gets its own bits again."""
+    models = [parse_spacetime_text(OFFDIAG.format(g00=str(2 + n))) for n in range(12)]
+    x = _sample(models[0], 2, 0)
+    first = None
+    for model in models:
+        for mode in ("dual", "fd"):
+            snap = GeometrySnapshot(model, x, mode)
+            for member in METRIC_MEMBERS:
+                try:
+                    getattr(snap, member)
+                except GeometryError:
+                    pass
+                assert len(rows) <= engine._ROWS_MAX
+            first = first or _metric_members(snap)
+    assert len(rows) == engine._ROWS_MAX
+    assert not any(key[0] == models[0].layout.g.tobytes() for key in rows)
+    _assert_same_bits(_metric_members(GeometrySnapshot(models[0], x, "dual")), first)
+
+
+def test_constant_degenerate_metric_fails_at_every_snapshot_with_its_point(rows):
     model = build_model("flat-degenerate", ("t", "x", "y", "z"),
                         {(0, 0): "1", (1, 1): "-1", (2, 2): "-1", (3, 3): "0"}, {0: "x"},
                         grid_axes={"t": (0,), "x": (0,), "y": (0,), "z": (0,)}, validate=False)
@@ -690,7 +750,7 @@ def test_constant_degenerate_metric_fails_at_every_snapshot_with_its_point():
         for member in ("ginv", "gamma_lc", "riemann_lc", "einstein_lc_uu"):
             assert got[member] == f"MetricError: metric is numerically degenerate at {pt} (det=0.000e+00)"
         assert got["sqrt_g"] == f"MetricError: metric determinant is not negative at {pt}"
-    assert set(model.layout.shared) == {("det_g", "dual"), ("_sym_dg", "dual"), ("_dsym_dg", "dual")}
+    assert set(rows) == _keys(model, ("det_g", "_sym_dg", "_dsym_dg"), "dual")
 
 
 # Flat, with a domain x > -1 and a potential that cannot be evaluated at
@@ -712,18 +772,18 @@ grid.z = 0:0:1
 
 
 @pytest.mark.parametrize("mode", ["dual", "fd"])
-def test_shared_members_meet_each_snapshot_domain_and_field_errors(mode):
+def test_shared_members_meet_each_snapshot_domain_and_field_errors(rows, mode):
     """A snapshot that gets a shared member still evaluates its own field
     jets: outside the domain, or where the potential fails, it raises what
     it raises when nothing is shared."""
     bad = [np.array([0.0, -2.0, 0.0, 0.0]), np.array([0.0, -0.7, 0.0, 0.0])]
     fresh = parse_spacetime_text(SINGULAR)
     want = [_metric_members(GeometrySnapshot(fresh, p, mode)) for p in bad]
-    assert fresh.layout.shared == {}
+    assert rows == {}
     assert "DomainError" in want[0]["gamma_lc"] and "EvalError" in want[1]["gamma_lc"]
 
     model = parse_spacetime_text(SINGULAR)
     _metric_members(GeometrySnapshot(model, np.array([0.0, 0.2, 0.0, 0.0]), mode))
-    assert len(model.layout.shared) >= len(METRIC_MEMBERS) - 2
+    assert len(rows) >= len(METRIC_MEMBERS) - 2
     for p, w in zip(bad, want):
         assert _metric_members(GeometrySnapshot(model, p, mode)) == w

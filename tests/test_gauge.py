@@ -1,6 +1,7 @@
 """Gauge shifts: invariant observables, shifted geometry, divergence law."""
 
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -286,7 +287,7 @@ def test_non_gradient_potential_fails_every_invariance_row(name, mode):
     A = list(model.A_fields)
     A[1] = ShiftedPotentialField(A[1], model.scalar_field(f"0.01*{c0}*{c1}^3/3"), 1)
     pair = GaugePair(GeometrySnapshot(model, X, mode),
-                     GeometrySnapshot(model.with_potential(tuple(A), "curl"), X, mode),
+                     GeometrySnapshot(replace(model, name="curl", A_fields=tuple(A)), X, mode),
                      as_phi_field(model, "0"))
     for cid in INVARIANCE_ROWS:
         value, tol = _reading(cid, pair, mode)
