@@ -29,7 +29,8 @@ from .errors import (
     point_text,
 )
 from .expr import ChartSpec
-from .fields import ExprField
+from .fields import ExprField, _orbits
+from .jets import _each
 from .tensor import MetricAtPoint
 
 CATALOG_NAMES = (
@@ -300,11 +301,20 @@ def build_model(
 def validate_on_grid(model, origin=None):
     """Check metric and potential invariants at every default-grid point.
 
-    One batched pass covers the whole grid; only when it meets a fault does
-    the point-by-point pass run (``batch_then_rows``), which names the first
-    point at fault.
+    The checks are pointwise in the fields, so the points that agree on
+    every coordinate the metric, the potential and the domain read (an
+    orbit, ``fields._orbits``) pass or fail together: only the first point
+    of each orbit is checked, and the first point at fault is the first of
+    its orbit.  One batched pass covers those points; only when it meets a
+    fault does the point-by-point pass run (``batch_then_rows``), which
+    names the first point at fault.
     """
     grid = model.default_grid
+    held = [*itertools.chain.from_iterable(model.g_fields), *model.A_fields, model.domain]
+    read = frozenset().union(*(f.axes for f in held if f is not None))
+    # a non-finite coordinate is outside the domain, read or not
+    read |= {i for i in range(4) if not np.isfinite(grid[:, i]).all()}
+    grid = grid[_orbits(grid, sorted(read))[0]]
 
     def batch():
         model.require_in_domain(grid)
@@ -384,9 +394,12 @@ def straight_line_error(model, traj, charge_ratio):
 def uniform_acceleration_error(model, traj, charge_ratio):
     """Rest start in the uniform field E: V^0(s) = cosh(k E s) and
     V^1(s) = -sinh(k E s), which is odd in k and so fixes the charge sign."""
-    a = charge_ratio * model.params["E"]
-    # math's cosh and sinh: numpy's differ in the last bit
-    cosh, sinh = np.array([_cosh_sinh(a * s) for s in traj.s.tolist()]).T
+    t = charge_ratio * model.params["E"] * traj.s
+    # math's cosh and sinh, entry by entry: numpy's differ in the last bit
+    try:
+        cosh, sinh = _each(math.cosh, t), _each(math.sinh, t)
+    except OverflowError:
+        cosh, sinh = np.array([_cosh_sinh(v) for v in t.tolist()]).T
     e0, e1 = np.abs(traj.V[:, 0] - cosh), np.abs(traj.V[:, 1] + sinh)
     return np.where(e1 > e0, e1, e0)  # max(e0, e1) per state
 

@@ -9,7 +9,8 @@ construction.  Every evaluation runs the folded tree through
 through it, giving exact gradients and Hessians (and third derivatives on
 request).  A central finite-difference fallback exists for cross-validation
 of the dual-number engine.  Every field class has ``axes``, the chart
-indices it reads.
+indices it reads, and the points that agree on those axes (an orbit,
+``_orbits``) give the same evaluations.
 
 Every evaluation accepts a batch, shape (N, 4), or one point, shape (4,).
 Batched jets keep the batch axis last (value (N,), gradient (4, N), Hessian
@@ -61,6 +62,18 @@ def _expand(result, order, zeros=_ZEROS):
         zh if order >= 2 else None,
         zt if order >= 3 else None,
     )
+
+
+def _orbits(pts, axes):
+    """The index of the first point of each orbit of pts, in order, and the
+    orbit's size.  An orbit holds the points with the same bits on every
+    axis in ``axes``."""
+    if len(axes) == pts.shape[1]:
+        return np.arange(len(pts)), np.ones(len(pts), dtype=int)
+    key = np.ascontiguousarray(pts[:, axes]).view(np.int64)
+    _, first, counts = np.unique(key, axis=0, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    return first[order], counts[order]
 
 
 def make_seeds(x, order):

@@ -34,6 +34,7 @@ from .checks import CHECK_DEFS, GaugePair, default_tolerance, suite_of
 from .dynamics import IntegratorConfig, WorldlineState, integrate_worldline, normalize_velocity
 from .engine import GeometrySnapshot
 from .errors import GeometryError, _quiet_float_errors, batch_then_rows, point_text
+from .fields import _orbits
 from .gauge import as_phi_field, peak, transform_potential
 
 SUITES = ("metric", "lc", "rc", "maxwell", "einstein", "dynamics", "gauge", "all")
@@ -304,18 +305,6 @@ def _read_axes(ctx, point_set):
     if point_set in ("gauge", "orbit"):
         held += [*ctx.phi_fields, ctx.orbit_phi]
     return sorted(frozenset().union(*(f.axes for f in held if f is not None)))
-
-
-def _orbits(pts, axes):
-    """The index of the first point of each orbit of pts, in order, and the
-    orbit's size.  An orbit holds the points with the same bits on every
-    axis in ``axes``."""
-    if len(axes) == pts.shape[1]:
-        return np.arange(len(pts)), np.ones(len(pts), dtype=int)
-    key = np.ascontiguousarray(pts[:, axes]).view(np.int64)
-    _, first, counts = np.unique(key, axis=0, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    return first[order], counts[order]
 
 
 def _chunks(ctx, point_set, pts):

@@ -14,6 +14,7 @@ from rcgeom import (
     catalog_get,
     parse_spacetime_text,
 )
+from rcgeom import catalog
 from rcgeom.catalog import build_model, load_spacetime_file
 from rcgeom.cli import main
 from rcgeom.engine import GeometrySnapshot
@@ -274,6 +275,64 @@ def test_grid_override_where_a_field_fails_is_a_failed_check(tmp_path, A0, x, gr
                  "--out", str(out)]) == 1
     checks = {c["id"]: c for c in json.loads(out.read_text())["checks"]}
     assert checks["fields.dual_vs_fd"]["note"] == f"EvalError: {note}"
+
+
+# The metric reads x, the potential y and the domain z: no field reads t, so
+# the 3 x 5 x 4 x 3 grid has 60 orbits of 3 points.  Each fault sits at
+# x = 0.5 or z = 1, in the middle of its axis, of the grid and of its orbits.
+ORBIT_FILE = """
+name = orbit-faults
+coords = t, x, y, z
+g[0][0] = "{g00}"
+g[1][1] = "-1"
+g[2][2] = "-1"
+g[3][3] = "-1"
+A[0] = "{A0}"
+domain = "{domain}"
+grid.t = 0:1:3
+grid.x = -1:1:5
+grid.y = 0:3:4
+grid.z = 0:2:3
+"""
+ORBIT_FAULTS = {
+    "domain": {"domain": "(z - 1)^2"},
+    "non-finite": {"A0": "1e308*(2 - (x - 0.5)^2) + y"},
+    "evaluation": {"A0": "y/(x - 0.5)"},
+    "degenerate": {"g00": "(x - 0.5)^2"},
+}
+
+
+def _orbit_file(**faults):
+    return ORBIT_FILE.format(**{"g00": "1 + x^2", "A0": "y", "domain": "z + 1", **faults})
+
+
+@pytest.mark.parametrize("fault", sorted(ORBIT_FAULTS))
+def test_grid_validation_per_orbit_raises_the_point_by_point_error(fault, monkeypatch):
+    """The load error of a fault in the middle of the grid, met on the
+    orbits' first points, is the one a point-by-point validation of every
+    grid point raises first."""
+    text = _orbit_file(**ORBIT_FAULTS[fault])
+    with pytest.raises(GeometryError) as info:
+        parse_spacetime_text(text)
+    monkeypatch.setattr(catalog, "validate_on_grid", lambda model, origin=None: None)
+    model = parse_spacetime_text(text)
+    with pytest.raises(GeometryError) as want:
+        with np.errstate(over="ignore", invalid="ignore"):
+            for p in model.default_grid:
+                catalog._validate_point(model, p, "<string>")
+    assert (type(info.value), str(info.value)) == (type(want.value), str(want.value))
+
+
+def test_grid_validation_checks_the_first_point_of_each_orbit(monkeypatch):
+    """A valid file is validated on the first points of its 60 orbits, the
+    t = 0 points, with one metric evaluation."""
+    seen = []
+    metric_values = catalog.SpacetimeModel.metric_values
+    monkeypatch.setattr(catalog.SpacetimeModel, "metric_values",
+                        lambda self, X: seen.append(X.copy()) or metric_values(self, X))
+    model = parse_spacetime_text(_orbit_file())
+    assert len(model.default_grid) == 180 and len(seen) == 1
+    assert seen[0].tobytes() == model.default_grid[:60].tobytes()
 
 
 def test_rn_file_matches_catalog_entry():

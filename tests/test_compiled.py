@@ -7,6 +7,7 @@ starts from."""
 import ast
 import collections
 import math
+import re
 import sys
 import threading
 from pathlib import Path
@@ -426,6 +427,122 @@ def test_generated_source_holds_no_definition_text(name):
         elif isinstance(node, ast.FunctionDef):
             assert node.name == "one_point"
             assert [a.arg for a in node.args.args] == _ARGUMENTS
+
+
+# a product with a constant 0.0 (or -0.0) operand; 10.0 and 0.05 are not one
+ZERO_PRODUCT = re.compile(r"(?<![\w.])(?:0\.0|\(-0\.0\)) \*|\* (?:0\.0|\(-0\.0\))(?![\w.])")
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_no_force_law_computes_a_zero_product(name):
+    """The jets' exact zero products (a gradient entry along an axis that a
+    factor does not read is ``0.0 * t``) are left out of the force law: it
+    has no product with a constant 0.0 and reads no temporary the tape
+    marks as a zero."""
+    source = dynamics._generate_rhs(MODELS[name]).source
+    assert ZERO_PRODUCT.search(source) is None, ZERO_PRODUCT.findall(source)
+    layout, tapes = MODELS[name].layout, []
+
+    def law(tape, *args):
+        tapes.append(tape)
+        return dynamics._force_law(layout, tape, *args)
+
+    trees = [f.tree for *_, f in layout.g_live + layout.A_live]
+    domain = None if MODELS[name].domain is None else MODELS[name].domain.tree
+    run = expr.compile_one_point(trees, domain, ("v0", "v1", "v2", "v3", "k"), law, law)
+    assert run.source == source
+    assert set(re.findall(r"\bt\d+\b", source)).isdisjoint(tapes[0].zeros)
+
+
+def _marked(tape, jets, *xs):
+    """Every temporary the tape marks as an exact zero, with the operands it read."""
+    return tuple((expr._Var(tape, name), tuple(expr._Var(tape, r) for r in reads))
+                 for name, reads in tape.zeros.items())
+
+
+def _sound_marks(run, x):
+    """How many marked temporaries are +-0.0 at x where the operands they
+    read are finite; fails at one that is not."""
+    try:
+        out = run(*x)
+    except (ArithmeticError, ValueError):
+        return 0
+    checked = 0
+    for value, reads in out or ():
+        if all(math.isfinite(r) for r in reads):
+            assert value == 0.0, (x, value)
+            checked += 1
+    return checked
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_the_zero_marks_are_sound_on_the_default_grid(name):
+    """Every temporary the tape marks is +-0.0 wherever the operands it
+    read are finite, at every default-grid point, where the tape's whole
+    recording runs."""
+    model = MODELS[name]
+    trees = [f.tree for *_, f in model.layout.g_live + model.layout.A_live]
+    domain = None if model.domain is None else model.domain.tree
+    run = expr.compile_one_point(trees, domain, (), _marked, _marked)
+    checked = sum(_sound_marks(run, x) for x in model.default_grid.tolist())
+    if name in ("schwarzschild", "reissner-nordstrom", "kerr_newman", "em-plane-wave"):
+        assert checked > 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(_leaf, _combine, max_leaves=12), params_strategy,
+       st.lists(_COORD, min_size=4, max_size=4))
+def test_the_zero_marks_are_sound_on_random_trees(tree, params, x):
+    """The same over the ``test_expr`` trees, at a random point."""
+    try:
+        f = ExprField(tree, CART, params)
+    except EvalError:
+        return
+    if f.const is None:
+        run = expr.compile_one_point([f.tree], None, (), _marked, _marked)
+        if run is not None:
+            with np.errstate(all="ignore"):
+                _sound_marks(run, x)
+
+
+def test_a_mixed_sum_keeps_its_nonzero_term():
+    """``x*y`` has the gradient entry ``y + 0.0 * x`` along x: the sum is
+    not marked, and the law reads it as ``y``, with x guarded; the entries
+    along t and z are sums of zero products, marked."""
+    tape = expr._Tape()
+    x, y = expr._Var(tape, "x1"), expr._Var(tape, "x2")
+    jet = Jet(x, np.eye(4)[1]) * Jet(y, np.eye(4)[2])
+    assert [expr._text(d) in tape.zeros for d in jet.g] == [True, False, False, True]
+    assert [expr._text(tape.without_zeros(d)) for d in jet.g] == ["0.0", "x2", "x1", "0.0"]
+    assert sorted(expr._text(v) for v in tape.dropped()) == ["x1", "x2"]
+
+
+# A potential whose value reads an exact zero product that overflows for
+# |y| > 1.35e4: 0.0 * inf is NaN on the jet path
+OVERFLOW_ZERO = "t + 0*(1e300*y*y)"
+
+
+@pytest.mark.parametrize("y, finite", [(1.0, True), (1e4, True), (2e4, False),
+                                       (-2e4, False), (1e5, False)])
+def test_a_left_out_operand_that_overflows_declines_as_the_jet_path_fails(y, finite):
+    """The law guards the operands of the products it leaves out: where one
+    is not finite it declines, as the jets' NaN makes it, and the
+    worldline takes the snapshot route, with its note."""
+    model = _one_field_model(OVERFLOW_ZERO, {})
+    law = dynamics._generate_rhs(model)
+    x = [0.5, 0.0, y, 0.0]
+    state = x + [1.0, 0.0, 0.0, 0.0]
+    assert "1e+300" in law.source and ZERO_PRODUCT.search(law.source) is None
+    assert (law(*state, 0.5) is not None) == finite
+    if finite:
+        return
+    with np.errstate(over="ignore", invalid="ignore"):  # as every entry point runs
+        want = _error_of(lambda: field_jets(model, np.array([x]), 1))
+        assert want[0] is EvalError and "non-finite" in want[1]
+        assert _error_of(lambda: dynamics._rhs(model, state, 0.5, law)) == want
+    traj = dynamics.integrate_worldline(model, dynamics.WorldlineState(x, state[4:], 0.0), 0.5,
+                                        dynamics.IntegratorConfig(0.01, 3))
+    assert traj.exited and traj.exit_message == want[1]
 
 
 def test_the_generated_code_memo_is_bounded(monkeypatch):

@@ -690,6 +690,25 @@ def test_an_overflowing_closed_form_is_an_infinite_error(tmp_path, capsys):
     assert np.isfinite(errors[:2]).all() and errors[2:].tolist() == [math.inf] * 2
 
 
+@pytest.mark.parametrize("span, k", [(100.0, 0.45), (2000.0, 0.45), (2000.0, -0.45)],
+                         ids=["finite", "overflow", "overflow-negative"])
+def test_the_uniform_acceleration_oracle_has_the_bits_of_the_per_state_loop(span, k):
+    """cosh and sinh of k E s at every state, through math entry by entry,
+    give the bits of one call per state, infinite where they overflow (past
+    s = 1213 at k E = 0.585)."""
+    model = catalog_get("minkowski-constant-e", params={"E": 1.3})
+    rng = np.random.default_rng(3)
+    traj = Trajectory(np.linspace(0.0, span, 501), rng.uniform(-3.0, 3.0, (501, 8)), [])
+    a = k * model.params["E"]
+    want = []
+    for st in traj.states:
+        cosh, sinh = catalog._cosh_sinh(a * st.s)
+        want.append(max(abs(st.V[0] - cosh), abs(st.V[1] + sinh)))
+    got = catalog.uniform_acceleration_error(model, traj, k)
+    assert _bits(got.tolist()) == _bits(want)
+    assert np.isinf(got).any() == (span > 1213.0)
+
+
 # -- the generated right-hand side ----------------------------------------------
 
 KN_FILE = Path(__file__).resolve().parents[1] / "bench" / "kerr_newman.spacetime"

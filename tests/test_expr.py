@@ -1,5 +1,6 @@
 """Parser, printer, dual-number engine, and finite-difference tests."""
 
+import dataclasses
 import math
 import re
 
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcgeom import ChartSpec, EvalError, ExprField, ParseError, UnknownIdentifierError
+from rcgeom import ChartSpec, EvalError, ExprField, ParseError, UnknownIdentifierError, expr
 from rcgeom.expr import (
     MAX_DEPTH,
     Add,
@@ -177,6 +178,22 @@ def _combine(children):
 @given(st.recursive(_leaf, _combine, max_leaves=12))
 def test_roundtrip_property(ast):
     assert parse(to_source(ast), CART, params=PARAM_NAMES) == ast
+
+
+def test_tree_nodes_keep_no_instance_dict():
+    """Every node class has slots: a parsed tree holds its fields only, and
+    its nodes stay frozen and equal by value."""
+    tree = parse("-sin(x)^2 + M*t/(y - 1)", CART, params=PARAM_NAMES)
+    nodes = [tree, tree.left, tree.left.arg, tree.left.arg.left, tree.left.arg.right,
+             tree.right, tree.right.left, tree.right.left.left, tree.right.left.right,
+             tree.right.right]
+    assert [type(n).__name__ for n in nodes] == [
+        "Add", "Neg", "Pow", "Call", "Num", "Div", "Mul", "Param", "Coord", "Sub"]
+    for node in nodes:
+        assert not hasattr(node, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(node, dataclasses.fields(node)[0].name, None)
+    assert expr._parse.__wrapped__("-sin(x)^2 + M*t/(y - 1)", CART, frozenset(PARAM_NAMES)) == tree
 
 
 def _outcome(call):
