@@ -50,10 +50,18 @@ class PhysicalConstants:
     def __post_init__(self):
         if not all(math.isfinite(v) and v > 0 for v in (self.G, self.c)):
             raise GeometryError(f"constants must be finite and positive: G={self.G}, c={self.c}")
+        try:
+            coupling = self.coupling  # c**4 overflows, or G / c**4 divides by 0.0
+        except ArithmeticError:
+            coupling = math.nan
+        if not (math.isfinite(coupling) and coupling > 0.0):
+            raise GeometryError(f"the coupling G/c^4 must be finite and nonzero: "
+                                f"G={self.G}, c={self.c}")
 
     @property
     def coupling(self):
-        """The contorsion coupling G / c^4, recomputed on access."""
+        """The contorsion coupling G / c^4, recomputed on access; checked
+        finite and nonzero at construction."""
         return self.G / self.c**4
 
 

@@ -20,8 +20,8 @@ estimate with the float operations of elementwise list sums in their order,
 so a trajectory is the list arithmetic's bit for bit.  It calls the stage it
 is given at each stage point.  In dual mode that is the model's force law as
 one generated straight-line function (``_generate_rhs``), so a step builds no
-snapshot; the law leaves out the field jets' exact zero products (the
-recording's marks), so it computes no ``0.0 * t``.  ``integrate_worldline``
+snapshot; the field jets it starts from hold no structural zero product
+(``expr.compile_one_point``), so it computes no ``0.0 * t``.  ``integrate_worldline``
 resolves it once and hands it to every ``_rhs`` call; the code of equal
 fields and templates is generated once per process, so a model built again,
 as each CLI call builds one, takes the kept function.  Where that function
@@ -56,9 +56,8 @@ from .errors import (
     _quiet_float_errors,
     point_text,
 )
-from .expr import _text, compile_one_point
+from .expr import compile_one_point
 from .fields import ExprField, fd_jet
-from .jets import Jet
 from .tensor import DEGENERACY_TOL, batched_einsum, max_abs
 
 
@@ -269,18 +268,12 @@ def _force_law(layout, tape, jets, x0, x1, x2, x3, v0, v1, v2, v3, k):
     w_l = Gamma_{l,md} V^m V^d, adds the Lorentz term u_l = F_{ml} V^m, and
     raises their sum with the inverse once: dV^n/ds = g^{nl} (k u_l - w_l).
     Every term with a constant 0.0 operand is left out, so a metric's
-    constant zeros cost nothing.  So is every exact zero product the jets
-    recorded (the tape's marks: a gradient entry along an axis a factor
-    does not read is ``0.0 * t``): each jet entry is read through
-    ``_Tape.without_zeros``, which takes a marked temporary as the constant
-    0.0, so the law computes none (unless a statement kept because it can
-    raise, a division say, reads one).  The operands of the products left
-    out join the final finiteness guard, once and in recording order, so
-    the law returns None wherever those products would have made an output
-    NaN.
+    constant zeros, and the jets' gradient entries along the axes a
+    component does not read (the constant 0.0 from ``compile_one_point``),
+    cost nothing.  The law returns None where an input, an output, the
+    potential or the diagonal of its gradient is not finite.
     """
     x, V = (x0, x1, x2, x3), (v0, v1, v2, v3)
-    jets = [Jet(tape.without_zeros(j.f), [tape.without_zeros(d) for d in j.g]) for j in jets]
     g, dg, A, dA = _order1_lists(layout, jets)
     upper = [(a, b) for a in range(DIM) for b in range(a, DIM)]
 
@@ -318,8 +311,6 @@ def _force_law(layout, tape, jets, x0, x1, x2, x3, v0, v1, v2, v3, k):
 
     checked = [*x, *V, k, *accel, norm, *A, *(dA[a][a] for a in range(DIM))]
     checked = [c for c in checked if not isinstance(c, float)]
-    names = {_text(c) for c in checked}
-    checked += [v for v in tape.dropped() if _text(v) not in names]
     tape.guard("not math.isfinite(" + " + ".join(["{}"] * len(checked)) + ")", *checked)
     return (*V, *accel), norm
 

@@ -23,14 +23,14 @@ takes.
 
 ``compile_one_point`` generates one straight-line Python function of four
 floats from a set of folded trees and a domain test.  It records the order-1
-jet of each tree with the operations of ``Jet`` arithmetic on floats, so
-those jets are the jet path's bit for bit, and hands them to the caller,
-which carries the function on (``dynamics`` records the force law).  The
-recording marks its exact zero products (``_Tape.zeros``), which the
-continuation may leave out (``_Tape.without_zeros``).  Each function is
-generated once per process: a bounded memo keyed by the recorded jets and
-the caller's key hands it to every later call whose code would be the
-same.
+jet of each tree with the operations of ``Jet`` arithmetic on floats, and
+hands the jets to the caller, which carries the function on (``dynamics``
+records the force law).  The seeds' gradient entries along the other axes
+are an absorbing zero (``_ZERO``), so the recording holds no product with a
+structural zero and no sum with one (sparse forward mode); every other entry
+is the jet path's bit for bit.  Each function is generated once per process:
+a bounded memo keyed by the recorded jets and the caller's key hands it to
+every later call whose code would be the same.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EvalError, ParseError, UnknownIdentifierError
-from .jets import _POW_DOMAIN, _TABLE, FUNCTIONS, UNIT_ROWS, Jet, _pow_terms, jet_pow
+from .jets import _POW_DOMAIN, _TABLE, FUNCTIONS, Jet, _pow_terms, jet_pow
 
 # The deepest shipped expression (Kerr-Newman) has depth 9.
 MAX_DEPTH = 200
@@ -441,23 +441,24 @@ def compile_one_point(trees, domain, args, then, key):
     whose value and gradient are float constants or recorded floats, and
     the recorded arguments of ``f``; it may record statements and guards
     of its own, and returns the outputs (a tuple whose entries may be
-    tuples), or None to decline.  The tape marks each exact zero product
-    the jets recorded (``_Tape.zeros``: a gradient entry along an axis that
-    a factor does not read is ``0.0 * t``), with the operands it read;
-    ``then`` may read an entry through ``tape.without_zeros``, which takes
-    a marked temporary as the constant 0.0 and collects the operands it
-    left out in ``tape.dropped()``, for ``then`` to guard.  The marks
-    change no recorded statement, so the jets and the memo key stay as
-    they are.  ``f`` returns None when the folded ``domain`` tree (None:
-    every point is inside) is not positive and finite at the point, or
-    when a guard fails.
+    tuples), or None to decline.  ``f`` returns None when the folded
+    ``domain`` tree (None: every point is inside) is not positive and
+    finite at the point, or when a guard fails.
 
     The function is straight-line code over floats.  Each tree is run
     through ``Jet`` itself (and through the ``_TABLE`` rules at order 1,
     with the tape as their ``m``), whose operations on floats are recorded
-    as statements.  So the jets hold the operations of the jet path, on
-    the same operands in the same order, and are the jet path's bit for
-    bit, signed zeros included.  Operations are hash-consed, on the folded
+    as statements, from seeds whose gradient entries along the other axes
+    are ``_ZERO``.  ``_ZERO`` absorbs every product and drops out of every
+    sum, so the recording never holds a structural zero product ``0.0 * t``
+    (a gradient entry along an axis that a factor does not read), and a
+    ``_ZERO`` left in a jet reaches ``then`` as the constant 0.0.  Every
+    other entry holds the operations of the jet path, on the same operands
+    in the same order, and is the jet path's bit for bit.  The jets differ
+    only where the jet path multiplies a structural zero: by a finite
+    operand it gets a ±0.0 (here 0.0), and by a non-finite one a NaN,
+    where the same operand also makes an entry along the axes its factor
+    reads non-finite.  Operations are hash-consed, on the folded
     trees and on the statement text, so a subexpression shared by several
     trees is computed once.  A statement that neither leads to an output
     nor can raise is dropped; one that can raise is kept, so that ``f``
@@ -485,7 +486,7 @@ def compile_one_point(trees, domain, args, then, key):
     """
     tape = _Tape()
     xs = [_Var(tape, f"x{i}") for i in range(4)]
-    seeds = [Jet(x, UNIT_ROWS[i]) for i, x in enumerate(xs)]
+    seeds = [Jet(x, _SEED_ROWS[i]) for i, x in enumerate(xs)]
     try:
         if domain is not None:
             d = _symbolic(domain, xs, tape, {})
@@ -497,6 +498,7 @@ def compile_one_point(trees, domain, args, then, key):
         jets = [_symbolic(tree, seeds, tape, memo) for tree in trees]
     except (_Decline, ArithmeticError, ValueError):
         return None
+    jets = [Jet(j.f, [0.0 if d is _ZERO else d for d in j.g]) for j in jets]
     key = (tuple(tape.lines), tuple(map(_jet_text, jets)), tuple(args), key)
     with _GENERATED_LOCK:
         if key in _GENERATED:
@@ -627,25 +629,15 @@ class _Tape:
     """The statements of one generated function, in the order they were
     recorded.  An operation already recorded on the same operands gives
     the same temporary.  The tape is also the ``m`` of the ``_TABLE`` rules:
-    ``tape.sin(v)`` records ``math.sin(v)``.
-
-    The tape marks each exact zero product it recorded (``zeros``): a
-    product with the constant 0.0, or a negation, sum, difference or
-    product of such, with the recorded operands it read, in recording
-    order.  A marked temporary is ±0.0 wherever those operands are finite.
-    The marks change no statement; ``without_zeros`` reads them."""
+    ``tape.sin(v)`` records ``math.sin(v)``.  It folds the operations whose
+    result is an operand, or its negation, for every float: ``x * 1.0``,
+    ``x ** 1.0`` and ``x * (-1.0)``; ``x ** 0.0`` is 1.0."""
 
     def __init__(self):
         # (temporary or None for a guard, template, operand texts, can raise)
         self.lines = []
         self.temps = {}  # (template, operand texts) -> _Var
         self.guards = set()  # (template, operand texts) of each guard
-        self._marked = 0  # the lines _mark has read
-        self._defs = {}  # temporary -> (template, operand texts), for the lines marked
-        self._zeros = {}  # marked temporary -> the operands it read, in recording order
-        self._tainted = set()  # the marked temporaries and the _RING statements reading one
-        self._dropped = {}  # the operands of the temporaries without_zeros left out
-        self._plain = {}  # tainted temporary -> without_zeros of it
         for name in FUNCTIONS:
             setattr(self, name, functools.partial(self.call, name))
 
@@ -659,72 +651,6 @@ class _Tape:
             self.lines.append((var.name, template, operands, raises))
         return var
 
-    @property
-    def zeros(self):
-        """The marked temporaries, each with the operands it read."""
-        self._mark()
-        return self._zeros
-
-    def _mark(self):
-        """Mark the statements recorded since the last call, in order: only
-        a continuation reads the marks, so a call whose function is kept
-        (``compile_one_point``'s memo) records at no extra cost."""
-        for name, template, operands, _ in self.lines[self._marked:]:
-            if name is None:
-                continue
-            self._defs[name] = (template, operands)
-            zero = [o in _ZERO_TEXTS or o in self._zeros for o in operands]
-            if any(zero) if template == "{} * {}" else template in _RING and all(zero):
-                self._zeros[name] = self._in_order(
-                    r for o in operands if o.isidentifier() for r in self._zeros.get(o, (o,)))
-            if name in self._zeros or template in _RING and any(
-                    o in self._tainted for o in operands):
-                self._tainted.add(name)
-        self._marked = len(self.lines)
-
-    def _in_order(self, names):
-        """The distinct names, the arguments first, then the temporaries in
-        the order they were recorded."""
-        def order(name):
-            return (True, int(name[1:])) if name in self._defs else (False, 0)
-        return tuple(sorted(dict.fromkeys(names), key=order))
-
-    def without_zeros(self, a):
-        """``a`` with each marked temporary it reads taken as the constant
-        0.0: a marked temporary is 0.0, and a negation, sum, difference or
-        product that reads one is recorded again without it (``_RING``).
-        The operands of each marked temporary so left out join
-        ``dropped()``, so that the caller can guard them: a left-out term is
-        ±0.0 exactly where they are finite.  Other statements are not
-        recorded again."""
-        self._mark()
-        if not isinstance(a, _Var) or a.name not in self._tainted:
-            return a
-        need, stack = set(), [a.name]  # the tainted temporaries a reads
-        while stack:
-            name = stack.pop()
-            if name not in need and name not in self._plain:
-                need.add(name)
-                if name not in self._zeros:
-                    stack += [o for o in self._defs[name][1] if o in self._tainted]
-        for name in self._in_order(need):  # operands before their readers
-            if name in self._zeros:
-                self._plain[name] = 0.0
-                self._dropped.update(dict.fromkeys(self._zeros[name]))
-                continue
-            template, operands = self._defs[name]
-            self._plain[name] = _RING[template](*[
-                self._plain[o] if o in self._tainted else self._operand(o) for o in operands])
-        return self._plain[a.name]
-
-    def _operand(self, text):
-        return _Var(self, text) if text.isidentifier() else float(text.strip("()"))
-
-    def dropped(self):
-        """The operands of the marked temporaries ``without_zeros`` left
-        out, each once, in recording order (``_in_order``)."""
-        return [_Var(self, name) for name in self._in_order(self._dropped)]
-
     def guard(self, template, *args):
         """``if <condition>: return None``, recorded once per condition."""
         key = (template, tuple(map(_text, args)))
@@ -735,10 +661,15 @@ class _Tape:
     def binary(self, a, symbol, b):
         if not (isinstance(a, (_Var, float, int)) and isinstance(b, (_Var, float, int))):
             return NotImplemented  # an array: numpy applies the operation entry by entry
-        # x * 1.0 is x and x ** 0.0 is 1.0, for every float x
+        # x * 1.0 and x ** 1.0 are x, x * (-1.0) is -x and x ** 0.0 is 1.0,
+        # for every float x
         if symbol == "*" and (_is(a, 1.0) or _is(b, 1.0)):
             return b if _is(a, 1.0) else a
-        if symbol == "**" and not isinstance(b, _Var) and b == 0.0:
+        if symbol == "*" and (_is(a, -1.0) or _is(b, -1.0)):
+            return -(b if _is(a, -1.0) else a)
+        if symbol == "**" and _is(b, 1.0):
+            return a
+        if symbol == "**" and _is(b, 0.0):
             return 1.0
         operands = (_text(a), _text(b))
         if symbol in "+*" and operands[1] < operands[0]:  # one text for a + b and b + a
@@ -791,19 +722,40 @@ class _Tape:
         return f"def one_point({', '.join(params)}):\n" + "".join(f"    {s}\n" for s in body)
 
 
-# the texts of a zero constant, and the operations that may make an exact
-# zero, each with its result where a 0.0 operand is left out
-_ZERO_TEXTS = ("0.0", "(-0.0)")
-_RING = {
-    "-{}": operator.neg,
-    "{} + {}": lambda a, b: b if _is(a, 0.0) else a if _is(b, 0.0) else a + b,
-    "{} - {}": lambda a, b: -b if _is(a, 0.0) else a if _is(b, 0.0) else a - b,
-    "{} * {}": operator.mul,
-}
-
 # the deepest a temporary read once is written into its reader: each level
 # adds at most three parentheses, well within the 200 the tokenizer accepts
 _INLINE_DEPTH = 16
+
+
+class _Zero:
+    """The structural zero of the seeds' gradient rows: ``x * _ZERO`` is
+    ``_ZERO``, ``x + _ZERO`` and ``x - _ZERO`` are x, ``_ZERO - x`` is -x and
+    ``-_ZERO`` is ``_ZERO``, so ``Jet`` arithmetic records none of them."""
+
+    __slots__ = ()
+
+    def __mul__(self, other):
+        return self
+
+    def __add__(self, other):
+        return other
+
+    def __sub__(self, other):
+        return -other
+
+    def __rsub__(self, other):
+        return other
+
+    def __neg__(self):
+        return self
+
+    __rmul__, __radd__ = __mul__, __add__
+
+
+_ZERO = _Zero()
+# the coordinates' order-1 seeds: 1.0 along their own axis
+_SEED_ROWS = tuple(np.array([1.0 if a == i else _ZERO for a in range(4)], dtype=object)
+                   for i in range(4))
 
 
 class _Var:

@@ -70,8 +70,12 @@ def _orbits(pts, axes):
     axis in ``axes``."""
     if len(axes) == pts.shape[1]:
         return np.arange(len(pts)), np.ones(len(pts), dtype=int)
-    key = np.ascontiguousarray(pts[:, axes]).view(np.int64)
-    _, first, counts = np.unique(key, axis=0, return_index=True, return_counts=True)
+    if not len(axes):  # one orbit; a void view of itemsize 0 cannot say so
+        n = min(1, len(pts))
+        return np.zeros(n, dtype=int), np.full(n, len(pts))
+    # each row's bytes as one void scalar: a 1-D unique, not a 2-D one
+    key = np.ascontiguousarray(pts[:, axes]).view(np.dtype((np.void, 8 * len(axes))))
+    _, first, counts = np.unique(key.ravel(), return_index=True, return_counts=True)
     order = np.argsort(first)
     return first[order], counts[order]
 

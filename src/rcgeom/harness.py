@@ -241,17 +241,28 @@ CHUNK = 40
 
 
 class _Worst:
-    """One check's running maximum residual, residual count and first error."""
+    """One check's running maximum residual, residual count and first error.
 
-    __slots__ = ("value", "points", "note")
+    A non-finite residual that no error explains (a row that raised has
+    recorded its error before its NaN arrives) is kept as ``unexplained``,
+    naming its point: it fails the row when no error does."""
+
+    __slots__ = ("value", "points", "note", "unexplained")
 
     def __init__(self):
         self.value = 0.0
         self.points = 0
         self.note = None
+        self.unexplained = None
 
-    def add(self, residuals):
+    def add(self, residuals, point):
+        """Take the residuals, where ``point(i)`` is the point of entry i."""
         self.value = max(self.value, peak(residuals))  # skipping NaN
+        if self.note is None and self.unexplained is None:
+            bad = ~np.isfinite(residuals)
+            if bad.any():
+                where = point_text(point(int(np.argmax(bad))))
+                self.unexplained = f"non-finite residual at {where}"
 
     def fail(self, err):
         self.note = self.note or f"{type(err).__name__}: {err}"
@@ -291,7 +302,9 @@ def _run_pointwise(ctx, rows):
         top = max(row.order for _cid, row in checks)
         for idx, count in _chunks(ctx, point_set, pts):
             _run_chunk(ctx, point_set, pts[idx], count, checks, top, worst)
-    return [(cid, None if w.note else w.value, w.points, w.note) for cid, w in worst.items()]
+    notes = {cid: w.note or w.unexplained for cid, w in worst.items()}
+    return [(cid, None if notes[cid] else w.value, w.points, notes[cid])
+            for cid, w in worst.items()]
 
 
 def _read_axes(ctx, point_set):
@@ -389,9 +402,12 @@ def _run_chunk(ctx, point_set, chunk, count, checks, order, worst):
         for k, subject in enumerate(subjects):
             results = batch_then_rows(lambda: [fn(subject)], range(len(chunk)),
                                       lambda i: on_row(fn, k, i, w))
-            for residuals in results:
-                w.add(residuals)
-            w.points += sum(map(np.size, results)) if count is None else count
+            # one residual per point of the chunk, as a batch or one per row,
+            # or one per state of the worldline
+            residuals = np.concatenate([np.ravel(r) for r in results])
+            w.add(residuals, (lambda i: subject.traj.x[i]) if point_set == "worldline"
+                  else chunk.__getitem__)
+            w.points += residuals.size if count is None else count
 
 
 @_quiet_float_errors

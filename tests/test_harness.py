@@ -516,6 +516,67 @@ def test_non_finite_parameter_in_a_definition_file_is_a_usage_error(tmp_path, ca
     assert "parameters must be finite: q=inf" in capsys.readouterr().err
 
 
+FLAT_FILE = """
+name = flat-strong-field
+coords = t, x, y, z
+g[0][0] = "1"
+g[1][1] = "-1"
+g[2][2] = "-1"
+g[3][3] = "-1"
+A[0] = "0.1*x"
+grid.t = 0:1:2
+grid.x = -1:1:3
+grid.y = 0:1:2
+grid.z = 0:1:2
+"""
+
+
+@pytest.mark.parametrize("constants", ["c = 1e200", "c = 1e-200", "G = 1e300\nc = 1e-3"],
+                         ids=["c-overflows", "c-underflows", "coupling-overflows"])
+def test_a_coupling_that_is_not_finite_and_nonzero_is_a_usage_error(constants, tmp_path, capsys):
+    """c**4 overflows, c**4 is 0.0 (G / c**4 divides by zero), or G / c**4
+    is inf: a load error, not a traceback or a coupling of inf."""
+    path = tmp_path / "flat.spacetime"
+    path.write_text(FLAT_FILE + constants + "\n")
+    assert main(["run", "--spacetime", str(path), "--suite", "all",
+                 "--out", str(tmp_path / "r.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "the coupling G/c^4 must be finite and nonzero" in err
+
+
+NON_FINITE = "non-finite residual at ("
+
+
+def _failed_notes(args, tmp_path):
+    out = tmp_path / "r.json"
+    assert main(["run", *args, "--suite", "all", "--out", str(out)]) == 1
+    return {c["id"]: c["note"] for c in json.loads(out.read_text())["checks"] if not c["pass"]}
+
+
+def test_a_non_finite_residual_fails_its_row_with_a_note(tmp_path):
+    """At E = 1e160 the stress tensor overflows, and inf - inf leaves NaN
+    residuals that no error explains: each such row fails, naming the first
+    point, where it used to pass at 0.  The dust rows, which raise, keep
+    their error notes."""
+    failed = _failed_notes(["--spacetime", "minkowski-constant-e", "--param", "E=1e160"],
+                           tmp_path)
+    rows = [cid for cid in CHECK_DEFS if cid.startswith("rc.")] + [
+        "em.stress_trace", "em.stress_symmetry", "em.stress_conservation",
+        "em.divergence_rc_lc", "em.energy_density"]
+    for cid in rows:
+        assert failed[cid] == NON_FINITE + "-0.5, -0.5, -0.5, -0.5)", cid
+    for cid in ("dyn.exchange_mass_flux", "dyn.exchange_conservation"):
+        assert failed[cid].startswith("EvalError: dust field 'rho0'"), cid
+
+
+def test_a_flat_metric_with_an_overflowing_field_fails(tmp_path):
+    path = tmp_path / "flat.spacetime"
+    path.write_text(FLAT_FILE.replace('"0.1*x"', '"1e160*x"'))
+    failed = _failed_notes(["--spacetime", str(path)], tmp_path)
+    assert all(note.startswith(NON_FINITE) for note in failed.values()), failed
+    assert {cid for cid in CHECK_DEFS if cid.startswith("rc.")} <= failed.keys()
+
+
 NEGATIVE_G00_FILE = """
 name = negative-g00
 coords = t, x, y, z
@@ -864,8 +925,19 @@ def test_orbits_are_kept_in_grid_order_by_their_first_point():
     first, counts = harness._orbits(pts, [1, 2, 3])
     assert first.tolist() == [0, 1, 3, 4]  # -0.0 and 0.0 are different bits
     assert counts.tolist() == [2, 2, 1, 1]
+    first, counts = harness._orbits(pts, [1])
+    assert first.tolist() == [0, 1, 3, 4] and counts.tolist() == [2, 2, 1, 1]
+    first, counts = harness._orbits(pts, [0, 1])  # every row differs in x0
+    assert first.tolist() == list(range(6)) and counts.tolist() == [1] * 6
+    # no axes: one orbit of every point, or none of no point
     first, counts = harness._orbits(pts, [])
     assert first.tolist() == [0] and counts.tolist() == [6]
+    first, counts = harness._orbits(pts[:0], [])
+    assert first.tolist() == [] and counts.tolist() == []
+    # a zero's sign bit alone tells two rows apart, in any column of the key
+    signed = np.array([[0.0, 1.0, -0.0, 0], [0.0, 1.0, 0.0, 0], [0.0, 1.0, -0.0, 0]])
+    first, counts = harness._orbits(signed, [1, 2])
+    assert first.tolist() == [0, 1] and counts.tolist() == [2, 1]
 
 
 # -- the command-line parser ------------------------------------------------------
