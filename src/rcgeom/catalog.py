@@ -242,15 +242,19 @@ def build_model(
     origin=None,
 ):
     """Assemble a model from expression sources with symmetric completion."""
-    constants = PhysicalConstants(float(G), float(c))
+    params = dict(params or {})
+    try:
+        constants = PhysicalConstants(float(G), float(c))
+        if bad := [f"{k}={v}" for k, v in params.items() if not math.isfinite(v)]:
+            raise GeometryError(f"parameters must be finite: {', '.join(bad)}")
+    except GeometryError as err:  # a definition file's names the file
+        if origin is None:
+            raise
+        raise SpacetimeFormatError(str(err), origin) from None
     chart = ChartSpec(tuple(coord_names))
     for n in ("G", "c"):
         if n in chart.names:
             raise SpacetimeFormatError(f"coordinate {n} names a constant", origin or name)
-    params = dict(params or {})
-    bad = [f"{k}={v}" for k, v in params.items() if not math.isfinite(v)]
-    if bad:
-        raise GeometryError(f"parameters must be finite: {', '.join(bad)}")
     env = dict(params, G=constants.G, c=constants.c)
 
     g_sources = dict(g_sources or {})

@@ -145,7 +145,8 @@ def _write_report(report, out):
         fh.write("\n")
     for c in report.checks:
         status = "pass" if c.passed else "FAIL"
-        res = "n/a" if c.max_residual is None else format(c.max_residual, ".3e")
+        # a row without a reading ended in an error, which its note names
+        res = f"n/a  {c.note}" if c.max_residual is None else format(c.max_residual, ".3e")
         print(f"{status}  {c.check_id:32s} max_residual={res}")
     return 0 if report.passed else 1
 

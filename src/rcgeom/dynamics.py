@@ -17,23 +17,17 @@ whose last stage is taken at the new state and so is the next step's first
 function generated from it on first use (``_step``), unrolled over the eight
 floats, which computes every stage point, the new state and the error
 estimate with the float operations of elementwise list sums in their order,
-so a trajectory is the list arithmetic's bit for bit.  It calls the stage it
-is given at each stage point.  In dual mode that is the model's force law as
-one generated straight-line function (``_generate_rhs``), so a step builds no
-snapshot; the field jets it starts from hold no structural zero product
-(``expr.compile_one_point``), so it computes no ``0.0 * t``.  ``integrate_worldline``
-resolves it once and hands it to every ``_rhs`` call; the code of equal
-fields and templates is generated once per process, so a model built again,
-as each CLI call builds one, takes the kept function.  Where that function
-declines (returns None), raises ``ArithmeticError`` or ``ValueError``, the
-same step is re-run from its start with ``_rhs`` at each stage: the
-generated function, else a snapshot of the point, whose error notes are the
-engine's own.  fd mode runs every step that way.  ``_rhs`` gives dy/ds and
-the norm g(V, V) at its point.  An accepted state takes its
-norm, and its domain test, from the stage at that state, which is also the
-next step's first.  A ``Trajectory`` keeps the accepted states as columns,
-built once, after the loop.  Identities take a batch of points, one velocity
-per point.
+so a trajectory is the list arithmetic's bit for bit.  At each stage point
+it calls the model's force law, one generated straight-line function
+(``_generate_rhs``, once per process for equal fields and templates), so a
+step builds no snapshot.  Where the law declines (returns None), raises
+``ArithmeticError`` or ``ValueError``, that stage alone takes the snapshot
+route, whose error notes are the engine's own; fd mode's law declines
+everywhere.  ``_rhs`` gives dy/ds and the norm g(V, V) at the start and at
+a renormalized state.  An accepted state takes its norm, and its domain
+test, from the stage at that state, which is also the next step's first.
+A ``Trajectory`` keeps the accepted states as columns, built once, after
+the loop.  Identities take a batch of points, one velocity per point.
 """
 
 from __future__ import annotations
@@ -218,9 +212,9 @@ def _generate_rhs(model):
     of the folded trees of the coordinate-dependent components, continued
     by ``_force_law``), or None where a component is not an expression (a
     gauge-shifted potential) or the generator declines.  A model whose
-    fields record the same jets, over the same constant template, gets the
-    function generated for the first such model in the process: a later
-    call records the trees again but generates nothing.
+    fields have the same folded trees, over the same constant template,
+    gets the function generated for the first such model in the process: a
+    later call records and generates nothing.
 
     ``rhs`` returns ``_rhs``'s pair, or None where the snapshot route must
     decide: outside the domain, within a factor 2 of the degeneracy bound
@@ -401,21 +395,21 @@ _STEPS = {}
 
 def _step(tableau):
     """The tableau's Runge-Kutta step as one generated straight-line
-    function ``step(stage, ds, y, dy, k)`` (``step.source``), made on first
-    use, over the eight floats of y and of its derivative dy.
+    function ``step(law, fall, ds, y, dy, k)`` (``step.source``), made on
+    first use, over the eight floats of y and of its derivative dy.
 
-    ``stage(*point, k)`` gives the ``_rhs`` pair at a point, or None.  The
-    point of stage i + 2 is y, then + c * k_j for each pair of row i in
-    turn, with c = ds * a.  The new y is the last stage's point with
-    ``fsal``, else y + (ds / denom) * (the stages weighted by ``b``, left to
-    right); the error is max |y_new - (y + ds * (the stages weighted by
-    ``b_low``))|, or 0.0 without ``b_low``.  A unit weight takes its stage
-    as is (1.0 * k is k, bit for bit).  These are the float operations of
-    elementwise list sums, in their order.
+    Stage j (from 1) is ``law(*point, k)``, the ``_rhs`` pair at its point,
+    or ``fall(j, *point)`` where the law returns None or raises
+    ``ArithmeticError`` or ``ValueError``.  The point of stage i + 2 is y,
+    then + c * k_j for each pair of row i in turn, with c = ds * a.  The new
+    y is the last stage's point with ``fsal``, else y + (ds / denom) * (the
+    stages weighted by ``b``, left to right); the error is max |y_new - (y +
+    ds * (the stages weighted by ``b_low``))|, or 0.0 without ``b_low``.  A
+    unit weight takes its stage as is (1.0 * k is k, bit for bit): the
+    float operations of elementwise list sums, in their order.
 
     Returns ``(y_new, err, pair)``, where pair is the stage at y_new: the
-    last one with ``fsal``, else one more call; or None as soon as a stage
-    returns None.
+    last one with ``fsal``, else one more stage.
     """
     step = _STEPS.get(tableau.method)
     if step is not None:
@@ -425,29 +419,27 @@ def _step(tableau):
     read = {j for pairs in (*tableau.a, tableau.b, tableau.b_low or ()) for _, j in pairs}
 
     def call(point, j):
-        """Call the stage at the point, naming its derivative k_j if read."""
-        body.extend([f"s = stage({', '.join(point)}, k)", "if s is None:", "    return None"])
+        """Stage j at the point, named z, naming its derivative k_j if read."""
+        body.extend(f"z{n} = {component}" for n, component in enumerate(point))
+        body.extend(["try:", f"    s = law({_names('z')}, k)",
+                     "except (ArithmeticError, ValueError):", "    s = None",
+                     "if s is None:", f"    s = fall({j}, {_names('z')})"])
         if j in read:
             body.append(f"({_names(f'k{j}_')}), _ = s")
 
     for i, row in enumerate(tableau.a, start=1):
         body += [f"c{i}_{p} = ds * {a!r}" for p, (a, _) in enumerate(row)]
-        point = [f"y{n}" + "".join(f" + c{i}_{p} * k{j}_{n}" for p, (_, j) in enumerate(row))
-                 for n in range(8)]
-        if tableau.fsal and i == len(tableau.a):
-            body += [f"z{n} = {component}" for n, component in enumerate(point)]
-            point = [f"z{n}" for n in range(8)]
-        call(point, i)
+        call([f"y{n}" + "".join(f" + c{i}_{p} * k{j}_{n}" for p, (_, j) in enumerate(row))
+              for n in range(8)], i)
     if not tableau.fsal:
         body.append(f"c = ds / {tableau.denom!r}")
-        body += [f"z{n} = y{n} + c * ({_weighted(tableau.b, n)})" for n in range(8)]
-        call([f"z{n}" for n in range(8)], len(tableau.a) + 1)
+        call([f"y{n} + c * ({_weighted(tableau.b, n)})" for n in range(8)], len(tableau.a) + 1)
     err = "0.0"
     if tableau.b_low is not None:
         err = "max({})".format(", ".join(
             f"abs(z{n} - (y{n} + ds * ({_weighted(tableau.b_low, n)})))" for n in range(8)))
     body.append(f"return [{_names('z')}], {err}, s")
-    source = "def step(stage, ds, y, dy, k):\n" + "".join(f"    {line}\n" for line in body)
+    source = "def step(law, fall, ds, y, dy, k):\n" + "".join(f"    {line}\n" for line in body)
     namespace = {}
     exec(compile(source, "<rcgeom generated Runge-Kutta step>", "exec"), namespace)
     step = _STEPS[tableau.method] = namespace["step"]
@@ -485,34 +477,29 @@ def integrate_worldline(model, init, charge_ratio, config, mode="dual"):
         traj.rhs_evals += 1
         return _rhs(model, y, k, law, mode)
 
-    def advance(y, dy, ds):
-        """One step from y, whose derivative is dy: ``step`` with the
-        generated force law at every stage, or, where that is missing,
-        declines or raises, the same step re-run with ``_rhs`` at each."""
-        _derivative(dy)  # a deferred error raises before the step
-        if law is not None:
-            try:
-                out = step(law, ds, y, dy, k)
-            except (ArithmeticError, ValueError):
-                out = None
-            if out is not None:
-                traj.rhs_evals += calls
-                return out
-        stages = iter(range(calls))
-
-        def stage(*point):
-            at = list(point[:8])
-            if next(stages) < len(tableau.a):
-                pair = rhs(at)
+    def fall(j, *point):
+        """Stage j where the law declines or raises: a snapshot.  An interior
+        stage raises its error, a deferred ``MetricError`` too; a new state
+        without fsal keeps that one, to be accepted with its norm.  A stage
+        that raises counts the j stages its step took."""
+        try:
+            pair = _snapshot_rhs(model, list(point), k, mode)
+            if j <= len(tableau.a):
                 _derivative(pair[0])
-                return pair
-            try:  # the new state of a step without fsal, accepted with its norm
-                return rhs(at)
-            except DomainError:
-                raise DomainError(f"worldline left the domain of {model.name!r} near "
-                                  f"{point_text(at[:4])}") from None
+            return pair
+        except GeometryError as err:
+            traj.rhs_evals += j
+            if j <= len(tableau.a) or not isinstance(err, DomainError):
+                raise
+            raise DomainError(f"worldline left the domain of {model.name!r} near "
+                              f"{point_text(point[:4])}") from None
 
-        return step(stage, ds, y, dy, k)
+    def advance(y, dy, ds):
+        """One step from y, whose derivative is dy."""
+        _derivative(dy)  # a deferred error raises before the step
+        out = step(law, fall, ds, y, dy, k)
+        traj.rhs_evals += calls
+        return out
 
     def accept(y, s, pair, renormalize=False):
         """Record an accepted state from its ``_rhs`` pair; returns the state
@@ -527,7 +514,8 @@ def integrate_worldline(model, init, charge_ratio, config, mode="dual"):
         return y, dy
 
     try:
-        law = _generate_rhs(model) if mode == "dual" else None
+        # fd mode, or a model without a generated law: a law that always declines
+        law = (_generate_rhs(model) if mode == "dual" else None) or (lambda *point: None)
         dy = _derivative(rhs(y)[0])
         if config.method == "rk4":
             every = config.renormalize_every

@@ -23,14 +23,14 @@ takes.
 
 ``compile_one_point`` generates one straight-line Python function of four
 floats from a set of folded trees and a domain test.  It records the order-1
-jet of each tree with the operations of ``Jet`` arithmetic on floats, and
-hands the jets to the caller, which carries the function on (``dynamics``
-records the force law).  The seeds' gradient entries along the other axes
-are an absorbing zero (``_ZERO``), so the recording holds no product with a
-structural zero and no sum with one (sparse forward mode); every other entry
-is the jet path's bit for bit.  Each function is generated once per process:
-a bounded memo keyed by the recorded jets and the caller's key hands it to
-every later call whose code would be the same.
+jet of each tree on floats with a sparse jet (``_Dual``), which does the
+order-1 operations of ``Jet`` arithmetic but keeps no entry along an axis
+the tree does not read, so the recording holds no product with a structural
+zero and no sum with one (sparse forward mode); every other entry is the jet
+path's bit for bit.  It hands the jets to the caller, which carries the
+function on (``dynamics`` records the force law).  Each function is
+generated once per process: a bounded memo keyed by the folded trees and the
+caller's key hands it to every later call, which records nothing.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EvalError, ParseError, UnknownIdentifierError
-from .jets import _POW_DOMAIN, _TABLE, FUNCTIONS, Jet, _pow_terms, jet_pow
+from .jets import _POW_DOMAIN, _TABLE, FUNCTIONS, _pow_terms, jet_pow
 
 # The deepest shipped expression (Kerr-Newman) has depth 9.
 MAX_DEPTH = 200
@@ -437,46 +437,31 @@ def compile_one_point(trees, domain, args, then, key):
     reads a coordinate, on through ``then``, or None where the generator
     declines.
 
-    ``then(tape, jets, *arguments)`` gets one recorded ``Jet`` per tree,
-    whose value and gradient are float constants or recorded floats, and
-    the recorded arguments of ``f``; it may record statements and guards
-    of its own, and returns the outputs (a tuple whose entries may be
-    tuples), or None to decline.  ``f`` returns None when the folded
+    ``then(tape, jets, *arguments)`` gets one recorded ``_Dual`` per tree
+    (its value ``f`` and gradient ``g``, float constants or recorded
+    floats) and the recorded arguments of ``f``; it may record statements
+    and guards of its own, and returns the outputs (a tuple whose entries
+    may be tuples), or None to decline.  ``f`` returns None when the folded
     ``domain`` tree (None: every point is inside) is not positive and
     finite at the point, or when a guard fails.
 
-    The function is straight-line code over floats.  Each tree is run
-    through ``Jet`` itself (and through the ``_TABLE`` rules at order 1,
-    with the tape as their ``m``), whose operations on floats are recorded
-    as statements, from seeds whose gradient entries along the other axes
-    are ``_ZERO``.  ``_ZERO`` absorbs every product and drops out of every
-    sum, so the recording never holds a structural zero product ``0.0 * t``
-    (a gradient entry along an axis that a factor does not read), and a
-    ``_ZERO`` left in a jet reaches ``then`` as the constant 0.0.  Every
-    other entry holds the operations of the jet path, on the same operands
-    in the same order, and is the jet path's bit for bit.  The jets differ
-    only where the jet path multiplies a structural zero: by a finite
-    operand it gets a ±0.0 (here 0.0), and by a non-finite one a NaN,
-    where the same operand also makes an entry along the axes its factor
-    reads non-finite.  Operations are hash-consed, on the folded
-    trees and on the statement text, so a subexpression shared by several
-    trees is computed once.  A statement that neither leads to an output
-    nor can raise is dropped; one that can raise is kept, so that ``f``
-    raises where the jets raise.  A temporary read exactly once whose
-    statement cannot raise (``+``, ``-``, ``*``, negation, ``abs``,
-    ``max``) is written into its reader in parentheses, to a capped depth
-    (``_Tape.source``): the same operations in the same order, in fewer
-    statements, so ``f`` compiles and runs faster; ``/``, ``**``, ``math``
-    functions and guards are never written inline.  The source holds only
-    the arguments, temporaries, finite float literals and ``math``
-    functions (``f.source``), never text from a definition file.
+    Each tree runs from the coordinates' seeds through ``_Dual``, and its
+    functions through the ``_TABLE`` rules at order 1 with the tape as
+    their ``m``; operations on floats are recorded as statements,
+    hash-consed on their text.  An entry along an axis the tree does not
+    read reaches ``then`` as the constant 0.0; every other entry is the jet
+    path's bit for bit.  The jets differ only where the jet path multiplies
+    a structural zero: by a finite operand it gets a +-0.0, and by a
+    non-finite one a NaN, where the same operand also makes an entry along
+    the axes its factor reads non-finite.  ``_Tape.source`` writes ``f``,
+    straight-line code over floats that raises where the jets raise; it
+    holds only the arguments, temporaries, finite float literals and
+    ``math`` functions (``f.source``), never text from a definition file.
 
-    Each result is kept once per process, in a bounded memo keyed by what
-    its code is built from: the recorded statements of the domain and the
-    trees, the text of each jet's entries, ``args``, and the caller's
-    hashable ``key``, which names ``then`` and everything it reads beyond
-    the jets.  The trees are recorded on every call, and a key seen before
-    gives the same function without running ``then`` or compiling again.
+    Each result, None included, is kept once per process, in a bounded memo
+    keyed by the folded trees and domain (frozen, and bit-equal when
+    equal), ``args``, and the caller's hashable ``key``, which names
+    ``then`` and everything it reads beyond the jets; a hit records nothing.
 
     The generator declines when an operation on constants fails (as one in
     a subtree that did not fold does) or an operation fails at every point;
@@ -484,27 +469,24 @@ def compile_one_point(trees, domain, args, then, key):
     and may return non-finite entries.  Either way the caller runs the jet
     path, which gives its own note.
     """
-    tape = _Tape()
-    xs = [_Var(tape, f"x{i}") for i in range(4)]
-    seeds = [Jet(x, _SEED_ROWS[i]) for i, x in enumerate(xs)]
-    try:
-        if domain is not None:
-            d = _symbolic(domain, xs, tape, {})
-            if isinstance(d, _Var):
-                tape.guard("not 0.0 < {} <= " + repr(sys.float_info.max), d)
-            elif not d > 0.0:  # no point is inside
-                raise _Decline
-        memo = {}
-        jets = [_symbolic(tree, seeds, tape, memo) for tree in trees]
-    except (_Decline, ArithmeticError, ValueError):
-        return None
-    jets = [Jet(j.f, [0.0 if d is _ZERO else d for d in j.g]) for j in jets]
-    key = (tuple(tape.lines), tuple(map(_jet_text, jets)), tuple(args), key)
+    key = (tuple(trees), domain, tuple(args), key)
     with _GENERATED_LOCK:
         if key in _GENERATED:
             _GENERATED.move_to_end(key)
             return _GENERATED[key]
-    run = _generate(tape, jets, xs, args, then)
+    tape = _Tape()
+    xs = [_Var(tape, f"x{i}") for i in range(4)]
+    try:
+        if domain is not None:
+            d = _symbolic(domain, xs, tape)
+            if isinstance(d, _Var):
+                tape.guard("not 0.0 < {} <= " + repr(sys.float_info.max), d)
+            elif not d > 0.0:  # no point is inside
+                raise _Decline
+        seeds = [_Dual(x, {i: 1.0}) for i, x in enumerate(xs)]
+        run = _generate(tape, [_symbolic(tree, seeds, tape) for tree in trees], xs, args, then)
+    except (_Decline, ArithmeticError, ValueError):
+        run = None
     with _GENERATED_LOCK:
         _GENERATED[key] = run
         if len(_GENERATED) > _GENERATED_MAX:
@@ -516,12 +498,6 @@ def compile_one_point(trees, domain, args, then, key):
 _GENERATED = collections.OrderedDict()
 _GENERATED_MAX = 64
 _GENERATED_LOCK = threading.Lock()
-
-
-def _jet_text(jet):
-    """The text of a recorded jet's value and gradient entries; ``repr``
-    tells a signed zero apart."""
-    return tuple(a.name if isinstance(a, _Var) else repr(float(a)) for a in (jet.f, *jet.g))
 
 
 def _generate(tape, jets, xs, args, then):
@@ -540,41 +516,33 @@ def _generate(tape, jets, xs, args, then):
     return run
 
 
-def _symbolic(node, coords, tape, memo):
+def _symbolic(node, coords, tape):
     """``evaluate`` of a folded tree over recorded floats: the coordinates
-    are the arguments (``_Var``) or their order-1 jets, and the result is a
-    float constant, a ``_Var`` or a Jet.  ``memo`` keeps each subtree's
-    result, so a repeated subtree is evaluated once."""
-    hit = memo.get(node)
-    if hit is not None:
-        return hit
+    are the arguments (``_Var``) or their seeds (``_Dual``), and the result
+    is a float constant, a ``_Var`` or a ``_Dual``."""
     if isinstance(node, Num):
         return node.value
     if isinstance(node, Coord):
         return coords[node.index]
     if isinstance(node, Neg):
-        out = -_symbolic(node.arg, coords, tape, memo)
-    elif isinstance(node, Call):
-        out = _call(node.func, _symbolic(node.arg, coords, tape, memo), tape)
-    else:
-        a = _symbolic(node.left, coords, tape, memo)
-        b = _symbolic(node.right, coords, tape, memo)
-        if isinstance(node, Pow):
-            out = _pow(a, b, tape)
-        elif isinstance(node, Div):
-            if not isinstance(b, (_Var, Jet)) and b == 0.0:
-                raise _Decline  # _divide's zero test fails at every point
-            out = a / b
-        else:
-            out = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}[type(node)](a, b)
-    memo[node] = out
-    return out
+        return -_symbolic(node.arg, coords, tape)
+    if isinstance(node, Call):
+        return _call(node.func, _symbolic(node.arg, coords, tape), tape)
+    a = _symbolic(node.left, coords, tape)
+    b = _symbolic(node.right, coords, tape)
+    if isinstance(node, Pow):
+        return _pow(a, b, tape)
+    if isinstance(node, Div):
+        if not isinstance(b, (_Var, _Dual)) and b == 0.0:
+            raise _Decline  # _divide's zero test fails at every point
+        return a / b
+    return {Add: operator.add, Sub: operator.sub, Mul: operator.mul}[type(node)](a, b)
 
 
 def _call(name, u, tape):
-    """``FUNCTIONS[name](u)``: a Jet composes with its ``_TABLE`` rule run
-    on the tape at order 1."""
-    if isinstance(u, Jet):
+    """``FUNCTIONS[name](u)``: a ``_Dual`` composes with its ``_TABLE`` rule
+    run on the tape at order 1."""
+    if isinstance(u, _Dual):
         d0, d1, _, _ = _RULES[name](tape, u.f, 1)
         return u.compose(d0, d1)
     return tape.call(name, u)
@@ -590,9 +558,9 @@ def _pow(u, p, tape):
     tested on a zero and on a negative base (an exponent that depends on the
     coordinates may fail at any base <= 0); ``**`` of floats gives the bits
     of ``math.pow`` and raises where it does once the guard has passed."""
-    if isinstance(p, Jet):
+    if isinstance(p, _Dual):
         return _call("exp", p * _call("log", u, tape), tape)
-    jet = isinstance(u, Jet)
+    jet = isinstance(u, _Dual)
     v = u.f if jet else u
     rules = _POW_DOMAIN if jet else _POW_DOMAIN[:2]
     fails = (True, True) if isinstance(p, _Var) else tuple(
@@ -659,8 +627,6 @@ class _Tape:
             self.lines.append((None, f"if {template}: return None", key[1], True))
 
     def binary(self, a, symbol, b):
-        if not (isinstance(a, (_Var, float, int)) and isinstance(b, (_Var, float, int))):
-            return NotImplemented  # an array: numpy applies the operation entry by entry
         # x * 1.0 and x ** 1.0 are x, x * (-1.0) is -x and x ** 0.0 is 1.0,
         # for every float x
         if symbol == "*" and (_is(a, 1.0) or _is(b, 1.0)):
@@ -727,35 +693,81 @@ class _Tape:
 _INLINE_DEPTH = 16
 
 
-class _Zero:
-    """The structural zero of the seeds' gradient rows: ``x * _ZERO`` is
-    ``_ZERO``, ``x + _ZERO`` and ``x - _ZERO`` are x, ``_ZERO - x`` is -x and
-    ``-_ZERO`` is ``_ZERO``, so ``Jet`` arithmetic records none of them."""
+class _Dual:
+    """A sparse order-1 jet: the value ``f`` and the gradient entries ``d``,
+    ``{axis: entry}`` in axis order, along the axes the tree reads.  Each
+    operation does ``Jet``'s order-1 operations operand for operand, in the
+    same order (numpy loops over the axes in order), without the exact zero
+    entries along the other axes: none is multiplied, and a sum with one is
+    the other entry (negated for ``0 - t``)."""
 
-    __slots__ = ()
+    __slots__ = ("f", "d")
 
-    def __mul__(self, other):
-        return self
+    def __init__(self, f, d):
+        self.f, self.d = f, d
 
-    def __add__(self, other):
-        return other
+    @property
+    def g(self):
+        """The four gradient entries, 0.0 along an axis the tree does not read."""
+        return [self.d.get(a, 0.0) for a in range(4)]
 
-    def __sub__(self, other):
-        return -other
+    def scaled(self, c):
+        return {a: e * c for a, e in self.d.items()}
 
-    def __rsub__(self, other):
-        return other
+    def compose(self, d0, d1):
+        """The chain rule for phi(u), from phi and phi' at u."""
+        return _Dual(d0, self.scaled(d1))
 
     def __neg__(self):
-        return self
+        return _Dual(-self.f, {a: -e for a, e in self.d.items()})
 
-    __rmul__, __radd__ = __mul__, __add__
+    def __add__(self, o):
+        if isinstance(o, _Dual):
+            return _Dual(self.f + o.f, _entrywise(self.d, o.d, 1))
+        return _Dual(self.f + o, self.d)
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        if isinstance(o, _Dual):
+            return _Dual(self.f - o.f, _entrywise(self.d, o.d, -1))
+        return _Dual(self.f - o, self.d)
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __mul__(self, o):
+        if isinstance(o, _Dual):
+            f = self.f * o.f
+            return _Dual(f, _entrywise(self.scaled(o.f), o.scaled(self.f), 1))
+        return _Dual(self.f * o, self.scaled(o))
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):  # a constant o is not zero: _symbolic declines at one
+        return self * (o._reciprocal() if isinstance(o, _Dual) else 1.0 / o)
+
+    def __rtruediv__(self, o):
+        return self._reciprocal() * o
+
+    def _reciprocal(self):
+        v = self.f
+        if not isinstance(v, _Var) and v == 0.0:
+            raise _Decline  # the jets' zero test fails at every point
+        iv = 1.0 / v
+        return self.compose(iv, -iv * iv)
 
 
-_ZERO = _Zero()
-# the coordinates' order-1 seeds: 1.0 along their own axis
-_SEED_ROWS = tuple(np.array([1.0 if a == i else _ZERO for a in range(4)], dtype=object)
-                   for i in range(4))
+def _entrywise(p, q, sign):
+    """The gradient entries p + q (sign 1) or p - q (sign -1), axis by axis
+    in order; an entry missing on one side is an exact zero there."""
+    out = {}
+    for a in sorted(p.keys() | q.keys()):
+        if a in p and a in q:
+            out[a] = p[a] + q[a] if sign > 0 else p[a] - q[a]
+        else:
+            out[a] = p[a] if a in p else q[a] if sign > 0 else -q[a]
+    return out
 
 
 class _Var:
@@ -770,13 +782,6 @@ class _Var:
 
     def __neg__(self):
         return self.tape.op("-{}", self)
-
-    def __eq__(self, other):
-        # Jet._reciprocal's zero test.  A zero divisor raises at the
-        # generated ``1.0 / v`` instead, so the test records nothing.
-        return False
-
-    __hash__ = None
 
 
 def _recorded(symbol, reflected):

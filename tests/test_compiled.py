@@ -487,8 +487,9 @@ def _sound_zeros(run, x, want):
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_the_zero_marks_are_sound_on_the_default_grid(name):
     """Every jet entry the generator hands on as the constant 0.0 (each
-    structural zero, a ``_ZERO``, among them) is +-0.0 on the jet path at
-    every default-grid point where the jet path's entries are finite."""
+    entry along an axis its tree does not read among them) is +-0.0 on the
+    jet path at every default-grid point where the jet path's entries are
+    finite."""
     model = MODELS[name]
     fields = [f for *_, f in model.layout.g_live + model.layout.A_live]
     run = expr.compile_one_point([f.tree for f in fields], None, (), _zero_entries,
@@ -518,15 +519,35 @@ def test_the_zero_marks_are_sound_on_random_trees(tree, params, x):
 
 
 def test_a_mixed_sum_keeps_its_nonzero_term():
-    """``x*y`` has the gradient entry ``y + _ZERO * x`` along x, which is
-    ``y``; the entries along t and z stay ``_ZERO``, and the tape records
-    only the value ``x1 * x2``: each other product is with 1.0 or ``_ZERO``."""
+    """``x*y`` has the gradient entry ``y`` along x and ``x`` along y, and
+    none along t and z, which it does not read; the tape records only the
+    value ``x1 * x2``: each other product is with 1.0."""
     tape = expr._Tape()
     x, y = expr._Var(tape, "x1"), expr._Var(tape, "x2")
-    jet = Jet(x, expr._SEED_ROWS[1]) * Jet(y, expr._SEED_ROWS[2])
-    assert jet.g[0] is expr._ZERO and jet.g[3] is expr._ZERO
-    assert [expr._text(d) for d in jet.g[1:3]] == ["x2", "x1"]
+    jet = expr._Dual(x, {1: 1.0}) * expr._Dual(y, {2: 1.0})
+    assert [expr._text(d) for d in jet.d.values()] == ["x2", "x1"] and list(jet.d) == [1, 2]
     assert [line[1:3] for line in tape.lines] == [("{} * {}", ("x1", "x2"))]
+
+
+def test_a_divisor_that_is_zero_everywhere_declines():
+    """x^0 - 1 is the constant 0.0 with a gradient: the jets' zero test
+    fails at every point, so the generator declines."""
+    assert _generated(expr.fold(expr.parse("t + 1/(x^0 - 1)", CART), {})) is None
+
+
+@pytest.mark.parametrize("name", sorted(MODELS))
+def test_generating_a_force_law_runs_no_jet_operation(monkeypatch, name):
+    """The law is recorded with the sparse jet over the tape: no operation
+    of ``jets.Jet`` runs, so the engine's jet counters read 0 for it."""
+    ran = []
+    for op in ("__neg__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+               "__truediv__", "__rtruediv__", "__pow__", "__rpow__", "compose", "_reciprocal"):
+        def counted(*args, _op=getattr(Jet, op), _name=op):
+            ran.append(_name)
+            return _op(*args)
+        monkeypatch.setattr(Jet, op, counted)
+    monkeypatch.setattr(expr, "_GENERATED", collections.OrderedDict())
+    assert dynamics._generate_rhs(MODELS[name]) is not None and ran == []
 
 
 # A potential whose value reads an exact zero product that overflows for

@@ -342,8 +342,8 @@ REFERENCE_RUNS.update({f"{name}-fd": REFERENCE_RUNS[name] for name in (
     "constant-e-charged-rk4", "rn-charged-rk45", "schwarzschild-infall-rk4",
     "schwarzschild-infall-rk45")})
 # the generated force law returns None on a band of points the trajectory
-# crosses (phi on the circular orbit, r on the charged one), so the steps
-# there are re-run through the snapshot route
+# crosses (phi on the circular orbit, r on the charged one), so the stages
+# there take the snapshot route
 DECLINES = {
     "schwarzschild-circular-rk4-declining": lambda y: 0.3 < y[3] < 0.35,
     "rn-charged-rk45-declining": lambda y: 10.3 < y[1] < 10.5,
@@ -378,8 +378,8 @@ def test_integrator_matches_reference_steppers(monkeypatch, fallbacks, name):
     V0 = np.array([1.0, 0.0, 0.0, 0.0]) if v0 is None else normalize_velocity(m, x0, np.array(v0))
     init = WorldlineState(x0, V0, 0.0)
     traj = integrate_worldline(m, init, k, config, mode)
-    if declined is not None:  # the integrator re-ran the steps that crossed the band
-        assert declined and fallbacks
+    if declined is not None:  # each declined stage is offered to the law once
+        assert declined and len(declined) == len(fallbacks)
     ref = _reference_worldline(m, init, k, config, mode)
 
     assert traj.y.shape == ref.y.shape
@@ -829,18 +829,25 @@ def test_an_rk4_step_that_leaves_the_domain_at_an_inner_stage():
     assert traj.x[:, 1].min() > 2.0
 
 
-def _list_rk_step(tableau, stage, ds, y, k1, k):
+def _list_rk_step(tableau, law, fall, ds, y, k1, k):
     """The generated step's arithmetic as elementwise list sums: the
-    reference it must match bit for bit."""
+    reference it must match bit for bit.  Stage j is the law's pair, or
+    where the law declines or raises, ``fall(j, *point)``."""
     ks = [k1]
-    for row in tableau.a:
+
+    def stage(j, point):
+        try:
+            pair = law(*point, k)
+        except (ArithmeticError, ValueError):
+            pair = None
+        return fall(j, *point) if pair is None else pair
+
+    for j, row in enumerate(tableau.a, start=1):
         yi = y
-        for a, j in row:
+        for a, i in row:
             c = ds * a
-            yi = [u + c * v for u, v in zip(yi, ks[j])]
-        last = stage(*yi, k)
-        if last is None:
-            return None
+            yi = [u + c * v for u, v in zip(yi, ks[i])]
+        last = stage(j, yi)
         ks.append(last[0])
 
     def weigh(pairs):
@@ -856,9 +863,7 @@ def _list_rk_step(tableau, stage, ds, y, k1, k):
     else:
         c = ds / tableau.denom
         y_new = [u + c * v for u, v in zip(y, weigh(tableau.b))]
-        last = stage(*y_new, k)
-        if last is None:
-            return None
+        last = stage(len(tableau.a) + 1, y_new)
     if tableau.b_low is None:
         return y_new, 0.0, last
     low = weigh(tableau.b_low)
@@ -884,51 +889,69 @@ _STATES = st.lists(_STEP_FLOATS, min_size=8, max_size=8)
 def test_generated_kernels_match_the_list_arithmetic(method, y, ks, ds):
     """The generated step's stage points, new y, error estimate and pair at
     the new state are the list arithmetic's, bit for bit (overflow to inf
-    and NaN included); call i of the stage returns the pair (ks[i], i).  A
-    stage that returns None at call i ends the step with None after i calls."""
+    and NaN included); call i of the law returns the pair (ks[i], i).  A law
+    that declines at call i (returns None, or raises) hands stage i to
+    ``fall(i, *point)``, whose pair (-ks[i], -i) the step then uses; the
+    law is offered every stage once either way."""
     tableau = dynamics._TABLEAUX[method]
     calls = len(tableau.a) + (not tableau.fsal)
 
-    def run(step, points, none_at=None):
-        def stage(*args):
+    def run(step, points, falls, declines_at=None):
+        def law(*args):
             assert args[8] == 0.25  # the charge ratio, passed on
             points.append(args[:8])
             i = len(points)
-            return None if i == none_at else (tuple(ks[i]), float(i))
-        return step(stage, ds, y, tuple(ks[0]), 0.25)
+            if i == declines_at:
+                if i % 2:
+                    return None
+                raise ZeroDivisionError("float division by zero")
+            return tuple(ks[i]), float(i)
 
-    got_points, want_points = [], []
-    got = run(dynamics._step(tableau), got_points)
-    want = run(functools.partial(_list_rk_step, tableau), want_points)
-    assert list(map(_bits, got_points)) == list(map(_bits, want_points))
-    assert len(got_points) == calls
-    assert _bits(got[0]) == _bits(want[0])
-    assert _bits([got[1]]) == _bits([want[1]])
-    assert got[2] == want[2] == (tuple(ks[calls]), float(calls))
-    for i in range(1, calls + 1):
-        points = []
-        assert run(dynamics._step(tableau), points, none_at=i) is None
-        assert len(points) == i
+        def fall(j, *point):
+            falls.append(j)
+            assert point == points[-1]
+            return tuple(-v for v in ks[j]), -float(j)
+
+        return step(law, fall, ds, y, tuple(ks[0]), 0.25)
+
+    for declines_at in (None, *range(1, calls + 1)):
+        got_points, want_points, got_falls, want_falls = [], [], [], []
+        got = run(dynamics._step(tableau), got_points, got_falls, declines_at)
+        want = run(functools.partial(_list_rk_step, tableau), want_points, want_falls,
+                   declines_at)
+        assert list(map(_bits, got_points)) == list(map(_bits, want_points))
+        assert len(got_points) == calls
+        assert got_falls == want_falls == ([] if declines_at is None else [declines_at])
+        assert _bits(got[0]) == _bits(want[0])
+        assert _bits([got[1]]) == _bits([want[1]])
+        assert got[2] == want[2]
+        if declines_at != calls:
+            assert got[2] == (tuple(ks[calls]), float(calls))
 
 
 @pytest.mark.parametrize("method", sorted(dynamics._TABLEAUX))
 def test_generated_step_source_holds_only_its_own_names(method):
     """The generated step holds only its arguments, its locals, finite float
-    literals, abs, max and the None of a declining stage."""
-    tree = ast.parse(dynamics._step(dynamics._TABLEAUX[method]).source)
+    literals, the stage numbers it hands to ``fall``, abs, max, the errors
+    of a law that raises and the None of one that declines."""
+    tableau = dynamics._TABLEAUX[method]
+    tree = ast.parse(dynamics._step(tableau).source)
     (func,) = tree.body
     arguments = [a.arg for a in func.args.args]
-    assert func.name == "step" and arguments == ["stage", "ds", "y", "dy", "k"]
+    assert func.name == "step" and arguments == ["law", "fall", "ds", "y", "dy", "k"]
     stored = {n.id for n in ast.walk(tree)
               if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
-    assert not stored & {"stage", "abs", "max"}
+    builtins = {"abs", "max", "ArithmeticError", "ValueError"}
+    assert not stored & {"law", "fall", *builtins}
+    stages = range(1, len(tableau.a) + 2 - tableau.fsal)
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            assert node.id in {*arguments, *stored, "abs", "max"}
+            assert node.id in {*arguments, *stored, *builtins}
         elif isinstance(node, ast.Constant):
-            assert node.value is None or (type(node.value) is float and math.isfinite(node.value))
+            assert node.value is None or (type(node.value) is float and math.isfinite(node.value)
+                                          or type(node.value) is int and node.value in stages)
         elif isinstance(node, ast.Call):
-            assert isinstance(node.func, ast.Name) and node.func.id in {"stage", "abs", "max"}
+            assert isinstance(node.func, ast.Name) and node.func.id in {"law", "fall", "abs", "max"}
         else:
             assert not isinstance(node, (ast.Attribute, ast.Subscript, ast.Lambda))
 
@@ -1024,6 +1047,19 @@ def test_models_from_the_same_sources_share_one_force_law(generations, name):
 
     law, *others = [dynamics._generate_rhs(model()) for _ in range(3)]
     assert law is not None and all(f is law for f in others) and generations == [law]
+
+
+@pytest.mark.parametrize("name", ["schwarzschild", "reissner-nordstrom", "kerr-newman"])
+def test_a_model_built_again_records_nothing(monkeypatch, generations, name):
+    """The memo is keyed by the folded trees: the law of a model built again
+    from the same sources is found before anything is recorded, so no tape
+    is made for it."""
+    def model():
+        return load_spacetime_file(KN_FILE) if name == "kerr-newman" else catalog_get(name)
+
+    law, tapes, tape = dynamics._generate_rhs(model()), [], expr._Tape
+    monkeypatch.setattr(expr, "_Tape", lambda: tapes.append(tape()) or tapes[-1])
+    assert dynamics._generate_rhs(model()) is law and tapes == []
 
 
 def test_a_parameter_a_domain_or_a_signed_zero_gives_another_force_law(generations):

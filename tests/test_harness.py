@@ -501,19 +501,34 @@ def test_a_malformed_name_value_option_is_a_usage_error(args, error, tmp_path, c
 
 
 def test_non_finite_constant_in_a_definition_file_is_a_usage_error(tmp_path, capsys):
+    """The error names the file; a catalog entry's names none."""
     path = tmp_path / "rn.spacetime"
     path.write_text(RN_FILE.replace("param q = 0.3", "param q = 0.3\nG = nan"))
     assert main(["run", "--spacetime", str(path), "--suite", "metric",
                  "--out", str(tmp_path / "r.json")]) == 2
-    assert "constants must be finite and positive: G=nan" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        f"error: {path}: constants must be finite and positive: G=nan, c=1.0\n")
+    assert main(["run", "--spacetime", "schwarzschild", "--param", "G=nan", "--suite", "metric",
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == "error: constants must be finite and positive: G=nan, c=1.0\n"
 
 
 def test_non_finite_parameter_in_a_definition_file_is_a_usage_error(tmp_path, capsys):
+    """The error names the file, for a value in it or given by --param; a
+    catalog entry's names none."""
     path = tmp_path / "rn.spacetime"
-    path.write_text(RN_FILE.replace("param q = 0.3", "param q = inf"))
-    assert main(["run", "--spacetime", str(path), "--suite", "metric",
+    for value in ("inf", "nan"):
+        path.write_text(RN_FILE.replace("param q = 0.3", f"param q = {value}"))
+        assert main(["run", "--spacetime", str(path), "--suite", "metric",
+                     "--out", str(tmp_path / "r.json")]) == 2
+        assert capsys.readouterr().err == f"error: {path}: parameters must be finite: q={value}\n"
+    path.write_text(RN_FILE)
+    assert main(["run", "--spacetime", str(path), "--param", "M=nan", "--suite", "metric",
                  "--out", str(tmp_path / "r.json")]) == 2
-    assert "parameters must be finite: q=inf" in capsys.readouterr().err
+    assert capsys.readouterr().err == f"error: {path}: parameters must be finite: M=nan\n"
+    assert main(["run", "--spacetime", "schwarzschild", "--param", "M=nan", "--suite", "metric",
+                 "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == "error: parameters must be finite: M=nan\n"
 
 
 FLAT_FILE = """
@@ -535,13 +550,16 @@ grid.z = 0:1:2
                          ids=["c-overflows", "c-underflows", "coupling-overflows"])
 def test_a_coupling_that_is_not_finite_and_nonzero_is_a_usage_error(constants, tmp_path, capsys):
     """c**4 overflows, c**4 is 0.0 (G / c**4 divides by zero), or G / c**4
-    is inf: a load error, not a traceback or a coupling of inf."""
+    is inf: a load error that names the file, not a traceback or a coupling
+    of inf."""
     path = tmp_path / "flat.spacetime"
     path.write_text(FLAT_FILE + constants + "\n")
     assert main(["run", "--spacetime", str(path), "--suite", "all",
                  "--out", str(tmp_path / "r.json")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "the coupling G/c^4 must be finite and nonzero" in err
+    G, c = (dict(line.split(" = ") for line in constants.split("\n")).get(n, "1")
+            for n in ("G", "c"))
+    assert capsys.readouterr().err == (f"error: {path}: the coupling G/c^4 must be finite and "
+                                       f"nonzero: G={float(G)}, c={float(c)}\n")
 
 
 NON_FINITE = "non-finite residual at ("
@@ -567,6 +585,30 @@ def test_a_non_finite_residual_fails_its_row_with_a_note(tmp_path):
         assert failed[cid] == NON_FINITE + "-0.5, -0.5, -0.5, -0.5)", cid
     for cid in ("dyn.exchange_mass_flux", "dyn.exchange_conservation"):
         assert failed[cid].startswith("EvalError: dust field 'rho0'"), cid
+
+
+@pytest.mark.parametrize("args,line", [
+    (["--spacetime", "schwarzschild", "--suite", "metric", "--grid", "r=1000:1000:1"],
+     "FAIL  metric.inverse                   max_residual=n/a  MetricError: metric is "
+     "numerically degenerate (det=-8.733e+10) at (0.0, 1000.0, 0.3, 0.1)"),
+    (["--spacetime", "minkowski-constant-e", "--param", "E=1e160", "--suite", "all"],
+     "FAIL  em.stress_trace                  max_residual=n/a  " + NON_FINITE
+     + "-0.5, -0.5, -0.5, -0.5)"),
+], ids=["degenerate-metric", "overflowing-stress"])
+def test_stdout_names_the_note_of_a_failed_row_without_a_reading(args, line, tmp_path, capsys):
+    """A row without a reading prints ``n/a`` and its note; a row with one
+    prints its reading alone."""
+    out = tmp_path / "r.json"
+    assert main(["run", *args, "--out", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert line in lines
+    checks = json.loads(out.read_text())["checks"]
+    assert len(lines) == len(checks)
+    for got, c in zip(lines, checks):
+        status = "pass" if c["pass"] else "FAIL"
+        res = (f"n/a  {c['note']}" if c["max_residual"] is None
+               else format(c["max_residual"], ".3e"))
+        assert got == f"{status}  {c['id']:32s} max_residual={res}"
 
 
 def test_a_flat_metric_with_an_overflowing_field_fails(tmp_path):
