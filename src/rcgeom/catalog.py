@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import math
 import re
-from collections import namedtuple
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -430,23 +429,22 @@ def circular_radius_error(model, traj, charge_ratio):
     return np.abs(r - r[0])
 
 
-# A worldline with a known solution, run by the dynamics suite: its start,
-# model -> (x0, V0, charge ratio, ds, steps), and its closed form.
-ClosedFormScenario = namedtuple("ClosedFormScenario", "start closed_form")
-
-
 @dataclass(frozen=True)
-class WorldlineOracle:
-    """A closed form that holds for every worldline run meeting its premise:
-    charged (charge ratio nonzero) or neutral, and optionally a rest start."""
+class ClosedFormScenario:
+    """A worldline with a known solution, run by the dynamics suite: its
+    start, model -> (x0, V0, charge ratio, ds, steps), and its closed form.
+    With a premise, charged (charge ratio nonzero) or neutral (``charged``)
+    and optionally a rest start, the closed form holds for every worldline
+    run that meets it, and ``report`` gives its error, under ``name``."""
 
     name: str
+    start: object
     closed_form: object
-    charged: bool
+    charged: bool | None = None  # None: no premise, the dynamics suite's start only
     from_rest: bool = False
 
     def report(self, model, traj, charge_ratio):
-        if traj.exited or (charge_ratio != 0.0) != self.charged:
+        if self.charged is None or traj.exited or (charge_ratio != 0.0) != self.charged:
             return None
         if self.from_rest and not np.allclose(traj.V[0], [1.0, 0.0, 0.0, 0.0]):
             return None
@@ -489,23 +487,23 @@ class _Entry:
 
 # meta keys read by the suites: source_free, einstein_exact, diag_static,
 # sample_box, charge_density_param (the parameter holding a uniform proper
-# charge density), scenario (ClosedFormScenario, the worldline rows' claim),
-# oracle (WorldlineOracle) and dust (sources of a matched dust: rho0, rhoq, V).
+# charge density), scenario (ClosedFormScenario, the worldline rows' claim and
+# the oracle of user worldlines) and dust (sources of a matched dust: rho0, rhoq, V).
 _ENTRIES = {
     "minkowski": _Entry(
         _CARTESIAN, _FLAT, {}, {}, _BOX_GRID,
         {**_FLAT_META, "einstein_exact": True,
          "scenario": ClosedFormScenario(
-             lambda model: (_ORIGIN, _AT_REST, 0.0, 0.01, 200), straight_line_error),
-         "oracle": WorldlineOracle("straight-line", straight_line_error, charged=False),
+             "straight-line", lambda model: (_ORIGIN, _AT_REST, 0.0, 0.01, 200),
+             straight_line_error, charged=False),
          "dust": ("0.05", "0", _COMOVING)},
     ),
     "minkowski-constant-e": _Entry(
         _CARTESIAN, _FLAT, {0: "-(E*x)"}, {"E": 1.0}, _BOX_GRID,
         {**_FLAT_META,
-         "scenario": ClosedFormScenario(_accelerated_start, uniform_acceleration_error),
-         "oracle": WorldlineOracle("uniform-acceleration", uniform_acceleration_error,
-                                   charged=True, from_rest=True),
+         "scenario": ClosedFormScenario("uniform-acceleration", _accelerated_start,
+                                        uniform_acceleration_error, charged=True,
+                                        from_rest=True),
          "dust": (f"0.05/{_ACCEL_GAMMA}", f"0.025*c^2/{_ACCEL_GAMMA}",
                   (_ACCEL_GAMMA, "-(0.5*E*t)", "0", "0"))},
     ),
@@ -513,7 +511,8 @@ _ENTRIES = {
         _SPHERICAL, _static_spherical_metric("1 - 2*G*M/(c^2*r)"), {}, {"M": 1.0},
         _STATIC_SPHERICAL_GRID,
         {**_STATIC_META,
-         "scenario": ClosedFormScenario(_circular_orbit, circular_radius_error)},
+         "scenario": ClosedFormScenario("circular-orbit", _circular_orbit,
+                                        circular_radius_error)},
         domain="(r - 2*G*M/c^2) * sin(theta)",
     ),
     "reissner-nordstrom": _Entry(

@@ -20,10 +20,12 @@ estimate with the float operations of elementwise list sums in their order,
 so a trajectory is the list arithmetic's bit for bit.  At each stage point
 it calls the model's force law, one generated straight-line function
 (``_generate_rhs``, once per process for equal fields and templates), so a
-step builds no snapshot.  Where the law declines (returns None), raises
-``ArithmeticError`` or ``ValueError``, that stage alone takes the snapshot
-route, whose error notes are the engine's own; fd mode's law declines
-everywhere.  ``_rhs`` gives dy/ds and the norm g(V, V) at the start and at
+step builds no snapshot.  The law is recorded from the fields' order-1
+jets with the zero rule of ``expr`` (a term with a constant 0.0 operand is
+left out), the one rule for the jets and the law alike.  Where the law
+declines (returns None), raises ``ArithmeticError`` or ``ValueError``, that
+stage alone takes the snapshot route, whose error notes are the engine's
+own; fd mode's law declines everywhere.  ``_rhs`` gives dy/ds and the norm g(V, V) at the start and at
 a renormalized state.  An accepted state takes its norm, and its domain
 test, from the stage at that state, which is also the next step's first.
 A ``Trajectory`` keeps the accepted states as columns, built once, after
@@ -50,7 +52,7 @@ from .errors import (
     _quiet_float_errors,
     point_text,
 )
-from .expr import compile_one_point
+from .expr import _dot, _mul, _signed, compile_one_point
 from .fields import ExprField, fd_jet
 from .tensor import DEGENERACY_TOL, batched_einsum, max_abs
 
@@ -261,9 +263,10 @@ def _force_law(layout, tape, jets, x0, x1, x2, x3, v0, v1, v2, v3, k):
     It inverts g by cofactors, lowers the geodesic term to
     w_l = Gamma_{l,md} V^m V^d, adds the Lorentz term u_l = F_{ml} V^m, and
     raises their sum with the inverse once: dV^n/ds = g^{nl} (k u_l - w_l).
-    Every term with a constant 0.0 operand is left out, so a metric's
-    constant zeros, and the jets' gradient entries along the axes a
-    component does not read (the constant 0.0 from ``compile_one_point``),
+    Every term with a constant 0.0 operand is left out, by the zero rule
+    the jets are recorded with (``expr._mul``, ``_signed`` and ``_dot``),
+    so a metric's constant zeros, and the jets' constant 0.0 gradient
+    entries (those along the axes a component does not read among them),
     cost nothing.  The law returns None where an input, an output, the
     potential or the diagonal of its gradient is not finite.
     """
@@ -307,31 +310,6 @@ def _force_law(layout, tape, jets, x0, x1, x2, x3, v0, v1, v2, v3, k):
     checked = [c for c in checked if not isinstance(c, float)]
     tape.guard("not math.isfinite(" + " + ".join(["{}"] * len(checked)) + ")", *checked)
     return (*V, *accel), norm
-
-
-def _mul(a, b):
-    """a * b, or 0.0 when either is the constant 0.0 (a recorded float
-    compares unequal to every number)."""
-    return 0.0 if a == 0.0 or b == 0.0 else a * b
-
-
-def _dot(a, b):
-    """sum a_i b_i, left to right, without the terms with a constant 0.0."""
-    return _signed([(1, _mul(p, q)) for p, q in zip(a, b)])
-
-
-def _signed(terms):
-    """The sum of +t or -t over (sign, t), left to right, without the
-    constant 0.0 terms; 0.0 when none is left."""
-    total = None
-    for sign, t in terms:
-        if t == 0.0:
-            continue
-        if total is None:
-            total = t if sign > 0 else -t
-        else:
-            total = total + t if sign > 0 else total - t
-    return 0.0 if total is None else total
 
 
 def _adjugate(g):

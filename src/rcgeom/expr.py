@@ -23,14 +23,17 @@ takes.
 
 ``compile_one_point`` generates one straight-line Python function of four
 floats from a set of folded trees and a domain test.  It records the order-1
-jet of each tree on floats with a sparse jet (``_Dual``), which does the
-order-1 operations of ``Jet`` arithmetic but keeps no entry along an axis
-the tree does not read, so the recording holds no product with a structural
-zero and no sum with one (sparse forward mode); every other entry is the jet
-path's bit for bit.  It hands the jets to the caller, which carries the
-function on (``dynamics`` records the force law).  Each function is
-generated once per process: a bounded memo keyed by the folded trees and the
-caller's key hands it to every later call, which records nothing.
+jet of each tree on floats (``_Dual``, a value and four gradient entries),
+which does the order-1 operations of ``Jet`` arithmetic operand for operand,
+but leaves out every term with a constant 0.0 operand (``_mul``,
+``_signed`` and ``_dot``): an entry along an axis the tree does not read
+stays the constant 0.0, and the recording holds no sum or product with a
+constant-zero entry.  It hands the jets to the caller, which carries the
+function on with the same three helpers (``dynamics`` records the force
+law), so that one zero rule holds along the whole recording.  Each
+function is generated once per process: a bounded memo keyed by the folded
+trees and the caller's key hands it to every later call, which records
+nothing.
 """
 
 from __future__ import annotations
@@ -448,12 +451,16 @@ def compile_one_point(trees, domain, args, then, key):
     Each tree runs from the coordinates' seeds through ``_Dual``, and its
     functions through the ``_TABLE`` rules at order 1 with the tape as
     their ``m``; operations on floats are recorded as statements,
-    hash-consed on their text.  An entry along an axis the tree does not
-    read reaches ``then`` as the constant 0.0; every other entry is the jet
-    path's bit for bit.  The jets differ only where the jet path multiplies
-    a structural zero: by a finite operand it gets a +-0.0, and by a
-    non-finite one a NaN, where the same operand also makes an entry along
-    the axes its factor reads non-finite.  ``_Tape.source`` writes ``f``,
+    hash-consed on their text.  A gradient entry that is the constant 0.0
+    on the tape (each entry along an axis the tree does not read among
+    them) reaches ``then`` as the constant 0.0, and no sum or product takes
+    it.  The jets are the jet path's bit for bit, except where the jet path
+    computes with such a zero: a sum may give a zero of the other sign, and
+    a product with a non-finite operand gives a NaN, where the generated
+    entry is the constant 0.0.  Where no other entry reads that operand (a
+    subtree whose gradient is the constant 0.0, such as ``x - x``, under a
+    function whose derivative overflows), ``f`` gives finite jets where the
+    jet path's are NaN.  ``_Tape.source`` writes ``f``,
     straight-line code over floats that raises where the jets raise; it
     holds only the arguments, temporaries, finite float literals and
     ``math`` functions (``f.source``), never text from a definition file.
@@ -483,7 +490,7 @@ def compile_one_point(trees, domain, args, then, key):
                 tape.guard("not 0.0 < {} <= " + repr(sys.float_info.max), d)
             elif not d > 0.0:  # no point is inside
                 raise _Decline
-        seeds = [_Dual(x, {i: 1.0}) for i, x in enumerate(xs)]
+        seeds = [_Dual(x, [float(a == i) for a in range(4)]) for i, x in enumerate(xs)]
         run = _generate(tape, [_symbolic(tree, seeds, tape) for tree in trees], xs, args, then)
     except (_Decline, ArithmeticError, ValueError):
         run = None
@@ -693,54 +700,73 @@ class _Tape:
 _INLINE_DEPTH = 16
 
 
+def _mul(a, b):
+    """a * b, or 0.0 when either is the constant 0.0 (a recorded float
+    compares unequal to every number)."""
+    return 0.0 if a == 0.0 or b == 0.0 else a * b
+
+
+def _dot(a, b):
+    """sum a_i b_i, left to right, without the terms with a constant 0.0."""
+    return _signed([(1, _mul(p, q)) for p, q in zip(a, b)])
+
+
+def _signed(terms):
+    """The sum of +t or -t over (sign, t), left to right, without the
+    constant 0.0 terms; 0.0 when none is left."""
+    total = None
+    for sign, t in terms:
+        if t == 0.0:
+            continue
+        if total is None:
+            total = t if sign > 0 else -t
+        else:
+            total = total + t if sign > 0 else total - t
+    return 0.0 if total is None else total
+
+
 class _Dual:
-    """A sparse order-1 jet: the value ``f`` and the gradient entries ``d``,
-    ``{axis: entry}`` in axis order, along the axes the tree reads.  Each
-    operation does ``Jet``'s order-1 operations operand for operand, in the
-    same order (numpy loops over the axes in order), without the exact zero
-    entries along the other axes: none is multiplied, and a sum with one is
-    the other entry (negated for ``0 - t``)."""
+    """An order-1 jet of recorded floats: the value ``f`` and the list ``g``
+    of the four gradient entries, float constants or ``_Var``; a seed's is a
+    unit row.  Each operation does ``Jet``'s order-1 operations operand for
+    operand, in the same order, on the entries through ``_mul``, ``_signed``
+    and ``_dot``: a term with a constant 0.0 operand is left out, so an
+    entry along an axis the tree does not read stays the constant 0.0.  A
+    product with a constant scales each entry as ``Jet`` does, so that a
+    constant factor 0.0 (``0*u``, ``0/u``) keeps the jet path's NaN where
+    an entry of u is not finite."""
 
-    __slots__ = ("f", "d")
+    __slots__ = ("f", "g")
 
-    def __init__(self, f, d):
-        self.f, self.d = f, d
-
-    @property
-    def g(self):
-        """The four gradient entries, 0.0 along an axis the tree does not read."""
-        return [self.d.get(a, 0.0) for a in range(4)]
-
-    def scaled(self, c):
-        return {a: e * c for a, e in self.d.items()}
+    def __init__(self, f, g):
+        self.f, self.g = f, g
 
     def compose(self, d0, d1):
         """The chain rule for phi(u), from phi and phi' at u."""
-        return _Dual(d0, self.scaled(d1))
+        return _Dual(d0, [_mul(d1, e) for e in self.g])
 
     def __neg__(self):
-        return _Dual(-self.f, {a: -e for a, e in self.d.items()})
+        return _Dual(-self.f, [_signed([(-1, e)]) for e in self.g])
 
     def __add__(self, o):
         if isinstance(o, _Dual):
-            return _Dual(self.f + o.f, _entrywise(self.d, o.d, 1))
-        return _Dual(self.f + o, self.d)
+            return _Dual(self.f + o.f, [_signed([(1, p), (1, q)]) for p, q in zip(self.g, o.g)])
+        return _Dual(self.f + o, self.g)
 
     __radd__ = __add__
 
     def __sub__(self, o):
         if isinstance(o, _Dual):
-            return _Dual(self.f - o.f, _entrywise(self.d, o.d, -1))
-        return _Dual(self.f - o, self.d)
+            return _Dual(self.f - o.f, [_signed([(1, p), (-1, q)]) for p, q in zip(self.g, o.g)])
+        return _Dual(self.f - o, self.g)
 
     def __rsub__(self, o):
         return -self + o
 
     def __mul__(self, o):
         if isinstance(o, _Dual):
-            f = self.f * o.f
-            return _Dual(f, _entrywise(self.scaled(o.f), o.scaled(self.f), 1))
-        return _Dual(self.f * o, self.scaled(o))
+            return _Dual(self.f * o.f, [_dot((p, q), (o.f, self.f)) for p, q in zip(self.g, o.g)])
+        return _Dual(self.f * o, [e * o for e in self.g])
 
     __rmul__ = __mul__
 
@@ -756,18 +782,6 @@ class _Dual:
             raise _Decline  # the jets' zero test fails at every point
         iv = 1.0 / v
         return self.compose(iv, -iv * iv)
-
-
-def _entrywise(p, q, sign):
-    """The gradient entries p + q (sign 1) or p - q (sign -1), axis by axis
-    in order; an entry missing on one side is an exact zero there."""
-    out = {}
-    for a in sorted(p.keys() | q.keys()):
-        if a in p and a in q:
-            out[a] = p[a] + q[a] if sign > 0 else p[a] - q[a]
-        else:
-            out[a] = p[a] if a in p else q[a] if sign > 0 else -q[a]
-    return out
 
 
 class _Var:

@@ -479,6 +479,6 @@ def run_worldline(model, x0, v0, charge_ratio, ds, steps, method="rk4",
         "domain_exit": traj.exited,
         **({"exit_message": traj.exit_message} if traj.exited else {}),
     }
-    oracle = model.meta.get("oracle")
-    summary["oracle"] = oracle and oracle.report(model, traj, charge_ratio)
+    scenario = model.meta.get("scenario")
+    summary["oracle"] = scenario and scenario.report(model, traj, charge_ratio)
     return summary, traj

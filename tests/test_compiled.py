@@ -448,6 +448,10 @@ def test_generated_source_holds_no_definition_text(name):
 ZERO_PRODUCT = re.compile(r"(?<![\w.])(?:0\.0|\(-0\.0\)) \*|\* (?:0\.0|\(-0\.0\))(?![\w.])")
 
 
+# a sum or difference with a constant 0.0 (or -0.0); 10.0 + and + 0.05 are not one
+ZERO_SUM = re.compile(r"(?<![\w.])(?:0\.0|\(-0\.0\)) [-+]|[-+] (?:0\.0|\(-0\.0\))(?![\w.])")
+
+
 # a power 1.0 or a product with -1.0; ** 1.05 and (-1.01) are not one
 IDENTITY_OP = re.compile(r"\*\* 1\.0(?![\w.])|\(-1\.0\) \*|\* \(-1\.0\)")
 
@@ -456,10 +460,11 @@ IDENTITY_OP = re.compile(r"\*\* 1\.0(?![\w.])|\(-1\.0\) \*|\* \(-1\.0\)")
 def test_no_force_law_computes_a_zero_product(name):
     """The jets hold no structural zero product (a gradient entry along an
     axis that a factor does not read), and the law leaves out every term
-    with a constant 0.0: it has no product with a constant 0.0.  Nor does
-    it raise to the power 1.0 or multiply by -1.0, which the tape folds."""
+    with a constant 0.0: it has no sum or product with a constant 0.0.  Nor
+    does it raise to the power 1.0 or multiply by -1.0, which the tape folds."""
     source = dynamics._generate_rhs(MODELS[name]).source
     assert ZERO_PRODUCT.search(source) is None, ZERO_PRODUCT.findall(source)
+    assert ZERO_SUM.search(source) is None, ZERO_SUM.findall(source)
     assert IDENTITY_OP.search(source) is None, IDENTITY_OP.findall(source)
 
 
@@ -520,13 +525,30 @@ def test_the_zero_marks_are_sound_on_random_trees(tree, params, x):
 
 def test_a_mixed_sum_keeps_its_nonzero_term():
     """``x*y`` has the gradient entry ``y`` along x and ``x`` along y, and
-    none along t and z, which it does not read; the tape records only the
-    value ``x1 * x2``: each other product is with 1.0."""
+    the constant 0.0 along t and z, which it does not read; the tape records
+    only the value ``x1 * x2``: each other product is with 1.0 or 0.0."""
     tape = expr._Tape()
     x, y = expr._Var(tape, "x1"), expr._Var(tape, "x2")
-    jet = expr._Dual(x, {1: 1.0}) * expr._Dual(y, {2: 1.0})
-    assert [expr._text(d) for d in jet.d.values()] == ["x2", "x1"] and list(jet.d) == [1, 2]
+    jet = expr._Dual(x, [0.0, 1.0, 0.0, 0.0]) * expr._Dual(y, [0.0, 0.0, 1.0, 0.0])
+    assert [expr._text(d) for d in jet.g] == ["0.0", "x2", "x1", "0.0"]
     assert [line[1:3] for line in tape.lines] == [("{} * {}", ("x1", "x2"))]
+
+
+def _gradients(tape, jets, *xs):
+    return tuple(e for j in jets for e in j.g)
+
+
+@pytest.mark.parametrize("src", ["0*x + x*x", "x^0*y + y*y"])
+def test_a_constant_zero_gradient_entry_is_left_out(src):
+    """A jet operation that makes a gradient entry the constant 0.0 (the
+    factor 0 of ``0*x``, the derivative of ``x^0``) leaves it out of every
+    later sum and product, and the entries keep the jet path's bits."""
+    f = ExprField(src, CART, {})
+    run = expr.compile_one_point([f.tree], None, (), _gradients, "gradients")
+    assert ZERO_SUM.search(run.source) is None, run.source
+    assert ZERO_PRODUCT.search(run.source) is None, run.source
+    for x in ([0.5, -1.5, 2.0, 0.0], [0.0, 0.0, -0.0, 3.0], [1.0, 1e200, -1e200, 0.0]):
+        assert same_generated_bits(run(*x), _value_and_gradient(f, x)[1:])
 
 
 def test_a_divisor_that_is_zero_everywhere_declines():
@@ -537,7 +559,7 @@ def test_a_divisor_that_is_zero_everywhere_declines():
 
 @pytest.mark.parametrize("name", sorted(MODELS))
 def test_generating_a_force_law_runs_no_jet_operation(monkeypatch, name):
-    """The law is recorded with the sparse jet over the tape: no operation
+    """The law is recorded with the order-1 jet over the tape: no operation
     of ``jets.Jet`` runs, so the engine's jet counters read 0 for it."""
     ran = []
     for op in ("__neg__", "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
