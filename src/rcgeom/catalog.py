@@ -26,6 +26,7 @@ from .errors import (
     _quiet_float_errors,
     batch_then_rows,
     point_text,
+    raise_at,
 )
 from .expr import ChartSpec
 from .fields import ExprField, _orbits
@@ -166,11 +167,8 @@ class SpacetimeModel:
     def require_in_domain(self, X):
         """Raise DomainError for the first row of X, shape (N, 4), that lies
         outside the domain."""
-        inside = self._in_domain_rows(X)
-        if np.count_nonzero(inside) < len(X):
-            raise DomainError(
-                f"point {point_text(X[np.argmin(inside)])} is outside the domain of {self.name!r}"
-            )
+        raise_at(~self._in_domain_rows(X), X, DomainError,
+                 lambda at: f"point {at} is outside the domain of {self.name!r}")
 
     def _in_domain_rows(self, X):
         """in_domain of every row, an (N,) bool array, with one batched

@@ -8,7 +8,7 @@
 Exit status:
 
     0  every check passes (or the worldline stays in the chart domain)
-    1  a check fails, or the worldline leaves the chart domain
+    1  a check fails, or the worldline leaves the chart domain or exhausts its budget
     2  usage, input or load error
     3  internal error (a defect in rcgeom); the traceback goes to stderr
 
@@ -164,7 +164,7 @@ def _cmd_worldline(args):
         renormalize_every=args.renormalize_every, save_every=args.save_every, mode=args.diff,
         out_csv=args.out)
     print(canonical_json(summary))
-    return 1 if traj.exited else 0
+    return 1 if traj.exited or traj.budget_exhausted else 0
 
 
 def _cmd_list(_args):
@@ -198,10 +198,26 @@ _COMMANDS = {
 }
 
 
+def _dash_values(parser, argv):
+    """argv with ``--opt -value`` written ``--opt=-value`` for the options of
+    its command that take one value (``--x0 -0.1,0,0,0``); a next token that is
+    an option of the command or starts with ``--`` stays, as does a bad command."""
+    sub = parser._subparsers._group_actions[0].choices.get(argv[0] if argv else None, parser)
+    takes_one = {s: a.nargs is None for a in sub._actions for s in a.option_strings}
+    out = argv[:1]
+    for token in argv[1:]:
+        if (takes_one.get(out[-1]) and token.startswith("-") and not token.startswith("--")
+                and token not in takes_one):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None):
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_dash_values(parser, sys.argv[1:] if argv is None else list(argv)))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -92,7 +92,8 @@ class Trajectory:
     s: np.ndarray
     y: np.ndarray
     norm_residuals: list  # |g(V, V) - 1| at each state
-    exited: bool = False
+    exited: bool = False  # left the domain, or met an evaluation or metric error
+    budget_exhausted: bool = False  # the adaptive controller ran out of attempts
     exit_message: str = ""
     rejected_steps: int = 0
     rhs_evals: int = 0  # right-hand-side evaluations of the steps taken and rejected
@@ -275,7 +276,7 @@ def _force_law(layout, tape, jets, x0, x1, x2, x3, v0, v1, v2, v3, k):
     upper = [(a, b) for a in range(DIM) for b in range(a, DIM)]
 
     det, adj = _adjugate(g)
-    # tensor.degenerate's bound, doubled: a point near it takes the
+    # tensor._nondegenerate's bound, doubled: a point near it takes the
     # snapshot route, which applies the bound to numpy's det
     entries = [g[a][b] for a, b in upper]
     scale = max([1.0] + [abs(e) for e in entries if isinstance(e, float)])
@@ -509,6 +510,11 @@ def integrate_worldline(model, init, charge_ratio, config, mode="dual"):
             attempts = 0
             # the end margin scales with a span below 1, so a short one is stepped
             while s < s_end - 1e-15 * min(1.0, span):
+                if attempts > 20 * config.steps:  # a result: the trajectory ends here
+                    traj.budget_exhausted, traj.exit_message = True, (
+                        f"adaptive integrator exceeded its budget of {20 * config.steps} "
+                        f"attempts at s = {s!r}")
+                    break
                 ds = min(ds, s_end - s)
                 y_new, err, last = advance(y, dy, ds)
                 tol = atol + rtol * max(map(abs, y))
@@ -520,8 +526,6 @@ def integrate_worldline(model, init, charge_ratio, config, mode="dual"):
                 safety = 0.9 * (tol / err) ** 0.2 if err > 0 else 2.0
                 ds = ds * min(4.0, max(0.2, safety))
                 attempts += 1
-                if attempts > 20 * config.steps:
-                    raise GeometryError("adaptive integrator exceeded its step budget")
     except (DomainError, EvalError, MetricError) as err:
         traj.exited, traj.exit_message = True, str(err)
     traj.s, traj.y = np.frombuffer(traj.s), np.frombuffer(traj.y).reshape(-1, 8)

@@ -45,10 +45,10 @@ import functools
 
 import numpy as np
 
-from .errors import EvalError, GeometryError, MetricError, point_text
-from .fields import fd_jet, make_seeds
-from .tensor import (MetricAtPoint, _leibniz, _outer, _total, batched_einsum,
-                     degenerate, first_bad, max_abs)
+from .errors import EvalError, GeometryError
+from .fields import _check_finite, fd_jet, make_seeds
+from .tensor import (MetricAtPoint, _leibniz, _outer, _total, batched_einsum, max_abs,
+                     metric_inverse, volume_factor)
 
 DIM = 4
 FOUR_PI = 4.0 * np.pi
@@ -108,13 +108,7 @@ def field_jets(model, X, order=2, mode="dual"):
         if order >= 3:
             dddA[:, :, :, k] = jv.third
 
-    if not all(np.isfinite(v).all() for v in members):
-        finite = np.logical_and.reduce(
-            [np.isfinite(v).reshape(-1, n).all(axis=0) for v in members])
-        raise EvalError(
-            f"non-finite field derivatives for {model.name!r} at "
-            f"{point_text(X[np.argmin(finite)])}"
-        )
+    _check_finite(members, model.name, X, "non-finite field derivatives for {!r}")
     return FieldJets(X, order, *(np.ascontiguousarray(np.moveaxis(v, -1, 0)) for v in members))
 
 
@@ -243,16 +237,8 @@ class GeometrySnapshot:
 
     @_cached
     def metric(self):
-        """The validated metric; an error names the first point at fault."""
-        try:
-            return MetricAtPoint.from_components(self.g)
-        except MetricError as err:
-            for x, g in zip(self.x, self.g):
-                try:
-                    MetricAtPoint.from_components(g)
-                except MetricError as at_x:
-                    raise type(at_x)(f"{at_x} at {point_text(x)}") from err
-            raise
+        """The validated metric from ``g``, ``ginv``, ``det_g`` and ``sqrt_g``."""
+        return MetricAtPoint.assemble(self.g, self.ginv, self.det_g, self.sqrt_g, self.x)
 
     @_metric_member(1)
     def det_g(self):
@@ -260,22 +246,11 @@ class GeometrySnapshot:
 
     @_metric_member(1)
     def ginv(self):
-        det, g = self.det_g, self.g
-        # A point is degenerate only below the bound of the largest |g| of
-        # all, the whole batch taken as one 4n x 4 block.
-        if np.count_nonzero(degenerate(det, g.reshape(1, -1, DIM))):
-            if hit := first_bad(degenerate(det, g), self.x, det):
-                raise MetricError(f"metric is numerically degenerate at {point_text(hit[0])} "
-                                  f"(det={hit[1]:.3e})")
-        return np.linalg.inv(self.g)
+        return metric_inverse(self.g, self.det_g, self.x)
 
     @_metric_member(1)
     def sqrt_g(self):
-        det = self.det_g
-        hit = first_bad(det >= 0.0, self.x, det)
-        if hit:
-            raise MetricError(f"metric determinant is not negative at {point_text(hit[0])}")
-        return np.sqrt(-det)
+        return volume_factor(self.g, self.det_g, self.x)
 
     @_cached
     def dg(self):

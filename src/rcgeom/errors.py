@@ -9,6 +9,20 @@ def point_text(x):
     return repr(tuple(float(v) for v in x))
 
 
+def raise_at(bad, points, error, fault, *values):
+    """Raise ``error(f"{fault} at {point}")`` at the first of ``points`` (None:
+    name no point) where the (N,) bool array ``bad`` holds; ``fault`` formats
+    ``values``, arrays over the points, or, naming the point, is a function of it."""
+    if np.count_nonzero(bad):
+        i = int(np.argmax(bad))
+        if values:
+            fault = fault.format(*(v[i] for v in values))
+        if points is not None:
+            at = point_text(points[i])
+            fault = fault(at) if callable(fault) else f"{fault} at {at}"
+        raise error(fault)
+
+
 class GeometryError(Exception):
     """Base class for every error raised by this package."""
 

@@ -33,7 +33,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import expr
-from .errors import EvalError, batch_then_rows, point_text
+from .errors import EvalError, batch_then_rows, point_text, raise_at
 from .jets import DIM, ZERO_G, ZERO_G_B, ZERO_H, ZERO_H_B, ZERO_T, ZERO_T_B, Jet
 
 JetValue = namedtuple("JetValue", "value grad hess third")
@@ -88,24 +88,18 @@ def make_seeds(x, order):
     return [Jet.seed(c, i, order) for i, c in enumerate(coords)]
 
 
-def _check_finite(jv, name, x):
-    """jv if every part of it is finite; else an EvalError naming the point,
-    or the first point of a batch where some part is not finite."""
+def _check_finite(jv, name, x, fault="non-finite result for field {!r}"):
+    """jv if every part is finite; else the fault of ``name`` at the point x,
+    or at the first point of a batch x where a part, which carries the batch
+    axis last (of length N, or 1 for a template part), is not finite."""
     parts = [p for p in jv if p is not None]
     if all(np.isfinite(p).all() for p in parts):
         return jv
+    bad = [True]
     if np.ndim(x) == 2:
-        # a part carries the batch axis last, of length N or (a template) 1
         finite = [np.isfinite(p).reshape(-1, np.shape(p)[-1]).all(axis=0) for p in parts]
-        x = x[np.argmin(np.logical_and.reduce(np.broadcast_arrays(*finite)))]
-    raise EvalError(f"non-finite result for field {name!r} at {point_text(x)}")
-
-
-def _check_values(v, name, X):
-    bad = ~np.isfinite(v)
-    if bad.any():
-        raise EvalError(f"non-finite value for field {name!r} at {point_text(X[bad][0])}")
-    return v
+        bad = ~np.logical_and.reduce(np.broadcast_arrays(*finite))
+    raise_at(bad, np.reshape(x, (-1, DIM)), EvalError, fault.format(name))
 
 
 class ExprField:
@@ -152,10 +146,12 @@ class ExprField:
             return np.full(len(X), self.const)
         if len(X) == 1:
             return np.array([self.value(X[0])])
-        return np.asarray(batch_then_rows(
-            lambda: _check_values(
-                expr.evaluate(self.tree, list(np.ascontiguousarray(X.T)), self.params), self.name, X),
-            X, self.value))
+        def batch():
+            v = expr.evaluate(self.tree, list(np.ascontiguousarray(X.T)), self.params)
+            raise_at(~np.isfinite(v), X, EvalError, f"non-finite value for field {self.name!r}")
+            return v
+
+        return np.asarray(batch_then_rows(batch, X, self.value))
 
     def jet_unchecked(self, x, order=2, seeds=None):
         """Jet evaluation without the finiteness sweep (the caller checks)."""

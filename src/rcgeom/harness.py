@@ -33,7 +33,7 @@ from .catalog import CATALOG_NAMES, FIXTURE_NAMES, catalog_get, load_spacetime_f
 from .checks import CHECK_DEFS, GaugePair, default_tolerance, suite_of
 from .dynamics import IntegratorConfig, WorldlineState, integrate_worldline, normalize_velocity
 from .engine import GeometrySnapshot
-from .errors import GeometryError, _quiet_float_errors, batch_then_rows, point_text
+from .errors import GeometryError, _quiet_float_errors, batch_then_rows, point_text, raise_at
 from .fields import _orbits
 from .gauge import as_phi_field, peak, transform_potential
 
@@ -255,14 +255,14 @@ class _Worst:
         self.note = None
         self.unexplained = None
 
-    def add(self, residuals, point):
-        """Take the residuals, where ``point(i)`` is the point of entry i."""
+    def add(self, residuals, points):
+        """Take the residuals, where ``points()`` holds the point of each entry."""
         self.value = max(self.value, peak(residuals))  # skipping NaN
         if self.note is None and self.unexplained is None:
-            bad = ~np.isfinite(residuals)
-            if bad.any():
-                where = point_text(point(int(np.argmax(bad))))
-                self.unexplained = f"non-finite residual at {where}"
+            try:
+                raise_at(~np.isfinite(residuals), points(), GeometryError, "non-finite residual")
+            except GeometryError as err:
+                self.unexplained = str(err)
 
     def fail(self, err):
         self.note = self.note or f"{type(err).__name__}: {err}"
@@ -405,8 +405,8 @@ def _run_chunk(ctx, point_set, chunk, count, checks, order, worst):
             # one residual per point of the chunk, as a batch or one per row,
             # or one per state of the worldline
             residuals = np.concatenate([np.ravel(r) for r in results])
-            w.add(residuals, (lambda i: subject.traj.x[i]) if point_set == "worldline"
-                  else chunk.__getitem__)
+            w.add(residuals, (lambda: subject.traj.x) if point_set == "worldline"
+                  else lambda: chunk)
             w.points += residuals.size if count is None else count
 
 
@@ -477,7 +477,8 @@ def run_worldline(model, x0, v0, charge_ratio, ds, steps, method="rk4",
         "final_state": {"s": final.s, "x": list(final.x), "V": list(final.V)},
         "max_norm_drift": traj.max_drift,
         "domain_exit": traj.exited,
-        **({"exit_message": traj.exit_message} if traj.exited else {}),
+        **({"budget_exhausted": True} if traj.budget_exhausted else {}),
+        **({"exit_message": traj.exit_message} if traj.exited or traj.budget_exhausted else {}),
     }
     scenario = model.meta.get("scenario")
     summary["oracle"] = scenario and scenario.report(model, traj, charge_ratio)

@@ -7,10 +7,11 @@ operands are contracted pairwise, and a pairwise step that is a matrix
 product at each point is one stacked ``np.matmul`` over the point axis, its
 operands transposed and reshaped into (point, batch, left, summed) and
 (point, batch, summed, right) matrices.  A step that sums nothing, a dot or
-matrix-vector product, a single-operand trace, and an index summed or
-repeated within one operand stay ``np.einsum``.  Each point's matrices have
-the shapes and strides they have in a batch of one, so a row of a batch has
-the bits of that point taken as a batch of one.
+matrix-vector product and a single-operand trace stay ``np.einsum``; an
+operand of several that repeats an index, or sums one that no other reads,
+raises ``ValueError``.  Each point's matrices have the shapes and strides
+they have in a batch of one, so a row of a batch has the bits of that point
+taken as a batch of one.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MetricError, SignatureError
+from .errors import MetricError, SignatureError, raise_at
 
 DIM = 4
 
@@ -31,21 +32,27 @@ _INVERSE_TOL = 1e-12
 DEGENERACY_TOL = 1e-10
 
 
-def first_bad(bad, *values):
-    """None when no point of the (N,) bool array ``bad`` is bad; else the
-    values at the first bad point."""
-    if not np.count_nonzero(bad):
-        return None
-    i = int(np.argmax(bad))
-    return tuple(v[i] for v in values)
+# The metric's faults, each worded once, checked in the order symmetry, degeneracy,
+# determinant sign, eigenvalue signs, inverse; each names the first point of x at fault.
 
-
-def degenerate(det, g):
-    """Where a metric is numerically degenerate: |det g| < DEGENERACY_TOL *
-    max(1, max|g|)^4, with the max over each 4x4 of g (..., 4, 4) and det
-    of the shape before them; a bool array of that shape."""
+def _nondegenerate(g, det, x):
+    # |det g| < DEGENERACY_TOL * max(1, max|g|)^4, the max over each 4x4 of g
     scale = np.maximum(1.0, np.abs(g).max(axis=(-2, -1)))
-    return np.abs(det) < DEGENERACY_TOL * scale**4
+    raise_at(np.abs(det) < DEGENERACY_TOL * scale**4, x, MetricError,
+             "metric is numerically degenerate (det={:.3e})", det)
+
+
+def metric_inverse(g, det, x=None):
+    """g^{-1} at every point, where g is not numerically degenerate."""
+    _nondegenerate(g, det, x)
+    return np.linalg.inv(g)
+
+
+def volume_factor(g, det, x=None):
+    """sqrt(-det g) at every point, where g is not degenerate and det g < 0."""
+    _nondegenerate(g, det, x)
+    raise_at(det >= 0.0, x, SignatureError, "metric determinant must be negative, got {:.3e}", det)
+    return np.sqrt(-det)
 
 
 @dataclass(frozen=True)
@@ -65,31 +72,21 @@ class MetricAtPoint:
         if g.shape[-2:] != (DIM, DIM) or g.ndim not in (2, 3):
             raise MetricError(f"metric must be 4x4, got shape {g.shape}")
         g = g.reshape(-1, DIM, DIM)
-        scale = np.maximum(1.0, np.abs(g).max(axis=(-2, -1)))
+        bound = _SYMMETRY_TOL * np.maximum(1.0, np.abs(g).max(axis=(-2, -1)))
         asym = np.abs(g - np.swapaxes(g, -1, -2)).max(axis=(-2, -1))
-        if first_bad(asym > _SYMMETRY_TOL * scale, asym):
-            raise MetricError("metric components are not symmetric")
+        raise_at(asym > bound, None, MetricError, "metric components are not symmetric")
         det = np.linalg.det(g)
-        if hit := first_bad(degenerate(det, g), det):
-            raise MetricError(f"metric is numerically degenerate (det={hit[0]:.3e})")
-        if hit := first_bad(det >= 0.0, det):
-            raise SignatureError(f"metric determinant must be negative, got {hit[0]:.3e}")
+        return cls.assemble(g, metric_inverse(g, det), det, volume_factor(g, det))
+
+    @classmethod
+    def assemble(cls, g, inv, det, sqrt_neg_det, x=None):
+        """The metric from symmetric g and its checked parts, once eigenvalues and inverse hold."""
         eig = np.linalg.eigvalsh(g)
         wrong = ((eig > 0).sum(axis=-1) != 1) | ((eig < 0).sum(axis=-1) != 3)
-        if hit := first_bad(wrong, eig):
-            raise SignatureError(
-                f"metric eigenvalue signs are not (+,-,-,-): {hit[0]}"
-            )
-        inv = np.linalg.inv(g)
+        raise_at(wrong, x, SignatureError, "metric eigenvalue signs are not (+,-,-,-): {}", eig)
         err = np.abs(inv @ g - np.eye(DIM)).max(axis=(-2, -1))
-        if first_bad(err > _INVERSE_TOL, err):
-            raise MetricError("inverse metric failed the identity check")
-        return cls(
-            matrix=g,
-            inverse=inv,
-            det_g=det,
-            sqrt_neg_det=np.sqrt(-det),
-        )
+        raise_at(err > _INVERSE_TOL, x, MetricError, "inverse metric failed the identity check")
+        return cls(matrix=g, inverse=inv, det_g=det, sqrt_neg_det=sqrt_neg_det)
 
 
 # subscripts -> the plan that contracts them over a leading point axis;
@@ -120,13 +117,11 @@ def _plan(subscripts, operands):
     if len(ins) == 1:
         return functools.partial(np.einsum, f"...{ins[0]}->...{out}")
     size = {c: n for s, op in zip(ins, operands) for c, n in zip(s, op.shape[1:])}
-    # An index that neither another operand nor the output reads is summed
-    # within its operand first, and a repeated one reduced to its diagonal.
-    first = []
     for k, s in enumerate(ins):
         rest = out + "".join(ins[:k] + ins[k + 1:])
-        ins[k] = "".join(dict.fromkeys(c for c in s if c in rest))
-        first.append(None if ins[k] == s else f"...{s}->...{ins[k]}")
+        if len(set(s)) < len(s) or not set(s) <= set(rest):
+            raise ValueError(f"{subscripts}: operand {s!r} repeats an index or sums one "
+                             "that no other operand reads")
     path = [(0, 1)]
     if len(ins) > 2:
         path = np.einsum_path(subscripts, *(op[0] for op in operands), optimize="greedy")[0][1:]
@@ -138,11 +133,11 @@ def _plan(subscripts, operands):
         step, res = _pair(a, b, out + "".join(ins), size, None if ins else out)
         steps.append((i, j, step))
         ins.append(res)
-    if len(steps) == 1 and first == [None, None]:
+    if len(steps) == 1:
         return step
 
     def run(*ops):
-        ops = [op if f is None else np.einsum(f, op) for f, op in zip(first, ops)]
+        ops = list(ops)
         for i, j, step in steps:
             b, a = ops.pop(j), ops.pop(i)
             ops.append(step(a, b))

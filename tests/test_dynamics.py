@@ -279,8 +279,11 @@ def _reference_worldline(model, init, charge_ratio, config, mode="dual"):
                 safety = 0.9 * (tol / err) ** 0.2 if err > 0 else 2.0
                 ds = ds * min(4.0, max(0.2, safety))
                 attempts += 1
-                if attempts > max_attempts:
-                    raise GeometryError("adaptive integrator exceeded its step budget")
+                if attempts > max_attempts and s < s_end - 1e-15 * min(1.0, span):
+                    traj.budget_exhausted = True
+                    traj.exit_message = (f"adaptive integrator exceeded its budget of "
+                                         f"{max_attempts} attempts at s = {s!r}")
+                    break
     except (DomainError, EvalError, MetricError) as err:
         traj.exited = True
         traj.exit_message = str(err)
@@ -326,12 +329,17 @@ REFERENCE_RUNS = {
     "schwarzschild-infall-rk45": (
         "schwarzschild", {}, *_INFALL, 0.0,
         IntegratorConfig(ds=0.05, steps=2000, method="rk45-adaptive"),
-        "metric is numerically degenerate at ("),
+        "metric is numerically degenerate (det="),
     # the last accepted state is at the degeneracy bound: it keeps its norm,
     # and the next step ends the worldline before its first stage
     "schwarzschild-infall-rk4-degenerate": (
         "schwarzschild", {}, *_INFALL, 0.0, IntegratorConfig(ds=0.002, steps=1000),
-        "metric is numerically degenerate at ("),
+        "metric is numerically degenerate (det="),
+    # a span of 10 that the controller cannot cover in 20 attempts
+    "constant-e-charged-rk45-budget": (
+        "minkowski-constant-e", {}, [0.1, -0.2, 0.3, 0.05], [1.0, 0.1, 0.0, 0.0], 0.6,
+        IntegratorConfig(ds=10.0, steps=1, method="rk45-adaptive"),
+        "adaptive integrator exceeded its budget of 20 attempts at s = "),
     "start-outside-domain": (
         "schwarzschild", {}, [0.0, 1.5, math.pi / 2, 0.0], None, 0.0,
         IntegratorConfig(ds=0.05, steps=20),
@@ -385,13 +393,14 @@ def test_integrator_matches_reference_steppers(monkeypatch, fallbacks, name):
     assert traj.y.shape == ref.y.shape
     assert np.array_equal(traj.s, ref.s) and np.array_equal(traj.y, ref.y)
     assert traj.rejected_steps == ref.rejected_steps
-    assert (traj.exited, traj.exit_message) == (ref.exited, ref.exit_message)
+    assert ((traj.exited, traj.budget_exhausted, traj.exit_message)
+            == (ref.exited, ref.budget_exhausted, ref.exit_message))
     # residuals |g(V,V) - 1| to 1e-12 of g(V,V): the metric comes from field
     # jets now, whose quotients may differ from plain values in the last bit
     for got, want in zip(traj.norm_residuals, ref.norm_residuals):
         assert abs(got - want) <= 1e-12 * (1.0 + want)
 
-    assert ref.exited == (exit_message is not None)
+    assert (ref.exited or ref.budget_exhausted) == (exit_message is not None)
     assert ref.exit_message.startswith(exit_message or "")
     if config.method == "rk45-adaptive" and exit_message is None:
         assert ref.rejected_steps > 0

@@ -99,11 +99,17 @@ def commands(draw, base, axes):
     """argv after ``--spacetime <file>``, without ``--out``, and its kind."""
     kind = draw(st.sampled_from(["run", "run", "gauge", "worldline", "worldline"]))
     diff = ["--diff", draw(st.sampled_from(["dual", "fd"]))]
+    # a value that may start with "-" is written "--opt value" or "--opt=value"
+    joined = draw(st.booleans())
+
+    def option(name, value):
+        return [f"{name}={value}"] if joined else [name, value]
+
     if kind == "run":
         return kind, ["--suite", draw(st.sampled_from(SUITES)), *diff]
     if kind == "gauge":
         phis = draw(st.lists(terms(base), min_size=1, max_size=2))
-        return kind, [*diff, *(f"--phi={phi}" for phi in phis)]
+        return kind, [*diff, *(token for phi in phis for token in option("--phi", phi))]
     x0 = [draw(st.sampled_from(list(axis))) for axis in axes]
     if draw(wild):
         x0[1] = draw(st.sampled_from([0.0, 1.9, -3.0, 1e300]))
@@ -112,8 +118,8 @@ def commands(draw, base, axes):
     v0 = [1.0, *(draw(st.floats(-0.3, 0.3)) * (0.1 if base == "schwarzschild" else 1.0)
                  for _ in range(3))]
     method = draw(st.sampled_from(["rk4", "rk45-adaptive"]))
-    argv = [f"--x0={_csv(x0)}", f"--v0={_csv(v0)}", "--method", method, *diff,
-            f"--charge-ratio={draw(st.floats(-1.0, 1.0))!r}",
+    argv = [*option("--x0", _csv(x0)), *option("--v0", _csv(v0)), "--method", method, *diff,
+            *option("--charge-ratio", repr(draw(st.floats(-1.0, 1.0)))),
             "--ds", repr(draw(st.sampled_from([0.01, 0.05, 0.2]))),
             "--steps", str(draw(st.integers(1, 12)))]
     if method == "rk4" and draw(st.booleans()):

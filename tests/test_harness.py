@@ -245,6 +245,46 @@ def test_cli_worldline_domain_exit(tmp_path, capsys):
     assert out.read_text().count("\n") > 2  # partial trajectory written
 
 
+# Minkowski with two large oscillating off-diagonal terms, on a one-point grid:
+# a start that the adaptive controller cannot finish in its budget.
+BUDGET_FILE = """
+name = fuzzed
+coords = t, x, y, z
+g[0][0] = "1"
+g[0][2] = "0 + 40.0*(0.0473*cos(y + t))"
+g[1][1] = "-1"
+g[1][2] = "0 + 40.0*(-0.0786*cos(y + t))"
+g[2][2] = "-1"
+g[3][3] = "-1"
+grid.t = 0:0:1
+grid.x = 0:0:1
+grid.y = 1.5707963267948966:1.5707963267948966:1
+grid.z = 0:0:1
+"""
+
+
+@pytest.mark.parametrize("diff", ["dual", "fd"])
+def test_cli_worldline_budget_is_a_result(diff, tmp_path, capsys):
+    """An exhausted adaptive step budget ends the trajectory at its last
+    accepted state, which the CSV and the summary hold, and exits 1."""
+    path, out = tmp_path / "budget.spacetime", tmp_path / "traj.csv"
+    path.write_text(BUDGET_FILE)
+    code = main(["worldline", "--spacetime", str(path), "--diff", diff,
+                 "--x0=0,-3,-4.305649518008166,-0.15697994736246018",
+                 "--v0=1,0.1049442214013186,0.01855347262206547,1e-08",
+                 "--method", "rk45-adaptive", "--charge-ratio=-0.3", "--ds", "0.01",
+                 "--steps", "1", "--out", str(out)])
+    assert code == 1
+    summary = json.loads(capsys.readouterr().out)
+    s = summary["final_state"]["s"]
+    assert 0.0 < s < 0.01
+    assert summary["domain_exit"] is False and summary["budget_exhausted"] is True
+    assert summary["exit_message"] == (
+        f"adaptive integrator exceeded its budget of 20 attempts at s = {s!r}")
+    rows = np.loadtxt(out, delimiter=",", skiprows=1, ndmin=2)
+    assert len(rows) == summary["steps_taken"] + 1 and rows[-1, 0] == s
+
+
 @pytest.mark.parametrize("x0, v0", [("0,5,0,0", "1,0,0,0"), ("0,1,1,0", "1,1,0,0")],
                          ids=["on-the-axis", "inside-the-horizon"])
 def test_cli_worldline_start_outside_the_domain_is_a_usage_error(x0, v0, tmp_path, capsys):
@@ -256,6 +296,35 @@ def test_cli_worldline_start_outside_the_domain_is_a_usage_error(x0, v0, tmp_pat
     point = ", ".join(str(float(v)) for v in x0.split(","))
     assert capsys.readouterr().err == (
         f"error: point ({point}) is outside the domain of 'schwarzschild'\n")
+
+
+@pytest.mark.parametrize("command, option, value", [
+    ("worldline", "--x0", "-0.1,0,0,0"),
+    ("worldline", "--charge-ratio", "-1e-05"),
+    ("gauge", "--phi", "-0.1*x"),
+], ids=["x0", "charge-ratio", "phi"])
+def test_cli_values_that_start_with_a_dash_are_values(command, option, value, tmp_path, capsys):
+    """``--opt -value`` is read as ``--opt=-value``: the same run, byte for byte."""
+    argv = {"worldline": ["--spacetime", "minkowski", "--x0", "0,0,0,0", "--v0", "1,0,0,0",
+                          "--ds", "0.1", "--steps", "3"],
+            "gauge": ["--spacetime", "minkowski-constant-e"]}[command]
+    runs = []
+    for spelling in ([option, value], [f"{option}={value}"]):
+        out = tmp_path / f"out-{len(runs)}"
+        assert main([command, *argv, *spelling, "--out", str(out)]) == 0
+        runs.append((out.read_bytes(), capsys.readouterr().out))
+    assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--x0", "--v0", "1,0,0,0"],
+    ["--x0", "-h", "--v0", "1,0,0,0"],
+], ids=["next-is-an-option", "next-is-help"])
+def test_cli_an_option_after_an_option_is_still_a_usage_error(argv, tmp_path, capsys):
+    code = main(["worldline", "--spacetime", "minkowski", *argv, "--ds", "0.1",
+                 "--steps", "3", "--out", str(tmp_path / "traj.csv")])
+    assert code == 2
+    assert "argument --x0: expected one argument" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", [
@@ -653,6 +722,43 @@ def test_metric_checks_fail_and_name_the_point(tmp_path, capsys):
     assert capsys.readouterr().err.endswith(
         "error: metric determinant must be negative, got 2.000e+00 "
         "at grid point (0.0, -2.0, 0.0, 0.0)\n")
+
+
+# Flat but for g_00 and g_33, loaded at x = 1, where both are Lorentzian.
+ONE_FAULT_FILE = """
+name = one-fault
+coords = t, x, y, z
+g[0][0] = "{g00}"
+g[1][1] = "-1"
+g[2][2] = "-1"
+g[3][3] = "{g33}"
+A[0] = "0.1*x"
+grid.t = 0:0:1
+grid.x = 1:1:1
+grid.y = 0:0:1
+grid.z = 0:0:1
+"""
+
+
+@pytest.mark.parametrize("g00, g33, grid, note", [
+    ("1", "-x^2", "x=0:0:1",
+     "MetricError: metric is numerically degenerate (det=0.000e+00) at (0.0, 0.0, 0.0, 0.0)"),
+    ("x", "-1", "x=-2:-1:2",
+     "SignatureError: metric determinant must be negative, got 2.000e+00 "
+     "at (0.0, -2.0, 0.0, 0.0)"),
+], ids=["degenerate-g33", "positive-det-g00"])
+def test_one_metric_fault_reads_one_note_on_every_row(g00, g33, grid, note, tmp_path):
+    """A metric fault at one point fails every row that reads the metric
+    with one note, whichever member met it first: ``ginv``, ``sqrt_g`` or
+    the assembled ``metric``.  Where no timelike vector exists, the probe
+    velocity's own fault is the only other note."""
+    path = tmp_path / "one-fault.spacetime"
+    path.write_text(ONE_FAULT_FILE.format(g00=g00, g33=g33))
+    failed = _failed_notes(["--spacetime", str(path), "--grid", grid], tmp_path)
+    metric_notes = [n for n in failed.values() if n.startswith(("MetricError", "SignatureError"))]
+    assert len(metric_notes) >= 9 and set(metric_notes) == {note}, failed
+    assert set(failed.values()) - {note} <= {
+        "ConsistencyError: could not build a timelike test velocity at (0.0, -2.0, 0.0, 0.0)"}
 
 
 README = Path(__file__).resolve().parents[1] / "README.md"

@@ -199,10 +199,9 @@ def test_raise_lower_roundtrip_property(seed):
 
 KN_FILE = Path(__file__).resolve().parents[1] / "bench" / "kerr_newman.spacetime"
 
-# An index summed within one operand, a repeated one, and an index shared by
-# both operands that the result keeps (none of the package's products has
-# one), and a chain of three matrix products.
-SYNTHETIC = ["mma,ab->b", "mn,ab->mb", "mab,mbc->mac", "ab,bc,cd->ad"]
+# An index shared by both operands that the result keeps (none of the
+# package's products has one), and a chain of three matrix products.
+SYNTHETIC = ["mab,mbc->mac", "ab,bc,cd->ad"]
 
 
 @pytest.fixture(scope="module")
@@ -246,6 +245,17 @@ def test_each_row_has_the_bits_of_a_batch_of_one(package_subscripts, monkeypatch
         for i in range(40):
             one = tensor.batched_einsum(subscripts, *(op[i:i + 1] for op in ops))
             assert one.tobytes() == batch[i:i + 1].tobytes(), (subscripts, i)
+
+
+@pytest.mark.parametrize("subscripts", ["mma,ab->b", "mn,ab->mb"])
+def test_a_plan_refuses_an_index_reduced_within_its_operand(subscripts, monkeypatch):
+    """A repeated index, or one that no other operand reads, is not planned:
+    no subscripts of the package needs it."""
+    monkeypatch.setattr(tensor, "_PLANS", {})
+    ops = _operands(subscripts, 2, np.random.default_rng(22))
+    with pytest.raises(ValueError, match="repeats an index or sums one"):
+        tensor.batched_einsum(subscripts, *ops)
+    assert subscripts not in tensor._PLANS
 
 
 def test_a_plan_refuses_index_sizes_it_was_not_made_for(monkeypatch):
