@@ -148,6 +148,12 @@ class SpacetimeModel:
             V_fields=tuple(self.scalar_field(src, f"V[{i}]") for i, src in enumerate(V)),
         )
 
+    @cached_property
+    def read_axes(self):
+        """The chart indices, in order, that the metric, potential or domain read."""
+        held = [*itertools.chain.from_iterable(self.g_fields), *self.A_fields, self.domain]
+        return tuple(sorted(frozenset().union(*(f.axes for f in held if f is not None))))
+
     @property
     def default_grid(self):
         axes = [self.grid_axes[n] for n in self.chart.names]
@@ -311,18 +317,16 @@ def validate_on_grid(model, origin=None):
     """Check metric and potential invariants at every default-grid point.
 
     The checks are pointwise in the fields, so the points that agree on
-    every coordinate the metric, the potential and the domain read (an
-    orbit, ``fields._orbits``) pass or fail together: only the first point
-    of each orbit is checked, and the first point at fault is the first of
+    every coordinate the model reads (``read_axes``; an orbit,
+    ``fields._orbits``) pass or fail together: only the first point of
+    each orbit is checked, and the first point at fault is the first of
     its orbit.  One batched pass covers those points; only when it meets a
     fault does the point-by-point pass run (``batch_then_rows``), which
     names the first point at fault.
     """
     grid = model.default_grid
-    held = [*itertools.chain.from_iterable(model.g_fields), *model.A_fields, model.domain]
-    read = frozenset().union(*(f.axes for f in held if f is not None))
     # a non-finite coordinate is outside the domain, read or not
-    read |= {i for i in range(4) if not np.isfinite(grid[:, i]).all()}
+    read = {*model.read_axes, *(i for i in range(4) if not np.isfinite(grid[:, i]).all())}
     grid = grid[_orbits(grid, sorted(read))[0]]
 
     def batch():

@@ -200,15 +200,22 @@ _COMMANDS = {
 
 def _dash_values(parser, argv):
     """argv with ``--opt -value`` written ``--opt=-value`` for the options of
-    its command that take one value (``--x0 -0.1,0,0,0``); a next token that is
-    an option of the command or starts with ``--`` stays, as does a bad command."""
+    its command that take one value (``--x0 -0.1,0,0,0``), also where, as
+    argparse reads it, a unique prefix names the option (``--charge``); a next
+    token that is an option of the command or starts with ``--`` stays, as do
+    an ambiguous prefix and a bad command."""
     sub = parser._subparsers._group_actions[0].choices.get(argv[0] if argv else None, parser)
     takes_one = {s: a.nargs is None for a in sub._actions for s in a.option_strings}
+
+    def named(token):
+        matches = [s for s in takes_one if token.startswith("--") and s.startswith(token)]
+        return matches[0] if len(matches) == 1 and token not in takes_one else token
+
     out = argv[:1]
     for token in argv[1:]:
-        if (takes_one.get(out[-1]) and token.startswith("-") and not token.startswith("--")
-                and token not in takes_one):
-            out[-1] += "=" + token
+        dash = token.startswith("-") and not token.startswith("--") and token not in takes_one
+        if dash and takes_one.get(option := named(out[-1])):
+            out[-1] = f"{option}={token}"
         else:
             out.append(token)
     return out

@@ -51,6 +51,7 @@ from .errors import (
     MetricError,
     _quiet_float_errors,
     point_text,
+    points_text,
 )
 from .expr import _dot, _mul, _signed, compile_one_point
 from .fields import ExprField, fd_jet
@@ -559,8 +560,7 @@ def _dust_jets(snap):
         try:
             return f.jet(X, 1) if snap.mode == "dual" else fd_jet(f, X, 1)
         except EvalError as err:
-            where = point_text(X[0]) if len(X) == 1 else f"one of {len(X)} points"
-            raise EvalError(f"dust field {f.name!r} at {where}: {err}") from None
+            raise EvalError(f"dust field {f.name!r} at {points_text(X)}: {err}") from None
 
     n = len(X)
     r0 = one(dust.rho0)

@@ -24,7 +24,8 @@ Derivatives of computed objects are assembled analytically from the exact
 field jets, each as the Leibniz expansion (``_leibniz``) of the product it
 differentiates, never by differencing grids of computed values; in
 finite-difference mode the handful of third-order consumers fall back to
-stencils applied to the computed field.
+the field stencils' central differences, applied to the computed field
+along the axes the model reads.
 
 A constant metric (no coordinate-dependent component, as on the flat
 backgrounds of the test-field models) makes every member that reads only
@@ -46,7 +47,7 @@ import functools
 import numpy as np
 
 from .errors import EvalError, GeometryError
-from .fields import _check_finite, fd_jet, make_seeds
+from .fields import _check_finite, central_differences, fd_jet, make_seeds
 from .tensor import (MetricAtPoint, _leibniz, _outer, _total, batched_einsum, max_abs,
                      metric_inverse, volume_factor)
 
@@ -639,17 +640,11 @@ class GeometrySnapshot:
 
 
 def _fd_pipeline(model, x, extract, mode):
-    """Central-difference derivative of a computed pointwise quantity at
-    every point of x, shape (N, 4); the derivative-direction axis follows
-    the point axis.  The eight shifted copies of every point form one
-    snapshot.
-    """
-    shifted = []
-    for k in range(DIM):
-        e = np.zeros(DIM)
-        e[k] = PIPELINE_FD_STEP
-        shifted += [x + e, x - e]
-    vals = np.asarray(extract(GeometrySnapshot(model, np.concatenate(shifted), mode)))
-    vals = vals.reshape((2 * DIM, len(x)) + vals.shape[1:])
-    return np.stack([(vals[2 * k] - vals[2 * k + 1]) / (2.0 * PIPELINE_FD_STEP)
-                     for k in range(DIM)], axis=1)
+    """Central-difference derivative (``fields.central_differences``, step
+    ``PIPELINE_FD_STEP``) of a computed pointwise quantity at every point of
+    x, shape (N, 4), along the model's ``read_axes``; the derivative axis
+    follows the point axis.  One snapshot holds every stencil point."""
+    jv = central_differences(lambda pts: extract(GeometrySnapshot(model, pts, mode)), x,
+                             model.read_axes, np.full_like(x, PIPELINE_FD_STEP), 1)
+    # C-contiguous: the bits of a contraction can follow its operands' layout
+    return np.ascontiguousarray(np.moveaxis(jv.grad, 0, 1))

@@ -9,6 +9,11 @@ def point_text(x):
     return repr(tuple(float(v) for v in x))
 
 
+def points_text(x):
+    """``point_text`` of a point or a batch of one, else ``one of N points``."""
+    return point_text(np.ravel(x)) if np.size(x) == 4 else f"one of {len(x)} points"
+
+
 def raise_at(bad, points, error, fault, *values):
     """Raise ``error(f"{fault} at {point}")`` at the first of ``points`` (None:
     name no point) where the (N,) bool array ``bad`` holds; ``fault`` formats

@@ -579,7 +579,7 @@ def _pow(u, p, tape):
         tape.guard(_POW_GUARDS[fails], v)
     if not jet:
         return v ** p
-    d0, d1, _, _ = _pow_terms(v, p, 1, pow)
+    d0, d1, _, _ = _pow_terms(tape, v, 1, p)
     return u.compose(d0, d1)
 
 
@@ -615,6 +615,7 @@ class _Tape:
         self.guards = set()  # (template, operand texts) of each guard
         for name in FUNCTIONS:
             setattr(self, name, functools.partial(self.call, name))
+        self.pow = pow  # tape.pow(v, p) records v ** p
 
     def op(self, template, *args, raises=False):
         return self._record(template, tuple(map(_text, args)), raises)

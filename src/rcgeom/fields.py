@@ -8,9 +8,10 @@ construction.  Every evaluation runs the folded tree through
 ``expr.evaluate``; the default path pushes truncated Taylor carriers (jets)
 through it, giving exact gradients and Hessians (and third derivatives on
 request).  A central finite-difference fallback exists for cross-validation
-of the dual-number engine.  Every field class has ``axes``, the chart
-indices it reads, and the points that agree on those axes (an orbit,
-``_orbits``) give the same evaluations.
+of the dual-number engine; its one stencil (``central_differences``) also
+differences the engine's computed quantities.  Every field class has
+``axes``, the chart indices it reads, and the points that agree on those
+axes (an orbit, ``_orbits``) give the same evaluations.
 
 Every evaluation accepts a batch, shape (N, 4), or one point, shape (4,).
 Batched jets keep the batch axis last (value (N,), gradient (4, N), Hessian
@@ -33,7 +34,7 @@ from collections import namedtuple
 import numpy as np
 
 from . import expr
-from .errors import EvalError, batch_then_rows, point_text, raise_at
+from .errors import EvalError, batch_then_rows, point_text, points_text, raise_at
 from .jets import DIM, ZERO_G, ZERO_G_B, ZERO_H, ZERO_H_B, ZERO_T, ZERO_T_B, Jet
 
 JetValue = namedtuple("JetValue", "value grad hess third")
@@ -173,8 +174,7 @@ def gauge_function_jet(phi, x, order, check=False):
     try:
         jv = phi.jet_unchecked(x, order)
     except EvalError as err:
-        where = point_text(np.ravel(x)) if np.size(x) == DIM else f"one of {len(x)} points"
-        raise EvalError(f"gauge function {phi.name!r} at {where}: {err}") from None
+        raise EvalError(f"gauge function {phi.name!r} at {points_text(x)}: {err}") from None
     return _check_finite(jv, phi.name, x) if check else jv
 
 
@@ -239,53 +239,46 @@ class ShiftedPotentialField:
         return _check_finite(self.jet_unchecked(x, order), self.name, x)
 
 
-def _fd_batch(field, X, order):
-    """Stencil value, gradient and (order 2) Hessian at every row of X,
-    batch axis last as in jets.
+def central_differences(values, X, axes, steps, order):
+    """Central-difference value, gradient and (order 2) Hessian of a
+    pointwise function at every row of X, shape (N, 4).
 
-    Only the axes the field reads (``axes``) are differenced: every
-    entry along another axis is exactly 0, as in a jet, where a mixed
-    difference across it would leave roundoff.  All stencil points of all
-    rows go through one ``values`` call, in the order the one-point
-    difference quotients visit them (the centre first at order 2, last at
-    order 1), so the first bad stencil point is the one reported.
+    ``values`` maps stacked points, shape (M, 4), to an array whose leading
+    axis is the points; ``steps`` holds each row's step along each axis,
+    shape (N, 4).  Only ``axes`` are differenced: every entry along another
+    axis is exactly 0, as in a jet, where a mixed difference across it
+    would leave roundoff.  All stencil points of all rows go through one
+    ``values`` call, in the order the one-point difference quotients visit
+    them (the centre first at order 2, last at order 1), so the first bad
+    stencil point is the one reported.  The parts carry the derivative axes
+    first, then the point axis, then the value's own axes: a scalar
+    function gets the batch-last layout of the jets.
     """
-    axes = sorted(field.axes)
-    steps = FD_STEP_SCALE * np.maximum(1.0, np.abs(X))  # per axis and point
-    shift = {m: np.zeros_like(X) for m in axes}
-    for m, e in shift.items():
-        e[:, m] = steps[:, m]
-    axial = []
-    for m in axes:
-        axial += [X + shift[m], X - shift[m]]
+    axes = sorted(axes)
     pairs = list(itertools.combinations(axes, 2)) if order >= 2 else []
-    mixed = []
-    for m, n in pairs:
-        em, en = shift[m], shift[n]
-        mixed += [X + em + en, X + em - en, X - em + en, X - em - en]
+    e = {m: np.where(np.arange(DIM) == m, steps, 0.0) for m in axes}  # the steps along m
+    axial = [p for m in axes for p in (X + e[m], X - e[m])]
+    mixed = [X + a + b for m, n in pairs for a in (e[m], -e[m]) for b in (e[n], -e[n])]
     pts = [X] + axial + mixed if order >= 2 else axial + [X]
-    f = field.values(np.concatenate(pts)).reshape(len(pts), len(X))
+    f = np.asarray(values(np.concatenate(pts)))
+    f = f.reshape((len(pts), len(X)) + f.shape[1:])
     if order >= 2:
         f0, f_axial, f_mixed = f[0], f[1:1 + len(axial)], f[1 + len(axial):]
     else:
         f0, f_axial = f[-1], f[:-1]
 
-    grad = np.zeros((DIM, len(X)))
-    hess = np.zeros((DIM, DIM, len(X))) if order >= 2 else None
+    h = steps.T.reshape((DIM, len(X)) + (1,) * (f0.ndim - 1))  # broadcast over the value
+    grad = np.zeros((DIM,) + f0.shape)
+    hess = np.zeros((DIM, DIM) + f0.shape) if order >= 2 else None
     for k, m in enumerate(axes):
         fp, fm = f_axial[2 * k], f_axial[2 * k + 1]
-        grad[m] = (fp - fm) / (2.0 * steps[:, m])
+        grad[m] = (fp - fm) / (2.0 * h[m])
         if hess is not None:
-            hess[m, m] = (fp - 2.0 * f0 + fm) / steps[:, m] ** 2
+            hess[m, m] = (fp - 2.0 * f0 + fm) / h[m] ** 2
     for k, (m, n) in enumerate(pairs):
         pp, pm, mp, mm = f_mixed[4 * k: 4 * k + 4]
-        hess[m, n] = hess[n, m] = (pp - pm - mp + mm) / (4.0 * steps[:, m] * steps[:, n])
+        hess[m, n] = hess[n, m] = (pp - pm - mp + mm) / (4.0 * h[m] * h[n])
     return JetValue(f0, grad, hess, None)
-
-
-def _one_point(jv):
-    return JetValue(float(jv.value[0]), jv.grad[:, 0],
-                    None if jv.hess is None else jv.hess[:, :, 0], None)
 
 
 def finite_difference_derivatives(field, x):
@@ -300,6 +293,9 @@ def fd_jet(field, x, order=2):
     if order > 2:
         raise EvalError("finite-difference mode carries derivatives only to 2nd order")
     x = np.asarray(x, dtype=float)
+    X = np.atleast_2d(x)
+    steps = FD_STEP_SCALE * np.maximum(1.0, np.abs(X))  # per point and axis
+    jv = central_differences(field.values, X, field.axes, steps, order)
     if x.ndim == 2:
-        return _fd_batch(field, x, order)
-    return _one_point(_fd_batch(field, x[None], order))
+        return jv
+    return JetValue(float(jv.value[0]), *(None if p is None else p[..., 0] for p in jv[1:]))

@@ -309,15 +309,13 @@ def _run_pointwise(ctx, rows):
 
 def _read_axes(ctx, point_set):
     """The chart indices that the subjects of a point set read: those of
-    every field the model holds (metric, potential, domain and dust), and,
+    every field the model holds (its ``read_axes``, and its dust's), and,
     for the gauge rows, of the gauge functions."""
-    model, dust = ctx.model, ctx.model.dust
-    held = [*itertools.chain.from_iterable(model.g_fields), *model.A_fields, model.domain]
-    if dust is not None:
-        held += [dust.rho0, dust.rhoq, *dust.V_fields]
+    dust = ctx.model.dust
+    held = [] if dust is None else [dust.rho0, dust.rhoq, *dust.V_fields]
     if point_set in ("gauge", "orbit"):
         held += [*ctx.phi_fields, ctx.orbit_phi]
-    return sorted(frozenset().union(*(f.axes for f in held if f is not None)))
+    return sorted(frozenset(ctx.model.read_axes).union(*(f.axes for f in held if f is not None)))
 
 
 def _chunks(ctx, point_set, pts):

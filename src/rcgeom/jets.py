@@ -14,14 +14,15 @@ identity).
 
 Each elementary function is one entry of ``_TABLE``: a derivative rule,
 written once for ``math`` and numpy, and a domain rule, the tests and
-messages that explain a failed evaluation.  One dispatcher serves four
-routes: a Jet of a float runs the rule with ``math``, a Jet of an array with
-numpy, a plain float takes the ``math`` function and a plain array applies it
-entry by entry (``_each``), since value-only evaluation (stencils, domain
-predicates) must match one-point values bit for bit, which numpy does not
-promise.  Every route raises where it fails, numpy too, and a failed array is
-evaluated again entry by entry, so it raises the ``EvalError`` of its first
-bad entry.  ``jet_pow`` does the same for ``^``.
+messages that explain a failed evaluation.  One dispatcher (``_apply``)
+serves four routes: a Jet of a float runs the rule with ``math``, a Jet of an
+array with numpy, a plain float takes the ``math`` function and a plain array
+applies it entry by entry (``_each``), since value-only evaluation (stencils,
+domain predicates) must match one-point values bit for bit, which numpy does
+not promise.  Every route raises where it fails, numpy too, and a failed array
+is evaluated again entry by entry, so it raises the ``EvalError`` of its first
+bad entry.  ``jet_pow`` takes the same dispatcher for ``^``, after its domain
+rules.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import math
 
 import numpy as np
 
-from .errors import EvalError
+from .errors import EvalError, raise_at
 
 DIM = 4
 
@@ -236,13 +237,6 @@ _MATH_ERRORS = (ArithmeticError, ValueError)
 _RAISE = {"over": "raise", "divide": "raise", "invalid": "raise"}
 
 
-def _reject(bad, v, message):
-    """Raise ``EvalError(message)`` formatted with the first value of v (a
-    float or an array) at which bad holds, as a plain float, if there is one."""
-    if np.any(bad):
-        raise EvalError(message.format(float(np.broadcast_to(v, np.shape(bad))[bad][0])))
-
-
 def _entries(f, message, *args):
     """[f(*entry) for each entry of the broadcast args], on plain floats; the
     first entry at which f fails raises ``EvalError(message(*entry))``.
@@ -260,6 +254,34 @@ def _entries(f, message, *args):
     return out
 
 
+def _apply(plain, rule, message, u, *args):
+    """A function over a float, an array of values or a Jet of either, with
+    constant further arguments ``args``: ``plain(u, *args)`` on floats,
+    entry by entry over arrays; a Jet composes with ``rule(m, v, n, *args)``,
+    its value and derivatives at v for m = math or numpy and n the Jet's
+    order.  A failed evaluation is evaluated again entry by entry, and the
+    first bad entry raises ``EvalError(message(*entry))``."""
+    if not isinstance(u, Jet):
+        try:
+            if isinstance(u, np.ndarray) or args and isinstance(args[0], np.ndarray):
+                return _each(plain, u, *args)
+            return plain(u, *args) if args else plain(u)  # a call with * is slower
+        except _MATH_ERRORS:
+            return np.array(_entries(plain, message, u, *args))
+    v = u.f
+    n = u.order
+    try:
+        if isinstance(v, np.ndarray):
+            with np.errstate(**_RAISE):
+                d = rule(np, v, n, *args)
+        else:
+            d = rule(math, v, n, *args)
+    except _MATH_ERRORS:
+        d = np.array(_entries(lambda x: rule(math, x, n, *args), message, v)).T
+    d0, d1, d2, d3 = d  # compose(*d) costs a slower call
+    return u.compose(d0, d1, d2, d3)
+
+
 def _elementary(name, rule, domain):
     """The elementary function ``name`` over a float, an array of values or a
     Jet of either, from its ``_TABLE`` entry.  A failure is explained by the
@@ -271,23 +293,7 @@ def _elementary(name, rule, domain):
         return next((m for bad, m in domain if bad(x)), overflow).format(x)
 
     def apply(u):
-        if not isinstance(u, Jet):
-            try:
-                return _each(plain, u) if isinstance(u, np.ndarray) else plain(u)
-            except _MATH_ERRORS:
-                return np.array(_entries(plain, message, u))
-        v = u.f
-        n = u.order
-        try:
-            if isinstance(v, np.ndarray):
-                with np.errstate(**_RAISE):
-                    d = rule(np, v, n)
-            else:
-                d = rule(math, v, n)
-        except _MATH_ERRORS:
-            d = np.array(_entries(lambda x: rule(math, x, n), message, v)).T
-        d0, d1, d2, d3 = d  # compose(*d) costs a slower call
-        return u.compose(d0, d1, d2, d3)
+        return _apply(plain, rule, message, u)
 
     return apply
 
@@ -335,11 +341,13 @@ _POW_DOMAIN = (
 _POW_OVERFLOW = "power overflow at base {!r}".format
 
 
-def _pow_terms(v, p, order, power=math.pow):
+def _pow_terms(m, v, order, p):
     """v ** p and its derivatives up to ``order`` (0.0 above it, never
-    computed), with power = math.pow or np.power.  At a zero base with a
-    non-negative integer exponent this gives n! in slot n, because each
-    power of zero it takes is non-negative."""
+    computed), the ``_apply`` rule of ``jet_pow``, with ``m.pow`` (numpy's
+    ``power``) for m = math, numpy or the recording's tape.  At a zero base
+    with a non-negative integer exponent this gives n! in slot n, because
+    each power of zero it takes is non-negative."""
+    power = m.power if m is np else m.pow
     c1 = p
     c2 = p * (p - 1.0)
     c3 = c2 * (p - 2.0)
@@ -363,24 +371,9 @@ def jet_pow(u, p):
         return FUNCTIONS["exp"](p * FUNCTIONS["log"](u))
     jet = isinstance(u, Jet)
     v = u.f if jet else u
-    # a Jet's exponent is a float
-    batch = isinstance(v, np.ndarray) or not jet and isinstance(p, np.ndarray)
-    if np.any(v <= 0.0) if batch else v <= 0.0:
+    if np.any(v <= 0.0) if isinstance(v, np.ndarray) or isinstance(p, np.ndarray) else v <= 0.0:
         for bad, message in _POW_DOMAIN if jet else _POW_DOMAIN[:2]:
-            _reject(bad(v, p), v, message)
-    if not jet:
-        try:
-            return _each(math.pow, v, p) if batch else math.pow(v, p)
-        except _MATH_ERRORS:
-            return np.array(_entries(math.pow, _POW_OVERFLOW, v, p))
-    n = u.order
-    try:
-        if batch:
-            with np.errstate(**_RAISE):
-                d = _pow_terms(v, p, n, np.power)
-        else:
-            d = _pow_terms(v, p, n)
-    except _MATH_ERRORS:
-        d = np.array(_entries(lambda x: _pow_terms(x, p, n), _POW_OVERFLOW, v)).T
-    d0, d1, d2, d3 = d
-    return u.compose(d0, d1, d2, d3)
+            b = np.ravel(bad(v, p))
+            if b.any():  # the note gives the value as a plain float
+                raise_at(b, None, EvalError, message, np.broadcast_to(v, b.shape).tolist())
+    return _apply(math.pow, _pow_terms, _POW_OVERFLOW, u, p)

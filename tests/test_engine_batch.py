@@ -444,6 +444,50 @@ def test_batched_gauge_scenario_matches_point_by_point(name, mode):
             assert abs(value - ref) <= 1e-6 * tol, cid
 
 
+# -- the fd pipeline's one stencil ----------------------------------------------
+
+
+def _eight_copy_pipeline(model, x, extract, mode):
+    """The stencil that differences every axis, read or not: eight shifted
+    copies of every point in one snapshot."""
+    shifted = []
+    for k in range(4):
+        e = np.zeros(4)
+        e[k] = engine.PIPELINE_FD_STEP
+        shifted += [x + e, x - e]
+    vals = np.asarray(extract(GeometrySnapshot(model, np.concatenate(shifted), mode)))
+    vals = vals.reshape((8, len(x)) + vals.shape[1:])
+    return np.stack([(vals[2 * k] - vals[2 * k + 1]) / (2.0 * engine.PIPELINE_FD_STEP)
+                     for k in range(4)], axis=1)
+
+
+@pytest.mark.parametrize("member", ["einstein_lc_uu", "J_up"])
+@pytest.mark.parametrize("name", sorted(GAUGE_MODELS))
+def test_fd_pipeline_differences_the_read_axes_in_one_snapshot(name, member, monkeypatch):
+    """The pipeline takes one snapshot of (2a + 1) N points, a the number of
+    axes the model reads, and gives the eight-copy stencil's bits: along an
+    axis no field reads, both shifted copies have the same bits."""
+    model = GAUGE_MODELS[name]
+    x = _points(model)
+
+    def extract(snap):
+        return getattr(snap, member)
+
+    sizes, init = [], GeometrySnapshot.__init__
+
+    def counted(self, *args):
+        init(self, *args)
+        sizes.append(len(self.x))
+
+    monkeypatch.setattr(GeometrySnapshot, "__init__", counted)
+    got = engine._fd_pipeline(model, x, extract, "fd")
+    monkeypatch.undo()
+    assert sizes == [(2 * len(model.read_axes) + 1) * len(x)]
+    want = _eight_copy_pipeline(model, x, extract, "fd")
+    assert got.flags.c_contiguous
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
 # -- the dynamics scenario's batches against batches of one -------------------
 
 DYNAMICS_MODELS = {**GAUGE_MODELS, "minkowski-constant-e": catalog_get("minkowski-constant-e")}

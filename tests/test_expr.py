@@ -27,7 +27,8 @@ from rcgeom.expr import (
     parse,
     to_source,
 )
-from rcgeom.fields import fd_jet, finite_difference_derivatives
+from rcgeom.fields import (FD_STEP_SCALE, central_differences, fd_jet,
+                           finite_difference_derivatives)
 from rcgeom.jets import Jet
 
 CART = ChartSpec(("t", "x", "y", "z"))
@@ -291,6 +292,30 @@ def test_fd_differences_only_the_axes_a_field_reads():
             assert np.all(jv.hess[unread] == 0.0)
         for part in (jv.value, jv.grad, jv.hess)[:order + 1]:
             assert part[..., 0].tobytes() == part[..., 1].tobytes()
+
+
+def test_central_differences_of_a_tensor_are_its_entries_stencils():
+    """Over a tensor-valued function the routine gives each entry the bits of
+    that entry's own field stencil (``fd_jet``), with the derivative axes
+    first, then the points, then the value's axes.  It differences all four
+    axes here, and an entry along an axis its field does not read is still
+    exactly 0."""
+    srcs = (("sin(x)*t", "exp(y - z)", "x*y"), ("1/(2 + x)", "t*z^2", "cos(t + y)"))
+    fields = [[ExprField(src, CART) for src in row] for row in srcs]
+    X = np.array([[0.1, 0.7, -0.2, 0.4], [2.5, -1.3, 0.6, 3.0], [-0.3, 0.0, 1.1, -8.0]])
+
+    def tensor(P):
+        return np.stack([np.stack([f.values(P) for f in row], axis=-1) for row in fields], axis=1)
+
+    steps = FD_STEP_SCALE * np.maximum(1.0, np.abs(X))
+    for order in (1, 2):
+        jv = central_differences(tensor, X, range(4), steps, order)
+        assert jv.value.shape == (3, 2, 3) and jv.grad.shape == (4, 3, 2, 3)
+        for i, row in enumerate(fields):
+            for j, f in enumerate(row):
+                want = fd_jet(f, X, order)
+                for part, entry in zip(jv[:order + 1], want[:order + 1]):
+                    assert part[..., i, j].tobytes() == entry.tobytes()
 
 
 def test_dual_vs_fd_on_catalog_fields():

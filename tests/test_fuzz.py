@@ -119,7 +119,9 @@ def commands(draw, base, axes):
                  for _ in range(3))]
     method = draw(st.sampled_from(["rk4", "rk45-adaptive"]))
     argv = [*option("--x0", _csv(x0)), *option("--v0", _csv(v0)), "--method", method, *diff,
-            *option("--charge-ratio", repr(draw(st.floats(-1.0, 1.0)))),
+            # argparse also takes a unique prefix of an option
+            *option(draw(st.sampled_from(["--charge-ratio", "--charge"])),
+                    repr(draw(st.floats(-1.0, 1.0)))),
             "--ds", repr(draw(st.sampled_from([0.01, 0.05, 0.2]))),
             "--steps", str(draw(st.integers(1, 12)))]
     if method == "rk4" and draw(st.booleans()):

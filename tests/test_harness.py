@@ -302,9 +302,11 @@ def test_cli_worldline_start_outside_the_domain_is_a_usage_error(x0, v0, tmp_pat
     ("worldline", "--x0", "-0.1,0,0,0"),
     ("worldline", "--charge-ratio", "-1e-05"),
     ("gauge", "--phi", "-0.1*x"),
-], ids=["x0", "charge-ratio", "phi"])
+    ("worldline", "--charge", "-1e-05"),
+], ids=["x0", "charge-ratio", "phi", "charge-ratio-abbreviated"])
 def test_cli_values_that_start_with_a_dash_are_values(command, option, value, tmp_path, capsys):
-    """``--opt -value`` is read as ``--opt=-value``: the same run, byte for byte."""
+    """``--opt -value`` is read as ``--opt=-value``, also where ``--opt`` is a
+    unique prefix of the option: the same run, byte for byte."""
     argv = {"worldline": ["--spacetime", "minkowski", "--x0", "0,0,0,0", "--v0", "1,0,0,0",
                           "--ds", "0.1", "--steps", "3"],
             "gauge": ["--spacetime", "minkowski-constant-e"]}[command]
@@ -325,6 +327,13 @@ def test_cli_an_option_after_an_option_is_still_a_usage_error(argv, tmp_path, ca
                  "--steps", "3", "--out", str(tmp_path / "traj.csv")])
     assert code == 2
     assert "argument --x0: expected one argument" in capsys.readouterr().err
+
+
+def test_cli_an_ambiguous_prefix_is_still_a_usage_error(tmp_path, capsys):
+    code = main(["worldline", "--spacetime", "minkowski", "--x0", "0,0,0,0", "--v0", "1,0,0,0",
+                 "--s", "-1", "--ds", "0.1", "--steps", "3", "--out", str(tmp_path / "traj.csv")])
+    assert code == 2
+    assert "ambiguous option: --s could match" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("bad", [
@@ -1052,6 +1061,31 @@ def test_a_domain_error_names_the_first_grid_point(tmp_path):
 def test_read_axes_cover_every_field_the_model_holds(name, phis, point_set, read):
     ctx = SuiteContext(resolve_model(name), phis=phis)
     assert harness._read_axes(ctx, point_set) == read
+
+
+_KN_MISCHARGED = _KN.replace("kerr_newman", "kerr_newman_mischarged")
+
+# the axes each catalog entry, fixture and bench file reads
+MODEL_READ_AXES = {
+    "minkowski": (), "minkowski-constant-e": (1,), "schwarzschild": (1, 2),
+    "reissner-nordstrom": (1, 2), "em-plane-wave": (0, 1), "charge-ball": (1, 2, 3),
+    _KN: (1, 2), _KN_MISCHARGED: (1, 2),
+}
+
+
+@pytest.mark.parametrize("name", [*CATALOG_NAMES, *FIXTURE_NAMES, _KN, _KN_MISCHARGED],
+                         ids=lambda name: Path(name).name)
+def test_model_read_axes_are_the_union_the_harness_and_the_loader_take(name):
+    """``read_axes`` is the union of the axes of the metric, the potential
+    and the domain; the grid rows add the dust's."""
+    model, read = resolve_model(name), MODEL_READ_AXES[name]
+    held = [*(f for row in model.g_fields for f in row), *model.A_fields, model.domain]
+    assert model.read_axes == read == tuple(
+        sorted(frozenset().union(*(f.axes for f in held if f is not None))))
+    dust = model.dust
+    dust_axes = set() if dust is None else set().union(
+        *(f.axes for f in (dust.rho0, dust.rhoq, *dust.V_fields)))
+    assert harness._read_axes(SuiteContext(model), "grid") == sorted({*read, *dust_axes})
 
 
 def test_each_representative_runs_once():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcgeom import ChartSpec, ExprField
+from rcgeom import ChartSpec, ExprField, jets
 from rcgeom.cli import main
 from rcgeom.errors import EvalError
 from rcgeom.jets import FUNCTIONS, Jet, jet_pow
@@ -159,6 +159,36 @@ def test_pow_routes_reject_alike(case):
 def test_jet_routes_reject_singular_derivatives_alike(fn, x, p, message):
     assert _messages(fn, x, *p, routes=("jet", "jet-array")) == {message}
     fn(x, *p), fn(np.array([x]), *p)  # a plain value is fine
+
+
+@pytest.mark.parametrize("base, p", [
+    (np.array([4.0, -2.0, -3.0]), np.array([0.5, 2.0, 0.5])),
+    (-3.0, np.array([2.0, 0.5])),
+    (_jet(np.array([4.0, -3.0, -2.0])), 0.5),
+], ids=["arrays", "float-base-array-exponent", "jet-array"])
+def test_pow_domain_note_names_the_first_bad_base_as_a_float(base, p):
+    with pytest.raises(EvalError) as err:
+        jet_pow(base, p)
+    assert str(err.value) == "fractional power of negative base -3.0"
+
+
+class _FloatsOnly:
+    """numpy for float operands: ``ndarray`` for the type tests, no call."""
+
+    ndarray = np.ndarray
+
+    def __getattr__(self, name):
+        raise AssertionError(f"numpy.{name} used on a float operand")
+
+
+def test_float_operands_make_no_numpy_call(monkeypatch):
+    """The float route, and the Jet of a float, stay on ``math`` where they
+    succeed: each worldline verdict evaluates its one-point metrics there."""
+    expected = [FUNCTIONS["sin"](0.5), jet_pow(2.0, 0.5), jet_pow(2.0, 3.0)]
+    jet_expected = [FUNCTIONS["log"](_jet(2.0)).f, jet_pow(_jet(2.0), 1.5).f]
+    monkeypatch.setattr(jets, "np", _FloatsOnly())
+    assert [FUNCTIONS["sin"](0.5), jet_pow(2.0, 0.5), jet_pow(2.0, 3.0)] == expected
+    assert [FUNCTIONS["log"](_jet(2.0)).f, jet_pow(_jet(2.0), 1.5).f] == jet_expected
 
 
 def test_pow_of_negative_zero_keeps_the_sign_on_every_route():
