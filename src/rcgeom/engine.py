@@ -46,8 +46,8 @@ import functools
 
 import numpy as np
 
-from .errors import EvalError, GeometryError
-from .fields import _check_finite, central_differences, fd_jet, make_seeds
+from .errors import GeometryError
+from .fields import _check_finite, central_differences, check_fd_order, fd_jet, make_seeds
 from .tensor import (MetricAtPoint, _leibniz, _outer, _total, batched_einsum, max_abs,
                      metric_inverse, volume_factor)
 
@@ -73,8 +73,8 @@ def field_jets(model, X, order=2, mode="dual"):
     model.require_in_domain(X)
     if mode not in ("dual", "fd"):
         raise ValueError(f"unknown derivative mode {mode!r}")
-    if mode == "fd" and order > 2:
-        raise EvalError("finite-difference mode does not carry third derivatives")
+    if mode == "fd":
+        check_fd_order(order)
 
     layout = model.layout
     n = len(X)
@@ -643,7 +643,8 @@ def _fd_pipeline(model, x, extract, mode):
     """Central-difference derivative (``fields.central_differences``, step
     ``PIPELINE_FD_STEP``) of a computed pointwise quantity at every point of
     x, shape (N, 4), along the model's ``read_axes``; the derivative axis
-    follows the point axis.  One snapshot holds every stencil point."""
+    follows the point axis.  One snapshot holds every stencil point: 2a·N
+    of them for a model that reads a axes, N for one that reads none."""
     jv = central_differences(lambda pts: extract(GeometrySnapshot(model, pts, mode)), x,
                              model.read_axes, np.full_like(x, PIPELINE_FD_STEP), 1)
     # C-contiguous: the bits of a contraction can follow its operands' layout

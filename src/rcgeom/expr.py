@@ -8,18 +8,18 @@ Grammar:
     base   := number | ident | ident "(" expr ")" | "(" expr ")"
 
 ``^`` is right-associative; a fully parenthesized printer is provided so
-``parse(to_source(ast))`` reproduces the tree exactly.  Nesting and tree
-depth are bounded by ``MAX_DEPTH``, so the recursive printer, evaluator and
-folder never exceed the interpreter's recursion limit.  ``parse`` keeps each
-tree in a bounded memo, keyed by source, chart and parameter names; trees
-are immutable, so models built from one source share them.
+``parse(to_source(ast))`` reproduces the tree exactly.  Trees are interned
+(``_Node``): equal trees are one object, which compares and hashes by
+identity, and each node carries the chart indices its tree reads (``axes``)
+and its ``depth``.  Nesting and tree depth are bounded by ``MAX_DEPTH``, so
+the recursive printer, evaluator and folder never exceed the interpreter's
+recursion limit.  ``parse`` keeps each tree in a bounded memo, keyed by
+source, chart and parameter names, which saves the lexing.
 
 ``evaluate`` interprets a tree over float, (N,) array or Jet coordinates.
-``fold`` replaces the parameter-only subtrees of a tree, once, by their
-values; ``evaluate`` of the folded tree equals ``evaluate`` of the tree bit
-for bit.  Every field evaluates its folded tree.  ``axes`` gives the chart
-indices a tree reads, in the one walk over coordinates that ``fold`` also
-takes.
+``fold`` replaces the parameter-only subtrees of a tree, in one walk, by
+their values; ``evaluate`` of the folded tree equals ``evaluate`` of the
+tree bit for bit.  Every field evaluates its folded tree.
 
 ``compile_one_point`` generates one straight-line Python function of four
 floats from a set of folded trees and a domain test.  It records the order-1
@@ -44,9 +44,11 @@ import itertools
 import math
 import operator
 import re
+import struct
 import sys
 import threading
-from dataclasses import dataclass, replace
+import weakref
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,61 +85,79 @@ class ChartSpec:
 # -- AST ---------------------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class Num:
-    value: float
+class _Node:
+    """An interned, immutable tree node: building one with the class and
+    fields of a live node returns that node (children compared by identity,
+    a float by its bits), so equal trees are one object and nodes compare by
+    identity.  Its class's ``__slots__`` are its fields, children last; it
+    carries the chart indices its tree reads (``axes``) and its ``depth``."""
+
+    __slots__ = ("axes", "depth", "__weakref__")
+
+    def __init_subclass__(cls):  # the slice of the fields that are children
+        cls._kids = slice(len([f for f in cls.__slots__ if f not in ("arg", "left", "right")]), None)
+
+    def __new__(cls, *fields):
+        key = (cls, _BITS(fields[0])) if cls is Num else (cls, *fields)
+        ref = _NODES.get(key)
+        node = None if ref is None else ref()
+        if node is not None:
+            return node
+        _NODES_LOCK.acquire()  # acquire and release take half the time of ``with``
+        try:  # looked up again: another thread may have built it
+            ref = _NODES.get(key)
+            node = None if ref is None else ref()
+            if node is None:
+                node = object.__new__(cls)
+                for name, value in zip(cls.__slots__, fields):
+                    _set(node, name, value)
+                axes, depth = (frozenset(fields[:1]) if cls is Coord else frozenset()), 1
+                for kid in fields[cls._kids]:  # a child's axes are shared, not copied
+                    axes = axes if kid.axes <= axes else kid.axes if axes <= kid.axes else axes | kid.axes
+                    depth = max(depth, kid.depth + 1)
+                _set(node, "axes", axes)
+                _set(node, "depth", depth)
+                _NODES[key] = weakref.ref(node, functools.partial(_forget, key))
+        finally:
+            _NODES_LOCK.release()
+        return node
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"{type(self).__name__} nodes are immutable")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
 
-@dataclass(frozen=True, slots=True)
-class Coord:
-    index: int
-    name: str
+_NODES = {}  # (class, fields) -> weak reference to the live node
+_NODES_LOCK = threading.RLock()  # reentrant: a node may die, and leave, while it is held
+_BITS = struct.Struct("<d").pack
+_set = object.__setattr__
 
 
-@dataclass(frozen=True, slots=True)
-class Param:
-    name: str
+def _forget(key, ref, nodes=_NODES, lock=_NODES_LOCK):  # bound now: it may run at exit
+    """Drop a dead node's entry, unless a new node has taken its key."""
+    lock.acquire()
+    try:
+        if nodes.get(key) is ref:
+            del nodes[key]
+    finally:
+        lock.release()
 
 
-@dataclass(frozen=True, slots=True)
-class Neg:
-    arg: object
-
-
-@dataclass(frozen=True, slots=True)
-class Add:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True, slots=True)
-class Sub:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True, slots=True)
-class Mul:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True, slots=True)
-class Div:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True, slots=True)
-class Pow:
-    left: object
-    right: object
-
-
-@dataclass(frozen=True, slots=True)
-class Call:
-    func: str
-    arg: object
+class Num(_Node): __slots__ = ("value",)
+class Coord(_Node): __slots__ = ("index", "name")
+class Param(_Node): __slots__ = ("name",)
+class Neg(_Node): __slots__ = ("arg",)
+class Add(_Node): __slots__ = ("left", "right")
+class Sub(_Node): __slots__ = ("left", "right")
+class Mul(_Node): __slots__ = ("left", "right")
+class Div(_Node): __slots__ = ("left", "right")
+class Pow(_Node): __slots__ = ("left", "right")
+class Call(_Node): __slots__ = ("func", "arg")
 
 
 # -- lexer -------------------------------------------------------------------
@@ -289,22 +309,9 @@ def parse(src, chart, params=()):
 @functools.lru_cache(maxsize=1024)
 def _parse(src, chart, params):
     node = _Parser(src, chart, params).parse()
-    if _depth(node) > MAX_DEPTH:
+    if node.depth > MAX_DEPTH:
         raise ParseError(f"expression tree is deeper than {MAX_DEPTH} levels")
     return node
-
-
-def _depth(node):
-    """Tree depth, computed without recursion (long sums are deep trees)."""
-    deepest, stack = 0, [(node, 1)]
-    while stack:
-        node, d = stack.pop()
-        deepest = max(deepest, d)
-        if isinstance(node, (Neg, Call)):
-            stack.append((node.arg, d + 1))
-        elif isinstance(node, (Add, Sub, Mul, Div, Pow)):
-            stack += [(node.left, d + 1), (node.right, d + 1)]
-    return deepest
 
 
 # -- printer -----------------------------------------------------------------
@@ -376,10 +383,11 @@ def _divide(num, den):
 
 
 def fold(node, params):
-    """The tree with each parameter-only subtree replaced by its value, a
-    ``Num``; a -0.0 becomes ``Neg(Num(0.0))``, so that equal folded trees
-    (they are frozen dataclasses) have equal bits.  A tree without
-    coordinates folds to its value.
+    """The tree with each parameter-only subtree (one whose ``axes`` are
+    empty) replaced by its value, a ``Num``, in one walk; a -0.0 becomes
+    ``Neg(Num(0.0))``, the tree the parser makes of its source ``-0``.  A
+    tree without coordinates folds to its value, and a node whose children
+    fold to themselves folds to itself.
 
     A subtree whose folding raises keeps its shape, with its foldable
     children folded, so that ``evaluate`` raises the same error at every
@@ -387,13 +395,7 @@ def fold(node, params):
     tree, bit for bit: each node does its arithmetic on the same operands
     in the same order.
     """
-    free = set()
-    axes(node, free)
-    return _fold(node, params, free)
-
-
-def _fold(node, params, free):
-    if id(node) in free:
+    if not node.axes:
         try:
             v = float(evaluate(node, (), params))  # no coordinate is read
         except (EvalError, ArithmeticError, ValueError):
@@ -402,25 +404,11 @@ def _fold(node, params, free):
             return Neg(Num(0.0)) if v == 0.0 and math.copysign(1.0, v) < 0.0 else Num(v)
     if isinstance(node, Coord):
         return node
-    if isinstance(node, (Neg, Call)):
-        return replace(node, arg=_fold(node.arg, params, free))
-    return type(node)(_fold(node.left, params, free), _fold(node.right, params, free))
-
-
-def axes(node, free=None):
-    """The chart indices the tree reads, a frozenset; adds the id of every
-    node that reads none to the set ``free``, when one is given."""
-    if isinstance(node, Coord):
-        return frozenset((node.index,))
-    if isinstance(node, (Num, Param)):
-        found = frozenset()
-    elif isinstance(node, (Neg, Call)):
-        found = axes(node.arg, free)
-    else:
-        found = axes(node.left, free) | axes(node.right, free)
-    if not found and free is not None:
-        free.add(id(node))
-    return found
+    if isinstance(node, Neg):
+        return Neg(fold(node.arg, params))
+    if isinstance(node, Call):
+        return Call(node.func, fold(node.arg, params))
+    return type(node)(fold(node.left, params), fold(node.right, params))
 
 
 # -- one-point order-1 code generator ------------------------------------------
@@ -466,9 +454,10 @@ def compile_one_point(trees, domain, args, then, key):
     ``math`` functions (``f.source``), never text from a definition file.
 
     Each result, None included, is kept once per process, in a bounded memo
-    keyed by the folded trees and domain (frozen, and bit-equal when
-    equal), ``args``, and the caller's hashable ``key``, which names
-    ``then`` and everything it reads beyond the jets; a hit records nothing.
+    keyed by the folded trees and domain (interned, so bit-equal when
+    equal, and hashed by identity), ``args``, and the caller's hashable
+    ``key``, which names ``then`` and everything it reads beyond the jets;
+    a hit records nothing.
 
     The generator declines when an operation on constants fails (as one in
     a subtree that did not fold does) or an operation fails at every point;

@@ -108,8 +108,8 @@ class ExprField:
 
     ``tree`` is the folded expression (``expr.fold``), which ``value``,
     ``values`` and ``jet_unchecked`` evaluate; ``axes`` holds the chart
-    indices it reads (``expr.axes``), and ``const`` is the field's value
-    when it reads none, else None.
+    indices it reads (the tree's own ``axes``), and ``const`` is the
+    field's value when it reads none, else None.
     """
 
     __slots__ = ("ast", "tree", "chart", "params", "name", "axes", "const")
@@ -120,7 +120,7 @@ class ExprField:
         self.params = dict(params or {})
         self.name = name or (src if isinstance(src, str) else expr.to_source(src))
         self.tree = expr.fold(self.ast, self.params)
-        self.axes = expr.axes(self.tree)
+        self.axes = self.tree.axes
         self.const = None
         if not self.axes:  # a value, or a subtree that did not fold raises
             self.const = float(expr.evaluate(self.tree, (), self.params))
@@ -240,7 +240,7 @@ class ShiftedPotentialField:
 
 
 def central_differences(values, X, axes, steps, order):
-    """Central-difference value, gradient and (order 2) Hessian of a
+    """Central-difference gradient, and at order 2 value and Hessian, of a
     pointwise function at every row of X, shape (N, 4).
 
     ``values`` maps stacked points, shape (M, 4), to an array whose leading
@@ -249,27 +249,28 @@ def central_differences(values, X, axes, steps, order):
     axis is exactly 0, as in a jet, where a mixed difference across it
     would leave roundoff.  All stencil points of all rows go through one
     ``values`` call, in the order the one-point difference quotients visit
-    them (the centre first at order 2, last at order 1), so the first bad
-    stencil point is the one reported.  The parts carry the derivative axes
-    first, then the point axis, then the value's own axes: a scalar
-    function gets the batch-last layout of the jets.
+    them (the centre first), so the first bad stencil point is the one
+    reported.  At order 1 the centre is evaluated only when no axis is
+    differenced, for the value's shape, and the value is None otherwise.
+    The parts carry the derivative axes first, then the point axis, then
+    the value's own axes: a scalar function gets the batch-last layout of
+    the jets.
     """
     axes = sorted(axes)
     pairs = list(itertools.combinations(axes, 2)) if order >= 2 else []
     e = {m: np.where(np.arange(DIM) == m, steps, 0.0) for m in axes}  # the steps along m
     axial = [p for m in axes for p in (X + e[m], X - e[m])]
     mixed = [X + a + b for m, n in pairs for a in (e[m], -e[m]) for b in (e[n], -e[n])]
-    pts = [X] + axial + mixed if order >= 2 else axial + [X]
+    centre = int(order >= 2 or not axes)  # the number of centre blocks evaluated
+    pts = [X] * centre + axial + mixed
     f = np.asarray(values(np.concatenate(pts)))
     f = f.reshape((len(pts), len(X)) + f.shape[1:])
-    if order >= 2:
-        f0, f_axial, f_mixed = f[0], f[1:1 + len(axial)], f[1 + len(axial):]
-    else:
-        f0, f_axial = f[-1], f[:-1]
+    f0 = f[0] if centre else None
+    f_axial, f_mixed = f[centre:centre + len(axial)], f[centre + len(axial):]
 
-    h = steps.T.reshape((DIM, len(X)) + (1,) * (f0.ndim - 1))  # broadcast over the value
-    grad = np.zeros((DIM,) + f0.shape)
-    hess = np.zeros((DIM, DIM) + f0.shape) if order >= 2 else None
+    h = steps.T.reshape((DIM, len(X)) + (1,) * (f.ndim - 2))  # broadcast over the value
+    grad = np.zeros((DIM,) + f.shape[1:])
+    hess = np.zeros((DIM, DIM) + f.shape[1:]) if order >= 2 else None
     for k, m in enumerate(axes):
         fp, fm = f_axial[2 * k], f_axial[2 * k + 1]
         grad[m] = (fp - fm) / (2.0 * h[m])
@@ -288,14 +289,22 @@ def finite_difference_derivatives(field, x):
     return jv.grad, jv.hess
 
 
-def fd_jet(field, x, order=2):
-    """JetValue built from finite differences (orders 1 and 2 only)."""
+def check_fd_order(order):
+    """The one order limit of ``fd_jet`` and ``engine.field_jets``."""
     if order > 2:
-        raise EvalError("finite-difference mode carries derivatives only to 2nd order")
+        raise EvalError("finite-difference mode does not carry third derivatives")
+
+
+def fd_jet(field, x, order=2):
+    """JetValue built from finite differences (orders 1 and 2 only); at
+    order 1 the value is one more ``values`` call, after the stencil."""
+    check_fd_order(order)
     x = np.asarray(x, dtype=float)
     X = np.atleast_2d(x)
     steps = FD_STEP_SCALE * np.maximum(1.0, np.abs(X))  # per point and axis
     jv = central_differences(field.values, X, field.axes, steps, order)
+    if jv.value is None:
+        jv = jv._replace(value=field.values(X))
     if x.ndim == 2:
         return jv
     return JetValue(float(jv.value[0]), *(None if p is None else p[..., 0] for p in jv[1:]))

@@ -355,7 +355,7 @@ def test_folded_fields_equal_the_unfolded_tree_on_random_trees(tree, params, x):
 
 
 def _assert_folded_equals_unfolded(tree, params, x):
-    if not expr.axes(tree):  # its value, or its error at construction
+    if not tree.axes:  # its value, or its error at construction
         got = _result(lambda: _bits(ExprField(tree, CART, params).const))
         want = _result(lambda: expr.evaluate(tree, (), params))
         if want[0] == "ok" and not math.isfinite(want[1]):  # construction checks finiteness

@@ -4,6 +4,7 @@ import ast
 import collections
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import struct
@@ -1060,15 +1061,21 @@ def test_models_from_the_same_sources_share_one_force_law(generations, name):
 
 @pytest.mark.parametrize("name", ["schwarzschild", "reissner-nordstrom", "kerr-newman"])
 def test_a_model_built_again_records_nothing(monkeypatch, generations, name):
-    """The memo is keyed by the folded trees: the law of a model built again
-    from the same sources is found before anything is recorded, so no tape
-    is made for it."""
+    """The memo is keyed by the folded trees, and a model built again from
+    the same sources holds the same tree objects, the domain's included: its
+    law is found before anything is recorded, so no tape is made for it."""
     def model():
         return load_spacetime_file(KN_FILE) if name == "kerr-newman" else catalog_get(name)
 
-    law, tapes, tape = dynamics._generate_rhs(model()), [], expr._Tape
+    def trees(m):
+        return [f.tree for f in [*itertools.chain(*m.g_fields), *m.A_fields, m.domain] if f]
+
+    first = model()
+    law, tapes, tape = dynamics._generate_rhs(first), [], expr._Tape
+    second = model()
+    assert all(a is b for a, b in zip(trees(first), trees(second), strict=True))
     monkeypatch.setattr(expr, "_Tape", lambda: tapes.append(tape()) or tapes[-1])
-    assert dynamics._generate_rhs(model()) is law and tapes == []
+    assert dynamics._generate_rhs(second) is law and tapes == []
 
 
 def test_a_parameter_a_domain_or_a_signed_zero_gives_another_force_law(generations):

@@ -464,9 +464,9 @@ def _eight_copy_pipeline(model, x, extract, mode):
 @pytest.mark.parametrize("member", ["einstein_lc_uu", "J_up"])
 @pytest.mark.parametrize("name", sorted(GAUGE_MODELS))
 def test_fd_pipeline_differences_the_read_axes_in_one_snapshot(name, member, monkeypatch):
-    """The pipeline takes one snapshot of (2a + 1) N points, a the number of
-    axes the model reads, and gives the eight-copy stencil's bits: along an
-    axis no field reads, both shifted copies have the same bits."""
+    """The pipeline takes one snapshot of 2a N points, a the number of axes
+    the model reads (no centre), and gives the eight-copy stencil's bits:
+    along an axis no field reads, both shifted copies have the same bits."""
     model = GAUGE_MODELS[name]
     x = _points(model)
 
@@ -482,10 +482,27 @@ def test_fd_pipeline_differences_the_read_axes_in_one_snapshot(name, member, mon
     monkeypatch.setattr(GeometrySnapshot, "__init__", counted)
     got = engine._fd_pipeline(model, x, extract, "fd")
     monkeypatch.undo()
-    assert sizes == [(2 * len(model.read_axes) + 1) * len(x)]
+    assert sizes == [2 * len(model.read_axes) * len(x)]
     want = _eight_copy_pipeline(model, x, extract, "fd")
     assert got.flags.c_contiguous
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def test_fd_pipeline_of_a_model_that_reads_no_axis_takes_only_the_centres(monkeypatch):
+    """With no axis to difference, the pipeline's one snapshot holds the N
+    centres, for the shape of the quantity, and every derivative is 0."""
+    model = catalog_get("minkowski")
+    x = _points(model)
+    sizes, init = [], GeometrySnapshot.__init__
+
+    def counted(self, *args):
+        init(self, *args)
+        sizes.append(len(self.x))
+
+    monkeypatch.setattr(GeometrySnapshot, "__init__", counted)
+    got = engine._fd_pipeline(model, x, lambda snap: snap.einstein_lc_uu, "fd")
+    assert not model.read_axes and sizes == [len(x)]
+    assert got.shape == (len(x), 4, 4, 4) and not got.any()
 
 
 # -- the dynamics scenario's batches against batches of one -------------------

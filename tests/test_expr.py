@@ -1,15 +1,22 @@
 """Parser, printer, dual-number engine, and finite-difference tests."""
 
 import dataclasses
+import gc
 import math
 import re
+import sys
+import threading
+import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rcgeom import ChartSpec, EvalError, ExprField, ParseError, UnknownIdentifierError, expr
+from rcgeom import (ChartSpec, EvalError, ExprField, ParseError, UnknownIdentifierError,
+                    catalog_get, expr, load_spacetime_file)
+from rcgeom.engine import field_jets
 from rcgeom.expr import (
     MAX_DEPTH,
     Add,
@@ -17,11 +24,12 @@ from rcgeom.expr import (
     Coord,
     Div,
     Mul,
+    Neg,
     Num,
     Param,
     Pow,
     Sub,
-    axes,
+    compile_one_point,
     evaluate,
     fold,
     parse,
@@ -112,11 +120,15 @@ def test_unclosed_paren_rejected():
 
 
 def test_a_source_is_parsed_once_per_chart_and_parameter_names():
-    """The same source, chart and parameter names give the same tree; a
-    different parameter set gives its own, and an error is raised anew."""
+    """The same source, chart and parameter names take the tree from the
+    memo; a different parameter set is its own memo entry, whose tree is the
+    same interned one, and an error is raised anew."""
     tree = parse("M*x/r", ChartSpec(("t", "x", "y", "r")), {"M": 1.0})
+    misses = expr._parse.cache_info().misses
     assert parse("M*x/r", ChartSpec(("t", "x", "y", "r")), ("M",)) is tree
-    assert parse("M*x/r", ChartSpec(("t", "x", "y", "r")), {"M": 1.0, "q": 2.0}) is not tree
+    assert expr._parse.cache_info().misses == misses
+    assert parse("M*x/r", ChartSpec(("t", "x", "y", "r")), {"M": 1.0, "q": 2.0}) is tree
+    assert expr._parse.cache_info().misses == misses + 1
     for _ in range(2):
         with pytest.raises(UnknownIdentifierError, match="'M'"):
             parse("M*x/r", ChartSpec(("t", "x", "y", "r")))
@@ -182,8 +194,9 @@ def test_roundtrip_property(ast):
 
 
 def test_tree_nodes_keep_no_instance_dict():
-    """Every node class has slots: a parsed tree holds its fields only, and
-    its nodes stay frozen and equal by value."""
+    """Every node class has slots and is no dataclass: a parsed tree holds
+    its fields only, and its nodes stay immutable; a parse without the memo
+    gives the same nodes."""
     tree = parse("-sin(x)^2 + M*t/(y - 1)", CART, params=PARAM_NAMES)
     nodes = [tree, tree.left, tree.left.arg, tree.left.arg.left, tree.left.arg.right,
              tree.right, tree.right.left, tree.right.left.left, tree.right.left.right,
@@ -191,10 +204,14 @@ def test_tree_nodes_keep_no_instance_dict():
     assert [type(n).__name__ for n in nodes] == [
         "Add", "Neg", "Pow", "Call", "Num", "Div", "Mul", "Param", "Coord", "Sub"]
     for node in nodes:
-        assert not hasattr(node, "__dict__")
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(node, dataclasses.fields(node)[0].name, None)
-    assert expr._parse.__wrapped__("-sin(x)^2 + M*t/(y - 1)", CART, frozenset(PARAM_NAMES)) == tree
+        assert not hasattr(node, "__dict__") and not dataclasses.is_dataclass(node)
+        for name in (type(node).__slots__[0], "axes", "depth"):
+            with pytest.raises(AttributeError):
+                setattr(node, name, None)
+            with pytest.raises(AttributeError):
+                delattr(node, name)
+    assert repr(tree.right.left) == "Mul(left=Param(name='M'), right=Coord(index=0, name='t'))"
+    assert expr._parse.__wrapped__("-sin(x)^2 + M*t/(y - 1)", CART, frozenset(PARAM_NAMES)) is tree
 
 
 def _outcome(call):
@@ -215,12 +232,137 @@ def test_a_folded_tree_reads_only_its_axes(tree, params, x, y):
     and its value, or its error, does not change with any other coordinate."""
     named = set(re.findall(r"[A-Za-z_]\w*", to_source(tree)))
     folded = fold(tree, params)
-    read = axes(folded)
+    read = folded.axes
     assert read <= {i for i, name in enumerate(CART.names) if name in named}
     moved = [x[i] if i in read else y[i] for i in range(4)]
     with np.errstate(all="ignore"):
         assert _outcome(lambda: evaluate(folded, x, params)) == _outcome(
             lambda: evaluate(folded, moved, params))
+
+
+# -- interning -----------------------------------------------------------------
+
+
+def _reference_axes(node):
+    """The chart indices a tree reads, by a recursive walk."""
+    if isinstance(node, Coord):
+        return {node.index}
+    if isinstance(node, (Num, Param)):
+        return set()
+    if isinstance(node, (Neg, Call)):
+        return _reference_axes(node.arg)
+    return _reference_axes(node.left) | _reference_axes(node.right)
+
+
+def _reference_depth(node):
+    """The tree's depth, by a recursive walk."""
+    if isinstance(node, (Num, Coord, Param)):
+        return 1
+    if isinstance(node, (Neg, Call)):
+        return 1 + _reference_depth(node.arg)
+    return 1 + max(_reference_depth(node.left), _reference_depth(node.right))
+
+
+def _subtrees(node):
+    yield node
+    for name in ("arg", "left", "right"):
+        if hasattr(node, name):
+            yield from _subtrees(getattr(node, name))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.recursive(_leaf, _combine, max_leaves=12), params_strategy)
+def test_each_node_carries_its_axes_and_depth(tree, params):
+    """Every node of a tree and of its folded tree carries the axes and the
+    depth that recursive walks give."""
+    for root in (tree, fold(tree, params)):
+        for node in _subtrees(root):
+            assert node.axes == frozenset(_reference_axes(node))
+            assert type(node.axes) is frozenset and node.depth == _reference_depth(node)
+
+
+def test_equal_sources_and_equal_folded_trees_are_one_object():
+    """Sources that parse to equal trees give one object, with one object
+    for each distinct subtree; so do sources that fold to equal trees."""
+    sigma = parse("r^2 + a^2*cos(theta)^2", SPHERE, ("a",))
+    assert parse("(r^2) + (a^2)*(cos(theta)^2)", SPHERE, ("a",)) is sigma
+    g22 = parse("-(r^2 + a^2*cos(theta)^2)", SPHERE, ("a",))
+    assert g22.arg is sigma and Neg(sigma) is g22
+    assert ExprField("2*M/r", SPHERE, {"M": 1.0}).tree is ExprField("(M + M)/r", SPHERE, {"M": 1.0}).tree
+    assert ExprField("2*M/r", SPHERE, {"M": 1.0}).tree is not ExprField("2*M/r", SPHERE, {"M": 1.5}).tree
+
+
+def test_kerr_newman_components_share_their_subtrees():
+    """The folded trees of the seven live components of the Kerr-Newman file
+    hold 143 nodes, and 40 distinct ones: the repeated
+    ``r^2 + a^2*cos(theta)^2`` is one node."""
+    model = load_spacetime_file(Path(__file__).resolve().parents[1] / "bench" / "kerr_newman.spacetime")
+    live = [f.tree for *_, f in model.layout.g_live + model.layout.A_live]
+    nodes = [n for tree in live for n in _subtrees(tree)]
+    assert len(live) == 7 and len(nodes) == 143 and len({id(n) for n in nodes}) == 40
+
+
+def test_signed_zeros_are_two_nodes_that_keep_their_bits():
+    """0.0 and -0.0 are two nodes; each keeps its sign through ``evaluate``,
+    ``to_source`` and a literal of generated code."""
+    zero, minus = Num(0.0), Num(-0.0)
+    assert zero is not minus and Num(-0.0) is minus and Num(0.0) is zero
+    x = Coord(1, "x")
+    for node, sign in ((zero, 1.0), (minus, -1.0)):
+        assert math.copysign(1.0, evaluate(node, (), {})) == sign
+        assert math.copysign(1.0, evaluate(parse(to_source(node), CART), (), {})) == sign
+        run = compile_one_point([Mul(node, x)], None, (), lambda tape, jets, *xs: (jets[0].f,),
+                                "signed-zero")
+        assert ("(-0.0)" in run.source) == (sign < 0.0)
+        assert math.copysign(1.0, run(0.0, 2.0, 0.0, 0.0)[0]) == sign
+
+
+def test_a_tree_that_nothing_reaches_leaves_the_table():
+    """The table holds nodes weakly: once no reference to a tree is left,
+    none of its nodes is kept."""
+    gc.collect()
+    gc.disable()  # no collection of other garbage between the counts
+    try:
+        before = len(expr._NODES)
+        tree = Pow(Num(4242.25), Neg(Num(-1717.5)))
+        probe = weakref.ref(tree.right.arg)
+        assert len(expr._NODES) == before + 4
+        del tree
+        assert probe() is None and len(expr._NODES) == before
+    finally:
+        gc.enable()
+
+
+def test_interning_under_threads():
+    """Threads that build and drop the same trees at once, with the switch
+    interval shortened, so that nodes die while equal ones are built: a
+    tree built again while the first is held is the same object, and no
+    entry outlives its node."""
+    sources = [f"{n}*x + sin({n}*y)^2 - x/(y + {n})" for n in range(1, 7)]
+    errors = []
+
+    def work(offset):
+        try:
+            for i in range(300):
+                src = sources[(offset + i) % len(sources)]
+                tree = expr._parse.__wrapped__(src, CART, frozenset())
+                assert expr._parse.__wrapped__(src, CART, frozenset()) is tree
+                assert fold(tree, {}) is tree
+        except Exception as err:  # noqa: BLE001 - reported by the main thread
+            errors.append(err)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    assert all(ref() is not None for ref in list(expr._NODES.values()))
 
 
 # -- derivatives ---------------------------------------------------------------
@@ -294,12 +436,60 @@ def test_fd_differences_only_the_axes_a_field_reads():
             assert part[..., 0].tobytes() == part[..., 1].tobytes()
 
 
+class _Recorded:
+    """A field's ``axes`` and ``values``, recording every batch evaluated."""
+
+    def __init__(self, field):
+        self.axes, self.field, self.batches = field.axes, field, []
+
+    def values(self, X):
+        self.batches.append(np.array(X))
+        return self.field.values(X)
+
+
+@pytest.mark.parametrize("src", ["sin(x)*exp(t - z)", "3.5"])
+def test_an_order_1_stencil_evaluates_each_centre_once_after_its_axial_points(src):
+    """At order 1 the stencil evaluates the axial points alone, and the
+    value takes one more ``values`` call over the centres: the points are
+    visited in the order of a stencil that ends with its centre, and the
+    value is the field's own.  A field that reads no axis evaluates only
+    its centres, once."""
+    X = np.array([[0.1, 0.7, -0.2, 0.4], [2.5, -1.3, 0.6, 3.0]])
+    f = _Recorded(ExprField(src, CART))
+    jv = fd_jet(f, X, 1)
+    if not f.axes:
+        assert len(f.batches) == 1 and f.batches[0].tobytes() == X.tobytes()
+        assert np.all(jv.grad == 0.0) and jv.grad.shape == (4, 2)
+    else:
+        steps = FD_STEP_SCALE * np.maximum(1.0, np.abs(X))
+        axial = [X + s * np.where(np.arange(4) == m, steps, 0.0)
+                 for m in sorted(f.axes) for s in (1, -1)]
+        assert [b.tobytes() for b in f.batches] == [np.concatenate(axial).tobytes(), X.tobytes()]
+    assert jv.value.tobytes() == f.field.values(X).tobytes()
+
+
+def test_finite_differences_have_one_order_limit_with_one_note():
+    """A field's stencil and the engine's field jets refuse order 3 with one
+    note, a model with no coordinate-dependent field included."""
+    X = np.array([[0.0, 5.0, 1.0, 0.5]])
+    notes = set()
+    for call in (lambda: fd_jet(ExprField("sin(x)", CART), X[0], 3),
+                 lambda: field_jets(catalog_get("reissner-nordstrom"), X, 3, "fd"),
+                 lambda: field_jets(catalog_get("minkowski"), X, 3, "fd")):
+        with pytest.raises(EvalError) as err:
+            call()
+        notes.add(str(err.value))
+    assert notes == {"finite-difference mode does not carry third derivatives"}
+    layout = catalog_get("minkowski").layout
+    assert not layout.g_live and not layout.A_live
+
+
 def test_central_differences_of_a_tensor_are_its_entries_stencils():
     """Over a tensor-valued function the routine gives each entry the bits of
     that entry's own field stencil (``fd_jet``), with the derivative axes
-    first, then the points, then the value's axes.  It differences all four
-    axes here, and an entry along an axis its field does not read is still
-    exactly 0."""
+    first, then the points, then the value's axes; at order 1 it evaluates
+    no centre and gives no value.  It differences all four axes here, and
+    an entry along an axis its field does not read is still exactly 0."""
     srcs = (("sin(x)*t", "exp(y - z)", "x*y"), ("1/(2 + x)", "t*z^2", "cos(t + y)"))
     fields = [[ExprField(src, CART) for src in row] for row in srcs]
     X = np.array([[0.1, 0.7, -0.2, 0.4], [2.5, -1.3, 0.6, 3.0], [-0.3, 0.0, 1.1, -8.0]])
@@ -310,11 +500,11 @@ def test_central_differences_of_a_tensor_are_its_entries_stencils():
     steps = FD_STEP_SCALE * np.maximum(1.0, np.abs(X))
     for order in (1, 2):
         jv = central_differences(tensor, X, range(4), steps, order)
-        assert jv.value.shape == (3, 2, 3) and jv.grad.shape == (4, 3, 2, 3)
+        assert (jv.value is None) == (order == 1) and jv.grad.shape == (4, 3, 2, 3)
         for i, row in enumerate(fields):
             for j, f in enumerate(row):
                 want = fd_jet(f, X, order)
-                for part, entry in zip(jv[:order + 1], want[:order + 1]):
+                for part, entry in zip(jv[2 - order:order + 1], want[2 - order:order + 1]):
                     assert part[..., i, j].tobytes() == entry.tobytes()
 
 
