@@ -18,8 +18,19 @@ its point taken as a batch of one.
 
 The field jets come from ``field_jets``, which fills the model's constant
 template (``SpacetimeModel.layout``) and evaluates only the
-coordinate-dependent components, each through its folded expression on the
-arrays of the whole batch, a batch of one included.
+coordinate-dependent components, on the arrays of the whole batch, a batch
+of one included.  In dual mode the expression components run through one
+generated straight-line numpy function per model and order
+(``expr.compile_columns``): the jet arithmetic of a batch recorded entry by
+entry over (N,) columns, each distinct subtree once and no entry along an
+axis its tree does not read, written point-first into the members.  Its
+entries have the jet path's bits up to the sign of a zero.  The jet path
+(``ExprField.jet_unchecked``) stays for the gauge-shifted potentials, whose
+components share each gauge function's jet within a call, and for every
+component of a call where the column function fails: an overflow, a
+division by zero, a power outside its domain or a non-finite entry sends
+the call back to the jet path, which raises its own note.  fd mode runs the
+field stencils.
 Derivatives of computed objects are assembled analytically from the exact
 field jets, each as the Leibniz expansion (``_leibniz``) of the product it
 differentiates, never by differencing grids of computed values; in
@@ -47,7 +58,9 @@ import functools
 import numpy as np
 
 from .errors import GeometryError
-from .fields import _check_finite, central_differences, check_fd_order, fd_jet, make_seeds
+from .expr import compile_columns
+from .fields import (ExprField, ShiftedPotentialField, _check_finite, central_differences,
+                     check_fd_order, fd_jet, make_seeds)
 from .tensor import (MetricAtPoint, _leibniz, _outer, _total, batched_einsum, max_abs,
                      metric_inverse, volume_factor)
 
@@ -61,13 +74,24 @@ FieldJets = collections.namedtuple(
     "FieldJets", "x order g dg A dA ddg ddA dddg dddA", defaults=(None,) * 4)
 
 
+# Where field_jets puts a component's value and derivatives of each order:
+# indices into its members, in FieldJets order (g, dg, A, dA, ddg, ...).
+_G_MEMBERS = (0, 1, 4, 6)
+_A_MEMBERS = (2, 3, 5, 7)
+_RAISE = {"over": "raise", "divide": "raise", "invalid": "raise"}
+
+
 def field_jets(model, X, order=2, mode="dual"):
     """Evaluate the component fields of a model at every point of X, shape
     (N, 4).
 
     The members start from the model's constant template (``model.layout``):
     the constant components, and the zero derivatives of them, are filled
-    in, and only the coordinate-dependent components are evaluated.  A
+    in, and only the coordinate-dependent components are evaluated.  In dual
+    mode the expression components run through one generated column
+    function of the model's trees and order (``_columns``); the gauge-shifted
+    potentials, and every component where that function fails, take the
+    jet path, whose shifted components share each gauge function's jet.  A
     non-finite entry in any member raises, naming the first point at fault.
     """
     model.require_in_domain(X)
@@ -79,38 +103,71 @@ def field_jets(model, X, order=2, mode="dual"):
     layout = model.layout
     n = len(X)
     ranks = (2, 3, 1, 2, 4, 3, 5, 4)[: 2 + 2 * order]  # of g, dg, A, dA, ddg, ...
-    # Filled with the point axis last, as the jets carry it; moved to the
-    # front below.
-    members = [np.zeros((DIM,) * r + (n,)) for r in ranks]
-    g, dg, A, dA, ddg, ddA, dddg, dddA = members + [None] * (8 - len(members))
-    g[...] = layout.g[..., None]
-    A[...] = layout.A[..., None]
+    members = [np.zeros((n,) + (DIM,) * r) for r in ranks]  # the point axis first
+    members[0][...] = layout.g
+    members[2][...] = layout.A
+    live = _live(layout)
+    if mode == "dual":
+        live = _columns(live, X, order, members)
+        if not live:  # every component came from the column function, finite
+            return FieldJets(X, order, *members)
 
     seeds = make_seeds(X, order) if mode == "dual" else None
+    phi_jets = {}
 
     def jet(f):
-        return f.jet_unchecked(X, order, seeds) if mode == "dual" else fd_jet(f, X, order)
+        if mode == "fd":
+            return fd_jet(f, X, order)
+        if isinstance(f, ShiftedPotentialField):
+            return f.jet_unchecked(X, order, seeds, phi_jets)
+        return f.jet_unchecked(X, order, seeds)
 
-    for i, j, f in layout.g_live:
-        jv = jet(f)
-        g[i, j] = g[j, i] = jv.value
-        dg[:, i, j] = dg[:, j, i] = jv.grad
-        if order >= 2:
-            ddg[:, :, i, j] = ddg[:, :, j, i] = jv.hess
-        if order >= 3:
-            dddg[:, :, :, i, j] = dddg[:, :, :, j, i] = jv.third
+    for places, entries, f in live:
+        for k, part in enumerate(jet(f)[:order + 1]):
+            if k:  # the jets carry the point axis last
+                part = np.moveaxis(part, -1, 0)
+            for entry in entries:
+                members[places[k]][(slice(None),) * (k + 1) + entry] = part
 
-    for k, f in layout.A_live:
-        jv = jet(f)
-        A[k] = jv.value
-        dA[:, k] = jv.grad
-        if order >= 2:
-            ddA[:, :, k] = jv.hess
-        if order >= 3:
-            dddA[:, :, :, k] = jv.third
+    _check_finite([np.moveaxis(m, 0, -1) for m in members], model.name, X,
+                  "non-finite field derivatives for {!r}")
+    return FieldJets(X, order, *members)
 
-    _check_finite(members, model.name, X, "non-finite field derivatives for {!r}")
-    return FieldJets(X, order, *(np.ascontiguousarray(np.moveaxis(v, -1, 0)) for v in members))
+
+def _live(layout):
+    """(indices of the members by order, entries, field) of each
+    coordinate-dependent component: a metric component off the diagonal
+    has two entries."""
+    live = [(_G_MEMBERS, ((i, j), (j, i)) if i != j else ((i, j),), f) for i, j, f in layout.g_live]
+    return live + [(_A_MEMBERS, ((k,),), f) for k, f in layout.A_live]
+
+
+def _column_function(live, order):
+    """The generated column function of the expression components of
+    ``live`` at ``order`` (``expr.compile_columns``, made on first use), or
+    None where there is none or the generator declines."""
+    exprs = [c for c in live if isinstance(c[2], ExprField)]
+    if not exprs:
+        return None
+    return compile_columns(tuple(f.tree for *_, f in exprs), order,
+                           tuple((places[:order + 1], entries) for places, entries, _ in exprs))
+
+
+def _columns(live, X, order, members):
+    """Write the expression components of ``live`` into the members through
+    their column function (``_column_function``), and return the components
+    left to the jet path: the gauge-shifted potentials, or all of them where
+    a coordinate is not finite, there is no function, or it raises, returns
+    None or computes a non-finite entry."""
+    run = _column_function(live, order) if np.isfinite(X).all() else None
+    try:
+        with np.errstate(**_RAISE):
+            computed = None if run is None else run(*np.ascontiguousarray(X.T), members)
+    except Exception:  # noqa: BLE001 - the jet path meets it again, with its note
+        computed = None
+    if computed is None or not np.isfinite(np.concatenate(computed)).all():
+        return live
+    return [c for c in live if not isinstance(c[2], ExprField)]
 
 
 class _cached(functools.cached_property):

@@ -30,10 +30,17 @@ but leaves out every term with a constant 0.0 operand (``_mul``,
 stays the constant 0.0, and the recording holds no sum or product with a
 constant-zero entry.  It hands the jets to the caller, which carries the
 function on with the same three helpers (``dynamics`` records the force
-law), so that one zero rule holds along the whole recording.  Each
-function is generated once per process: a bounded memo keyed by the folded
-trees and the caller's key hands it to every later call, which records
-nothing.
+law), so that one zero rule holds along the whole recording.
+
+``compile_columns`` records the jets of a set of folded trees up to order 3
+the same way (``_Dual`` carries flat Hessian and third-derivative entries
+too), over a tape of numpy columns, and generates one straight-line numpy
+function that writes them into a batch's point-first field-jet arrays; it
+is ``engine.field_jets``'s dual path.
+
+Each function is generated once per process: a bounded memo keyed by the
+folded trees and the caller's key hands it to every later call, which
+records nothing.
 """
 
 from __future__ import annotations
@@ -53,7 +60,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import EvalError, ParseError, UnknownIdentifierError
-from .jets import _POW_DOMAIN, _TABLE, FUNCTIONS, _pow_terms, jet_pow
+from .jets import _POW_DOMAIN, _TABLE, FUNCTIONS, _pow_terms, _power, jet_pow
 
 # The deepest shipped expression (Kerr-Newman) has depth 9.
 MAX_DEPTH = 200
@@ -411,7 +418,7 @@ def fold(node, params):
     return type(node)(fold(node.left, params), fold(node.right, params))
 
 
-# -- one-point order-1 code generator ------------------------------------------
+# -- code generators: one-point order-1 jets, and batch jets over columns -----
 
 _RULES = {name: rule for name, rule, _domain in _TABLE}
 
@@ -465,33 +472,45 @@ def compile_one_point(trees, domain, args, then, key):
     and may return non-finite entries.  Either way the caller runs the jet
     path, which gives its own note.
     """
-    key = (tuple(trees), domain, tuple(args), key)
-    with _GENERATED_LOCK:
-        if key in _GENERATED:
-            _GENERATED.move_to_end(key)
-            return _GENERATED[key]
-    tape = _Tape()
-    xs = [_Var(tape, f"x{i}") for i in range(4)]
-    try:
-        if domain is not None:
-            d = _symbolic(domain, xs, tape)
-            if isinstance(d, _Var):
-                tape.guard("not 0.0 < {} <= " + repr(sys.float_info.max), d)
-            elif not d > 0.0:  # no point is inside
-                raise _Decline
-        seeds = [_Dual(x, [float(a == i) for a in range(4)]) for i, x in enumerate(xs)]
-        run = _generate(tape, [_symbolic(tree, seeds, tape) for tree in trees], xs, args, then)
-    except (_Decline, ArithmeticError, ValueError):
-        run = None
-    with _GENERATED_LOCK:
-        _GENERATED[key] = run
-        if len(_GENERATED) > _GENERATED_MAX:
-            _GENERATED.popitem(last=False)
-    return run
+    def make():
+        tape = _Tape()
+        xs = [_Var(tape, f"x{i}") for i in range(4)]
+        try:
+            if domain is not None:
+                d = _symbolic(domain, xs, tape, {})
+                if isinstance(d, _Var):
+                    tape.guard("not 0.0 < {} <= " + repr(sys.float_info.max), d)
+                elif not d > 0.0:  # no point is inside
+                    raise _Decline
+            seeds = [_Dual.seed(x, i, 1) for i, x in enumerate(xs)]
+            memo = {}
+            return _generate(tape, [_symbolic(tree, seeds, tape, memo) for tree in trees],
+                             xs, args, then)
+        except (_Decline, ArithmeticError, ValueError):
+            return None
+
+    return _kept(_GENERATED, (tuple(trees), domain, tuple(args), key), make)
 
 
-# compile_one_point's results, least recently used first
+def _kept(memo, key, make):
+    """``make()``, kept once per process in ``memo`` (an ``OrderedDict``,
+    least recently used first) under ``key``: a hit makes nothing, and past
+    ``_GENERATED_MAX`` keys the least recently used is dropped."""
+    with _GENERATED_LOCK:
+        if key in memo:
+            memo.move_to_end(key)
+            return memo[key]
+    made = make()
+    with _GENERATED_LOCK:
+        memo[key] = made
+        if len(memo) > _GENERATED_MAX:
+            memo.popitem(last=False)
+    return made
+
+
+# compile_one_point's and compile_columns' results
 _GENERATED = collections.OrderedDict()
+_COLUMNS = collections.OrderedDict()
 _GENERATED_MAX = 64
 _GENERATED_LOCK = threading.Lock()
 
@@ -512,35 +531,109 @@ def _generate(tape, jets, xs, args, then):
     return run
 
 
-def _symbolic(node, coords, tape):
+def compile_columns(trees, order, places):
+    """One generated numpy function ``columns(x0, x1, x2, x3, m)`` that
+    writes the jets up to ``order`` of the folded trees (``fold``), each of
+    which reads a coordinate, at a batch of points given as four (N,)
+    coordinate columns, into the point-first arrays of the list ``m``; or
+    None where the generator declines.
+
+    ``places[c]`` says where tree c goes: the indices into ``m`` of its
+    value and of its derivatives of each order, then the index tuples of
+    its entry in each (a symmetric pair of components has two).  The
+    derivative entry along (a_1, ..., a_k) lands at ``m[index_k][:, a_1,
+    ..., a_k, *entry]``; an entry that is the constant 0.0 is not written,
+    so the array's 0.0 stays.
+
+    Each tree runs from the coordinates' seeds through ``_Dual`` at
+    ``order``, as in ``compile_one_point``, over a tape of columns: every
+    operation of the jets of a batch (``jets.Jet`` over (N,) arrays,
+    through the ``_TABLE`` rules with numpy) is recorded entry by entry, so
+    that each written entry has the jet path's bits, up to the sign of a
+    zero, and an entry along an axis the tree does not read is never
+    computed.  The function keeps every recorded statement, returns the
+    computed entries written (a tuple of (N,) arrays) for the caller's
+    finiteness check, and returns None where a power's domain rule fails at
+    some point.  Run under ``np.errstate`` raising on overflow, division by
+    zero and invalid operations, with finite columns, it raises, returns
+    None or returns finite entries; where it raises or returns None, the
+    jet path meets every failure, with its own note.  It holds only its
+    arguments, temporaries, finite float literals and numpy functions
+    (``columns.source``).
+
+    Each result, None included, is kept once per process in a bounded
+    memo, keyed by the folded trees, ``order`` and ``places``: the same
+    tree at another place writes another entry.
+    """
+    def make():
+        tape = _Tape("np")
+        seeds = [_Dual.seed(_Var(tape, f"x{i}"), i, order) for i in range(4)]
+        memo = {}
+        try:
+            jets = [_symbolic(tree, seeds, tape, memo) for tree in trees]
+            writes, computed = [], {}
+            for jet, (members, entries) in zip(jets, places, strict=True):
+                if not isinstance(jet, _Dual):
+                    raise _Decline
+                for k, part in enumerate([[jet.f], jet.g, jet.h, jet.t][:order + 1]):
+                    for axes, e in zip(itertools.product(range(4), repeat=k), part):
+                        if k and _is(e, 0.0):
+                            continue
+                        targets = [f"m[{members[k]}][:, {', '.join(map(str, axes + entry))}]"
+                                   for entry in entries]
+                        writes.append((" = ".join(targets) + " = {}", e))
+                        if isinstance(e, _Var):
+                            computed[e.name] = e
+            source = tape.source(tuple(computed.values()), ["x0", "x1", "x2", "x3", "m"],
+                                 "columns", writes)
+        except (_Decline, ArithmeticError, ValueError):
+            return None
+        namespace = {"np": np}
+        exec(compile(source, "<rcgeom generated column code>", "exec"), namespace)
+        run = namespace["columns"]
+        run.source = source
+        return run
+
+    return _kept(_COLUMNS, (tuple(trees), order, tuple(places)), make)
+
+
+def _symbolic(node, coords, tape, memo):
     """``evaluate`` of a folded tree over recorded floats: the coordinates
     are the arguments (``_Var``) or their seeds (``_Dual``), and the result
-    is a float constant, a ``_Var`` or a ``_Dual``."""
+    is a float constant, a ``_Var`` or a ``_Dual``.  ``memo`` maps each node
+    walked on these coordinates to its result, so that an interned subtree
+    that a tree holds again is recorded once."""
+    done = memo.get(node)
+    if done is not None:
+        return done
     if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Coord):
-        return coords[node.index]
-    if isinstance(node, Neg):
-        return -_symbolic(node.arg, coords, tape)
-    if isinstance(node, Call):
-        return _call(node.func, _symbolic(node.arg, coords, tape), tape)
-    a = _symbolic(node.left, coords, tape)
-    b = _symbolic(node.right, coords, tape)
-    if isinstance(node, Pow):
-        return _pow(a, b, tape)
-    if isinstance(node, Div):
-        if not isinstance(b, (_Var, _Dual)) and b == 0.0:
-            raise _Decline  # _divide's zero test fails at every point
-        return a / b
-    return {Add: operator.add, Sub: operator.sub, Mul: operator.mul}[type(node)](a, b)
+        out = node.value
+    elif isinstance(node, Coord):
+        out = coords[node.index]
+    elif isinstance(node, Neg):
+        out = -_symbolic(node.arg, coords, tape, memo)
+    elif isinstance(node, Call):
+        out = _call(node.func, _symbolic(node.arg, coords, tape, memo), tape)
+    else:
+        a = _symbolic(node.left, coords, tape, memo)
+        b = _symbolic(node.right, coords, tape, memo)
+        if isinstance(node, Pow):
+            out = _pow(a, b, tape)
+        elif isinstance(node, Div):
+            if not isinstance(b, (_Var, _Dual)) and b == 0.0:
+                raise _Decline  # _divide's zero test fails at every point
+            out = a / b
+        else:
+            out = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}[type(node)](a, b)
+    memo[node] = out
+    return out
 
 
 def _call(name, u, tape):
     """``FUNCTIONS[name](u)``: a ``_Dual`` composes with its ``_TABLE`` rule
-    run on the tape at order 1."""
+    run on the tape at the jet's order."""
     if isinstance(u, _Dual):
-        d0, d1, _, _ = _RULES[name](tape, u.f, 1)
-        return u.compose(d0, d1)
+        return u.compose(*_RULES[name](tape, u.f, u.order))
     return tape.call(name, u)
 
 
@@ -568,8 +661,7 @@ def _pow(u, p, tape):
         tape.guard(_POW_GUARDS[fails], v)
     if not jet:
         return v ** p
-    d0, d1, _, _ = _pow_terms(tape, v, 1, p)
-    return u.compose(d0, d1)
+    return u.compose(*_pow_terms(tape, v, u.order, p))
 
 
 def _literal(v):
@@ -593,18 +685,23 @@ class _Tape:
     """The statements of one generated function, in the order they were
     recorded.  An operation already recorded on the same operands gives
     the same temporary.  The tape is also the ``m`` of the ``_TABLE`` rules:
-    ``tape.sin(v)`` records ``math.sin(v)``.  It folds the operations whose
-    result is an operand, or its negation, for every float: ``x * 1.0``,
-    ``x ** 1.0`` and ``x * (-1.0)``; ``x ** 0.0`` is 1.0."""
+    ``tape.sin(v)`` records ``math.sin(v)``, or ``np.sin(v)`` on a tape of
+    numpy columns (``lib="np"``), whose ``tape.pow`` records ``np.power``
+    as the jets of a batch take it.  It folds the operations whose result
+    is an operand, or its negation, for every float: ``x * 1.0``, ``x **
+    1.0`` and ``x * (-1.0)``; ``x ** 0.0`` is 1.0, but ``np.power`` of a
+    column stays a column."""
 
-    def __init__(self):
+    def __init__(self, lib="math"):
         # (temporary or None for a guard, template, operand texts, can raise)
         self.lines = []
         self.temps = {}  # (template, operand texts) -> _Var
         self.guards = set()  # (template, operand texts) of each guard
+        self.lib = lib
         for name in FUNCTIONS:
             setattr(self, name, functools.partial(self.call, name))
-        self.pow = pow  # tape.pow(v, p) records v ** p
+        # tape.pow(v, p) records v ** p, or np.power(v, p)
+        self.pow = pow if lib == "math" else self.power
 
     def op(self, template, *args, raises=False):
         return self._record(template, tuple(map(_text, args)), raises)
@@ -617,11 +714,13 @@ class _Tape:
         return var
 
     def guard(self, template, *args):
-        """``if <condition>: return None``, recorded once per condition."""
+        """``if <condition>: return None``, recorded once per condition; on
+        columns, where it holds at any entry."""
         key = (template, tuple(map(_text, args)))
         if key not in self.guards:
             self.guards.add(key)
-            self.lines.append((None, f"if {template}: return None", key[1], True))
+            test = template if self.lib == "math" else f"({template}).any()"
+            self.lines.append((None, f"if {test}: return None", key[1], True))
 
     def binary(self, a, symbol, b):
         # x * 1.0 and x ** 1.0 are x, x * (-1.0) is -x and x ** 0.0 is 1.0,
@@ -639,15 +738,23 @@ class _Tape:
             operands = operands[::-1]
         return self._record("{} " + symbol + " {}", operands, symbol in ("/", "**"))
 
+    def power(self, v, p):
+        if _is(p, 1.0):
+            return v
+        return self.op("np.power({}, {})", v, p, raises=True)
+
     def call(self, name, v):
         if isinstance(v, _Var):
-            return self.op(f"math.{name}({{}})", v, raises=True)
-        return getattr(math, name)(v)
+            return self.op(f"{self.lib}.{name}({{}})", v, raises=True)
+        return getattr(math, name)(v)  # a constant: the jets take math too
 
-    def source(self, outputs, params):
-        """The function of ``params`` returning the outputs (a tuple, whose
-        entries may be tuples), without the statements that neither lead to
-        an output nor can raise.
+    def source(self, outputs, params, name="one_point", writes=()):
+        """The function ``name`` of ``params`` that runs ``writes``, pairs
+        of a statement template and its operands, and returns the outputs
+        (a tuple, whose entries may be tuples).  A tape of floats leaves out
+        the statements that neither lead to an output nor can raise; a tape
+        of columns keeps each one, since any may overflow, where the jets of
+        a batch compute it too.
 
         A temporary read exactly once whose statement cannot raise (``+``,
         ``-``, ``*``, negation, ``abs``, ``max``) is written into its reader
@@ -664,25 +771,27 @@ class _Tape:
             shape.append(_text(a))
             return "{}"
 
-        kept, live = [(None, "return " + shaped(outputs), shape, False)], set(shape)
+        kept = [(None, "return " + shaped(outputs), shape, False)]
+        kept += [(None, template, tuple(map(_text, args)), True) for template, *args in writes[::-1]]
+        live = set(itertools.chain.from_iterable(line[2] for line in kept))
         for line in reversed(self.lines):
-            if line[3] or line[0] in live:
+            if line[3] or line[0] in live or self.lib != "math":
                 live.update(line[2])
                 kept.append(line)
         reads = collections.Counter(itertools.chain.from_iterable(line[2] for line in kept))
         inline, depths, body = {}, {}, []  # a temporary written inline: its text, its depth
-        for name, template, operands, raises in reversed(kept):
+        for var, template, operands, raises in reversed(kept):
             text = template.format(*[inline.pop(o, o) for o in operands])
-            if name is None:
+            if var is None:
                 body.append(text)
                 continue
-            if not raises and reads[name] == 1:
+            if not raises and reads[var] == 1:
                 depth = 1 + max([depths.get(o, 0) for o in operands])
                 if depth <= _INLINE_DEPTH:
-                    inline[name], depths[name] = f"({text})", depth
+                    inline[var], depths[var] = f"({text})", depth
                     continue
-            body.append(f"{name} = {text}")
-        return f"def one_point({', '.join(params)}):\n" + "".join(f"    {s}\n" for s in body)
+            body.append(f"{var} = {text}")
+        return f"def {name}({', '.join(params)}):\n" + "".join(f"    {s}\n" for s in body)
 
 
 # the deepest a temporary read once is written into its reader: each level
@@ -715,48 +824,108 @@ def _signed(terms):
     return 0.0 if total is None else total
 
 
+# the (i, j) and (i, j, k) of each entry of a flat Hessian and third
+# derivative, row-major as in the jets' arrays
+_PAIRS = tuple(itertools.product(range(4), repeat=2))
+_TRIPLES = tuple(itertools.product(range(4), repeat=3))
+
+
+def _outer(a, b):
+    """The jets' ``_outer``: a_i b_j at each (i, j)."""
+    return [_mul(a[i], b[j]) for i, j in _PAIRS]
+
+
+def _sym3(h, v):
+    """The jets' ``_sym3``: (h_ij v_k + h_ik v_j) + h_jk v_i at each (i, j, k)."""
+    return [_signed([(1, _mul(h[4 * i + j], v[k])), (1, _mul(h[4 * i + k], v[j])),
+                     (1, _mul(h[4 * j + k], v[i]))]) for i, j, k in _TRIPLES]
+
+
+def _product_part(p, q, pf, qf, r, s):
+    """The entries ((p qf + q pf) + r) + s of a product's Hessian or third
+    derivative, from its operands' parts p and q, their values pf and qf,
+    and the two sums of products of lower parts, r and s."""
+    return [_signed([(1, _mul(a, qf)), (1, _mul(b, pf)), (1, c), (1, d)])
+            for a, b, c, d in zip(p, q, r, s)]
+
+
 class _Dual:
-    """An order-1 jet of recorded floats: the value ``f`` and the list ``g``
-    of the four gradient entries, float constants or ``_Var``; a seed's is a
-    unit row.  Each operation does ``Jet``'s order-1 operations operand for
-    operand, in the same order, on the entries through ``_mul``, ``_signed``
-    and ``_dot``: a term with a constant 0.0 operand is left out, so an
-    entry along an axis the tree does not read stays the constant 0.0.  A
-    product with a constant scales each entry as ``Jet`` does, so that a
-    constant factor 0.0 (``0*u``, ``0/u``) keeps the jet path's NaN where
-    an entry of u is not finite."""
+    """A jet of recorded floats: the value ``f`` and the flat lists of the
+    4 gradient entries ``g``, and at orders 2 and 3 of the 16 Hessian
+    entries ``h`` and the 64 third-derivative entries ``t``, float
+    constants or ``_Var``; a seed's gradient is a unit row.  Each operation
+    does ``Jet``'s operations at its order operand for operand, in the same
+    order, on the entries through ``_mul``, ``_signed`` and ``_dot``: a term
+    with a constant 0.0 operand is left out, so an entry along an axis the
+    tree does not read stays the constant 0.0.  A product with a constant
+    scales each entry as ``Jet`` does, so that a constant factor 0.0
+    (``0*u``, ``0/u``) keeps the jet path's NaN where an entry of u is not
+    finite."""
 
-    __slots__ = ("f", "g")
+    __slots__ = ("f", "g", "h", "t")
 
-    def __init__(self, f, g):
-        self.f, self.g = f, g
+    def __init__(self, f, g, h=None, t=None):
+        self.f, self.g, self.h, self.t = f, g, h, t
 
-    def compose(self, d0, d1):
-        """The chain rule for phi(u), from phi and phi' at u."""
-        return _Dual(d0, [_mul(d1, e) for e in self.g])
+    @staticmethod
+    def seed(x, axis, order):
+        """The jet of the coordinate x along ``axis``."""
+        return _Dual(x, [float(a == axis) for a in range(4)],
+                     [0.0] * 16 if order >= 2 else None, [0.0] * 64 if order >= 3 else None)
+
+    @property
+    def order(self):
+        return 1 if self.h is None else 2 if self.t is None else 3
+
+    def _each(self, f, entry):
+        """The jet of value f whose entries are ``entry`` of this one's."""
+        return _Dual(f, *[None if p is None else [entry(e) for e in p] for p in (self.g, self.h, self.t)])
+
+    def _pairwise(self, f, o, sign):
+        return _Dual(f, *[None if p is None else [_signed([(1, a), (sign, b)]) for a, b in zip(p, q)]
+                          for p, q in ((self.g, o.g), (self.h, o.h), (self.t, o.t))])
+
+    def compose(self, d0, d1, d2=0.0, d3=0.0):
+        """The chain rule for phi(u), from phi and its derivatives at u."""
+        g, h = self.g, self.h
+        out = _Dual(d0, [_mul(d1, e) for e in g])
+        if h is not None:
+            gg = _outer(g, g)
+            out.h = [_signed([(1, _mul(d1, e)), (1, _mul(d2, q))]) for e, q in zip(h, gg)]
+        if self.t is not None:
+            ggg = [_mul(gg[4 * i + j], g[k]) for i, j, k in _TRIPLES]
+            out.t = [_signed([(1, _mul(d1, e)), (1, _mul(d2, q)), (1, _mul(d3, r))])
+                     for e, q, r in zip(self.t, _sym3(h, g), ggg)]
+        return out
 
     def __neg__(self):
-        return _Dual(-self.f, [_signed([(-1, e)]) for e in self.g])
+        return self._each(-self.f, lambda e: _signed([(-1, e)]))
 
     def __add__(self, o):
         if isinstance(o, _Dual):
-            return _Dual(self.f + o.f, [_signed([(1, p), (1, q)]) for p, q in zip(self.g, o.g)])
-        return _Dual(self.f + o, self.g)
+            return self._pairwise(self.f + o.f, o, 1)
+        return _Dual(self.f + o, self.g, self.h, self.t)
 
     __radd__ = __add__
 
     def __sub__(self, o):
         if isinstance(o, _Dual):
-            return _Dual(self.f - o.f, [_signed([(1, p), (-1, q)]) for p, q in zip(self.g, o.g)])
-        return _Dual(self.f - o, self.g)
+            return self._pairwise(self.f - o.f, o, -1)
+        return _Dual(self.f - o, self.g, self.h, self.t)
 
     def __rsub__(self, o):
         return -self + o
 
     def __mul__(self, o):
-        if isinstance(o, _Dual):
-            return _Dual(self.f * o.f, [_dot((p, q), (o.f, self.f)) for p, q in zip(self.g, o.g)])
-        return _Dual(self.f * o, [e * o for e in self.g])
+        if not isinstance(o, _Dual):
+            return self._each(self.f * o, lambda e: e * o)
+        a, b = self, o
+        out = _Dual(a.f * b.f, [_dot((p, q), (b.f, a.f)) for p, q in zip(a.g, b.g)])
+        if a.h is not None:
+            out.h = _product_part(a.h, b.h, a.f, b.f, _outer(a.g, b.g), _outer(b.g, a.g))
+        if a.t is not None:
+            out.t = _product_part(a.t, b.t, a.f, b.f, _sym3(a.h, b.g), _sym3(b.h, a.g))
+        return out
 
     __rmul__ = __mul__
 
@@ -771,7 +940,10 @@ class _Dual:
         if not isinstance(v, _Var) and v == 0.0:
             raise _Decline  # the jets' zero test fails at every point
         iv = 1.0 / v
-        return self.compose(iv, -iv * iv)
+        if self.h is None:
+            return self.compose(iv, -iv * iv)
+        return self.compose(iv, -iv * iv, 2.0 * _power(iv, 3),
+                            0.0 if self.t is None else -6.0 * _power(iv, 4))
 
 
 class _Var:

@@ -17,12 +17,16 @@ Every evaluation accepts a batch, shape (N, 4), or one point, shape (4,).
 Batched jets keep the batch axis last (value (N,), gradient (4, N), Hessian
 (4, 4, N)), as in ``jets``; one point gives plain one-point jets (a float
 value, a (4,) gradient), the reference that ``expr.compile_one_point``
-mirrors.  ``engine.field_jets`` runs the batched jets for every batch, a
-batch of one included.  ``values`` evaluates a batch of one on floats
-(``math``), with the bits of the array route.  Stencils evaluate every
-stencil point of every point in one ``values`` call, whose values equal
-the one-point ``value`` bit for bit, so a stencil over a batch gives what
-it gives point by point.
+mirrors.  The batched jets are the reference that the generated column code
+of ``engine.field_jets`` (``expr.compile_columns``) mirrors for every batch,
+a batch of one included; ``jet_unchecked`` is its error route, and the
+route of a gauge-shifted potential, whose gauge function's jet one
+``field_jets`` call shares among its components.  ``values`` evaluates a
+batch of one on floats (``math``), with the bits of the array route.
+Stencils evaluate every stencil point of every point in one ``values``
+call, the value's centres included, whose values equal the one-point
+``value`` bit for bit, so a stencil over a batch gives what it gives point
+by point.
 """
 
 from __future__ import annotations
@@ -222,13 +226,26 @@ class ShiftedPotentialField:
 
         return np.asarray(batch_then_rows(batch, X, self.value))
 
-    def jet_unchecked(self, x, order=2, seeds=None):
+    def jet_unchecked(self, x, order=2, seeds=None, phi_jets=None):
+        """The shifted jets from the base's at ``order`` and phi's at
+        ``order + 1``.  ``phi_jets``, a dict, shares each gauge function's
+        jet among the shifted components of one batch, keyed by the gauge
+        function and order."""
         if order > 2:
             raise EvalError(
                 "gauge-shifted potentials carry derivatives only to 2nd order"
             )
-        b = self.base.jet_unchecked(x, order)
-        p = gauge_function_jet(self.phi, x, order + 1)
+        base = self.base
+        if isinstance(base, ShiftedPotentialField):
+            b = base.jet_unchecked(x, order, seeds, phi_jets)
+        else:
+            b = base.jet_unchecked(x, order, seeds)
+        key = (self.phi, order + 1)
+        p = None if phi_jets is None else phi_jets.get(key)
+        if p is None:
+            p = gauge_function_jet(self.phi, x, order + 1)
+            if phi_jets is not None:
+                phi_jets[key] = p
         a = self.axis
         value = b.value + p.grad[a]
         grad = b.grad + p.hess[a]
@@ -239,7 +256,7 @@ class ShiftedPotentialField:
         return _check_finite(self.jet_unchecked(x, order), self.name, x)
 
 
-def central_differences(values, X, axes, steps, order):
+def central_differences(values, X, axes, steps, order, value=False):
     """Central-difference gradient, and at order 2 value and Hessian, of a
     pointwise function at every row of X, shape (N, 4).
 
@@ -249,24 +266,27 @@ def central_differences(values, X, axes, steps, order):
     axis is exactly 0, as in a jet, where a mixed difference across it
     would leave roundoff.  All stencil points of all rows go through one
     ``values`` call, in the order the one-point difference quotients visit
-    them (the centre first), so the first bad stencil point is the one
-    reported.  At order 1 the centre is evaluated only when no axis is
-    differenced, for the value's shape, and the value is None otherwise.
-    The parts carry the derivative axes first, then the point axis, then
-    the value's own axes: a scalar function gets the batch-last layout of
-    the jets.
+    them (at order 2 the centre first), so the first bad stencil point is
+    the one reported.  At order 1 the centres are evaluated, after the
+    stencil points, only when ``value`` asks for the value or no axis is
+    differenced (for the value's shape); the value is None otherwise.  The
+    parts carry the derivative axes first, then the point axis, then the
+    value's own axes: a scalar function gets the batch-last layout of the
+    jets.
     """
     axes = sorted(axes)
     pairs = list(itertools.combinations(axes, 2)) if order >= 2 else []
     e = {m: np.where(np.arange(DIM) == m, steps, 0.0) for m in axes}  # the steps along m
     axial = [p for m in axes for p in (X + e[m], X - e[m])]
     mixed = [X + a + b for m, n in pairs for a in (e[m], -e[m]) for b in (e[n], -e[n])]
-    centre = int(order >= 2 or not axes)  # the number of centre blocks evaluated
-    pts = [X] * centre + axial + mixed
+    lead = [X] if order >= 2 else []  # the centre blocks before and after the stencil
+    tail = [X] if order < 2 and (value or not axes) else []
+    pts = lead + axial + mixed + tail
     f = np.asarray(values(np.concatenate(pts)))
     f = f.reshape((len(pts), len(X)) + f.shape[1:])
-    f0 = f[0] if centre else None
-    f_axial, f_mixed = f[centre:centre + len(axial)], f[centre + len(axial):]
+    f0 = f[0] if lead else f[-1] if tail else None
+    f_axial = f[len(lead):len(lead) + len(axial)]
+    f_mixed = f[len(lead) + len(axial):len(pts) - len(tail)]
 
     h = steps.T.reshape((DIM, len(X)) + (1,) * (f.ndim - 2))  # broadcast over the value
     grad = np.zeros((DIM,) + f.shape[1:])
@@ -296,15 +316,13 @@ def check_fd_order(order):
 
 
 def fd_jet(field, x, order=2):
-    """JetValue built from finite differences (orders 1 and 2 only); at
-    order 1 the value is one more ``values`` call, after the stencil."""
+    """JetValue built from finite differences (orders 1 and 2 only), with
+    the value and the stencil from one ``values`` call."""
     check_fd_order(order)
     x = np.asarray(x, dtype=float)
     X = np.atleast_2d(x)
     steps = FD_STEP_SCALE * np.maximum(1.0, np.abs(X))  # per point and axis
-    jv = central_differences(field.values, X, field.axes, steps, order)
-    if jv.value is None:
-        jv = jv._replace(value=field.values(X))
+    jv = central_differences(field.values, X, field.axes, steps, order, value=True)
     if x.ndim == 2:
         return jv
     return JetValue(float(jv.value[0]), *(None if p is None else p[..., 0] for p in jv[1:]))

@@ -860,6 +860,24 @@ def test_cli_constants_reach_a_definition_file(tmp_path):
     assert resolve_model(str(path), {"E": 0.25}, G=2.0).constants.G == 2.0
 
 
+KN_FILE = str(Path(__file__).resolve().parents[1] / "bench" / "kerr_newman.spacetime")
+
+
+@pytest.mark.parametrize("mode", ["dual", "fd"])
+@pytest.mark.parametrize("spec", CATALOG_NAMES + ("charge-ball", KN_FILE))
+def test_every_row_passes_at_non_unit_constants(tmp_path, spec, mode):
+    """At G = 0.7 and c = 1.3 every power of G and c in the engine differs
+    from 1 (the coupling G/c^4, the current's c, the split's 8 pi C / c,
+    the exchange's 1/c): every row of --suite all passes on every shipped
+    model, at the default tolerances."""
+    out = tmp_path / "r.json"
+    assert main(["run", "--spacetime", spec, "--suite", "all", "--diff", mode,
+                 "--param", "G=0.7", "--param", "c=1.3", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["constants"]["G"] == 0.7 and report["constants"]["c"] == 1.3
+    assert [c["id"] for c in report["checks"] if not c["pass"]] == []
+
+
 def test_gauge_orbit_counts_the_points_it_composes():
     one_point = {"t": [0.1], "x": [0.2], "y": [0.0], "z": [-0.1]}
     rep = run_suite("gauge", resolve_model("minkowski-constant-e"), grid_overrides=one_point)
