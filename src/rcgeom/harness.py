@@ -22,6 +22,7 @@ import itertools
 import json
 import math
 import os
+import random
 import time
 import zlib
 from dataclasses import dataclass
@@ -192,13 +193,14 @@ class SuiteContext:
     def random_points(self, n=100):
         """The first n draws inside the domain, out of at most 100 * n.
 
-        Candidates are drawn in blocks, ``rng.random((k, 4))`` being the
-        stream of k successive ``rng.random(4)`` draws, and each block is
-        domain-tested in one batch.
+        The draws come from the standard library's ``random.Random``, seeded
+        by the model's name, four uniforms per point in row-major order, so
+        a verdict never loads ``numpy.random``.  Candidates are drawn in
+        blocks of k points, the stream of k successive four-draw points,
+        and each block is domain-tested in one batch.
         """
         if self._random is None:
-            seed = zlib.crc32(self.model.name.encode()) ^ _RNG_SALT
-            rng = np.random.default_rng(seed)
+            rng = random.Random(zlib.crc32(self.model.name.encode()) ^ _RNG_SALT)
             box = self.model.sample_box()
             lo = np.array([box[c][0] for c in self.model.chart.names])
             hi = np.array([box[c][1] for c in self.model.chart.names])
@@ -206,7 +208,8 @@ class SuiteContext:
             attempts = 0
             while len(pts) < n and attempts < 100 * n:
                 k = min(n, 100 * n - attempts)
-                block = lo + (hi - lo) * rng.random((k, 4))
+                draws = np.array([rng.random() for _ in range(4 * k)]).reshape(k, 4)
+                block = lo + (hi - lo) * draws
                 attempts += k
                 pts.extend(block[self.model._in_domain_rows(block)])
             if len(pts) < n:

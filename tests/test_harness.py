@@ -2,8 +2,12 @@
 
 import dataclasses
 import json
+import os
+import random
 import re
 import shlex
+import subprocess
+import sys
 import zlib
 from pathlib import Path
 
@@ -938,14 +942,14 @@ def test_gauge_function_failing_at_a_point_is_a_failed_check(tmp_path):
 
 def _random_points_one_at_a_time(model, n=100):
     """The draw as one sample and one domain test at a time."""
-    rng = np.random.default_rng(zlib.crc32(model.name.encode()) ^ _RNG_SALT)
+    rng = random.Random(zlib.crc32(model.name.encode()) ^ _RNG_SALT)
     box = model.sample_box()
     lo = np.array([box[c][0] for c in model.chart.names])
     hi = np.array([box[c][1] for c in model.chart.names])
     pts = []
     attempts = 0
     while len(pts) < n and attempts < 100 * n:
-        p = lo + (hi - lo) * rng.random(4)
+        p = lo + (hi - lo) * np.array([rng.random() for _ in range(4)])
         attempts += 1
         if model.in_domain(p):
             pts.append(p)
@@ -986,6 +990,44 @@ def test_random_points_keep_draw_order_and_the_attempt_cap():
     model = parse_spacetime_text(ANNULUS_FILE.format(r2=1.999))
     with pytest.raises(GeometryError, match="could not sample 5 points"):
         SuiteContext(model).random_points(n=5)
+
+
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+# Runs the command line on its arguments and prints, last, whether numpy
+# loaded numpy.random on its own import, how many random samples were
+# drawn, and whether numpy.random was loaded after the command.
+_LOADS_NUMPY_RANDOM = """
+import sys
+import numpy
+on_import = "numpy.random" in sys.modules
+from rcgeom import harness
+from rcgeom.cli import main
+draws = []
+draw = harness.SuiteContext.random_points
+harness.SuiteContext.random_points = lambda self, *a: draws.append(1) or draw(self, *a)
+code = main(sys.argv[1:])
+print(code, on_import, len(draws), "numpy.random" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("argv, draws", [
+    (["run", "--spacetime", "reissner-nordstrom", "--suite", "all"], True),
+    (["gauge", "--spacetime", "charge-ball", "--phi", "0.2*t"], False),
+    (["worldline", "--spacetime", "schwarzschild", "--x0", "0,8,1.5707963267948966,0",
+      "--v0", "1.224744871391589,0,0,0.054126587736527", "--ds", "0.1", "--steps", "20"], False),
+])
+def test_a_verdict_never_loads_numpy_random(tmp_path, argv, draws):
+    """The random sample comes from the standard library's generator, so no
+    command loads ``numpy.random`` (about 6 MiB of resident memory)."""
+    out = tmp_path / ("out.csv" if argv[0] == "worldline" else "out.json")
+    proc = subprocess.run([sys.executable, "-c", _LOADS_NUMPY_RANDOM, *argv, "--out", str(out)],
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": _SRC}, check=True)
+    code, on_import, drawn, loaded = proc.stdout.splitlines()[-1].split()
+    if on_import == "True":
+        pytest.skip("this numpy loads numpy.random with numpy itself")
+    assert (code, loaded) == ("0", "False")
+    assert (int(drawn) > 0) == draws
 
 
 # -- orbits of the coordinates no field reads --------------------------------------
