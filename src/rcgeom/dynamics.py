@@ -53,7 +53,7 @@ from .errors import (
     point_text,
     points_text,
 )
-from .expr import _dot, _mul, _signed, compile_one_point
+from .codegen import _dot, _mul, _signed, compile_one_point
 from .fields import ExprField, fd_jet
 from .tensor import DEGENERACY_TOL, batched_einsum, max_abs
 
@@ -212,7 +212,7 @@ def _snapshot_rhs(model, y, k, mode):
 
 def _generate_rhs(model):
     """The model's force law as one generated function
-    ``rhs(x0, x1, x2, x3, v0, v1, v2, v3, k)`` (``expr.compile_one_point``
+    ``rhs(x0, x1, x2, x3, v0, v1, v2, v3, k)`` (``codegen.compile_one_point``
     of the folded trees of the coordinate-dependent components, continued
     by ``_force_law``), or None where a component is not an expression (a
     gauge-shifted potential) or the generator declines.  A model whose
@@ -266,7 +266,7 @@ def _force_law(layout, tape, jets, x0, x1, x2, x3, v0, v1, v2, v3, k):
     w_l = Gamma_{l,md} V^m V^d, adds the Lorentz term u_l = F_{ml} V^m, and
     raises their sum with the inverse once: dV^n/ds = g^{nl} (k u_l - w_l).
     Every term with a constant 0.0 operand is left out, by the zero rule
-    the jets are recorded with (``expr._mul``, ``_signed`` and ``_dot``),
+    the jets are recorded with (``codegen._mul``, ``_signed`` and ``_dot``),
     so a metric's constant zeros, and the jets' constant 0.0 gradient
     entries (those along the axes a component does not read among them),
     cost nothing.  The law returns None where an input, an output, the

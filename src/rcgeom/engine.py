@@ -21,7 +21,7 @@ template (``SpacetimeModel.layout``) and evaluates only the
 coordinate-dependent components, on the arrays of the whole batch, a batch
 of one included.  In dual mode the expression components run through one
 generated straight-line numpy function per model and order
-(``expr.compile_columns``): the jet arithmetic of a batch recorded entry by
+(``codegen.compile_columns``): the jet arithmetic of a batch recorded entry by
 entry over (N,) columns, each distinct subtree once and no entry along an
 axis its tree does not read, written point-first into the members.  Its
 entries have the jet path's bits up to the sign of a zero.  The jet path
@@ -58,7 +58,7 @@ import functools
 import numpy as np
 
 from .errors import GeometryError
-from .expr import compile_columns
+from .codegen import compile_columns
 from .fields import (ExprField, ShiftedPotentialField, _check_finite, central_differences,
                      check_fd_order, fd_jet, make_seeds)
 from .tensor import (MetricAtPoint, _leibniz, _outer, _total, batched_einsum, max_abs,
@@ -144,7 +144,7 @@ def _live(layout):
 
 def _column_function(live, order):
     """The generated column function of the expression components of
-    ``live`` at ``order`` (``expr.compile_columns``, made on first use), or
+    ``live`` at ``order`` (``codegen.compile_columns``, made on first use), or
     None where there is none or the generator declines."""
     exprs = [c for c in live if isinstance(c[2], ExprField)]
     if not exprs:

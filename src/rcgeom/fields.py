@@ -16,9 +16,9 @@ axes (an orbit, ``_orbits``) give the same evaluations.
 Every evaluation accepts a batch, shape (N, 4), or one point, shape (4,).
 Batched jets keep the batch axis last (value (N,), gradient (4, N), Hessian
 (4, 4, N)), as in ``jets``; one point gives plain one-point jets (a float
-value, a (4,) gradient), the reference that ``expr.compile_one_point``
+value, a (4,) gradient), the reference that ``codegen.compile_one_point``
 mirrors.  The batched jets are the reference that the generated column code
-of ``engine.field_jets`` (``expr.compile_columns``) mirrors for every batch,
+of ``engine.field_jets`` (``codegen.compile_columns``) mirrors for every batch,
 a batch of one included; ``jet_unchecked`` is its error route, and the
 route of a gauge-shifted potential, whose gauge function's jet one
 ``field_jets`` call shares among its components.  ``values`` evaluates a

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rcgeom import CATALOG_NAMES, ChartSpec, EvalError, ExprField, catalog_get, dynamics, engine
-from rcgeom import expr, jets
+from rcgeom import codegen, expr, jets
 from rcgeom import load_spacetime_file, transform_potential
 from rcgeom.catalog import build_model, parse_spacetime_text
 from rcgeom.engine import field_jets
@@ -214,7 +214,7 @@ JET_MODELS = dict(MODELS, gauge=transform_potential(MODELS["charge-ball"], "0.5*
 def test_field_jets_equal_a_per_component_loop(name):
     """fd mode bit for bit; dual mode up to the sign of a zero, since the
     generated column code leaves a structural zero out of its sums
-    (``expr.compile_columns``)."""
+    (``codegen.compile_columns``)."""
     model = JET_MODELS[name]
     x0, _, X = _points(model)
     for mode, orders in (("dual", (1, 2, 3)), ("fd", (1, 2))):
@@ -244,7 +244,7 @@ def _generated_jets(model):
         return tuple(tuple(np.ravel(np.array(m, dtype=object)))
                      for m in dynamics._order1_lists(layout, jets))
 
-    return expr.compile_one_point(trees, domain, (), members, members)
+    return codegen.compile_one_point(trees, domain, (), members, members)
 
 
 ORDER1_MEMBERS = ("g", "dg", "A", "dA")
@@ -301,7 +301,7 @@ def test_failures_give_the_jet_path_note_through_one_point_field_jets(src, x, pa
 def _generated(tree, domain=None):
     """The generated function of one folded tree, its value and gradient in
     entries 0-4."""
-    return expr.compile_one_point([tree], domain, (), _entries, _entries)
+    return codegen.compile_one_point([tree], domain, (), _entries, _entries)
 
 
 def _entries(tape, jets, *xs):
@@ -418,7 +418,7 @@ def test_generated_code_equals_the_jet_path_on_random_trees(tree, params, x):
     if got is not None:
         assert same_generated_bits(got, jv)
     inside = _outcome(lambda: [f.value(np.array(x))])
-    domain = expr.compile_one_point([], f.tree, (), _nothing, _nothing)  # None: none inside
+    domain = codegen.compile_one_point([], f.tree, (), _nothing, _nothing)  # None: none inside
     if domain is not None and _outcome(lambda: domain(*x)) is not None:
         assert inside is not None and inside[0] > 0.0
 
@@ -478,7 +478,7 @@ def test_no_force_law_computes_a_zero_product(name):
 def _zero_entries(tape, jets, *xs):
     """Which jet entries are the constant 0.0 (flags), and every entry."""
     entries = [e for j in jets for e in (j.f, *j.g)]
-    return tuple(float(not isinstance(e, expr._Var) and e == 0.0) for e in entries), tuple(entries)
+    return tuple(float(not isinstance(e, codegen._Var) and e == 0.0) for e in entries), tuple(entries)
 
 
 def _sound_zeros(run, x, want):
@@ -504,7 +504,7 @@ def test_the_zero_marks_are_sound_on_the_default_grid(name):
     finite."""
     model = MODELS[name]
     fields = [f for *_, f in model.layout.g_live + model.layout.A_live]
-    run = expr.compile_one_point([f.tree for f in fields], None, (), _zero_entries,
+    run = codegen.compile_one_point([f.tree for f in fields], None, (), _zero_entries,
                                  _zero_entries)
     checked = 0
     for x in model.default_grid:
@@ -524,7 +524,7 @@ def test_the_zero_marks_are_sound_on_random_trees(tree, params, x):
     except EvalError:
         return
     if f.const is None:
-        run = expr.compile_one_point([f.tree], None, (), _zero_entries, _zero_entries)
+        run = codegen.compile_one_point([f.tree], None, (), _zero_entries, _zero_entries)
         want = _outcome(lambda: _value_and_gradient(f, x))
         if run is not None and want is not None:
             _sound_zeros(run, x, want)
@@ -534,10 +534,10 @@ def test_a_mixed_sum_keeps_its_nonzero_term():
     """``x*y`` has the gradient entry ``y`` along x and ``x`` along y, and
     the constant 0.0 along t and z, which it does not read; the tape records
     only the value ``x1 * x2``: each other product is with 1.0 or 0.0."""
-    tape = expr._Tape()
-    x, y = expr._Var(tape, "x1"), expr._Var(tape, "x2")
-    jet = expr._Dual(x, [0.0, 1.0, 0.0, 0.0]) * expr._Dual(y, [0.0, 0.0, 1.0, 0.0])
-    assert [expr._text(d) for d in jet.g] == ["0.0", "x2", "x1", "0.0"]
+    tape = codegen._Tape()
+    x, y = codegen._Var(tape, "x1"), codegen._Var(tape, "x2")
+    jet = codegen._Dual(x, [0.0, 1.0, 0.0, 0.0]) * codegen._Dual(y, [0.0, 0.0, 1.0, 0.0])
+    assert [codegen._text(d) for d in jet.g] == ["0.0", "x2", "x1", "0.0"]
     assert [line[1:3] for line in tape.lines] == [("{} * {}", ("x1", "x2"))]
 
 
@@ -551,7 +551,7 @@ def test_a_constant_zero_gradient_entry_is_left_out(src):
     factor 0 of ``0*x``, the derivative of ``x^0``) leaves it out of every
     later sum and product, and the entries keep the jet path's bits."""
     f = ExprField(src, CART, {})
-    run = expr.compile_one_point([f.tree], None, (), _gradients, "gradients")
+    run = codegen.compile_one_point([f.tree], None, (), _gradients, "gradients")
     assert ZERO_SUM.search(run.source) is None, run.source
     assert ZERO_PRODUCT.search(run.source) is None, run.source
     for x in ([0.5, -1.5, 2.0, 0.0], [0.0, 0.0, -0.0, 3.0], [1.0, 1e200, -1e200, 0.0]):
@@ -575,7 +575,7 @@ def test_generating_a_force_law_runs_no_jet_operation(monkeypatch, name):
             ran.append(_name)
             return _op(*args)
         monkeypatch.setattr(Jet, op, counted)
-    monkeypatch.setattr(expr, "_GENERATED", collections.OrderedDict())
+    monkeypatch.setattr(codegen, "_GENERATED", collections.OrderedDict())
     assert dynamics._generate_rhs(MODELS[name]) is not None and ran == []
 
 
@@ -610,14 +610,14 @@ def test_a_left_out_operand_that_overflows_declines_as_the_jet_path_fails(y, fin
 def test_the_generated_code_memo_is_bounded(monkeypatch):
     """Distinct keys fill the memo up to its bound; past it the least
     recently used function is dropped, and asking again generates anew."""
-    monkeypatch.setattr(expr, "_GENERATED", collections.OrderedDict())
-    trees = [expr.fold(expr.parse(f"{n + 2}*x", CART), {}) for n in range(expr._GENERATED_MAX + 2)]
+    monkeypatch.setattr(codegen, "_GENERATED", collections.OrderedDict())
+    trees = [expr.fold(expr.parse(f"{n + 2}*x", CART), {}) for n in range(codegen._GENERATED_MAX + 2)]
     runs = []
     for tree in trees:
         runs.append(_generated(tree))
-        assert len(expr._GENERATED) <= expr._GENERATED_MAX
+        assert len(codegen._GENERATED) <= codegen._GENERATED_MAX
         assert _generated(trees[0]) is runs[0]  # used again, so kept
-    assert len(expr._GENERATED) == expr._GENERATED_MAX
+    assert len(codegen._GENERATED) == codegen._GENERATED_MAX
     assert _generated(trees[1]) is not runs[1]
     assert _generated(trees[-1]) is runs[-1]
     assert runs[-1](0.0, 3.0, 0.0, 0.0)[0] == 3.0 * (len(trees) + 1)
@@ -627,8 +627,8 @@ def test_the_generated_code_memo_under_threads(monkeypatch):
     """Threads that generate, look up and evict at once, with the switch
     interval shortened: no call raises, each gives its tree's function, and
     the memo stays within its bound."""
-    monkeypatch.setattr(expr, "_GENERATED", collections.OrderedDict())
-    trees = [expr.fold(expr.parse(f"{n + 2}*x", CART), {}) for n in range(expr._GENERATED_MAX + 16)]
+    monkeypatch.setattr(codegen, "_GENERATED", collections.OrderedDict())
+    trees = [expr.fold(expr.parse(f"{n + 2}*x", CART), {}) for n in range(codegen._GENERATED_MAX + 16)]
     errors = []
 
     def work(offset):
@@ -650,7 +650,7 @@ def test_the_generated_code_memo_under_threads(monkeypatch):
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and errors == []
-    assert len(expr._GENERATED) <= expr._GENERATED_MAX
+    assert len(codegen._GENERATED) <= codegen._GENERATED_MAX
 
 
 # -- generated column code of field_jets ---------------------------------------
@@ -699,7 +699,7 @@ def test_one_tree_at_two_places_gets_two_functions(monkeypatch):
     """The memo of column code is keyed by the trees and their places: the
     same tree as the potential's t and x components writes each entry it
     is given."""
-    monkeypatch.setattr(expr, "_COLUMNS", collections.OrderedDict())
+    monkeypatch.setattr(codegen, "_COLUMNS", collections.OrderedDict())
     X = np.array([[0.5, 2.0, 0.0, 0.0], [1.5, 3.0, 0.0, 0.0]])
     for n in (0, 1):
         model = build_model("one-tree", CART.names, {(0, 0): "1", (1, 1): "-1", (2, 2): "-1",
@@ -710,7 +710,7 @@ def test_one_tree_at_two_places_gets_two_functions(monkeypatch):
         want[:, n] = X[:, 0] * X[:, 1]
         assert fj.A.tobytes() == want.tobytes()
         assert np.array_equal(fj.dA[:, :2, n], X[:, [1, 0]]) and not fj.dA[:, :, 1 - n].any()
-    runs = list(expr._COLUMNS.values())
+    runs = list(codegen._COLUMNS.values())
     assert len(runs) == 2 and runs[0] is not runs[1] and runs[0].source != runs[1].source
 
 
@@ -736,7 +736,7 @@ def test_generating_column_code_runs_no_traced_function(monkeypatch, name):
     for owner in (expr, jets):
         monkeypatch.setattr(owner, "jet_pow", counting(owner.jet_pow, "jet_pow"))
     monkeypatch.setattr(expr, "evaluate", counting(expr.evaluate, "evaluate"))
-    monkeypatch.setattr(expr, "_COLUMNS", collections.OrderedDict())
+    monkeypatch.setattr(codegen, "_COLUMNS", collections.OrderedDict())
     generate, made = engine.compile_columns, []
 
     def generating(*args):

@@ -22,8 +22,8 @@ from rcgeom import (
     WorldlineState,
     catalog,
     catalog_get,
+    codegen,
     dynamics,
-    expr,
     integrate_worldline,
     load_spacetime_file,
     normalize_velocity,
@@ -1039,14 +1039,14 @@ def _variant(g01="0", a=1.0, domain=None):
 @pytest.fixture
 def generations(monkeypatch):
     """An empty memo of generated code; counts the functions generated."""
-    made, generate = [], expr._generate
+    made, generate = [], codegen._generate
 
     def counted(*args):
         made.append(generate(*args))
         return made[-1]
 
-    monkeypatch.setattr(expr, "_GENERATED", collections.OrderedDict())
-    monkeypatch.setattr(expr, "_generate", counted)
+    monkeypatch.setattr(codegen, "_GENERATED", collections.OrderedDict())
+    monkeypatch.setattr(codegen, "_generate", counted)
     return made
 
 
@@ -1071,10 +1071,10 @@ def test_a_model_built_again_records_nothing(monkeypatch, generations, name):
         return [f.tree for f in [*itertools.chain(*m.g_fields), *m.A_fields, m.domain] if f]
 
     first = model()
-    law, tapes, tape = dynamics._generate_rhs(first), [], expr._Tape
+    law, tapes, tape = dynamics._generate_rhs(first), [], codegen._Tape
     second = model()
     assert all(a is b for a, b in zip(trees(first), trees(second), strict=True))
-    monkeypatch.setattr(expr, "_Tape", lambda: tapes.append(tape()) or tapes[-1])
+    monkeypatch.setattr(codegen, "_Tape", lambda: tapes.append(tape()) or tapes[-1])
     assert dynamics._generate_rhs(second) is law and tapes == []
 
 

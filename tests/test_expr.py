@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from rcgeom import (ChartSpec, EvalError, ExprField, ParseError, UnknownIdentifierError,
                     catalog_get, expr, load_spacetime_file)
+from rcgeom.codegen import compile_one_point
 from rcgeom.engine import field_jets
 from rcgeom.expr import (
     MAX_DEPTH,
@@ -29,7 +30,6 @@ from rcgeom.expr import (
     Param,
     Pow,
     Sub,
-    compile_one_point,
     evaluate,
     fold,
     parse,
