@@ -125,11 +125,11 @@ def field_jets(model, X, order=2, mode="dual"):
     for places, entries, f in live:
         for k, part in enumerate(jet(f)[:order + 1]):
             if k:  # the jets carry the point axis last
-                part = np.moveaxis(part, -1, 0)
+                part = part.transpose(k, *range(k))
             for entry in entries:
                 members[places[k]][(slice(None),) * (k + 1) + entry] = part
 
-    _check_finite([np.moveaxis(m, 0, -1) for m in members], model.name, X,
+    _check_finite([m.transpose(*range(1, m.ndim), 0) for m in members], model.name, X,
                   "non-finite field derivatives for {!r}")
     return FieldJets(X, order, *members)
 
