@@ -156,8 +156,23 @@ class SpacetimeModel:
 
     @property
     def default_grid(self):
-        axes = [self.grid_axes[n] for n in self.chart.names]
-        return np.array(list(itertools.product(*axes)), dtype=float)
+        return self.grid()
+
+    def grid(self, overrides=None):
+        """Every combination of the axis values, the chart's last coordinate
+        fastest, with ``overrides`` (coordinate name -> values) in place of
+        the model's own axes."""
+        axes = dict(self.grid_axes)
+        for name, values in (overrides or {}).items():
+            if name not in axes:
+                raise GeometryError(f"unknown grid coordinate {name!r}")
+            axes[name] = tuple(float(v) for v in values)
+            if not all(map(math.isfinite, axes[name])):
+                raise GeometryError(f"grid values of {name!r} must be finite: {axes[name]}")
+        grid = np.array(list(itertools.product(*(axes[n] for n in self.chart.names))), dtype=float)
+        if len(grid) == 0:
+            raise GeometryError("the grid has no points; every axis needs at least one value")
+        return grid
 
     def in_domain(self, x):
         x = np.asarray(x, dtype=float)
@@ -364,9 +379,8 @@ def _evaluate_at(fields, p, pt, origin):
 
 # -- built-in catalog ---------------------------------------------------------
 
-_CARTESIAN = ("t", "x", "y", "z")
-_SPHERICAL = ("t", "r", "theta", "phi")
-_FLAT = {(0, 0): "1", (1, 1): "-1", (2, 2): "-1", (3, 3): "-1"}
+_FLAT = dict(coord_names=("t", "x", "y", "z"),
+             g_sources={(0, 0): "1", (1, 1): "-1", (2, 2): "-1", (3, 3): "-1"})
 _CARTESIAN_BOX = {"t": (-1.0, 1.0), "x": (-1.0, 1.0), "y": (-1.0, 1.0), "z": (-1.0, 1.0)}
 _SPHERICAL_BOX = {
     "t": (0.0, 1.0),
@@ -381,8 +395,7 @@ _STATIC_SPHERICAL_GRID = {
     "theta": tuple(np.linspace(0.3, math.pi - 0.3, 4)),
     "phi": (0.1, 2.0),
 }
-_FLAT_META = {"source_free": True, "einstein_exact": False, "diag_static": True,
-              "sample_box": _CARTESIAN_BOX}
+_FLAT_META = {"source_free": True, "diag_static": True, "sample_box": _CARTESIAN_BOX}
 _STATIC_META = {"source_free": True, "einstein_exact": True, "diag_static": True,
                 "sample_box": _SPHERICAL_BOX}
 _ORIGIN, _AT_REST = (0.0, 0.0, 0.0, 0.0), (1.0, 0.0, 0.0, 0.0)
@@ -391,8 +404,13 @@ _COMOVING = ("1", "0", "0", "0")
 _ACCEL_GAMMA = "sqrt(1 + (0.5*E*t)^2)"
 
 
-def _static_spherical_metric(f):
-    return {(0, 0): f, (1, 1): f"-1/({f})", (2, 2): "-r^2", (3, 3): "-r^2*sin(theta)^2"}
+def _static_spherical(f, **entry):
+    """The entry of the static spherical metric with g_tt = f, off the axis
+    and outside r = 2GM/c^2."""
+    g = {(0, 0): f, (1, 1): f"-1/({f})", (2, 2): "-r^2", (3, 3): "-r^2*sin(theta)^2"}
+    return dict(coord_names=("t", "r", "theta", "phi"), g_sources=g,
+                domain_src="(r - 2*G*M/c^2) * sin(theta)",
+                grid_axes=_STATIC_SPHERICAL_GRID, **entry)
 
 
 # -- closed forms: (model, trajectory, charge ratio) -> error at every state ---
@@ -476,101 +494,84 @@ def _circular_orbit(model, r=8.0, steps=1500):
     return (0.0, r, math.pi / 2, 0.0), (vt, 0.0, 0.0, vphi), 0.0, period / steps, steps
 
 
-@dataclass(frozen=True)
-class _Entry:
-    coords: tuple
-    g: dict
-    A: dict
-    defaults: dict
-    grid: dict
-    meta: dict
-    domain: str | None = None
-
-
-# meta keys read by the suites: source_free, einstein_exact, diag_static,
-# sample_box, charge_density_param (the parameter holding a uniform proper
-# charge density), scenario (ClosedFormScenario, the worldline rows' claim and
-# the oracle of user worldlines) and dust (sources of a matched dust: rho0, rhoq, V).
+# Each entry is build_model's keyword arguments.  The meta keys read by the
+# suites: source_free, einstein_exact, diag_static, sample_box,
+# charge_density_param (the parameter holding a uniform proper charge density),
+# scenario (ClosedFormScenario, the worldline rows' claim and the oracle of user
+# worldlines) and dust (sources of a matched dust: rho0, rhoq, V).
 _ENTRIES = {
-    "minkowski": _Entry(
-        _CARTESIAN, _FLAT, {}, {}, _BOX_GRID,
-        {**_FLAT_META, "einstein_exact": True,
-         "scenario": ClosedFormScenario(
-             "straight-line", lambda model: (_ORIGIN, _AT_REST, 0.0, 0.01, 200),
-             straight_line_error, charged=False),
-         "dust": ("0.05", "0", _COMOVING)},
-    ),
-    "minkowski-constant-e": _Entry(
-        _CARTESIAN, _FLAT, {0: "-(E*x)"}, {"E": 1.0}, _BOX_GRID,
-        {**_FLAT_META,
-         "scenario": ClosedFormScenario("uniform-acceleration", _accelerated_start,
-                                        uniform_acceleration_error, charged=True,
-                                        from_rest=True),
-         "dust": (f"0.05/{_ACCEL_GAMMA}", f"0.025*c^2/{_ACCEL_GAMMA}",
-                  (_ACCEL_GAMMA, "-(0.5*E*t)", "0", "0"))},
-    ),
-    "schwarzschild": _Entry(
-        _SPHERICAL, _static_spherical_metric("1 - 2*G*M/(c^2*r)"), {}, {"M": 1.0},
-        _STATIC_SPHERICAL_GRID,
-        {**_STATIC_META,
-         "scenario": ClosedFormScenario("circular-orbit", _circular_orbit,
-                                        circular_radius_error)},
-        domain="(r - 2*G*M/c^2) * sin(theta)",
-    ),
-    "reissner-nordstrom": _Entry(
-        _SPHERICAL, _static_spherical_metric("1 - 2*G*M/(c^2*r) + G*q^2/(c^4*r^2)"),
-        {0: "q/r"}, {"M": 1.0, "q": 0.3}, _STATIC_SPHERICAL_GRID, _STATIC_META,
-        domain="(r - 2*G*M/c^2) * sin(theta)",
-    ),
+    "minkowski": dict(
+        _FLAT, grid_axes=_BOX_GRID,
+        meta={**_FLAT_META, "einstein_exact": True,
+              "scenario": ClosedFormScenario(
+                  "straight-line", lambda model: (_ORIGIN, _AT_REST, 0.0, 0.01, 200),
+                  straight_line_error, charged=False),
+              "dust": ("0.05", "0", _COMOVING)}),
+    "minkowski-constant-e": dict(
+        _FLAT, A_sources={0: "-(E*x)"}, params={"E": 1.0}, grid_axes=_BOX_GRID,
+        meta={**_FLAT_META,
+              "scenario": ClosedFormScenario("uniform-acceleration", _accelerated_start,
+                                             uniform_acceleration_error, charged=True,
+                                             from_rest=True),
+              "dust": (f"0.05/{_ACCEL_GAMMA}", f"0.025*c^2/{_ACCEL_GAMMA}",
+                       (_ACCEL_GAMMA, "-(0.5*E*t)", "0", "0"))}),
+    "schwarzschild": _static_spherical(
+        "1 - 2*G*M/(c^2*r)", params={"M": 1.0},
+        meta={**_STATIC_META, "scenario": ClosedFormScenario(
+            "circular-orbit", _circular_orbit, circular_radius_error)}),
+    "reissner-nordstrom": _static_spherical(
+        "1 - 2*G*M/(c^2*r) + G*q^2/(c^4*r^2)", A_sources={0: "q/r"},
+        params={"M": 1.0, "q": 0.3}, meta=_STATIC_META),
     # Transverse polarization; the field is null (F.F = 0) and source free.
-    "em-plane-wave": _Entry(
-        _CARTESIAN, _FLAT, {2: "a*cos(k*(t - x))"}, {"a": 0.5, "k": 1.0},
-        {"t": (0.0, 0.35, 0.8), "x": (-0.5, 0.2, 0.9), "y": (-0.3, 0.4), "z": (-0.2, 0.5)},
-        _FLAT_META,
-    ),
+    "em-plane-wave": dict(
+        _FLAT, A_sources={2: "a*cos(k*(t - x))"}, params={"a": 0.5, "k": 1.0}, meta=_FLAT_META,
+        grid_axes={"t": (0.0, 0.35, 0.8), "x": (-0.5, 0.2, 0.9), "y": (-0.3, 0.4),
+                   "z": (-0.2, 0.5)}),
     # Fixture, not a catalog entry: a quadratic potential whose Laplacian
     # yields a uniform charge density, carried by comoving dust.
-    "charge-ball": _Entry(
-        _CARTESIAN, _FLAT, {0: "-(2*pi/3)*rho_q*(x^2 + y^2 + z^2)"},
-        {"rho_q": 0.02, "rho0": 0.05, "pi": math.pi},
-        {"t": (0.0, 0.4), "x": (-0.4, 0.1, 0.4), "y": (-0.4, 0.1, 0.4), "z": (-0.4, 0.1, 0.4)},
-        {"source_free": False, "einstein_exact": False, "diag_static": True,
-         "charge_density_param": "rho_q",
-         "sample_box": {"t": (0.0, 1.0), "x": (-0.5, 0.5), "y": (-0.5, 0.5), "z": (-0.5, 0.5)},
-         "dust": ("rho0", "rho_q", _COMOVING)},
-    ),
+    "charge-ball": dict(
+        _FLAT, A_sources={0: "-(2*pi/3)*rho_q*(x^2 + y^2 + z^2)"},
+        params={"rho_q": 0.02, "rho0": 0.05, "pi": math.pi},
+        grid_axes={"t": (0.0, 0.4), "x": (-0.4, 0.1, 0.4), "y": (-0.4, 0.1, 0.4),
+                   "z": (-0.4, 0.1, 0.4)},
+        meta={"diag_static": True, "charge_density_param": "rho_q",
+              "sample_box": {"t": (0.0, 1.0), "x": (-0.5, 0.5), "y": (-0.5, 0.5), "z": (-0.5, 0.5)},
+              "dust": ("rho0", "rho_q", _COMOVING)}),
 }
 FIXTURE_NAMES = ("charge-ball",)
 
 
-def catalog_get(name, params=None, G=1.0, c=1.0):
-    """Return a built-in model or fixture; parameter overrides are merged
-    over the defaults and must name declared parameters (the constants G
-    and c are set by their own arguments)."""
-    entry = _ENTRIES.get(name)
-    if entry is None:
+def merge_overrides(params=None, G=None, c=None):
+    """One dict of overrides: ``params``, and the constants G and c where given."""
+    return {**(params or {}), **{k: v for k, v in (("G", G), ("c", c)) if v is not None}}
+
+
+def _build(name, sources, overrides=None, origin=None):
+    """``build_model(name, **sources)`` with ``overrides`` in place of the
+    declared parameters (``sources["params"]``) and the constants G and c:
+    the one override rule of catalog entries and definition files.  An
+    override of anything else is a usage error, which names the file
+    ``origin``, if any."""
+    params = dict(sources.get("params") or {})
+    consts = {"G": sources.get("G", 1.0), "c": sources.get("c", 1.0)}
+    if unknown := sorted(set(overrides or {}) - params.keys() - consts.keys()):
+        note = (f"undeclared parameter {', '.join(map(repr, unknown))} for {name!r}; "
+                f"declared: {', '.join(sorted(params)) or 'none'}; constants: G, c")
+        raise GeometryError(note) if origin is None else SpacetimeFormatError(note, origin)
+    for key, value in (overrides or {}).items():
+        (consts if key in consts else params)[key] = float(value)
+    return build_model(name, **{**sources, "params": params, **consts}, origin=origin)
+
+
+def catalog_get(name, params=None, G=None, c=None):
+    """Return a built-in model or fixture; ``params`` overrides its declared
+    parameters and may set the constants G and c, as ``G`` and ``c`` do."""
+    sources = _ENTRIES.get(name)
+    if sources is None:
         raise GeometryError(
             f"unknown catalog entry {name!r}; available: {', '.join(CATALOG_NAMES)}"
         )
-    unknown = sorted(set(params or {}) - set(entry.defaults))
-    if unknown:
-        declared = ", ".join(sorted(entry.defaults)) or "none"
-        raise GeometryError(
-            f"undeclared parameter {', '.join(map(repr, unknown))} for {name!r}; "
-            f"declared: {declared}; constants: G, c"
-        )
-    return build_model(
-        name,
-        entry.coords,
-        entry.g,
-        entry.A,
-        params={**entry.defaults, **(params or {})},
-        G=G,
-        c=c,
-        domain_src=entry.domain,
-        grid_axes=entry.grid,
-        meta=entry.meta,
-    )
+    return _build(name, sources, merge_overrides(params, G, c))
 
 
 # -- definition-file loader ---------------------------------------------------
@@ -583,16 +584,22 @@ _LINE_RES = {
     "g": re.compile(r"^g\[(\d+)\]\[(\d+)\]\s*=\s*\"(.*)\"\s*$"),
     "A": re.compile(r"^A\[(\d+)\]\s*=\s*\"(.*)\"\s*$"),
     "domain": re.compile(r"^domain\s*=\s*\"(.*)\"\s*$"),
-    "grid": re.compile(r"^grid\.([A-Za-z_]\w*)\s*=\s*([^:]+):([^:]+):(\d+)\s*$"),
+    "grid": re.compile(r"^grid\.([A-Za-z_]\w*)\s*=\s*([^:]+:[^:]+:\d+)\s*$"),
 }
 
 
-def grid_axis(start, stop, count):
-    """``np.linspace(start, stop, count)`` once the bounds and their
-    distance are finite; linspace would warn and leave NaN points."""
+def grid_range(spec):
+    """The ``(start, stop, count)`` of a ``start:stop:count`` axis, the one
+    reader of that syntax, for ``np.linspace``.  ValueError where the text
+    does not read so; GeometryError where count < 1 or the bounds or their
+    distance are not finite (linspace would warn and leave NaN points)."""
+    start, stop, count = spec.split(":")
+    start, stop, count = float(start), float(stop), int(count)
+    if count < 1:
+        raise GeometryError("grid count must be >= 1")
     if not math.isfinite(stop - start):  # inf or NaN also when a bound is
         raise GeometryError(f"grid bounds and their distance must be finite: {start!r}:{stop!r}")
-    return np.linspace(start, stop, count)
+    return start, stop, count
 
 
 def parse_spacetime_text(text, origin="<string>", param_overrides=None):
@@ -661,19 +668,15 @@ def parse_spacetime_text(text, origin="<string>", param_overrides=None):
         elif m := _LINE_RES["domain"].match(line):
             domain_src = once("domain", m.group(1), lineno, "expression")
         elif m := _LINE_RES["grid"].match(line):
+            coord = m.group(1)
             try:
-                start, stop, count = float(m.group(2)), float(m.group(3)), int(m.group(4))
+                axis = grid_range(m.group(2))
             except ValueError:
                 raise SpacetimeFormatError("bad grid range", origin, lineno) from None
-            if count < 1:
-                raise SpacetimeFormatError("grid count must be >= 1", origin, lineno)
-            try:
-                axis = grid_axis(start, stop, count)
             except GeometryError as err:
                 raise SpacetimeFormatError(str(err), origin, lineno) from None
-            once(f"grid.{m.group(1)}", (start, stop, count), lineno, "range")
-            grid_axes[m.group(1)] = tuple(axis)
-            grid_lines.setdefault(m.group(1), lineno)
+            grid_axes[coord] = tuple(np.linspace(*once(f"grid.{coord}", axis, lineno, "range")))
+            grid_lines.setdefault(coord, lineno)
         else:
             raise SpacetimeFormatError(f"unrecognized line: {line!r}", origin, lineno)
 
@@ -688,20 +691,10 @@ def parse_spacetime_text(text, origin="<string>", param_overrides=None):
         if key not in coords:
             raise SpacetimeFormatError(f"unknown grid coordinate {key!r}", origin, lineno)
 
-    for key, value in (param_overrides or {}).items():
-        if key in ("G", "c"):
-            consts[key] = float(value)
-        elif key in params:
-            params[key] = float(value)
-        else:
-            raise SpacetimeFormatError(f"override for undeclared parameter {key!r}", origin)
-
+    sources = dict(coord_names=coords, g_sources=g_sources, A_sources=A_sources, params=params,
+                   domain_src=domain_src, grid_axes=grid_axes, **consts)
     try:
-        return build_model(
-            name, coords, g_sources, A_sources, params=params, G=consts["G"], c=consts["c"],
-            domain_src=domain_src, grid_axes=grid_axes,
-            meta={"source_free": False, "einstein_exact": False, "diag_static": False},
-            origin=origin)
+        return _build(name, sources, param_overrides, origin)
     except ParseError as err:
         raise SpacetimeFormatError(f"expression error: {err}", origin) from err
 

@@ -22,7 +22,9 @@ import functools
 import sys
 import traceback
 
-from .catalog import CATALOG_NAMES, FIXTURE_NAMES, catalog_get, grid_axis
+import numpy as np
+
+from .catalog import _ENTRIES, CATALOG_NAMES, FIXTURE_NAMES, grid_range
 from .errors import GeometryError
 from .harness import (
     SUITES,
@@ -53,8 +55,7 @@ def _parse_grid(pairs):
     for pair in pairs or []:
         try:
             name, spec = pair.split("=", 1)
-            start, stop, count = spec.split(":")
-            grid[name.strip()] = grid_axis(float(start), float(stop), int(count))
+            grid[name.strip()] = np.linspace(*grid_range(spec))
         except ValueError:
             raise GeometryError(f"bad --grid {pair!r}, expected coord=start:stop:count") from None
         except GeometryError as err:
@@ -63,10 +64,7 @@ def _parse_grid(pairs):
 
 
 def _model_from_args(args):
-    params = _parse_pairs(args.param, "--param", "NAME=VALUE")
-    G = params.pop("G", None)
-    c = params.pop("c", None)
-    return resolve_model(args.spacetime, params, G=G, c=c)
+    return resolve_model(args.spacetime, _parse_pairs(args.param, "--param", "NAME=VALUE"))
 
 
 def _add_common(p):
@@ -171,7 +169,8 @@ def _cmd_list(_args):
     for title, names in (("catalog entries", CATALOG_NAMES), ("fixtures", FIXTURE_NAMES)):
         print(f"{title}:")
         for name in names:
-            params = ", ".join(f"{k}={v}" for k, v in sorted(catalog_get(name).params.items()))
+            declared = _ENTRIES[name].get("params", {})
+            params = ", ".join(f"{k}={v}" for k, v in sorted(declared.items()))
             print(f"  {name:24s} params: {params or '(none)'}")
     print("a path to a definition file is accepted wherever a name is.")
     return 0

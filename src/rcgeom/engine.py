@@ -57,7 +57,7 @@ import functools
 
 import numpy as np
 
-from .errors import GeometryError
+from .errors import _RAISE, GeometryError
 from .codegen import compile_columns
 from .fields import (ExprField, ShiftedPotentialField, _check_finite, central_differences,
                      check_fd_order, fd_jet, make_seeds)
@@ -78,7 +78,6 @@ FieldJets = collections.namedtuple(
 # indices into its members, in FieldJets order (g, dg, A, dA, ddg, ...).
 _G_MEMBERS = (0, 1, 4, 6)
 _A_MEMBERS = (2, 3, 5, 7)
-_RAISE = {"over": "raise", "divide": "raise", "invalid": "raise"}
 
 
 def field_jets(model, X, order=2, mode="dual"):
@@ -406,7 +405,7 @@ class GeometrySnapshot:
     @_cached
     def d_einstein_lc_uu(self):
         if self.mode == "fd":
-            return _fd_pipeline(self.model, self.x, lambda s: s.einstein_lc_uu, self.mode)
+            return _fd_pipeline(self, lambda s: s.einstein_lc_uu)
         gi = (self.ginv, self.dginv)
         d_ricci = batched_einsum("kmnlm->knl", self.d_riemann_lc)
         d_scalar = _total(_leibniz("nl,nl->", (gi, (self.ricci_lc, d_ricci)), "k"))
@@ -506,7 +505,7 @@ class GeometrySnapshot:
     @_cached
     def dJ_up(self):
         if self.mode == "fd":
-            return _fd_pipeline(self.model, self.x, lambda s: s.J_up, self.mode)
+            return _fd_pipeline(self, lambda s: s.J_up)
         s, ds = self.sqrt_g, self.dsqrt_g
         # W^{mn} = sqrt(-g) F^{mn}
         jets = ((s, ds, self.ddsqrt_g), (self.F_uu, self.dF_uu, self.ddF_uu))
@@ -696,13 +695,18 @@ class GeometrySnapshot:
         return max_abs(grad)
 
 
-def _fd_pipeline(model, x, extract, mode):
+def _fd_pipeline(snap, extract):
     """Central-difference derivative (``fields.central_differences``, step
-    ``PIPELINE_FD_STEP``) of a computed pointwise quantity at every point of
-    x, shape (N, 4), along the model's ``read_axes``; the derivative axis
-    follows the point axis.  One snapshot holds every stencil point: 2a·N
-    of them for a model that reads a axes, N for one that reads none."""
-    jv = central_differences(lambda pts: extract(GeometrySnapshot(model, pts, mode)), x,
+    ``PIPELINE_FD_STEP``) of the snapshot's pointwise quantity ``extract(snap)``
+    at each of its points, along the model's ``read_axes``; the derivative
+    axis follows the point axis.  One snapshot holds every stencil point,
+    2a·N of them for a model that reads a axes.  On a model that reads none
+    the derivative is exactly 0, of the quantity's shape, and no snapshot
+    is built."""
+    model, x = snap.model, snap.x
+    if not model.read_axes:
+        return np.zeros((len(x), DIM) + extract(snap).shape[1:])
+    jv = central_differences(lambda pts: extract(GeometrySnapshot(model, pts, snap.mode)), x,
                              model.read_axes, np.full_like(x, PIPELINE_FD_STEP), 1)
     # C-contiguous: the bits of a contraction can follow its operands' layout
     return np.ascontiguousarray(np.moveaxis(jv.grad, 0, 1))

@@ -92,6 +92,10 @@ def batch_then_rows(batch, rows, row):
         return [row(r) for r in rows]
 
 
+# numpy raises on a failed array evaluation, so that the entry-by-entry route names the entry
+_RAISE = {"over": "raise", "divide": "raise", "invalid": "raise"}
+
+
 def _quiet_float_errors(fn):
     """``fn`` with numpy's overflow and invalid-operation warnings off.
 

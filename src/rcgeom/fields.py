@@ -268,8 +268,8 @@ def central_differences(values, X, axes, steps, order, value=False):
     ``values`` call, in the order the one-point difference quotients visit
     them (at order 2 the centre first), so the first bad stencil point is
     the one reported.  At order 1 the centres are evaluated, after the
-    stencil points, only when ``value`` asks for the value or no axis is
-    differenced (for the value's shape); the value is None otherwise.  The
+    stencil points, only when ``value`` asks for the value, which is None
+    otherwise; without it, at least one axis must be differenced.  The
     parts carry the derivative axes first, then the point axis, then the
     value's own axes: a scalar function gets the batch-last layout of the
     jets.
@@ -280,7 +280,7 @@ def central_differences(values, X, axes, steps, order, value=False):
     axial = [p for m in axes for p in (X + e[m], X - e[m])]
     mixed = [X + a + b for m, n in pairs for a in (e[m], -e[m]) for b in (e[n], -e[n])]
     lead = [X] if order >= 2 else []  # the centre blocks before and after the stencil
-    tail = [X] if order < 2 and (value or not axes) else []
+    tail = [X] if order < 2 and value else []
     pts = lead + axial + mixed + tail
     f = np.asarray(values(np.concatenate(pts)))
     f = f.reshape((len(pts), len(X)) + f.shape[1:])

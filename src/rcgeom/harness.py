@@ -18,7 +18,6 @@ JSON report uses fixed float formatting so repeated runs are byte-identical.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 import os
@@ -30,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .catalog import CATALOG_NAMES, FIXTURE_NAMES, catalog_get, load_spacetime_file
+from .catalog import (CATALOG_NAMES, FIXTURE_NAMES, catalog_get, load_spacetime_file,
+                      merge_overrides)
 from .checks import CHECK_DEFS, GaugePair, default_tolerance, suite_of
 from .dynamics import IntegratorConfig, WorldlineState, integrate_worldline, normalize_velocity
 from .engine import GeometrySnapshot
@@ -123,13 +123,14 @@ def canonical_json(obj):
 
 
 def resolve_model(spec, params=None, G=None, c=None):
-    """Model from a catalog or fixture name, or a definition file."""
-    params = dict(params or {})
+    """Model from a catalog or fixture name, or a definition file; ``params``
+    overrides its declared parameters and may set the constants G and c, as
+    ``G`` and ``c`` do."""
+    overrides = merge_overrides(params, G, c)
     if spec in CATALOG_NAMES + FIXTURE_NAMES:
-        return catalog_get(spec, params, G=1.0 if G is None else G, c=1.0 if c is None else c)
+        return catalog_get(spec, overrides)
     if os.path.exists(spec):
-        consts = {k: v for k, v in (("G", G), ("c", c)) if v is not None}
-        return load_spacetime_file(spec, param_overrides={**params, **consts})
+        return load_spacetime_file(spec, overrides)
     raise GeometryError(
         f"unknown spacetime {spec!r}: not a catalog name, not a file"
     )
@@ -152,17 +153,7 @@ class SuiteContext:
                if not (math.isfinite(tol) and tol >= 0.0)}
         if bad:
             raise GeometryError(f"tolerance overrides must be finite and non-negative: {bad}")
-        axes = dict(model.grid_axes)
-        for name, values in (grid_overrides or {}).items():
-            if name not in axes:
-                raise GeometryError(f"unknown grid coordinate {name!r}")
-            axes[name] = tuple(float(v) for v in values)
-            if not all(map(math.isfinite, axes[name])):
-                raise GeometryError(f"grid values of {name!r} must be finite: {axes[name]}")
-        ordered = [axes[n] for n in model.chart.names]
-        self.grid = np.array(list(itertools.product(*ordered)), dtype=float)
-        if len(self.grid) == 0:
-            raise GeometryError("the grid has no points; every axis needs at least one value")
+        self.grid = model.grid(grid_overrides)
         # Gauge functions are parsed once, here, so a bad one is a usage
         # error rather than a failed check; the orbit check composes the
         # first two and compares with their sum.

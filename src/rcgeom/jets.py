@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-from .errors import EvalError, raise_at
+from .errors import _RAISE, EvalError, raise_at
 
 DIM = 4
 
@@ -234,7 +234,6 @@ def _power(x, k):
 
 # What a failed evaluation raises: math's errors, and numpy's under _RAISE.
 _MATH_ERRORS = (ArithmeticError, ValueError)
-_RAISE = {"over": "raise", "divide": "raise", "invalid": "raise"}
 
 
 def _entries(f, message, *args):

@@ -1,7 +1,10 @@
 """Catalog entries and the spacetime definition-file loader."""
 
+import dataclasses
+import itertools
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from rcgeom import catalog
 from rcgeom.catalog import build_model, load_spacetime_file
 from rcgeom.cli import main
 from rcgeom.engine import GeometrySnapshot
+from rcgeom.harness import run_suite
 
 RN_FILE = """
 # charged static solution, declared through expressions
@@ -539,6 +543,66 @@ def test_a_coordinate_named_like_a_constant_is_a_load_error(tmp_path, capsys, na
     with pytest.raises(SpacetimeFormatError, match=f"coordinate {name} names a constant"):
         build_model("shadow", coords, {(0, 0): "1", (1, 1): "-1", (2, 2): "-1", (3, 3): "-1"},
                     grid_axes={n: (1.0,) for n in coords})
+
+
+RN_DEFINITION = Path(__file__).with_name("reissner_nordstrom.spacetime")
+KN_DEFINITION = Path(__file__).resolve().parents[1] / "bench" / "kerr_newman.spacetime"
+RN_UNDECLARED = "undeclared parameter 'Q' for 'reissner-nordstrom'; declared: M, q; constants: G, c"
+
+
+@pytest.mark.parametrize("spacetime, note", [
+    ("reissner-nordstrom", RN_UNDECLARED),
+    (RN_DEFINITION, f"{RN_DEFINITION}: {RN_UNDECLARED}"),
+    (KN_DEFINITION,
+     f"{KN_DEFINITION}: undeclared parameter 'Q' for 'kerr-newman'; declared: M, a, q; "
+     "constants: G, c"),
+], ids=["catalog", "file", "kerr-newman-file"])
+def test_an_undeclared_parameter_reads_one_note_on_both_front_ends(spacetime, note, tmp_path,
+                                                                  capsys):
+    """A catalog entry and a definition file check overrides by one rule; a
+    file's note starts with its path."""
+    assert main(["run", "--spacetime", str(spacetime), "--suite", "metric",
+                 "--param", "Q=1", "--out", str(tmp_path / "r.json")]) == 2
+    assert capsys.readouterr().err == f"error: {note}\n"
+
+
+def test_the_catalog_entry_as_a_definition_file_is_the_same_model():
+    """The file of the catalog's sources folds to the same interned trees,
+    with the same parameters, constants and grid; only the claims, which a
+    file cannot state, differ, and with the catalog's claims its report
+    has the catalog's bytes."""
+    entry, loaded = catalog_get("reissner-nordstrom"), load_spacetime_file(RN_DEFINITION)
+
+    def fields(m):
+        return [*itertools.chain.from_iterable(m.g_fields), *m.A_fields, m.domain]
+
+    assert all(a.tree is b.tree for a, b in zip(fields(entry), fields(loaded), strict=True))
+    assert (loaded.params, loaded.constants) == (entry.params, entry.constants)
+    assert loaded.grid_axes == entry.grid_axes and loaded.meta == {}
+    assert loaded.default_grid.tobytes() == entry.default_grid.tobytes()
+    want = run_suite("maxwell", entry).to_json()
+    assert run_suite("maxwell", dataclasses.replace(loaded, meta=entry.meta)).to_json() == want
+    claimed = {"em.source_free", "em.energy_density"}
+    want = json.loads(want)
+    want["checks"] = [c for c in want["checks"] if c["id"] not in claimed]
+    assert json.loads(run_suite("maxwell", loaded).to_json()) == want
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_a_grid_count_below_one_reads_one_note_on_both_front_ends(count, tmp_path, capsys):
+    """``--grid`` and a file's ``grid.<c>`` line read ``start:stop:count``
+    with one reader; each frames its note with its own prefix.  A file's
+    count is digits, so a negative one is not a grid line."""
+    out = str(tmp_path / "r.json")
+    assert main(["run", "--spacetime", "minkowski", "--grid", f"x=0:1:{count}",
+                 "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        f"error: bad --grid 'x=0:1:{count}': grid count must be >= 1\n")
+    path = tmp_path / "zero.spacetime"
+    path.write_text(OVERFLOW_FILE.format(g11="-1", A0="x", x=f"0:1:{count}"))
+    assert main(["run", "--spacetime", str(path), "--out", out]) == 2
+    note = "grid count must be >= 1" if count == "0" else "unrecognized line: 'grid.x = 0:1:-1'"
+    assert capsys.readouterr().err == f"error: {path}:10: {note}\n"
 
 
 def test_loader_param_overrides():

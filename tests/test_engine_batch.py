@@ -17,6 +17,7 @@ from rcgeom import (
     transform_potential,
 )
 from rcgeom.catalog import build_model, parse_spacetime_text
+from rcgeom.cli import main
 from rcgeom.checks import CHECK_DEFS
 from rcgeom.dynamics import probe_velocity
 from rcgeom.engine import GeometrySnapshot, batched_einsum
@@ -469,6 +470,7 @@ def test_fd_pipeline_differences_the_read_axes_in_one_snapshot(name, member, mon
     along an axis no field reads, both shifted copies have the same bits."""
     model = GAUGE_MODELS[name]
     x = _points(model)
+    snap = GeometrySnapshot(model, x, "fd")
 
     def extract(snap):
         return getattr(snap, member)
@@ -480,7 +482,7 @@ def test_fd_pipeline_differences_the_read_axes_in_one_snapshot(name, member, mon
         sizes.append(len(self.x))
 
     monkeypatch.setattr(GeometrySnapshot, "__init__", counted)
-    got = engine._fd_pipeline(model, x, extract, "fd")
+    got = engine._fd_pipeline(snap, extract)
     monkeypatch.undo()
     assert sizes == [2 * len(model.read_axes) * len(x)]
     want = _eight_copy_pipeline(model, x, extract, "fd")
@@ -488,11 +490,12 @@ def test_fd_pipeline_differences_the_read_axes_in_one_snapshot(name, member, mon
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
-def test_fd_pipeline_of_a_model_that_reads_no_axis_takes_only_the_centres(monkeypatch):
-    """With no axis to difference, the pipeline's one snapshot holds the N
-    centres, for the shape of the quantity, and every derivative is 0."""
+def test_fd_pipeline_of_a_model_that_reads_no_axis_builds_no_snapshot(monkeypatch):
+    """With no axis to difference, every derivative is 0, of the shape of
+    the calling snapshot's own quantity, and the pipeline builds no snapshot."""
     model = catalog_get("minkowski")
     x = _points(model)
+    snap = GeometrySnapshot(model, x, "fd")
     sizes, init = [], GeometrySnapshot.__init__
 
     def counted(self, *args):
@@ -500,9 +503,36 @@ def test_fd_pipeline_of_a_model_that_reads_no_axis_takes_only_the_centres(monkey
         sizes.append(len(self.x))
 
     monkeypatch.setattr(GeometrySnapshot, "__init__", counted)
-    got = engine._fd_pipeline(model, x, lambda snap: snap.einstein_lc_uu, "fd")
-    assert not model.read_axes and sizes == [len(x)]
-    assert got.shape == (len(x), 4, 4, 4) and not got.any()
+    got = engine._fd_pipeline(snap, lambda snap: snap.einstein_lc_uu)
+    assert not model.read_axes and sizes == []
+    assert got.shape == (len(x), 4, 4, 4) and not got.any() and got.flags.c_contiguous
+
+
+def test_minkowski_fd_suite_all_builds_no_pipeline_snapshot(tmp_path, monkeypatch):
+    """``run --spacetime minkowski --suite all --diff fd`` calls the fd
+    pipeline, which builds no snapshot: no field reads an axis."""
+    pipeline, init = engine._fd_pipeline, GeometrySnapshot.__init__
+    calls, depth, built_inside = [], [0], []
+
+    def counted(self, *args):
+        init(self, *args)
+        if depth[0]:
+            built_inside.append(len(self.x))
+
+    def traced(*args):
+        calls.append(args)
+        depth[0] += 1
+        try:
+            return pipeline(*args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(GeometrySnapshot, "__init__", counted)
+    monkeypatch.setattr(engine, "_fd_pipeline", traced)
+    out = tmp_path / "r.json"
+    assert main(["run", "--spacetime", "minkowski", "--suite", "all", "--diff", "fd",
+                 "--out", str(out)]) == 0
+    assert calls and built_inside == []
 
 
 # -- the dynamics scenario's batches against batches of one -------------------

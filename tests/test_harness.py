@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rcgeom import CATALOG_NAMES, GeometryError, catalog_get, cli, engine, harness
+from rcgeom import CATALOG_NAMES, GeometryError, catalog, catalog_get, cli, engine, harness
 from rcgeom.catalog import FIXTURE_NAMES, parse_spacetime_text
 from rcgeom.cli import main
 from rcgeom.checks import suite_of
@@ -393,6 +393,23 @@ def test_cli_list(capsys):
     assert "pi=3.141592653589793" in lines[lines.index("fixtures:") + 1]
 
 
+def test_cli_list_prints_the_declared_parameters_without_building_a_model(capsys, monkeypatch):
+    built = []
+    monkeypatch.setattr(catalog, "build_model", lambda *args, **kw: built.append(args))
+    assert main(["list"]) == 0
+    assert built == []
+    assert capsys.readouterr().out == """catalog entries:
+  minkowski                params: (none)
+  minkowski-constant-e     params: E=1.0
+  schwarzschild            params: M=1.0
+  reissner-nordstrom       params: M=1.0, q=0.3
+  em-plane-wave            params: a=0.5, k=1.0
+fixtures:
+  charge-ball              params: pi=3.141592653589793, rho0=0.05, rho_q=0.02
+a path to a definition file is accepted wherever a name is.
+"""
+
+
 def test_resolve_model_variants(tmp_path):
     assert resolve_model("minkowski").name == "minkowski"
     assert resolve_model("charge-ball").name == "charge-ball"
@@ -530,7 +547,7 @@ def test_empty_grid_is_a_usage_error(tmp_path, capsys):
     out = tmp_path / "r.json"
     assert main(["run", "--spacetime", "minkowski", "--suite", "metric",
                  "--grid", "x=0:1:0", "--out", str(out)]) == 2
-    assert "no points" in capsys.readouterr().err
+    assert "grid count must be >= 1" in capsys.readouterr().err
     with pytest.raises(GeometryError):
         SuiteContext(catalog_get("minkowski"), grid_overrides={"t": []})
 
