@@ -584,22 +584,26 @@ _LINE_RES = {
     "g": re.compile(r"^g\[(\d+)\]\[(\d+)\]\s*=\s*\"(.*)\"\s*$"),
     "A": re.compile(r"^A\[(\d+)\]\s*=\s*\"(.*)\"\s*$"),
     "domain": re.compile(r"^domain\s*=\s*\"(.*)\"\s*$"),
-    "grid": re.compile(r"^grid\.([A-Za-z_]\w*)\s*=\s*([^:]+:[^:]+:\d+)\s*$"),
+    "grid": re.compile(r"^grid\.([A-Za-z_]\w*)\s*=\s*([^:]+:[^:]+:[^:]+)$"),
 }
 
 
-def grid_range(spec):
-    """The ``(start, stop, count)`` of a ``start:stop:count`` axis, the one
-    reader of that syntax, for ``np.linspace``.  ValueError where the text
-    does not read so; GeometryError where count < 1 or the bounds or their
-    distance are not finite (linspace would warn and leave NaN points)."""
+def grid_axis(spec):
+    """The axis of a ``start:stop:count`` text, ``count`` evenly spaced values
+    from ``start`` to ``stop``: the one reader of that syntax.  ValueError
+    where the text does not read so; GeometryError where count < 1, the
+    bounds or their distance are not finite (linspace would warn and leave
+    NaN points), or numpy refuses an array of count values."""
     start, stop, count = spec.split(":")
     start, stop, count = float(start), float(stop), int(count)
     if count < 1:
         raise GeometryError("grid count must be >= 1")
     if not math.isfinite(stop - start):  # inf or NaN also when a bound is
         raise GeometryError(f"grid bounds and their distance must be finite: {start!r}:{stop!r}")
-    return start, stop, count
+    try:
+        return np.linspace(start, stop, count)
+    except (ValueError, IndexError, MemoryError):  # IndexError: numpy's refusal near 2**63
+        raise GeometryError(f"grid count is too large: {count}") from None
 
 
 def parse_spacetime_text(text, origin="<string>", param_overrides=None):
@@ -670,12 +674,12 @@ def parse_spacetime_text(text, origin="<string>", param_overrides=None):
         elif m := _LINE_RES["grid"].match(line):
             coord = m.group(1)
             try:
-                axis = grid_range(m.group(2))
+                axis = tuple(grid_axis(m.group(2)))
             except ValueError:
                 raise SpacetimeFormatError("bad grid range", origin, lineno) from None
             except GeometryError as err:
                 raise SpacetimeFormatError(str(err), origin, lineno) from None
-            grid_axes[coord] = tuple(np.linspace(*once(f"grid.{coord}", axis, lineno, "range")))
+            grid_axes[coord] = once(f"grid.{coord}", axis, lineno, "range")
             grid_lines.setdefault(coord, lineno)
         else:
             raise SpacetimeFormatError(f"unrecognized line: {line!r}", origin, lineno)

@@ -20,8 +20,8 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import fields
 from .dynamics import _dust_jets, acceleration, probe_velocity, transport_residual
+from .engine import field_jets
 from .gauge import contorsion_shift, scalar_shift
 from .tensor import batched_einsum, max_abs
 
@@ -57,26 +57,16 @@ def _signature(snap):
     return np.zeros(len(snap.x))
 
 
-def _iter_fields(model):
-    for i in range(4):
-        for j in range(i, 4):
-            yield model.g_fields[i][j]
-    yield from model.A_fields
-
-
 def _dual_vs_fd(snap):
+    """The engine's dual field jets against its fd stencils: the largest gap
+    of each derivative of g and A over 1 + |g| or 1 + |A| of its component."""
+    dual, fd = (field_jets(snap.model, snap.x, 2, mode) for mode in ("dual", "fd"))
     worst = 0.0
-    for f in _iter_fields(snap.model):
-        jv = f.jet(snap.x, 2)
-        grad, hess = fields.finite_difference_derivatives(f, snap.x)
-        scale = 1.0 + np.abs(jv.value)
-        worst = np.maximum(
-            worst,
-            np.maximum(
-                np.abs(grad - jv.grad).max(axis=0) / scale,
-                np.abs(hess - jv.hess).max(axis=(0, 1)) / scale,
-            ),
-        )
+    for value, derivs in ((dual.g, ("dg", "ddg")), (dual.A, ("dA", "ddA"))):
+        scale = 1.0 + np.abs(value)
+        for k, d in enumerate(derivs, start=1):  # k derivative axes after the point axis
+            gap = np.abs(getattr(fd, d) - getattr(dual, d)).max(axis=tuple(range(1, k + 1)))
+            worst = np.maximum(worst, (gap / scale).reshape(len(gap), -1).max(axis=1))
     return worst
 
 

@@ -22,9 +22,7 @@ import functools
 import sys
 import traceback
 
-import numpy as np
-
-from .catalog import _ENTRIES, CATALOG_NAMES, FIXTURE_NAMES, grid_range
+from .catalog import _ENTRIES, CATALOG_NAMES, FIXTURE_NAMES, grid_axis
 from .errors import GeometryError
 from .harness import (
     SUITES,
@@ -55,7 +53,7 @@ def _parse_grid(pairs):
     for pair in pairs or []:
         try:
             name, spec = pair.split("=", 1)
-            grid[name.strip()] = np.linspace(*grid_range(spec))
+            grid[name.strip()] = grid_axis(spec)
         except ValueError:
             raise GeometryError(f"bad --grid {pair!r}, expected coord=start:stop:count") from None
         except GeometryError as err:

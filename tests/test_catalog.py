@@ -265,20 +265,22 @@ def test_a_grid_range_that_is_not_finite_is_a_load_error_at_its_line(tmp_path, c
     # exp(420)*exp(420) overflows in the jets' product, and 1/x at the
     # smallest subnormal x in the log's derivatives; neither may warn
     ("exp(1400*x)*exp(1400*x)", "-1:-0.5:2", "x=-0.5:0.3:2",
-     "non-finite result for field 'A[0]' at (0.0, 0.3, 0.0, 0.0)"),
+     "non-finite field derivatives for 'overflow' at (0.0, 0.3, 0.0, 0.0)"),
     ("0.1*log(x)", "0.5:1:2", "x=5e-324:1:2",
-     "non-finite result for field 'A[0]' at (0.0, 5e-324, 0.0, 0.0)"),
+     "non-finite field derivatives for 'overflow' at (0.0, 5e-324, 0.0, 0.0)"),
 ])
 def test_grid_override_where_a_field_fails_is_a_failed_check(tmp_path, A0, x, grid, note):
     """Over a batch, a field that cannot be evaluated raises the error the
-    one-point route raises, naming the first bad value or point."""
+    one-point route raises, naming the first bad value or point, and
+    fields.dual_vs_fd carries the note of the metric rows."""
     path = tmp_path / "f.spacetime"
     path.write_text(OVERFLOW_FILE.format(g11="-1", A0=A0, x=x))
     out = tmp_path / "r.json"
     assert main(["run", "--spacetime", str(path), "--suite", "metric", "--grid", grid,
                  "--out", str(out)]) == 1
     checks = {c["id"]: c for c in json.loads(out.read_text())["checks"]}
-    assert checks["fields.dual_vs_fd"]["note"] == f"EvalError: {note}"
+    assert checks["fields.dual_vs_fd"]["note"] == checks["metric.inverse"]["note"] == (
+        f"EvalError: {note}")
 
 
 # The metric reads x, the potential y and the domain z: no field reads t, so
@@ -591,17 +593,25 @@ def test_the_catalog_entry_as_a_definition_file_is_the_same_model():
 @pytest.mark.parametrize("count", ["0", "-1"])
 def test_a_grid_count_below_one_reads_one_note_on_both_front_ends(count, tmp_path, capsys):
     """``--grid`` and a file's ``grid.<c>`` line read ``start:stop:count``
-    with one reader; each frames its note with its own prefix.  A file's
-    count is digits, so a negative one is not a grid line."""
+    with one reader; each frames its note with its own prefix."""
+    _one_grid_note_on_both_front_ends(count, "grid count must be >= 1", tmp_path, capsys)
+
+
+# 10**20 is past numpy's array size limit, and 2**63 - 1 meets an IndexError
+# in np.linspace: neither allocates
+@pytest.mark.parametrize("count", ["100000000000000000000", "9223372036854775807"])
+def test_a_grid_count_numpy_refuses_reads_one_note_on_both_front_ends(count, tmp_path, capsys):
+    _one_grid_note_on_both_front_ends(count, f"grid count is too large: {count}", tmp_path, capsys)
+
+
+def _one_grid_note_on_both_front_ends(count, note, tmp_path, capsys):
     out = str(tmp_path / "r.json")
     assert main(["run", "--spacetime", "minkowski", "--grid", f"x=0:1:{count}",
                  "--out", out]) == 2
-    assert capsys.readouterr().err == (
-        f"error: bad --grid 'x=0:1:{count}': grid count must be >= 1\n")
-    path = tmp_path / "zero.spacetime"
+    assert capsys.readouterr().err == f"error: bad --grid 'x=0:1:{count}': {note}\n"
+    path = tmp_path / "count.spacetime"
     path.write_text(OVERFLOW_FILE.format(g11="-1", A0="x", x=f"0:1:{count}"))
     assert main(["run", "--spacetime", str(path), "--out", out]) == 2
-    note = "grid count must be >= 1" if count == "0" else "unrecognized line: 'grid.x = 0:1:-1'"
     assert capsys.readouterr().err == f"error: {path}:10: {note}\n"
 
 

@@ -1,5 +1,6 @@
 """Suites, reports, CLI behavior, and determinism guarantees."""
 
+import collections
 import dataclasses
 import json
 import os
@@ -14,7 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from rcgeom import CATALOG_NAMES, GeometryError, catalog, catalog_get, cli, engine, harness
+from rcgeom import (CATALOG_NAMES, GeometryError, catalog, catalog_get, cli, codegen, engine,
+                    finite_difference_derivatives, harness)
 from rcgeom.catalog import FIXTURE_NAMES, parse_spacetime_text
 from rcgeom.cli import main
 from rcgeom.checks import suite_of
@@ -28,6 +30,8 @@ from rcgeom.harness import (
     run_suite,
     run_worldline,
 )
+
+_KN = str(Path(__file__).parent.parent / "bench" / "kerr_newman.spacetime")
 
 RN_FILE = """
 name = rn-from-file
@@ -791,6 +795,63 @@ def test_one_metric_fault_reads_one_note_on_every_row(g00, g33, grid, note, tmp_
         "ConsistencyError: could not build a timelike test velocity at (0.0, -2.0, 0.0, 0.0)"}
 
 
+def _rows(argv, tmp_path):
+    out = tmp_path / "r.json"
+    main(["run", *argv, "--out", str(out)])
+    return {c["id"]: c for c in json.loads(out.read_text())["checks"]}
+
+
+def test_the_sin_recording_mutant_fails_dual_vs_fd(tmp_path, monkeypatch):
+    """Negative control of fields.dual_vs_fd: a wrong first derivative of
+    sin in the column code's recording (``codegen._RULES``, not the jets'
+    ``_TABLE``) fails the row, which reads the jets the engine runs.  No
+    other row sees it: their identities hold for the jets they are given."""
+    sin = codegen._RULES["sin"]
+    monkeypatch.setitem(codegen._RULES, "sin",
+                        lambda m, v, n: (lambda f, d, *rest: (f, -d, *rest))(*sin(m, v, n)))
+    monkeypatch.setattr(codegen, "_COLUMNS", collections.OrderedDict())
+    monkeypatch.setattr(codegen, "_GENERATED", collections.OrderedDict())
+    checks = _rows(["--spacetime", "schwarzschild", "--suite", "all"], tmp_path)
+    assert [cid for cid, c in checks.items() if not c["pass"]] == ["fields.dual_vs_fd"]
+    assert checks["fields.dual_vs_fd"]["max_residual"] > 1.0
+
+
+def _per_field_dual_vs_fd(snap):
+    """fields.dual_vs_fd as each component field's own dense jet against its
+    stencils, the 10 metric components with i <= j and the 4 potentials."""
+    model = snap.model
+    worst = 0.0
+    for f in [model.g_fields[i][j] for i in range(4) for j in range(i, 4)] + list(model.A_fields):
+        jv = f.jet(snap.x, 2)
+        grad, hess = finite_difference_derivatives(f, snap.x)
+        scale = 1.0 + np.abs(jv.value)
+        worst = np.maximum(worst, np.maximum(np.abs(grad - jv.grad).max(axis=0) / scale,
+                                             np.abs(hess - jv.hess).max(axis=(0, 1)) / scale))
+    return worst
+
+
+@pytest.mark.parametrize("mode", ["dual", "fd"])
+@pytest.mark.parametrize("name", [*CATALOG_NAMES, "charge-ball", _KN])
+def test_dual_vs_fd_reads_what_each_field_reads_alone(name, mode):
+    """The engine's jets give the row the bits of the per-field reference on
+    the row's own points and on the grid."""
+    ctx = SuiteContext(resolve_model(name))
+    for pts in (ctx.points("small"), ctx.grid[:40]):
+        snap = engine.GeometrySnapshot(ctx.model, pts, mode)
+        got = CHECK_DEFS["fields.dual_vs_fd"].residual(snap)
+        assert got.tobytes() == _per_field_dual_vs_fd(snap).tobytes(), name
+
+
+@pytest.mark.parametrize("mode", ["dual", "fd"])
+def test_dual_vs_fd_outside_the_domain_reads_the_domain_note(mode, tmp_path):
+    """Like every other row, the row reads no field outside the chart's domain."""
+    checks = _rows(["--spacetime", "schwarzschild", "--suite", "metric", "--grid", "r=1:1:1",
+                    "--diff", mode], tmp_path)
+    row, inverse = checks["fields.dual_vs_fd"], checks["metric.inverse"]
+    assert inverse["note"].startswith("DomainError: point (0.0, 1.0, ")
+    assert (row["pass"], row["max_residual"], row["note"]) == (False, None, inverse["note"])
+
+
 README = Path(__file__).resolve().parents[1] / "README.md"
 
 
@@ -1048,8 +1109,6 @@ def test_a_verdict_never_loads_numpy_random(tmp_path, argv, draws):
 
 
 # -- orbits of the coordinates no field reads --------------------------------------
-
-_KN = str(Path(__file__).parent.parent / "bench" / "kerr_newman.spacetime")
 
 ORBIT_RUNS = {
     # the 512-point Kerr-Newman grid of the benchmark, seed 0: 128 orbits of 4
